@@ -5,20 +5,16 @@
 #   make lint        — csaw-lint: the simulation-invariant analyzers
 #   make race        — full test suite under the race detector
 #   make check       — vet + race + lint (the pre-merge gate alongside tier1)
-#   make bench-fleet — emit BENCH_fleet.json (fleet throughput, the
-#                      sharded-vs-legacy global-DB sync-round comparison,
-#                      and the population-vs-throughput curve with its
+#   make bench-fleet — emit BENCH_fleet.json (fleet throughput and the
+#                      population-vs-throughput curve with its
 #                      10x event-vs-scaled gate: 10k clients on a 72h
 #                      steady-state window, where the scaled engine pays
 #                      its window/scale real-sleep floor; takes ~10 min,
 #                      most of it that floor)
 #   make bench-fleet-full — bench-fleet with the 100k-client event-mode
 #                      curve point included (several extra minutes)
-#   make bench-globaldb — emit BENCH_globaldb.json (WAL recovery time vs
-#                      log length with a compaction control, bytes/sync
-#                      full-vs-delta at 1k/10k/100k URL universes gated at
-#                      delta ≤ 20% of full, and the virtual failover-to-
-#                      first-successful-sync latency)
+#   make loc         — non-test Go lines per package, largest first (CI
+#                      prints it: a PR's net line count is a diff of two)
 #   make chaos       — deterministic chaos sweep under -race: the fixed
 #                      primary-loss schedule plus 20 generated fault
 #                      schedules against the replicated global DB; every
@@ -35,7 +31,7 @@
 
 GO ?= go
 
-.PHONY: all build test tier1 vet lint race check bench-fleet bench-fleet-full bench-globaldb chaos soak-churn golden fuzz cover
+.PHONY: all build test tier1 vet lint race check bench-fleet bench-fleet-full loc chaos soak-churn golden fuzz cover
 
 all: tier1
 
@@ -64,9 +60,14 @@ bench-fleet:
 bench-fleet-full:
 	CSAW_BENCH_FLEET_FULL=1 CSAW_BENCH_FLEET_OUT=$(CURDIR)/BENCH_fleet.json $(GO) test ./internal/fleet -run TestEmitBenchFleet -count=1 -v -timeout 60m
 
-bench-globaldb:
-	CSAW_BENCH_GLOBALDB_OUT=$(CURDIR)/BENCH_globaldb.json $(GO) test ./internal/globaldb -run TestEmitBenchGlobalDB -count=1 -v -timeout 15m
-
+# Non-test Go lines per package directory (no _test.go, no testdata/),
+# largest first, one line each. CI prints it; diffing two runs is a PR's
+# net line count per package.
+loc:
+	@git ls-files -co --exclude-standard '*.go' | grep -v -e '_test\.go$$' -e '/testdata/' | \
+		while read -r f; do [ -f "$$f" ] && printf '%s %s\n' "$$(wc -l < "$$f")" "$$(dirname "$$f")"; done | \
+		awk '{ n[$$2] += $$1; t += $$1 } END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' | \
+		sort -k1,1nr -k2
 # Chaos sweep for the replicated global DB: the fixed primary-loss schedule
 # and the 20-seed randomized sweep (kills, partitions, flaps, torn writes,
 # WAL bit-flips), under the race detector. CHAOS.json records every seed's

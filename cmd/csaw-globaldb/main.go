@@ -33,6 +33,7 @@ import (
 	"csaw/internal/chaos"
 	"csaw/internal/globaldb"
 	"csaw/internal/globaldb/replica"
+	"csaw/internal/httpx"
 	"csaw/internal/localdb"
 	"csaw/internal/metrics"
 	"csaw/internal/netem"
@@ -62,24 +63,18 @@ func main() {
 	asn := 17557
 
 	srvHost := n.MustAddHost("globaldb", "40.0.0.1", "us", cloud)
-	var srv *globaldb.Server
-	if *walDir != "" || *replicas > 0 {
-		var err error
-		srv, err = globaldb.NewDurableServer(clock, nil, globaldb.StoreOptions{
-			Dir:           *walDir,
-			SnapshotEvery: *snapEvery,
-			Replicated:    *replicas > 0,
-		})
-		if err != nil {
-			fatal(err)
-		}
-	} else {
-		srv = globaldb.NewServer(clock, nil)
+	srv, err := globaldb.NewDurableServer(clock, nil, globaldb.StoreOptions{
+		Dir:           *walDir,
+		SnapshotEvery: *snapEvery,
+		Replicated:    *replicas > 0,
+	})
+	if err != nil {
+		fatal(err)
 	}
 	if err := srv.Attach(srvHost, 80); err != nil {
 		fatal(err)
 	}
-	mode := "in-memory sharded store"
+	mode := "in-memory store"
 	if *walDir != "" {
 		mode = fmt.Sprintf("WAL+snapshot store in %s", *walDir)
 	}
@@ -191,7 +186,7 @@ func main() {
 		demoFailover(ctx, n, clock, srv, set, endpoints, asn, fullBytes)
 	}
 	if *walDir != "" {
-		demoRecovery(srv, *walDir, *snapEvery, asn, fullBytes, len(entries))
+		demoRecovery(clock, srv, *walDir, *snapEvery, asn, fullBytes, len(entries))
 	}
 }
 
@@ -240,19 +235,20 @@ func demoFailover(ctx context.Context, n *netem.Network, clock *vtime.Clock,
 
 // demoRecovery kills the durable server and reopens its directory: recovery
 // replays snapshot + log tail and must serve the exact pre-kill body.
-func demoRecovery(srv *globaldb.Server, dir string, snapEvery, asn, fullBytes, nEntries int) {
+func demoRecovery(clock *vtime.Clock, srv *globaldb.Server, dir string, snapEvery, asn, fullBytes, nEntries int) {
 	if err := srv.Close(); err != nil {
 		fatal(fmt.Errorf("close durable server: %w", err))
 	}
-	re, err := globaldb.NewWALBenchStore(dir, snapEvery)
+	re, err := globaldb.NewDurableServer(clock, nil, globaldb.StoreOptions{Dir: dir, SnapshotEvery: snapEvery})
 	if err != nil {
 		fatal(fmt.Errorf("recover store: %w", err))
 	}
-	body := re.FetchResponse(asn)
-	recovered := re.Recovered()
-	fmt.Printf("\nkill-and-recover from %s: replayed %d log records; blocked list is %d bytes (pre-kill %d), %d entries (pre-kill %d)\n",
-		dir, recovered, len(body), fullBytes, len(re.BlockedForAS(asn)), nEntries)
-	if len(body) != fullBytes || len(re.BlockedForAS(asn)) != nEntries {
+	target := fmt.Sprintf("%s?asn=%d", globaldb.PathFetch, asn)
+	body := re.Handler().ServeHTTP(httpx.NewRequest("GET", "globaldb.example", target), netem.Flow{}).Body
+	entries := re.BlockedForAS(asn)
+	fmt.Printf("\nkill-and-recover from %s: blocked list is %d bytes (pre-kill %d), %d entries (pre-kill %d)\n",
+		dir, len(body), fullBytes, len(entries), nEntries)
+	if len(body) != fullBytes || len(entries) != nEntries {
 		fatal(fmt.Errorf("recovered state diverges from the pre-kill state"))
 	}
 	if err := re.Close(); err != nil {

@@ -3,94 +3,14 @@ package fleet
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"os"
 	"testing"
 	"time"
 
-	"csaw/internal/globaldb"
 	"csaw/internal/trace"
 	"csaw/internal/worldgen"
 )
-
-// --- The sharded-vs-legacy global-DB trajectory -------------------------
-//
-// benchSyncRound measures the server-side cost of the client sync loop —
-// the exact store traffic core.Client.syncRound generates — against a
-// steady state of 2000 clients × 5 reports across 16 ASes. Every round
-// fetches the client's own-AS blocked list; a post precedes the fetch on
-// every 7th round, matching the steady-state mix where most intervals have
-// no new blocked URLs to report (§4.3.1: blocking events are rare relative
-// to sync intervals) and re-posts keep the store size stationary. This is
-// the before/after pair behind BENCH_fleet.json's ingest-throughput
-// acceptance gate: the legacy store pays an O(total reports) scan plus a
-// sort and a marshal for every fetch under the one global mutex, while the
-// sharded store re-aggregates only a written AS — once, on the first fetch
-// after the write — and serves the cached body to everyone else.
-
-const (
-	benchClients   = 2000
-	benchASes      = 16
-	benchPerClient = 5
-)
-
-var benchBase = time.Unix(1_000_000_000, 0)
-
-func populateBench(tb testing.TB, s globaldb.BenchStore, perClient int) {
-	for c := 0; c < benchClients; c++ {
-		uuid := fmt.Sprintf("client-%05d", c)
-		s.AddUser(uuid)
-		asn := 100 + c%benchASes
-		batch := make([]globaldb.Report, perClient)
-		for r := range batch {
-			batch[r] = globaldb.Report{
-				URL:    fmt.Sprintf("site%d-%d.example/", c%50, r),
-				ASN:    asn,
-				Stages: []globaldb.WireStage{{Type: 1, Detail: "nxdomain"}},
-				Tm:     benchBase,
-			}
-		}
-		if _, ok := s.Ingest(uuid, benchBase, batch); !ok {
-			tb.Fatal("bench setup: ingest rejected")
-		}
-	}
-}
-
-func benchSyncRound(b *testing.B, s globaldb.BenchStore) {
-	populateBench(b, s, benchPerClient)
-	base := time.Unix(2_000_000_000, 0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c := i % benchClients
-		uuid := fmt.Sprintf("client-%05d", c)
-		asn := 100 + c%benchASes
-		// 7 is coprime with the AS count so post traffic spreads over all
-		// 16 ASes instead of aliasing onto a subset.
-		if i%7 == 0 {
-			if _, ok := s.Ingest(uuid, base.Add(time.Duration(i)*time.Second), []globaldb.Report{{
-				URL:    fmt.Sprintf("site%d-%d.example/", c%50, i%benchPerClient),
-				ASN:    asn,
-				Stages: []globaldb.WireStage{{Type: 1, Detail: "nxdomain"}},
-				Tm:     benchBase,
-			}}); !ok {
-				b.Fatal("ingest rejected")
-			}
-		}
-		if body := s.FetchResponse(asn); len(body) == 0 {
-			b.Fatal("empty fetch body")
-		}
-	}
-}
-
-func BenchmarkFleetSyncRoundLegacy(b *testing.B) {
-	benchSyncRound(b, globaldb.NewLegacyBenchStore())
-}
-
-func BenchmarkFleetSyncRoundSharded(b *testing.B) {
-	benchSyncRound(b, globaldb.NewShardedBenchStore())
-}
 
 // --- The end-to-end fleet run ------------------------------------------
 
@@ -232,19 +152,12 @@ func runCurvePoint(tb testing.TB, population int, eventDriven bool, window time.
 // --- The BENCH_fleet.json emitter --------------------------------------
 
 // benchFleetDoc is the emitted schema; .github/workflows/ci.yml uploads the
-// file as an artifact via `make bench-fleet`. Schema 2 adds the
-// population-vs-throughput curve and its event_speedup_10k gate.
+// file as an artifact via `make bench-fleet`. Schema 2 added the
+// population-vs-throughput curve and its event_speedup_10k gate; schema 3
+// has no sync_round object.
 type benchFleetDoc struct {
 	Schema    int    `json:"schema"`
 	Generated string `json:"generated"`
-
-	SyncRound struct {
-		LegacyNsPerOp   float64 `json:"legacy_ns_per_op"`
-		ShardedNsPerOp  float64 `json:"sharded_ns_per_op"`
-		Speedup         float64 `json:"speedup"`
-		LegacyAllocsOp  int64   `json:"legacy_allocs_per_op"`
-		ShardedAllocsOp int64   `json:"sharded_allocs_per_op"`
-	} `json:"sync_round"`
 
 	FleetRun struct {
 		Population        int     `json:"population"`
@@ -266,32 +179,21 @@ type benchFleetDoc struct {
 }
 
 // TestEmitBenchFleet writes BENCH_fleet.json when CSAW_BENCH_FLEET_OUT is
-// set (`make bench-fleet`), and enforces the trajectory's acceptance gates:
-// the sharded store must carry the sync-round mix at ≥5× the single-mutex
-// baseline's throughput, and the discrete-event engine must push ≥10× the
-// scaled engine's fetches-per-real-second at 10k clients on the 72h
-// steady-state window (see steadyWindow for why that is the honest
-// comparison). Set CSAW_BENCH_FLEET_FULL=1 to extend the curve to 100k
-// clients.
+// set (`make bench-fleet`), and enforces the trajectory's acceptance gate:
+// the discrete-event engine must push ≥10× the scaled engine's
+// fetches-per-real-second at 10k clients on the 72h steady-state window
+// (see steadyWindow for why that is the honest comparison). Set
+// CSAW_BENCH_FLEET_FULL=1 to extend the curve to 100k clients.
 func TestEmitBenchFleet(t *testing.T) {
 	out := os.Getenv("CSAW_BENCH_FLEET_OUT")
 	if out == "" {
 		t.Skip("set CSAW_BENCH_FLEET_OUT=BENCH_fleet.json to emit the benchmark document")
 	}
 
-	legacy := testing.Benchmark(BenchmarkFleetSyncRoundLegacy)
-	sharded := testing.Benchmark(BenchmarkFleetSyncRoundSharded)
-
 	var doc benchFleetDoc
-	doc.Schema = 2
+	doc.Schema = 3
 	doc.Generated = time.Now().UTC().Format(time.RFC3339) //lint:allow-realtime artifact timestamp for the operator
-	doc.SyncRound.LegacyNsPerOp = float64(legacy.NsPerOp())
-	doc.SyncRound.ShardedNsPerOp = float64(sharded.NsPerOp())
-	doc.SyncRound.Speedup = float64(legacy.NsPerOp()) / float64(sharded.NsPerOp())
-	doc.SyncRound.LegacyAllocsOp = legacy.AllocsPerOp()
-	doc.SyncRound.ShardedAllocsOp = sharded.AllocsPerOp()
-
-	start := time.Now() //lint:allow-realtime benchmark measures real throughput by design
+	start := time.Now()                                   //lint:allow-realtime benchmark measures real throughput by design
 	res := runBenchFleet(t)
 	real := time.Since(start).Seconds() //lint:allow-realtime see above
 	doc.FleetRun.Population = res.Summary.Population
@@ -319,9 +221,7 @@ func TestEmitBenchFleet(t *testing.T) {
 	if err := os.WriteFile(out, raw, 0o644); err != nil {
 		t.Fatalf("write %s: %v", out, err)
 	}
-	t.Logf("sync round: legacy %.0f ns/op, sharded %.0f ns/op → %.1fx; fleet run: %d fetches in %.2fs",
-		doc.SyncRound.LegacyNsPerOp, doc.SyncRound.ShardedNsPerOp, doc.SyncRound.Speedup,
-		doc.FleetRun.Fetches, real)
+	t.Logf("fleet run: %d fetches in %.2fs", doc.FleetRun.Fetches, real)
 	for _, p := range doc.PopulationCurve {
 		t.Logf("curve: %6d clients %-6s %4.0fh window %7d fetches in %7.2fs → %8.0f fetches/s (peak %d goroutines)",
 			p.Population, p.Mode, p.WindowHours, p.Fetches, p.RealSeconds, p.FetchesPerRealSec, p.PeakGoroutines)
@@ -330,9 +230,6 @@ func TestEmitBenchFleet(t *testing.T) {
 			d.FetchFull, d.FetchDelta, d.Fetch304, d.ListBytes, d.BytesPerSync)
 	}
 	t.Logf("event speedup at 10k clients (72h steady-state window): %.1fx", doc.EventSpeedup10k)
-	if doc.SyncRound.Speedup < 5 {
-		t.Errorf("sharded sync-round speedup %.2fx below the 5x acceptance gate", doc.SyncRound.Speedup)
-	}
 	if doc.EventSpeedup10k < 10 {
 		t.Errorf("event-engine speedup %.2fx at 10k clients (72h window) below the 10x acceptance gate", doc.EventSpeedup10k)
 	}

@@ -13,8 +13,10 @@
 package globaldb
 
 import (
+	"strings"
 	"time"
 
+	"csaw/internal/globaldb/storage"
 	"csaw/internal/localdb"
 )
 
@@ -124,11 +126,9 @@ type RegisterResponse struct {
 	UUID string `json:"uuid"`
 }
 
-// WireStage mirrors localdb.Stage for transport.
-type WireStage struct {
-	Type   int    `json:"type"`
-	Detail string `json:"detail,omitempty"`
-}
+// WireStage mirrors localdb.Stage for transport. It is the record stream's
+// stage type, so a posted report's stages enter the log as they arrived.
+type WireStage = storage.Stage
 
 // Report is one blocked-URL measurement posted by a client. Only blocked
 // URLs are reported (§3: updates include information about blocked URLs
@@ -189,6 +189,20 @@ type Stats struct {
 	BlockTypes     int            `json:"block_types"`
 	ByType         map[string]int `json:"by_type"` // URLs per primary mechanism
 	Updates        int            `json:"updates"`
+}
+
+// QueryParam extracts one query parameter from a request target, or "".
+// Keys match whole, at a '?' or '&' boundary: "asn" never matches "basn=5".
+func QueryParam(target, key string) string {
+	_, query, _ := strings.Cut(target, "?")
+	for query != "" {
+		var kv string
+		kv, query, _ = strings.Cut(query, "&")
+		if k, v, ok := strings.Cut(kv, "="); ok && k == key {
+			return v
+		}
+	}
+	return ""
 }
 
 // ToWire converts localdb stages for transport.

@@ -6,51 +6,28 @@ import (
 	"time"
 )
 
-// benchStore pre-populates a store with the fleet steady state: nClients
-// registered clients spread over nASes ASes, each holding perClient reports.
-func benchStore(s store, nClients, nASes, perClient int) {
+// BenchmarkIngest measures the pure report-ingest path (no fetches, no log,
+// no feed) at the fleet steady state: 2000 registered clients spread over
+// 16 ASes, each posting one fresh URL per iteration.
+func BenchmarkIngest(b *testing.B) {
+	const nClients, nASes = 2000, 16
+	s, err := openStore(StoreOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
 	base := time.Unix(1_000_000_000, 0)
 	for c := 0; c < nClients; c++ {
-		uuid := fmt.Sprintf("client-%05d", c)
-		s.addUser(uuid)
-		asn := 100 + c%nASes
-		batch := make([]Report, perClient)
-		for r := range batch {
-			batch[r] = Report{
-				URL:    fmt.Sprintf("site%d-%d.example/", c%50, r),
-				ASN:    asn,
-				Stages: []WireStage{{Type: 1, Detail: "nxdomain"}},
-				Tm:     base,
-			}
-		}
-		if _, ok := s.ingest(uuid, base, batch); !ok {
-			panic("bench setup: ingest rejected")
-		}
+		s.addUser(fmt.Sprintf("client-%05d", c))
 	}
-}
-
-// The sync-round before/after pair (legacy vs sharded under the realistic
-// post/fetch mix) lives in internal/fleet's BenchmarkFleetSyncRound* — the
-// BENCH_fleet.json trajectory — via the exported BenchStore surface.
-
-// benchIngest measures the pure report-ingest path (no fetches): the sharded
-// store must not regress on plain writes.
-func benchIngest(b *testing.B, s store) {
-	const nClients = 2000
-	benchStore(s, nClients, 16, 1)
-	base := time.Unix(2_000_000_000, 0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c := i % nClients
-		uuid := fmt.Sprintf("client-%05d", c)
-		if _, ok := s.ingest(uuid, base, []Report{{
-			URL: fmt.Sprintf("fresh-%d.example/", i), ASN: 100 + c%16, Tm: base,
+		if _, ok := s.ingest(fmt.Sprintf("client-%05d", c), base, []Report{{
+			URL: fmt.Sprintf("fresh-%d.example/", i), ASN: 100 + c%nASes,
+			Stages: []WireStage{{Type: 1, Detail: "nxdomain"}}, Tm: base,
 		}}); !ok {
 			b.Fatal("ingest rejected")
 		}
 	}
 }
-
-func BenchmarkIngestLegacy(b *testing.B)  { benchIngest(b, newLegacyStore()) }
-func BenchmarkIngestSharded(b *testing.B) { benchIngest(b, newShardedStore()) }

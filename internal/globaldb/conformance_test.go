@@ -7,13 +7,13 @@ import (
 	"time"
 )
 
-// Store conformance suite: every backend — the retained single-mutex seed
-// store, the sharded default, and the WAL-backed durable store (with and
-// without a directory) — must expose identical ingest/dedup/revoke and
-// aggregation semantics. Conditional-fetch behavior is the one permitted
-// divergence, pinned by TestConformanceConditionalContract below: tagged
-// stores may answer 304/delta, the tagless legacy store must always serve
-// the full body.
+// Store conformance suite: the one production store under every
+// StoreOptions shape — no log ("sharded", what NewServer builds), a WAL
+// directory ("wal"), a replication feed only ("feed-only") — must expose
+// ingest/dedup/revoke and aggregation semantics byte-identical to the
+// sequential reference model ("legacy", see legacy_test.go). Conditional
+// fetches are outside the model (it has no versions), so
+// TestConformanceConditionalContract pins them on the store shapes alone.
 
 // utc is the workload epoch; UTC so serialized instants survive export and
 // restore byte-identically regardless of the host zone.
@@ -21,39 +21,38 @@ var utc = time.Unix(1_000_000_000, 0).UTC()
 
 type storeFactory struct {
 	name string
-	mk   func(t *testing.T) store
+	mk   func(t *testing.T) dbModel
+}
+
+func mustOpenStore(t *testing.T, o StoreOptions) *store {
+	t.Helper()
+	s, err := openStore(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := s.close(); err != nil {
+			t.Errorf("close: %v", err)
+		}
+	})
+	return s
 }
 
 func storeFactories() []storeFactory {
 	return []storeFactory{
-		{"legacy", func(t *testing.T) store { return newLegacyStore() }},
-		{"sharded", func(t *testing.T) store { return newShardedStore() }},
-		{"wal", func(t *testing.T) store {
-			d, err := newDurableStore(StoreOptions{Dir: t.TempDir(), SnapshotEvery: 8})
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() {
-				if err := d.close(); err != nil {
-					t.Errorf("close: %v", err)
-				}
-			})
-			return d
+		{"legacy", func(t *testing.T) dbModel { return newLegacyStore() }},
+		{"sharded", func(t *testing.T) dbModel { return mustOpenStore(t, StoreOptions{}) }},
+		{"wal", func(t *testing.T) dbModel {
+			return mustOpenStore(t, StoreOptions{Dir: t.TempDir(), SnapshotEvery: 8})
 		}},
-		{"feed-only", func(t *testing.T) store {
-			d, err := newDurableStore(StoreOptions{Replicated: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return d
-		}},
+		{"feed-only", func(t *testing.T) dbModel { return mustOpenStore(t, StoreOptions{Replicated: true}) }},
 	}
 }
 
 // conformanceWorkload drives one scripted history through a store and
 // returns every observable: ingest results, aggregations, full fetch
 // bodies, and stats.
-func conformanceWorkload(t *testing.T, s store) string {
+func conformanceWorkload(t *testing.T, s dbModel) string {
 	t.Helper()
 	var out bytes.Buffer
 	obs := func(format string, args ...any) { fmt.Fprintf(&out, format+"\n", args...) }
@@ -71,8 +70,8 @@ func conformanceWorkload(t *testing.T, s store) string {
 	batch := []Report{
 		{URL: "a.example/", ASN: 100, Stages: stages, Tm: utc},
 		{URL: "b.example/", ASN: 100, Stages: stages, Tm: utc},
-		{URL: "", ASN: 100, Tm: utc},  // invalid: skipped
-		{URL: "c.example/", Tm: utc},  // invalid: ASN 0
+		{URL: "", ASN: 100, Tm: utc}, // invalid: skipped
+		{URL: "c.example/", Tm: utc}, // invalid: ASN 0
 	}
 	n, ok := s.ingest("alice", utc, batch)
 	obs("alice batch1: %d %v", n, ok)
@@ -125,12 +124,10 @@ func TestStoreConformance(t *testing.T) {
 	}
 }
 
-// TestConformanceConditionalContract pins the conditional-fetch contract per
-// backend: a tagged store answers its own current tag with 304 and never
-// serves a body under a foreign tag it happens to match; the legacy store
-// ignores If-None-Match entirely — a stale non-empty tag (left over from a
-// tagged backend before a failover or store swap) must get the full body,
-// never a spurious 304 that would freeze the client's list.
+// TestConformanceConditionalContract pins the conditional-fetch contract:
+// every store shape answers its own current tag with 304 and never 304s a
+// foreign tag. The reference model has no tags; for it the test only checks
+// that If-None-Match never suppresses the body.
 func TestConformanceConditionalContract(t *testing.T) {
 	for _, f := range storeFactories() {
 		f := f
@@ -145,7 +142,7 @@ func TestConformanceConditionalContract(t *testing.T) {
 				t.Fatalf("unconditional fetch: %+v", first)
 			}
 			// A stale tag from some other backend must never 304. "9.9" is a
-			// plausible sharded tag no fresh store has reached.
+			// plausible tag no fresh store has reached.
 			stale := s.fetchResponse(100, "9.9")
 			if stale.notModified {
 				t.Fatalf("stale foreign tag %q answered 304", "9.9")
@@ -153,12 +150,7 @@ func TestConformanceConditionalContract(t *testing.T) {
 			if !bytes.Equal(stale.body, first.body) && !stale.delta {
 				t.Fatalf("stale tag served neither full body nor delta")
 			}
-			if first.tag == "" {
-				// Tagless store: even its own (empty) answer must not 304.
-				again := s.fetchResponse(100, "")
-				if again.notModified || !bytes.Equal(again.body, first.body) {
-					t.Fatalf("tagless store conditional answer: %+v", again)
-				}
+			if f.name == "legacy" {
 				return
 			}
 			hit := s.fetchResponse(100, first.tag)
@@ -190,28 +182,5 @@ func TestConformanceRepostDedup(t *testing.T) {
 				t.Fatalf("updates after 3 identical posts = %d, want 2", st.Updates)
 			}
 		})
-	}
-}
-
-// TestLegacyEmptyTagPath is the regression pin for the legacy store's
-// explicit empty-tag contract in isolation (the cross-backend suite above
-// exercises it too): tag is always "", notModified and delta never fire,
-// whatever If-None-Match says.
-func TestLegacyEmptyTagPath(t *testing.T) {
-	s := newLegacyStore()
-	s.addUser("u")
-	if _, ok := s.ingest("u", utc, []Report{{URL: "a.example/", ASN: 100, Tm: utc}}); !ok {
-		t.Fatal("ingest rejected")
-	}
-	full := s.fetchResponse(100, "")
-	for _, inm := range []string{"", "0.0", "1.0", full.tag, "garbage"} {
-		fr := s.fetchResponse(100, inm)
-		if fr.tag != "" || fr.notModified || fr.delta {
-			t.Fatalf("inm %q: tag=%q notModified=%v delta=%v, want tagless full body",
-				inm, fr.tag, fr.notModified, fr.delta)
-		}
-		if !bytes.Equal(fr.body, full.body) {
-			t.Fatalf("inm %q: body differs from unconditional fetch", inm)
-		}
 	}
 }

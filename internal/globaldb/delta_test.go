@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"csaw/internal/httpx"
 	"csaw/internal/localdb"
 	"csaw/internal/netem"
 	"csaw/internal/vtime"
@@ -51,7 +52,7 @@ func TestMergeDeltaReconstructsFullList(t *testing.T) {
 // cached entries reproduces the current full list exactly; unknown tags
 // fall back to the full body.
 func TestShardedDeltaServing(t *testing.T) {
-	s := newShardedStore()
+	s := mustOpenStore(t, StoreOptions{})
 	s.addUser("u1")
 	s.addUser("u2")
 	s.addUser("u3")
@@ -150,7 +151,7 @@ func entriesEqual(a, b []Entry) bool {
 // TestDeltaHistoryCap pins that the history stays bounded and that a tag
 // older than the cap falls back to the full body.
 func TestDeltaHistoryCap(t *testing.T) {
-	s := newShardedStore()
+	s := mustOpenStore(t, StoreOptions{})
 	s.addUser("u")
 	s.ingest("u", utc, []Report{{URL: "seed.example/", ASN: 100, Tm: utc}})
 	oldest := s.fetchResponse(100, "")
@@ -235,11 +236,11 @@ func TestClientDeltaSync(t *testing.T) {
 	}
 }
 
-// TestClientTagDowngrade is the satellite-c regression: a client that
-// fetched from a tagged store, then (after a failover or store swap) gets a
-// 200 without an ETag, must drop its cached tag — never re-sending the
-// stale tag where it could spuriously match another backend's unrelated
-// tag.
+// TestClientTagDowngrade pins the client against outside input: the server
+// always sends an ETag, but a client that is then handed a 200 without one
+// (a foreign implementation, a middlebox rewriting the response) must drop
+// its cached tag — never re-sending the stale tag where it could spuriously
+// match another backend's unrelated tag.
 func TestClientTagDowngrade(t *testing.T) {
 	clock := vtime.New(1000)
 	n := netem.New(clock, netem.WithSeed(41), netem.WithJitter(0))
@@ -247,24 +248,32 @@ func TestClientTagDowngrade(t *testing.T) {
 	cloud := n.AddAS(900, "Cloud", "US")
 	n.SetRTT("pk", "us", 100*time.Millisecond)
 
-	// Two backends at different addresses: a sharded (tagged) one and a
-	// legacy (tagless) one, with different content for the same AS.
+	// Two backends at different addresses with different content for the
+	// same AS: a real server, and a stub answering every request with an
+	// ETag-less 200.
 	tagged := NewServer(clock, nil)
 	if err := tagged.Attach(n.MustAddHost("tagged", "40.0.0.1", "us", cloud), 80); err != nil {
 		t.Fatal(err)
 	}
-	tagless := newServerWith(clock, nil, newLegacyStore(), nil)
-	if err := tagless.Attach(n.MustAddHost("tagless", "40.0.0.2", "us", cloud), 80); err != nil {
+	tagged.store.addUser("seed")
+	if _, ok := tagged.store.ingest("seed", clock.Now(), []Report{
+		{URL: "backend0.example/", ASN: 100, Tm: clock.Now()},
+	}); !ok {
+		t.Fatal("seed ingest rejected")
+	}
+	taglessBody, err := json.Marshal(FetchResponse{ASN: 100, Entries: []Entry{
+		{URL: "backend1.example/", ASN: 100, Votes: 1, Reporters: 1},
+	}})
+	if err != nil {
 		t.Fatal(err)
 	}
-	for i, srv := range []*Server{tagged, tagless} {
-		srv.store.addUser("seed")
-		if _, ok := srv.store.ingest("seed", clock.Now(), []Report{
-			{URL: fmt.Sprintf("backend%d.example/", i), ASN: 100, Tm: clock.Now()},
-		}); !ok {
-			t.Fatal("seed ingest rejected")
-		}
+	l, err := n.MustAddHost("tagless", "40.0.0.2", "us", cloud).Listen(80)
+	if err != nil {
+		t.Fatal(err)
 	}
+	httpx.Serve(l, httpx.HandlerFunc(func(*httpx.Request, netem.Flow) *httpx.Response {
+		return httpx.NewResponse(200, taglessBody)
+	}))
 
 	h := n.MustAddHost("client", "10.0.0.1", "pk", pk)
 	c := &Client{Addr: "40.0.0.1:80", Host: "globaldb.example", Clock: clock,

@@ -187,7 +187,9 @@ func TestRevokeSilencesUser(t *testing.T) {
 	if _, err := c.Report(context.Background(), []localdb.Record{blockedRec("x.example/", 100, localdb.BlockDNS, "")}); err != nil {
 		t.Fatal(err)
 	}
-	srv.Revoke(c.UUID())
+	if err := srv.Revoke(c.UUID()); err != nil {
+		t.Fatal(err)
+	}
 	entries, err := c.FetchBlocked(context.Background(), 100)
 	if err != nil {
 		t.Fatal(err)
@@ -333,7 +335,9 @@ func TestConditionalFetchRevocationInvalidates(t *testing.T) {
 	}
 	// Revocation bumps the epoch: the cached tag must stop validating even
 	// though the AS index version did not move.
-	srv.Revoke(c.UUID())
+	if err := srv.Revoke(c.UUID()); err != nil {
+		t.Fatal(err)
+	}
 	entries, err := c.FetchBlocked(context.Background(), 100)
 	if err != nil {
 		t.Fatal(err)

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"strconv"
-	"strings"
 
 	"csaw/internal/globaldb"
 	"csaw/internal/httpx"
@@ -220,15 +219,15 @@ func (f *Follower) demotePeer(ctx context.Context, st globaldb.ReplStatus) {
 // records — the demoted node pushes its suffix itself (doResync), so a
 // lost response cannot lose data.
 func (f *Follower) handleDemote(req *httpx.Request) *httpx.Response {
-	term, err := strconv.ParseInt(queryParam(req.Target, "term"), 10, 64)
+	term, err := strconv.ParseInt(globaldb.QueryParam(req.Target, "term"), 10, 64)
 	if err != nil {
 		return httpx.NewResponse(400, []byte("bad term"))
 	}
-	leader := queryParam(req.Target, "leader")
+	leader := globaldb.QueryParam(req.Target, "leader")
 	if leader == "" {
 		return httpx.NewResponse(400, []byte("missing leader"))
 	}
-	have, _ := strconv.ParseUint(queryParam(req.Target, "have"), 10, 64)
+	have, _ := strconv.ParseUint(globaldb.QueryParam(req.Target, "have"), 10, 64)
 	myTerm, _, _ := f.Server.TermState()
 	isLeader := f.RoleName() == globaldb.RoleLeader
 	wins := term > myTerm || (term == myTerm && isLeader && leader < f.Self)
@@ -399,19 +398,6 @@ func (f *Follower) peerHost() string {
 		return f.PrimaryHost
 	}
 	return "replica-set"
-}
-
-// queryParam extracts one query parameter from a request target, or "".
-func queryParam(target, key string) string {
-	i := strings.Index(target, key+"=")
-	if i < 0 {
-		return ""
-	}
-	v := target[i+len(key)+1:]
-	if j := strings.IndexByte(v, '&'); j >= 0 {
-		v = v[:j]
-	}
-	return v
 }
 
 func jsonResponse(code int, v any) *httpx.Response {

@@ -29,16 +29,15 @@ func DefaultCaptcha(token string) bool { return strings.HasPrefix(token, "human-
 // server's second line against fake-account floods.
 const RegistrationRateLimit = 5
 
-// Server is the global_DB + server_DB. Measurement state lives behind the
-// store interface (sharded by default; see sharded.go); the Server itself
-// keeps only the HTTP surface and the registration rate limiter.
+// Server is the global_DB + server_DB. Measurement state and the term
+// lineage live in the store (store.go); the Server itself keeps only the HTTP
+// surface, the registration rate limiter and the fence.
 type Server struct {
 	clock   *vtime.Clock
 	captcha CaptchaVerifier
 	faults  FaultPolicy
-	store   store
-	durable *durableStore // non-nil when built by NewDurableServer
-	terms   termState     // promotion term + fencing state (see term.go)
+	store   *store
+	fence   fenceState // write-rejecting mode + leader hint (see term.go)
 
 	mu           sync.Mutex // guards the registration state below
 	uuidSeq      uint64
@@ -46,69 +45,48 @@ type Server struct {
 	lastRegSweep time.Time
 }
 
-// NewServer creates a server. A nil verifier selects DefaultCaptcha.
+// NewServer creates an in-memory server: NewDurableServer with the zero
+// StoreOptions, which cannot fail. A nil verifier selects DefaultCaptcha.
 func NewServer(clock *vtime.Clock, captcha CaptchaVerifier) *Server {
-	return newServerWith(clock, captcha, newShardedStore(), nil)
+	s, err := NewDurableServer(clock, captcha, StoreOptions{})
+	if err != nil {
+		panic(err) // unreachable: only opening o.Dir can fail
+	}
+	return s
 }
 
 // NewDurableServer creates a server whose store write-ahead-logs every
 // mutation under o.Dir (see StoreOptions): kill it at any point and a new
 // NewDurableServer over the same directory recovers the exact state —
-// byte-identical /v1/blocked bodies and the same validator tags. With
-// o.Replicated it also serves the replication feed on PathRepl for
-// followers (see the replica package).
+// byte-identical /v1/blocked bodies, the same validator tags and the same
+// term lineage. With o.Replicated it also serves the replication feed on
+// PathRepl for followers (see the replica package). A recovered node
+// restarts unfenced; if leadership moved on while it was down, the replica
+// controller's reconciliation fences it.
 func NewDurableServer(clock *vtime.Clock, captcha CaptchaVerifier, o StoreOptions) (*Server, error) {
-	d, err := newDurableStore(o)
+	st, err := openStore(o)
 	if err != nil {
 		return nil, err
 	}
-	return newServerWith(clock, captcha, d, d), nil
-}
-
-func newServerWith(clock *vtime.Clock, captcha CaptchaVerifier, st store, d *durableStore) *Server {
 	if captcha == nil {
 		captcha = DefaultCaptcha
 	}
-	s := &Server{
+	return &Server{
 		clock:        clock,
 		captcha:      captcha,
 		store:        st,
-		durable:      d,
 		regByIP:      make(map[string][]time.Time),
 		lastRegSweep: clock.Now(),
-	}
-	if d != nil {
-		// Re-derive the term view from the recovered record stream. The node
-		// restarts unfenced; if leadership moved on while it was down, the
-		// replica controller's reconciliation will fence it.
-		s.terms.term, s.terms.leader, s.terms.base = d.termState()
-	}
-	return s
+	}, nil
 }
 
-// Close flushes and closes the durable backend (no-op for in-memory
-// servers), returning any latched durability error.
-func (s *Server) Close() error {
-	if s.durable == nil {
-		return nil
-	}
-	return s.durable.close()
-}
+// Close flushes and closes the write-ahead log (if any), returning any
+// latched durability error.
+func (s *Server) Close() error { return s.store.close() }
 
 // ReplicationFeed returns the replication stream when the server was built
 // with StoreOptions.Replicated, else nil.
-func (s *Server) ReplicationFeed() *storage.Feed {
-	if s.durable == nil {
-		return nil
-	}
-	return s.durable.feed
-}
-
-// Apply replays one replicated record through the store. Followers call
-// this for every record pulled from the primary; applying the primary's
-// log in order converges the follower to the primary's exact state,
-// including validator tags.
-func (s *Server) Apply(rec *storage.Record) { applyRecord(s.store, rec) }
+func (s *Server) ReplicationFeed() *storage.Feed { return s.store.feed }
 
 // Faults exposes the server's fault-injection policy (experiments flip it
 // at runtime to model outages and flaky paths).
@@ -200,11 +178,10 @@ func (s *Server) handleRegister(req *httpx.Request, flow netem.Flow) *httpx.Resp
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%d|%d", now.UnixNano(), seq)
 	uuid := fmt.Sprintf("%016x", h.Sum64())
-	s.store.addUser(uuid)
-	if s.strictUnavailable() {
-		// Strict durability rejected the addUser: the UUID was never stored,
+	if _, err := s.store.apply(&storage.Record{Kind: storage.KindAddUser, UUID: uuid}); err != nil {
+		// Strict durability rejected the record: the UUID was never stored,
 		// so acking it would hand the client a dead identity.
-		return httpx.NewResponse(503, []byte("durability lost"))
+		return durabilityLost()
 	}
 	return jsonResponse(200, RegisterResponse{UUID: uuid})
 }
@@ -244,31 +221,23 @@ func (s *Server) handleReport(req *httpx.Request) *httpx.Response {
 	if err := json.Unmarshal(req.Body, &body); err != nil {
 		return httpx.NewResponse(400, []byte("bad json"))
 	}
-	accepted, ok := s.store.ingest(body.UUID, s.clock.Now(), body.Reports)
-	if !ok {
-		if s.strictUnavailable() {
-			return httpx.NewResponse(503, []byte("durability lost"))
-		}
+	accepted, err := s.store.apply(ingestRecord(body.UUID, s.clock.Now(), body.Reports))
+	switch {
+	case err != nil:
+		return durabilityLost()
+	case accepted == unknownUUID:
 		return httpx.NewResponse(403, []byte("unknown or revoked uuid"))
 	}
 	return jsonResponse(200, ReportResponse{Accepted: accepted})
 }
 
-// queryParam extracts one query parameter from a request target, or "".
-func queryParam(target, key string) string {
-	i := strings.Index(target, key+"=")
-	if i < 0 {
-		return ""
-	}
-	v := target[i+len(key)+1:]
-	if j := strings.IndexByte(v, '&'); j >= 0 {
-		v = v[:j]
-	}
-	return v
+// durabilityLost is the answer to a mutation strict durability rejected.
+func durabilityLost() *httpx.Response {
+	return httpx.NewResponse(503, []byte("durability lost"))
 }
 
 func (s *Server) handleFetch(req *httpx.Request) *httpx.Response {
-	asn, _ := strconv.Atoi(queryParam(req.Target, "asn"))
+	asn, _ := strconv.Atoi(QueryParam(req.Target, "asn"))
 	if asn == 0 {
 		return httpx.NewResponse(400, []byte("missing asn"))
 	}
@@ -280,9 +249,7 @@ func (s *Server) handleFetch(req *httpx.Request) *httpx.Response {
 	}
 	resp := httpx.NewResponse(200, fr.body)
 	resp.Header.Set("Content-Type", "application/json")
-	if fr.tag != "" {
-		resp.Header.Set("ETag", fr.tag)
-	}
+	resp.Header.Set("ETag", fr.tag)
 	if fr.delta {
 		resp.Header.Set(DeltaHeader, DeltaEncoding)
 	}
@@ -308,15 +275,15 @@ func (s *Server) handleRepl(req *httpx.Request) *httpx.Response {
 		// fork the follower. Send the puller to the leader instead.
 		return s.fencedResponse()
 	}
-	from, err := strconv.ParseUint(queryParam(req.Target, "from"), 10, 64)
+	from, err := strconv.ParseUint(QueryParam(req.Target, "from"), 10, 64)
 	if err != nil {
 		return httpx.NewResponse(400, []byte("bad from"))
 	}
 	maxBytes := replMaxBytes
-	if m, err := strconv.Atoi(queryParam(req.Target, "max")); err == nil && m > 0 {
+	if m, err := strconv.Atoi(QueryParam(req.Target, "max")); err == nil && m > 0 {
 		maxBytes = m
 	}
-	if follower := queryParam(req.Target, "follower"); follower != "" {
+	if follower := QueryParam(req.Target, "follower"); follower != "" {
 		feed.Ack(follower, from)
 	}
 	data, next := feed.ReadFrom(from, maxBytes)
@@ -336,11 +303,16 @@ func (s *Server) handleRepl(req *httpx.Request) *httpx.Response {
 
 // BlockedForAS aggregates the blocked-URL entries for an AS with voting
 // statistics: s_jk = Σ 1/d_i over clients i reporting (j,k), n_jk = count.
-// Served from a cached per-AS snapshot; see sharded.go.
+// Served from a cached per-AS snapshot; see index.go.
 func (s *Server) BlockedForAS(asn int) []Entry { return s.store.blockedForAS(asn) }
 
 // Revoke invalidates a UUID (§5: revoking identified malicious users [54]).
-func (s *Server) Revoke(uuid string) { s.store.revoke(uuid) }
+// An error means strict durability rejected the revocation: it did not
+// happen and must be retried once the node is healthy.
+func (s *Server) Revoke(uuid string) error {
+	_, err := s.store.apply(&storage.Record{Kind: storage.KindRevoke, UUID: uuid})
+	return err
+}
 
 // StatsSnapshot aggregates the Table-7 numbers from current state.
 func (s *Server) StatsSnapshot() Stats { return s.store.stats() }
@@ -349,11 +321,7 @@ func (s *Server) StatsSnapshot() Stats { return s.store.stats() }
 // default of 64. Population-scale drivers size it to the fleet so a
 // client's tag from one sync round is still in the history a round later,
 // keeping the converging phase on the delta path instead of full fetches.
-func (s *Server) SetDeltaHistory(n int) {
-	if t, ok := s.store.(interface{ setDeltaHistory(int) }); ok {
-		t.setDeltaHistory(n)
-	}
-}
+func (s *Server) SetDeltaHistory(n int) { s.store.histMax.Store(int64(n)) }
 
 // primaryClass maps stage lists to the Table-7 reporting classes. DNS
 // evidence anywhere in the stages classifies the URL as DNS blocking —

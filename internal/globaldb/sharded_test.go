@@ -27,7 +27,7 @@ func mkReports(rng *rand.Rand, n, ases int) []Report {
 // repeated BlockedForAS reads of an unchanged AS must serve the cached sorted
 // snapshot, not re-aggregate and re-sort per call (the seed behavior).
 func TestSnapshotCacheNoRebuildOnRepeatedReads(t *testing.T) {
-	s := newShardedStore()
+	s := mustOpenStore(t, StoreOptions{})
 	s.addUser("u1")
 	if _, ok := s.ingest("u1", t0, []Report{
 		{URL: "a.example/", ASN: 100, Tm: t0},
@@ -79,7 +79,7 @@ func TestSnapshotCacheNoRebuildOnRepeatedReads(t *testing.T) {
 // float summation order), reporters, and stats.
 func TestShardedMatchesLegacy(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	leg, sh := newLegacyStore(), newShardedStore()
+	leg, sh := newLegacyStore(), mustOpenStore(t, StoreOptions{})
 	const users, ases = 30, 4
 	for u := 0; u < users; u++ {
 		id := fmt.Sprintf("user-%02d", u)
@@ -126,7 +126,7 @@ func TestShardedMatchesLegacy(t *testing.T) {
 // TestShardedRevokeInvalidates: a revocation must drop the client's votes
 // from already-cached snapshots.
 func TestShardedRevokeInvalidates(t *testing.T) {
-	s := newShardedStore()
+	s := mustOpenStore(t, StoreOptions{})
 	s.addUser("good")
 	s.addUser("bad")
 	s.ingest("good", t0, []Report{{URL: "a.example/", ASN: 100, Tm: t0}})
@@ -146,7 +146,7 @@ func TestShardedRevokeInvalidates(t *testing.T) {
 // TestShardedUpdatesDedup: the updates counter counts unique (uuid, url|asn)
 // keys, so ack-lost re-posts cannot inflate it.
 func TestShardedUpdatesDedup(t *testing.T) {
-	s := newShardedStore()
+	s := mustOpenStore(t, StoreOptions{})
 	s.addUser("u1")
 	batch := []Report{
 		{URL: "a.example/", ASN: 100, Tm: t0},

@@ -6,7 +6,7 @@ import (
 )
 
 // Feed is the primary's in-memory replication stream: every mutation the
-// durable store applies is appended here as a pre-framed record, and
+// store applies is appended here as a pre-framed record, and
 // followers pull ranges by sequence number, acknowledging the offset they
 // have durably applied. Sequence numbers are record counts since the feed
 // was created (frame i has sequence i), so a follower's offset doubles as

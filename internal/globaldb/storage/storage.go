@@ -3,8 +3,8 @@
 // versioned snapshot codec for compaction, and an in-memory replication
 // feed the primary streams records from.
 //
-// The package deliberately defines its own wire structs instead of reusing
-// globaldb's (globaldb imports storage, not the other way around). All
+// The package owns the record and snapshot structs (globaldb imports
+// storage, not the other way around; globaldb.WireStage aliases Stage). All
 // timestamps are explicit int64 UnixNano values: virtual-time instants
 // serialize exactly, so replaying a log reproduces byte-identical
 // aggregation output. Decoders restore them with time.Unix(0, n).UTC() —
@@ -34,10 +34,13 @@ const (
 	KindTerm byte = 4
 )
 
-// Stage mirrors one detection stage of a report.
+// Stage is one detection stage of a report: a localdb.BlockType value and
+// its detail string. It is the single stage type of the global DB — records,
+// snapshots, and (as globaldb.WireStage) the JSON API all carry it, so the
+// tags below are the wire format.
 type Stage struct {
-	Type   int
-	Detail string
+	Type   int    `json:"type"`
+	Detail string `json:"detail,omitempty"`
 }
 
 // Report is one blocked-URL measurement inside an ingest record. Tm is the

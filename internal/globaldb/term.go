@@ -17,26 +17,23 @@ import (
 // The two halves are deliberately independent:
 //
 //   - Lineage (term, leader, base) identifies the stream this node's state
-//     was built from. It comes only from the record stream itself — a
-//     KindTerm record absorbed, minted by StartTerm, or replayed at
-//     recovery — and a (term, leader) pair names exactly one single-writer
-//     stream, so two nodes with equal pairs hold prefixes of the same
-//     history. Divergence detection compares lineages, never fence hints.
+//     was built from. It is part of the store's fold (store.marks): it comes
+//     only from the record stream itself — a KindTerm record absorbed,
+//     minted by StartTerm, or replayed at recovery — and a (term, leader)
+//     pair names exactly one single-writer stream, so two nodes with equal
+//     pairs hold prefixes of the same history. Divergence detection compares
+//     lineages, never fence hints.
 //   - Fencing (refusing writes and pointing at the believed leader) is pure
-//     runtime state: a restarted node comes up unfenced and relies on the
-//     replica controller's reconciliation to fence it again if the world
-//     moved on. A fence hint must not touch the lineage, or a follower
-//     pointed at a new leader would claim a history it never pulled.
-type termState struct {
+//     runtime state, kept here: a restarted node comes up unfenced and
+//     relies on the replica controller's reconciliation to fence it again
+//     if the world moved on. A fence hint must not touch the lineage, or a
+//     follower pointed at a new leader would claim a history it never
+//     pulled.
+type fenceState struct {
 	mu     sync.Mutex
-	term   int64
-	leader string // client-facing address of term's leader
-	base   uint64 // feed position of the term's KindTerm record
-	marks  []TermMark
-
-	fenced      bool
-	fenceTerm   int64
-	fenceLeader string
+	fenced bool
+	term   int64  // highest term a fencer named
+	leader string // client-facing address of that term's leader
 }
 
 // TermMark is one leadership change in a stream: from position Base onward
@@ -53,12 +50,7 @@ type TermMark struct {
 // position of its term record. Term zero with an empty leader is the
 // implicit founding lineage of a stream that predates any promotion.
 func (s *Server) TermState() (term int64, leader string, base uint64) {
-	if s.durable != nil {
-		return s.durable.termState()
-	}
-	s.terms.mu.Lock()
-	defer s.terms.mu.Unlock()
-	return s.terms.term, s.terms.leader, s.terms.base
+	return s.store.termState()
 }
 
 // TermAt returns the lineage in effect for the stream prefix [0, pos): the
@@ -68,25 +60,14 @@ func (s *Server) TermState() (term int64, leader string, base uint64) {
 // mismatch is a fork. Only meaningful on stores that keep their full
 // history (promotion worlds disable compaction).
 func (s *Server) TermAt(pos uint64) (term int64, leader string) {
-	if s.durable != nil {
-		return s.durable.termAt(pos)
-	}
-	s.terms.mu.Lock()
-	defer s.terms.mu.Unlock()
-	for _, m := range s.terms.marks {
-		if m.Base >= pos {
-			break
-		}
-		term, leader = m.Term, m.Leader
-	}
-	return term, leader
+	return s.store.termAt(pos)
 }
 
 // Fenced reports whether the server is currently rejecting writes.
 func (s *Server) Fenced() bool {
-	s.terms.mu.Lock()
-	defer s.terms.mu.Unlock()
-	return s.terms.fenced
+	s.fence.mu.Lock()
+	defer s.fence.mu.Unlock()
+	return s.fence.fenced
 }
 
 // Fence puts the server in write-rejecting mode, directing writers at
@@ -94,57 +75,38 @@ func (s *Server) Fenced() bool {
 // stream says. The hinted term ratchets up so a late, stale fence cannot
 // downgrade the redirect target.
 func (s *Server) Fence(term int64, leader string) {
-	s.terms.mu.Lock()
-	defer s.terms.mu.Unlock()
-	s.terms.fenced = true
-	if term > s.terms.fenceTerm {
-		s.terms.fenceTerm, s.terms.fenceLeader = term, leader
-	} else if term == s.terms.fenceTerm && leader != "" {
-		s.terms.fenceLeader = leader
+	s.fence.mu.Lock()
+	defer s.fence.mu.Unlock()
+	s.fence.fenced = true
+	if term > s.fence.term {
+		s.fence.term, s.fence.leader = term, leader
+	} else if term == s.fence.term && leader != "" {
+		s.fence.leader = leader
 	}
 }
 
 // StartTerm makes this server the writer for term, led from leader (its own
-// client-facing address): the term is persisted as a KindTerm record
-// through the normal durable path, the fence lifts, and the term's base is
-// recorded. Only a promotion (or the initial wiring of a world) calls this.
+// client-facing address): the term enters the stream as a KindTerm record
+// through apply like any mutation — the fold records where it begins — and
+// the fence lifts. Only a promotion (or the initial wiring of a world) calls
+// this.
 func (s *Server) StartTerm(term int64, leader string) error {
-	var base uint64
-	if s.durable != nil {
-		b, err := s.durable.startTerm(term, leader)
-		if err != nil {
-			return err
-		}
-		base = b
+	if _, err := s.store.apply(&storage.Record{Kind: storage.KindTerm, UUID: leader, Now: term}); err != nil {
+		return err
 	}
-	s.terms.mu.Lock()
-	defer s.terms.mu.Unlock()
-	if term >= s.terms.term {
-		s.terms.term, s.terms.leader, s.terms.base = term, leader, base
-		s.terms.marks = append(s.terms.marks, TermMark{Term: term, Leader: leader, Base: base})
-	}
-	s.terms.fenced = false
+	s.fence.mu.Lock()
+	s.fence.fenced = false
+	s.fence.mu.Unlock()
 	return nil
 }
 
 // Absorb logs, streams, and applies one replicated record exactly as
 // received, so a follower's WAL and feed mirror its leader's stream frame
-// for frame. For in-memory servers it degrades to Apply plus term tracking.
-// An error means the record is not durable and must not be acknowledged.
+// for frame. An error means the record is not durable and must not be
+// acknowledged.
 func (s *Server) Absorb(rec *storage.Record) error {
-	if s.durable != nil {
-		return s.durable.absorb(rec) // lineage tracked by the durable layer
-	}
-	applyRecord(s.store, rec)
-	if rec.Kind == storage.KindTerm {
-		s.terms.mu.Lock()
-		if rec.Now > s.terms.term {
-			s.terms.term, s.terms.leader = rec.Now, rec.UUID
-			s.terms.marks = append(s.terms.marks, TermMark{Term: rec.Now, Leader: rec.UUID, Base: s.terms.base})
-		}
-		s.terms.mu.Unlock()
-	}
-	return nil
+	_, err := s.store.apply(rec)
+	return err
 }
 
 // ResetForResync wipes the server's entire measurement state — WAL,
@@ -152,62 +114,31 @@ func (s *Server) Absorb(rec *storage.Record) error {
 // node can replay a new leader's stream from sequence zero. The caller is
 // responsible for having pushed any unreplicated suffix to the leader
 // first; this method destroys it.
-func (s *Server) ResetForResync() error {
-	if s.durable != nil {
-		// s.store stays pointed at the durable wrapper — it swapped its own
-		// inner store. Rebinding to the bare store here would silently route
-		// every later mutation around the WAL, the feed, and strict mode.
-		if err := s.durable.reset(); err != nil {
-			return err
-		}
-	} else {
-		s.store = newShardedStore()
-	}
-	// The stream is empty again: lineage reverts to the founding state (the
-	// next pull re-derives it from the new leader's term records). Fencing
-	// is untouched — a resyncing node stays fenced toward its new leader.
-	s.terms.mu.Lock()
-	s.terms.term, s.terms.leader, s.terms.base = 0, "", 0
-	s.terms.marks = nil
-	s.terms.mu.Unlock()
-	return nil
-}
+//
+// The stream is empty again afterwards, so the lineage reverts to the
+// founding state (the next pull re-derives it from the new leader's term
+// records). Fencing is untouched — a resyncing node stays fenced toward its
+// new leader.
+func (s *Server) ResetForResync() error { return s.store.reset() }
 
 // DurabilityErr returns the latched WAL error, nil for in-memory servers.
-func (s *Server) DurabilityErr() error {
-	if s.durable == nil {
-		return nil
-	}
-	return s.durable.Err()
-}
+func (s *Server) DurabilityErr() error { return s.store.err() }
 
 // InjectTornWrite arms the WAL torn-write fault hook: the next logged
 // mutation writes only keep bytes of its frame and fails. Chaos schedules
 // use it; reports whether a WAL was present to arm.
-func (s *Server) InjectTornWrite(keep int) bool {
-	if s.durable == nil {
-		return false
-	}
-	return s.durable.tearNext(keep)
-}
-
-// strictUnavailable reports whether strict durability has latched an error,
-// turning mutation rejections into 503s rather than semantic failures.
-func (s *Server) strictUnavailable() bool {
-	return s.durable != nil && s.durable.strictUnavailable()
-}
+func (s *Server) InjectTornWrite(keep int) bool { return s.store.tearNext(keep) }
 
 // fencedResponse is the StatusFenced rejection: no body the caller should
 // parse, just the term and the leader hint to chase. The hint state (what
 // the fencer told us) is preferred over the lineage — the whole point of a
 // fence is that the stream this node holds is no longer the one to follow.
 func (s *Server) fencedResponse() *httpx.Response {
-	s.terms.mu.Lock()
-	term, leader := s.terms.fenceTerm, s.terms.fenceLeader
-	s.terms.mu.Unlock()
+	s.fence.mu.Lock()
+	term, leader := s.fence.term, s.fence.leader
+	s.fence.mu.Unlock()
 	if leader == "" {
-		lt, ll, _ := s.TermState()
-		term, leader = lt, ll
+		term, leader, _ = s.TermState()
 	}
 	resp := httpx.NewResponse(StatusFenced, []byte("fenced: stale term"))
 	resp.Header.Set(TermHeader, strconv.FormatInt(term, 10))
@@ -225,9 +156,6 @@ func (s *Server) fencedResponse() *httpx.Response {
 func (s *Server) handleReplPush(req *httpx.Request) *httpx.Response {
 	if s.Fenced() {
 		return s.fencedResponse()
-	}
-	if s.durable == nil {
-		return httpx.NewResponse(404, []byte("push needs a durable store"))
 	}
 	n := 0
 	_, err := storage.Replay(bytes.NewReader(req.Body), func(rec *storage.Record) error {

@@ -238,7 +238,7 @@ func TestResetForResyncKeepsDurablePath(t *testing.T) {
 // ErrHistoryLoss instead of silently truncating the valid suffix away.
 func TestDurableRecoveryHistoryLoss(t *testing.T) {
 	dir := t.TempDir()
-	d, err := newDurableStore(StoreOptions{Dir: dir, SnapshotEvery: -1})
+	d, err := openStore(StoreOptions{Dir: dir, SnapshotEvery: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +256,7 @@ func TestDurableRecoveryHistoryLoss(t *testing.T) {
 	if err := os.WriteFile(path, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := newDurableStore(StoreOptions{Dir: dir, SnapshotEvery: -1}); !errors.Is(err, storage.ErrHistoryLoss) {
+	if _, err := openStore(StoreOptions{Dir: dir, SnapshotEvery: -1}); !errors.Is(err, storage.ErrHistoryLoss) {
 		t.Fatalf("mid-history corruption: err = %v, want ErrHistoryLoss", err)
 	}
 }

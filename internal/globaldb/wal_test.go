@@ -14,7 +14,7 @@ import (
 // walWorkload feeds a deterministic report history into a store: users
 // registering, reporting over several virtual minutes, one lost-ack
 // re-post, one revocation.
-func walWorkload(t *testing.T, s store, users, rounds int) {
+func walWorkload(t *testing.T, s *store, users, rounds int) {
 	t.Helper()
 	for u := 0; u < users; u++ {
 		s.addUser(fmt.Sprintf("user-%03d", u))
@@ -42,8 +42,7 @@ func walWorkload(t *testing.T, s store, users, rounds int) {
 
 // observeStore captures everything a client can see: per-AS bodies, tags,
 // and stats.
-func observeStore(t *testing.T, s store) string {
-	t.Helper()
+func observeStore(s *store) string {
 	var out bytes.Buffer
 	for asn := 100; asn <= 103; asn++ {
 		fr := s.fetchResponse(asn, "")
@@ -59,17 +58,17 @@ func observeStore(t *testing.T, s store) string {
 // the serialized virtual-time instants inside the entries.
 func TestWALKillAndRestart(t *testing.T) {
 	dir := t.TempDir()
-	d, err := newDurableStore(StoreOptions{Dir: dir, SnapshotEvery: -1})
+	d, err := openStore(StoreOptions{Dir: dir, SnapshotEvery: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	walWorkload(t, d, 6, 5)
-	before := observeStore(t, d)
+	before := observeStore(d)
 	if err := d.close(); err != nil {
 		t.Fatal(err)
 	}
 
-	d2, err := newDurableStore(StoreOptions{Dir: dir, SnapshotEvery: -1})
+	d2, err := openStore(StoreOptions{Dir: dir, SnapshotEvery: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,10 +77,10 @@ func TestWALKillAndRestart(t *testing.T) {
 			t.Errorf("close: %v", err)
 		}
 	}()
-	if d2.recovered == 0 {
+	if d2.seq == 0 {
 		t.Fatal("restart replayed no log records")
 	}
-	after := observeStore(t, d2)
+	after := observeStore(d2)
 	if before != after {
 		t.Fatalf("state diverged across restart:\n--- before ---\n%s--- after ---\n%s", before, after)
 	}
@@ -105,7 +104,7 @@ func TestWALRestartMatchesUninterrupted(t *testing.T) {
 	for _, snapshotEvery := range []int{-1, 7} {
 		t.Run(fmt.Sprintf("snapshotEvery=%d", snapshotEvery), func(t *testing.T) {
 			dir := t.TempDir()
-			d, err := newDurableStore(StoreOptions{Dir: dir, SnapshotEvery: snapshotEvery})
+			d, err := openStore(StoreOptions{Dir: dir, SnapshotEvery: snapshotEvery})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -113,7 +112,7 @@ func TestWALRestartMatchesUninterrupted(t *testing.T) {
 			if err := d.close(); err != nil {
 				t.Fatal(err)
 			}
-			d2, err := newDurableStore(StoreOptions{Dir: dir, SnapshotEvery: snapshotEvery})
+			d2, err := openStore(StoreOptions{Dir: dir, SnapshotEvery: snapshotEvery})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -124,14 +123,14 @@ func TestWALRestartMatchesUninterrupted(t *testing.T) {
 			}()
 			secondHalf(t, d2)
 
-			ref, err := newDurableStore(StoreOptions{}) // in-memory reference
+			ref, err := openStore(StoreOptions{}) // in-memory reference
 			if err != nil {
 				t.Fatal(err)
 			}
 			walWorkload(t, ref, 4, 3)
 			secondHalf(t, ref)
 
-			got, want := observeStore(t, d2), observeStore(t, ref)
+			got, want := observeStore(d2), observeStore(ref)
 			if got != want {
 				t.Fatalf("restarted store diverges from uninterrupted reference:\n--- got ---\n%s--- want ---\n%s", got, want)
 			}
@@ -144,7 +143,7 @@ func TestWALRestartMatchesUninterrupted(t *testing.T) {
 	}
 }
 
-func secondHalf(t *testing.T, s store) {
+func secondHalf(t *testing.T, s *store) {
 	t.Helper()
 	now := utc.Add(time.Hour)
 	s.addUser("resumed")
@@ -166,16 +165,16 @@ func secondHalf(t *testing.T, s store) {
 // snapshot, not the whole history.
 func TestWALCompactionBoundsRecovery(t *testing.T) {
 	dir := t.TempDir()
-	d, err := newDurableStore(StoreOptions{Dir: dir, SnapshotEvery: 10})
+	d, err := openStore(StoreOptions{Dir: dir, SnapshotEvery: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
 	walWorkload(t, d, 6, 6) // 6 addUser + 6*6 ingests + re-posts + revoke >> 10
-	before := observeStore(t, d)
+	before := observeStore(d)
 	if err := d.close(); err != nil {
 		t.Fatal(err)
 	}
-	d2, err := newDurableStore(StoreOptions{Dir: dir, SnapshotEvery: 10})
+	d2, err := openStore(StoreOptions{Dir: dir, SnapshotEvery: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,10 +183,10 @@ func TestWALCompactionBoundsRecovery(t *testing.T) {
 			t.Errorf("close: %v", err)
 		}
 	}()
-	if d2.recovered >= 10 {
-		t.Fatalf("recovered %d log records despite SnapshotEvery=10", d2.recovered)
+	if d2.seq >= 10 {
+		t.Fatalf("recovered %d log records despite SnapshotEvery=10", d2.seq)
 	}
-	if after := observeStore(t, d2); after != before {
+	if after := observeStore(d2); after != before {
 		t.Fatalf("compacted restart diverged:\n--- got ---\n%s--- want ---\n%s", after, before)
 	}
 }
@@ -197,12 +196,12 @@ func TestWALCompactionBoundsRecovery(t *testing.T) {
 // torn one, and accept new writes.
 func TestWALTornTailRecovery(t *testing.T) {
 	dir := t.TempDir()
-	d, err := newDurableStore(StoreOptions{Dir: dir, SnapshotEvery: -1})
+	d, err := openStore(StoreOptions{Dir: dir, SnapshotEvery: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	walWorkload(t, d, 3, 2)
-	intact := observeStore(t, d)
+	intact := observeStore(d)
 	if err := d.close(); err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +217,7 @@ func TestWALTornTailRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	d2, err := newDurableStore(StoreOptions{Dir: dir, SnapshotEvery: -1})
+	d2, err := openStore(StoreOptions{Dir: dir, SnapshotEvery: -1})
 	if err != nil {
 		t.Fatalf("torn tail must not abort recovery: %v", err)
 	}
@@ -229,15 +228,15 @@ func TestWALTornTailRecovery(t *testing.T) {
 	}()
 	// The torn record was the revocation of user-001 (last record written).
 	// Everything before it must be intact; the store still accepts writes.
-	recovered := observeStore(t, d2)
+	recovered := observeStore(d2)
 	if recovered == intact {
 		t.Fatal("observations identical despite a dropped tail record")
 	}
 	d2.revoke("user-001")
-	if got := observeStore(t, d2); got != intact {
+	if got := observeStore(d2); got != intact {
 		t.Fatalf("re-applying the lost mutation did not converge:\n--- got ---\n%s--- want ---\n%s", got, intact)
 	}
-	if err := d2.Err(); err != nil {
+	if err := d2.err(); err != nil {
 		t.Fatalf("durability degraded after torn-tail recovery: %v", err)
 	}
 }

@@ -85,7 +85,7 @@ type FleetScenario struct {
 // nISPs censoring ISPs. Each ISP blocks a rotated window of ~blockedFrac of
 // the catalog, cycling mechanisms over {block page, RST, DNS redirect}, so
 // AS blocklists overlap without coinciding — the cross-AS structure the
-// sharded global DB's per-AS snapshots are built for. Sites are frontable
+// global DB's per-AS snapshots are built for. Sites are frontable
 // (domain fronting works) and reachable via the static proxies, so every
 // blocked fetch has a working approach.
 func (w *World) BuildFleetScenario(nSites, nISPs int, blockedFrac float64) (*FleetScenario, error) {

@@ -237,9 +237,8 @@ func New(o Options) (*World, error) {
 	}
 	w.PublicDNSAddr = PublicDNSIP + ":53"
 
-	// Global DB (MongoLab/Heroku stand-in) on the cloud. With a WAL dir or
-	// replicas it runs on the durable store; plain worlds keep the
-	// in-memory sharded store.
+	// Global DB (MongoLab/Heroku stand-in) on the cloud: one store in every
+	// world; the WAL dir and the replication feed are optional sinks.
 	gh := n.MustAddHost("globaldb", GlobalDBIP, "cloud", cloud)
 	w.GlobalDBAddr = GlobalDBIP + ":80"
 	w.GlobalDBEndpoints = []string{w.GlobalDBAddr}
@@ -252,19 +251,15 @@ func New(o Options) (*World, error) {
 			return nil, err
 		}
 	} else {
-		if o.GlobalDBWALDir != "" || o.GlobalDBReplicas > 0 {
-			srv, err := globaldb.NewDurableServer(clock, nil, globaldb.StoreOptions{
-				Dir:           o.GlobalDBWALDir,
-				SnapshotEvery: o.GlobalDBSnapshotEvery,
-				Replicated:    o.GlobalDBReplicas > 0,
-			})
-			if err != nil {
-				return nil, err
-			}
-			w.GlobalDB = srv
-		} else {
-			w.GlobalDB = globaldb.NewServer(clock, nil)
+		srv, err := globaldb.NewDurableServer(clock, nil, globaldb.StoreOptions{
+			Dir:           o.GlobalDBWALDir,
+			SnapshotEvery: o.GlobalDBSnapshotEvery,
+			Replicated:    o.GlobalDBReplicas > 0,
+		})
+		if err != nil {
+			return nil, err
 		}
+		w.GlobalDB = srv
 		if err := w.GlobalDB.Attach(gh, 80); err != nil {
 			return nil, err
 		}
