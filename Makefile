@@ -5,14 +5,9 @@
 #   make lint        — csaw-lint: the simulation-invariant analyzers
 #   make race        — full test suite under the race detector
 #   make check       — vet + race + lint (the pre-merge gate alongside tier1)
-#   make bench-fleet — emit BENCH_fleet.json (fleet throughput and the
-#                      population-vs-throughput curve with its
-#                      10x event-vs-scaled gate: 10k clients on a 72h
-#                      steady-state window, where the scaled engine pays
-#                      its window/scale real-sleep floor; takes ~10 min,
-#                      most of it that floor)
-#   make bench-fleet-full — bench-fleet with the 100k-client event-mode
-#                      curve point included (several extra minutes)
+#   make bench       — run the committed benchmark suite (BENCHMARK.json:
+#                      four workloads, 3 timed + 1 traced run each) and
+#                      write benchmark/out/results.json
 #   make loc         — non-test Go lines per package, largest first (CI
 #                      prints it: a PR's net line count is a diff of two)
 #   make chaos       — deterministic chaos sweep under -race: the fixed
@@ -31,7 +26,7 @@
 
 GO ?= go
 
-.PHONY: all build test tier1 vet lint race check bench-fleet bench-fleet-full loc chaos soak-churn golden fuzz cover
+.PHONY: all build test tier1 vet lint race check bench loc chaos soak-churn golden fuzz cover
 
 all: tier1
 
@@ -54,11 +49,8 @@ race:
 
 check: vet race lint
 
-bench-fleet:
-	CSAW_BENCH_FLEET_OUT=$(CURDIR)/BENCH_fleet.json $(GO) test ./internal/fleet -run TestEmitBenchFleet -count=1 -v -timeout 30m
-
-bench-fleet-full:
-	CSAW_BENCH_FLEET_FULL=1 CSAW_BENCH_FLEET_OUT=$(CURDIR)/BENCH_fleet.json $(GO) test ./internal/fleet -run TestEmitBenchFleet -count=1 -v -timeout 60m
+bench:
+	$(GO) run ./benchmark -seed 1
 
 # Non-test Go lines per package directory (no _test.go, no testdata/),
 # largest first, one line each. CI prints it; diffing two runs is a PR's

@@ -7,9 +7,11 @@
 // With -wal the server write-ahead-logs every mutation into the given
 // directory, and the run ends with a kill-and-recover check: the store is
 // reopened from snapshot+log and must serve a byte-identical blocked list.
-// With -replicas N the primary streams its log to N follower replicas and
-// the run demonstrates a censor blackholing the primary: a replica-set
-// client times out, fails over, and is answered 304 by a follower.
+// With -replicas N the server is instead the founding primary of a replica
+// set with N more nodes pulling its log stream, and the run demonstrates a
+// censor blackholing the primary: a replica-set client times out, fails
+// over, and is answered 304 by a follower. (A replica set never compacts, so
+// -snapshot-every applies to the single server only.)
 //
 // With -chaos the binary instead runs the deterministic chaos harness's
 // fixed primary-loss schedule against a 3-node self-healing replica set:
@@ -29,6 +31,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 
 	"csaw/internal/chaos"
 	"csaw/internal/globaldb"
@@ -62,55 +65,46 @@ func main() {
 	cloud := n.AddAS(900, "Cloud", "US")
 	asn := 17557
 
-	srvHost := n.MustAddHost("globaldb", "40.0.0.1", "us", cloud)
-	srv, err := globaldb.NewDurableServer(clock, nil, globaldb.StoreOptions{
-		Dir:           *walDir,
-		SnapshotEvery: *snapEvery,
-		Replicated:    *replicas > 0,
-	})
-	if err != nil {
-		fatal(err)
-	}
-	if err := srv.Attach(srvHost, 80); err != nil {
-		fatal(err)
+	// The other replica-set nodes sit on their own cloud hosts, as worldgen
+	// places them: distinct IPs the censor must blackhole separately.
+	hosts := []*netem.Host{n.MustAddHost("globaldb", "40.0.0.1", "us", cloud)}
+	for i := 0; i < *replicas; i++ {
+		hosts = append(hosts, n.MustAddHost(fmt.Sprintf("globaldb-replica-%d", i),
+			fmt.Sprintf("40.0.1.%d", i+1), "us", cloud))
 	}
 	mode := "in-memory store"
 	if *walDir != "" {
 		mode = fmt.Sprintf("WAL+snapshot store in %s", *walDir)
 	}
-	fmt.Printf("global DB serving on 40.0.0.1:80 (emulated, %s)\n", mode)
-
-	// Follower replicas on their own cloud hosts, as worldgen places them:
-	// distinct IPs the censor must blackhole separately.
-	endpoints := []string{"40.0.0.1:80"}
-	var set *replica.Set
+	var (
+		srv *globaldb.Server
+		set *replica.Set
+		err error
+	)
 	if *replicas > 0 {
-		followers := make([]*replica.Follower, *replicas)
-		for i := range followers {
-			host := n.MustAddHost(fmt.Sprintf("globaldb-replica-%d", i),
-				fmt.Sprintf("40.0.1.%d", i+1), "us", cloud)
-			f := &replica.Follower{
-				Name:        fmt.Sprintf("replica-%d", i),
-				Server:      globaldb.NewServer(clock, nil),
-				PrimaryAddr: "40.0.0.1:80",
-				PrimaryHost: "globaldb.example",
-				Dial:        host.Dial,
-				Clock:       clock,
-			}
-			if err := f.Attach(host, 80); err != nil {
-				fatal(err)
-			}
-			followers[i] = f
-			endpoints = append(endpoints, host.IP()+":80")
+		set, err = replica.NewSet(replica.Config{Clock: clock, Hosts: hosts, Dir: *walDir, HostHeader: "globaldb.example"})
+		if err != nil {
+			fatal(err)
 		}
-		set = &replica.Set{Followers: followers, Clock: clock}
-		fmt.Printf("replication: %d followers at %v\n", *replicas, endpoints[1:])
+		srv = set.Nodes[0].Server
+	} else {
+		srv, err = globaldb.NewDurableServer(clock, nil, globaldb.StoreOptions{Dir: *walDir, SnapshotEvery: *snapEvery})
+		if err != nil {
+			fatal(err)
+		}
+		if err := srv.Attach(hosts[0], 80); err != nil {
+			fatal(err)
+		}
+	}
+	fmt.Printf("global DB serving on 40.0.0.1:80 (emulated, %s)\n", mode)
+	if set != nil {
+		fmt.Printf("replication: %d followers at %v\n", *replicas, set.Addrs[1:])
 	}
 
 	mkClient := func(i int) *globaldb.Client {
 		h := n.MustAddHost(fmt.Sprintf("reporter-%d", i), fmt.Sprintf("10.0.%d.%d", i/200, 1+i%200), "pk", cloud)
 		return &globaldb.Client{
-			Addr: "40.0.0.1:80", Host: "globaldb.example",
+			Endpoints: []string{"40.0.0.1:80"}, Host: "globaldb.example",
 			Clock: clock, ReportDial: h.Dial, FetchDial: h.Dial,
 		}
 	}
@@ -183,10 +177,14 @@ func main() {
 		st.Users, st.BlockedURLs, st.BlockedDomains, st.ASes, st.Updates, st.ByType)
 
 	if set != nil {
-		demoFailover(ctx, n, clock, srv, set, endpoints, asn, fullBytes)
+		demoFailover(ctx, n, clock, srv, set, asn, fullBytes)
 	}
 	if *walDir != "" {
-		demoRecovery(clock, srv, *walDir, *snapEvery, asn, fullBytes, len(entries))
+		dir, every := *walDir, *snapEvery
+		if set != nil {
+			dir, every = filepath.Join(dir, set.Nodes[0].Name), -1
+		}
+		demoRecovery(clock, srv, dir, every, asn, fullBytes, len(entries))
 	}
 }
 
@@ -195,20 +193,20 @@ func main() {
 // follower within the same sync call — answered 304, because converged
 // replicas share validator tags.
 func demoFailover(ctx context.Context, n *netem.Network, clock *vtime.Clock,
-	srv *globaldb.Server, set *replica.Set, endpoints []string, asn, fullBytes int) {
+	srv *globaldb.Server, set *replica.Set, asn, fullBytes int) {
 	// Twice: the first pass ships the log, the second carries the acks.
 	for i := 0; i < 2; i++ {
 		if err := set.SyncAll(ctx); err != nil {
 			fatal(fmt.Errorf("replication sync: %w", err))
 		}
 	}
-	lag := replica.Lag(srv.ReplicationFeed())
+	lag := srv.ReplicationFeed().Stats()
 	fmt.Printf("\nreplication quiesced: head=%d, followers=%d, max lag=%d\n",
 		lag.Head, len(lag.Followers), lag.MaxLag)
 
 	h := n.MustAddHost("failover-user", "10.0.9.1", "pk", n.AS(900))
 	c := &globaldb.Client{
-		Replicas: endpoints, Host: "globaldb.example", Clock: clock,
+		Endpoints: set.Addrs, Host: "globaldb.example", Clock: clock,
 		ReportDial: h.Dial, FetchDial: h.Dial,
 	}
 	if err := c.Register(ctx, "human-failover"); err != nil {
@@ -282,8 +280,8 @@ func demoChaos(seed int64) {
 	if err != nil {
 		fatal(fmt.Errorf("chaos run: %w", err))
 	}
-	li := c.LeaderIndex()
-	term, leader, _ := c.Nodes[li].Server.TermState()
+	li := c.Set.Leader()
+	term, leader, _ := c.Set.Nodes[li].Server.TermState()
 	fmt.Printf("\nconverged %d ticks after the last fault: leader node-%d, term %d led from %s\n",
 		ticks, li, term, leader)
 	fmt.Printf("acked reports: %d, all present on every replica\n", len(c.Acked))

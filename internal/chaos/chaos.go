@@ -1,10 +1,9 @@
 // Package chaos adversarially validates the global DB's promotion and
 // fencing machinery under deterministic, seeded fault schedules. A Cluster
-// is a three-node promotion-enabled replica set on an emulated network —
-// every node a strict, feed-backed durable store with its own WAL
-// directory and its own AS-egress fault injector — plus one client that
-// keeps writing censorship reports throughout the schedule, chasing leader
-// hints like any C-Saw client.
+// is a three-node replica set (replica.NewSet) on an emulated network —
+// every node with its own WAL directory and its own AS-egress fault
+// injector — plus one client that keeps writing censorship reports
+// throughout the schedule, chasing leader hints like any C-Saw client.
 //
 // Faults compose in virtual time: node kill/restart (listener down, WAL
 // intact), partitions (SYN blackholes in both directions), link flaps
@@ -19,8 +18,6 @@ package chaos
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -28,8 +25,6 @@ import (
 
 	"csaw/internal/globaldb"
 	"csaw/internal/globaldb/replica"
-	"csaw/internal/globaldb/storage"
-	"csaw/internal/httpx"
 	"csaw/internal/localdb"
 	"csaw/internal/netem"
 	"csaw/internal/vtime"
@@ -50,8 +45,7 @@ const (
 	missedThreshold = 2
 )
 
-func nodeIP(i int) string   { return fmt.Sprintf("30.0.0.%d", i+1) }
-func nodeAddr(i int) string { return nodeIP(i) + ":80" }
+func nodeIP(i int) string { return fmt.Sprintf("30.0.0.%d", i+1) }
 
 // Acked is one report the client received a 200 for: the durability unit
 // of the no-acked-report-lost invariant.
@@ -65,15 +59,12 @@ type Acked struct {
 type Cluster struct {
 	Clock *vtime.Clock
 	Net   *netem.Network
-	Nodes []*replica.Follower
+	Set   *replica.Set
 	// Faults holds one injector per node AS plus, last, the client's.
 	Faults []*netem.FaultInjector
 	DB     *globaldb.Client
 
-	dirs   []string
-	hosts  []*netem.Host
-	srvs   []*httpx.Server
-	downN  []bool
+	dir    string
 	parted []bool
 	// wasLeader marks nodes that ever held leadership: their WAL may hold
 	// acked records no other node has yet, so bit-flips (which wipe the
@@ -101,11 +92,7 @@ func New(seed int64, dir string) (*Cluster, error) {
 	c := &Cluster{
 		Clock:  clock,
 		Net:    n,
-		Nodes:  make([]*replica.Follower, numNodes),
-		srvs:   make([]*httpx.Server, numNodes),
-		dirs:   make([]string, numNodes),
-		hosts:  make([]*netem.Host, numNodes),
-		downN:  make([]bool, numNodes),
+		dir:    dir,
 		parted: make([]bool, numNodes),
 		wasLeader: func() []bool {
 			b := make([]bool, numNodes)
@@ -121,13 +108,13 @@ func New(seed int64, dir string) (*Cluster, error) {
 			return t
 		}(),
 	}
-	for i := 0; i < numNodes; i++ {
+	hosts := make([]*netem.Host, numNodes)
+	for i := range hosts {
 		as := n.AddAS(100+i, fmt.Sprintf("chaos-as-%d", i), "us")
 		fi := netem.NewFaultInjector(nil)
 		as.SetInterceptor(fi)
 		c.Faults = append(c.Faults, fi)
-		c.hosts[i] = n.MustAddHost(fmt.Sprintf("chaos-node-%d", i), nodeIP(i), "dc", as)
-		c.dirs[i] = filepath.Join(dir, fmt.Sprintf("node-%d", i))
+		hosts[i] = n.MustAddHost(fmt.Sprintf("chaos-node-%d", i), nodeIP(i), "dc", as)
 	}
 	clientAS := n.AddAS(200, "chaos-client-as", "pk")
 	cfi := netem.NewFaultInjector(nil)
@@ -135,19 +122,20 @@ func New(seed int64, dir string) (*Cluster, error) {
 	c.Faults = append(c.Faults, cfi)
 	c.clientHost = n.MustAddHost("chaos-client", "30.1.0.1", "client", clientAS)
 
-	for i := 0; i < numNodes; i++ {
-		if err := c.startNode(i); err != nil {
-			return nil, err
-		}
-	}
-	c.Nodes[0].SetRole(globaldb.RoleLeader)
-
-	addrs := make([]string, numNodes)
-	for i := range addrs {
-		addrs[i] = nodeAddr(i)
+	var err error
+	c.Set, err = replica.NewSet(replica.Config{
+		Clock:           clock,
+		Hosts:           hosts,
+		Dir:             dir,
+		HostHeader:      dbHost,
+		Timeout:         nodeTimeout,
+		MissedThreshold: missedThreshold,
+	})
+	if err != nil {
+		return nil, err
 	}
 	c.DB = &globaldb.Client{
-		Replicas:        addrs,
+		Endpoints:       c.Set.Addrs,
 		Host:            dbHost,
 		Clock:           clock,
 		FetchDial:       c.clientHost.Dial,
@@ -161,84 +149,17 @@ func New(seed int64, dir string) (*Cluster, error) {
 	return c, nil
 }
 
-// startNode opens (or recovers) node i's durable server and serves its
-// replica handler. Mid-history WAL corruption surfaces as ErrHistoryLoss:
-// the node cannot trust its log, so it wipes and rejoins empty — the
-// leader's stream rebuilds it from sequence zero.
-func (c *Cluster) startNode(i int) error {
-	opts := globaldb.StoreOptions{
-		Dir:           c.dirs[i],
-		SnapshotEvery: -1, // the WAL is the complete history; offsets survive restarts
-		Replicated:    true,
-		Strict:        true,
-	}
-	srv, err := globaldb.NewDurableServer(c.Clock, nil, opts)
-	if errors.Is(err, storage.ErrHistoryLoss) {
-		c.Counts["history-loss-wipe"]++
-		if err := os.RemoveAll(c.dirs[i]); err != nil {
-			return err
-		}
-		srv, err = globaldb.NewDurableServer(c.Clock, nil, opts)
-		if err != nil {
-			return err
-		}
-	} else if err != nil {
-		return err
-	}
-	f := &replica.Follower{
-		Name:   fmt.Sprintf("node-%d", i),
-		Server: srv,
-		// Never self: a restarted ex-primary must pull from a peer, whose
-		// fencing hint chases it to the current leader.
-		PrimaryAddr:     nodeAddr((i + 1) % numNodes),
-		PrimaryHost:     dbHost,
-		Dial:            c.hosts[i].Dial,
-		Clock:           c.Clock,
-		Timeout:         nodeTimeout,
-		Promote:         true,
-		Self:            nodeAddr(i),
-		MissedThreshold: missedThreshold,
-	}
-	for j := 0; j < numNodes; j++ {
-		if j != i {
-			f.Peers = append(f.Peers, replica.Peer{Name: fmt.Sprintf("node-%d", j), Addr: nodeAddr(j)})
-		}
-	}
-	f.SetOffset(srv.ReplicationFeed().Head())
-	c.Nodes[i] = f
-	l, err := c.hosts[i].Listen(80)
-	if err != nil {
-		return err
-	}
-	c.srvs[i] = httpx.Serve(l, f.Handler())
-	return nil
-}
-
-// LeaderIndex returns the index of the live node currently claiming
-// leadership, or -1.
-func (c *Cluster) LeaderIndex() int {
-	for i, f := range c.Nodes {
-		if !c.downN[i] && f.RoleName() == globaldb.RoleLeader {
-			return i
-		}
-	}
-	return -1
-}
-
 // Kill stops node i: listener closed, WAL flushed and closed, state left
 // on disk. No-op if already down.
 func (c *Cluster) Kill(i int) {
-	if c.downN[i] {
+	if c.Set.Down(i) {
 		return
 	}
 	c.Counts["kill"]++
-	if c.Nodes[i].RoleName() == globaldb.RoleLeader {
+	if c.Set.Nodes[i].RoleName() == globaldb.RoleLeader {
 		c.wasLeader[i] = true
 	}
-	c.srvs[i].Close()
-	c.srvs[i] = nil
-	_ = c.Nodes[i].Server.Close() //lint:allow-droperr a latched tear error is expected on a killed node
-	c.downN[i] = true
+	_ = c.Set.Kill(i) //lint:allow-droperr a dying node's listener error changes nothing the schedule does next
 	c.leaderTerm[i] = -1
 }
 
@@ -246,15 +167,15 @@ func (c *Cluster) Kill(i int) {
 // node rejoins as a follower; reconciliation re-fences it if leadership
 // moved on.
 func (c *Cluster) Restart(i int) error {
-	if !c.downN[i] {
+	if !c.Set.Down(i) {
 		return nil
 	}
 	c.Counts["restart"]++
-	if err := c.startNode(i); err != nil {
-		return err
+	wiped, err := c.Set.Restart(i)
+	if wiped {
+		c.Counts["history-loss-wipe"]++
 	}
-	c.downN[i] = false
-	return nil
+	return err
 }
 
 // Partition isolates node i: its own egress drops everything, and every
@@ -308,11 +229,11 @@ func (c *Cluster) Flap(asIdx, n int) {
 // further writes until it is restarted — at which point recovery truncates
 // the torn tail. Returns the torn node's index, or -1 if no live leader.
 func (c *Cluster) TearLeader() int {
-	i := c.LeaderIndex()
+	i := c.Set.Leader()
 	if i < 0 {
 		return -1
 	}
-	if c.Nodes[i].Server.InjectTornWrite(5) {
+	if c.Set.Nodes[i].Server.InjectTornWrite(5) {
 		c.Counts["torn-write"]++
 		return i
 	}
@@ -326,10 +247,10 @@ func (c *Cluster) TearLeader() int {
 // flipped node's index, or -1 when no eligible node is down.
 func (c *Cluster) BitFlip() int {
 	for i := 0; i < numNodes; i++ {
-		if !c.downN[i] || c.wasLeader[i] {
+		if !c.Set.Down(i) || c.wasLeader[i] {
 			continue
 		}
-		path := filepath.Join(c.dirs[i], "wal.log")
+		path := filepath.Join(c.dir, c.Set.Nodes[i].Name, "wal.log")
 		data, err := os.ReadFile(path)
 		if err != nil || len(data) < 64 {
 			continue
@@ -370,8 +291,8 @@ func (c *Cluster) Write(ctx context.Context, round int) {
 // one.)
 func (c *Cluster) Tick(ctx context.Context) ([]string, error) {
 	acts := make([]string, numNodes)
-	for i, f := range c.Nodes {
-		if c.downN[i] {
+	for i, f := range c.Set.Nodes {
+		if c.Set.Down(i) {
 			acts[i] = "down"
 			continue
 		}
@@ -424,13 +345,13 @@ func (c *Cluster) Heal(ctx context.Context, maxTicks int) (int, error) {
 // converged reports one live leader, all terms equal, and every node's
 // feed and pull offset at the leader's head.
 func (c *Cluster) converged() bool {
-	li := c.LeaderIndex()
+	li := c.Set.Leader()
 	if li < 0 {
 		return false
 	}
-	lead := c.Nodes[li].Status()
-	for i, f := range c.Nodes {
-		if c.downN[i] {
+	lead := c.Set.Nodes[li].Status()
+	for i, f := range c.Set.Nodes {
+		if c.Set.Down(i) {
 			return false
 		}
 		st := f.Status()
@@ -446,8 +367,8 @@ func (c *Cluster) converged() bool {
 
 func (c *Cluster) describe() string {
 	out := ""
-	for i, f := range c.Nodes {
-		if c.downN[i] {
+	for i, f := range c.Set.Nodes {
+		if c.Set.Down(i) {
 			out += fmt.Sprintf("[%d down]", i)
 			continue
 		}
@@ -464,36 +385,8 @@ func (c *Cluster) CheckInvariants() ([]string, error) {
 
 	// Byte-identical replicas: the client-visible list body and validator
 	// tag, and the aggregate stats, must match across every node.
-	var refBody []byte
-	var refTag string
-	for i, f := range c.Nodes {
-		req := httpx.NewRequest("GET", dbHost, fmt.Sprintf("%s?asn=%d", globaldb.PathFetch, ASN))
-		resp := f.Server.Handler().ServeHTTP(req, netem.Flow{})
-		if resp.StatusCode != 200 {
-			return checked, fmt.Errorf("chaos: node-%d fetch: %d", i, resp.StatusCode)
-		}
-		tag := resp.Header.Get("Etag")
-		if i == 0 {
-			refBody, refTag = resp.Body, tag
-			continue
-		}
-		if string(resp.Body) != string(refBody) || tag != refTag {
-			return checked, fmt.Errorf("chaos: node-%d list diverges from node-0 (tag %q vs %q)", i, tag, refTag)
-		}
-	}
-	var refStats []byte
-	for i, f := range c.Nodes {
-		b, err := json.Marshal(f.Server.StatsSnapshot())
-		if err != nil {
-			return checked, err
-		}
-		if i == 0 {
-			refStats = b
-			continue
-		}
-		if string(b) != string(refStats) {
-			return checked, fmt.Errorf("chaos: node-%d stats diverge: %s vs %s", i, b, refStats)
-		}
+	if err := c.Set.CheckIdentical(ASN); err != nil {
+		return checked, err
 	}
 	checked = append(checked, "byte-identical-replicas")
 
@@ -502,12 +395,9 @@ func (c *Cluster) CheckInvariants() ([]string, error) {
 	// client; duplicate applies via push reconciliation would be caught by
 	// the byte-identity check bumping versions unevenly, and a same-key
 	// double count would show Reporters > 1).
-	var list globaldb.FetchResponse
-	if err := json.Unmarshal(refBody, &list); err != nil {
-		return checked, err
-	}
-	byURL := make(map[string]globaldb.Entry, len(list.Entries))
-	for _, e := range list.Entries {
+	list := c.Set.Nodes[0].Server.BlockedForAS(ASN)
+	byURL := make(map[string]globaldb.Entry, len(list))
+	for _, e := range list {
 		byURL[e.URL] = e
 	}
 	for _, a := range c.Acked {
@@ -525,11 +415,11 @@ func (c *Cluster) CheckInvariants() ([]string, error) {
 	// Tick; here the converged term must cover every term a leader ever
 	// served writes under — a lower final term would mean a stale lineage
 	// won the heal and newer acked writes survived only by luck.
-	li := c.LeaderIndex()
+	li := c.Set.Leader()
 	if li < 0 {
 		return checked, fmt.Errorf("chaos: no leader after heal")
 	}
-	if final := c.Nodes[li].Status().Term; final < c.maxLeaderTerm {
+	if final := c.Set.Nodes[li].Status().Term; final < c.maxLeaderTerm {
 		return checked, fmt.Errorf("chaos: final term %d below max leader term %d", final, c.maxLeaderTerm)
 	}
 	checked = append(checked, "monotonic-terms", "single-leader-converged")

@@ -57,8 +57,8 @@ func runSeed(t *testing.T, seed int64, s Schedule) SeedReport {
 	if c != nil {
 		rep.Faults = c.Counts
 		rep.Acked = len(c.Acked)
-		if li := c.LeaderIndex(); li >= 0 {
-			rep.FinalTerm = c.Nodes[li].Status().Term
+		if li := c.Set.Leader(); li >= 0 {
+			rep.FinalTerm = c.Set.Nodes[li].Status().Term
 		}
 	}
 	return rep

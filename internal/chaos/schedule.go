@@ -135,7 +135,7 @@ func Run(ctx context.Context, seed int64, dir string, s Schedule) (*Cluster, []s
 			}
 			switch ev.Kind {
 			case KillLeader:
-				if li := c.LeaderIndex(); li >= 0 {
+				if li := c.Set.Leader(); li >= 0 {
 					c.Kill(li)
 					restartAt[li] = round + ev.Dur
 				}
@@ -143,7 +143,7 @@ func Run(ctx context.Context, seed int64, dir string, s Schedule) (*Cluster, []s
 				c.Kill(ev.Node)
 				restartAt[ev.Node] = round + ev.Dur
 			case PartitionLeader:
-				if li := c.LeaderIndex(); li >= 0 {
+				if li := c.Set.Leader(); li >= 0 {
 					c.Partition(li)
 					healAt[li] = round + ev.Dur
 				}

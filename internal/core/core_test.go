@@ -13,6 +13,20 @@ import (
 	"csaw/internal/worldgen"
 )
 
+// caseStudyStagger holds the redundant copy back behind the direct request
+// (§7.1 footnote 10) in every newCaseStudyClient world. These tests assert
+// which path served a fetch, and at Scale 300 the direct path's ~300 ms
+// virtual lead over the fastest relay is ~1 ms of real time — less than one
+// scheduler hiccup, so a straight race lost 28 of 150 first fetches on an
+// idle 2-vCPU box, and still 1-4 of 150 under -race at Scale 60-100 with
+// the direct RTT cut to 20 ms. Staggered, a clean direct answer inside the
+// window means the copy is never sent; a blocked or suspected one launches
+// it at once, and a detection still running when the window closes gets its
+// copy then, so every verdict and served source is what the unstaggered
+// client would record. A test about the copy leaving *with* the direct
+// request sets RedundantDelay back to 0.
+const caseStudyStagger = 5 * time.Second
+
 // newCaseStudyClient builds the §2.3 world and a C-Saw client behind the
 // given ISP(s).
 func newCaseStudyClient(t *testing.T, mutate func(*core.Config), isps ...string) (*worldgen.World, *core.Client) {
@@ -35,6 +49,7 @@ func newCaseStudyClient(t *testing.T, mutate func(*core.Config), isps ...string)
 	}
 	host := w.NewClientHost("client-1", behind...)
 	cfg := w.ClientConfig(host, 5)
+	cfg.RedundantDelay = caseStudyStagger
 	if mutate != nil {
 		mutate(&cfg)
 	}
@@ -179,9 +194,10 @@ func TestAnonymityPreferenceUsesTorOnly(t *testing.T) {
 
 func TestSerialModeSlowerThanParallel(t *testing.T) {
 	// Figure 5a: parallel redundancy hides detection time behind the
-	// circumvention fetch.
+	// circumvention fetch — so the copy must leave with the direct request,
+	// unstaggered.
 	_, serial := newCaseStudyClient(t, func(cfg *core.Config) { cfg.Serial = true }, "ISP-B")
-	_, parallel := newCaseStudyClient(t, nil, "ISP-B")
+	_, parallel := newCaseStudyClient(t, func(cfg *core.Config) { cfg.RedundantDelay = 0 }, "ISP-B")
 
 	rs := fetchURL(t, serial, worldgen.YouTubeHost+"/")
 	rp := fetchURL(t, parallel, worldgen.YouTubeHost+"/")
@@ -614,8 +630,10 @@ func TestRefreshOnPhase1FalseNegative(t *testing.T) {
 	// §4.3.1: a phase-1 false negative (block page served as if clean) is
 	// corrected by a page refresh once the circumvented copy arrives and
 	// phase 2 sees the size mismatch. Craft a censor whose "block page"
-	// looks like an innocuous small page (no phrases, links out).
-	w, c := newCaseStudyClient(t, nil, "ISP-A")
+	// looks like an innocuous small page (no phrases, links out). The copy
+	// must travel beside the clean-looking direct answer, so no stagger;
+	// whichever arrives first, the refresh fires.
+	w, c := newCaseStudyClient(t, func(cfg *core.Config) { cfg.RedundantDelay = 0 }, "ISP-A")
 	stealthy := []byte(`<html><head><title>Service notice</title></head><body>` +
 		`<p>Please try again later, or visit <a href="http://help.isp.example/">support</a>.</p></body></html>`)
 	w.ISPs["ISP-A"].Censor.SetPolicy(&censor.Policy{

@@ -7,6 +7,7 @@ import (
 	"csaw/internal/globaldb"
 	"csaw/internal/httpx"
 	"csaw/internal/localdb"
+	"csaw/internal/netem"
 	"csaw/internal/trace"
 )
 
@@ -63,7 +64,7 @@ func (c *Client) Do(ctx context.Context, req *httpx.Request) (*Result, error) {
 func (c *Client) sendDirect(ctx context.Context, req *httpx.Request) (*httpx.Response, error) {
 	host, _ := localdb.SplitURL(req.Host)
 	ip := host
-	if !isIPLiteralCore(host) {
+	if !netem.IsIPLiteral(host) {
 		addr, err := CombinedLookup(c.ldns, c.gdns)(ctx, host)
 		if err != nil {
 			return nil, err
@@ -83,17 +84,4 @@ func (c *Client) sendVia(ctx context.Context, app *Approach, req *httpx.Request)
 		return nil, fmt.Errorf("core: %s %s via %s: %w", req.Method, req.Host+req.Target, app.Name, err)
 	}
 	return resp, nil
-}
-
-func isIPLiteralCore(s string) bool {
-	dots := 0
-	for _, c := range s {
-		switch {
-		case c == '.':
-			dots++
-		case c < '0' || c > '9':
-			return false
-		}
-	}
-	return dots == 3
 }

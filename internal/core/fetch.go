@@ -338,15 +338,15 @@ func (c *Client) settle(url string, out detect.Outcome, circ *httpx.Response, so
 	return &Result{URL: url, Resp: circ, Source: source, Status: status, Stages: stages}
 }
 
-// reconcile applies phase 2 (§4.3.1) and records the final verdict.
-func (c *Client) reconcile(url string, out detect.Outcome, circ *httpx.Response) (localdb.Status, []localdb.Stage) {
-	status := out.Status
-	stages := out.Stages
+// phase2 applies the §4.3.1 size comparison to a suspected block page once
+// the circumvented copy is in hand: it either confirms the suspicion or
+// overturns it (a phase-1 false positive — the direct page was real).
+func (c *Client) phase2(out detect.Outcome, circ *httpx.Response) (localdb.Status, []localdb.Stage) {
+	status, stages := out.Status, out.Stages
 	if out.Suspected && circ != nil {
 		if blockpage.Phase2(respLen(out.Response), len(circ.Body)) {
 			c.bump("phase2-confirm")
 		} else {
-			// Phase-1 false positive: the direct page was real.
 			c.bump("phase2-overturn")
 			stages = dropBlockPageStage(stages)
 			if len(stages) == 0 {
@@ -354,6 +354,12 @@ func (c *Client) reconcile(url string, out detect.Outcome, circ *httpx.Response)
 			}
 		}
 	}
+	return status, stages
+}
+
+// reconcile applies phase 2 and records the final verdict.
+func (c *Client) reconcile(url string, out detect.Outcome, circ *httpx.Response) (localdb.Status, []localdb.Stage) {
+	status, stages := c.phase2(out, circ)
 	c.recordOutcome(url, status, stages)
 	return status, stages
 }
@@ -362,20 +368,8 @@ func (c *Client) reconcile(url string, out detect.Outcome, circ *httpx.Response)
 // already served the circumvented copy, including the phase-1
 // false-negative correction (page refresh, §4.3.1).
 func (c *Client) settleBackground(url string, out detect.Outcome, circ *httpx.Response) localdb.Status {
-	status := out.Status
-	stages := out.Stages
-	switch {
-	case out.Suspected && circ != nil:
-		if blockpage.Phase2(respLen(out.Response), len(circ.Body)) {
-			c.bump("phase2-confirm")
-		} else {
-			c.bump("phase2-overturn")
-			stages = dropBlockPageStage(stages)
-			if len(stages) == 0 {
-				status = localdb.NotBlocked
-			}
-		}
-	case !out.Blocked() && out.Response != nil && circ != nil:
+	status, stages := c.phase2(out, circ)
+	if !out.Suspected && !out.Blocked() && out.Response != nil && circ != nil {
 		// Phase-1 called it clean; the circumvented copy disagrees on size
 		// badly enough to mean manipulation → issue a refresh.
 		if blockpage.Phase2(respLen(out.Response), len(circ.Body)) {

@@ -42,7 +42,7 @@ func TestSyncPartialASFailure(t *testing.T) {
 
 	// Seed the DB with one entry per AS via a direct reporter.
 	seeder := &globaldb.Client{
-		Addr: w.GlobalDBAddr, Host: worldgen.GlobalDBHost,
+		Endpoints: w.GlobalDBEndpoints, Host: worldgen.GlobalDBHost,
 		Clock: w.Clock, ReportDial: host.Dial, FetchDial: host.Dial,
 	}
 	if err := seeder.Register(ctx, "human-seeder"); err != nil {

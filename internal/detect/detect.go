@@ -187,7 +187,7 @@ func (d *Detector) Measure(ctx context.Context, url string, scheme Scheme) (out 
 	// fix measures no DNS stage).
 	ip := host
 	var dnsStage *localdb.Stage
-	if !isIPLiteral(host) {
+	if !netem.IsIPLiteral(host) {
 		res := d.LDNS.Lookup(ctx, host)
 		switch {
 		case res.OK():
@@ -259,7 +259,7 @@ func (d *Detector) Measure(ctx context.Context, url string, scheme Scheme) (out 
 			// DNS answer silently redirected us to a host that does not
 			// serve this port (ISP-B's HTTPS behaviour in Table 1). The
 			// global resolver disambiguates.
-			if !isIPLiteral(host) {
+			if !netem.IsIPLiteral(host) {
 				if g := d.GDNS.Lookup(ctx, host); g.OK() && !containsStr(g.IPs, ip) {
 					out.Stages = append(out.Stages, localdb.Stage{Type: localdb.BlockDNS, Detail: "redirect"})
 					out.Detected = d.Clock.Since(start)
@@ -365,7 +365,7 @@ func (d *Detector) Measure(ctx context.Context, url string, scheme Scheme) (out 
 // appendDNSRedirect adds a dns(redirect) stage when the local resolution
 // disagrees with the global one and no DNS stage was recorded yet.
 func (o *Outcome) appendDNSRedirect(d *Detector, ctx context.Context, host, usedIP string, dnsStage *localdb.Stage) {
-	if dnsStage != nil || isIPLiteral(host) {
+	if dnsStage != nil || netem.IsIPLiteral(host) {
 		return
 	}
 	if g := d.GDNS.Lookup(ctx, host); g.OK() && !containsStr(g.IPs, usedIP) {
@@ -378,7 +378,7 @@ func (o *Outcome) appendDNSRedirect(d *Detector, ctx context.Context, host, used
 func (d *Detector) fetchRedirect(ctx context.Context, loc string) []byte {
 	host, path := localdb.SplitURL(loc)
 	ip := host
-	if !isIPLiteral(host) {
+	if !netem.IsIPLiteral(host) {
 		res := d.LDNS.Lookup(ctx, host)
 		if !res.OK() {
 			return nil
@@ -432,19 +432,6 @@ func dnsDetail(res dnsx.Result) string {
 	default:
 		return "failed"
 	}
-}
-
-func isIPLiteral(s string) bool {
-	dots := 0
-	for _, c := range s {
-		switch {
-		case c == '.':
-			dots++
-		case c < '0' || c > '9':
-			return false
-		}
-	}
-	return dots == 3
 }
 
 func containsStr(xs []string, x string) bool {

@@ -96,7 +96,7 @@ func AblationVoting(o Options) (*Result, error) {
 	// The attacker registers once and sprays.
 	atkHost := w.NewClientHost("ab2-attacker", isp)
 	atk := &globaldb.Client{
-		Addr: w.GlobalDBAddr, Host: worldgen.GlobalDBHost,
+		Endpoints: w.GlobalDBEndpoints, Host: worldgen.GlobalDBHost,
 		Clock: w.Clock, ReportDial: atkHost.Dial, FetchDial: atkHost.Dial,
 	}
 	if err := atk.Register(context.Background(), "human-attacker"); err != nil {
@@ -113,7 +113,7 @@ func AblationVoting(o Options) (*Result, error) {
 	// Plus the one real report everyone agrees on.
 	honestHost := w.NewClientHost("ab2-honest", isp)
 	honest := &globaldb.Client{
-		Addr: w.GlobalDBAddr, Host: worldgen.GlobalDBHost,
+		Endpoints: w.GlobalDBEndpoints, Host: worldgen.GlobalDBHost,
 		Clock: w.Clock, ReportDial: honestHost.Dial, FetchDial: honestHost.Dial,
 	}
 	if err := honest.Register(context.Background(), "human-honest"); err != nil {

@@ -41,7 +41,7 @@ func DeltaSync(o Options) (*Result, error) {
 	mkClient := func(isp *worldgen.ISP, name, token string) (*globaldb.Client, error) {
 		host := w.NewClientHost(name, isp)
 		c := &globaldb.Client{
-			Addr: w.GlobalDBAddr, Host: worldgen.GlobalDBHost, Clock: w.Clock,
+			Endpoints: w.GlobalDBEndpoints, Host: worldgen.GlobalDBHost, Clock: w.Clock,
 			ReportDial: host.Dial, FetchDial: host.Dial,
 			Timeout: 5 * time.Minute, // a 100k-entry body takes a while on one emulated link
 		}

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"time"
 
@@ -27,9 +26,9 @@ const primaryLossTicks = 6
 // PrimaryLoss is the self-healing upgrade of the replica-loss scenario: the
 // censor blackholes the primary's IP AND the primary's process dies at the
 // same virtual instant — the hosted endpoint is gone, not merely
-// unreachable from the censored region. With plain replicas writes would
-// stop (followers only forward). With the promotion-enabled set, the
-// followers detect the dead primary by consecutive missed pulls, elect the
+// unreachable from the censored region. A set that is only SyncAll-pumped
+// would stop taking writes (followers only forward). Ticked, the followers
+// detect the dead primary by consecutive missed pulls, elect the
 // most-caught-up member, and the winner mints the next term and starts
 // accepting writes; a client's report that failed in the sync round during
 // detection lands in the new leader's term one round later. The old primary
@@ -43,13 +42,12 @@ func PrimaryLoss(o Options) (*Result, error) {
 	w, err := worldgen.New(worldgen.Options{
 		Scale: scale, Seed: o.seed(),
 		GlobalDBReplicas:        2,
-		GlobalDBPromotion:       true,
 		GlobalDBMissedThreshold: 2,
-		GlobalDBReplInterval:    30 * time.Second,
 	})
 	if err != nil {
 		return nil, err
 	}
+	set := w.ReplicaSet
 	ispA, ispB, err := w.CaseStudy()
 	if err != nil {
 		return nil, err
@@ -111,9 +109,9 @@ func PrimaryLoss(o Options) (*Result, error) {
 		}
 	}
 	for i := 0; i < 2; i++ {
-		w.PromotionTick(ctx)
+		set.Tick(ctx)
 	}
-	if li, _ := w.GlobalDBLeader(); li != 0 {
+	if li := set.Leader(); li != 0 {
 		return nil, fmt.Errorf("primary-loss: leader index %d pre-flip, want the founding primary", li)
 	}
 	if term, _, _ := w.GlobalDB.TermState(); term != 0 {
@@ -129,7 +127,7 @@ func PrimaryLoss(o Options) (*Result, error) {
 		return nil, err
 	}
 	w.Clock.Advance(primaryLossFlip + time.Minute)
-	if err := w.KillPrimary(); err != nil {
+	if err := set.Kill(0); err != nil {
 		return nil, err
 	}
 
@@ -155,8 +153,8 @@ func PrimaryLoss(o Options) (*Result, error) {
 	ticks := 0
 	promoted := -1
 	for ; ticks < primaryLossTicks; ticks++ {
-		w.PromotionTick(ctx)
-		if li, _ := w.GlobalDBLeader(); li > 0 {
+		set.Tick(ctx)
+		if li := set.Leader(); li > 0 {
 			promoted = li
 			break
 		}
@@ -165,7 +163,7 @@ func PrimaryLoss(o Options) (*Result, error) {
 		return nil, fmt.Errorf("primary-loss: no follower promoted within %d ticks", primaryLossTicks)
 	}
 	ticks++ // the tick that promoted
-	leader := w.GlobalDBNodes[promoted]
+	leader := set.Nodes[promoted]
 	newTerm, newLeaderAddr, _ := leader.Server.TermState()
 	if newTerm < 1 {
 		return nil, fmt.Errorf("primary-loss: promoted node %d is on term %d, want >= 1", promoted, newTerm)
@@ -175,7 +173,7 @@ func PrimaryLoss(o Options) (*Result, error) {
 			newTerm, newLeaderAddr, promoted, w.GlobalDBEndpoints[promoted])
 	}
 	// One more tick lets the remaining follower adopt the new leader.
-	w.PromotionTick(ctx)
+	set.Tick(ctx)
 
 	// Resume round: the bounced report lands in the new leader's term — the
 	// second sync round after the loss.
@@ -200,47 +198,28 @@ func PrimaryLoss(o Options) (*Result, error) {
 	// leads. Its first reconcile meets term newTerm, self-demotes, pushes
 	// its feed to the winner, resyncs from sequence zero, and pulls back the
 	// full stream; a few more ticks drain the pulls and acks.
-	if err := w.RestartPrimary(); err != nil {
+	if _, err := set.Restart(0); err != nil {
 		return nil, err
 	}
 	for i := 0; i < 6; i++ {
-		w.PromotionTick(ctx)
+		set.Tick(ctx)
 	}
-	if li, _ := w.GlobalDBLeader(); li != promoted {
+	if li := set.Leader(); li != promoted {
 		return nil, fmt.Errorf("primary-loss: leader index %d after rejoin, want %d (the rejoined primary must demote, not reclaim)", li, promoted)
 	}
-	if role := w.GlobalDBNodes[0].RoleName(); role == globaldb.RoleLeader {
+	if role := set.Nodes[0].RoleName(); role == globaldb.RoleLeader {
 		return nil, fmt.Errorf("primary-loss: rejoined primary still claims leadership")
 	}
 
 	// Convergence: every node serves identical aggregates for both censored
 	// ASes — the rejoined primary included.
-	observe := func(i int) (string, error) {
-		srv := w.GlobalDBNodes[i].Server
-		obs := struct {
-			Stats globaldb.Stats
-			A, B  []globaldb.Entry
-		}{srv.StatsSnapshot(), srv.BlockedForAS(ispA.AS.Number), srv.BlockedForAS(ispB.AS.Number)}
-		b, err := json.Marshal(obs)
-		return string(b), err
-	}
-	want, err := observe(promoted)
-	if err != nil {
-		return nil, err
-	}
-	for i := range w.GlobalDBNodes {
-		got, err := observe(i)
-		if err != nil {
-			return nil, err
-		}
-		if got != want {
-			return nil, fmt.Errorf("primary-loss: node %d state diverges from the leader after rejoin:\n got %s\nwant %s", i, got, want)
-		}
+	if err := set.CheckIdentical(ispA.AS.Number, ispB.AS.Number); err != nil {
+		return nil, fmt.Errorf("primary-loss: after rejoin: %w", err)
 	}
 
 	res := &Result{ID: "primary-loss", Title: "Follower promotion when the censor kills the primary outright"}
 	scn := metrics.Table{Headers: []string{"quantity", "value"}}
-	scn.AddRow("replica set", fmt.Sprintf("%d nodes, self-healing (MissedThreshold 2)", len(w.GlobalDBNodes)))
+	scn.AddRow("replica set", fmt.Sprintf("%d nodes, self-healing (MissedThreshold 2)", len(set.Nodes)))
 	scn.AddRow("censored ASes", "2 (ISP-A, ISP-B)")
 	scn.AddRow("clients per AS", fmt.Sprintf("%d", nPer))
 	scn.AddRow("flip offset after arming", fmtDur(primaryLossFlip))
@@ -253,7 +232,7 @@ func PrimaryLoss(o Options) (*Result, error) {
 	conv.AddRow("replicas byte-identical after rejoin", "yes")
 	res.Text = "scenario:\n" + scn.String() + "\nconvergence invariants (all cross-checked exactly):\n" + conv.String()
 	res.Metric("clients", float64(2*nPer))
-	res.Metric("replicas", float64(len(w.GlobalDBNodes)))
+	res.Metric("replicas", float64(len(set.Nodes)))
 	res.Metric("promote.ticks", float64(ticks))
 	res.Metric("promote.node", float64(promoted))
 	res.Metric("promote.term", float64(newTerm))

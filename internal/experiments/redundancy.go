@@ -327,7 +327,7 @@ func Table6(o Options) (*Result, error) {
 	// Seed the global DB: an auxiliary reporter posts the blocked URL.
 	reporterHost := w.NewClientHost("t6-reporter", isp)
 	rep := &globaldb.Client{
-		Addr: w.GlobalDBAddr, Host: worldgen.GlobalDBHost,
+		Endpoints: w.GlobalDBEndpoints, Host: worldgen.GlobalDBHost,
 		Clock: w.Clock, ReportDial: reporterHost.Dial, FetchDial: reporterHost.Dial,
 	}
 	if err := rep.Register(context.Background(), "human-reporter"); err != nil {

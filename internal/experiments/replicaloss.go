@@ -60,8 +60,7 @@ func ReplicaLoss(o Options) (*Result, error) {
 	// distinct worldgen regions (us / Netherlands / Germany).
 	w, err := worldgen.New(worldgen.Options{
 		Scale: scale, Seed: o.seed(),
-		GlobalDBReplicas:     2,
-		GlobalDBReplInterval: 30 * time.Second,
+		GlobalDBReplicas: 2,
 	})
 	if err != nil {
 		return nil, err
@@ -134,7 +133,7 @@ func ReplicaLoss(o Options) (*Result, error) {
 		// Twice: the first pass ships the log, the second carries the acks
 		// (acks ride the next pull).
 		for i := 0; i < 2; i++ {
-			if err := w.SyncReplicas(ctx); err != nil {
+			if err := w.ReplicaSet.SyncAll(ctx); err != nil {
 				return nil, fmt.Errorf("replica-loss: replication pass: %w", err)
 			}
 		}
@@ -153,7 +152,7 @@ func ReplicaLoss(o Options) (*Result, error) {
 			return nil, fmt.Errorf("replica-loss: %s quiesce round was not a 304 (Fetch304 %d→%d)", m.name, pre304[i], got)
 		}
 	}
-	if lag := w.ReplicationLag(); lag.MaxLag != 0 || len(lag.Followers) != 2 {
+	if lag := w.GlobalDB.ReplicationFeed().Stats(); lag.MaxLag != 0 || len(lag.Followers) != 2 {
 		return nil, fmt.Errorf("replica-loss: pre-flip feed not quiesced: %+v", lag)
 	}
 	for _, m := range members {
@@ -213,7 +212,7 @@ func ReplicaLoss(o Options) (*Result, error) {
 		return nil, fmt.Errorf("replica-loss: post-flip report did not reach the primary (updates %d, want %d)", got, updatesBefore+1)
 	}
 	for i := 0; i < 2; i++ {
-		if err := w.SyncReplicas(ctx); err != nil {
+		if err := w.ReplicaSet.SyncAll(ctx); err != nil {
 			return nil, fmt.Errorf("replica-loss: post-flip replication pass: %w", err)
 		}
 	}
@@ -272,7 +271,7 @@ func ReplicaLoss(o Options) (*Result, error) {
 			return nil, fmt.Errorf("replica-loss: %s flipped %d times, want 1", isp.AS.Name, got)
 		}
 	}
-	lag := w.ReplicationLag()
+	lag := w.GlobalDB.ReplicationFeed().Stats()
 	if lag.MaxLag != 0 {
 		return nil, fmt.Errorf("replica-loss: follower lag %d after final replication pass", lag.MaxLag)
 	}

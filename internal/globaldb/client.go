@@ -3,6 +3,7 @@ package globaldb
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -21,20 +22,19 @@ import (
 //
 // The DB may be deployed as a replica set (§5: blocking access to the
 // global_DB is countered by moving it — here, by having more than one).
-// Replicas lists the endpoints in preference order; every API call tries
-// the first healthy one and fails over on transport errors (timeouts,
-// resets, refused connections — the signature of a censor blackholing the
-// primary's IP). An HTTP error status is a server answer, not
-// unreachability, and never triggers failover. Failed endpoints are
-// retried after ReplicaCooldown.
+// Endpoints lists the servers in preference order; every API call tries the
+// first healthy one and fails over on transport errors (timeouts, resets,
+// refused connections — the signature of a censor blackholing the primary's
+// IP). An HTTP error status is a server answer, not unreachability, and
+// never triggers failover. Failed endpoints are retried after
+// ReplicaCooldown.
 type Client struct {
-	Addr string // server "ip:port" (or "host:port" for hostname-capable dialers)
-	// Replicas is the replica set in preference order. Empty means Addr is
-	// the only endpoint. When non-empty it replaces Addr entirely (list
-	// Addr first to keep it primary).
-	Replicas []string
-	Host     string // Host header value
-	Clock    *vtime.Clock
+	// Endpoints are the server addresses ("ip:port", or "host:port" for
+	// hostname-capable dialers) in preference order: one entry for a single
+	// server, the primary first for a replica set.
+	Endpoints []string
+	Host      string // Host header value
+	Clock     *vtime.Clock
 	// ReportDial carries report traffic (Tor in the paper's deployment);
 	// FetchDial carries registration and list downloads.
 	ReportDial netem.DialFunc
@@ -119,13 +119,6 @@ func (c *Client) LastServed() string {
 	return c.lastServed
 }
 
-func (c *Client) endpoints() []string {
-	if len(c.Replicas) > 0 {
-		return c.Replicas
-	}
-	return []string{c.Addr}
-}
-
 // attemptOrder returns the endpoints to try: healthy ones first in
 // preference order, then cooling-down ones (soonest retry first) as a last
 // resort — a client never refuses to try just because everything recently
@@ -179,50 +172,25 @@ func (c *Client) nextSeq() uint64 {
 // cover a hint that itself lands on a freshly demoted node.
 const maxLeaderChase = 2
 
-// chaseLeader follows fencing rejections to the hinted leader, at most
-// maxLeaderChase hops. It returns the final answer and the endpoint that
-// produced it; a hop that fails at the transport layer keeps the previous
-// (fenced) answer so the caller's failover logic sees an HTTP status, not a
-// phantom outage.
-func (c *Client) chaseLeader(ctx context.Context, hc *httpx.Client, ep string, req *httpx.Request,
-	resp *httpx.Response, sp *trace.Span) (*httpx.Response, string) {
-	for hop := 0; hop < maxLeaderChase && resp.StatusCode == StatusFenced; hop++ {
-		hint := resp.Header.Get(LeaderHeader)
-		if hint == "" || hint == ep {
-			break
-		}
-		if sp != nil {
-			sp.Event("repl", "chase", hint)
-		}
-		next, err := hc.Do(ctx, hint, req)
-		if err != nil {
-			break
-		}
-		c.mu.Lock()
-		c.stats.LeaderChases++
-		c.mu.Unlock()
-		resp, ep = next, hint
-	}
-	return resp, ep
-}
+var errNoEndpoints = errors.New("globaldb: no endpoints")
 
+// do sends req to the first endpoint that answers. With several endpoints it
+// orders them by health, benches the ones that fail at the transport layer
+// and records a span; a lone endpoint has nobody to fail over to, so it
+// keeps no cooldown and pays for neither.
 func (c *Client) do(ctx context.Context, dial netem.DialFunc, req *httpx.Request) (*httpx.Response, error) {
 	hc := &httpx.Client{Dial: dial, Clock: c.Clock, Timeout: c.timeout()}
-	eps := c.endpoints()
-	if len(eps) == 1 {
-		resp, err := hc.Do(ctx, eps[0], req)
-		if err == nil {
-			resp, _ = c.chaseLeader(ctx, hc, eps[0], req, resp, nil)
-			c.noteServed(eps[0], false)
-		}
-		return resp, err
-	}
+	eps := c.Endpoints
+	failover := len(eps) > 1
 	var sp *trace.Span
-	if c.Trace != nil {
-		sp = c.Trace.Start("globaldb", c.nextSeq(), req.Target)
+	if failover {
+		eps = c.attemptOrder(eps)
+		if c.Trace != nil {
+			sp = c.Trace.Start("globaldb", c.nextSeq(), req.Target)
+		}
 	}
-	var lastErr error
-	for _, ep := range c.attemptOrder(eps) {
+	lastErr := errNoEndpoints
+	for _, ep := range eps {
 		if err := ctx.Err(); err != nil {
 			lastErr = err
 			break
@@ -231,23 +199,37 @@ func (c *Client) do(ctx context.Context, dial netem.DialFunc, req *httpx.Request
 			sp.Event("repl", "attempt", ep)
 		}
 		resp, err := hc.Do(ctx, ep, req)
-		if err == nil {
-			resp, servedBy := c.chaseLeader(ctx, hc, ep, req, resp, sp)
-			c.noteServed(servedBy, servedBy != eps[0])
-			if sp != nil {
-				sp.Event("repl", "served", servedBy)
-				sp.Finish("globaldb", "ok", nil)
+		if err != nil {
+			lastErr = err
+			if failover {
+				c.markDown(ep)
 			}
-			return resp, nil
+			if sp != nil {
+				sp.Event("repl", "down", ep)
+			}
+			continue
 		}
-		lastErr = err
-		c.markDown(ep)
+		servedBy := ep
+		if resp.StatusCode == StatusFenced {
+			resp, servedBy = ChaseLeader(resp, ep, "", maxLeaderChase, func(_ int64, hint string) (*httpx.Response, error) {
+				if sp != nil {
+					sp.Event("repl", "chase", hint)
+				}
+				next, err := hc.Do(ctx, hint, req)
+				if err == nil {
+					c.mu.Lock()
+					c.stats.LeaderChases++
+					c.mu.Unlock()
+				}
+				return next, err
+			})
+		}
+		c.noteServed(servedBy, servedBy != c.Endpoints[0])
 		if sp != nil {
-			sp.Event("repl", "down", ep)
+			sp.Event("repl", "served", servedBy)
+			sp.Finish("globaldb", "ok", nil)
 		}
-	}
-	if lastErr == nil {
-		lastErr = fmt.Errorf("globaldb: no endpoints")
+		return resp, nil
 	}
 	if sp != nil {
 		sp.Finish("globaldb", "error", lastErr)

@@ -276,7 +276,7 @@ func TestClientTagDowngrade(t *testing.T) {
 	}))
 
 	h := n.MustAddHost("client", "10.0.0.1", "pk", pk)
-	c := &Client{Addr: "40.0.0.1:80", Host: "globaldb.example", Clock: clock,
+	c := &Client{Endpoints: []string{"40.0.0.1:80"}, Host: "globaldb.example", Clock: clock,
 		ReportDial: h.Dial, FetchDial: h.Dial}
 
 	if _, err := c.FetchBlocked(context.Background(), 100); err != nil {
@@ -290,7 +290,7 @@ func TestClientTagDowngrade(t *testing.T) {
 	}
 
 	// "Failover": the client now talks to the tagless backend.
-	c.Addr = "40.0.0.2:80"
+	c.Endpoints = []string{"40.0.0.2:80"}
 	entries, err := c.FetchBlocked(context.Background(), 100)
 	if err != nil {
 		t.Fatal(err)
@@ -308,7 +308,7 @@ func TestClientTagDowngrade(t *testing.T) {
 	// Back on a tagged backend whose current tag happens to equal the
 	// original stale one: the client must not send a stale If-None-Match
 	// (it has none), so it gets the real full body, not a spurious 304.
-	c.Addr = "40.0.0.1:80"
+	c.Endpoints = []string{"40.0.0.1:80"}
 	entries, err = c.FetchBlocked(context.Background(), 100)
 	if err != nil {
 		t.Fatal(err)

@@ -44,8 +44,8 @@ func failoverWorld(t *testing.T) (*netem.Network, []*Server, func(name, ip strin
 	mk := func(name, ip string) *Client {
 		h := n.MustAddHost(name, ip, "pk", pk)
 		return &Client{
-			Replicas: []string{"40.0.0.1:80", "40.0.0.2:80", "40.0.0.3:80"},
-			Host:     "globaldb.example", Clock: clock,
+			Endpoints: []string{"40.0.0.1:80", "40.0.0.2:80", "40.0.0.3:80"},
+			Host:      "globaldb.example", Clock: clock,
 			ReportDial: h.Dial, FetchDial: h.Dial,
 			Timeout: 5 * time.Second,
 		}

@@ -29,7 +29,7 @@ func gdbWorld(t *testing.T) (*netem.Network, *Server, func(name, ip string) *Cli
 	mk := func(name, ip string) *Client {
 		h := n.MustAddHost(name, ip, "pk", pk)
 		return &Client{
-			Addr: "40.0.0.1:80", Host: "globaldb.example",
+			Endpoints: []string{"40.0.0.1:80"}, Host: "globaldb.example",
 			Clock: clock, ReportDial: h.Dial, FetchDial: h.Dial,
 		}
 	}

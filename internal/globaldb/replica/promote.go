@@ -41,29 +41,29 @@ import (
 // system trades linearizability for availability and repairs on heal —
 // term comparison picks one lineage, every losing lineage pushes its
 // records before resyncing, so convergence loses nothing that was acked.
-// See DESIGN.md "Promotion & fencing" for the full argument.
+// See DESIGN.md "Durability & the replica set" for the full argument.
 
 const defaultMissedThreshold = 3
 
-func (f *Follower) missedThreshold() int {
-	if f.MissedThreshold > 0 {
-		return f.MissedThreshold
+func (n *Node) missedThreshold() int {
+	if n.MissedThreshold > 0 {
+		return n.MissedThreshold
 	}
 	return defaultMissedThreshold
 }
 
 // Status reports this node for election probes and reconciliation.
-func (f *Follower) Status() globaldb.ReplStatus {
-	term, _, base := f.Server.TermState()
+func (n *Node) Status() globaldb.ReplStatus {
+	term, _, base := n.Server.TermState()
 	st := globaldb.ReplStatus{
-		Name:   f.Name,
-		Addr:   f.Self,
-		Role:   f.RoleName(),
+		Name:   n.Name,
+		Addr:   n.Self,
+		Role:   n.RoleName(),
 		Term:   term,
-		Offset: f.Offset(),
+		Offset: n.Offset(),
 		Base:   base,
 	}
-	if feed := f.Server.ReplicationFeed(); feed != nil {
+	if feed := n.Server.ReplicationFeed(); feed != nil {
 		st.Head = feed.Head()
 	}
 	return st
@@ -72,59 +72,52 @@ func (f *Follower) Status() globaldb.ReplStatus {
 // Step is one controller tick: reconcile when leading, otherwise resync if
 // one is pending, otherwise pull and watch for a dead primary. It returns
 // a description of the action taken, for traces and tests.
-func (f *Follower) Step(ctx context.Context) string {
-	if !f.Promote {
-		_, _, err := f.SyncOnce(ctx)
-		if err != nil {
-			return "pull-error"
-		}
-		return "pulled"
+func (n *Node) Step(ctx context.Context) string {
+	if n.RoleName() == globaldb.RoleLeader {
+		return n.reconcile(ctx)
 	}
-	if f.RoleName() == globaldb.RoleLeader {
-		return f.reconcile(ctx)
-	}
-	f.mu.Lock()
-	pending := f.resync
-	f.mu.Unlock()
+	n.mu.Lock()
+	pending := n.resync
+	n.mu.Unlock()
 	if pending {
-		if err := f.doResync(ctx); err != nil {
+		if err := n.doResync(ctx); err != nil {
 			return "resync-error"
 		}
 		return "resynced"
 	}
-	// A promotion-capable follower keeps its own server fenced toward the
-	// believed leader so direct writes get a hint instead of forking state.
-	if !f.Server.Fenced() {
-		term, _, _ := f.Server.TermState()
-		f.Server.Fence(term, f.primaryAddr())
+	// A ticked follower keeps its own server fenced toward the believed
+	// leader so direct writes get a hint instead of forking state.
+	if !n.Server.Fenced() {
+		term, _, _ := n.Server.TermState()
+		n.Server.Fence(term, n.primaryAddr())
 	}
-	_, _, err := f.SyncOnce(ctx)
+	_, _, err := n.SyncOnce(ctx)
 	if err == nil {
-		f.mu.Lock()
-		f.missed = 0
-		f.mu.Unlock()
+		n.mu.Lock()
+		n.missed = 0
+		n.mu.Unlock()
 		return "pulled"
 	}
-	f.mu.Lock()
-	f.missed++
-	missed := f.missed
-	f.mu.Unlock()
-	if missed < f.missedThreshold() {
+	n.mu.Lock()
+	n.missed++
+	missed := n.missed
+	n.mu.Unlock()
+	if missed < n.missedThreshold() {
 		return "missed"
 	}
-	return f.elect(ctx)
+	return n.elect(ctx)
 }
 
 // elect probes the peers and either adopts an existing leader, defers to a
 // more caught-up follower, or promotes itself.
-func (f *Follower) elect(ctx context.Context) string {
-	myTerm, _, _ := f.Server.TermState()
-	myOff := f.Offset()
+func (n *Node) elect(ctx context.Context) string {
+	myTerm, _, _ := n.Server.TermState()
+	myOff := n.Offset()
 	maxTerm := myTerm
 	var best *globaldb.ReplStatus // best reachable leader claim
 	defer_ := false
-	for _, p := range f.Peers {
-		st, err := f.peerStatus(ctx, p)
+	for _, p := range n.Peers {
+		st, err := n.peerStatus(ctx, p)
 		if err != nil {
 			continue
 		}
@@ -144,58 +137,58 @@ func (f *Follower) elect(ctx context.Context) string {
 		// lineage number a different stream and are incomparable — deferring
 		// to one can deadlock (the "ahead" peer may be happily following and
 		// never promote), so cross-lineage candidates don't count.
-		if st.Term == myTerm && (st.Offset > myOff || (st.Offset == myOff && st.Name < f.Name)) {
+		if st.Term == myTerm && (st.Offset > myOff || (st.Offset == myOff && st.Name < n.Name)) {
 			defer_ = true
 		}
 	}
 	if best != nil {
-		f.Server.Fence(best.Term, best.Addr)
-		f.mu.Lock()
-		f.primary = best.Addr
-		f.missed = 0
-		f.mu.Unlock()
+		n.Server.Fence(best.Term, best.Addr)
+		n.mu.Lock()
+		n.primary = best.Addr
+		n.missed = 0
+		n.mu.Unlock()
 		return "adopted"
 	}
 	if defer_ {
 		return "deferred"
 	}
 	newTerm := maxTerm + 1
-	if err := f.Server.StartTerm(newTerm, f.Self); err != nil {
+	if err := n.Server.StartTerm(newTerm, n.Self); err != nil {
 		return "promote-error"
 	}
-	f.mu.Lock()
-	f.role = globaldb.RoleLeader
-	f.primary = ""
-	f.missed = 0
-	f.mu.Unlock()
+	n.mu.Lock()
+	n.role = globaldb.RoleLeader
+	n.primary = ""
+	n.missed = 0
+	n.mu.Unlock()
 	return "promoted"
 }
 
 // reconcile is the leader's tick: find stale leaders and demote them, or
 // discover that this node itself lost and self-demote.
-func (f *Follower) reconcile(ctx context.Context) string {
-	myTerm, _, _ := f.Server.TermState()
-	for _, p := range f.Peers {
-		st, err := f.peerStatus(ctx, p)
+func (n *Node) reconcile(ctx context.Context) string {
+	myTerm, _, _ := n.Server.TermState()
+	for _, p := range n.Peers {
+		st, err := n.peerStatus(ctx, p)
 		if err != nil || st.Role != globaldb.RoleLeader {
 			continue
 		}
-		if st.Term > myTerm || (st.Term == myTerm && st.Addr < f.Self) {
+		if st.Term > myTerm || (st.Term == myTerm && st.Addr < n.Self) {
 			// The peer's lineage wins. Fence immediately so no further
 			// writes land in the stale term, then push-and-resync.
-			f.Server.Fence(st.Term, st.Addr)
-			f.mu.Lock()
-			f.role = globaldb.RoleFollower
-			f.primary = st.Addr
-			f.resync = true
-			f.resyncTo = st.Addr
-			f.pushFrom = 0
-			f.missed = 0
-			f.mu.Unlock()
+			n.Server.Fence(st.Term, st.Addr)
+			n.mu.Lock()
+			n.role = globaldb.RoleFollower
+			n.primary = st.Addr
+			n.resync = true
+			n.resyncTo = st.Addr
+			n.pushFrom = 0
+			n.missed = 0
+			n.mu.Unlock()
 			return "self-demoted"
 		}
-		if st.Term < myTerm || (st.Term == myTerm && st.Addr > f.Self) {
-			f.demotePeer(ctx, st)
+		if st.Term < myTerm || (st.Term == myTerm && st.Addr > n.Self) {
+			n.demotePeer(ctx, st)
 		}
 	}
 	return "reconciled"
@@ -206,19 +199,18 @@ func (f *Follower) reconcile(ctx context.Context) string {
 // partitions the true shared prefix between two lineages is not locally
 // computable, and under-pushing could lose acked records while over-pushing
 // only costs bytes (duplicates are absorbed idempotently).
-func (f *Follower) demotePeer(ctx context.Context, st globaldb.ReplStatus) {
-	myTerm, _, _ := f.Server.TermState()
-	target := fmt.Sprintf("%s?term=%d&leader=%s&have=0", globaldb.PathReplDemote, myTerm, f.Self)
-	req := httpx.NewRequest("POST", f.peerHost(), target)
-	hc := &httpx.Client{Dial: f.Dial, Clock: f.Clock, Timeout: f.timeout()}
-	_, _ = hc.Do(ctx, st.Addr, req) // best-effort: the peer's own probe converges it too
+func (n *Node) demotePeer(ctx context.Context, st globaldb.ReplStatus) {
+	myTerm, _, _ := n.Server.TermState()
+	target := fmt.Sprintf("%s?term=%d&leader=%s&have=0", globaldb.PathReplDemote, myTerm, n.Self)
+	req := httpx.NewRequest("POST", n.PrimaryHost, target)
+	_, _ = n.http().Do(ctx, st.Addr, req) // best-effort: the peer's own probe converges it too
 }
 
 // handleDemote accepts a demotion: fence toward the new leader, remember
 // the resync, and answer with this node's status. The response carries no
 // records — the demoted node pushes its suffix itself (doResync), so a
 // lost response cannot lose data.
-func (f *Follower) handleDemote(req *httpx.Request) *httpx.Response {
+func (n *Node) handleDemote(req *httpx.Request) *httpx.Response {
 	term, err := strconv.ParseInt(globaldb.QueryParam(req.Target, "term"), 10, 64)
 	if err != nil {
 		return httpx.NewResponse(400, []byte("bad term"))
@@ -228,92 +220,86 @@ func (f *Follower) handleDemote(req *httpx.Request) *httpx.Response {
 		return httpx.NewResponse(400, []byte("missing leader"))
 	}
 	have, _ := strconv.ParseUint(globaldb.QueryParam(req.Target, "have"), 10, 64)
-	myTerm, _, _ := f.Server.TermState()
-	isLeader := f.RoleName() == globaldb.RoleLeader
-	wins := term > myTerm || (term == myTerm && isLeader && leader < f.Self)
+	myTerm, _, _ := n.Server.TermState()
+	isLeader := n.RoleName() == globaldb.RoleLeader
+	wins := term > myTerm || (term == myTerm && isLeader && leader < n.Self)
 	if !wins {
-		return jsonResponse(409, f.Status())
+		return jsonResponse(409, n.Status())
 	}
-	f.Server.Fence(term, leader)
-	f.mu.Lock()
-	f.role = globaldb.RoleFollower
-	f.primary = leader
-	f.resync = true
-	f.resyncTo = leader
-	f.pushFrom = have
-	f.missed = 0
-	f.mu.Unlock()
-	return jsonResponse(200, f.Status())
+	n.Server.Fence(term, leader)
+	n.mu.Lock()
+	n.role = globaldb.RoleFollower
+	n.primary = leader
+	n.resync = true
+	n.resyncTo = leader
+	n.pushFrom = have
+	n.missed = 0
+	n.mu.Unlock()
+	return jsonResponse(200, n.Status())
 }
 
 // doResync is the losing lineage's repair: push the feed suffix the new
 // leader may lack, then wipe local state and re-pull the winner's stream
 // from sequence zero. Each failed step leaves the resync pending for the
 // next tick; the push is re-entrant because absorbed duplicates are no-ops.
-func (f *Follower) doResync(ctx context.Context) error {
-	f.mu.Lock()
-	to := f.resyncTo
-	from := f.pushFrom
-	f.mu.Unlock()
-	if feed := f.Server.ReplicationFeed(); feed != nil {
-		maxBytes := f.MaxBytes
-		if maxBytes <= 0 {
-			maxBytes = defaultMaxBytes
-		}
-		hc := &httpx.Client{Dial: f.Dial, Clock: f.Clock, Timeout: f.timeout()}
+func (n *Node) doResync(ctx context.Context) error {
+	n.mu.Lock()
+	to := n.resyncTo
+	from := n.pushFrom
+	n.mu.Unlock()
+	if feed := n.Server.ReplicationFeed(); feed != nil {
+		hc := n.http()
 		for from < feed.Head() {
-			data, next := feed.ReadFrom(from, maxBytes)
+			data, next := feed.ReadFrom(from, maxBatchBytes)
 			if len(data) == 0 {
 				break
 			}
-			req := httpx.NewRequest("POST", f.peerHost(), globaldb.PathReplPush)
+			req := httpx.NewRequest("POST", n.PrimaryHost, globaldb.PathReplPush)
 			req.Header.Set("Content-Type", "application/octet-stream")
 			req.Body = data
 			resp, err := hc.Do(ctx, to, req)
 			if err != nil {
-				return f.fail(fmt.Errorf("replica: push: %w", err))
+				return n.fail(fmt.Errorf("replica: push: %w", err))
 			}
 			if resp.StatusCode == globaldb.StatusFenced {
-				// The leader moved again; chase the hint next tick.
-				if hint := resp.Header.Get(globaldb.LeaderHeader); hint != "" && hint != to {
-					f.mu.Lock()
-					f.resyncTo = hint
-					f.primary = hint
-					f.mu.Unlock()
-				}
-				return f.fail(fmt.Errorf("replica: push target fenced"))
+				// The leader moved again; push to the hinted one next tick.
+				globaldb.ChaseLeader(resp, to, n.Self, 1, func(_ int64, hint string) (*httpx.Response, error) {
+					n.mu.Lock()
+					n.resyncTo = hint
+					n.primary = hint
+					n.mu.Unlock()
+					return nil, nil
+				})
+				return n.fail(fmt.Errorf("replica: push target fenced"))
 			}
 			if resp.StatusCode != 200 {
-				return f.fail(fmt.Errorf("replica: push: %d %s", resp.StatusCode, resp.Body))
+				return n.fail(fmt.Errorf("replica: push: %d %s", resp.StatusCode, resp.Body))
 			}
-			f.mu.Lock()
-			f.pushFrom = next
-			f.mu.Unlock()
+			n.mu.Lock()
+			n.pushFrom = next
+			n.mu.Unlock()
 			from = next
 		}
 	}
-	if err := f.Server.ResetForResync(); err != nil {
-		return f.fail(fmt.Errorf("replica: reset: %w", err))
+	if err := n.Server.ResetForResync(); err != nil {
+		return n.fail(fmt.Errorf("replica: reset: %w", err))
 	}
-	f.mu.Lock()
-	f.offset = 0
-	f.resync = false
-	f.pushFrom = 0
-	f.primary = to
-	f.lastErr = nil
-	f.mu.Unlock()
+	n.mu.Lock()
+	n.offset = 0
+	n.resync = false
+	n.pushFrom = 0
+	n.primary = to
+	n.lastErr = nil
+	n.mu.Unlock()
 	return nil
 }
 
-// adoptHint repoints the node at the leader named by a fencing rejection.
-func (f *Follower) adoptHint(resp *httpx.Response) {
-	hint := resp.Header.Get(globaldb.LeaderHeader)
-	if hint == "" || hint == f.Self {
-		return
-	}
-	term, _ := strconv.ParseInt(resp.Header.Get(globaldb.TermHeader), 10, 64)
-	f.Server.Fence(term, hint)
-	f.repoint(hint)
+// adopt repoints the node at the leader a fencing rejection named.
+func (n *Node) adopt(term int64, leader string) {
+	n.Server.Fence(term, leader)
+	n.mu.Lock()
+	n.primary = leader
+	n.mu.Unlock()
 }
 
 // checkDivergence decides, from a 200 pull response's lineage headers,
@@ -343,7 +329,7 @@ func (f *Follower) adoptHint(resp *httpx.Response) {
 // computable, and under-pushing could lose acked records, while over-
 // pushing only costs bytes (the receiver absorbs duplicates idempotently
 // and every replica applies the same duplicated stream).
-func (f *Follower) checkDivergence(resp *httpx.Response, from, head uint64) error {
+func (n *Node) checkDivergence(resp *httpx.Response, from, head uint64) error {
 	termHdr := resp.Header.Get(globaldb.TermHeader)
 	if termHdr == "" {
 		return nil
@@ -352,7 +338,7 @@ func (f *Follower) checkDivergence(resp *httpx.Response, from, head uint64) erro
 	if err != nil {
 		return nil
 	}
-	myTerm, myLeader, _ := f.Server.TermState()
+	myTerm, myLeader, _ := n.Server.TermState()
 	if respTerm < myTerm {
 		return fmt.Errorf("replica: upstream on stale term %d (local lineage %d)", respTerm, myTerm)
 	}
@@ -361,24 +347,23 @@ func (f *Follower) checkDivergence(resp *httpx.Response, from, head uint64) erro
 	if from <= head && atTerm == myTerm && atLeader == myLeader {
 		return nil
 	}
-	f.Server.Fence(respTerm, f.primaryAddr())
-	f.mu.Lock()
-	f.resync = true
-	f.resyncTo = f.primary
-	if f.resyncTo == "" {
-		f.resyncTo = f.PrimaryAddr
+	n.Server.Fence(respTerm, n.primaryAddr())
+	n.mu.Lock()
+	n.resync = true
+	n.resyncTo = n.primary
+	if n.resyncTo == "" {
+		n.resyncTo = n.PrimaryAddr
 	}
-	f.pushFrom = 0
-	f.mu.Unlock()
+	n.pushFrom = 0
+	n.mu.Unlock()
 	return fmt.Errorf("replica: diverged from leader (lineage %d/%s at offset %d, local %d/%s)",
 		atTerm, atLeader, from, myTerm, myLeader)
 }
 
 // peerStatus probes one peer's /v1/repl/status.
-func (f *Follower) peerStatus(ctx context.Context, p Peer) (globaldb.ReplStatus, error) {
-	req := httpx.NewRequest("GET", f.peerHost(), globaldb.PathReplStatus)
-	hc := &httpx.Client{Dial: f.Dial, Clock: f.Clock, Timeout: f.timeout()}
-	resp, err := hc.Do(ctx, p.Addr, req)
+func (n *Node) peerStatus(ctx context.Context, p Peer) (globaldb.ReplStatus, error) {
+	req := httpx.NewRequest("GET", n.PrimaryHost, globaldb.PathReplStatus)
+	resp, err := n.http().Do(ctx, p.Addr, req)
 	if err != nil {
 		return globaldb.ReplStatus{}, err
 	}
@@ -390,14 +375,6 @@ func (f *Follower) peerStatus(ctx context.Context, p Peer) (globaldb.ReplStatus,
 		return globaldb.ReplStatus{}, err
 	}
 	return st, nil
-}
-
-// peerHost is the Host header for intra-set calls.
-func (f *Follower) peerHost() string {
-	if f.PrimaryHost != "" {
-		return f.PrimaryHost
-	}
-	return "replica-set"
 }
 
 func jsonResponse(code int, v any) *httpx.Response {

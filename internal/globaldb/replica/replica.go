@@ -1,26 +1,30 @@
 // Package replica implements asynchronous replication for the global DB
 // (§5: blocking access to the global_DB is countered by moving it — here,
-// by running several of it). A primary built with
-// globaldb.StoreOptions{Replicated: true} streams its write-ahead log
-// through an in-memory feed; each Follower runs its own globaldb.Server on
-// another emulated host and pulls framed WAL records over plain HTTP
-// (GET /v1/repl), applying them in order. Because the log records mutation
-// requests and both sides apply them through the same store paths, a
-// caught-up follower converges to the primary's exact state — including
-// the validator tags behind conditional fetches, so a client failing over
-// mid-sync keeps its delta chain.
+// by running several of it). A replica set (NewSet) is N copies of one kind
+// of node: each runs its own strict, feed-enabled globaldb.Server on its own
+// emulated host, and exactly one of them — the founding primary until a
+// promotion says otherwise — leads. Every other node pulls the leader's
+// framed WAL records over plain HTTP (GET /v1/repl) and applies them in
+// order. Because the log records mutation requests and both sides apply
+// them through the same store path, a caught-up follower converges to the
+// leader's exact state — including the validator tags behind conditional
+// fetches, so a client failing over mid-sync keeps its delta chain.
 //
 // Replication is pull-based and carries the follower's acknowledgement for
-// free: pulling from sequence N acks everything below N, and the primary's
+// free: pulling from sequence N acks everything below N, and the leader's
 // feed stats report per-follower lag without extra round trips.
 //
-// A follower also fronts the full client API (Handler): reads are served
-// from its local store; writes (registration, reports) are forwarded to
-// the primary, which remains the single writer. Forwarding means the
-// primary's registration rate limiter sees the follower's IP as the
-// source for forwarded registrations — fine for the emulated scenarios,
-// where clients register before any failover, but a real deployment would
+// Every node fronts the full client API (Handler): reads are served from
+// its local store; a follower forwards writes (registration, reports) to
+// the leader, which remains the single writer. Forwarding means the
+// leader's registration rate limiter sees the follower's IP as the source
+// for forwarded registrations — fine for the emulated scenarios, where
+// clients register before any failover, but a real deployment would
 // propagate the original source.
+//
+// Whether a set heals itself is a matter of how it is pumped, not how it is
+// built: Set.SyncAll only drains followers to the leader's head, so nothing
+// ever elects; Set.Tick runs each node's promotion controller (promote.go).
 package replica
 
 import (
@@ -40,8 +44,8 @@ import (
 	"csaw/internal/vtime"
 )
 
-// defaultMaxBytes bounds one pull's payload.
-const defaultMaxBytes = 1 << 20
+// maxBatchBytes bounds one pull's (or push's) payload.
+const maxBatchBytes = 1 << 20
 
 // Peer names one other member of the replica set for election probes and
 // leader reconciliation. Addr is the member's client-facing "ip:port".
@@ -50,136 +54,110 @@ type Peer struct {
 	Addr string
 }
 
-// Follower replicates a primary's WAL stream into a local server. With
-// Promote set it is also one node of a self-healing replica set: it counts
-// missed pulls, runs elections, can be promoted to leader, fences stale
-// writers, and resyncs after demotion (see promote.go).
-type Follower struct {
-	// Name identifies the follower in the primary's lag stats.
+// Node is one member of a replica set, built by NewSet. It replicates its
+// upstream's WAL stream into a local server, counts missed pulls, runs
+// elections, can be promoted to leader, fences stale writers, and resyncs
+// after demotion (see promote.go).
+type Node struct {
+	// Name identifies the node in its upstream's lag stats.
 	Name string
 	// Server is the local store the stream is applied into (and, via
 	// Handler, the read side served to clients).
 	Server *globaldb.Server
-	// PrimaryAddr/PrimaryHost locate the primary; Dial is the follower
-	// host's dialer.
+	// PrimaryAddr is the member the node pulls from and forwards to until a
+	// leader change repoints it; PrimaryHost is the Host header of every
+	// intra-set call; Dial is the node host's dialer.
 	PrimaryAddr string
 	PrimaryHost string
 	Dial        netem.DialFunc
 	Clock       *vtime.Clock
-	// Timeout bounds each pull (virtual); default 30s.
+	// Timeout bounds each pull, probe and forward (virtual); default 30s.
 	Timeout time.Duration
-	// MaxBytes bounds one pull's payload; default 1 MiB.
-	MaxBytes int
 	// Trace, when set, records one span per pull on the "repl" lane.
 	Trace *trace.Tracer
 
-	// Promote enables the promotion controller (Step): missed-pull
-	// detection, elections, fencing, demotion and resync. Off by default —
-	// plain pull replication behaves exactly as before.
-	Promote bool
-	// Self is this node's own client-facing "ip:port"; required with
-	// Promote (it is what a minted term's leader hint points at).
+	// Self is this node's own client-facing "ip:port" (what a minted term's
+	// leader hint points at).
 	Self string
-	// Peers lists the other replica-set members, the current primary
-	// included, for election probes and reconciliation.
+	// Peers lists the other replica-set members for election probes and
+	// reconciliation.
 	Peers []Peer
 	// MissedThreshold is how many consecutive failed pulls declare the
-	// primary dead and trigger an election; default 3.
+	// leader dead and trigger an election; default 3.
 	MissedThreshold int
 
 	mu      sync.Mutex
 	offset  uint64
-	applied int64
 	lastErr error
 	seq     uint64
 
 	// Promotion state, all guarded by mu.
 	role     string // globaldb.RoleLeader or "" / RoleFollower
-	primary  string // current primary override; "" means PrimaryAddr
+	primary  string // current upstream override; "" means PrimaryAddr
 	missed   int    // consecutive failed pulls
 	resync   bool   // a push-then-reset toward resyncTo is pending
 	resyncTo string
 	pushFrom uint64 // feed records below this are already held by the leader
 }
 
-func (f *Follower) timeout() time.Duration {
-	if f.Timeout > 0 {
-		return f.Timeout
+// http is the client for every intra-set call the node makes.
+func (n *Node) http() *httpx.Client {
+	timeout := n.Timeout
+	if timeout <= 0 {
+		timeout = 30 * time.Second
 	}
-	return 30 * time.Second
+	return &httpx.Client{Dial: n.Dial, Clock: n.Clock, Timeout: timeout}
 }
 
 // Offset returns the next sequence this follower will pull from (= records
 // applied since attach).
-func (f *Follower) Offset() uint64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.offset
-}
-
-// SetOffset primes the pull offset, used when a restarted node recovered n
-// records from its own WAL and should continue pulling from there.
-func (f *Follower) SetOffset(n uint64) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.offset = n
+func (n *Node) Offset() uint64 {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.offset
 }
 
 // RoleName returns the node's current role.
-func (f *Follower) RoleName() string {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.role == "" {
+func (n *Node) RoleName() string {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.role == "" {
 		return globaldb.RoleFollower
 	}
-	return f.role
-}
-
-// SetRole sets the node's role; wiring marks the founding primary's node
-// with globaldb.RoleLeader.
-func (f *Follower) SetRole(role string) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.role = role
+	return n.role
 }
 
 // primaryAddr is the address the node currently pulls from and forwards to:
 // the configured PrimaryAddr until a leader change repoints it.
-func (f *Follower) primaryAddr() string {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.primary != "" {
-		return f.primary
+func (n *Node) primaryAddr() string {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.primary != "" {
+		return n.primary
 	}
-	return f.PrimaryAddr
-}
-
-func (f *Follower) repoint(addr string) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.primary = addr
+	return n.PrimaryAddr
 }
 
 // Err returns the most recent pull error, cleared by a successful pull.
-func (f *Follower) Err() error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.lastErr
+func (n *Node) Err() error {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.lastErr
 }
 
-func (f *Follower) nextSeq() uint64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.seq++
-	return f.seq
+func (n *Node) nextSeq() uint64 {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.seq++
+	return n.seq
 }
 
 // SyncOnce pulls one batch from the primary and applies it. caughtUp is
 // true when the follower reached the head the primary reported in this
 // pull's response.
-func (f *Follower) SyncOnce(ctx context.Context) (applied int, caughtUp bool, err error) {
-	if f.Trace != nil {
-		sp := f.Trace.Start(f.Name, f.nextSeq(), globaldb.PathRepl)
+func (n *Node) SyncOnce(ctx context.Context) (applied int, caughtUp bool, err error) {
+	if n.Trace != nil {
+		sp := n.Trace.Start(n.Name, n.nextSeq(), globaldb.PathRepl)
 		defer func() {
 			sp.EventNum("repl", "applied", "", float64(applied))
 			status := "ok"
@@ -189,45 +167,43 @@ func (f *Follower) SyncOnce(ctx context.Context) (applied int, caughtUp bool, er
 			sp.Finish("replica", status, err)
 		}()
 	}
-	f.mu.Lock()
-	from := f.offset
-	f.mu.Unlock()
-	maxBytes := f.MaxBytes
-	if maxBytes <= 0 {
-		maxBytes = defaultMaxBytes
-	}
-	target := fmt.Sprintf("%s?from=%d&follower=%s&max=%d", globaldb.PathRepl, from, f.Name, maxBytes)
-	req := httpx.NewRequest("GET", f.PrimaryHost, target)
-	hc := &httpx.Client{Dial: f.Dial, Clock: f.Clock, Timeout: f.timeout()}
-	resp, err := hc.Do(ctx, f.primaryAddr(), req)
+	n.mu.Lock()
+	from := n.offset
+	n.mu.Unlock()
+	target := fmt.Sprintf("%s?from=%d&follower=%s&max=%d", globaldb.PathRepl, from, n.Name, maxBatchBytes)
+	req := httpx.NewRequest("GET", n.PrimaryHost, target)
+	upstream := n.primaryAddr()
+	resp, err := n.http().Do(ctx, upstream, req)
 	if err != nil {
-		return 0, false, f.fail(fmt.Errorf("replica: pull: %w", err))
+		return 0, false, n.fail(fmt.Errorf("replica: pull: %w", err))
 	}
 	if resp.StatusCode == globaldb.StatusFenced {
-		// The node we pull from is no longer the leader. Chase its hint so
+		// The node we pull from is no longer the leader. Adopt its hint so
 		// the next pull lands on the current lineage.
-		f.adoptHint(resp)
-		return 0, false, f.fail(fmt.Errorf("replica: pull: primary fenced (term %s, leader %s)",
-			resp.Header.Get(globaldb.TermHeader), resp.Header.Get(globaldb.LeaderHeader)))
+		term, leader := int64(0), ""
+		globaldb.ChaseLeader(resp, upstream, n.Self, 1, func(t int64, hint string) (*httpx.Response, error) {
+			term, leader = t, hint
+			n.adopt(t, hint)
+			return nil, nil
+		})
+		return 0, false, n.fail(fmt.Errorf("replica: pull: primary fenced (term %d, leader %s)", term, leader))
 	}
 	if resp.StatusCode != 200 {
-		return 0, false, f.fail(fmt.Errorf("replica: pull: %d %s", resp.StatusCode, resp.Body))
+		return 0, false, n.fail(fmt.Errorf("replica: pull: %d %s", resp.StatusCode, resp.Body))
 	}
 	next, err := strconv.ParseUint(resp.Header.Get(globaldb.ReplNextHeader), 10, 64)
 	if err != nil {
-		return 0, false, f.fail(fmt.Errorf("replica: bad next header: %w", err))
+		return 0, false, n.fail(fmt.Errorf("replica: bad next header: %w", err))
 	}
 	head, err := strconv.ParseUint(resp.Header.Get(globaldb.ReplHeadHeader), 10, 64)
 	if err != nil {
-		return 0, false, f.fail(fmt.Errorf("replica: bad head header: %w", err))
+		return 0, false, n.fail(fmt.Errorf("replica: bad head header: %w", err))
 	}
-	if f.Promote {
-		if diverged := f.checkDivergence(resp, from, head); diverged != nil {
-			return 0, false, f.fail(diverged)
-		}
+	if diverged := n.checkDivergence(resp, from, head); diverged != nil {
+		return 0, false, n.fail(diverged)
 	}
 	if _, err := storage.Replay(bytes.NewReader(resp.Body), func(rec *storage.Record) error {
-		if err := f.Server.Absorb(rec); err != nil {
+		if err := n.Server.Absorb(rec); err != nil {
 			return err
 		}
 		applied++
@@ -235,23 +211,22 @@ func (f *Follower) SyncOnce(ctx context.Context) (applied int, caughtUp bool, er
 	}); err != nil {
 		// A truncated or corrupt batch would desync the offset from what was
 		// actually applied; refuse it rather than guessing.
-		return applied, false, f.fail(fmt.Errorf("replica: batch at %d: %w", from+uint64(applied), err))
+		return applied, false, n.fail(fmt.Errorf("replica: batch at %d: %w", from+uint64(applied), err))
 	}
 	if uint64(applied) != next-from {
-		return applied, false, f.fail(fmt.Errorf("replica: applied %d records, primary advanced %d", applied, next-from))
+		return applied, false, n.fail(fmt.Errorf("replica: applied %d records, primary advanced %d", applied, next-from))
 	}
-	f.mu.Lock()
-	f.offset = next
-	f.applied += int64(applied)
-	f.lastErr = nil
-	f.mu.Unlock()
+	n.mu.Lock()
+	n.offset = next
+	n.lastErr = nil
+	n.mu.Unlock()
 	return applied, next >= head, nil
 }
 
-func (f *Follower) fail(err error) error {
-	f.mu.Lock()
-	f.lastErr = err
-	f.mu.Unlock()
+func (n *Node) fail(err error) error {
+	n.mu.Lock()
+	n.lastErr = err
+	n.mu.Unlock()
 	return err
 }
 
@@ -259,10 +234,10 @@ func (f *Follower) fail(err error) error {
 // endpoints (status, demote) are answered here for every role. A leader
 // serves everything from its local server. A follower serves GETs (list
 // fetches, stats) from the local replica and forwards writes to the
-// primary over the follower's dialer, chasing one fencing hint so a write
-// that lands mid-promotion still reaches the new leader.
-func (f *Follower) Handler() httpx.Handler {
-	local := f.Server.Handler()
+// leader over the node's dialer, chasing one fencing hint so a write that
+// lands mid-promotion still reaches the new leader.
+func (n *Node) Handler() httpx.Handler {
+	local := n.Server.Handler()
 	return httpx.HandlerFunc(func(req *httpx.Request, flow netem.Flow) *httpx.Response {
 		path := req.Target
 		if i := strings.IndexByte(path, '?'); i >= 0 {
@@ -270,14 +245,14 @@ func (f *Follower) Handler() httpx.Handler {
 		}
 		switch {
 		case req.Method == "GET" && path == globaldb.PathReplStatus:
-			return jsonResponse(200, f.Status())
+			return jsonResponse(200, n.Status())
 		case req.Method == "POST" && path == globaldb.PathReplDemote:
-			return f.handleDemote(req)
+			return n.handleDemote(req)
 		}
-		if req.Method == "GET" || f.RoleName() == globaldb.RoleLeader {
+		if req.Method == "GET" || n.RoleName() == globaldb.RoleLeader {
 			return local.ServeHTTP(req, flow)
 		}
-		return f.forward(req)
+		return n.forward(req)
 	})
 }
 
@@ -285,36 +260,23 @@ func (f *Follower) Handler() httpx.Handler {
 // context bounds the upstream call: a client that hung up (or a closing
 // server) cancels the forward instead of leaving it to run out its own
 // timeout against an unreachable primary.
-func (f *Follower) forward(req *httpx.Request) *httpx.Response {
-	fwd := httpx.NewRequest(req.Method, f.PrimaryHost, req.Target)
+func (n *Node) forward(req *httpx.Request) *httpx.Response {
+	fwd := httpx.NewRequest(req.Method, n.PrimaryHost, req.Target)
 	for k, vs := range req.Header {
 		for _, v := range vs {
 			fwd.Header.Add(k, v)
 		}
 	}
 	fwd.Body = req.Body
-	hc := &httpx.Client{Dial: f.Dial, Clock: f.Clock, Timeout: f.timeout()}
-	resp, err := hc.Do(req.Context(), f.primaryAddr(), fwd)
+	hc := n.http()
+	upstream := n.primaryAddr()
+	resp, err := hc.Do(req.Context(), upstream, fwd)
 	if err != nil {
 		return httpx.NewResponse(502, []byte("primary unreachable: "+err.Error()))
 	}
-	if resp.StatusCode == globaldb.StatusFenced {
-		if hint := resp.Header.Get(globaldb.LeaderHeader); hint != "" && hint != f.primaryAddr() {
-			f.adoptHint(resp)
-			if retried, err := hc.Do(req.Context(), hint, fwd); err == nil {
-				return retried
-			}
-		}
-	}
+	resp, _ = globaldb.ChaseLeader(resp, upstream, n.Self, 1, func(term int64, hint string) (*httpx.Response, error) {
+		n.adopt(term, hint)
+		return hc.Do(req.Context(), hint, fwd)
+	})
 	return resp
-}
-
-// Attach serves the client API (Handler) on host:port.
-func (f *Follower) Attach(host *netem.Host, port int) error {
-	l, err := host.Listen(port)
-	if err != nil {
-		return err
-	}
-	httpx.Serve(l, f.Handler())
-	return nil
 }

@@ -13,16 +13,22 @@ import (
 	"csaw/internal/vtime"
 )
 
-// replWorld builds a primary with a replication feed on 40.0.0.1 plus two
-// followers on hosts in other worldgen-style regions, and returns everything
-// a test needs to drive and observe them.
+// Addresses of the three-node test set: the founding primary in "us", the
+// other two nodes in other worldgen-style regions.
+const (
+	addr0 = "40.0.0.1:80"
+	addr1 = "40.0.1.1:80"
+	addr2 = "40.0.1.2:80"
+)
+
+// replWorld is a three-node set built by NewSet plus a client host in the
+// censored region.
 type replWorld struct {
-	n         *netem.Network
-	clock     *vtime.Clock
-	primary   *globaldb.Server
-	followers []*Follower
-	set       *Set
-	clientPK  *netem.Host
+	n        *netem.Network
+	clock    *vtime.Clock
+	set      *Set
+	primary  *globaldb.Server // the founding primary's server
+	clientPK *netem.Host
 }
 
 func newReplWorld(t *testing.T) *replWorld {
@@ -31,45 +37,32 @@ func newReplWorld(t *testing.T) *replWorld {
 	n := netem.New(clock, netem.WithSeed(41), netem.WithJitter(0))
 	pk := n.AddAS(100, "ISP", "PK")
 	cloud := n.AddAS(900, "Cloud", "US")
-	for _, pair := range [][2]string{{"pk", "us"}, {"pk", "nl"}, {"pk", "de"}, {"us", "nl"}, {"us", "de"}} {
+	for _, pair := range [][2]string{{"pk", "us"}, {"pk", "nl"}, {"pk", "de"}, {"us", "nl"}, {"us", "de"}, {"nl", "de"}} {
 		n.SetRTT(pair[0], pair[1], 100*time.Millisecond)
 	}
-
-	primary, err := globaldb.NewDurableServer(clock, nil, globaldb.StoreOptions{Replicated: true})
+	set, err := NewSet(Config{
+		Clock: clock,
+		Hosts: []*netem.Host{
+			n.MustAddHost("gdb-primary", "40.0.0.1", "us", cloud),
+			n.MustAddHost("gdb-replica-0", "40.0.1.1", "nl", cloud),
+			n.MustAddHost("gdb-replica-1", "40.0.1.2", "de", cloud),
+		},
+		HostHeader:      "globaldb.example",
+		Timeout:         5 * time.Second,
+		MissedThreshold: 2,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := primary.Attach(n.MustAddHost("gdb-primary", "40.0.0.1", "us", cloud), 80); err != nil {
-		t.Fatal(err)
-	}
-
-	regions := []string{"nl", "de"}
-	followers := make([]*Follower, 2)
-	for i := range followers {
-		host := n.MustAddHost(fmt.Sprintf("gdb-replica-%d", i), fmt.Sprintf("40.0.1.%d", i+1), regions[i], cloud)
-		f := &Follower{
-			Name:        fmt.Sprintf("replica-%d", i),
-			Server:      globaldb.NewServer(clock, nil),
-			PrimaryAddr: "40.0.0.1:80",
-			PrimaryHost: "globaldb.example",
-			Dial:        host.Dial,
-			Clock:       clock,
-		}
-		if err := f.Attach(host, 80); err != nil {
-			t.Fatal(err)
-		}
-		followers[i] = f
-	}
 	return &replWorld{
-		n: n, clock: clock, primary: primary, followers: followers,
-		set:      &Set{Followers: followers, Clock: clock, Interval: 10 * time.Second},
+		n: n, clock: clock, set: set, primary: set.Nodes[0].Server,
 		clientPK: n.MustAddHost("client", "10.0.0.1", "pk", pk),
 	}
 }
 
-func (w *replWorld) client(addr string, addrs ...string) *globaldb.Client {
+func (w *replWorld) client(addrs ...string) *globaldb.Client {
 	return &globaldb.Client{
-		Addr: addr, Replicas: addrs, Host: "globaldb.example",
+		Endpoints: addrs, Host: "globaldb.example",
 		Clock: w.clock, ReportDial: w.clientPK.Dial, FetchDial: w.clientPK.Dial,
 		Timeout: 5 * time.Second,
 	}
@@ -91,11 +84,7 @@ func (w *replWorld) rawFetch(t *testing.T, addr string, asn int) (body []byte, t
 	return resp.Body, resp.Header.Get("ETag")
 }
 
-func seedReports(t *testing.T, c *globaldb.Client, urls ...string) {
-	t.Helper()
-	if err := c.Register(context.Background(), "human-ok"); err != nil {
-		t.Fatal(err)
-	}
+func blockedRecords(urls ...string) []localdb.Record {
 	recs := make([]localdb.Record, 0, len(urls))
 	for _, u := range urls {
 		recs = append(recs, localdb.Record{
@@ -103,7 +92,15 @@ func seedReports(t *testing.T, c *globaldb.Client, urls ...string) {
 			Stages: []localdb.Stage{{Type: localdb.BlockDNS, Detail: "nxdomain"}},
 		})
 	}
-	if n, err := c.Report(context.Background(), recs); err != nil || n != len(urls) {
+	return recs
+}
+
+func seedReports(t *testing.T, c *globaldb.Client, urls ...string) {
+	t.Helper()
+	if err := c.Register(context.Background(), "human-ok"); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := c.Report(context.Background(), blockedRecords(urls...)); err != nil || n != len(urls) {
 		t.Fatalf("report = %d, %v", n, err)
 	}
 }
@@ -114,27 +111,22 @@ func seedReports(t *testing.T, c *globaldb.Client, urls ...string) {
 // fetch state stays valid.
 func TestFollowerConvergesByteIdentical(t *testing.T) {
 	w := newReplWorld(t)
-	seedReports(t, w.client("40.0.0.1:80"), "a.example/", "b.example/", "c.example/")
+	seedReports(t, w.client(addr0), "a.example/", "b.example/", "c.example/")
 
 	if err := w.set.SyncAll(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	wantBody, wantTag := w.rawFetch(t, "40.0.0.1:80", 100)
-	if wantTag == "" {
+	// Over the wire the primary serves a tagged body; in process every node
+	// serves those same bytes under that same tag.
+	if _, tag := w.rawFetch(t, addr0, 100); tag == "" {
 		t.Fatal("primary served no validator tag")
 	}
-	for i, addr := range []string{"40.0.1.1:80", "40.0.1.2:80"} {
-		body, tag := w.rawFetch(t, addr, 100)
-		if string(body) != string(wantBody) {
-			t.Fatalf("replica %d body diverges:\n got %s\nwant %s", i, body, wantBody)
-		}
-		if tag != wantTag {
-			t.Fatalf("replica %d tag %q, want %q", i, tag, wantTag)
-		}
+	if err := w.set.CheckIdentical(100); err != nil {
+		t.Fatal(err)
 	}
-	for i, f := range w.followers {
-		if f.Err() != nil {
-			t.Fatalf("replica %d latched error: %v", i, f.Err())
+	for _, n := range w.set.Nodes {
+		if n.Err() != nil {
+			t.Fatalf("%s latched error: %v", n.Name, n.Err())
 		}
 	}
 }
@@ -144,7 +136,7 @@ func TestFollowerConvergesByteIdentical(t *testing.T) {
 // settles to zero once the followers pull again at the head.
 func TestFeedLagStats(t *testing.T) {
 	w := newReplWorld(t)
-	seedReports(t, w.client("40.0.0.1:80"), "a.example/", "b.example/")
+	seedReports(t, w.client(addr0), "a.example/", "b.example/")
 
 	feed := w.primary.ReplicationFeed()
 	if feed == nil {
@@ -154,7 +146,7 @@ func TestFeedLagStats(t *testing.T) {
 	if head == 0 {
 		t.Fatal("no records in the feed after reports")
 	}
-	if st := Lag(feed); st.MaxLag != head || len(st.Followers) != 0 {
+	if st := feed.Stats(); st.MaxLag != head || len(st.Followers) != 0 {
 		// No follower has pulled yet: stats list nobody. MaxLag over zero
 		// followers is 0 by construction, so assert the follower list only.
 		if len(st.Followers) != 0 {
@@ -167,7 +159,7 @@ func TestFeedLagStats(t *testing.T) {
 	}
 	// First round: each follower applied everything but its ack still rides
 	// the next pull.
-	st := Lag(feed)
+	st := feed.Stats()
 	if len(st.Followers) != 2 {
 		t.Fatalf("stats followers = %+v", st.Followers)
 	}
@@ -184,7 +176,7 @@ func TestFeedLagStats(t *testing.T) {
 	if err := w.set.SyncAll(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	st = Lag(feed)
+	st = feed.Stats()
 	if st.MaxLag != 0 {
 		t.Fatalf("stats after ack round: %+v, want zero lag", st)
 	}
@@ -201,8 +193,8 @@ func TestFeedLagStats(t *testing.T) {
 func TestFollowerForwardsWrites(t *testing.T) {
 	w := newReplWorld(t)
 	// The client only ever talks to follower 0.
-	c := w.client("40.0.1.1:80")
-	seedReports(t, w.client("40.0.1.1:80"), "via-follower.example/")
+	c := w.client(addr1)
+	seedReports(t, w.client(addr1), "via-follower.example/")
 
 	if st := w.primary.StatsSnapshot(); st.Users == 0 || st.Updates != 1 {
 		t.Fatalf("primary stats = %+v, want the forwarded registration and report", st)
@@ -233,16 +225,16 @@ func TestFollowerForwardsWrites(t *testing.T) {
 // — because replication preserves tags — its cached validator still 304s.
 func TestClientFailoverToReplica(t *testing.T) {
 	w := newReplWorld(t)
-	seedReports(t, w.client("40.0.0.1:80"), "a.example/", "b.example/")
+	seedReports(t, w.client(addr0), "a.example/", "b.example/")
 	if err := w.set.SyncAll(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 
-	c := w.client("", "40.0.0.1:80", "40.0.1.1:80", "40.0.1.2:80")
+	c := w.client(addr0, addr1, addr2)
 	if _, err := c.FetchBlocked(context.Background(), 100); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.LastServed(); got != "40.0.0.1:80" {
+	if got := c.LastServed(); got != addr0 {
 		t.Fatalf("served by %q, want the primary first", got)
 	}
 
@@ -255,7 +247,7 @@ func TestClientFailoverToReplica(t *testing.T) {
 	if len(entries) != 2 {
 		t.Fatalf("replica served %+v", entries)
 	}
-	if got := c.LastServed(); got != "40.0.1.1:80" {
+	if got := c.LastServed(); got != addr1 {
 		t.Fatalf("served by %q, want the first follower", got)
 	}
 	st := c.Stats()
@@ -264,34 +256,6 @@ func TestClientFailoverToReplica(t *testing.T) {
 	}
 	if st.Fetch304 != 1 {
 		t.Fatalf("client stats = %+v: the primary's tag should 304 on a caught-up follower", st)
-	}
-}
-
-// TestSetBackgroundLoop drives the ticker-based loops under virtual time:
-// new primary writes land on the followers within one interval.
-func TestSetBackgroundLoop(t *testing.T) {
-	w := newReplWorld(t)
-	seedReports(t, w.client("40.0.0.1:80"), "a.example/")
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	w.set.Start(ctx)
-	defer w.set.Stop()
-
-	// Let virtual time flow until both loops have drained the feed (the
-	// scaled clock keeps the goroutines running while we sleep virtually).
-	head := w.primary.ReplicationFeed().Head()
-	deadline := w.clock.Now().Add(5 * time.Minute)
-	for w.followers[0].Offset() < head || w.followers[1].Offset() < head {
-		if w.clock.Now().After(deadline) {
-			t.Fatalf("background loops never caught up: offsets %v, head %d", w.set.Offsets(), head)
-		}
-		w.clock.Sleep(time.Second)
-	}
-	body, tag := w.rawFetch(t, "40.0.0.1:80", 100)
-	got, gotTag := w.rawFetch(t, "40.0.1.1:80", 100)
-	if string(got) != string(body) || gotTag != tag {
-		t.Fatalf("background sync diverged: %q/%q vs %q/%q", got, gotTag, body, tag)
 	}
 }
 
@@ -314,7 +278,7 @@ func TestForwardHonorsRequestContext(t *testing.T) {
 	req := httpx.NewRequest("POST", "globaldb.example", globaldb.PathReport)
 	req.Body = body
 	start := w.clock.Now()
-	resp := w.followers[0].Handler().ServeHTTP(req.WithContext(ctx), netem.Flow{})
+	resp := w.set.Nodes[1].Handler().ServeHTTP(req.WithContext(ctx), netem.Flow{})
 	if resp.StatusCode != 502 {
 		t.Fatalf("forward with dead context: status %d %s, want 502", resp.StatusCode, resp.Body)
 	}

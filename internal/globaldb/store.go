@@ -34,7 +34,7 @@ type StoreOptions struct {
 	// the server answers 503 until restart. Without Strict the store keeps
 	// the original fail-stop behavior — latch the error, keep applying — which
 	// favors availability but can ack a write that will not survive a crash.
-	// Promotion and chaos worlds run Strict, because "no acked report lost"
+	// Replica-set nodes run Strict, because "no acked report lost"
 	// is exactly the invariant they assert.
 	Strict bool
 }
@@ -81,7 +81,7 @@ type store struct {
 	// feed holds the full history (no snapshot at open). marks is the lineage:
 	// every leadership change in stream order, so termAt can name the lineage
 	// in effect at any position (valid while the stream holds the full
-	// history, i.e. compaction disabled — which promotion worlds require).
+	// history, i.e. compaction disabled — which replica sets require).
 	seq   uint64
 	marks []TermMark
 
@@ -153,7 +153,7 @@ func openStore(o StoreOptions) (*store, error) {
 		// with the feed attached rebuilds the feed record for record and
 		// followers' pull offsets stay valid across a restart. Once a snapshot
 		// exists the prefix is gone and a restarted primary's feed restarts at
-		// zero (promotion worlds disable compaction for exactly this reason).
+		// zero (replica sets never compact, for exactly this reason).
 		s.feed = feed
 	}
 	// Replay is apply with the log still detached: fold (and feed) only.

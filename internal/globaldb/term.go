@@ -58,7 +58,7 @@ func (s *Server) TermState() (term int64, leader string, base uint64) {
 // follower whose own lineage equals the leader's lineage-at-its-offset
 // holds a verbatim prefix of the leader's stream and can pull onward; any
 // mismatch is a fork. Only meaningful on stores that keep their full
-// history (promotion worlds disable compaction).
+// history (replica sets never compact).
 func (s *Server) TermAt(pos uint64) (term int64, leader string) {
 	return s.store.termAt(pos)
 }
@@ -146,6 +146,32 @@ func (s *Server) fencedResponse() *httpx.Response {
 		resp.Header.Set(LeaderHeader, leader)
 	}
 	return resp
+}
+
+// ChaseLeader is the one reader of a fencing answer. While resp is a
+// StatusFenced rejection it reads the leader hint, stops at an empty hint or
+// one naming at (the endpoint that just answered) or self (the chaser's own
+// address; "" for a client), and hands the hinted term and leader to hop.
+// hop repoints the caller and may re-issue the request there: a response
+// continues the chase from the hinted endpoint, at most hops times; a nil
+// response (nothing re-issued) or a transport error ends it and keeps the
+// fenced answer, so the caller still sees an HTTP status, not a phantom
+// outage. Returns the final answer and the endpoint that produced it.
+func ChaseLeader(resp *httpx.Response, at, self string, hops int,
+	hop func(term int64, leader string) (*httpx.Response, error)) (*httpx.Response, string) {
+	for ; hops > 0 && resp.StatusCode == StatusFenced; hops-- {
+		hint := resp.Header.Get(LeaderHeader)
+		if hint == "" || hint == at || hint == self {
+			break
+		}
+		term, _ := strconv.ParseInt(resp.Header.Get(TermHeader), 10, 64)
+		next, err := hop(term, hint)
+		if err != nil || next == nil {
+			break
+		}
+		resp, at = next, hint
+	}
+	return resp, at
 }
 
 // handleReplPush absorbs a pushed suffix of framed records from a demoted

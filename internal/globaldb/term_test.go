@@ -5,6 +5,7 @@ import (
 	"csaw/internal/httpx"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -14,7 +15,7 @@ import (
 	"csaw/internal/vtime"
 )
 
-// promoOptions is the store shape every promotion world uses: full history
+// promoOptions is the store shape every replica-set node uses: full history
 // kept (no compaction), a replication feed, and strict durability.
 func promoOptions(dir string) StoreOptions {
 	return StoreOptions{Dir: dir, SnapshotEvery: -1, Replicated: true, Strict: true}
@@ -270,4 +271,63 @@ func postJSON(method, host, target string, body []byte) *httpx.Request {
 		req.Header.Set("Content-Type", "application/json")
 	}
 	return req
+}
+
+// TestChaseLeader pins the one reader of a fencing answer: which hints it
+// follows, how far, and what it returns when a hop fails.
+func TestChaseLeader(t *testing.T) {
+	fenced := func(hint string) *httpx.Response {
+		resp := httpx.NewResponse(StatusFenced, nil)
+		resp.Header.Set(TermHeader, "7")
+		if hint != "" {
+			resp.Header.Set(LeaderHeader, hint)
+		}
+		return resp
+	}
+	ok := httpx.NewResponse(200, nil)
+	cases := []struct {
+		name     string
+		first    *httpx.Response
+		hops     int
+		answers  map[string]*httpx.Response // what re-issuing at an address yields; missing = transport error
+		wantHops []string
+		wantCode int
+		wantAt   string
+	}{
+		{name: "an answer that is not a fence is returned untouched", first: ok, hops: 2, wantCode: 200, wantAt: "a"},
+		{name: "empty hint", first: fenced(""), hops: 2, wantCode: StatusFenced, wantAt: "a"},
+		{name: "hint naming the endpoint that answered", first: fenced("a"), hops: 2, wantCode: StatusFenced, wantAt: "a"},
+		{name: "hint naming the chaser itself", first: fenced("me"), hops: 2, wantCode: StatusFenced, wantAt: "a"},
+		{name: "one hop to the leader", first: fenced("b"), hops: 2,
+			answers: map[string]*httpx.Response{"b": ok}, wantHops: []string{"b"}, wantCode: 200, wantAt: "b"},
+		{name: "the hop bound ends a chain of fences", first: fenced("b"), hops: 2,
+			answers:  map[string]*httpx.Response{"b": fenced("c"), "c": fenced("d"), "d": ok},
+			wantHops: []string{"b", "c"}, wantCode: StatusFenced, wantAt: "c"},
+		{name: "a transport error keeps the fenced answer", first: fenced("b"), hops: 2,
+			wantHops: []string{"b"}, wantCode: StatusFenced, wantAt: "a"},
+		{name: "a hop that re-issues nothing keeps the fenced answer", first: fenced("b"), hops: 2,
+			answers: map[string]*httpx.Response{"b": nil}, wantHops: []string{"b"}, wantCode: StatusFenced, wantAt: "a"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var hopped []string
+			resp, at := ChaseLeader(tc.first, "a", "me", tc.hops, func(term int64, leader string) (*httpx.Response, error) {
+				if term != 7 {
+					t.Errorf("hop saw term %d, want the fencing answer's 7", term)
+				}
+				hopped = append(hopped, leader)
+				next, reachable := tc.answers[leader]
+				if !reachable {
+					return nil, errors.New("unreachable")
+				}
+				return next, nil
+			})
+			if fmt.Sprint(hopped) != fmt.Sprint(tc.wantHops) {
+				t.Fatalf("hopped to %v, want %v", hopped, tc.wantHops)
+			}
+			if resp.StatusCode != tc.wantCode || at != tc.wantAt {
+				t.Fatalf("ended with %d from %q, want %d from %q", resp.StatusCode, at, tc.wantCode, tc.wantAt)
+			}
+		})
+	}
 }

@@ -203,7 +203,7 @@ func (d *Distribution) Merge(o *Distribution) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.cap == 0 && ocap > 0 {
-		// Promote: d's exact samples become a full reservoir of themselves.
+		// Promotion: d's exact samples become a full reservoir of themselves.
 		d.cap = ocap
 		if d.cap < len(d.vals) {
 			d.cap = len(d.vals)

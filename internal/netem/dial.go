@@ -31,6 +31,27 @@ func SplitAddr(address string) (ip string, port int, err error) {
 	return address[:i], port, nil
 }
 
+// IsIPLiteral reports whether s is a dotted-quad IPv4 literal: four
+// non-empty runs of decimal digits separated by dots. Callers use it to
+// decide whether a host needs resolving.
+func IsIPLiteral(s string) bool {
+	dots, digits := 0, 0
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c == '.':
+			if digits == 0 {
+				return false
+			}
+			dots, digits = dots+1, 0
+		case c < '0' || c > '9':
+			return false
+		default:
+			digits++
+		}
+	}
+	return dots == 3 && digits > 0
+}
+
 // Dial opens a connection from the host to "ip:port", emulating the TCP
 // handshake (one RTT plus jitter) and consulting the egress AS's
 // interceptor. Context cancellation bounds the whole attempt; a blackholed

@@ -480,6 +480,29 @@ func TestSplitAddr(t *testing.T) {
 	}
 }
 
+func TestIsIPLiteral(t *testing.T) {
+	for s, want := range map[string]bool{
+		"10.0.0.1":        true,
+		"0.0.0.0":         true,
+		"255.255.255.255": true,
+		"":                false,
+		"example.com":     false,
+		"1.2.3":           false,
+		"1.2.3.4.5":       false,
+		"...":             false,
+		"1.2.3.":          false,
+		".1.2.3":          false,
+		"1..2.3":          false,
+		"1.2.3.x":         false,
+		"1.2.3.4:80":      false,
+		"١.٢.٣.٤":         false, // non-ASCII digits are not an address
+	} {
+		if got := IsIPLiteral(s); got != want {
+			t.Errorf("IsIPLiteral(%q) = %v, want %v", s, got, want)
+		}
+	}
+}
+
 func TestRTTDefaults(t *testing.T) {
 	n, _, _ := testWorld(t)
 	if rtt := n.RTT("pk", "pk"); rtt > 10*time.Millisecond {

@@ -37,23 +37,10 @@ type Lookup func(ctx context.Context, host string) (string, error)
 // IPLookup passes IP literals through and fails everything else; proxies in
 // worlds without DNS use it.
 func IPLookup(_ context.Context, host string) (string, error) {
-	if isIPLiteral(host) {
+	if netem.IsIPLiteral(host) {
 		return host, nil
 	}
 	return "", fmt.Errorf("proxynet: cannot resolve %q", host)
-}
-
-func isIPLiteral(s string) bool {
-	dots := 0
-	for _, c := range s {
-		switch {
-		case c == '.':
-			dots++
-		case c < '0' || c > '9':
-			return false
-		}
-	}
-	return dots == 3
 }
 
 // Server is a running CONNECT proxy.
@@ -128,7 +115,7 @@ func (s *Server) handle(conn net.Conn) {
 	ctx, cancel := s.clock.WithTimeout(context.Background(), s.timeout)
 	defer cancel()
 	ip := host
-	if !isIPLiteral(host) {
+	if !netem.IsIPLiteral(host) {
 		ip, err = s.lookup(ctx, host)
 		if err != nil {
 			fmt.Fprintf(conn, "ERR resolve: %v\n", err)

@@ -161,7 +161,7 @@ func (d *Directory) handleHop(r *Relay, conn net.Conn) {
 			return
 		}
 		ip := host
-		if !isIPLiteral(host) {
+		if !netem.IsIPLiteral(host) {
 			ip, err = d.lookup(ctx, host)
 			if err != nil {
 				conn.Close()
@@ -182,19 +182,6 @@ func (d *Directory) handleHop(r *Relay, conn net.Conn) {
 	default:
 		conn.Close()
 	}
-}
-
-func isIPLiteral(s string) bool {
-	dots := 0
-	for _, c := range s {
-		switch {
-		case c == '.':
-			dots++
-		case c < '0' || c > '9':
-			return false
-		}
-	}
-	return dots == 3
 }
 
 // Circuit is a built three-hop path.

@@ -138,7 +138,7 @@ func (t *Transport) connectAddr(ctx context.Context, host string) (string, error
 	if t.Lookup == nil {
 		return fmt.Sprintf("%s:%d", host, port), nil
 	}
-	if isIPLiteral(host) {
+	if netem.IsIPLiteral(host) {
 		return fmt.Sprintf("%s:%d", host, port), nil
 	}
 	ip, err := t.Lookup(ctx, host)
@@ -146,20 +146,6 @@ func (t *Transport) connectAddr(ctx context.Context, host string) (string, error
 		return "", err
 	}
 	return fmt.Sprintf("%s:%d", ip, port), nil
-}
-
-// isIPLiteral reports whether s looks like a dotted-quad IP.
-func isIPLiteral(s string) bool {
-	dots := 0
-	for _, c := range s {
-		switch {
-		case c == '.':
-			dots++
-		case c < '0' || c > '9':
-			return false
-		}
-	}
-	return dots == 3
 }
 
 func readResponseCtx(ctx context.Context, stream net.Conn) (*httpx.Response, error) {

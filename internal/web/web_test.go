@@ -291,9 +291,3 @@ func TestLooksLikeHTML(t *testing.T) {
 		t.Error("binary detected as HTML")
 	}
 }
-
-func TestIsIPLiteral(t *testing.T) {
-	if !isIPLiteral("10.0.0.1") || isIPLiteral("example.com") || isIPLiteral("1.2.3") {
-		t.Error("isIPLiteral wrong")
-	}
-}

@@ -191,8 +191,7 @@ func (w *World) LightApproaches(host *netem.Host) []*core.Approach {
 // server host absorbs the whole population's sync traffic).
 func (w *World) LightClientConfig(host *netem.Host, seed int64) core.Config {
 	gdb := &globaldb.Client{
-		Addr:       w.GlobalDBAddr,
-		Replicas:   w.clientEndpoints(),
+		Endpoints:  w.GlobalDBEndpoints,
 		Host:       GlobalDBHost,
 		Clock:      w.Clock,
 		ReportDial: host.Dial,

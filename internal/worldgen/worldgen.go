@@ -88,30 +88,23 @@ type Options struct {
 	Loss float64
 
 	// GlobalDBWALDir, when set, backs the global DB with the WAL+snapshot
-	// store in that directory: kill the process and a new world over the
-	// same directory recovers byte-identical bodies and tags.
+	// store in that directory (one subdirectory per node when the world runs
+	// replicas): kill the process and a new world over the same directory
+	// recovers byte-identical bodies and tags.
 	GlobalDBWALDir string
-	// GlobalDBSnapshotEvery is the WAL compaction cadence (records between
-	// snapshots); 0 selects the globaldb default, negative disables.
+	// GlobalDBSnapshotEvery is a single server's WAL compaction cadence
+	// (records between snapshots); 0 selects the globaldb default, negative
+	// disables. A replica set never compacts — its WAL is the full history
+	// that pull offsets and push reconciliation index into.
 	GlobalDBSnapshotEvery int
-	// GlobalDBReplicas runs this many follower replicas on cloud hosts in
-	// other regions, async-replicating the primary's WAL stream. Clients
-	// built by ClientConfig/LightClientConfig get the full endpoint set and
-	// fail over when the censor blackholes the primary.
+	// GlobalDBReplicas runs the global DB as a replica set (replica.NewSet)
+	// of this many nodes beside the founding primary, on cloud hosts in
+	// other regions. Clients built by ClientConfig/LightClientConfig get the
+	// full endpoint set and fail over when the censor blackholes the
+	// primary; experiments pump the set with ReplicaSet.SyncAll or Tick.
 	GlobalDBReplicas int
-	// GlobalDBReplInterval is the follower pull cadence (default 30s
-	// virtual).
-	GlobalDBReplInterval time.Duration
-	// GlobalDBPromotion enables the self-healing replica set: every node
-	// (the founding primary included) runs a strict, feed-enabled store and
-	// a promotion controller, so a dead primary is detected by missed
-	// pulls, the most-caught-up follower promotes itself, stale writers are
-	// fenced, and the old primary demotes and resyncs on rejoin. Requires
-	// GlobalDBReplicas > 0. Promotion worlds disable WAL compaction
-	// (snapshots would invalidate follower pull offsets across restarts).
-	GlobalDBPromotion bool
 	// GlobalDBMissedThreshold is how many consecutive missed pulls declare
-	// the primary dead (default 3).
+	// the leader dead (default 3).
 	GlobalDBMissedThreshold int
 }
 
@@ -123,22 +116,14 @@ type World struct {
 
 	PublicDNSAddr string
 	GlobalDB      *globaldb.Server
-	GlobalDBAddr  string
-	// GlobalDBEndpoints is the client-facing replica set in preference
-	// order: the primary first, then each follower. One entry when the
-	// world runs without replicas.
+	// GlobalDBEndpoints is the client-facing endpoint list in preference
+	// order: the founding primary first, then each other replica-set node.
+	// One entry when the world runs without replicas.
 	GlobalDBEndpoints []string
-	// ReplicaSet drives the followers (nil without GlobalDBReplicas). With
-	// GlobalDBPromotion it holds every node, founding primary first.
-	ReplicaSet *replica.Set
-	// GlobalDBNodes are the promotion-enabled replica-set members (nil
-	// without GlobalDBPromotion), in GlobalDBEndpoints order: index 0 is
-	// the founding primary. KillGlobalDBNode/RestartGlobalDBNode stop and
-	// resume a node's listener by index.
-	GlobalDBNodes []*replica.Follower
-	gdbServers    []*httpx.Server
-	gdbHosts      []*netem.Host
-	ASNEchoAddr   string
+	// ReplicaSet is the served replica set, founding primary first (nil
+	// without GlobalDBReplicas); GlobalDB is then its node 0's server.
+	ReplicaSet  *replica.Set
+	ASNEchoAddr string
 
 	TorDir  *tor.Directory
 	Lantern *lantern.Network
@@ -237,24 +222,35 @@ func New(o Options) (*World, error) {
 	}
 	w.PublicDNSAddr = PublicDNSIP + ":53"
 
-	// Global DB (MongoLab/Heroku stand-in) on the cloud: one store in every
-	// world; the WAL dir and the replication feed are optional sinks.
+	// Global DB (MongoLab/Heroku stand-in) on the cloud: a bare server, or
+	// with GlobalDBReplicas a replica set whose other nodes sit on cloud
+	// hosts in other regions — the censor must blackhole several distinct IPs
+	// (§5: blocking the DB is countered by moving it).
 	gh := n.MustAddHost("globaldb", GlobalDBIP, "cloud", cloud)
-	w.GlobalDBAddr = GlobalDBIP + ":80"
-	w.GlobalDBEndpoints = []string{w.GlobalDBAddr}
+	w.GlobalDBEndpoints = []string{GlobalDBIP + ":80"}
 	w.Registry.Set(GlobalDBHost, GlobalDBIP)
-	if o.GlobalDBPromotion {
-		if o.GlobalDBReplicas <= 0 {
-			return nil, fmt.Errorf("worldgen: GlobalDBPromotion needs GlobalDBReplicas > 0")
+	if o.GlobalDBReplicas > 0 {
+		regions := []string{"us", "proxy-Netherlands", "proxy-Germany-2"}
+		hosts := []*netem.Host{gh}
+		for i := 0; i < o.GlobalDBReplicas; i++ {
+			hosts = append(hosts, n.MustAddHost(fmt.Sprintf("globaldb-replica-%d", i),
+				fmt.Sprintf("40.0.1.%d", i+1), regions[i%len(regions)], cloud))
 		}
-		if err := w.buildPromotionSet(o, gh, cloud); err != nil {
+		set, err := replica.NewSet(replica.Config{
+			Clock:           clock,
+			Hosts:           hosts,
+			Dir:             o.GlobalDBWALDir,
+			HostHeader:      GlobalDBHost,
+			MissedThreshold: o.GlobalDBMissedThreshold,
+		})
+		if err != nil {
 			return nil, err
 		}
+		w.ReplicaSet, w.GlobalDB, w.GlobalDBEndpoints = set, set.Nodes[0].Server, set.Addrs
 	} else {
 		srv, err := globaldb.NewDurableServer(clock, nil, globaldb.StoreOptions{
 			Dir:           o.GlobalDBWALDir,
 			SnapshotEvery: o.GlobalDBSnapshotEvery,
-			Replicated:    o.GlobalDBReplicas > 0,
 		})
 		if err != nil {
 			return nil, err
@@ -262,33 +258,6 @@ func New(o Options) (*World, error) {
 		w.GlobalDB = srv
 		if err := w.GlobalDB.Attach(gh, 80); err != nil {
 			return nil, err
-		}
-
-		// Follower replicas on cloud hosts in other regions: the censor must
-		// blackhole several distinct IPs (§5: blocking the DB is countered by
-		// moving it). Followers pull the primary's WAL stream asynchronously
-		// and serve byte-identical bodies and tags once caught up.
-		if o.GlobalDBReplicas > 0 {
-			regions := []string{"us", "proxy-Netherlands", "proxy-Germany-2"}
-			followers := make([]*replica.Follower, o.GlobalDBReplicas)
-			for i := range followers {
-				host := n.MustAddHost(fmt.Sprintf("globaldb-replica-%d", i),
-					fmt.Sprintf("40.0.1.%d", i+1), regions[i%len(regions)], cloud)
-				f := &replica.Follower{
-					Name:        fmt.Sprintf("replica-%d", i),
-					Server:      globaldb.NewServer(clock, nil),
-					PrimaryAddr: w.GlobalDBAddr,
-					PrimaryHost: GlobalDBHost,
-					Dial:        host.Dial,
-					Clock:       clock,
-				}
-				if err := f.Attach(host, 80); err != nil {
-					return nil, err
-				}
-				followers[i] = f
-				w.GlobalDBEndpoints = append(w.GlobalDBEndpoints, host.IP()+":80")
-			}
-			w.ReplicaSet = &replica.Set{Followers: followers, Clock: clock, Interval: o.GlobalDBReplInterval}
 		}
 	}
 
@@ -526,8 +495,7 @@ func (w *World) LDNSAddrs(host *netem.Host) []string {
 func (w *World) ClientConfig(host *netem.Host, seed int64) core.Config {
 	tc := tor.NewClient(host, w.TorDir, seed+7)
 	gdb := &globaldb.Client{
-		Addr:       w.GlobalDBAddr,
-		Replicas:   w.clientEndpoints(),
+		Endpoints:  w.GlobalDBEndpoints,
 		Host:       GlobalDBHost,
 		Clock:      w.Clock,
 		ReportDial: tc.Dial, // censorship reports travel over Tor (§5)

@@ -2,6 +2,7 @@ package worldgen
 
 import (
 	"context"
+	"fmt"
 	"testing"
 	"time"
 
@@ -22,7 +23,7 @@ func newWorld(t *testing.T) *World {
 
 func TestInfrastructureUp(t *testing.T) {
 	w := newWorld(t)
-	if w.PublicDNSAddr == "" || w.GlobalDBAddr == "" || w.ASNEchoAddr == "" {
+	if w.PublicDNSAddr == "" || len(w.GlobalDBEndpoints) != 1 || w.ASNEchoAddr == "" {
 		t.Fatal("infrastructure addresses missing")
 	}
 	if len(w.StaticProxies) != len(StaticProxyLatencies) {
@@ -197,4 +198,68 @@ func TestBlockPageHostAnswersEverything(t *testing.T) {
 		t.Fatal(err)
 	}
 	conn.Close()
+}
+
+// TestReplicaSetPrimaryRestartsWithFullHistory pins the derived compaction
+// rule: a replica set's WAL is the full history whatever
+// GlobalDBSnapshotEvery says, so a primary reopened from its directory
+// rebuilds the very feed its follower's pull offset indexes into. Had the
+// primary compacted, its reopened feed would restart short of that offset
+// and the follower's next pull would read as a fork.
+func TestReplicaSetPrimaryRestartsWithFullHistory(t *testing.T) {
+	w, err := New(Options{
+		Scale: 400, Seed: 2,
+		GlobalDBReplicas:      1,
+		GlobalDBWALDir:        t.TempDir(),
+		GlobalDBSnapshotEvery: 4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	isp, err := w.AddISP(99, "restart-isp", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	gdb := w.LightClientConfig(w.NewClientHost("restart-client", isp), 1).GlobalDB
+	if err := gdb.Register(ctx, "human-restart"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 12; i++ { // three compaction cadences' worth of records
+		rec := localdb.Record{
+			URL: fmt.Sprintf("blocked-%02d.example/", i), ASN: 99, Status: localdb.Blocked,
+			Stages: []localdb.Stage{{Type: localdb.BlockHTTP, Detail: "blockpage"}},
+		}
+		if n, err := gdb.Report(ctx, []localdb.Record{rec}); err != nil || n != 1 {
+			t.Fatalf("report %d = %d, %v", i, n, err)
+		}
+	}
+	set := w.ReplicaSet
+	if err := set.SyncAll(ctx); err != nil {
+		t.Fatal(err)
+	}
+	head := w.GlobalDB.ReplicationFeed().Head()
+	if head != 13 || set.Offsets()[0] != head {
+		t.Fatalf("before the restart: primary head %d, follower offset %d, want both 13", head, set.Offsets()[0])
+	}
+
+	if err := set.Kill(0); err != nil {
+		t.Fatal(err)
+	}
+	if wiped, err := set.Restart(0); err != nil || wiped {
+		t.Fatalf("restart = wiped %v, %v", wiped, err)
+	}
+	reopened := set.Nodes[0]
+	if got := reopened.Server.ReplicationFeed().Head(); got != head {
+		t.Fatalf("reopened primary's feed holds %d records, want all %d: the WAL was compacted", got, head)
+	}
+	if got := reopened.Offset(); got != head {
+		t.Fatalf("reopened primary resumes at offset %d, want its own head %d", got, head)
+	}
+	if applied, caughtUp, err := set.Nodes[1].SyncOnce(ctx); err != nil || !caughtUp || applied != 0 {
+		t.Fatalf("follower's pull from the reopened primary = %d applied, caught up %v, %v", applied, caughtUp, err)
+	}
+	if err := set.CheckIdentical(99); err != nil {
+		t.Fatal(err)
+	}
 }
