@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"errors"
+	"io"
 	"testing"
 	"time"
 
@@ -94,18 +95,7 @@ func serveTLS(t *testing.T, host *netem.Host, certs tlsx.CertFunc, h httpx.Handl
 					raw.Close()
 					return
 				}
-				defer tc.Close()
-				br := bufio.NewReader(tc)
-				for {
-					req, err := httpx.ReadRequest(br)
-					if err != nil {
-						return
-					}
-					resp := h.ServeHTTP(req, netem.Flow{})
-					if err := httpx.WriteResponse(tc, resp); err != nil {
-						return
-					}
-				}
+				httpx.ServeConn(context.Background(), tc, netem.Flow{}, h)
 			}()
 		}
 	}()
@@ -347,6 +337,34 @@ func TestHTTPReset(t *testing.T) {
 	_, err := w.httpClient().Get(context.Background(), originIP+":80", "www.youtube.com", "/")
 	if err == nil || !netem.IsReset(err) {
 		t.Fatalf("err = %v, want reset", err)
+	}
+}
+
+// TestHTTPMixedCaseConnectionClose: header values are case-insensitive, so
+// "Connection: Close" ends the exchange for the middlebox exactly as it does
+// for the server — the client sees EOF after the response instead of a
+// censor still waiting for a next request on a finished conn.
+func TestHTTPMixedCaseConnectionClose(t *testing.T) {
+	w := newWorld(t, &Policy{HTTP: []HTTPRule{{Host: "youtube.com", Action: HTTPReset}}})
+	ctx, cancel := w.n.Clock().WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	conn, err := w.client.Dial(ctx, originIP+":80")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(w.n.Clock().Now().Add(10 * time.Second))
+	req := httpx.NewRequest("GET", "ok.example.com", "/")
+	req.Header.Set("Connection", "Close")
+	if err := httpx.WriteRequest(conn, req); err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(conn)
+	if resp, err := httpx.ReadResponse(br); err != nil || resp.StatusCode != 200 {
+		t.Fatalf("clean request through the middlebox: %v, %v", resp, err)
+	}
+	if _, err := br.ReadByte(); err != io.EOF {
+		t.Fatalf("after the response: %v, want EOF (the middlebox must close with the exchange)", err)
 	}
 }
 

@@ -121,7 +121,7 @@ func (c *Censor) handleHTTP(f netem.Flow, s *netem.Session) {
 		server.Close()
 	}
 	// Both readers stay local to this handler (unlike handleTLS's, which is
-	// handed to the splice goroutines), so they can go back to the pool.
+	// handed to netem.Splice), so they can go back to the pool.
 	cbr := httpx.GetReader(client)
 	defer httpx.PutReader(cbr)
 	sbr := httpx.GetReader(server)
@@ -160,7 +160,7 @@ func (c *Censor) handleHTTP(f netem.Flow, s *netem.Session) {
 				closeBoth()
 				return
 			}
-			if req.Header.Get("Connection") == "close" || resp.Header.Get("Connection") == "close" {
+			if httpx.WantsClose(req.Header) || httpx.WantsClose(resp.Header) {
 				closeBoth()
 				return
 			}
@@ -200,26 +200,18 @@ func (c *Censor) handleTLS(f netem.Flow, s *netem.Session) {
 	var consumed bytes.Buffer
 	cbr := bufio.NewReader(client)
 	hello, err := tlsx.ReadHello(io.TeeReader(cbr, &consumed))
-	if err != nil {
-		// Not pseudo-TLS (or the client vanished): forward what we saw and
-		// splice — censors pass traffic they cannot parse.
-		if consumed.Len() > 0 {
-			if _, werr := server.Write(consumed.Bytes()); werr != nil {
-				client.Close()
-				server.Close()
-				return
+	// Not pseudo-TLS (or the client vanished): censors pass traffic they
+	// cannot parse.
+	act := TLSClean
+	if err == nil {
+		p := c.Policy()
+		act = p.SNIActionFor(hello.Name)
+		if act != TLSClean {
+			if !c.enforce(p) {
+				act = TLSClean
+			} else {
+				c.triggerResidual(p, f.Src.IP)
 			}
-		}
-		spliceBuffered(s, cbr)
-		return
-	}
-	p := c.Policy()
-	act := p.SNIActionFor(hello.Name)
-	if act != TLSClean {
-		if !c.enforce(p) {
-			act = TLSClean
-		} else {
-			c.triggerResidual(p, f.Src.IP)
 		}
 	}
 	switch act {
@@ -230,44 +222,16 @@ func (c *Censor) handleTLS(f netem.Flow, s *netem.Session) {
 		c.Stats.bump("sni-reset")
 		s.Reset()
 	default:
-		if _, err := server.Write(consumed.Bytes()); err != nil {
-			client.Close()
-			server.Close()
-			return
+		// Forward what was read for the peek, then the rest of the stream.
+		if consumed.Len() > 0 {
+			if _, err := server.Write(consumed.Bytes()); err != nil {
+				client.Close()
+				server.Close()
+				return
+			}
 		}
-		spliceBuffered(s, cbr)
+		netem.Splice(client, cbr, server)
 	}
-}
-
-// spliceBuffered is Session.Splice but sources the client→server direction
-// from a bufio.Reader that may hold already-peeked bytes.
-func spliceBuffered(s *netem.Session, cbr *bufio.Reader) {
-	client, server := s.Client(), s.Server()
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		_, err := io.Copy(server, cbr)
-		if err != nil && netem.IsReset(err) {
-			if sc, ok := server.(*netem.Conn); ok {
-				sc.Reset()
-				return
-			}
-		}
-		server.Close()
-	}()
-	go func() {
-		defer wg.Done()
-		_, err := io.Copy(client, server)
-		if err != nil && netem.IsReset(err) {
-			if cc, ok := client.(*netem.Conn); ok {
-				cc.Reset()
-				return
-			}
-		}
-		client.Close()
-	}()
-	wg.Wait()
 }
 
 // handleDNS applies the DNS policy on-path to queries bound for foreign

@@ -10,7 +10,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"net"
 
 	"csaw/internal/dnsx"
 	"csaw/internal/lantern"
@@ -44,10 +43,6 @@ type Approach struct {
 	// Handles reports whether the approach can defeat the given blocking
 	// stages for the given URL. Relay approaches handle everything.
 	Handles func(url string, stages []localdb.Stage) bool
-	// Isolate, when non-nil, returns a transport with fresh path state —
-	// a new Tor circuit — for redundant copies over separate circuits
-	// (Figure 6a) and exploration.
-	Isolate func() *web.Transport
 }
 
 // String returns the approach name.
@@ -213,8 +208,7 @@ func StaticProxyApproach(name string, host *netem.Host, clock *vtime.Clock, prox
 	}
 }
 
-// TorApproach tunnels through a simulated Tor client; copies over separate
-// circuits come from Isolate.
+// TorApproach tunnels through a simulated Tor client.
 func TorApproach(tc *tor.Client, clock *vtime.Clock) *Approach {
 	return &Approach{
 		Name:      "tor",
@@ -222,16 +216,6 @@ func TorApproach(tc *tor.Client, clock *vtime.Clock) *Approach {
 		Anonymous: true,
 		Transport: &web.Transport{Label: "tor", Dialer: tc.Dial, Clock: clock},
 		Handles:   handlesAll,
-		Isolate: func() *web.Transport {
-			circ, err := tc.NewCircuit()
-			if err != nil {
-				return &web.Transport{Label: "tor", Dialer: tc.Dial, Clock: clock}
-			}
-			dial := func(ctx context.Context, addr string) (net.Conn, error) {
-				return tc.DialVia(ctx, circ, addr)
-			}
-			return &web.Transport{Label: "tor", Dialer: dial, Clock: clock}
-		},
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"net"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -72,24 +71,21 @@ type Config struct {
 	ASNProbeAddr string
 	ASNProbeHost string
 
-	// P, ExploreEvery, MaxConns, SyncInterval, ASNProbeInterval default as
-	// above when zero. TTL is the local_DB record lifetime. A negative
-	// SyncInterval disables the background sync loop entirely (no goroutine,
-	// no ticker): the owner drives synchronization explicitly via SyncNow,
-	// as the fleet driver does for its 100k clients.
-	P                float64
-	PSet             bool // distinguishes P=0 (valid: trust global DB fully) from unset
-	ExploreEvery     int
-	MaxConns         int
-	SyncInterval     time.Duration
-	ASNProbeInterval time.Duration
-	TTL              time.Duration
+	// P, ExploreEvery, MaxConns, SyncInterval default as above when zero.
+	// TTL is the local_DB record lifetime. A negative SyncInterval disables
+	// the background sync loop entirely (no goroutine, no ticker): the owner
+	// drives synchronization explicitly via SyncNow, as the fleet driver
+	// does for its 100k clients.
+	P            float64
+	PSet         bool // distinguishes P=0 (valid: trust global DB fully) from unset
+	ExploreEvery int
+	MaxConns     int
+	SyncInterval time.Duration
+	TTL          time.Duration
 
-	// Copies is how many redundant circumvention copies to race (Figure 6a);
-	// default 1. RedundantDelay staggers the circumvention copy behind the
-	// direct request (Figure 5b/c "2 copies (with delay)"); if the direct
-	// response lands within the delay, the copy is never sent.
-	Copies         int
+	// RedundantDelay staggers the circumvention copy behind the direct
+	// request (Figure 5b/c "2 copies (with delay)"); if the direct response
+	// lands within the delay, the copy is never sent.
 	RedundantDelay time.Duration
 	// Serial disables parallel redundancy: detect on the direct path first,
 	// then circumvent (the Figure 5a baseline).
@@ -224,7 +220,7 @@ func New(cfg Config) (*Client, error) {
 	}
 	c.det = &detect.Detector{
 		Clock:          cfg.Clock,
-		Dial:           c.limited(cfg.Host.Dial),
+		Dial:           netem.LimitDial(cfg.Host.Dial, c.sem),
 		LDNS:           ldns,
 		GDNS:           gdns,
 		Classifier:     blockpage.NewClassifier(),
@@ -235,7 +231,7 @@ func New(cfg Config) (*Client, error) {
 	// budget: that coupling is what makes extra copies and direct-path
 	// re-measurement cost PLT at load (Figure 5b/c, Table 6).
 	for _, a := range cfg.Approaches {
-		a.Transport.Dialer = c.limited(a.Transport.Dialer)
+		a.Transport.Dialer = netem.LimitDial(a.Transport.Dialer, c.sem)
 	}
 	return c, nil
 }
@@ -297,46 +293,6 @@ func (c *Client) CountersSnapshot() map[string]int {
 		}
 	}
 	return out
-}
-
-// limited wraps a dialer with the client's connection budget.
-func (c *Client) limited(dial netem.DialFunc) netem.DialFunc {
-	return func(ctx context.Context, addr string) (net.Conn, error) {
-		select {
-		case c.sem <- struct{}{}:
-		case <-ctx.Done():
-			return nil, &netem.OpError{Op: "dial", Addr: addr, Err: netem.ErrTimeout}
-		}
-		raw, err := dial(ctx, addr)
-		if err != nil {
-			<-c.sem
-			return nil, err
-		}
-		return &slotConn{Conn: raw, release: func() { <-c.sem }}, nil
-	}
-}
-
-// slotConn returns its budget slot exactly once, on Close.
-type slotConn struct {
-	net.Conn
-	once    sync.Once
-	release func()
-}
-
-// Close implements net.Conn.
-func (s *slotConn) Close() error {
-	err := s.Conn.Close()
-	s.once.Do(s.release)
-	return err
-}
-
-// Flow exposes the underlying netem flow when present (servers introspect
-// peers through it).
-func (s *slotConn) Flow() netem.Flow {
-	if fc, ok := s.Conn.(interface{ Flow() netem.Flow }); ok {
-		return fc.Flow()
-	}
-	return netem.Flow{}
 }
 
 func (c *Client) failoverBudget() time.Duration {

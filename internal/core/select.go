@@ -5,13 +5,11 @@ import (
 	"fmt"
 	"math"
 	"strings"
-	"sync"
 
 	"csaw/internal/httpx"
 	"csaw/internal/localdb"
 	"csaw/internal/metrics"
 	"csaw/internal/trace"
-	"csaw/internal/web"
 )
 
 // selectApproach picks the circumvention approach expected to yield the
@@ -147,23 +145,17 @@ func (c *Client) circumFetch(ctx context.Context, url string, stages []localdb.S
 	return c.circumFetchVia(ctx, app, url, stages)
 }
 
-// circumFetchVia fetches via a specific approach, racing cfg.Copies
-// isolated copies (separate Tor circuits, Figure 6a); if every copy fails,
-// it fails over down the remaining candidates — penalizing each failure in
-// the moving averages (and striking the quarantine record) so future
-// selection avoids broken approaches. The whole ladder walk shares one
-// virtual-time deadline budget (Config.FailoverBudget): a censor that
-// *drops* instead of resetting cannot pin a fetch for attempts × transport
-// timeout.
+// circumFetchVia fetches via a specific approach; if that fails, it fails
+// over down the remaining candidates — penalizing each failure in the
+// moving averages (and striking the quarantine record) so future selection
+// avoids broken approaches. The whole ladder walk shares one virtual-time
+// deadline budget (Config.FailoverBudget): a censor that *drops* instead of
+// resetting cannot pin a fetch for attempts × transport timeout.
 func (c *Client) circumFetchVia(ctx context.Context, app *Approach, url string, stages []localdb.Stage) (*httpx.Response, string, error) {
 	if app == nil {
 		return nil, "", fmt.Errorf("core: no circumvention approach available for %s (pref=%d)", url, c.cfg.Pref)
 	}
 	host, path := localdb.SplitURL(url)
-	copies := c.cfg.Copies
-	if copies <= 0 {
-		copies = 1
-	}
 	sp := trace.SpanFromContext(ctx)
 	parent := ctx
 	if b := c.failoverBudget(); b > 0 {
@@ -175,12 +167,11 @@ func (c *Client) circumFetchVia(ctx context.Context, app *Approach, url string, 
 	for attempt, a := range c.candidateOrder(url, stages, app) {
 		if attempt > 0 {
 			c.bump("failover")
-			copies = 1 // redundancy was for the chosen approach only
 		}
 		lane := sp.Lane(a.Name)
 		lane.Event("circum", "attempt", a.Name)
 		start := c.clock.Now()
-		resp, err := c.raceCopies(trace.WithLane(ctx, lane), a, copies, host, path)
+		resp, err := a.Transport.Fetch(trace.WithLane(ctx, lane), host, path)
 		if err == nil && resp.StatusCode >= 400 {
 			// The approach reached *a* server but not the content (e.g. an
 			// IP-addressed request to shared hosting): a failed
@@ -292,47 +283,4 @@ func (c *Client) ewmaResetLocked(app *Approach) {
 			delete(c.ewma, k)
 		}
 	}
-}
-
-// raceCopies launches k copies of the fetch (each over isolated path state
-// when the approach supports it) and returns the first success.
-func (c *Client) raceCopies(ctx context.Context, app *Approach, k int, host, path string) (*httpx.Response, error) {
-	if k == 1 {
-		return app.Transport.Fetch(ctx, host, path)
-	}
-	type one struct {
-		resp *httpx.Response
-		err  error
-	}
-	ch := make(chan one, k)
-	rctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var wg sync.WaitGroup
-	for i := 0; i < k; i++ {
-		t := app.Transport
-		if i > 0 && app.Isolate != nil {
-			iso := app.Isolate()
-			iso.Dialer = c.limited(iso.Dialer)
-			t = iso
-		}
-		wg.Add(1)
-		go func(t *web.Transport) {
-			defer wg.Done()
-			resp, err := t.Fetch(rctx, host, path)
-			ch <- one{resp, err}
-		}(t)
-	}
-	go func() { wg.Wait(); close(ch) }()
-	var lastErr error
-	for o := range ch {
-		if o.err == nil {
-			cancel() // winner takes all; losers are abandoned
-			return o.resp, nil
-		}
-		lastErr = o.err
-	}
-	if lastErr == nil {
-		lastErr = fmt.Errorf("core: no copies launched")
-	}
-	return nil, lastErr
 }

@@ -58,19 +58,15 @@ func (c *Client) startLoops() {
 		}()
 	}
 	if c.cfg.ASNProbeAddr != "" {
-		interval := c.cfg.ASNProbeInterval
-		if interval <= 0 {
-			interval = DefaultASNProbeInterval
-		}
 		c.loops.Add(1)
 		go func() {
 			defer c.loops.Done()
-			tk := c.clock.NewTicker(interval)
+			tk := c.clock.NewTicker(DefaultASNProbeInterval)
 			defer tk.Stop()
 			for {
 				select {
 				case <-tk.C:
-					ctx, cancel := c.clock.WithTimeout(context.Background(), interval)
+					ctx, cancel := c.clock.WithTimeout(context.Background(), DefaultASNProbeInterval)
 					if err := c.ProbeASN(ctx); err != nil {
 						// A failed probe postpones multihoming detection; it
 						// must show up in the counters, not vanish.
@@ -188,11 +184,7 @@ func (c *Client) syncRound(ctx context.Context) error {
 		return pending[i].Measured.Before(pending[j].Measured)
 	})
 	if over := len(pending) - pol.maxPending(); over > 0 {
-		if pol.DropOldest {
-			pending = pending[over:]
-		} else {
-			pending = pending[:pol.maxPending()]
-		}
+		pending = pending[:pol.maxPending()]
 		c.mu.Lock()
 		c.counters["sync-report-deferred"] += over
 		c.mu.Unlock()

@@ -52,11 +52,9 @@ type SyncPolicy struct {
 	// MaxBatch is the largest report batch posted per Report call.
 	MaxBatch int
 	// MaxPending bounds the report queue a single round takes on. Overflow
-	// stays in the local_DB: by default the newest records are deferred to
-	// later rounds; DropOldest instead defers the oldest so fresh evidence
-	// is reported first after a long outage.
+	// stays in the local_DB: the newest records are deferred to later
+	// rounds.
 	MaxPending int
-	DropOldest bool
 	// BreakerAfter consecutive failed rounds open the circuit breaker and
 	// drop the client into local-only mode; 0 selects the default, negative
 	// disables the breaker. BreakerReset is the open-state cooldown before

@@ -14,7 +14,6 @@
 package detect
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -307,7 +306,9 @@ func (d *Detector) Measure(ctx context.Context, url string, scheme Scheme) (out 
 		out.Detected = d.Clock.Since(start)
 		return out
 	}
-	resp, err := httpx.ReadResponseCtx(ctx, bufio.NewReader(stream))
+	br := httpx.GetReader(stream)
+	resp, err := httpx.ReadResponseCtx(ctx, br)
+	httpx.PutReader(br)
 	if err != nil {
 		out.Status = localdb.Blocked
 		out.Err = err
@@ -393,12 +394,9 @@ func (d *Detector) fetchRedirect(ctx context.Context, loc string) []byte {
 	}
 	defer conn.Close()
 	_ = conn.SetDeadline(d.Clock.Now().Add(d.httpTimeout()))
-	req := httpx.NewRequest("GET", host, path)
-	req.Header.Set("Connection", "close")
-	if err := httpx.WriteRequest(conn, req); err != nil {
-		return nil
-	}
-	resp, err := httpx.ReadResponse(bufio.NewReader(conn))
+	// Off the lane: the hop is fetched for classification only, so its wait
+	// stays out of the measured fetch's TTFB/body phases.
+	resp, err := httpx.RoundTrip(context.Background(), conn, httpx.NewRequest("GET", host, path))
 	if err != nil {
 		return nil
 	}

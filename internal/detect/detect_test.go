@@ -1,9 +1,7 @@
 package detect
 
 import (
-	"bufio"
 	"context"
-	"net"
 	"strings"
 	"testing"
 	"time"
@@ -15,16 +13,9 @@ import (
 	"csaw/internal/localdb"
 	"csaw/internal/netem"
 	"csaw/internal/tlsx"
+	"csaw/internal/trace"
 	"csaw/internal/vtime"
 )
-
-// tlsServer completes a pseudo-TLS handshake presenting whatever name the
-// client asked for.
-func tlsServer(raw net.Conn) (net.Conn, error) {
-	return tlsx.Server(raw, func(sni string) string { return strings.ToLower(sni) })
-}
-
-func newReader(c net.Conn) *bufio.Reader { return bufio.NewReader(c) }
 
 const (
 	originIP = "93.184.216.34"
@@ -89,9 +80,9 @@ func detWorld(t *testing.T, p *censor.Policy) (*netem.Network, *Detector, *censo
 	return n, det, cen
 }
 
+// serveTLS is a pseudo-TLS origin presenting whatever name the client asked
+// for: handshake, then the shared request loop.
 func serveTLS(host *netem.Host, h httpx.Handler) {
-	// Reuse the web-origin style TLS loop via web.ServeHTTPS semantics
-	// without importing web (keep detect's tests to its own layer).
 	l := host.MustListen(443)
 	go func() {
 		for {
@@ -100,17 +91,12 @@ func serveTLS(host *netem.Host, h httpx.Handler) {
 				return
 			}
 			go func() {
-				tc, err := tlsServer(raw)
+				tc, err := tlsx.Server(raw, strings.ToLower)
 				if err != nil {
 					raw.Close()
 					return
 				}
-				defer tc.Close()
-				req, err := httpx.ReadRequest(newReader(tc))
-				if err != nil {
-					return
-				}
-				_ = httpx.WriteResponse(tc, h.ServeHTTP(req, netem.Flow{}))
+				httpx.ServeConn(context.Background(), tc, netem.Flow{}, h)
 			}()
 		}
 	}()
@@ -231,6 +217,34 @@ func TestHTTPRedirectBlockPage(t *testing.T) {
 	out := measure(t, det, "www.youtube.com/", HTTP)
 	if !out.Blocked() || out.Stages[0].Detail != "blockpage-redirect" {
 		t.Fatalf("outcome = %+v stages=%s", out, out.StageSummary())
+	}
+}
+
+// TestRedirectHopStaysOffTheLane: the redirect target is fetched for
+// classification only — the lane records one response (the 302), and the
+// hop's wait does not count toward the fetch's TTFB/body phases.
+func TestRedirectHopStaysOffTheLane(t *testing.T) {
+	n, det, _ := detWorld(t, &censor.Policy{
+		HTTP:         []censor.HTTPRule{{Host: "youtube.com", Action: censor.HTTPRedirect}},
+		BlockPageURL: "block.isp.pk/blocked.html",
+	})
+	sink := &trace.CollectSink{}
+	sp := trace.New(n.Clock(), sink).Start("c", 1, "www.youtube.com/")
+	lane := sp.Lane("direct")
+	out := det.Measure(trace.WithLane(context.Background(), lane), "www.youtube.com/", HTTP)
+	lane.Close()
+	sp.Finish("direct", "blocked", nil)
+	if !out.Blocked() || out.Stages[0].Detail != "blockpage-redirect" {
+		t.Fatalf("outcome = %+v stages=%s", out, out.StageSummary())
+	}
+	var responses []string
+	for _, e := range sink.Records()[0].Lanes[0].Events {
+		if e.Layer == "http" && e.Name == "response" {
+			responses = append(responses, e.Detail)
+		}
+	}
+	if len(responses) != 1 || responses[0] != "302" {
+		t.Fatalf("lane response events = %v, want only the 302", responses)
 	}
 }
 

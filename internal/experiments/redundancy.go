@@ -13,6 +13,7 @@ import (
 	"csaw/internal/globaldb"
 	"csaw/internal/localdb"
 	"csaw/internal/metrics"
+	"csaw/internal/netem"
 	"csaw/internal/tor"
 	"csaw/internal/web"
 	"csaw/internal/worldgen"
@@ -223,22 +224,7 @@ func Figure6a(o Options) (*Result, error) {
 	runs := o.runs(60)
 
 	// The client machine budget shared by all duplicates.
-	sem := make(chan struct{}, 6)
-	limited := func(dial func(ctx context.Context, addr string) (net.Conn, error)) func(ctx context.Context, addr string) (net.Conn, error) {
-		return func(ctx context.Context, addr string) (net.Conn, error) {
-			select {
-			case sem <- struct{}{}:
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-			conn, err := dial(ctx, addr)
-			if err != nil {
-				<-sem
-				return nil, err
-			}
-			return &releaseConn{Conn: conn, release: func() { <-sem }}, nil
-		}
-	}
+	slots := make(chan struct{}, 6)
 
 	res := &Result{ID: "figure6a", Title: fmt.Sprintf("Redundant requests over separate Tor circuits (%d runs)", runs)}
 	var series []metrics.Series
@@ -254,9 +240,9 @@ func Figure6a(o Options) (*Result, error) {
 				}
 				tr := &web.Transport{
 					Label: fmt.Sprintf("tor-copy-%d", i),
-					Dialer: limited(func(ctx context.Context, addr string) (net.Conn, error) {
+					Dialer: netem.LimitDial(func(ctx context.Context, addr string) (net.Conn, error) {
 						return tc.DialVia(ctx, circ, addr)
-					}),
+					}, slots),
 					Clock: w.Clock,
 				}
 				wg.Add(1)
@@ -290,18 +276,6 @@ func Figure6a(o Options) (*Result, error) {
 	res.Text = metrics.SummarizeCDFs("min-PLT across duplicates", series)
 	res.Note("paper: 1→2 copies improves the median ~30%%; a third copy does not help the median and inflates p95")
 	return res, nil
-}
-
-type releaseConn struct {
-	net.Conn
-	once    sync.Once
-	release func()
-}
-
-func (c *releaseConn) Close() error {
-	err := c.Conn.Close()
-	c.once.Do(c.release)
-	return err
 }
 
 // Table6 sweeps the direct re-measurement probability p for a

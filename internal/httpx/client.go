@@ -2,6 +2,7 @@ package httpx
 
 import (
 	"context"
+	"io"
 	"time"
 
 	"csaw/internal/netem"
@@ -46,20 +47,31 @@ func (c *Client) Do(ctx context.Context, address string, req *Request) (*Respons
 	_ = conn.SetDeadline(c.Clock.Now().Add(c.timeout()))
 	stop := context.AfterFunc(ctx, func() { conn.Close() })
 	defer stop()
+	return RoundTrip(ctx, conn, req)
+}
 
-	if req.Header == nil {
-		req.Header = Header{}
-	}
+// RoundTrip runs one client exchange on an established stream: it writes
+// req, asking for Connection: close unless the caller chose otherwise, and
+// parses one response. req itself is never modified — callers reuse
+// requests across endpoints and approaches. ctx only carries the
+// flight-recorder lane (see ReadResponseCtx); bounding the exchange is the
+// job of whoever owns the stream.
+func RoundTrip(ctx context.Context, stream io.ReadWriter, req *Request) (*Response, error) {
 	if req.Header.Get("Connection") == "" {
-		req.Header.Set("Connection", "close")
+		r := *req
+		r.Header = make(Header, len(req.Header)+1)
+		for k, vs := range req.Header {
+			r.Header[k] = vs
+		}
+		r.Header["Connection"] = []string{"close"}
+		req = &r
 	}
-	if err := WriteRequest(conn, req); err != nil {
+	if err := WriteRequest(stream, req); err != nil {
 		return nil, err
 	}
-	br := GetReader(conn)
-	resp, err := ReadResponse(br)
-	PutReader(br)
-	return resp, err
+	br := GetReader(stream)
+	defer PutReader(br)
+	return ReadResponseCtx(ctx, br)
 }
 
 // Get fetches host+target from address.

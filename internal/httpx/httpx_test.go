@@ -4,12 +4,14 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"io"
 	"strings"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"csaw/internal/netem"
+	"csaw/internal/tlsx"
 	"csaw/internal/vtime"
 )
 
@@ -270,5 +272,173 @@ func TestMuxUnknownHost404(t *testing.T) {
 	}))
 	if resp := mux.ServeHTTP(NewRequest("GET", "b.example", "/"), netem.Flow{}); resp.StatusCode != 404 {
 		t.Fatalf("unknown host → %d, want 404", resp.StatusCode)
+	}
+}
+
+// exchange sends req on an open stream and parses one response, the way a
+// keep-alive client would.
+func exchange(t *testing.T, stream io.ReadWriter, br *bufio.Reader, req *Request) (*Response, error) {
+	t.Helper()
+	if err := WriteRequest(stream, req); err != nil {
+		return nil, err
+	}
+	return ReadResponse(br)
+}
+
+// TestServeConnCloseOnEitherSide pins when the request loop ends: either
+// side's Connection: close (in any letter case) closes the conn after that
+// response, and nothing else does.
+func TestServeConnCloseOnEitherSide(t *testing.T) {
+	cases := []struct {
+		name, reqConn, respConn string
+		wantOpen                bool
+	}{
+		{name: "neither side asks", wantOpen: true},
+		{name: "request asks", reqConn: "close"},
+		{name: "response asks", respConn: "close"},
+		{name: "mixed case counts", reqConn: "Close"},
+		{name: "keep-alive does not", reqConn: "keep-alive", wantOpen: true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			n, client, srv := httpWorld(t, HandlerFunc(func(*Request, netem.Flow) *Response {
+				resp := NewResponse(200, []byte("ok"))
+				if tc.respConn != "" {
+					resp.Header.Set("Connection", tc.respConn)
+				}
+				return resp
+			}))
+			defer srv.Close()
+			conn, err := client.Dial(context.Background(), "93.184.216.34:80")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			_ = conn.SetDeadline(n.Clock().Now().Add(5 * time.Second))
+			br := bufio.NewReader(conn)
+			req := NewRequest("GET", "x", "/")
+			if tc.reqConn != "" {
+				req.Header.Set("Connection", tc.reqConn)
+			}
+			if _, err := exchange(t, conn, br, req); err != nil {
+				t.Fatalf("first exchange: %v", err)
+			}
+			_, err = exchange(t, conn, br, NewRequest("GET", "x", "/again"))
+			if open := err == nil; open != tc.wantOpen {
+				t.Fatalf("second exchange on the same conn: err = %v, want open = %v", err, tc.wantOpen)
+			}
+		})
+	}
+}
+
+// TestServeConnNilResponseStaysSilent: a handler that drops a request says
+// nothing for it and the loop keeps serving the stream.
+func TestServeConnNilResponseStaysSilent(t *testing.T) {
+	n, client, srv := httpWorld(t, HandlerFunc(func(req *Request, _ netem.Flow) *Response {
+		if req.Target == "/drop" {
+			return nil
+		}
+		return NewResponse(200, []byte("served "+req.Target))
+	}))
+	defer srv.Close()
+	conn, err := client.Dial(context.Background(), "93.184.216.34:80")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	_ = conn.SetDeadline(n.Clock().Now().Add(5 * time.Second))
+	if err := WriteRequest(conn, NewRequest("GET", "x", "/drop")); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := exchange(t, conn, bufio.NewReader(conn), NewRequest("GET", "x", "/next"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(resp.Body) != "served /next" {
+		t.Fatalf("first bytes on the stream answer %q, want the request after the dropped one", resp.Body)
+	}
+}
+
+// TestServeConnTLSRequestSeesServerClose runs ServeConn the way a pseudo-TLS
+// origin does — handshake, then the request loop on the session — and pins
+// the context contract on that path: a request arriving on an established
+// session after its server closed carries a cancelled context.
+func TestServeConnTLSRequestSeesServerClose(t *testing.T) {
+	clock := vtime.New(500)
+	n := netem.New(clock, netem.WithSeed(3), netem.WithJitter(0))
+	ch := n.MustAddHost("client", "10.0.0.1", "pk", n.AddAS(1, "ISP", "PK"))
+	sh := n.MustAddHost("origin", "93.184.216.34", "us", n.AddAS(2, "US", "US"))
+	n.SetRTT("pk", "us", 100*time.Millisecond)
+
+	h := HandlerFunc(func(req *Request, _ netem.Flow) *Response {
+		if req.Context().Err() != nil {
+			return NewResponse(503, []byte("closing"))
+		}
+		return NewResponse(200, []byte("live"))
+	})
+	l := sh.MustListen(tlsx.Port)
+	ctx, cancel := context.WithCancel(context.Background())
+	stopped := make(chan struct{})
+	go func() {
+		defer close(stopped)
+		defer cancel() // the accept loop ending is the server closing
+		for {
+			raw, err := l.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				tc, err := tlsx.Server(raw, tlsx.CertFor("site.example"))
+				if err != nil {
+					raw.Close()
+					return
+				}
+				ServeConn(ctx, tc, raw.(*netem.Conn).Flow(), h)
+			}()
+		}
+	}()
+
+	raw, err := ch.Dial(context.Background(), "93.184.216.34:443")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	_ = raw.SetDeadline(clock.Now().Add(10 * time.Second))
+	tc, err := tlsx.Client(raw, "site.example", "site.example")
+	if err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(tc)
+	if resp, err := exchange(t, tc, br, NewRequest("GET", "site.example", "/")); err != nil || resp.StatusCode != 200 {
+		t.Fatalf("while serving: %v, %v", resp, err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	<-stopped
+	if resp, err := exchange(t, tc, br, NewRequest("GET", "site.example", "/")); err != nil || resp.StatusCode != 503 {
+		t.Fatalf("after close: %v, %v; want the handler to see a cancelled context", resp, err)
+	}
+}
+
+// TestRoundTripLeavesRequestAlone: the Connection: close default goes out
+// on the wire but never into the caller's request, which callers reuse.
+func TestRoundTripLeavesRequestAlone(t *testing.T) {
+	var sawClose bool
+	_, client, srv := httpWorld(t, HandlerFunc(func(req *Request, _ netem.Flow) *Response {
+		sawClose = WantsClose(req.Header)
+		return NewResponse(200, nil)
+	}))
+	defer srv.Close()
+	req := NewRequest("GET", "x", "/")
+	req.Header.Set("X-Probe", "1")
+	if _, err := client.Do(context.Background(), "93.184.216.34:80", req); err != nil {
+		t.Fatal(err)
+	}
+	if !sawClose {
+		t.Error("server did not see Connection: close")
+	}
+	if len(req.Header) != 1 || req.Header.Get("X-Probe") != "1" {
+		t.Errorf("request header after Do = %v, want it untouched", req.Header)
 	}
 }

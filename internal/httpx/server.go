@@ -47,16 +47,21 @@ func (s *Server) acceptLoop() {
 		if err != nil {
 			return
 		}
-		go s.serveConn(conn)
+		var flow netem.Flow
+		if fc, ok := conn.(interface{ Flow() netem.Flow }); ok {
+			flow = fc.Flow()
+		}
+		go ServeConn(s.ctx, conn, flow, s.h)
 	}
 }
 
-func (s *Server) serveConn(conn net.Conn) {
+// ServeConn runs the HTTP request loop on one established stream — a raw
+// accepted conn or a pseudo-TLS session on top of one — until the peer
+// stops sending, a write fails, or either side asks for Connection: close,
+// then closes conn. Every request carries ctx, so a handler's upstream
+// calls stop once the owner of ctx has shut down.
+func ServeConn(ctx context.Context, conn net.Conn, flow netem.Flow, h Handler) {
 	defer conn.Close()
-	var flow netem.Flow
-	if fc, ok := conn.(interface{ Flow() netem.Flow }); ok {
-		flow = fc.Flow()
-	}
 	br := GetReader(conn)
 	defer PutReader(br)
 	for {
@@ -64,7 +69,8 @@ func (s *Server) serveConn(conn net.Conn) {
 		if err != nil {
 			return
 		}
-		resp := s.h.ServeHTTP(req.WithContext(s.ctx), flow)
+		req.ctx = ctx
+		resp := h.ServeHTTP(req, flow)
 		if resp == nil {
 			// Handler chose to drop the request (used by censor simulations
 			// and misbehaving-server tests): say nothing.
@@ -73,11 +79,16 @@ func (s *Server) serveConn(conn net.Conn) {
 		if err := WriteResponse(conn, resp); err != nil {
 			return
 		}
-		if strings.EqualFold(req.Header.Get("Connection"), "close") ||
-			strings.EqualFold(resp.Header.Get("Connection"), "close") {
+		if WantsClose(req.Header) || WantsClose(resp.Header) {
 			return
 		}
 	}
+}
+
+// WantsClose reports whether a message's headers end the connection after
+// this exchange (Connection: close, in any letter case).
+func WantsClose(h Header) bool {
+	return strings.EqualFold(h.Get("Connection"), "close")
 }
 
 // Close stops accepting; established connections finish naturally, but

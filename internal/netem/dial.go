@@ -246,3 +246,36 @@ func (l *Listener) Close() error {
 
 // Addr implements net.Listener.
 func (l *Listener) Addr() net.Addr { return Addr{IP: l.host.ip, Port: l.port} }
+
+// LimitDial wraps dial with a connection budget: a dial first takes a slot
+// from slots, waiting while all are taken until ctx ends, and the conn it
+// returns gives the slot back on its first Close. Dialers wrapped with the
+// same channel share one budget.
+func LimitDial(dial DialFunc, slots chan struct{}) DialFunc {
+	return func(ctx context.Context, address string) (net.Conn, error) {
+		select {
+		case slots <- struct{}{}:
+		case <-ctx.Done():
+			return nil, &OpError{Op: "dial", Addr: address, Err: ErrTimeout}
+		}
+		conn, err := dial(ctx, address)
+		if err != nil {
+			<-slots
+			return nil, err
+		}
+		return &slotConn{Conn: conn, slots: slots}, nil
+	}
+}
+
+// slotConn returns its budget slot exactly once, on Close.
+type slotConn struct {
+	net.Conn
+	once  sync.Once
+	slots chan struct{}
+}
+
+func (s *slotConn) Close() error {
+	err := s.Conn.Close()
+	s.once.Do(func() { <-s.slots })
+	return err
+}

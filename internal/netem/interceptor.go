@@ -3,7 +3,6 @@ package netem
 import (
 	"io"
 	"net"
-	"sync"
 )
 
 // Flow identifies a connection traversing the network: its endpoints and the
@@ -94,23 +93,29 @@ func (s *Session) Blackhole() {
 	}()
 }
 
-// Splice copies the remaining bytes in both directions until both sides
-// close, propagating resets. It blocks until the stream ends.
-func (s *Session) Splice() {
-	var wg sync.WaitGroup
-	wg.Add(2)
-	copyDir := func(dst, src *Conn) {
-		defer wg.Done()
-		_, err := io.Copy(dst, src)
-		if err != nil && IsReset(err) {
-			dst.Reset()
-			return
-		}
-		dst.shutdown()
+// Splice passes the rest of the stream through untouched (see Splice).
+func (s *Session) Splice() { Splice(s.client, s.client, s.server) }
+
+// Splice copies a↔b until both directions end, sourcing the a→b direction
+// from ar — a itself, or a reader still holding bytes already read from it.
+// A reset read on one side is re-injected on the other when that side is a
+// *Conn; every other ending closes the destination, so the peer sees EOF
+// after draining. The a→b copy runs on the caller's goroutine.
+func Splice(a net.Conn, ar io.Reader, b net.Conn) {
+	done := make(chan struct{})
+	go func() { forward(a, b); close(done) }()
+	forward(b, ar)
+	<-done
+}
+
+// forward is one direction of a splice.
+func forward(dst net.Conn, src io.Reader) {
+	_, err := io.Copy(dst, src)
+	if nc, ok := dst.(*Conn); ok && IsReset(err) {
+		nc.Reset()
+		return
 	}
-	go copyDir(s.server, s.client)
-	go copyDir(s.client, s.server)
-	wg.Wait()
+	dst.Close()
 }
 
 // PassVerdicts is a convenience base for interceptors that never act at

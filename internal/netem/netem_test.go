@@ -584,3 +584,42 @@ func TestJitterVariesLatency(t *testing.T) {
 		t.Errorf("jittered pings all identical: %v", seen)
 	}
 }
+
+// TestLimitDial: a budgeted dialer admits one conn per slot, times out
+// waiting for one, and gets the slot back exactly once — on the conn's
+// first Close, or at once when the dial itself fails.
+func TestLimitDial(t *testing.T) {
+	n, client, server := testWorld(t)
+	l := server.MustListen(80)
+	defer closeListener(t, l)
+	slots := make(chan struct{}, 1)
+	dial := LimitDial(client.Dial, slots)
+	short := func() (context.Context, context.CancelFunc) {
+		return n.Clock().WithTimeout(context.Background(), 2*time.Second)
+	}
+
+	ctx, cancel := short()
+	defer cancel()
+	held, err := dial(ctx, "93.184.216.34:80")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx2, cancel2 := short()
+	defer cancel2()
+	if _, err := dial(ctx2, "93.184.216.34:80"); !IsTimeout(err) {
+		t.Fatalf("dial with the budget spent: %v, want a timeout", err)
+	}
+	held.Close()
+	held.Close()
+	if len(slots) != 0 {
+		t.Fatalf("%d slots taken after Close, want 0", len(slots))
+	}
+	ctx3, cancel3 := short()
+	defer cancel3()
+	if _, err := dial(ctx3, "93.184.216.34:81"); !IsRefused(err) {
+		t.Fatalf("dial to a dead port: %v, want refused", err)
+	}
+	if len(slots) != 0 {
+		t.Fatalf("%d slots taken after a failed dial, want 0", len(slots))
+	}
+}

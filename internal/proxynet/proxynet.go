@@ -16,11 +16,11 @@ package proxynet
 import (
 	"bufio"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net"
 	"strings"
-	"sync"
 	"time"
 
 	"csaw/internal/netem"
@@ -106,65 +106,41 @@ func (s *Server) handle(conn net.Conn) {
 		conn.Close()
 		return
 	}
-	host, port, err := netem.SplitAddr(target)
-	if err != nil {
-		fmt.Fprintf(conn, "ERR bad target\n")
-		conn.Close()
-		return
-	}
 	ctx, cancel := s.clock.WithTimeout(context.Background(), s.timeout)
 	defer cancel()
-	ip := host
-	if !netem.IsIPLiteral(host) {
-		ip, err = s.lookup(ctx, host)
-		if err != nil {
-			fmt.Fprintf(conn, "ERR resolve: %v\n", err)
-			conn.Close()
-			return
-		}
-	}
-	upstream, err := s.host.Dial(ctx, fmt.Sprintf("%s:%d", ip, port))
-	if err != nil {
-		fmt.Fprintf(conn, "ERR dial: %v\n", err)
+	if err := Exit(ctx, s.host, s.lookup, target, conn, br, "OK\n"); err != nil {
+		fmt.Fprintf(conn, "ERR %v\n", err)
 		conn.Close()
-		return
 	}
-	if _, err := io.WriteString(conn, "OK\n"); err != nil {
-		conn.Close()
-		upstream.Close()
-		return
-	}
-	Splice(conn, br, upstream)
 }
 
-// Splice copies a↔b until both directions end, sourcing the a→b direction
-// from ar (which may hold buffered bytes). Resets propagate.
-func Splice(a net.Conn, ar io.Reader, b net.Conn) {
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		_, err := io.Copy(b, ar)
-		if err != nil && netem.IsReset(err) {
-			if nc, ok := b.(*netem.Conn); ok {
-				nc.Reset()
-				return
-			}
+// Exit is the last step of a tunnel hop, shared by CONNECT proxies and Tor
+// relays: resolve target ("host-or-ip:port") with lookup, dial it from
+// host's vantage point, confirm to the client with ack, and splice the two
+// conns until both directions end (clientR carries whatever the handshake
+// reader buffered past the routing line). A non-nil error means no tunnel
+// was set up and client is still open, for the caller to refuse and close.
+func Exit(ctx context.Context, host *netem.Host, lookup Lookup, target string, client net.Conn, clientR io.Reader, ack string) error {
+	name, port, err := netem.SplitAddr(target)
+	if err != nil {
+		return errors.New("bad target")
+	}
+	ip := name
+	if !netem.IsIPLiteral(name) {
+		if ip, err = lookup(ctx, name); err != nil {
+			return fmt.Errorf("resolve: %v", err)
 		}
-		b.Close()
-	}()
-	go func() {
-		defer wg.Done()
-		_, err := io.Copy(a, b)
-		if err != nil && netem.IsReset(err) {
-			if nc, ok := a.(*netem.Conn); ok {
-				nc.Reset()
-				return
-			}
-		}
-		a.Close()
-	}()
-	wg.Wait()
+	}
+	upstream, err := host.Dial(ctx, fmt.Sprintf("%s:%d", ip, port))
+	if err != nil {
+		return fmt.Errorf("dial: %v", err)
+	}
+	if _, err := io.WriteString(client, ack); err != nil {
+		upstream.Close()
+		return err
+	}
+	netem.Splice(client, clientR, upstream)
+	return nil
 }
 
 // Via returns a DialFunc that tunnels every connection through the proxy at

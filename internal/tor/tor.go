@@ -137,50 +137,22 @@ func (d *Directory) handleHop(r *Relay, conn net.Conn) {
 		return
 	}
 	_ = conn.SetReadDeadline(time.Time{})
+	// Both hop kinds end the same way — dial onward, confirm with '+',
+	// splice — and an EXTEND target is a relay's IP literal, so the exit
+	// lookup only ever runs for EXIT.
 	line = strings.TrimSpace(line)
+	target, ok := strings.CutPrefix(line, "EXTEND ")
+	if !ok {
+		target, ok = strings.CutPrefix(line, "EXIT ")
+	}
+	if !ok {
+		conn.Close()
+		return
+	}
 	ctx, cancel := d.clock.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	switch {
-	case strings.HasPrefix(line, "EXTEND "):
-		next, err := r.Host.Dial(ctx, strings.TrimPrefix(line, "EXTEND "))
-		if err != nil {
-			conn.Close()
-			return
-		}
-		if _, err := conn.Write([]byte{'+'}); err != nil { // hop established
-			conn.Close()
-			next.Close()
-			return
-		}
-		proxynet.Splice(conn, br, next)
-	case strings.HasPrefix(line, "EXIT "):
-		target := strings.TrimPrefix(line, "EXIT ")
-		host, port, err := netem.SplitAddr(target)
-		if err != nil {
-			conn.Close()
-			return
-		}
-		ip := host
-		if !netem.IsIPLiteral(host) {
-			ip, err = d.lookup(ctx, host)
-			if err != nil {
-				conn.Close()
-				return
-			}
-		}
-		upstream, err := r.Host.Dial(ctx, fmt.Sprintf("%s:%d", ip, port))
-		if err != nil {
-			conn.Close()
-			return
-		}
-		if _, err := conn.Write([]byte{'+'}); err != nil { // exit connected
-			conn.Close()
-			upstream.Close()
-			return
-		}
-		proxynet.Splice(conn, br, upstream)
-	default:
-		conn.Close()
+	if err := proxynet.Exit(ctx, r.Host, d.lookup, target, conn, br, "+"); err != nil {
+		conn.Close() // no onward hop: the client sees EOF instead of '+'
 	}
 }
 

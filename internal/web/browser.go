@@ -1,10 +1,8 @@
 package web
 
 import (
-	"bufio"
 	"context"
 	"fmt"
-	"io"
 	"strings"
 	"sync"
 	"time"
@@ -12,10 +10,6 @@ import (
 	"csaw/internal/httpx"
 	"csaw/internal/vtime"
 )
-
-// newBufReader isolates the buffered-reader construction so transport.go
-// and browser.go share one definition.
-func newBufReader(r io.Reader) *bufio.Reader { return bufio.NewReader(r) }
 
 // Fetcher fetches one URL. *Transport implements it for plain paths; the
 // C-Saw client implements it so a Browser routed through the proxy measures

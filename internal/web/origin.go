@@ -1,7 +1,7 @@
 package web
 
 import (
-	"bufio"
+	"context"
 	"sort"
 	"strconv"
 	"strings"
@@ -38,7 +38,7 @@ func NewOrigin(host *netem.Host, sites ...*Site) (*Origin, error) {
 	if err != nil {
 		return nil, err
 	}
-	go o.serveTLSLoop(tlsl)
+	go o.serveTLS(tlsl)
 	return o, nil
 }
 
@@ -112,7 +112,12 @@ func (o *Origin) certFunc(sni string) string {
 	return ""
 }
 
-func (o *Origin) serveTLSLoop(l *netem.Listener) {
+// serveTLS accepts pseudo-TLS sessions: handshake, then the same request
+// loop the :80 listener runs. Requests dispatched after the listener closes
+// see a cancelled context, as on an httpx.Server.
+func (o *Origin) serveTLS(l *netem.Listener) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	for {
 		raw, err := l.Accept()
 		if err != nil {
@@ -124,75 +129,9 @@ func (o *Origin) serveTLSLoop(l *netem.Listener) {
 				raw.Close()
 				return
 			}
-			defer tc.Close()
-			var flow netem.Flow
-			if nc, ok := raw.(*netem.Conn); ok {
-				flow = nc.Flow()
-			}
-			br := bufio.NewReader(tc)
-			for {
-				req, err := httpx.ReadRequest(br)
-				if err != nil {
-					return
-				}
-				resp := o.serve(req, flow)
-				if err := httpx.WriteResponse(tc, resp); err != nil {
-					return
-				}
-				if strings.EqualFold(req.Header.Get("Connection"), "close") {
-					return
-				}
-			}
+			httpx.ServeConn(ctx, tc, raw.(*netem.Conn).Flow(), httpx.HandlerFunc(o.serve))
 		}()
 	}
-}
-
-// ServeHTTPS serves an arbitrary httpx.Handler over pseudo-TLS on host:443
-// with the given certificates — used by services that are not site origins
-// (the global DB front end, for instance).
-func ServeHTTPS(host *netem.Host, certs tlsx.CertFunc, h httpx.Handler) (*netem.Listener, error) {
-	l, err := host.Listen(tlsx.Port)
-	if err != nil {
-		return nil, err
-	}
-	go func() {
-		for {
-			raw, err := l.Accept()
-			if err != nil {
-				return
-			}
-			go func() {
-				tc, err := tlsx.Server(raw, certs)
-				if err != nil {
-					raw.Close()
-					return
-				}
-				defer tc.Close()
-				var flow netem.Flow
-				if nc, ok := raw.(*netem.Conn); ok {
-					flow = nc.Flow()
-				}
-				br := bufio.NewReader(tc)
-				for {
-					req, err := httpx.ReadRequest(br)
-					if err != nil {
-						return
-					}
-					resp := h.ServeHTTP(req, flow)
-					if resp == nil {
-						continue
-					}
-					if err := httpx.WriteResponse(tc, resp); err != nil {
-						return
-					}
-					if strings.EqualFold(req.Header.Get("Connection"), "close") {
-						return
-					}
-				}
-			}()
-		}
-	}()
-	return l, nil
 }
 
 // ASNEchoPath is the path served by the ASN echo service.

@@ -112,24 +112,18 @@ func (t *Transport) RoundTrip(ctx context.Context, req *httpx.Request) (*httpx.R
 		stream = tc
 	}
 
-	hostHeader := host
+	// The Host rewrite goes on a copy: the caller's request still names the
+	// site, for its error messages and for a retry over another approach.
+	out := *req
 	switch {
 	case t.HostHeader != nil:
-		hostHeader = t.HostHeader(host)
+		out.Host = t.HostHeader(host)
 	case t.HostHeaderFromAddr:
 		if ip, _, err := netem.SplitAddr(addr); err == nil {
-			hostHeader = ip
+			out.Host = ip
 		}
 	}
-	req.Host = hostHeader
-	if req.Header == nil {
-		req.Header = httpx.Header{}
-	}
-	req.Header.Set("Connection", "close")
-	if err := httpx.WriteRequest(stream, req); err != nil {
-		return nil, err
-	}
-	return readResponseCtx(ctx, stream)
+	return httpx.RoundTrip(ctx, stream, &out)
 }
 
 // connectAddr decides what address to hand to the dialer.
@@ -146,11 +140,6 @@ func (t *Transport) connectAddr(ctx context.Context, host string) (string, error
 		return "", err
 	}
 	return fmt.Sprintf("%s:%d", ip, port), nil
-}
-
-func readResponseCtx(ctx context.Context, stream net.Conn) (*httpx.Response, error) {
-	br := newBufReader(stream)
-	return httpx.ReadResponseCtx(ctx, br)
 }
 
 // StaticLookup returns a Lookup that serves from a fixed map (tests and

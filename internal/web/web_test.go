@@ -291,3 +291,47 @@ func TestLooksLikeHTML(t *testing.T) {
 		t.Error("binary detected as HTML")
 	}
 }
+
+// TestRoundTripLeavesRequestAlone: the transport's Host rewrite (fronting,
+// IP as hostname) and its Connection header go out on the wire only. The
+// caller's request still names the site afterwards — core's error messages
+// quote it, and a failover resends it over the next approach.
+func TestRoundTripLeavesRequestAlone(t *testing.T) {
+	n, client, _ := webWorld(t)
+	us := n.AS(2)
+	oh := n.MustAddHost("solo-origin", "198.51.100.7", "us", us)
+	solo := NewSite("solo.example.net")
+	solo.AddPage("/", "Solo", 2000)
+	if _, err := NewOrigin(oh, solo); err != nil {
+		t.Fatal(err)
+	}
+	fronting := testTransport(n, client, true)
+	fronting.Label = "domain-fronting"
+	fronting.SNI = func(string) string { return "small.example.com" }
+	fronting.HostHeader = func(h string) string { return strings.ToUpper(h) } // any rewrite
+	ipHost := &Transport{
+		Label:              "ip-as-hostname",
+		Dialer:             client.Dial,
+		Lookup:             StaticLookup(map[string]string{"solo.example.net": "198.51.100.7"}),
+		HostHeaderFromAddr: true,
+		Clock:              n.Clock(),
+		Timeout:            10 * time.Second,
+	}
+	for _, tc := range []struct {
+		tr   *Transport
+		host string
+	}{{fronting, "www.youtube.com"}, {ipHost, "solo.example.net"}} {
+		req := httpx.NewRequest("GET", tc.host, "/")
+		req.Header.Set("X-Probe", "1")
+		resp, err := tc.tr.RoundTrip(context.Background(), req)
+		if err != nil || resp.StatusCode != 200 {
+			t.Fatalf("%s: %v, %v", tc.tr.Label, resp, err)
+		}
+		if req.Host != tc.host {
+			t.Errorf("%s: req.Host = %q after the round trip, want %q", tc.tr.Label, req.Host, tc.host)
+		}
+		if len(req.Header) != 1 || req.Header.Get("X-Probe") != "1" {
+			t.Errorf("%s: req.Header = %v after the round trip, want it untouched", tc.tr.Label, req.Header)
+		}
+	}
+}

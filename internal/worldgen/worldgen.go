@@ -84,8 +84,6 @@ type Options struct {
 	Bandwidth float64
 	// Jitter is the per-path jitter fraction (default 0.05).
 	Jitter float64
-	// Loss enables segment loss with the given probability.
-	Loss float64
 
 	// GlobalDBWALDir, when set, backs the global DB with the WAL+snapshot
 	// store in that directory (one subdirectory per node when the world runs
@@ -159,7 +157,6 @@ func New(o Options) (*World, error) {
 		netem.WithSeed(o.Seed),
 		netem.WithBandwidth(o.Bandwidth),
 		netem.WithJitter(o.Jitter),
-		netem.WithLoss(o.Loss, 200*time.Millisecond),
 	)
 	w := &World{
 		Clock:         clock,
@@ -490,8 +487,8 @@ func (w *World) LDNSAddrs(host *netem.Host) []string {
 }
 
 // ClientConfig assembles a core.Config with the world's full toolbox and
-// global DB wiring. Callers adjust knobs (P, Copies, Serial, ...) before
-// core.New.
+// global DB wiring. Callers adjust knobs (P, Serial, RedundantDelay, ...)
+// before core.New.
 func (w *World) ClientConfig(host *netem.Host, seed int64) core.Config {
 	tc := tor.NewClient(host, w.TorDir, seed+7)
 	gdb := &globaldb.Client{
