@@ -3,7 +3,7 @@
 // seeded randomness only, no real network, no dropped sync errors, no
 // blocking under a mutex, no map-order leaks, no shared-slice appends,
 // no unlocked cond wakeups, no cancellation-deaf retry loops, no leaked
-// trace spans.
+// trace spans, no stores into a slice a connection took by reference.
 //
 // Usage:
 //

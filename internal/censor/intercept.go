@@ -1,7 +1,6 @@
 package censor
 
 import (
-	"bufio"
 	"bytes"
 	"fmt"
 	"io"
@@ -120,8 +119,6 @@ func (c *Censor) handleHTTP(f netem.Flow, s *netem.Session) {
 		client.Close()
 		server.Close()
 	}
-	// Both readers stay local to this handler (unlike handleTLS's, which is
-	// handed to netem.Splice), so they can go back to the pool.
 	cbr := httpx.GetReader(client)
 	defer httpx.PutReader(cbr)
 	sbr := httpx.GetReader(server)
@@ -198,7 +195,8 @@ func (c *Censor) handleHTTP(f netem.Flow, s *netem.Session) {
 func (c *Censor) handleTLS(f netem.Flow, s *netem.Session) {
 	client, server := s.Client(), s.Server()
 	var consumed bytes.Buffer
-	cbr := bufio.NewReader(client)
+	cbr := httpx.GetReader(client)
+	defer httpx.PutReader(cbr) // after the splice below has returned
 	hello, err := tlsx.ReadHello(io.TeeReader(cbr, &consumed))
 	// Not pseudo-TLS (or the client vanished): censors pass traffic they
 	// cannot parse.
@@ -224,7 +222,7 @@ func (c *Censor) handleTLS(f netem.Flow, s *netem.Session) {
 	default:
 		// Forward what was read for the peek, then the rest of the stream.
 		if consumed.Len() > 0 {
-			if _, err := server.Write(consumed.Bytes()); err != nil {
+			if _, err := netem.WriteOwned(server, consumed.Bytes()); err != nil {
 				client.Close()
 				server.Close()
 				return

@@ -209,10 +209,11 @@ func (c *Client) syncRound(ctx context.Context) error {
 
 	// Fetch phase, independently per AS: one provider's failure must not
 	// discard what the others returned.
-	fresh := make(map[string]globaldb.Entry)
+	ases := c.cfg.Host.ASes()
+	lists := make([][]globaldb.Entry, 0, len(ases))
 	failedAS := make(map[int]bool)
-	fetchedOK := 0
-	for _, as := range c.cfg.Host.ASes() {
+	total := 0
+	for _, as := range ases {
 		entries, err := g.FetchBlocked(ctx, as.Number)
 		if err != nil {
 			failedAS[as.Number] = true
@@ -220,7 +221,12 @@ func (c *Client) syncRound(ctx context.Context) error {
 			c.bump("sync-fetch-failures")
 			continue
 		}
-		fetchedOK++
+		lists = append(lists, entries)
+		total += len(entries)
+	}
+	// Sized for every fetched entry, so filling the map never regrows it.
+	fresh := make(map[string]globaldb.Entry, total)
+	for _, entries := range lists {
 		for _, e := range entries {
 			if !c.cfg.Trust.Trusted(e) {
 				continue
@@ -247,7 +253,7 @@ func (c *Client) syncRound(ctx context.Context) error {
 				fresh[url] = e
 			}
 		}
-		if fetchedOK > 0 {
+		if len(lists) > 0 {
 			c.counters["sync-partial"]++
 		}
 	}

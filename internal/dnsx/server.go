@@ -172,7 +172,7 @@ func WriteMessage(w io.Writer, m *Message) error {
 	frame := make([]byte, 2+len(b))
 	binary.BigEndian.PutUint16(frame, uint16(len(b)))
 	copy(frame[2:], b)
-	_, err = w.Write(frame)
+	_, err = netem.WriteOwned(w, frame)
 	return err
 }
 

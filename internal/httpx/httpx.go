@@ -18,6 +18,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"csaw/internal/netem"
 )
 
 // Header holds HTTP headers with case-insensitive keys (stored canonically).
@@ -178,9 +180,10 @@ const (
 )
 
 // WriteRequest serializes a request. The Host header is emitted from
-// r.Host; Content-Length is set from the body.
+// r.Host; Content-Length is set from the body. When w offers WriteOwned
+// (a *netem.Conn) the body is handed over by reference, not copied: r.Body
+// must not be modified from then on.
 func WriteRequest(w io.Writer, r *Request) error {
-	var b strings.Builder
 	target := r.Target
 	if target == "" {
 		target = "/"
@@ -189,24 +192,15 @@ func WriteRequest(w io.Writer, r *Request) error {
 	if proto == "" {
 		proto = "HTTP/1.1"
 	}
-	fmt.Fprintf(&b, "%s %s %s\r\n", r.Method, target, proto)
-	fmt.Fprintf(&b, "Host: %s\r\n", r.Host)
-	writeHeaders(&b, r.Header, len(r.Body), r.Method != "GET" && r.Method != "HEAD" || len(r.Body) > 0)
-	b.WriteString("\r\n")
-	if _, err := io.WriteString(w, b.String()); err != nil {
-		return err
-	}
-	if len(r.Body) > 0 {
-		if _, err := w.Write(r.Body); err != nil {
-			return err
-		}
-	}
-	return nil
+	head := fmt.Appendf(make([]byte, 0, headBytes), "%s %s %s\r\nHost: %s\r\n", r.Method, target, proto, r.Host)
+	head = appendHeaders(head, r.Header, len(r.Body), r.Method != "GET" && r.Method != "HEAD" || len(r.Body) > 0)
+	return writeMessage(w, head, r.Body)
 }
 
-// WriteResponse serializes a response, always emitting Content-Length.
+// WriteResponse serializes a response, always emitting Content-Length. The
+// body is handed over like WriteRequest's: r.Body must not be modified
+// after a write to a *netem.Conn.
 func WriteResponse(w io.Writer, r *Response) error {
-	var b strings.Builder
 	proto := r.Proto
 	if proto == "" {
 		proto = "HTTP/1.1"
@@ -215,21 +209,16 @@ func WriteResponse(w io.Writer, r *Response) error {
 	if status == "" {
 		status = StatusText(r.StatusCode)
 	}
-	fmt.Fprintf(&b, "%s %d %s\r\n", proto, r.StatusCode, status)
-	writeHeaders(&b, r.Header, len(r.Body), true)
-	b.WriteString("\r\n")
-	if _, err := io.WriteString(w, b.String()); err != nil {
-		return err
-	}
-	if len(r.Body) > 0 {
-		if _, err := w.Write(r.Body); err != nil {
-			return err
-		}
-	}
-	return nil
+	head := fmt.Appendf(make([]byte, 0, headBytes), "%s %d %s\r\n", proto, r.StatusCode, status)
+	head = appendHeaders(head, r.Header, len(r.Body), true)
+	return writeMessage(w, head, r.Body)
 }
 
-func writeHeaders(b *strings.Builder, h Header, bodyLen int, forceLen bool) {
+// headBytes is room for the start line and headers of the messages the
+// simulation sends, so a head is built in one allocation.
+const headBytes = 128
+
+func appendHeaders(b []byte, h Header, bodyLen int, forceLen bool) []byte {
 	keys := make([]string, 0, len(h))
 	for k := range h {
 		if k == "Host" || k == "Content-Length" {
@@ -240,12 +229,23 @@ func writeHeaders(b *strings.Builder, h Header, bodyLen int, forceLen bool) {
 	sort.Strings(keys)
 	for _, k := range keys {
 		for _, v := range h[k] {
-			fmt.Fprintf(b, "%s: %s\r\n", k, v)
+			b = fmt.Appendf(b, "%s: %s\r\n", k, v)
 		}
 	}
 	if forceLen || bodyLen > 0 {
-		fmt.Fprintf(b, "Content-Length: %d\r\n", bodyLen)
+		b = fmt.Appendf(b, "Content-Length: %d\r\n", bodyLen)
 	}
+	return append(b, "\r\n"...)
+}
+
+// writeMessage sends a serialized head and, when there is one, the body as
+// two writes — two segments on an emulated connection — giving both up.
+func writeMessage(w io.Writer, head, body []byte) error {
+	if _, err := netem.WriteOwned(w, head); err != nil || len(body) == 0 {
+		return err
+	}
+	_, err := netem.WriteOwned(w, body)
+	return err
 }
 
 // ReadRequest parses one request from br.

@@ -23,9 +23,11 @@ func GetReader(r io.Reader) *bufio.Reader {
 	return br
 }
 
-// PutReader returns br to the pool. Release only a reader this goroutine is
-// the sole referent of — never one handed to a splice or copy goroutine —
-// and do not touch it afterwards.
+// PutReader returns br to the pool. Release only a reader nothing else can
+// still read from, and do not touch it afterwards: one handed to
+// netem.Splice or proxynet.Exit is free again once that call has returned
+// (the splice reads it on its caller's goroutine and is done with it by
+// then), never earlier.
 func PutReader(br *bufio.Reader) {
 	br.Reset(nil)
 	readerPool.Put(br)

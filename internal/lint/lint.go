@@ -12,9 +12,10 @@
 //   - condwake: sync.Cond wakeups happen under the guarding mutex
 //   - ctxloop: blocking retry loops honor their context
 //   - spanbalance: trace spans are finished on every return path
+//   - ownedwrite: no store into a slice after WriteOwned took it by reference
 //
-// The last five mechanize the bug classes PR 6 fixed by hand (the
-// mergeEntries aliasing leak, the netem lost wakeup, the fleet driver's
+// maporder through spanbalance mechanize the bug classes PR 6 fixed by
+// hand (the mergeEntries aliasing leak, the netem lost wakeup, the fleet driver's
 // cancellation-deaf retry ladders, and the span-leak audit); see
 // DESIGN.md "Static analysis" for each analyzer's invariant, the
 // documented allowlist, and the suppression directives.
@@ -28,6 +29,7 @@ import (
 	"csaw/internal/lint/lockedblock"
 	"csaw/internal/lint/maporder"
 	"csaw/internal/lint/netreal"
+	"csaw/internal/lint/ownedwrite"
 	"csaw/internal/lint/randdet"
 	"csaw/internal/lint/sliceshare"
 	"csaw/internal/lint/spanbalance"
@@ -47,6 +49,7 @@ func Analyzers() []*analysis.Analyzer {
 		condwake.Analyzer,
 		ctxloop.Analyzer,
 		spanbalance.Analyzer,
+		ownedwrite.Analyzer,
 	}
 }
 

@@ -1,0 +1,92 @@
+// Package a exercises the ownedwrite positive cases and its suppression.
+package a
+
+import "io"
+
+type conn struct{}
+
+func (conn) WriteOwned(b []byte) (int, error) { return len(b), nil }
+func (conn) Write(b []byte) (int, error)      { return len(b), nil }
+
+// WriteOwned is the helper form: the slice is the last argument.
+func WriteOwned(w io.Writer, b []byte) (int, error) { return w.Write(b) }
+
+type sender struct {
+	c   conn
+	buf []byte
+}
+
+// bad: an element store after the hand-off.
+func storeAfter(c conn, b []byte) {
+	c.WriteOwned(b)
+	b[0] = 1 // want "store into b after it was handed to WriteOwned on line 21"
+}
+
+// bad: every spelling of a store.
+func storeSpellings(c conn, b []byte) {
+	c.WriteOwned(b[:4])
+	b[1] += 2         // want "store into b"
+	b[2]++            // want "store into b"
+	b[3], b[4] = 5, 6 // want "store into b" "store into b"
+}
+
+// bad: copy into it, also through a re-slice.
+func copyAfter(c conn, b, src []byte) {
+	c.WriteOwned(b)
+	copy(b, src)     // want "copy into b"
+	copy(b[8:], src) // want "copy into b"
+}
+
+// bad: append writes into spare capacity; truncating first is the classic
+// buffer reuse.
+func appendAfter(c conn, b []byte) []byte {
+	c.WriteOwned(b)
+	b = append(b[:0], 'x') // want "append to b"
+	return append(b, 'y')  // want "append to b"
+}
+
+// bad: reuse as a read buffer.
+func readAfter(c conn, r io.Reader, b []byte) {
+	c.WriteOwned(b)
+	r.Read(b)             // want "read into b"
+	io.ReadFull(r, b[1:]) // want "read into b"
+}
+
+// bad: the helper form hands over its last argument.
+func helperForm(w io.Writer, b []byte) {
+	WriteOwned(w, b)
+	b[0] = 0 // want "store into b"
+}
+
+// bad: a field is one name too.
+func (s *sender) fieldAfter() {
+	s.c.WriteOwned(s.buf)
+	s.buf[0] = 0 // want "store into s.buf"
+}
+
+// bad: the buffer outlives the iteration, so the fill at the top of the
+// loop body overwrites what the previous iteration handed over.
+func loopReuse(c conn, srcs [][]byte) {
+	b := make([]byte, 64)
+	for _, src := range srcs {
+		n := copy(b, src) // want "copy into b"
+		c.WriteOwned(b[:n])
+	}
+}
+
+// bad in the inner loop only: the outer loop makes a fresh buffer.
+func nestedLoops(c conn, srcs [][]byte) {
+	for range srcs {
+		b := make([]byte, 64)
+		for _, src := range srcs {
+			b[0] = src[0] // want "store into b"
+			c.WriteOwned(b)
+		}
+	}
+}
+
+// A deliberate store carries the directive.
+func allowed(c conn, b []byte) {
+	c.WriteOwned(b)
+	b[0] = 1 //lint:allow-ownedwrite the peer of this test conn has already consumed the bytes
+}

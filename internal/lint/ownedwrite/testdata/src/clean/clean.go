@@ -1,0 +1,74 @@
+// Package clean holds the shapes ownedwrite must accept.
+package clean
+
+import "io"
+
+type conn struct{}
+
+func (conn) WriteOwned(b []byte) (int, error) { return len(b), nil }
+func (conn) Write(b []byte) (int, error)      { return len(b), nil }
+
+// Everything before the hand-off is the caller's business.
+func fillThenHandOver(c conn, src []byte) {
+	b := make([]byte, len(src))
+	copy(b, src)
+	b[0] ^= 0xff
+	b = append(b, '\n')
+	c.WriteOwned(b)
+}
+
+// Reading what was handed over stays fine.
+func readAfter(c conn, b []byte) byte {
+	c.WriteOwned(b)
+	sum := b[0]
+	for _, x := range b[1:] {
+		sum += x
+	}
+	return sum
+}
+
+// A fresh buffer under the old name ends the watch.
+func rebind(c conn, n int) {
+	b := make([]byte, n)
+	c.WriteOwned(b)
+	b = make([]byte, n)
+	b[0] = 1
+	c.WriteOwned(b)
+	b = nil
+	b = append(b, 2)
+}
+
+// A buffer made inside the loop is new on every iteration.
+func loopFresh(c conn, srcs [][]byte) {
+	for _, src := range srcs {
+		b := make([]byte, len(src))
+		copy(b, src)
+		c.WriteOwned(b)
+	}
+}
+
+// So is one rebound at the top of the body.
+func loopRebound(c conn, srcs [][]byte) {
+	var b []byte
+	for _, src := range srcs {
+		b = make([]byte, len(src))
+		copy(b, src)
+		c.WriteOwned(b)
+	}
+}
+
+// Write copies: the caller keeps its buffer.
+func plainWrite(c conn, r io.Reader, b []byte) {
+	c.Write(b)
+	r.Read(b)
+	b[0] = 0
+}
+
+// Another variable of the same spelling is another variable.
+func shadow(c conn, b []byte) {
+	c.WriteOwned(b)
+	{
+		b := make([]byte, 4)
+		b[0] = 1
+	}
+}

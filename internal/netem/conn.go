@@ -110,7 +110,12 @@ func (p *pipe) expired(dl time.Time) bool {
 	return !time.Now().Before(dl)
 }
 
-func (p *pipe) write(b []byte) (int, error) {
+// write queues b as one segment. With owned false it copies b first — the
+// net.Conn contract, the caller may reuse its buffer; with owned true the
+// segment aliases b, which nobody may modify from here on (see
+// Conn.WriteOwned). Either way it is one segment: one jitter and loss draw,
+// one serialization slot, len(b) bytes against the cap.
+func (p *pipe) write(b []byte, owned bool) (int, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for {
@@ -147,23 +152,68 @@ func (p *pipe) write(b []byte) (int, error) {
 	due = due.Add(p.clock.Real(xfer))
 	p.lastDue = due
 
-	data := make([]byte, len(b))
-	copy(data, b)
+	data := b
+	if !owned {
+		data = make([]byte, len(b))
+		copy(data, b)
+	}
 	p.segs = append(p.segs, segment{data: data, due: due})
 	p.unread += len(data)
 	p.cond.Broadcast()
 	return len(b), nil
 }
 
+// read copies from the head segment into b: at most one segment per call.
 func (p *pipe) read(b []byte) (int, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	s, err := p.head()
+	if err != nil {
+		return 0, err
+	}
+	n := copy(b, s.data)
+	p.consume(s, n)
+	p.cond.Broadcast() // wake writers blocked on backpressure
+	return n, nil
+}
+
+// take removes up to max bytes of the head segment and returns them by
+// reference: the bytes now belong to the caller, who must not modify them
+// (a segment may alias memory its writer still reads, see Conn.WriteOwned).
+func (p *pipe) take(max int) ([]byte, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	s, err := p.head()
+	if err != nil {
+		return nil, err
+	}
+	chunk := s.data[:min(len(s.data), max)]
+	p.consume(s, len(chunk))
+	p.cond.Broadcast()
+	return chunk, nil
+}
+
+// consume drops the first n bytes of the head segment s, and the segment
+// once it is empty. Caller must hold p.mu.
+func (p *pipe) consume(s *segment, n int) {
+	s.data = s.data[n:]
+	p.unread -= n
+	if len(s.data) == 0 {
+		*s = segment{} // the queue's backing array must not pin the bytes
+		p.segs = p.segs[1:]
+	}
+}
+
+// head blocks until the first queued segment is deliverable and returns
+// it; the error is ErrReset, ErrTimeout (read deadline), or io.EOF once a
+// closed pipe has drained. Caller must hold p.mu.
+func (p *pipe) head() (*segment, error) {
 	for {
 		if p.reset {
-			return 0, ErrReset
+			return nil, ErrReset
 		}
 		if p.expired(p.rdl) {
-			return 0, ErrTimeout
+			return nil, ErrTimeout
 		}
 		if len(p.segs) > 0 {
 			s := &p.segs[0]
@@ -189,17 +239,10 @@ func (p *pipe) read(b []byte) (int, error) {
 				p.waitUntil(until)
 				continue
 			}
-			n := copy(b, s.data)
-			s.data = s.data[n:]
-			p.unread -= n
-			if len(s.data) == 0 {
-				p.segs = p.segs[1:]
-			}
-			p.cond.Broadcast() // wake writers blocked on backpressure
-			return n, nil
+			return s, nil
 		}
 		if p.closed {
-			return 0, io.EOF
+			return nil, io.EOF
 		}
 		if p.rdl.IsZero() || p.clock.EventDriven() {
 			p.cond.Wait()
@@ -322,13 +365,65 @@ func (c *Conn) Read(b []byte) (int, error) {
 	return n, err
 }
 
-// Write implements net.Conn.
-func (c *Conn) Write(b []byte) (int, error) {
-	n, err := c.tx.write(b)
+// Write implements net.Conn: b is copied, the caller may reuse it.
+func (c *Conn) Write(b []byte) (int, error) { return c.write(b, false) }
+
+// WriteOwned is Write without the copy: the connection keeps b itself, and
+// WriteTo may pass it on to further connections, so from this call on
+// nobody — caller or anyone else holding b — may modify its bytes (reading
+// them stays fine: an origin sends the same rendered page to every client).
+// It is the only way a connection comes to alias caller memory; the
+// ownedwrite analyzer flags writes to b after the call.
+func (c *Conn) WriteOwned(b []byte) (int, error) { return c.write(b, true) }
+
+// WriteOwned writes b to w and gives it up: a w with a WriteOwned method
+// keeps b under that method's contract, any other w gets a plain Write.
+func WriteOwned(w io.Writer, b []byte) (int, error) {
+	if ow, ok := w.(interface{ WriteOwned([]byte) (int, error) }); ok {
+		return ow.WriteOwned(b)
+	}
+	return w.Write(b)
+}
+
+func (c *Conn) write(b []byte, owned bool) (int, error) {
+	n, err := c.tx.write(b, owned)
 	if err != nil {
 		err = &OpError{Op: "write", Addr: c.remote.String(), Err: err}
 	}
 	return n, err
+}
+
+// copyChunk is io.Copy's buffer size. WriteTo cuts segments at it so a
+// splice makes the destination writes — hence jitter and loss draws and
+// serialization slots — that io.Copy's read-then-write loop made.
+const copyChunk = 32 << 10
+
+// WriteTo implements io.WriterTo, which io.Copy and bufio.Reader.WriteTo
+// prefer: it moves received segments to w until EOF (a nil error) with no
+// staging buffer, and when w is a *Conn (or forwards WriteOwned to one)
+// with no copy either — the segment's bytes change pipes by reference.
+func (c *Conn) WriteTo(w io.Writer) (int64, error) {
+	var written int64
+	for {
+		chunk, err := c.rx.take(copyChunk)
+		if err == io.EOF {
+			return written, nil
+		}
+		if err != nil {
+			return written, &OpError{Op: "read", Addr: c.remote.String(), Err: err}
+		}
+		if len(chunk) == 0 {
+			continue
+		}
+		n, err := WriteOwned(w, chunk)
+		written += int64(n)
+		if err != nil {
+			return written, err
+		}
+		if n != len(chunk) {
+			return written, io.ErrShortWrite
+		}
+	}
 }
 
 // Close implements net.Conn: the peer sees EOF after draining queued data.

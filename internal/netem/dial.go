@@ -274,6 +274,9 @@ type slotConn struct {
 	slots chan struct{}
 }
 
+// WriteOwned hands b to the budgeted conn (see WriteOwned).
+func (s *slotConn) WriteOwned(b []byte) (int, error) { return WriteOwned(s.Conn, b) }
+
 func (s *slotConn) Close() error {
 	err := s.Conn.Close()
 	s.once.Do(func() { <-s.slots })

@@ -23,6 +23,7 @@ import (
 	"strings"
 	"time"
 
+	"csaw/internal/httpx"
 	"csaw/internal/netem"
 	"csaw/internal/trace"
 	"csaw/internal/vtime"
@@ -94,7 +95,8 @@ func (s *Server) acceptLoop() {
 }
 
 func (s *Server) handle(conn net.Conn) {
-	br := bufio.NewReader(conn)
+	br := httpx.GetReader(conn)
+	defer httpx.PutReader(br) // after Exit, and with it the splice, has returned
 	line, err := br.ReadString('\n')
 	if err != nil {
 		conn.Close()
@@ -135,7 +137,7 @@ func Exit(ctx context.Context, host *netem.Host, lookup Lookup, target string, c
 	if err != nil {
 		return fmt.Errorf("dial: %v", err)
 	}
-	if _, err := io.WriteString(client, ack); err != nil {
+	if _, err := netem.WriteOwned(client, []byte(ack)); err != nil {
 		upstream.Close()
 		return err
 	}
@@ -163,14 +165,16 @@ func Via(base netem.DialFunc, clock *vtime.Clock, proxyAddr string) netem.DialFu
 			conn.Close()
 			return nil, err
 		}
-		br := bufio.NewReader(conn)
+		br := httpx.GetReader(conn)
 		line, err := br.ReadString('\n')
 		if err != nil {
+			httpx.PutReader(br)
 			conn.Close()
 			return nil, fmt.Errorf("proxynet: tunnel to %s: %w", address, err)
 		}
 		line = strings.TrimSpace(line)
 		if line != "OK" {
+			httpx.PutReader(br)
 			conn.Close()
 			lane.Event("relay", "tunnel-refused", address)
 			return nil, fmt.Errorf("proxynet: tunnel to %s refused: %s", address, line)
@@ -181,10 +185,24 @@ func Via(base netem.DialFunc, clock *vtime.Clock, proxyAddr string) netem.DialFu
 	}
 }
 
-// tunnelConn reads through the handshake bufio.Reader so no bytes are lost.
+// tunnelConn first reads out whatever the handshake bufio.Reader buffered
+// past the reply line, so no bytes are lost, then gives the reader back and
+// reads the conn itself.
 type tunnelConn struct {
 	net.Conn
-	br *bufio.Reader
+	br *bufio.Reader // nil once drained
 }
 
-func (c *tunnelConn) Read(b []byte) (int, error) { return c.br.Read(b) }
+func (c *tunnelConn) Read(b []byte) (int, error) {
+	if c.br != nil {
+		if c.br.Buffered() > 0 {
+			return c.br.Read(b) // serves buffered bytes only, reads nothing new
+		}
+		httpx.PutReader(c.br)
+		c.br = nil
+	}
+	return c.Conn.Read(b)
+}
+
+// WriteOwned hands b to the tunnelled conn (see netem.WriteOwned).
+func (c *tunnelConn) WriteOwned(b []byte) (int, error) { return netem.WriteOwned(c.Conn, b) }

@@ -28,6 +28,8 @@ import (
 	"net"
 	"strings"
 	"sync"
+
+	"csaw/internal/netem"
 )
 
 // Port is the conventional HTTPS port in the emulated world.
@@ -133,17 +135,33 @@ func newKeystream(clientRand, serverRand [8]byte, direction string) *keystream {
 	return &keystream{state: s, pos: 8}
 }
 
+// step advances the xorshift state by one 8-byte keystream word.
+func step(s uint64) uint64 {
+	s ^= s << 13
+	s ^= s >> 7
+	s ^= s << 17
+	return s
+}
+
+// xor applies the keystream to b: byte-wise through a word a previous call
+// left partly used, then a whole word per step, then byte-wise into the
+// word the next call continues from.
 func (k *keystream) xor(b []byte) {
-	for i := range b {
-		if k.pos == 8 {
-			k.state ^= k.state << 13
-			k.state ^= k.state >> 7
-			k.state ^= k.state << 17
-			binary.BigEndian.PutUint64(k.buf[:], k.state)
-			k.pos = 0
-		}
-		b[i] ^= k.buf[k.pos]
+	for ; len(b) > 0 && k.pos < 8; b = b[1:] {
+		b[0] ^= k.buf[k.pos]
 		k.pos++
+	}
+	for ; len(b) >= 8; b = b[8:] {
+		k.state = step(k.state)
+		binary.BigEndian.PutUint64(b, binary.BigEndian.Uint64(b)^k.state)
+	}
+	if len(b) > 0 {
+		k.state = step(k.state)
+		binary.BigEndian.PutUint64(k.buf[:], k.state)
+		for i := range b {
+			b[i] ^= k.buf[i]
+		}
+		k.pos = len(b)
 	}
 }
 
@@ -173,13 +191,14 @@ func (c *Conn) Read(b []byte) (int, error) {
 	return n, err
 }
 
-// Write encrypts to the underlying connection.
+// Write encrypts to the underlying connection, which gets to keep the
+// ciphertext buffer: nothing here touches it again.
 func (c *Conn) Write(b []byte) (int, error) {
 	enc := make([]byte, len(b))
 	copy(enc, b)
 	c.wmu.Lock()
 	c.wks.xor(enc)
-	n, err := c.Conn.Write(enc)
+	n, err := netem.WriteOwned(c.Conn, enc)
 	if n < len(b) && err == nil {
 		err = io.ErrShortWrite
 	}
@@ -208,7 +227,7 @@ func Client(conn net.Conn, sni, expectCert string) (*Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := conn.Write(hello); err != nil {
+	if _, err := netem.WriteOwned(conn, hello); err != nil {
 		return nil, err
 	}
 	sh, err := ReadHello(conn)
@@ -265,7 +284,7 @@ func Server(conn net.Conn, certs CertFunc) (*Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := conn.Write(hello); err != nil {
+	if _, err := netem.WriteOwned(conn, hello); err != nil {
 		return nil, err
 	}
 	return &Conn{

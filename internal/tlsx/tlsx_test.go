@@ -2,6 +2,9 @@ package tlsx
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"io"
 	"net"
 	"strings"
@@ -213,5 +216,78 @@ func TestKeystreamDirectionsDiffer(t *testing.T) {
 	newKeystream(cr, sr, "s2c").xor(b)
 	if bytes.Equal(a, b) {
 		t.Fatal("directional keystreams identical")
+	}
+}
+
+// TestKeystreamVectors pins the ciphertext to vectors taken from the
+// byte-at-a-time keystream this one replaced: whatever lengths and
+// offsets xor is called with, the stream must not move by a bit.
+func TestKeystreamVectors(t *testing.T) {
+	const (
+		total  = 4<<10 + 3
+		first  = "64ae7f34e776dbd3fe5b6b41b449e71f99" // ciphertext bytes 0..16
+		sumAll = "95e626d50ab4de2a5156d7b3bf16faa5d5f25b378e8c37c64d499f7011477261"
+	)
+	plain := make([]byte, total)
+	for i := range plain {
+		plain[i] = byte(i*31 + 7)
+	}
+	fresh := func() *keystream { return newKeystream(randomFrom("client"), randomFrom("server"), "c2s") }
+	for _, n := range []int{0, 1, 7, 8, 9, 15, 16, 17} {
+		buf := append([]byte(nil), plain[:n]...)
+		fresh().xor(buf)
+		if got := hex.EncodeToString(buf); got != first[:2*n] {
+			t.Errorf("xor of %d bytes = %s, want %s", n, got, first[:2*n])
+		}
+	}
+	// The whole stream, cut into calls at word-aligned and odd offsets.
+	for _, cuts := range [][]int{{}, {0}, {1}, {7}, {8}, {9}, {3, 4099 - 8}, {1, 8, 16, 23, 4098}, {5, 5, 6, 2048}} {
+		buf := append([]byte(nil), plain...)
+		ks, prev := fresh(), 0
+		for _, c := range append(cuts, total) {
+			ks.xor(buf[prev:c])
+			prev = c
+		}
+		if got := hex.EncodeToString(buf[:17]); got != first {
+			t.Errorf("cuts %v: first bytes %s, want %s", cuts, got, first)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(buf)); got != sumAll {
+			t.Errorf("cuts %v: sha256 %s, want %s", cuts, got, sumAll)
+		}
+	}
+}
+
+// TestWriteVectors pins the bytes two Writes put on the wire (the second
+// starting mid-word), again against the replaced implementation.
+func TestWriteVectors(t *testing.T) {
+	const wireSum = "a1fc12560c307e2b98e830bb8441ab7ae013cb4a69e0e0f673f7cccdd8c9aa5f"
+	cc, sc, cerr, serr := handshakePair(t, "www.example.com", "", CertFor("www.example.com"))
+	if cerr != nil || serr != nil {
+		t.Fatalf("handshake: client %v, server %v", cerr, serr)
+	}
+	plain := make([]byte, 4<<10+3)
+	for i := range plain {
+		plain[i] = byte(i*31 + 7)
+	}
+	werr := make(chan error, 1)
+	go func() {
+		_, err := cc.Write(plain[:5])
+		if err == nil {
+			_, err = cc.Write(plain[5:])
+		}
+		werr <- err
+	}()
+	raw := make([]byte, len(plain))
+	if _, err := io.ReadFull(sc.Conn, raw); err != nil { // below the server's decryption
+		t.Fatal(err)
+	}
+	if err := <-werr; err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(raw)); got != wireSum {
+		t.Errorf("wire sha256 %s, want %s", got, wireSum)
+	}
+	if plain[0] != 7 || plain[5] != byte(5*31+7) {
+		t.Error("Write modified the caller's buffer")
 	}
 }

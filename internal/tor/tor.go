@@ -22,7 +22,6 @@
 package tor
 
 import (
-	"bufio"
 	"context"
 	"fmt"
 	"io"
@@ -32,6 +31,7 @@ import (
 	"sync"
 	"time"
 
+	"csaw/internal/httpx"
 	"csaw/internal/netem"
 	"csaw/internal/proxynet"
 	"csaw/internal/vtime"
@@ -129,7 +129,8 @@ func (d *Directory) relayLoop(r *Relay, l *netem.Listener) {
 }
 
 func (d *Directory) handleHop(r *Relay, conn net.Conn) {
-	br := bufio.NewReader(conn)
+	br := httpx.GetReader(conn)
+	defer httpx.PutReader(br) // after Exit, and with it the splice, has returned
 	_ = conn.SetReadDeadline(d.clock.Now().Add(30 * time.Second))
 	line, err := br.ReadString('\n')
 	if err != nil {
@@ -295,11 +296,8 @@ func (c *Client) DialVia(ctx context.Context, circ *Circuit, address string) (ne
 	if err != nil {
 		return nil, fmt.Errorf("tor: guard %s: %w", circ.Guard.Host.Name(), err)
 	}
-	var route strings.Builder
-	fmt.Fprintf(&route, "EXTEND %s\n", circ.Middle.Addr())
-	fmt.Fprintf(&route, "EXTEND %s\n", circ.Exit.Addr())
-	fmt.Fprintf(&route, "EXIT %s\n", address)
-	if _, err := io.WriteString(conn, route.String()); err != nil {
+	route := fmt.Appendf(nil, "EXTEND %s\nEXTEND %s\nEXIT %s\n", circ.Middle.Addr(), circ.Exit.Addr(), address)
+	if _, err := netem.WriteOwned(conn, route); err != nil {
 		conn.Close()
 		return nil, err
 	}

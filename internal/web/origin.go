@@ -2,7 +2,6 @@ package web
 
 import (
 	"context"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -49,16 +48,12 @@ func (o *Origin) AddSite(s *Site) {
 	o.sites[s.Host] = s
 }
 
-// Hosts returns the names this origin answers for.
-func (o *Origin) Hosts() []string {
+// Serves reports whether the origin hosts a site under exactly this
+// (lower-case) name.
+func (o *Origin) Serves(host string) bool {
 	o.mu.RLock()
 	defer o.mu.RUnlock()
-	hosts := make([]string, 0, len(o.sites))
-	for h := range o.sites {
-		hosts = append(hosts, h)
-	}
-	sort.Strings(hosts)
-	return hosts
+	return o.sites[host] != nil
 }
 
 // site returns the hosted site for a (possibly port-suffixed) Host header.
@@ -91,17 +86,17 @@ func (o *Origin) serve(req *httpx.Request, _ netem.Flow) *httpx.Response {
 	if i := strings.IndexByte(path, '?'); i >= 0 {
 		path = path[:i]
 	}
-	if p := s.Page(path); p != nil {
-		resp := httpx.NewResponse(200, RenderHTML(p))
+	body, html := s.body(path)
+	if body == nil {
+		return httpx.NewResponse(404, []byte("not found: "+req.Host+path))
+	}
+	resp := httpx.NewResponse(200, body)
+	if html {
 		resp.Header.Set("Content-Type", "text/html")
-		return resp
-	}
-	if size := s.objectSize(path); size >= 0 {
-		resp := httpx.NewResponse(200, ObjectBody(size))
+	} else {
 		resp.Header.Set("Content-Type", "application/octet-stream")
-		return resp
 	}
-	return httpx.NewResponse(404, []byte("not found: "+req.Host+path))
+	return resp
 }
 
 // certFunc serves any hosted site name.

@@ -36,6 +36,8 @@ type Page struct {
 	BaseSize int // target size of the HTML document in bytes
 	Objects  []Object
 	External []ObjectRef
+
+	site *Site // the site serving the page; nil for a page built by hand
 }
 
 // TotalSize returns base size plus all object sizes, the "page size" the
@@ -53,14 +55,25 @@ func (p *Page) TotalSize() int {
 
 // Site is a host and its pages.
 type Site struct {
-	Host  string
-	mu    sync.RWMutex
-	pages map[string]*Page
+	Host    string
+	mu      sync.RWMutex
+	pages   map[string]*Page
+	objects map[string]int // size of every same-host object, by path
+	// bodies holds what has been served so far, by path: a page's HTML or
+	// an object's filler is produced on its first request and sent to every
+	// later one, so the bytes are never modified. AddPage and AddExternal
+	// drop the entries they outdate.
+	bodies map[string][]byte
 }
 
 // NewSite returns an empty site for host.
 func NewSite(host string) *Site {
-	return &Site{Host: strings.ToLower(host), pages: make(map[string]*Page)}
+	return &Site{
+		Host:    strings.ToLower(host),
+		pages:   make(map[string]*Page),
+		objects: make(map[string]int),
+		bodies:  make(map[string][]byte),
+	}
 }
 
 // AddPage creates a page at path with the given title and base size, plus
@@ -70,7 +83,7 @@ func (s *Site) AddPage(path, title string, baseSize int, objSizes ...int) *Page 
 	if path == "" {
 		path = "/"
 	}
-	p := &Page{Host: s.Host, Path: path, Title: title, BaseSize: baseSize}
+	p := &Page{Host: s.Host, Path: path, Title: title, BaseSize: baseSize, site: s}
 	slug := strings.Trim(strings.Map(func(r rune) rune {
 		if r >= 'a' && r <= 'z' || r >= '0' && r <= '9' {
 			return r
@@ -84,14 +97,53 @@ func (s *Site) AddPage(path, title string, baseSize int, objSizes ...int) *Page 
 		p.Objects = append(p.Objects, Object{Path: fmt.Sprintf("/assets/%s-%d.bin", slug, i), Size: size})
 	}
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	if old := s.pages[path]; old != nil {
+		for _, o := range old.Objects {
+			s.dropObject(o.Path)
+		}
+		for _, o := range old.External {
+			if o.Host == s.Host {
+				s.dropObject(o.Path)
+			}
+		}
+	}
 	s.pages[path] = p
-	s.mu.Unlock()
+	delete(s.bodies, path)
+	for _, o := range p.Objects {
+		s.setObject(o.Path, o.Size)
+	}
 	return p
 }
 
-// AddExternal adds an object served from another host to the page.
+// setObject indexes a same-host object. Caller must hold s.mu.
+func (s *Site) setObject(path string, size int) {
+	s.objects[path] = size
+	delete(s.bodies, path)
+}
+
+// dropObject is the inverse of setObject.
+func (s *Site) dropObject(path string) {
+	delete(s.objects, path)
+	delete(s.bodies, path)
+}
+
+// AddExternal adds an object served from another host to the page (or from
+// the page's own host, which then serves it).
 func (p *Page) AddExternal(host, path string, size int) *Page {
-	p.External = append(p.External, ObjectRef{Host: strings.ToLower(host), Path: path, Size: size})
+	ref := ObjectRef{Host: strings.ToLower(host), Path: path, Size: size}
+	s := p.site
+	if s == nil {
+		p.External = append(p.External, ref)
+		return p
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	p.External = append(p.External, ref)
+	delete(s.bodies, p.Path)
+	if ref.Host == s.Host {
+		s.setObject(path, size)
+	}
 	return p
 }
 
@@ -114,28 +166,37 @@ func (s *Site) Paths() []string {
 	return paths
 }
 
-// objectSize returns the size of a same-host object by path, or -1.
-func (s *Site) objectSize(path string) int {
+// body returns what the site serves at path — a page's HTML (html true) or
+// a same-host object's filler — or nil when there is nothing there. The
+// bytes are shared with every other request for path: read-only.
+func (s *Site) body(path string) (b []byte, html bool) {
 	s.mu.RLock()
-	defer s.mu.RUnlock()
-	for _, p := range s.pages {
-		for _, o := range p.Objects {
-			if o.Path == path {
-				return o.Size
-			}
-		}
-		for _, o := range p.External {
-			if o.Host == s.Host && o.Path == path {
-				return o.Size
-			}
-		}
+	b, html = s.bodies[path], s.pages[path] != nil
+	s.mu.RUnlock()
+	if b != nil {
+		return b, html
 	}
-	return -1
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if p := s.pages[path]; p != nil {
+		b, html = RenderHTML(p), true
+	} else if size, ok := s.objects[path]; ok {
+		b, html = ObjectBody(size), false
+	} else {
+		return nil, false
+	}
+	s.bodies[path] = b
+	return b, html
 }
 
 // RenderHTML produces the page's HTML: head with title, img tags for every
-// object (relative for same-host, absolute for external), and deterministic
-// filler to reach BaseSize.
+// object (relative for same-host, absolute for external), and a <p> of
+// deterministic filler. The filler is sized without counting its opening
+// "<p>", so a page is BaseSize+3 bytes long. A BaseSize with no room for
+// the skeleton (head, tags, closing tags) plus four bytes of filler yields
+// the skeleton alone, or the skeleton and an empty <p></p> when one to
+// three bytes of room are left. Body digests and the golden trace depend
+// on these bytes (TestRenderHTMLSizes pins them).
 func RenderHTML(p *Page) []byte {
 	var b strings.Builder
 	fmt.Fprintf(&b, "<!DOCTYPE html>\n<html>\n<head><title>%s</title></head>\n<body>\n<h1>%s</h1>\n", p.Title, p.Title)

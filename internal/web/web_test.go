@@ -1,8 +1,11 @@
 package web
 
 import (
+	"bytes"
 	"context"
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -333,5 +336,144 @@ func TestRoundTripLeavesRequestAlone(t *testing.T) {
 		if len(req.Header) != 1 || req.Header.Get("X-Probe") != "1" {
 			t.Errorf("%s: req.Header = %v after the round trip, want it untouched", tc.tr.Label, req.Header)
 		}
+	}
+}
+
+// TestRenderHTMLSizes pins what BaseSize buys. Body digests and the golden
+// trace depend on these bytes: the comment on RenderHTML may change, the
+// sizes may not.
+func TestRenderHTMLSizes(t *testing.T) {
+	bare := &Page{Title: "T"}
+	skeleton := len(RenderHTML(bare))
+	if skeleton != 87 {
+		t.Fatalf("skeleton of a page titled T with no objects = %d bytes, want 87", skeleton)
+	}
+	cases := []struct {
+		name     string
+		baseSize int
+		want     int
+	}{
+		{"zero: the skeleton alone", 0, skeleton},
+		{"below the skeleton", skeleton - 1, skeleton},
+		{"exactly the skeleton", skeleton, skeleton},
+		{"1 byte of room: an empty <p></p>", skeleton + 1, skeleton + 7},
+		{"3 bytes of room: still an empty <p></p>", skeleton + 3, skeleton + 7},
+		{"4 bytes of room", skeleton + 4, skeleton + 4 + 3},
+		{"one filler chunk", skeleton + 70, skeleton + 70 + 3},
+		{"2 KiB", 2 << 10, 2<<10 + 3},
+		{"20 KiB", 20 << 10, 20<<10 + 3},
+	}
+	for _, tc := range cases {
+		p := &Page{Title: "T", BaseSize: tc.baseSize}
+		if got := len(RenderHTML(p)); got != tc.want {
+			t.Errorf("%s: BaseSize %d renders %d bytes, want %d", tc.name, tc.baseSize, got, tc.want)
+		}
+	}
+	// Tags count toward the size too: they take the filler's room.
+	s := NewSite("x.example")
+	p := s.AddPage("/", "T", 4<<10, 100, 200)
+	p.AddExternal("cdn.example", "/o.js", 300)
+	if got := len(RenderHTML(p)); got != 4<<10+3 {
+		t.Errorf("4 KiB page with three objects renders %d bytes, want %d", got, 4<<10+3)
+	}
+}
+
+// get asks the origin's handler for host+path.
+func get(o *Origin, host, path string) *httpx.Response {
+	return o.serve(httpx.NewRequest("GET", host, path), netem.Flow{})
+}
+
+// TestOriginRendersOnce: what the origin serves is RenderHTML's and
+// ObjectBody's output, produced on the first request, sent again (the same
+// array) to the next, and produced afresh once the page changed.
+func TestOriginRendersOnce(t *testing.T) {
+	_, _, o := webWorld(t)
+	yt := o.site("www.youtube.com")
+	p := yt.Page("/")
+
+	first := get(o, "www.youtube.com", "/")
+	if first.StatusCode != 200 || first.Header.Get("Content-Type") != "text/html" || !bytes.Equal(first.Body, RenderHTML(p)) {
+		t.Fatalf("page: status %d, type %q, %d bytes; want RenderHTML's %d", first.StatusCode, first.Header.Get("Content-Type"), len(first.Body), len(RenderHTML(p)))
+	}
+	if again := get(o, "www.youtube.com", "/"); &again.Body[0] != &first.Body[0] {
+		t.Error("second request rendered the page again")
+	}
+	obj := get(o, "www.youtube.com", p.Objects[1].Path)
+	if obj.Header.Get("Content-Type") != "application/octet-stream" || !bytes.Equal(obj.Body, ObjectBody(p.Objects[1].Size)) {
+		t.Fatalf("object: type %q, %d bytes; want ObjectBody(%d)", obj.Header.Get("Content-Type"), len(obj.Body), p.Objects[1].Size)
+	}
+	if again := get(o, "www.youtube.com", p.Objects[1].Path); &again.Body[0] != &obj.Body[0] {
+		t.Error("second request built the object again")
+	}
+
+	// An external reference changes the HTML; one on the page's own host is
+	// also served from now on.
+	if r := get(o, "www.youtube.com", "/self.js"); r.StatusCode != 404 {
+		t.Fatalf("unknown object: status %d, want 404", r.StatusCode)
+	}
+	p.AddExternal("cdn.example.net", "/lib.js", 500).AddExternal("WWW.YouTube.com", "/self.js", 77)
+	after := get(o, "www.youtube.com", "/")
+	if bytes.Equal(after.Body, first.Body) || !bytes.Equal(after.Body, RenderHTML(p)) {
+		t.Fatal("page served after AddExternal is not RenderHTML of the changed page")
+	}
+	if len(ExtractLinks(after.Body)) != len(ExtractLinks(first.Body))+2 {
+		t.Error("changed page lacks the two new references")
+	}
+	if r := get(o, "www.youtube.com", "/self.js"); !bytes.Equal(r.Body, ObjectBody(77)) {
+		t.Fatalf("own-host external object: status %d, %d bytes; want ObjectBody(77)", r.StatusCode, len(r.Body))
+	}
+
+	// Replacing the page replaces its objects.
+	gone := p.Objects[2].Path // the new page has one object, at the old first one's path
+	np := yt.AddPage("/", "YouTube 2", 1024, 55)
+	if r := get(o, "www.youtube.com", "/"); !bytes.Equal(r.Body, RenderHTML(np)) {
+		t.Fatal("replaced page still serves the old HTML")
+	}
+	if r := get(o, "www.youtube.com", np.Objects[0].Path); !bytes.Equal(r.Body, ObjectBody(55)) {
+		t.Fatalf("replaced page's object: status %d, %d bytes; want ObjectBody(55)", r.StatusCode, len(r.Body))
+	}
+	for _, path := range []string{gone, "/self.js"} {
+		if r := get(o, "www.youtube.com", path); r.StatusCode != 404 {
+			t.Errorf("%s of the replaced page: status %d, want 404", path, r.StatusCode)
+		}
+	}
+}
+
+// TestConcurrentRequestsAndAddExternal (for -race): requests racing a page
+// that keeps growing always get a whole rendering of some state of it.
+func TestConcurrentRequestsAndAddExternal(t *testing.T) {
+	_, _, o := webWorld(t)
+	p := o.site("small.example.com").Page("/")
+	const adds = 50
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			seen := 0
+			for seen < adds {
+				body := get(o, "small.example.com", "/").Body
+				if !bytes.HasSuffix(body, []byte("</body>\n</html>\n")) {
+					t.Error("torn page")
+					return
+				}
+				n := len(ExtractLinks(body))
+				if n < seen {
+					t.Errorf("page went back from %d to %d references", seen, n)
+					return
+				}
+				seen = n
+			}
+		}()
+	}
+	for i := 0; i < adds; i++ {
+		p.AddExternal("small.example.com", fmt.Sprintf("/x%d.bin", i), i)
+		if r := get(o, "small.example.com", fmt.Sprintf("/x%d.bin", i)); len(r.Body) != i {
+			t.Errorf("object %d: %d bytes", i, len(r.Body))
+		}
+	}
+	wg.Wait()
+	if body := get(o, "small.example.com", "/").Body; !bytes.Equal(body, RenderHTML(p)) {
+		t.Error("final page is not RenderHTML of the final state")
 	}
 }

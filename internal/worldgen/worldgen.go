@@ -430,14 +430,7 @@ func (w *World) NewClientHost(name string, isps ...*ISP) *netem.Host {
 }
 
 // Frontable reports whether the CDN front serves a host.
-func (w *World) Frontable(host string) bool {
-	for _, h := range w.Front.Hosts() {
-		if h == host {
-			return true
-		}
-	}
-	return false
-}
+func (w *World) Frontable(host string) bool { return w.Front.Serves(host) }
 
 // Approaches assembles the full circumvention toolbox for a client host:
 // all four local fixes plus Tor, Lantern, and one static proxy.
