@@ -8,8 +8,9 @@
 #   make bench       — run the committed benchmark suite (BENCHMARK.json:
 #                      four workloads, 3 timed + 1 traced run each) and
 #                      write benchmark/out/results.json
-#   make loc         — non-test Go lines per package, largest first (CI
-#                      prints it: a PR's net line count is a diff of two)
+#   make loc         — non-test Go lines per package, largest first
+#   make loc-diff    — the same at HEAD minus at HEAD~1: a PR's net line
+#                      count per package (CI prints both)
 #   make chaos       — deterministic chaos sweep under -race: the fixed
 #                      primary-loss schedule plus 20 generated fault
 #                      schedules against the replicated global DB; every
@@ -26,7 +27,7 @@
 
 GO ?= go
 
-.PHONY: all build test tier1 vet lint race check bench loc chaos soak-churn golden fuzz cover
+.PHONY: all build test tier1 vet lint race check bench loc loc-diff chaos soak-churn golden fuzz cover
 
 all: tier1
 
@@ -53,13 +54,22 @@ bench:
 	$(GO) run ./benchmark -seed 1
 
 # Non-test Go lines per package directory (no _test.go, no testdata/),
-# largest first, one line each. CI prints it; diffing two runs is a PR's
-# net line count per package.
+# largest first, one line each; CI prints it. Both recipes read
+# "[rev:]path:lines" rows from `git grep -c ''` and share the fold below.
+loc_src = grep -v -e '_test\.go:' -e '/testdata/'
+loc_fold = { d = $$(NF-1); if (!sub(/\/[^\/]*$$/, "", d)) d = "."; n[d] += $$NF; t += $$NF }
+
 loc:
-	@git ls-files -co --exclude-standard '*.go' | grep -v -e '_test\.go$$' -e '/testdata/' | \
-		while read -r f; do [ -f "$$f" ] && printf '%s %s\n' "$$(wc -l < "$$f")" "$$(dirname "$$f")"; done | \
-		awk '{ n[$$2] += $$1; t += $$1 } END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' | \
+	@git grep --untracked -c '' -- '*.go' | $(loc_src) | \
+		awk -F: '$(loc_fold) END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' | \
 		sort -k1,1nr -k2
+
+# A PR's net line count: loc at HEAD minus loc at HEAD~1, packages that
+# changed only, most-shrunk first, total last.
+loc-diff:
+	@{ git grep -c '' HEAD -- '*.go'; git grep -c '' HEAD~1 -- '*.go' | sed 's/:\([0-9]*\)$$/:-\1/'; } | $(loc_src) | \
+		awk -F: '$(loc_fold) END { s = "sort -k1,1g -k2"; for (d in n) if (n[d]) printf "%+7d %s\n", n[d], d | s; close(s); printf "%+7d total\n", t }'
+
 # Chaos sweep for the replicated global DB: the fixed primary-loss schedule
 # and the 20-seed randomized sweep (kills, partitions, flaps, torn writes,
 # WAL bit-flips), under the race detector. CHAOS.json records every seed's

@@ -137,9 +137,8 @@ type Config struct {
 	// FetchURL: per-lane protocol events and the PLT phase breakdown.
 	Trace *trace.Tracer
 
-	Pref  Preference
-	Trust globaldb.TrustFilter
-	Seed  int64
+	Pref Preference
+	Seed int64
 }
 
 func (c *Config) p() float64 {
@@ -153,6 +152,7 @@ func (c *Config) p() float64 {
 type Client struct {
 	cfg   Config
 	clock *vtime.Clock
+	asns  []int // the host's providers' AS numbers, primary first
 	db    *localdb.DB
 	det   *detect.Detector
 	ldns  *dnsx.Client
@@ -163,15 +163,14 @@ type Client struct {
 
 	sem chan struct{} // client connection-load budget
 
-	mu          sync.Mutex
-	rng         *rand.Rand
-	globalCache map[string]globaldb.Entry
-	ewma        map[string]*metrics.EWMA
-	access      map[string]int
-	seenASNs    map[int]bool
-	multihomed  bool
-	counters    map[string]int
-	quar        map[string]*quarState // approach quarantine (see quarantine.go)
+	mu         sync.Mutex
+	rng        *rand.Rand
+	ewma       map[string]*metrics.EWMA
+	access     map[string]int
+	seenASNs   map[int]bool
+	multihomed bool
+	counters   map[string]int
+	quar       map[string]*quarState // approach quarantine (see quarantine.go)
 
 	// Sync circuit-breaker state (guarded by mu).
 	syncFails     int // consecutive failed rounds
@@ -203,20 +202,22 @@ func New(cfg Config) (*Client, error) {
 	gdns := &dnsx.Client{Dial: cfg.Host.Dial, Clock: cfg.Clock, Servers: cfg.GDNS,
 		AttemptTimeout: cfg.DNSAttemptTimeout}
 	c := &Client{
-		cfg:         cfg,
-		clock:       cfg.Clock,
-		tracer:      cfg.Trace,
-		db:          localdb.New(cfg.Clock, cfg.TTL, !cfg.NoAggregate),
-		ldns:        ldns,
-		gdns:        gdns,
-		sem:         make(chan struct{}, maxConns),
-		rng:         rand.New(rand.NewSource(cfg.Seed + 1)),
-		globalCache: make(map[string]globaldb.Entry),
-		ewma:        make(map[string]*metrics.EWMA),
-		access:      make(map[string]int),
-		seenASNs:    make(map[int]bool),
-		counters:    make(map[string]int),
-		stop:        make(chan struct{}),
+		cfg:      cfg,
+		clock:    cfg.Clock,
+		tracer:   cfg.Trace,
+		db:       localdb.New(cfg.Clock, cfg.TTL, !cfg.NoAggregate),
+		ldns:     ldns,
+		gdns:     gdns,
+		sem:      make(chan struct{}, maxConns),
+		rng:      rand.New(rand.NewSource(cfg.Seed + 1)),
+		ewma:     make(map[string]*metrics.EWMA),
+		access:   make(map[string]int),
+		seenASNs: make(map[int]bool),
+		counters: make(map[string]int),
+		stop:     make(chan struct{}),
+	}
+	for _, as := range cfg.Host.ASes() {
+		c.asns = append(c.asns, as.Number)
 	}
 	c.det = &detect.Detector{
 		Clock:          cfg.Clock,
@@ -246,7 +247,7 @@ func (c *Client) Clock() *vtime.Clock { return c.clock }
 func (c *Client) Detector() *detect.Detector { return c.det }
 
 // ASN returns the client's (primary) AS number.
-func (c *Client) ASN() int { return c.cfg.Host.ASes()[0].Number }
+func (c *Client) ASN() int { return c.asns[0] }
 
 // Counter returns a named event count ("served-direct", "served-circum",
 // "phase2-confirm", "phase2-overturn", "refresh", ...).

@@ -14,8 +14,8 @@ import (
 )
 
 // TestConcurrentClientUse hammers one client's fetch, sync, and stats paths
-// from many goroutines, specifically racing globalCache replacement
-// (SyncNow) against lookups (FetchURL) and length/stat reads. It exists to
+// from many goroutines, specifically racing the global-DB client's list swap
+// (SyncNow) against Lookup (FetchURL) and length/stat reads. It exists to
 // run under -race; the assertions are secondary.
 func TestConcurrentClientUse(t *testing.T) {
 	w, c, gdb, _ := newSyncWorld(t, func(cfg *core.Config) {
@@ -29,7 +29,7 @@ func TestConcurrentClientUse(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Enough pending reports and server-side entries that every sync round
-	// does real cache-replacement work.
+	// swaps in a new list.
 	for i := 0; i < 8; i++ {
 		c.DB().Put(fmt.Sprintf("pre-%d.example/", i), 17557, localdb.Blocked,
 			[]localdb.Stage{{Type: localdb.BlockDNS}})

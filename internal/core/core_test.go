@@ -380,7 +380,6 @@ func TestFalseGlobalReportCorrectedWithP1(t *testing.T) {
 	host := w.NewClientHost("victim", w.ISPs["ISP-A"])
 	cfg := w.ClientConfig(host, 13)
 	cfg.P, cfg.PSet = 1.0, true
-	cfg.Trust.MinAvgVote = 0.001 // accept even the attacker's diluted votes
 	client, err := core.New(cfg)
 	if err != nil {
 		t.Fatal(err)

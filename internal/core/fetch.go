@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -104,16 +105,56 @@ func (c *Client) FetchURL(ctx context.Context, url string) (res *Result) {
 	}
 }
 
-// globalLookup consults the local copy of the global_DB (exact URL, then
-// the host's base URL).
+// globalLookup consults the crowd's list for each of the host's ASes (exact
+// URL, then the host's base URL), keeping only entries the §5 trust rule
+// accepts. A URL more than one provider lists comes back as one entry with
+// the union of their stages and the sum of their votes (§4.4).
 func (c *Client) globalLookup(url string) (globaldb.Entry, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.globalCache[url]; ok {
-		return e, true
+	g := c.cfg.GlobalDB
+	if g == nil {
+		return globaldb.Entry{}, false
 	}
-	e, ok := c.globalCache[localdb.BaseURL(url)]
-	return e, ok
+	keys := []string{url, localdb.BaseURL(url)}
+	if keys[1] == url {
+		keys = keys[:1]
+	}
+	for _, key := range keys {
+		var found globaldb.Entry
+		listed := false
+		for _, asn := range c.asns {
+			e, ok := g.Lookup(asn, key)
+			if !ok || !(globaldb.TrustFilter{}).Trusted(e) {
+				continue
+			}
+			if listed {
+				found = mergeEntries(found, e)
+			} else {
+				found, listed = e, true
+			}
+		}
+		if listed {
+			return found, true
+		}
+	}
+	return globaldb.Entry{}, false
+}
+
+// mergeEntries unions two providers' entries for one URL. The stage slices
+// belong to the globaldb client's lists, so the merge must never append in
+// place: the full slice expression pins capacity to force copy-on-append.
+func mergeEntries(a, b globaldb.Entry) globaldb.Entry {
+	merged := a
+	merged.Stages = a.Stages[:len(a.Stages):len(a.Stages)]
+	for _, s := range b.Stages {
+		if !slices.ContainsFunc(merged.Stages, func(m globaldb.WireStage) bool { return m.Type == s.Type }) {
+			merged.Stages = append(merged.Stages, s)
+		}
+	}
+	merged.Votes += b.Votes
+	if b.Reporters > merged.Reporters {
+		merged.Reporters = b.Reporters
+	}
+	return merged
 }
 
 // mergedStages unions locally known stages with globally reported ones.

@@ -11,7 +11,6 @@ import (
 
 	"csaw/internal/globaldb"
 	"csaw/internal/httpx"
-	"csaw/internal/localdb"
 )
 
 // Start registers with the global DB (solving the CAPTCHA), performs an
@@ -107,8 +106,8 @@ func (c *Client) syncWithRetry(timeout time.Duration) {
 // (over the report path — Tor in a full deployment) and refresh the local
 // copy of the global blocked list for every AS the client uses. Failures
 // are partial, not total: an acknowledged report batch stays acknowledged
-// (never re-posted), and a failed per-AS fetch keeps that AS's stale cache
-// entries instead of discarding what other ASes returned. While the circuit
+// (never re-posted), and a failed per-AS fetch keeps that AS's stale list
+// instead of discarding what other ASes returned. While the circuit
 // breaker is open SyncNow returns ErrSyncDegraded without touching the
 // network.
 func (c *Client) SyncNow(ctx context.Context) error {
@@ -207,91 +206,40 @@ func (c *Client) syncRound(ctx context.Context) error {
 		pending = pending[len(batch):]
 	}
 
-	// Fetch phase, independently per AS: one provider's failure must not
-	// discard what the others returned.
-	ases := c.cfg.Host.ASes()
-	lists := make([][]globaldb.Entry, 0, len(ases))
-	failedAS := make(map[int]bool)
-	total := 0
-	for _, as := range ases {
-		entries, err := g.FetchBlocked(ctx, as.Number)
-		if err != nil {
-			failedAS[as.Number] = true
-			errs = append(errs, fmt.Errorf("fetch AS%d: %w", as.Number, err))
+	// Fetch phase, independently per AS. The global-DB client owns the lists
+	// (Lookup reads them): a refresh that fails, or a 304, leaves that AS's
+	// list as it was, so one provider's failure costs neither the others'
+	// fresh lists nor its own stale one (§5 resilience).
+	failed := 0
+	for _, asn := range c.asns {
+		if _, err := g.FetchBlocked(ctx, asn); err != nil {
+			failed++
+			errs = append(errs, fmt.Errorf("fetch AS%d: %w", asn, err))
 			c.bump("sync-fetch-failures")
-			continue
-		}
-		lists = append(lists, entries)
-		total += len(entries)
-	}
-	// Sized for every fetched entry, so filling the map never regrows it.
-	fresh := make(map[string]globaldb.Entry, total)
-	for _, entries := range lists {
-		for _, e := range entries {
-			if !c.cfg.Trust.Trusted(e) {
-				continue
-			}
-			if prev, ok := fresh[e.URL]; ok {
-				// Multihomed clients merge stages across providers (§4.4).
-				fresh[e.URL] = mergeEntries(prev, e)
-				continue
-			}
-			fresh[e.URL] = e
 		}
 	}
-	c.mu.Lock()
-	if len(failedAS) > 0 {
-		// Keep the stale view for the ASes we could not refresh; serving
-		// yesterday's blocked list beats forgetting it (§5 resilience).
-		for url, e := range c.globalCache {
-			if !failedAS[e.ASN] {
-				continue
-			}
-			if prev, ok := fresh[url]; ok {
-				fresh[url] = mergeEntries(prev, e)
-			} else {
-				fresh[url] = e
-			}
-		}
-		if len(lists) > 0 {
-			c.counters["sync-partial"]++
-		}
+	if failed > 0 && failed < len(c.asns) {
+		c.bump("sync-partial")
 	}
-	c.globalCache = fresh
-	c.mu.Unlock()
 	return errors.Join(errs...)
 }
 
-// mergeEntries unions two entries' stages. The stage slices may be shared
-// with the globaldb client's conditional-fetch cache (and with earlier
-// rounds' globalCache entries), so the merge must never append in place:
-// the full slice expression pins capacity to force copy-on-append.
-func mergeEntries(a, b globaldb.Entry) globaldb.Entry {
-	seen := make(map[localdb.BlockType]bool)
-	merged := a
-	merged.Stages = a.Stages[:len(a.Stages):len(a.Stages)]
-	for _, s := range a.Stages {
-		seen[localdb.BlockType(s.Type)] = true
+// GlobalCacheLen reports how many globally-reported blocked URLs the client
+// currently trusts, across its ASes.
+func (c *Client) GlobalCacheLen() int {
+	g := c.cfg.GlobalDB
+	if g == nil {
+		return 0
 	}
-	for _, s := range b.Stages {
-		if !seen[localdb.BlockType(s.Type)] {
-			merged.Stages = append(merged.Stages, s)
-			seen[localdb.BlockType(s.Type)] = true
+	urls := make(map[string]struct{})
+	for _, asn := range c.asns {
+		for _, e := range g.Blocked(asn) {
+			if (globaldb.TrustFilter{}).Trusted(e) {
+				urls[e.URL] = struct{}{}
+			}
 		}
 	}
-	merged.Votes += b.Votes
-	if b.Reporters > merged.Reporters {
-		merged.Reporters = b.Reporters
-	}
-	return merged
-}
-
-// GlobalCacheLen reports how many globally-reported blocked URLs the client
-// currently trusts.
-func (c *Client) GlobalCacheLen() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.globalCache)
+	return len(urls)
 }
 
 // Degraded reports whether the sync circuit breaker has dropped the client
@@ -358,5 +306,5 @@ func (c *Client) ProbeASN(ctx context.Context) error {
 // provider's, or the primary one for multihomed hosts (per-measurement
 // egress attribution is not observable to a real client either).
 func (c *Client) currentASN() int {
-	return c.cfg.Host.ASes()[0].Number
+	return c.asns[0]
 }

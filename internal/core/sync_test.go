@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
+	"sort"
 	"testing"
 	"time"
 
@@ -34,52 +36,105 @@ func newSyncWorld(t *testing.T, mutate func(*core.Config), isps ...string) (*wor
 	return w, c, gdb, host
 }
 
-func TestSyncPartialASFailure(t *testing.T) {
-	// A multihomed client keeps the reachable AS's fresh list AND the failed
-	// AS's stale entries when one per-AS fetch dies mid-round.
-	w, c, _, host := newSyncWorld(t, nil, "ISP-A", "ISP-B")
-	ctx := context.Background()
-
-	// Seed the DB with one entry per AS via a direct reporter.
-	seeder := &globaldb.Client{
+// newReporter registers a bare global-DB client on host's direct path and
+// posts recs through it, so tests can seed the DB without a core.Client.
+func newReporter(t *testing.T, w *worldgen.World, host *netem.Host, token string, recs ...localdb.Record) *globaldb.Client {
+	t.Helper()
+	g := &globaldb.Client{
 		Endpoints: w.GlobalDBEndpoints, Host: worldgen.GlobalDBHost,
 		Clock: w.Clock, ReportDial: host.Dial, FetchDial: host.Dial,
 	}
-	if err := seeder.Register(ctx, "human-seeder"); err != nil {
+	ctx := context.Background()
+	if err := g.Register(ctx, token); err != nil {
 		t.Fatal(err)
 	}
-	asA, asB := 17557, 38193
-	if _, err := seeder.Report(ctx, []localdb.Record{
-		{URL: "a.example/", ASN: asA, Status: localdb.Blocked, Stages: []localdb.Stage{{Type: localdb.BlockDNS}}},
-		{URL: "b.example/", ASN: asB, Status: localdb.Blocked, Stages: []localdb.Stage{{Type: localdb.BlockHTTP, Detail: "blockpage"}}},
-	}); err != nil {
+	if _, err := g.Report(ctx, recs); err != nil {
 		t.Fatal(err)
+	}
+	return g
+}
+
+func TestSyncPartialASFailure(t *testing.T) {
+	// A multihomed client keeps the reachable AS's fresh list AND the failed
+	// AS's stale list when one per-AS fetch dies mid-round — whichever AS it
+	// is, and also for a URL both providers list.
+	w, c, _, host := newSyncWorld(t, nil, "ISP-A", "ISP-B")
+	ctx := context.Background()
+
+	// Seed the DB via direct reporters: one URL per AS and one in both. AS-B's
+	// copy of the shared URL comes from a second reporter, so the providers'
+	// vote sums for it differ and a double count cannot hide behind symmetry.
+	asA, asB := 17557, 38193
+	dns := []localdb.Stage{{Type: localdb.BlockDNS}}
+	page := []localdb.Stage{{Type: localdb.BlockHTTP, Detail: "blockpage"}}
+	seeder := newReporter(t, w, host, "human-seeder",
+		localdb.Record{URL: "a.example/", ASN: asA, Status: localdb.Blocked, Stages: dns},
+		localdb.Record{URL: "b.example/", ASN: asB, Status: localdb.Blocked, Stages: page},
+		localdb.Record{URL: "both.example/", ASN: asA, Status: localdb.Blocked, Stages: dns})
+	newReporter(t, w, host, "human-seeder-2",
+		localdb.Record{URL: "both.example/", ASN: asB, Status: localdb.Blocked, Stages: page})
+	wantVotes := 0.0
+	for _, asn := range []int{asA, asB} {
+		list, err := seeder.FetchBlocked(ctx, asn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		i := slices.IndexFunc(list, func(e globaldb.Entry) bool { return e.URL == "both.example/" })
+		if i < 0 {
+			t.Fatalf("AS%d does not list both.example/", asn)
+		}
+		wantVotes += list[i].Votes
+	}
+	// checkBoth asserts the shared URL's lookup is the union of both
+	// providers' stages with each provider's votes counted exactly once.
+	checkBoth := func(when string) {
+		t.Helper()
+		e, ok := c.GlobalLookup("both.example/")
+		if !ok {
+			t.Fatalf("%s: both.example/ not found", when)
+		}
+		var types []int
+		for _, s := range e.Stages {
+			types = append(types, s.Type)
+		}
+		sort.Ints(types)
+		if want := []int{int(localdb.BlockDNS), int(localdb.BlockHTTP)}; !slices.Equal(types, want) {
+			t.Errorf("%s: stage types = %v, want %v (union of both providers)", when, types, want)
+		}
+		if e.Votes != wantVotes {
+			t.Errorf("%s: votes = %v, want %v (each provider's once)", when, e.Votes, wantVotes)
+		}
 	}
 
 	if err := c.SyncNow(ctx); err != nil {
 		t.Fatalf("healthy sync: %v", err)
 	}
-	if n := c.GlobalCacheLen(); n != 2 {
-		t.Fatalf("cache = %d entries after healthy sync, want 2", n)
+	if n := c.GlobalCacheLen(); n != 3 {
+		t.Fatalf("cache = %d entries after healthy sync, want 3", n)
 	}
+	checkBoth("healthy sync")
 
-	// Fail only AS-B fetches: the round errors but keeps both the fresh
-	// AS-A list and AS-B's stale entry.
-	w.GlobalDB.Faults().SetPathFilter(fmt.Sprintf("asn=%d", asB))
+	// Fail one AS's fetches, then the other's: each round errors but keeps
+	// the reachable AS's fresh list and the failed AS's stale one.
 	w.GlobalDB.Faults().SetOutage(true)
-	err := c.SyncNow(ctx)
-	if err == nil || errors.Is(err, core.ErrSyncDegraded) {
-		t.Fatalf("partial failure should surface an error, got %v", err)
-	}
-	if n := c.GlobalCacheLen(); n != 2 {
-		t.Fatalf("cache = %d entries after partial failure, want 2 (stale AS-B entry kept)", n)
-	}
-	st := c.SyncStats()
-	if st.Partial != 1 || st.Failures != 1 {
-		t.Fatalf("stats = %+v, want Partial=1 Failures=1", st)
-	}
-	if c.Counter("sync-fetch-failures") != 1 {
-		t.Fatalf("sync-fetch-failures = %d, want 1", c.Counter("sync-fetch-failures"))
+	for i, asn := range []int{asA, asB} {
+		when := fmt.Sprintf("AS%d refresh failed", asn)
+		w.GlobalDB.Faults().SetPathFilter(fmt.Sprintf("asn=%d", asn))
+		err := c.SyncNow(ctx)
+		if err == nil || errors.Is(err, core.ErrSyncDegraded) {
+			t.Fatalf("%s: partial failure should surface an error, got %v", when, err)
+		}
+		if n := c.GlobalCacheLen(); n != 3 {
+			t.Fatalf("%s: cache = %d entries, want 3 (stale list kept)", when, n)
+		}
+		checkBoth(when)
+		st := c.SyncStats()
+		if st.Partial != i+1 || st.Failures != i+1 {
+			t.Fatalf("%s: stats = %+v, want Partial=Failures=%d", when, st, i+1)
+		}
+		if got := c.Counter("sync-fetch-failures"); got != i+1 {
+			t.Fatalf("%s: sync-fetch-failures = %d, want %d", when, got, i+1)
+		}
 	}
 
 	// Recovery clears the error path and refreshes everything.
@@ -90,6 +145,7 @@ func TestSyncPartialASFailure(t *testing.T) {
 	if st := c.SyncStats(); st.LastError != "" || st.ConsecutiveFailures != 0 {
 		t.Fatalf("stats after recovery = %+v", st)
 	}
+	checkBoth("recovery")
 }
 
 func TestSyncCircuitBreaker(t *testing.T) {
@@ -256,7 +312,7 @@ func TestSyncBackgroundRetryRecovers(t *testing.T) {
 }
 
 func TestSyncBackoffSchedule(t *testing.T) {
-	p := core.SyncPolicy{BackoffBase: time.Second, BackoffMax: 8 * time.Second, JitterFrac: 0.5}
+	p := core.SyncPolicy{BackoffBase: time.Second, BackoffMax: 8 * time.Second}
 	for i, want := range []time.Duration{
 		time.Second, 2 * time.Second, 4 * time.Second, 8 * time.Second, 8 * time.Second,
 	} {
@@ -264,9 +320,9 @@ func TestSyncBackoffSchedule(t *testing.T) {
 			t.Errorf("Backoff(%d, 0) = %v, want %v", i, got, want)
 		}
 	}
-	// Full jitter extends by JitterFrac of the delay.
-	if got := p.Backoff(1, 1.0); got != 3*time.Second {
-		t.Errorf("Backoff(1, 1.0) = %v, want 3s", got)
+	// Full jitter extends by DefaultSyncJitterFrac of the delay.
+	if got := p.Backoff(1, 1.0); got != 2400*time.Millisecond {
+		t.Errorf("Backoff(1, 1.0) = %v, want 2.4s", got)
 	}
 	// Zero policy uses the documented defaults.
 	var zero core.SyncPolicy

@@ -47,8 +47,6 @@ type SyncPolicy struct {
 	// BackoffBase/BackoffMax shape the exponential retry schedule.
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
-	// JitterFrac randomly extends each backoff by up to this fraction.
-	JitterFrac float64
 	// MaxBatch is the largest report batch posted per Report call.
 	MaxBatch int
 	// MaxPending bounds the report queue a single round takes on. Overflow
@@ -87,13 +85,6 @@ func (p SyncPolicy) backoffMax() time.Duration {
 	return p.BackoffMax
 }
 
-func (p SyncPolicy) jitterFrac() float64 {
-	if p.JitterFrac <= 0 {
-		return DefaultSyncJitterFrac
-	}
-	return p.JitterFrac
-}
-
 func (p SyncPolicy) maxBatch() int {
 	if p.MaxBatch <= 0 {
 		return DefaultSyncMaxBatch
@@ -127,7 +118,7 @@ func (p SyncPolicy) breakerReset() time.Duration {
 
 // Backoff returns the virtual-time delay before retry number attempt
 // (0-based): BackoffBase doubled per attempt, capped at BackoffMax, extended
-// by jitter·JitterFrac of itself (jitter in [0,1)).
+// by jitter·DefaultSyncJitterFrac of itself (jitter in [0,1)).
 func (p SyncPolicy) Backoff(attempt int, jitter float64) time.Duration {
 	d := p.backoffBase()
 	max := p.backoffMax()
@@ -138,7 +129,7 @@ func (p SyncPolicy) Backoff(attempt int, jitter float64) time.Duration {
 		d = max
 	}
 	if jitter > 0 {
-		d += time.Duration(jitter * p.jitterFrac() * float64(d))
+		d += time.Duration(jitter * DefaultSyncJitterFrac * float64(d))
 	}
 	return d
 }

@@ -42,27 +42,27 @@ func TestSyncBackoffSchedule(t *testing.T) {
 }
 
 // TestSyncBackoffJitterBounds checks the jitter contract: for jitter j in
-// [0,1) the delay is extended by exactly j·JitterFrac of itself, so it stays
-// within [d, d·(1+JitterFrac)).
+// [0,1) the delay is extended by exactly j·DefaultSyncJitterFrac of itself, so
+// it stays within [d, d·(1+DefaultSyncJitterFrac)).
 func TestSyncBackoffJitterBounds(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		pol  SyncPolicy
 	}{
-		{"default-frac", SyncPolicy{}},
-		{"half-frac", SyncPolicy{JitterFrac: 0.5, BackoffBase: 10 * time.Second}},
-		{"tiny-frac", SyncPolicy{JitterFrac: 0.01, BackoffBase: time.Minute, BackoffMax: time.Hour}},
+		{"default", SyncPolicy{}},
+		{"short-base", SyncPolicy{BackoffBase: 10 * time.Second}},
+		{"long-cap", SyncPolicy{BackoffBase: time.Minute, BackoffMax: time.Hour}},
 	} {
 		for attempt := 0; attempt < 6; attempt++ {
 			base := tc.pol.Backoff(attempt, 0)
-			hi := time.Duration(float64(base) * (1 + tc.pol.jitterFrac()))
+			hi := time.Duration(float64(base) * (1 + DefaultSyncJitterFrac))
 			for _, j := range []float64{0.001, 0.25, 0.5, 0.999} {
 				got := tc.pol.Backoff(attempt, j)
 				if got < base || got >= hi {
 					t.Errorf("%s: Backoff(%d, %v) = %v outside [%v, %v)",
 						tc.name, attempt, j, got, base, hi)
 				}
-				want := base + time.Duration(j*tc.pol.jitterFrac()*float64(base))
+				want := base + time.Duration(j*DefaultSyncJitterFrac*float64(base))
 				if got != want {
 					t.Errorf("%s: Backoff(%d, %v) = %v, want exactly %v",
 						tc.name, attempt, j, got, want)

@@ -3,7 +3,7 @@
 // structure (Zipf site popularity, a diurnal session-arrival curve, user
 // churn and staggered opt-in, per-AS population mixes), a worker-pooled
 // driver, and live aggregate counters. It is the load generator behind
-// cmd/csaw-fleet and the BENCH_fleet.json throughput trajectory.
+// cmd/csaw-fleet and the benchmark's fleet-10k workload.
 //
 // Determinism contract. A fleet run's Summary — plan aggregates plus the
 // final global-DB contents — is byte-identical across same-seed runs, and

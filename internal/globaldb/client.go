@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"sort"
 	"sync"
 	"time"
 
@@ -50,7 +51,7 @@ type Client struct {
 
 	mu         sync.Mutex
 	uuid       string
-	blocked    map[int]*blockedCache // per-AS conditional-fetch cache
+	blocked    map[int]*blockedCache // per AS: the client's copy of the crowd's list
 	down       map[string]time.Time  // endpoint → retry-at (virtual)
 	lastServed string
 	seq        uint64
@@ -69,8 +70,10 @@ type ClientStats struct {
 }
 
 // blockedCache is one AS's last successfully fetched list plus the server's
-// validator tag for it. The entries slice is shared with FetchBlocked's
-// return value and must be treated as read-only.
+// validator tag for it. It is the client's only copy of that list: the base
+// of the next conditional fetch and what Lookup searches. The entries slice
+// is URL-sorted, never written after it is stored (a refresh swaps in a new
+// blockedCache), and shared with FetchBlocked's return value.
 type blockedCache struct {
 	tag     string
 	entries []Entry
@@ -305,8 +308,8 @@ func (c *Client) Report(ctx context.Context, recs []localdb.Record) (int, error)
 // cache — including downgrading the cached tag to "" when the serving
 // store offers none (a failover to a tagless backend must not leave a
 // stale tag that a later tagged backend could spuriously match).
-// The returned slice may be shared with the cache: callers must not
-// mutate it or the Stages slices inside.
+// The returned slice is the cache's own (what Lookup searches): callers must
+// not mutate it or the Stages slices inside.
 func (c *Client) FetchBlocked(ctx context.Context, asn int) ([]Entry, error) {
 	c.mu.Lock()
 	cached := c.blocked[asn]
@@ -352,10 +355,39 @@ func (c *Client) FetchBlocked(ctx context.Context, asn int) ([]Entry, error) {
 	return fr.Entries, nil
 }
 
+// Lookup returns the entry the AS's last fetched list holds for url. A failed
+// refresh or a 304 leaves the list as it was, so a stale list keeps answering
+// until a 200 replaces it.
+func (c *Client) Lookup(asn int, url string) (Entry, bool) {
+	entries := c.Blocked(asn)
+	i := sort.Search(len(entries), func(i int) bool { return entries[i].URL >= url })
+	if i < len(entries) && entries[i].URL == url {
+		return entries[i], true
+	}
+	return Entry{}, false
+}
+
+// Blocked returns the AS's last fetched list (URL-sorted, read-only) without
+// touching the network.
+func (c *Client) Blocked(asn int) []Entry {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if bc := c.blocked[asn]; bc != nil {
+		return bc.entries
+	}
+	return nil
+}
+
 // storeList replaces an AS's cache after a 200 answer. The cache always
 // tracks the last answer — tag "" included — so a tag from one backend can
-// never be replayed against another that has moved past it.
+// never be replayed against another that has moved past it. Lookup and
+// mergeDelta rest on URL order, which the server sends; a list that arrives
+// out of order is sorted rather than mis-searched.
 func (c *Client) storeList(asn int, tag string, entries []Entry, bodyLen int, delta bool) {
+	byURL := func(i, j int) bool { return entries[i].URL < entries[j].URL }
+	if !sort.SliceIsSorted(entries, byURL) {
+		sort.Slice(entries, byURL)
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.blocked == nil {

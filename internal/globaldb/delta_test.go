@@ -198,12 +198,18 @@ func TestClientDeltaSync(t *testing.T) {
 	// the baseline entries never change again and the later drift is a small
 	// delta rather than a full rewrite.
 	post(reporter, "one.example/", "two.example/", "three.example/", "four.example/", "five.example/")
+	if _, ok := syncer.Lookup(100, "one.example/"); ok {
+		t.Fatal("Lookup answered before any fetch")
+	}
 	if _, err := syncer.FetchBlocked(context.Background(), 100); err != nil {
 		t.Fatal(err)
 	}
-	// Converged: next sync is a 304.
+	// Converged: next sync is a 304, and the list it leaves alone still answers.
 	if _, err := syncer.FetchBlocked(context.Background(), 100); err != nil {
 		t.Fatal(err)
+	}
+	if e, ok := syncer.Lookup(100, "one.example/"); !ok || e.URL != "one.example/" {
+		t.Fatalf("Lookup after a 304 = %+v, %v", e, ok)
 	}
 
 	// Drift from a different client so the baseline votes stay untouched.
@@ -220,6 +226,18 @@ func TestClientDeltaSync(t *testing.T) {
 	}
 	if !entriesEqual(got, want) {
 		t.Fatalf("delta-synced list diverges from full fetch:\n got %+v\nwant %+v", got, want)
+	}
+	// Lookup reads the merged list: every URL of it, no other, no other AS.
+	for _, w := range want {
+		if e, ok := syncer.Lookup(100, w.URL); !ok || !entryEqual(e, w) {
+			t.Fatalf("Lookup(%q) after a delta = %+v, %v; want %+v", w.URL, e, ok, w)
+		}
+	}
+	if _, ok := syncer.Lookup(100, "seven.example/"); ok {
+		t.Fatal("Lookup found a URL nobody reported")
+	}
+	if _, ok := syncer.Lookup(200, "six.example/"); ok {
+		t.Fatal("Lookup answered for an AS never fetched")
 	}
 	st := syncer.Stats()
 	if st.FetchFull != 1 || st.Fetch304 != 1 || st.FetchDelta != 1 {
@@ -261,8 +279,11 @@ func TestClientTagDowngrade(t *testing.T) {
 	}); !ok {
 		t.Fatal("seed ingest rejected")
 	}
+	// The foreign backend does not sort its list either.
 	taglessBody, err := json.Marshal(FetchResponse{ASN: 100, Entries: []Entry{
 		{URL: "backend1.example/", ASN: 100, Votes: 1, Reporters: 1},
+		{URL: "backend1.example/a", ASN: 100, Votes: 1, Reporters: 1},
+		{URL: "backend1-b.example/", ASN: 100, Votes: 1, Reporters: 1},
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -295,8 +316,13 @@ func TestClientTagDowngrade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != 1 || entries[0].URL != "backend1.example/" {
+	if len(entries) != 3 {
 		t.Fatalf("tagless backend served %+v, want its own content", entries)
+	}
+	for _, e := range entries {
+		if _, ok := c.Lookup(100, e.URL); !ok {
+			t.Fatalf("Lookup misses %q in a list that arrived unsorted", e.URL)
+		}
 	}
 	c.mu.Lock()
 	tag = c.blocked[100].tag

@@ -52,15 +52,6 @@ func NewReservoir(capacity int, seed int64) *Distribution {
 	return &Distribution{cap: capacity, rng: rand.New(rand.NewSource(seed))}
 }
 
-// FromDurations builds a distribution of seconds from durations.
-func FromDurations(ds []time.Duration) *Distribution {
-	d := NewDistribution()
-	for _, v := range ds {
-		d.AddDuration(v)
-	}
-	return d
-}
-
 // Add records a value.
 func (d *Distribution) Add(v float64) {
 	d.mu.Lock()
@@ -108,9 +99,6 @@ func (d *Distribution) SampleSize() int {
 	defer d.mu.Unlock()
 	return len(d.vals)
 }
-
-// Sampled reports whether the distribution is a bounded reservoir.
-func (d *Distribution) Sampled() bool { return d.cap > 0 }
 
 func (d *Distribution) sortedVals() []float64 {
 	if !d.sorted {
@@ -174,104 +162,6 @@ func (d *Distribution) Max() float64 {
 		return math.NaN()
 	}
 	return d.max
-}
-
-// Merge folds another distribution's observations into d. In exact mode
-// (both exact) the samples are concatenated. When d is a reservoir, the
-// merged reservoir is a uniform sample of the union: slots are drawn from
-// the two source samples in proportion to the observation counts they
-// represent, so a 10k-observation reservoir outweighs a 100-observation
-// one. The other distribution is snapshotted first and never mutated, and
-// the two locks are never held together, so concurrent Merges in opposite
-// directions cannot deadlock.
-//
-// Merging a sampled distribution into an exact one promotes d to a
-// reservoir (capacity and seed taken from the source) — the union cannot
-// be exact once either side has forgotten samples.
-func (d *Distribution) Merge(o *Distribution) {
-	if o == nil || d == o {
-		return
-	}
-	o.mu.Lock()
-	ovals := append([]float64(nil), o.vals...)
-	on, osum, omin, omax, ocap := o.n, o.sum, o.min, o.max, o.cap
-	o.mu.Unlock()
-	if on == 0 {
-		return
-	}
-
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.cap == 0 && ocap > 0 {
-		// Promotion: d's exact samples become a full reservoir of themselves.
-		d.cap = ocap
-		if d.cap < len(d.vals) {
-			d.cap = len(d.vals)
-		}
-		d.rng = rand.New(rand.NewSource(int64(len(d.vals))*2654435761 + on))
-	}
-	if d.n == 0 || omin < d.min {
-		d.min = omin
-	}
-	if d.n == 0 || omax > d.max {
-		d.max = omax
-	}
-	if d.cap == 0 {
-		// Exact + exact: concatenate.
-		d.vals = append(d.vals, ovals...)
-		d.sorted = false
-		d.n += on
-		d.sum += osum
-		return
-	}
-	// Weighted reservoir merge: fill the target by drawing without
-	// replacement from the two samples, choosing the source of each slot
-	// in proportion to the remaining observation mass it represents.
-	a, b := d.vals, ovals
-	wa, wb := float64(d.n), float64(on)
-	merged := make([]float64, 0, d.cap)
-	ra := rand.New(rand.NewSource(d.rng.Int63()))
-	for len(merged) < d.cap && (len(a) > 0 || len(b) > 0) {
-		pickA := len(b) == 0
-		if len(a) > 0 && len(b) > 0 {
-			pickA = ra.Float64() < wa/(wa+wb)
-		}
-		if pickA {
-			i := ra.Intn(len(a))
-			merged = append(merged, a[i])
-			a[i] = a[len(a)-1]
-			a = a[:len(a)-1]
-			wa -= float64(d.n) / float64(max(len(d.vals), 1))
-		} else {
-			i := ra.Intn(len(b))
-			merged = append(merged, b[i])
-			b[i] = b[len(b)-1]
-			b = b[:len(b)-1]
-			wb -= float64(on) / float64(max(len(ovals), 1))
-		}
-	}
-	d.vals = merged
-	d.sorted = false
-	d.n += on
-	d.sum += osum
-}
-
-// CDFPoint is one (value, cumulative fraction) pair.
-type CDFPoint struct {
-	X float64
-	Y float64
-}
-
-// CDF returns the empirical CDF sampled at every data point.
-func (d *Distribution) CDF() []CDFPoint {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	vals := d.sortedVals()
-	out := make([]CDFPoint, len(vals))
-	for i, v := range vals {
-		out[i] = CDFPoint{X: v, Y: float64(i+1) / float64(len(vals))}
-	}
-	return out
 }
 
 // EWMA is the exponentially weighted moving average the circumvention

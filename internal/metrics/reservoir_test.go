@@ -83,91 +83,3 @@ func TestReservoirDeterministic(t *testing.T) {
 		}
 	}
 }
-
-// TestMergeExact: exact+exact merge concatenates and percentiles equal a
-// single distribution over the union.
-func TestMergeExact(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	vals := drawLognormal(rng, 5000)
-	whole := NewDistribution()
-	a, b := NewDistribution(), NewDistribution()
-	for i, v := range vals {
-		whole.Add(v)
-		if i%2 == 0 {
-			a.Add(v)
-		} else {
-			b.Add(v)
-		}
-	}
-	a.Merge(b)
-	if a.N() != whole.N() {
-		t.Fatalf("merged N = %d, want %d", a.N(), whole.N())
-	}
-	for _, p := range []float64{10, 50, 90} {
-		if a.Percentile(p) != whole.Percentile(p) {
-			t.Errorf("p%.0f merged %v != whole %v", p, a.Percentile(p), whole.Percentile(p))
-		}
-	}
-	if math.Abs(a.Mean()-whole.Mean()) > 1e-9 {
-		t.Errorf("merged mean %v != whole %v", a.Mean(), whole.Mean())
-	}
-}
-
-// TestMergeReservoirs is the fleet-shaped property: per-worker reservoirs
-// merged into one must estimate the union's percentiles. Workers see
-// different value scales so a broken (unweighted) merge would skew hard.
-func TestMergeReservoirs(t *testing.T) {
-	const cap = 2048
-	rng := rand.New(rand.NewSource(11))
-	exact := NewDistribution()
-	merged := NewReservoir(cap, 1)
-	for w := 0; w < 8; w++ {
-		part := NewReservoir(cap, int64(w)+100)
-		// Uneven worker sizes: the merge must weight by observation count.
-		n := 5_000 * (w + 1)
-		for _, v := range drawLognormal(rng, n) {
-			scaled := v * (1 + 0.1*float64(w))
-			exact.Add(scaled)
-			part.Add(scaled)
-		}
-		merged.Merge(part)
-	}
-	if merged.N() != exact.N() {
-		t.Fatalf("merged N = %d, want %d", merged.N(), exact.N())
-	}
-	// Summation order differs between the two accumulations, so compare up
-	// to float rounding.
-	if relErr(merged.Mean(), exact.Mean()) > 1e-12 {
-		t.Errorf("merged mean %v != exact %v", merged.Mean(), exact.Mean())
-	}
-	for _, p := range []float64{25, 50, 75, 90, 95} {
-		e, g := exact.Percentile(p), merged.Percentile(p)
-		if relErr(g, e) > 0.12 {
-			t.Errorf("p%.0f merged %.4f vs exact %.4f (err %.1f%%)",
-				p, g, e, 100*relErr(g, e))
-		}
-	}
-}
-
-// TestMergePromotesExact: merging a reservoir into an exact distribution
-// must not silently pretend exactness.
-func TestMergePromotesExact(t *testing.T) {
-	exact := NewDistribution()
-	for i := 0; i < 100; i++ {
-		exact.Add(float64(i))
-	}
-	res := NewReservoir(64, 9)
-	for i := 0; i < 10_000; i++ {
-		res.Add(float64(i % 500))
-	}
-	exact.Merge(res)
-	if !exact.Sampled() {
-		t.Fatal("exact distribution not promoted to sampled after reservoir merge")
-	}
-	if exact.N() != 10_100 {
-		t.Fatalf("N = %d, want 10100", exact.N())
-	}
-	if exact.SampleSize() > 100+64 {
-		t.Fatalf("sample size %d exceeds both sources", exact.SampleSize())
-	}
-}

@@ -403,11 +403,13 @@ func TestConcurrentSpans(t *testing.T) {
 				done := make(chan struct{})
 				sp.Hold()
 				go func() {
+					// Deferred calls run last-in first-out: done closes after
+					// Release, which is what emits a span Finish left held.
+					defer close(done)
 					defer sp.Release()
 					bg := sp.Lane("tor")
 					bg.Event("circum", "attempt", "tor")
 					bg.Close()
-					close(done)
 				}()
 				l.Close()
 				sp.Finish("direct", "clean", nil)
