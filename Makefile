@@ -22,7 +22,8 @@
 #                      runs twice and the summary + trace artifact must be
 #                      byte-identical
 #   make golden      — regenerate the flight-recorder golden trace artifact
-#   make fuzz        — short fuzz pass over the dnsx/httpx wire codecs
+#   make fuzz        — short fuzz pass over the dnsx/httpx wire codecs, the
+#                      WAL record decoder and the global-DB list bodies
 #   make cover       — coverage for core+detect+trace, gated on COVERAGE.md
 
 GO ?= go
@@ -92,13 +93,18 @@ golden:
 	CSAW_UPDATE_GOLDEN=1 $(GO) test ./internal/core -run TestGoldenTrace -count=1
 
 # One short engine pass per wire-codec fuzz target (plus the WAL record
-# decoder — the bytes a crash can tear); the checked-in seed corpora under
-# testdata/fuzz/ always run as plain regression subtests.
+# decoder — the bytes a crash can tear — and the /v1/blocked bodies, which
+# the global DB joins from cached fragments and the target holds to
+# encoding/json); the checked-in seed corpora under testdata/fuzz/ always
+# run as plain regression subtests. FuzzFetchBodies caps minimization: its
+# coverage varies run to run (map order, sync.Pool), and the engine would
+# spend the whole pass failing to shrink the first new input.
 fuzz:
 	$(GO) test ./internal/dnsx -run '^$$' -fuzz FuzzMessageDecode -fuzztime 10s
 	$(GO) test ./internal/httpx -run '^$$' -fuzz FuzzReadResponse -fuzztime 10s
 	$(GO) test ./internal/httpx -run '^$$' -fuzz FuzzReadRequest -fuzztime 10s
 	$(GO) test ./internal/globaldb/storage -run '^$$' -fuzz FuzzReplay -fuzztime 10s
+	$(GO) test ./internal/globaldb -run '^$$' -fuzz FuzzFetchBodies -fuzztime 10s -fuzzminimizetime 1s
 
 # Combined statement coverage over the measurement pipeline (core + detect
 # + trace), gated against the baseline recorded in COVERAGE.md.

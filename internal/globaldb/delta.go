@@ -1,8 +1,11 @@
 package globaldb
 
 import (
+	"cmp"
 	"encoding/json"
-	"sort"
+	"slices"
+	"strconv"
+	"strings"
 )
 
 // Versioned delta sync. Each AS index remembers the change set between
@@ -23,54 +26,81 @@ import (
 // Server.SetDeltaHistory to keep converging-phase syncs on the delta path.
 const deltaHistoryMax = 64
 
-// deltaEdit is the change set from the snapshot served under tag from to
-// the next built snapshot. changed holds new or modified entries (sorted by
-// URL, like the snapshots they diff); removed holds URLs that disappeared.
+// deltaEdit is the change set leading away from the snapshot served under
+// snapTag(ver, rev) to the next built snapshot: one item per URL that is new,
+// modified or gone, in URL order like the snapshots it diffs.
 type deltaEdit struct {
-	from    string
-	changed []Entry
-	removed []string
+	ver, rev int64
+	items    []deltaItem
 }
 
-// recordEditLocked appends the old→new change set to idx's history. Caller
-// holds idx.snapMu. Empty edits are recorded too: they keep the tag chain
-// unbroken so a client holding fromTag can still be served a delta after a
-// rebuild that changed nothing (e.g. a version bump that re-aggregated to
-// the same list).
-func (idx *asIndex) recordEditLocked(fromTag string, old, new []Entry, max int) {
-	if max <= 0 {
-		max = deltaHistoryMax
-	}
-	changed, removed := diffEntries(old, new)
-	idx.history = append(idx.history, deltaEdit{from: fromTag, changed: changed, removed: removed})
-	if len(idx.history) > max {
-		// Copy the tail so the dropped head doesn't pin the backing array.
-		idx.history = append([]deltaEdit(nil), idx.history[len(idx.history)-max:]...)
-	}
+// deltaItem is one URL's line of an edit, already encoded: the entry's
+// fragment in the newer snapshot (shared with it), or, for a URL the newer
+// snapshot dropped, the URL as a JSON string. list says which, as the index
+// of the DeltaResponse list the line belongs to.
+type deltaItem struct {
+	url  string
+	json []byte
+	list int
 }
 
-// diffEntries walks two URL-sorted entry slices and returns the entries of
-// new that are absent-or-different in old, plus the URLs of old absent from
-// new.
-func diffEntries(old, new []Entry) (changed []Entry, removed []string) {
-	i, j := 0, 0
-	for i < len(old) || j < len(new) {
-		switch {
-		case j >= len(new) || (i < len(old) && old[i].URL < new[j].URL):
-			removed = append(removed, old[i].URL)
+// deltaLists are DeltaResponse's two omitempty lists as they open in the
+// body.
+var deltaLists = [...]string{inChanged: `,"changed":[`, inRemoved: `,"removed":[`}
+
+const inChanged, inRemoved = 0, 1
+
+// encodeLocked pairs the freshly aggregated next list with its fragments,
+// written into the spare buffer, by one walk over it and the current
+// snapshot: an entry the current snapshot holds unchanged keeps that
+// snapshot's fragment, any other is encoded — so the walk that finds the
+// change set is also the only place an entry is ever encoded, and the edit
+// it returns leads from the current snapshot to next. Caller holds
+// idx.snapMu.
+func (idx *asIndex) encodeLocked(next []Entry) ([][]byte, deltaEdit) {
+	old, oldFrags := idx.entries, idx.frags
+	frags := idx.spareFrags[:0]
+	edit := deltaEdit{ver: idx.snapVer, rev: idx.snapRev}
+	gone := func(e *Entry) {
+		edit.items = append(edit.items, deltaItem{url: e.URL, json: mustJSON(e.URL), list: inRemoved})
+	}
+	i := 0
+	for j := range next {
+		for ; i < len(old) && old[i].URL < next[j].URL; i++ {
+			gone(&old[i])
+		}
+		if i < len(old) && entryEqual(old[i], next[j]) {
+			frags = append(frags, oldFrags[i])
 			i++
-		case i >= len(old) || new[j].URL < old[i].URL:
-			changed = append(changed, new[j])
-			j++
-		default:
-			if !entryEqual(old[i], new[j]) {
-				changed = append(changed, new[j])
-			}
+			continue
+		}
+		if i < len(old) && old[i].URL == next[j].URL {
 			i++
-			j++
+		}
+		frag := mustJSON(&next[j])
+		frags = append(frags, frag)
+		// The first build leads from no snapshot: there is no edit to record.
+		if idx.valid {
+			edit.items = append(edit.items, deltaItem{url: next[j].URL, json: frag, list: inChanged})
 		}
 	}
-	return changed, removed
+	for ; i < len(old); i++ {
+		gone(&old[i])
+	}
+	return frags, edit
+}
+
+// mustJSON is json.Marshal for the two values the list bodies are made of,
+// an Entry and a URL string. Neither can fail to encode: a string always
+// does, and an entry's only fallible fields are a vote sum of finite
+// positive terms and a time built from int64 nanoseconds, inside the years
+// RFC 3339 can name.
+func mustJSON(v any) []byte {
+	b, err := json.Marshal(v)
+	if err != nil {
+		panic("globaldb: encoding a list entry: " + err.Error())
+	}
+	return b
 }
 
 func entryEqual(a, b Entry) bool {
@@ -89,54 +119,136 @@ func entryEqual(a, b Entry) bool {
 	return true
 }
 
-// deltaBodyLocked builds the marshaled DeltaResponse for a client at tag
-// inm, or nil when the tag is not in the history or the delta would not be
+// recordEditLocked appends edit to idx's history and drops the oldest edits
+// beyond max. Caller holds idx.snapMu. Empty edits are recorded too: they
+// keep the tag chain unbroken so a client holding the older tag can still be
+// served a delta after a rebuild that changed nothing (e.g. a version bump
+// that re-aggregated to the same list).
+func (idx *asIndex) recordEditLocked(edit deltaEdit, max int) {
+	if max <= 0 {
+		max = deltaHistoryMax
+	}
+	idx.history = append(idx.history, edit)
+	if drop := len(idx.history) - max; drop > 0 {
+		// Dropping from the front is a reslice, not a copy of the tail: the
+		// array's dead head goes when append next outgrows it (it moves only
+		// the live edits, so the cost per edit stays constant at any cap),
+		// and clearing it first lets the dropped fragments go now.
+		clear(idx.history[:drop])
+		idx.history = idx.history[drop:]
+	}
+}
+
+// appendASN opens a list body, full or delta: {"asn":N
+func appendASN(b []byte, asn int) []byte {
+	return strconv.AppendInt(append(b, `{"asn":`...), int64(asn), 10)
+}
+
+// fullBodyLen is len(joinFullBody(asn, frags)) without the join.
+func fullBodyLen(asn int, frags [][]byte) int {
+	var buf [32]byte
+	n := len(appendASN(buf[:0], asn)) + len(`,"entries":[]}`) + max(len(frags)-1, 0)
+	for _, f := range frags {
+		n += len(f)
+	}
+	return n
+}
+
+// joinFullBody is FetchResponse's encoding, {"asn":N,"entries":[f0,f1,…]},
+// with each entry's fragment in place.
+func joinFullBody(asn int, frags [][]byte) []byte {
+	b := appendASN(make([]byte, 0, fullBodyLen(asn, frags)), asn)
+	b = append(b, `,"entries":[`...)
+	for i, f := range frags {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, f...)
+	}
+	return append(b, "]}"...)
+}
+
+// deltaBodyLocked builds the encoded DeltaResponse for a client at tag inm,
+// or nil when the tag is not in the history or the delta would not be
 // smaller than the current full body. Caller holds idx.snapMu (the history
-// and idx.body are read in the same critical section that rebuilt them, so
-// the delta is exact for the tag pair it names).
+// and idx.fullLen are read in the same critical section that rebuilt them,
+// so the delta is exact for the tag pair it names).
 func (idx *asIndex) deltaBodyLocked(inm string) []byte {
-	start := -1
-	for i := range idx.history {
-		if idx.history[i].from == inm {
-			start = i
-			break
-		}
-	}
-	if start < 0 {
+	ver, rev, ok := parseSnapTag(inm)
+	if !ok {
 		return nil
 	}
-	// Fold the edit suffix: later edits win per URL, and a URL cannot end up
-	// in both sets.
-	changed := make(map[string]Entry)
-	removed := make(map[string]bool)
+	// Snapshot tags only grow (rebuildLocked), so the history is sorted.
+	start, found := slices.BinarySearchFunc(idx.history, deltaEdit{ver: ver, rev: rev}, func(e, at deltaEdit) int {
+		return cmp.Or(cmp.Compare(e.ver, at.ver), cmp.Compare(e.rev, at.rev))
+	})
+	if !found {
+		return nil
+	}
+	// Fold the edit suffix: gather every item, order by URL keeping each
+	// URL's items in history order, and keep the last — later edits win per
+	// URL, and a URL cannot end up in both lists.
+	items := idx.fold[:0]
 	for _, e := range idx.history[start:] {
-		for _, c := range e.changed {
-			changed[c.URL] = c
-			delete(removed, c.URL)
+		items = append(items, e.items...)
+	}
+	slices.SortStableFunc(items, func(a, b deltaItem) int { return strings.Compare(a.url, b.url) })
+	n := 0
+	for i := range items {
+		if i+1 == len(items) || items[i+1].url != items[i].url {
+			items[n] = items[i]
+			n++
 		}
-		for _, u := range e.removed {
-			removed[u] = true
-			delete(changed, u)
+	}
+	items = items[:n]
+	idx.fold = items
+
+	// {"asn":N,"since":"inm" ,"changed":[…] ,"removed":[…] } with both lists
+	// omitempty; a tag is digits and a dot, so it is its own JSON string.
+	var count, size [len(deltaLists)]int
+	for i := range items {
+		count[items[i].list]++
+		size[items[i].list] += len(items[i].json)
+	}
+	var buf [32]byte
+	head := appendASN(buf[:0], idx.asn)
+	total := len(head) + len(`,"since":""`) + len(inm) + len("}")
+	for k := range deltaLists {
+		if count[k] > 0 {
+			total += len(deltaLists[k]) + size[k] + count[k] - 1 + len("]")
 		}
 	}
-	dr := DeltaResponse{ASN: idx.asn, Since: inm}
-	urls := make([]string, 0, len(changed))
-	for u := range changed {
-		urls = append(urls, u)
-	}
-	sort.Strings(urls)
-	for _, u := range urls {
-		dr.Changed = append(dr.Changed, changed[u])
-	}
-	for u := range removed {
-		dr.Removed = append(dr.Removed, u)
-	}
-	sort.Strings(dr.Removed)
-	body, err := json.Marshal(dr)
-	if err != nil || len(body) >= len(idx.body) {
+	if total >= idx.fullLen {
 		return nil
 	}
-	return body
+	body := append(make([]byte, 0, total), head...)
+	body = append(body, `,"since":"`...)
+	body = append(body, inm...)
+	body = append(body, '"')
+	for k := range deltaLists {
+		if count[k] == 0 {
+			continue
+		}
+		body = append(body, deltaLists[k]...)
+		for i := range items {
+			if items[i].list == k {
+				body = append(body, items[i].json...)
+				body = append(body, ',')
+			}
+		}
+		body[len(body)-1] = ']'
+	}
+	return append(body, '}')
+}
+
+// parseSnapTag is snapTag's inverse. It accepts only a string snapTag could
+// have rendered, so a tag that merely parses to a recorded snapshot's numbers
+// ("07.0") is as unknown as it is to a string comparison.
+func parseSnapTag(tag string) (ver, rev int64, ok bool) {
+	v, r, _ := strings.Cut(tag, ".")
+	ver, errV := strconv.ParseInt(v, 10, 64)
+	rev, errR := strconv.ParseInt(r, 10, 64)
+	return ver, rev, errV == nil && errR == nil && snapTag(ver, rev) == tag
 }
 
 // mergeDelta applies a DeltaResponse to a URL-sorted base list and returns

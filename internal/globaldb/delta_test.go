@@ -1,18 +1,48 @@
 package globaldb
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"reflect"
+	"runtime"
+	"slices"
 	"testing"
 	"time"
+	"unsafe"
 
 	"csaw/internal/httpx"
 	"csaw/internal/localdb"
 	"csaw/internal/netem"
 	"csaw/internal/vtime"
 )
+
+// diffEntries is the reference diff the differential tests hold the store's
+// one-pass walk (encodeLocked) to: it walks two URL-sorted entry slices and
+// returns the entries of new that are absent-or-different in old, plus the
+// URLs of old absent from new.
+func diffEntries(old, new []Entry) (changed []Entry, removed []string) {
+	i, j := 0, 0
+	for i < len(old) || j < len(new) {
+		switch {
+		case j >= len(new) || (i < len(old) && old[i].URL < new[j].URL):
+			removed = append(removed, old[i].URL)
+			i++
+		case i >= len(old) || new[j].URL < old[i].URL:
+			changed = append(changed, new[j])
+			j++
+		default:
+			if !entryEqual(old[i], new[j]) {
+				changed = append(changed, new[j])
+			}
+			i++
+			j++
+		}
+	}
+	return changed, removed
+}
 
 func TestDiffEntries(t *testing.T) {
 	e := func(url string, n int) Entry { return Entry{URL: url, ASN: 1, Reporters: n} }
@@ -171,6 +201,28 @@ func TestDeltaHistoryCap(t *testing.T) {
 	res := s.fetchResponse(100, oldest.tag)
 	if res.delta || res.notModified {
 		t.Fatalf("evicted tag must fall back to full body, got %+v", res)
+	}
+
+	// At the cap, recording an edit must not copy the history: the fleet
+	// runs a cap of 4,096, where a copy per rebuild is 200 KiB.
+	const fleetCap, appends = 4096, 4 * 4096
+	idx.snapMu.Lock()
+	defer idx.snapMu.Unlock()
+	for i := 0; i < fleetCap; i++ {
+		idx.recordEditLocked(deltaEdit{}, fleetCap)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < appends; i++ {
+		idx.recordEditLocked(deltaEdit{}, fleetCap)
+	}
+	runtime.ReadMemStats(&after)
+	if len(idx.history) != fleetCap {
+		t.Fatalf("history holds %d edits at a cap of %d", len(idx.history), fleetCap)
+	}
+	perEdit := (after.TotalAlloc - before.TotalAlloc) / appends
+	if limit := uint64(8 * unsafe.Sizeof(deltaEdit{})); perEdit > limit {
+		t.Fatalf("recording an edit at the cap allocates %d bytes, want at most %d: the history is copied per rebuild", perEdit, limit)
 	}
 }
 
@@ -345,4 +397,224 @@ func TestClientTagDowngrade(t *testing.T) {
 	if st := c.Stats(); st.Fetch304 != 0 {
 		t.Fatalf("spurious 304 across backends: %+v", st)
 	}
+}
+
+// --- differential wire test -----------------------------------------------------
+//
+// The store joins list bodies from cached per-entry fragments; the reference
+// below builds the same bodies the way the store used to — json.Marshal of a
+// FetchResponse, and for a delta diffEntries between consecutive observed
+// snapshots, a last-wins map fold of the edit suffix and json.Marshal of the
+// DeltaResponse. runFetchOps drives one store through an op sequence decoded
+// from bytes and holds every served answer to the reference byte for byte,
+// which pins field order, both omitempty lists, JSON escaping, the
+// 304/delta/full choice, and catches a fragment carried over stale.
+
+// refEdit is one recorded snapshot transition, as the reference keeps it.
+type refEdit struct {
+	from    string
+	changed []Entry
+	removed []string
+}
+
+// refAS is the reference's view of one AS: the last snapshot observed and
+// the transitions between observed snapshots, capped like the store's.
+type refAS struct {
+	seen    bool
+	tag     string
+	entries []Entry
+	history []refEdit
+}
+
+// observe records the snapshot (tag, entries) the store just served from.
+func (r *refAS) observe(tag string, entries []Entry, max int) {
+	if r.seen && tag != r.tag {
+		changed, removed := diffEntries(r.entries, entries)
+		r.history = append(r.history, refEdit{from: r.tag, changed: changed, removed: removed})
+		if len(r.history) > max {
+			r.history = r.history[len(r.history)-max:]
+		}
+	}
+	r.seen, r.tag, r.entries = true, tag, entries
+}
+
+// deltaBody is the DeltaResponse owed to a client at tag inm, or nil when
+// inm is not in the history.
+func (r *refAS) deltaBody(t *testing.T, asn int, inm string) []byte {
+	start := -1
+	for i := range r.history {
+		if r.history[i].from == inm {
+			start = i
+			break
+		}
+	}
+	if start < 0 {
+		return nil
+	}
+	changed := make(map[string]Entry)
+	removed := make(map[string]bool)
+	for _, e := range r.history[start:] {
+		for _, c := range e.changed {
+			changed[c.URL] = c
+			delete(removed, c.URL)
+		}
+		for _, u := range e.removed {
+			removed[u] = true
+			delete(changed, u)
+		}
+	}
+	dr := DeltaResponse{ASN: asn, Since: inm}
+	for _, u := range sortedKeys(changed) {
+		dr.Changed = append(dr.Changed, changed[u])
+	}
+	dr.Removed = sortedKeys(removed)
+	if len(dr.Removed) == 0 {
+		dr.Removed = nil
+	}
+	return mustMarshal(t, dr)
+}
+
+func mustMarshal(t *testing.T, v any) []byte {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// The op decoder's vocabulary: URLs and stage details that need every kind
+// of JSON escaping (HTML-unsafe characters, quote and backslash, U+2028,
+// invalid UTF-8), an empty detail, and nil, empty and multi-stage lists.
+var (
+	fuzzURLs = []string{
+		"plain.example/", "plain.example/path", `<script>&"q"\.example/`, "line\u2028sep.example/",
+		"bad\xffutf8.example/", "bad\xfeutf8.example/", "a.example/", "b.example/", "c.example/?x=1&y=<2>",
+		"d.example/", "e.example/", "f.example/", "g.example/", "h.example/", "i.example/", "j.example/",
+	}
+	fuzzStages = [][]WireStage{
+		nil, {}, {{Type: 1, Detail: "nxdomain"}}, {{Type: 2}}, {{Type: 3, Detail: `<&>"\`}, {Type: 4, Detail: "\u2028\xff"}},
+	}
+	fuzzASNs  = []int{100, 200}
+	fuzzUsers = []string{"u0", "u1", "u2", "u3", "u4", "u5", "u6", "u7"}
+)
+
+// runFetchOps decodes data into ingests, revocations and conditional
+// fetches against a fresh store and checks every fetch against the
+// reference. Writes are not observed: several may land between two fetches
+// of an AS, so an edit can span many of them.
+func runFetchOps(t *testing.T, data []byte) {
+	next := func() int {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return int(b)
+	}
+	s := mustOpenStore(t, StoreOptions{})
+	histMax := deltaHistoryMax
+	if n := next() % 8; n > 0 {
+		histMax = n // small caps put eviction within reach of a short sequence
+		s.histMax.Store(int64(n))
+	}
+	for _, u := range fuzzUsers {
+		s.addUser(u)
+	}
+	refs := map[int]*refAS{}
+	served := map[int][]string{} // every tag served per AS, plus tags no snapshot ever had
+	for _, asn := range append([]int{300}, fuzzASNs...) {
+		refs[asn] = &refAS{}
+		served[asn] = []string{"", "07.0", "7", "1.0", "x.y"}
+	}
+	now := utc
+	for len(data) > 0 {
+		switch op := next() % 8; {
+		case op < 3: // ingest: re-reports, new keys (which change the user's d), stage changes
+			reports := make([]Report, 1+next()%3)
+			for i := range reports {
+				reports[i] = Report{URL: fuzzURLs[next()%len(fuzzURLs)], ASN: fuzzASNs[next()%len(fuzzASNs)],
+					Stages: fuzzStages[next()%len(fuzzStages)], Tm: utc}
+			}
+			now = now.Add(time.Duration(next()%2) * time.Minute) // equal post times break on uuid
+			s.ingest(fuzzUsers[next()%len(fuzzUsers)], now, reports)
+		case op == 3: // revocation is for good, so it is the rarest op
+			if u := next(); u%4 == 0 {
+				s.revoke(fuzzUsers[u/4%len(fuzzUsers)])
+			}
+		default: // fetch; AS 300 is never reported on
+			asn := append([]int{300}, fuzzASNs...)[next()%3]
+			// Any tag ever served, or (odd draws) one of the latest few.
+			tags := served[asn]
+			if n := next(); n%2 == 1 {
+				tags = tags[max(len(tags)-4, 0):]
+			}
+			inm := tags[next()%len(tags)]
+			got := s.fetchResponse(asn, inm)
+			entries := s.blockedForAS(asn)
+			full := mustMarshal(t, FetchResponse{ASN: asn, Entries: entries})
+			ref := refs[asn]
+			if s.asIndexFor(asn, false) != nil { // the store keeps no history for an AS without reports
+				ref.observe(got.tag, entries, histMax)
+			}
+			want := fetchResult{tag: got.tag, body: full}
+			if delta := ref.deltaBody(t, asn, inm); inm == got.tag {
+				want = fetchResult{tag: got.tag, notModified: true}
+			} else if delta != nil && len(delta) < len(full) {
+				want = fetchResult{tag: got.tag, body: delta, delta: true}
+			}
+			if got.notModified != want.notModified || got.delta != want.delta || !bytes.Equal(got.body, want.body) {
+				t.Fatalf("fetch(%d, %q) diverges from encoding/json:\n got %+v %s\nwant %+v %s",
+					asn, inm, got, got.body, want, want.body)
+			}
+			if unconditional := s.fetchResponse(asn, ""); !bytes.Equal(unconditional.body, full) || unconditional.tag != got.tag {
+				t.Fatalf("full body of AS %d at %q diverges from encoding/json:\n got %s\nwant %s",
+					asn, got.tag, unconditional.body, full)
+			}
+			if !slices.Contains(served[asn], got.tag) {
+				served[asn] = append(served[asn], got.tag)
+			}
+		}
+	}
+}
+
+// TestFetchBodiesMatchEncodingJSON runs the differential check over seeded
+// random op sequences, and over one written by hand for the case a random
+// walk reaches rarely: a URL revoked away and re-added by another client
+// while readers still hold tags from before (fuzzSeedReadd).
+func TestFetchBodiesMatchEncodingJSON(t *testing.T) {
+	t.Run("removed-then-readded", func(t *testing.T) { runFetchOps(t, fuzzSeedReadd) })
+	for seed := int64(1); seed <= 40; seed++ {
+		t.Run(fmt.Sprint("seed-", seed), func(t *testing.T) {
+			data := make([]byte, 600)
+			rand.New(rand.NewSource(seed)).Read(data)
+			runFetchOps(t, data)
+		})
+	}
+}
+
+// fuzzSeedReadd encodes, in runFetchOps' op format (ingest: op, reports-1,
+// {url, asn, stages}…, minutes, user; revoke: 3, 4·user; fetch: op, asn,
+// even to draw from every tag, tag):
+var fuzzSeedReadd = []byte{
+	0,                            // default history cap
+	0, 1, 6, 0, 2, 0, 0, 0, 0, 0, // u0 reports a.example/ and plain.example/ on AS 100
+	0, 2, 7, 0, 2, 8, 0, 2, 1, 0, 2, 0, 3, // u3 reports three more, which never change again
+	5, 1, 0, 0, // fetch: full, tag "2.0" (served[5])
+	0, 0, 6, 0, 3, 1, 2, // u2 re-reports a.example/ a minute later with other stages
+	3, 0, // revoke u0: plain.example/ leaves the list
+	5, 1, 0, 0, // fetch: full, tag "3.1" (served[6])
+	3, 8, // revoke u2: a.example/ leaves the list
+	5, 1, 0, 6, // fetch at "3.1": delta removing a.example/; tag "3.2" (served[7])
+	0, 0, 6, 0, 4, 1, 1, // u1 re-adds a.example/
+	5, 1, 0, 5, // fetch at "2.0": a.example/ changed, plain.example/ removed; tag "4.2" (served[8])
+	5, 1, 0, 7, // fetch at "3.2": a.example/ changed
+	5, 1, 0, 6, // fetch at "3.1": a.example/ removed then re-added folds to changed
+	5, 1, 0, 8, // fetch at "4.2": 304
+	5, 0, 0, 0, 5, 0, 0, 5, // AS 300, never reported on: empty full body, then 304
+}
+
+func FuzzFetchBodies(f *testing.F) {
+	f.Add(fuzzSeedReadd)
+	f.Fuzz(runFetchOps)
 }

@@ -1,7 +1,6 @@
 package globaldb
 
 import (
-	"encoding/json"
 	"sort"
 	"strconv"
 	"sync"
@@ -16,11 +15,11 @@ import (
 // AS's data instead of scanning every client. Each AS index carries a version
 // counter bumped after every write that could change its aggregation
 // (new/replaced reports, and any change to a reporting client's d). Fetches
-// serve a cached sorted snapshot — entries plus the pre-marshaled
-// /v1/blocked body — and rebuild only when the version or the global
-// revocation epoch moved, so repeated reads of an unchanged AS never
-// re-aggregate or re-sort (the regression test watches the rebuilds
-// counter).
+// serve a cached sorted snapshot — entries plus each entry's JSON encoding —
+// and rebuild only when the version or the global revocation epoch moved, so
+// repeated reads of an unchanged AS never re-aggregate or re-sort (the
+// regression test watches the rebuilds counter), and a rebuild encodes only
+// the entries that changed (delta.go).
 
 // asIndex is the inverted per-AS report index plus its snapshot cache.
 type asIndex struct {
@@ -30,18 +29,37 @@ type asIndex struct {
 	mu    sync.RWMutex
 	byURL map[string]map[string]indexed // url → uuid → report
 
-	// Snapshot cache. snapMu also serializes rebuilds so concurrent fetchers
-	// of a dirty AS do the aggregation once, and guards the delta history:
-	// recording an edit and serving a delta happen in the same critical
+	// Snapshot cache; snapMu guards every field below. It also serializes
+	// rebuilds so concurrent fetchers of a dirty AS do the aggregation once,
+	// and recording an edit and serving a delta happen in the same critical
 	// section as the rebuild, so a delta body is always paired with the tag
 	// of the snapshot it was computed against.
+	//
+	// frags[i] is json.Marshal(&entries[i]). A fragment is never written
+	// after it is made: the next snapshot and the history share it by
+	// reference, and every served body is a copy of it. fullLen is the length
+	// of the full body the fragments join to, known without joining; body is
+	// that join, made by the first full fetch of this snapshot (most
+	// snapshots are only ever read by delta) and handed out by reference
+	// until the next rebuild drops it.
 	snapMu  sync.Mutex
 	snapVer int64
 	snapRev int64
 	valid   bool
 	entries []Entry
+	frags   [][]byte
+	fullLen int
 	body    []byte
 	history []deltaEdit
+
+	// Storage the next rebuild or delta writes into instead of allocating:
+	// the previous snapshot's entries and frags (the two sets swap at every
+	// rebuild; nothing outside snapMu ever holds either), aggregate's URL
+	// list, and the delta fold's gather list.
+	spareEntries []Entry
+	spareFrags   [][]byte
+	urls         []string
+	fold         []deltaItem
 }
 
 // indexed pairs a report with its owner's state so aggregation can read the
@@ -56,10 +74,11 @@ type indexed struct {
 // nil: at fleet scale most sync rounds hit a converged list, and skipping
 // the body skips the client-side JSON decode that otherwise dominates sync
 // cost. When the tag is stale but still in the AS's recorded edit history,
-// delta is set and body is a marshaled DeltaResponse carrying only the
+// delta is set and body is an encoded DeltaResponse carrying only the
 // entries that changed since that tag (served only when it is actually
-// smaller than the full body). Otherwise body is the full marshaled
-// FetchResponse.
+// smaller than the full body). Otherwise body is the full encoded
+// FetchResponse, shared by every full fetch of the snapshot: nobody may
+// write into it.
 type fetchResult struct {
 	body        []byte
 	tag         string
@@ -124,7 +143,7 @@ func (s *store) fetchResponse(asn int, inm string) fetchResult {
 		if inm == tag {
 			return fetchResult{tag: tag, notModified: true}
 		}
-		return fetchResult{body: emptyFetchBody(asn), tag: tag}
+		return fetchResult{body: joinFullBody(asn, nil), tag: tag}
 	}
 	ver := idx.version.Load()
 	idx.snapMu.Lock()
@@ -139,27 +158,33 @@ func (s *store) fetchResponse(asn int, inm string) fetchResult {
 			return fetchResult{body: body, tag: tag, delta: true}
 		}
 	}
+	if idx.body == nil {
+		idx.body = joinFullBody(idx.asn, idx.frags)
+	}
 	return fetchResult{body: idx.body, tag: tag}
 }
 
 // rebuildLocked brings idx's snapshot cache up to (ver, rev), recording the
 // change set against the previous snapshot in the delta history. No-op when
-// the cache is already at that state. Caller holds idx.snapMu.
+// the cache is already there — or past it: a caller that loaded its
+// counters before a concurrent fetcher's rebuild is served that newer
+// snapshot, so the (version, epoch) pairs of consecutive snapshots only
+// grow, which is the order the history is searched by. Caller holds
+// idx.snapMu.
 func (s *store) rebuildLocked(idx *asIndex, ver, rev int64) {
-	if idx.valid && idx.snapVer == ver && idx.snapRev == rev {
+	if idx.valid && idx.snapVer >= ver && idx.snapRev >= rev {
 		return
 	}
 	s.rebuilds.Add(1)
-	entries := idx.aggregate()
-	body, err := json.Marshal(FetchResponse{ASN: idx.asn, Entries: entries})
-	if err != nil {
-		body = emptyFetchBody(idx.asn)
-	}
+	entries := idx.aggregate(idx.spareEntries[:0])
+	frags, edit := idx.encodeLocked(entries)
 	if idx.valid {
-		idx.recordEditLocked(snapTag(idx.snapVer, idx.snapRev), idx.entries, entries, int(s.histMax.Load()))
+		idx.recordEditLocked(edit, int(s.histMax.Load()))
 	}
-	idx.entries, idx.body = entries, body
-	idx.snapVer, idx.snapRev, idx.valid = ver, rev, true
+	idx.spareEntries, idx.spareFrags = idx.entries, idx.frags
+	idx.entries, idx.frags, idx.body = entries, frags, nil
+	idx.fullLen = fullBodyLen(idx.asn, frags)
+	idx.snapVer, idx.snapRev, idx.valid = max(ver, idx.snapVer), max(rev, idx.snapRev), true
 }
 
 // snapTag renders a snapshot's (version, revocation epoch) as the ETag
@@ -175,15 +200,17 @@ func snapTag(ver, rev int64) string {
 // byte-identical blocked lists: URLs are sorted, vote contributions are
 // summed in sorted order (float addition is not associative), and the
 // representative-stages tie between equal post times breaks on uuid.
-func (idx *asIndex) aggregate() []Entry {
+// The list is appended to entries, which the caller owns; caller holds
+// idx.snapMu (for idx.urls).
+func (idx *asIndex) aggregate(entries []Entry) []Entry {
 	idx.mu.RLock()
 	defer idx.mu.RUnlock()
-	urls := make([]string, 0, len(idx.byURL))
+	urls := idx.urls[:0]
 	for u := range idx.byURL {
 		urls = append(urls, u)
 	}
 	sort.Strings(urls)
-	entries := make([]Entry, 0, len(urls))
+	idx.urls = urls
 	votes := make([]float64, 0, 16)
 	for _, u := range urls {
 		e := Entry{URL: u, ASN: idx.asn}
@@ -215,15 +242,6 @@ func (idx *asIndex) aggregate() []Entry {
 		entries = append(entries, e)
 	}
 	return entries
-}
-
-// emptyFetchBody is the no-entries body. Entries is an empty slice, not
-// nil, so the bytes read "entries":[] like every other body — the store
-// conformance suite compares bodies against the reference model
-// byte-for-byte.
-func emptyFetchBody(asn int) []byte {
-	b, _ := json.Marshal(FetchResponse{ASN: asn, Entries: []Entry{}})
-	return b
 }
 
 // stats aggregates the Table-7 numbers. It folds in sorted client and report
