@@ -22,8 +22,9 @@
 #                      runs twice and the summary + trace artifact must be
 #                      byte-identical
 #   make golden      — regenerate the flight-recorder golden trace artifact
-#   make fuzz        — short fuzz pass over the dnsx/httpx wire codecs, the
-#                      WAL record decoder and the global-DB list bodies
+#   make fuzz        — short fuzz pass over the dnsx/httpx wire codecs (httpx
+#                      also against its map-based reference codec), the WAL
+#                      record decoder and the global-DB list bodies
 #   make cover       — coverage for core+detect+trace, gated on COVERAGE.md
 
 GO ?= go
@@ -96,13 +97,16 @@ golden:
 # decoder — the bytes a crash can tear — and the /v1/blocked bodies, which
 # the global DB joins from cached fragments and the target holds to
 # encoding/json); the checked-in seed corpora under testdata/fuzz/ always
-# run as plain regression subtests. FuzzFetchBodies caps minimization: its
-# coverage varies run to run (map order, sync.Pool), and the engine would
-# spend the whole pass failing to shrink the first new input.
+# run as plain regression subtests. FuzzCodecVsReference holds the httpx
+# codec to the map-based one it replaced (reference_test.go). It and
+# FuzzFetchBodies cap minimization: their coverage varies run to run (map
+# order, sync.Pool), and the engine would spend the whole pass failing to
+# shrink the first new input.
 fuzz:
 	$(GO) test ./internal/dnsx -run '^$$' -fuzz FuzzMessageDecode -fuzztime 10s
 	$(GO) test ./internal/httpx -run '^$$' -fuzz FuzzReadResponse -fuzztime 10s
 	$(GO) test ./internal/httpx -run '^$$' -fuzz FuzzReadRequest -fuzztime 10s
+	$(GO) test ./internal/httpx -run '^$$' -fuzz FuzzCodecVsReference -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/globaldb/storage -run '^$$' -fuzz FuzzReplay -fuzztime 10s
 	$(GO) test ./internal/globaldb -run '^$$' -fuzz FuzzFetchBodies -fuzztime 10s -fuzzminimizetime 1s
 

@@ -19,6 +19,8 @@ package blockpage
 import (
 	"math"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 )
 
 // Phase1MaxLen is the largest body phase 1 will ever call a block page:
@@ -57,7 +59,7 @@ type Classifier struct {
 func NewClassifier() *Classifier {
 	c := &Classifier{MinSimilarity: 0.95, MinPhrases: 1}
 	for _, tpl := range referenceTemplates() {
-		c.templates = append(c.templates, tagVectorOf(tpl))
+		c.templates = append(c.templates, tagVectorOf(strings.ToLower(tpl), nil))
 	}
 	return c
 }
@@ -77,7 +79,7 @@ func (c *Classifier) Phase1(body []byte) Verdict {
 	if len(body) == 0 || len(body) > Phase1MaxLen {
 		return v
 	}
-	lower := strings.ToLower(string(body))
+	lower := lowered(body)
 	if !strings.Contains(lower, "<html") && !strings.Contains(lower, "<!doctype") {
 		return v
 	}
@@ -86,7 +88,8 @@ func (c *Classifier) Phase1(body []byte) Verdict {
 			v.PhraseHits++
 		}
 	}
-	tv := tagVectorOf(lower)
+	var room [16]tagCount
+	tv := tagVectorOf(lower, room[:0])
 	for _, tpl := range c.templates {
 		if s := cosine(tv, tpl); s > v.Similarity {
 			v.Similarity = s
@@ -102,6 +105,34 @@ func (c *Classifier) Phase1(body []byte) Verdict {
 	return v
 }
 
+// lowered is strings.ToLower(string(body)) in one allocation: the one
+// lowercase copy every check of phase 1 scans.
+func lowered(body []byte) string {
+	var sb strings.Builder
+	sb.Grow(len(body))
+	same := 0 // body[same:i] lowers to itself
+	for i := 0; i < len(body); {
+		c := body[i]
+		switch {
+		case c >= utf8.RuneSelf:
+			r, n := utf8.DecodeRune(body[i:])
+			sb.Write(body[same:i])
+			sb.WriteRune(unicode.ToLower(r))
+			i += n
+			same = i
+		case 'A' <= c && c <= 'Z':
+			sb.Write(body[same:i])
+			sb.WriteByte(c + 'a' - 'A')
+			i++
+			same = i
+		default:
+			i++
+		}
+	}
+	sb.Write(body[same:])
+	return sb.String()
+}
+
 // Phase2SizeRatio is the direct/circumvented size ratio below which phase 2
 // declares manipulation (block pages are much smaller than real pages [42]).
 const Phase2SizeRatio = 0.5
@@ -115,13 +146,28 @@ func Phase2(directSize, circumventedSize int) bool {
 	return float64(directSize)/float64(circumventedSize) < Phase2SizeRatio
 }
 
-// tagVector is a frequency vector over HTML tag names.
-type tagVector map[string]float64
+// tagVector is a frequency vector over HTML tag names: one entry per
+// distinct tag, a dozen at most on the pages phase 1 looks at.
+type tagVector []tagCount
 
-// tagVectorOf scans HTML and counts opening tags.
-func tagVectorOf(html string) tagVector {
-	v := make(tagVector)
-	s := strings.ToLower(html)
+type tagCount struct {
+	tag string
+	n   float64
+}
+
+func (v tagVector) count(tag string) float64 {
+	for _, e := range v {
+		if e.tag == tag {
+			return e.n
+		}
+	}
+	return 0
+}
+
+// tagVectorOf scans HTML, already lowercase, and counts opening tags into v,
+// the caller's empty room for the vector.
+func tagVectorOf(s string, v tagVector) tagVector {
+scan:
 	for i := 0; i < len(s); i++ {
 		if s[i] != '<' {
 			continue
@@ -134,10 +180,17 @@ func tagVectorOf(html string) tagVector {
 		for j < len(s) && (s[j] >= 'a' && s[j] <= 'z' || s[j] >= '0' && s[j] <= '9' || s[j] == '!') {
 			j++
 		}
-		if j > start {
-			v[s[start:j]]++
-		}
 		i = j - 1
+		if j == start {
+			continue
+		}
+		for k := range v {
+			if v[k].tag == s[start:j] {
+				v[k].n++
+				continue scan
+			}
+		}
+		v = append(v, tagCount{s[start:j], 1})
 	}
 	return v
 }
@@ -145,12 +198,12 @@ func tagVectorOf(html string) tagVector {
 // cosine computes cosine similarity between tag vectors.
 func cosine(a, b tagVector) float64 {
 	var dot, na, nb float64
-	for k, av := range a {
-		dot += av * b[k]
-		na += av * av
+	for _, e := range a {
+		dot += e.n * b.count(e.tag)
+		na += e.n * e.n
 	}
-	for _, bv := range b {
-		nb += bv * bv
+	for _, e := range b {
+		nb += e.n * e.n
 	}
 	if na == 0 || nb == 0 {
 		return 0

@@ -1,6 +1,8 @@
 package blockpage
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -92,21 +94,21 @@ func TestHardPagesCaughtByPhase2(t *testing.T) {
 }
 
 func TestTagVector(t *testing.T) {
-	v := tagVectorOf(`<html><body><p>x</p><p>y</p><img src="a"></body></html>`)
-	if v["p"] != 2 || v["img"] != 1 || v["html"] != 1 {
+	v := tagVectorOf(`<html><body><p>x</p><p>y</p><img src="a"></body></html>`, nil)
+	if v.count("p") != 2 || v.count("img") != 1 || v.count("html") != 1 {
 		t.Fatalf("tag vector = %v", v)
 	}
-	if _, ok := v["/p"]; ok {
+	if v.count("/p") != 0 {
 		t.Error("closing tags counted")
 	}
 }
 
 func TestCosine(t *testing.T) {
-	a := tagVector{"p": 2, "img": 1}
+	a := tagVector{{"p", 2}, {"img", 1}}
 	if c := cosine(a, a); c < 0.999 {
 		t.Errorf("self-cosine = %f", c)
 	}
-	if c := cosine(a, tagVector{"table": 5}); c != 0 {
+	if c := cosine(a, tagVector{{"table", 5}}); c != 0 {
 		t.Errorf("orthogonal cosine = %f", c)
 	}
 	if c := cosine(tagVector{}, a); c != 0 {
@@ -148,5 +150,103 @@ func TestCorpusCountryCoverage(t *testing.T) {
 	}
 	if len(countries) < 10 {
 		t.Errorf("corpus spans %d countries, want a wide spread", len(countries))
+	}
+}
+
+// phase1Reference is Phase1 as it was while it lowercased a string copy of
+// the body twice and counted tags in a map; TestPhase1MatchesReference holds
+// the one-pass form to it.
+func phase1Reference(c *Classifier, body []byte) Verdict {
+	tagMap := func(html string) map[string]float64 {
+		v := make(map[string]float64)
+		s := strings.ToLower(html)
+		for i := 0; i < len(s); i++ {
+			if s[i] != '<' {
+				continue
+			}
+			j := i + 1
+			if j < len(s) && s[j] == '/' {
+				continue
+			}
+			start := j
+			for j < len(s) && (s[j] >= 'a' && s[j] <= 'z' || s[j] >= '0' && s[j] <= '9' || s[j] == '!') {
+				j++
+			}
+			if j > start {
+				v[s[start:j]]++
+			}
+			i = j - 1
+		}
+		return v
+	}
+	// Counts are small integers, so the sums are exact in any order.
+	cos := func(a, b map[string]float64) float64 {
+		var dot, na, nb float64
+		for k, av := range a {
+			dot += av * b[k]
+			na += av * av
+		}
+		for _, bv := range b {
+			nb += bv * bv
+		}
+		if na == 0 || nb == 0 {
+			return 0
+		}
+		return dot / (math.Sqrt(na) * math.Sqrt(nb))
+	}
+	v := Verdict{Size: len(body)}
+	if len(body) == 0 || len(body) > Phase1MaxLen {
+		return v
+	}
+	lower := strings.ToLower(string(body))
+	if !strings.Contains(lower, "<html") && !strings.Contains(lower, "<!doctype") {
+		return v
+	}
+	for _, p := range phrases {
+		if strings.Contains(lower, p) {
+			v.PhraseHits++
+		}
+	}
+	tv := tagMap(lower)
+	for _, tpl := range referenceTemplates() {
+		if s := cos(tv, tagMap(tpl)); s > v.Similarity {
+			v.Similarity = s
+		}
+	}
+	structural := v.Similarity >= c.MinSimilarity && len(body) < 2048 && !strings.Contains(lower, "<a ")
+	v.Suspected = v.PhraseHits >= c.MinPhrases || structural
+	return v
+}
+
+func TestPhase1MatchesReference(t *testing.T) {
+	pages := NormalPages()
+	for _, p := range Corpus() {
+		pages = append(pages, p.HTML, []byte(strings.ToUpper(string(p.HTML))))
+	}
+	var manyTags strings.Builder
+	manyTags.WriteString("<html><body>")
+	for i := 0; i < 40; i++ { // more distinct tags than the vector's stack room
+		fmt.Fprintf(&manyTags, "<x%d>.</x%d><p>.</p>", i, i)
+	}
+	pages = append(pages,
+		[]byte(manyTags.String()),
+		[]byte("<HTML><HEAD><TITLE>Access Denied</TITLE></HEAD><BODY><H1>ACCESS DENIED</H1><P>.</P><HR><I>.</I></BODY></HTML>"),
+		[]byte("<!DOCTYPE html><Html><Body><P>Ресурс НЕ ДОСТУПЕН ПО РЕШЕНИЮ суда</P></Body></Html>"),
+		[]byte("<html><body><p>CONTENU BLOQUÉ</p><A HREF=\"/\">x</A></body></html>"),
+		[]byte("<html>\xff\xfe<p>İstanbul \xc3</p><\xe2\x82></html>"),
+		[]byte("<html><p>ſite blocked K</p></html>"), // runes whose lower case is ASCII or shorter
+		[]byte("<html"), []byte("<"), []byte("<html><"), []byte("<html></"),
+	)
+	c := NewClassifier()
+	for i, p := range pages {
+		if got, want := c.Phase1(p), phase1Reference(c, p); got != want {
+			t.Errorf("page %d (%.40q…): verdict %+v, reference %+v", i, p, got, want)
+		}
+	}
+	if err := quick.Check(func(b []byte) bool {
+		p := append([]byte("<html>"), b...)
+		return c.Phase1(p) == phase1Reference(c, p) && lowered(b) == strings.ToLower(string(b))
+	}, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
 	}
 }

@@ -179,18 +179,32 @@ type Policy struct {
 	ResidualWindow time.Duration
 }
 
-// domainMatch reports whether host equals pattern or is a subdomain of it.
-func domainMatch(pattern, host string) bool {
-	pattern = strings.ToLower(strings.TrimSuffix(pattern, "."))
+// matchName is a queried name, Host value or SNI as the rules see it: no
+// trailing dot, lower case, no port. A request pays for it once, not once
+// per rule.
+func matchName(host string) string {
 	host = strings.ToLower(strings.TrimSuffix(host, "."))
 	if i := strings.IndexByte(host, ':'); i >= 0 {
 		host = host[:i]
 	}
-	return host == pattern || strings.HasSuffix(host, "."+pattern)
+	return host
+}
+
+// domainMatch reports whether name (a matchName) equals pattern or is a
+// subdomain of it. Rules are written in lower case, which makes lowering
+// the pattern a look at its bytes that allocates nothing.
+func domainMatch(pattern, name string) bool {
+	pattern = strings.ToLower(strings.TrimSuffix(pattern, "."))
+	if !strings.HasSuffix(name, pattern) {
+		return false
+	}
+	sub := len(name) - len(pattern) // what a subdomain puts in front, dot included
+	return sub == 0 || name[sub-1] == '.'
 }
 
 // DNSActionFor returns the action for a queried name.
 func (p *Policy) DNSActionFor(name string) DNSAction {
+	name = matchName(name)
 	for pat, act := range p.DNS {
 		if domainMatch(pat, name) {
 			return act
@@ -210,8 +224,9 @@ func (p *Policy) IPActionFor(ip string) IPAction {
 // HTTPActionFor returns the action for a request identified by host and
 // target, considering URL rules first, then keyword rules.
 func (p *Policy) HTTPActionFor(host, target string) HTTPAction {
+	name := matchName(host)
 	for _, r := range p.HTTP {
-		if domainMatch(r.Host, host) && (r.PathPrefix == "" || strings.HasPrefix(target, r.PathPrefix)) {
+		if domainMatch(r.Host, name) && (r.PathPrefix == "" || strings.HasPrefix(target, r.PathPrefix)) {
 			return r.Action
 		}
 	}
@@ -228,6 +243,7 @@ func (p *Policy) HTTPActionFor(host, target string) HTTPAction {
 
 // SNIActionFor returns the action for a TLS SNI value.
 func (p *Policy) SNIActionFor(sni string) TLSAction {
+	sni = matchName(sni)
 	for pat, act := range p.SNI {
 		if domainMatch(pat, sni) {
 			return act

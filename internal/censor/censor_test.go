@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"io"
+	"strings"
 	"testing"
 	"time"
 
@@ -123,10 +124,62 @@ func TestDomainMatch(t *testing.T) {
 		{"youtube.com", "notyoutube.com", false},
 		{"youtube.com", "youtube.com.evil.net", false},
 		{"www.youtube.com", "youtube.com", false},
+		{"youtube.com", "www.youtube.com.", true},
+		{"YouTube.com.", "m.youtube.COM.:80", false}, // the dot is not the name's last byte: it stays
+		{"YouTube.com.", "m.youtube.COM:80", true},
+		{"youtube.com", "youtube.com:", true},
+		{"youtube.com", ".youtube.com", true},
+		{"youtube.com", "com", false},
+		{"", "", true},
+		{"", "anything.", false}, // one trailing dot goes, the name does not end in another
+		{"", "anything..", true},
 	}
 	for _, c := range cases {
-		if got := domainMatch(c.pattern, c.host); got != c.want {
+		if got := domainMatch(c.pattern, matchName(c.host)); got != c.want {
 			t.Errorf("domainMatch(%q, %q) = %v, want %v", c.pattern, c.host, got, c.want)
+		}
+	}
+}
+
+// TestMatchingAgreesWithPerRuleNormalising holds the matchers, which
+// normalise the request's name once, to the form that lowered and trimmed
+// both sides for every rule: same verdict for every pattern and name, same
+// action from every policy lookup.
+func TestMatchingAgreesWithPerRuleNormalising(t *testing.T) {
+	reference := func(pattern, host string) bool {
+		pattern = strings.ToLower(strings.TrimSuffix(pattern, "."))
+		host = strings.ToLower(strings.TrimSuffix(host, "."))
+		if i := strings.IndexByte(host, ':'); i >= 0 {
+			host = host[:i]
+		}
+		return host == pattern || strings.HasSuffix(host, "."+pattern)
+	}
+	patterns := []string{"youtube.com", "YouTube.Com", "youtube.com.", "www.youtube.com", "com", "", ".", "tube.com", "ÉCOLE.example"}
+	names := []string{
+		"youtube.com", "www.youtube.com", "WWW.YOUTUBE.COM", "Www.YouTube.com.", "www.youtube.com:443", "youtube.com.:80",
+		"notyoutube.com", "youtube.com.evil.net", "com", "", ".", "..", ":80", "x.tube.com", "école.example", "www.École.example:8080",
+	}
+	p := &Policy{DNS: map[string]DNSAction{}, SNI: map[string]TLSAction{}}
+	for _, pat := range patterns {
+		for _, name := range names {
+			want := reference(pat, name)
+			if got := domainMatch(pat, matchName(name)); got != want {
+				t.Errorf("domainMatch(%q, %q) = %v, reference %v", pat, name, got, want)
+			}
+			p.DNS, p.SNI = map[string]DNSAction{pat: DNSRefused}, map[string]TLSAction{pat: TLSReset}
+			p.HTTP = []HTTPRule{{Host: pat, PathPrefix: "/p", Action: HTTPDrop}}
+			if got := p.DNSActionFor(name) == DNSRefused; got != want {
+				t.Errorf("DNSActionFor(%q) under %q matched = %v, reference %v", name, pat, got, want)
+			}
+			if got := p.SNIActionFor(name) == TLSReset; got != want {
+				t.Errorf("SNIActionFor(%q) under %q matched = %v, reference %v", name, pat, got, want)
+			}
+			if got := p.HTTPActionFor(name, "/path") == HTTPDrop; got != want {
+				t.Errorf("HTTPActionFor(%q) under %q matched = %v, reference %v", name, pat, got, want)
+			}
+			if p.HTTPActionFor(name, "/other") != HTTPClean {
+				t.Errorf("HTTPActionFor(%q, /other) under %q ignored the path prefix", name, pat)
+			}
 		}
 	}
 }

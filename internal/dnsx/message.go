@@ -355,7 +355,11 @@ func Unmarshal(b []byte) (*Message, error) {
 // readName decodes a possibly-compressed domain name starting at off,
 // returning the name and the offset just past it in the original stream.
 func readName(b []byte, off int) (string, int, error) {
-	var labels []string
+	// Labels are joined with dots as they are read, in room for any legal
+	// name (a longer, illegal one spills to the heap), and the name is made
+	// a string once.
+	var room [255]byte
+	name := room[:0]
 	jumped := false
 	end := off
 	for hops := 0; ; hops++ {
@@ -371,7 +375,7 @@ func readName(b []byte, off int) (string, int, error) {
 			if !jumped {
 				end = off + 1
 			}
-			return strings.Join(labels, "."), end, nil
+			return string(name), end, nil
 		case c&0xC0 == 0xC0:
 			if off+1 >= len(b) {
 				return "", 0, ErrTruncatedMessage
@@ -391,7 +395,10 @@ func readName(b []byte, off int) (string, int, error) {
 			if off+1+c > len(b) {
 				return "", 0, ErrTruncatedMessage
 			}
-			labels = append(labels, string(b[off+1:off+1+c]))
+			if len(name) > 0 {
+				name = append(name, '.')
+			}
+			name = append(name, b[off+1:off+1+c]...)
 			off += 1 + c
 		}
 	}

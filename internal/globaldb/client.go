@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -393,7 +394,9 @@ func (c *Client) storeList(asn int, tag string, entries []Entry, bodyLen int, de
 	if c.blocked == nil {
 		c.blocked = make(map[int]*blockedCache)
 	}
-	c.blocked[asn] = &blockedCache{tag: tag, entries: entries}
+	// The tag is a substring of the answer's head (httpx makes one string of
+	// it); the cache outlives the exchange and keeps its own copy.
+	c.blocked[asn] = &blockedCache{tag: strings.Clone(tag), entries: entries}
 	c.stats.ListBytes += bodyLen
 	if delta {
 		c.stats.FetchDelta++

@@ -31,6 +31,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -262,11 +263,7 @@ func (n *Node) Handler() httpx.Handler {
 // timeout against an unreachable primary.
 func (n *Node) forward(req *httpx.Request) *httpx.Response {
 	fwd := httpx.NewRequest(req.Method, n.PrimaryHost, req.Target)
-	for k, vs := range req.Header {
-		for _, v := range vs {
-			fwd.Header.Add(k, v)
-		}
-	}
+	fwd.Header = slices.Clone(req.Header)
 	fwd.Body = req.Body
 	hc := n.http()
 	upstream := n.primaryAddr()

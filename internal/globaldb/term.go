@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"strconv"
+	"strings"
 	"sync"
 
 	"csaw/internal/globaldb/storage"
@@ -160,7 +161,9 @@ func (s *Server) fencedResponse() *httpx.Response {
 func ChaseLeader(resp *httpx.Response, at, self string, hops int,
 	hop func(term int64, leader string) (*httpx.Response, error)) (*httpx.Response, string) {
 	for ; hops > 0 && resp.StatusCode == StatusFenced; hops-- {
-		hint := resp.Header.Get(LeaderHeader)
+		// Every hop keeps the hint (repointed node, last-served endpoint), so
+		// it is copied out of the answer's head here.
+		hint := strings.Clone(resp.Header.Get(LeaderHeader))
 		if hint == "" || hint == at || hint == self {
 			break
 		}

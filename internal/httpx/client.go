@@ -57,16 +57,11 @@ func (c *Client) Do(ctx context.Context, address string, req *Request) (*Respons
 // flight-recorder lane (see ReadResponseCtx); bounding the exchange is the
 // job of whoever owns the stream.
 func RoundTrip(ctx context.Context, stream io.ReadWriter, req *Request) (*Response, error) {
+	var closing Field
 	if req.Header.Get("Connection") == "" {
-		r := *req
-		r.Header = make(Header, len(req.Header)+1)
-		for k, vs := range req.Header {
-			r.Header[k] = vs
-		}
-		r.Header["Connection"] = []string{"close"}
-		req = &r
+		closing = Field{"Connection", "close"}
 	}
-	if err := WriteRequest(stream, req); err != nil {
+	if err := writeRequest(stream, req, closing); err != nil {
 		return nil, err
 	}
 	br := GetReader(stream)

@@ -14,11 +14,27 @@ import (
 // ReadResponse whatever a censor injects — and writer/parser asymmetries
 // like headers that serialize unparseably.
 
+// The seed corpora (also checked in under testdata/fuzz/), shared with
+// FuzzCodecVsReference.
+var (
+	requestSeeds = []string{
+		"GET / HTTP/1.1\r\nHost: www.youtube.com\r\n\r\n",
+		"POST /submit HTTP/1.1\r\nHost: api.example\r\nContent-Length: 3\r\n\r\nabc",
+		"GET /watch?v=x HTTP/1.1\r\nHost: a\r\nCookie: k=v; k2=v2\r\n\r\n",
+	}
+	responseSeeds = []string{
+		"HTTP/1.1 200 OK\r\nContent-Type: text/html\r\nContent-Length: 5\r\n\r\nhello",
+		"HTTP/1.1 302 Found\r\nLocation: http://block.example/blocked.html\r\nContent-Length: 0\r\n\r\n",
+		"HTTP/1.1 204\r\n\r\n",
+		"HTTP/1.0 599 Weird Status Text \r\nX-A: 1\r\nX-A: 2\r\n\r\n",
+		"HTTP/1.1 200 OK\r\nContent-Length: 58\r\n\r\n<html><iframe src=\"http://block.isp.pk/warn\"></iframe></ht",
+	}
+)
+
 func FuzzReadResponse(f *testing.F) {
-	f.Add([]byte("HTTP/1.1 200 OK\r\nContent-Type: text/html\r\nContent-Length: 5\r\n\r\nhello"))
-	f.Add([]byte("HTTP/1.1 302 Found\r\nLocation: http://block.example/blocked.html\r\nContent-Length: 0\r\n\r\n"))
-	f.Add([]byte("HTTP/1.1 204\r\n\r\n"))
-	f.Add([]byte("HTTP/1.0 599 Weird Status Text \r\nX-A: 1\r\nX-A: 2\r\n\r\n"))
+	for _, s := range responseSeeds {
+		f.Add([]byte(s))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r1, err := ReadResponse(bufio.NewReader(bytes.NewReader(data)))
 		if err != nil {
@@ -47,9 +63,9 @@ func FuzzReadResponse(f *testing.F) {
 }
 
 func FuzzReadRequest(f *testing.F) {
-	f.Add([]byte("GET / HTTP/1.1\r\nHost: www.youtube.com\r\n\r\n"))
-	f.Add([]byte("POST /submit HTTP/1.1\r\nHost: api.example\r\nContent-Length: 3\r\n\r\nabc"))
-	f.Add([]byte("GET /watch?v=x HTTP/1.1\r\nHost: a\r\nCookie: k=v; k2=v2\r\n\r\n"))
+	for _, s := range requestSeeds {
+		f.Add([]byte(s))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r1, err := ReadRequest(bufio.NewReader(bytes.NewReader(data)))
 		if err != nil {

@@ -11,22 +11,48 @@ package httpx
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strconv"
-	"strings"
+	"sync"
+	"unicode"
 
 	"csaw/internal/netem"
 )
 
-// Header holds HTTP headers with case-insensitive keys (stored canonically).
-type Header map[string][]string
+// Field is one header line.
+type Field struct{ Key, Value string }
+
+// Header holds HTTP header fields under case-insensitive names, stored
+// canonically. The fields are kept sorted by key in byte order — the order
+// they go out on the wire — and the values of one key in the order they were
+// added, which is what Set, Add and Del maintain: build a Header with them,
+// not as a literal. The zero value is an empty header.
+type Header []Field
 
 // CanonicalKey normalizes a header name: "content-length" → "Content-Length".
+// A name that is already canonical — every name this package serializes — is
+// returned as it is.
 func CanonicalKey(k string) string {
+	upper := true
+	for i := 0; i < len(k); i++ {
+		c := k[i]
+		if upper && 'a' <= c && c <= 'z' || !upper && 'A' <= c && c <= 'Z' {
+			return canonicalize(k)
+		}
+		upper = c == '-'
+	}
+	return k
+}
+
+// canonicalize is CanonicalKey for a name that has a byte to change. It is a
+// function of its own so that its byte copy of a short name stays on the
+// stack and the name costs one allocation, the result.
+func canonicalize(k string) string {
 	b := []byte(k)
 	upper := true
 	for i, c := range b {
@@ -41,33 +67,57 @@ func CanonicalKey(k string) string {
 	return string(b)
 }
 
+// find returns the run h[i:j] of fields named key, which is canonical; when
+// there is none, i == j is where one belongs.
+func (h Header) find(key string) (i, j int) {
+	for i < len(h) && h[i].Key < key {
+		i++
+	}
+	for j = i; j < len(h) && h[j].Key == key; j++ {
+	}
+	return i, j
+}
+
+// insert puts f at index i. The first field makes room for the handful a
+// message of this simulation carries, so filling a header allocates once.
+func (h *Header) insert(i int, f Field) {
+	if cap(*h) == 0 {
+		*h = make(Header, 0, 4)
+	}
+	*h = slices.Insert(*h, i, f)
+}
+
 // Set replaces the values for key.
-func (h Header) Set(key, value string) { h[CanonicalKey(key)] = []string{value} }
+func (h *Header) Set(key, value string) {
+	key = CanonicalKey(key)
+	i, j := h.find(key)
+	if i == j {
+		h.insert(i, Field{key, value})
+		return
+	}
+	(*h)[i].Value = value
+	*h = slices.Delete(*h, i+1, j)
+}
 
 // Add appends a value for key.
-func (h Header) Add(key, value string) {
-	k := CanonicalKey(key)
-	h[k] = append(h[k], value)
+func (h *Header) Add(key, value string) {
+	key = CanonicalKey(key)
+	_, j := h.find(key)
+	h.insert(j, Field{key, value})
 }
 
 // Get returns the first value for key, or "".
 func (h Header) Get(key string) string {
-	if vs := h[CanonicalKey(key)]; len(vs) > 0 {
-		return vs[0]
+	if i, j := h.find(CanonicalKey(key)); i < j {
+		return h[i].Value
 	}
 	return ""
 }
 
 // Del removes key.
-func (h Header) Del(key string) { delete(h, CanonicalKey(key)) }
-
-// clone deep-copies the header.
-func (h Header) clone() Header {
-	c := make(Header, len(h))
-	for k, vs := range h {
-		c[k] = append([]string(nil), vs...)
-	}
-	return c
+func (h *Header) Del(key string) {
+	i, j := h.find(CanonicalKey(key))
+	*h = slices.Delete(*h, i, j)
 }
 
 // Request is an HTTP request. Target is the origin-form request target
@@ -104,12 +154,12 @@ func (r *Request) WithContext(ctx context.Context) *Request {
 	return &r2
 }
 
-// NewRequest builds a GET-style request with an initialized header.
+// NewRequest builds a request with no header fields and no body.
 func NewRequest(method, host, target string) *Request {
 	if target == "" {
 		target = "/"
 	}
-	return &Request{Method: method, Target: target, Proto: "HTTP/1.1", Host: host, Header: Header{}}
+	return &Request{Method: method, Target: target, Proto: "HTTP/1.1", Host: host}
 }
 
 // URL returns the conventional "host/target" form used as a database key.
@@ -124,13 +174,10 @@ type Response struct {
 	Body       []byte
 }
 
-// NewResponse builds a response with the given status and body, setting
-// Content-Length.
+// NewResponse builds a response with the given status and body and no
+// header fields: Content-Length is the body's, said when it is written.
 func NewResponse(code int, body []byte) *Response {
-	r := &Response{Proto: "HTTP/1.1", StatusCode: code, Status: StatusText(code), Header: Header{}}
-	r.Header.Set("Content-Length", strconv.Itoa(len(body)))
-	r.Body = body
-	return r
+	return &Response{Proto: "HTTP/1.1", StatusCode: code, Status: StatusText(code), Body: body}
 }
 
 // StatusText returns the reason phrase for the handful of codes in use.
@@ -183,7 +230,11 @@ const (
 // r.Host; Content-Length is set from the body. When w offers WriteOwned
 // (a *netem.Conn) the body is handed over by reference, not copied: r.Body
 // must not be modified from then on.
-func WriteRequest(w io.Writer, r *Request) error {
+func WriteRequest(w io.Writer, r *Request) error { return writeRequest(w, r, Field{}) }
+
+// writeRequest is WriteRequest with one more header field: extra, when it
+// has a key, goes out as if r.Header.Set had stored it, and r is left alone.
+func writeRequest(w io.Writer, r *Request, extra Field) error {
 	target := r.Target
 	if target == "" {
 		target = "/"
@@ -192,8 +243,22 @@ func WriteRequest(w io.Writer, r *Request) error {
 	if proto == "" {
 		proto = "HTTP/1.1"
 	}
-	head := fmt.Appendf(make([]byte, 0, headBytes), "%s %s %s\r\nHost: %s\r\n", r.Method, target, proto, r.Host)
-	head = appendHeaders(head, r.Header, len(r.Body), r.Method != "GET" && r.Method != "HEAD" || len(r.Body) > 0)
+	var num [20]byte
+	var bodyLen []byte
+	if r.Method != "GET" && r.Method != "HEAD" || len(r.Body) > 0 {
+		bodyLen = strconv.AppendInt(num[:0], int64(len(r.Body)), 10)
+	}
+	head := make([]byte, 0, len(r.Method)+1+len(target)+1+len(proto)+2+
+		len("Host: ")+len(r.Host)+2+fieldsLen(r.Header, extra, bodyLen))
+	head = append(head, r.Method...)
+	head = append(head, ' ')
+	head = append(head, target...)
+	head = append(head, ' ')
+	head = append(head, proto...)
+	head = append(head, "\r\nHost: "...)
+	head = append(head, r.Host...)
+	head = append(head, "\r\n"...)
+	head = appendFields(head, r.Header, extra, bodyLen)
 	return writeMessage(w, head, r.Body)
 }
 
@@ -209,32 +274,77 @@ func WriteResponse(w io.Writer, r *Response) error {
 	if status == "" {
 		status = StatusText(r.StatusCode)
 	}
-	head := fmt.Appendf(make([]byte, 0, headBytes), "%s %d %s\r\n", proto, r.StatusCode, status)
-	head = appendHeaders(head, r.Header, len(r.Body), true)
+	var codeNum, lenNum [20]byte
+	code := strconv.AppendInt(codeNum[:0], int64(r.StatusCode), 10)
+	bodyLen := strconv.AppendInt(lenNum[:0], int64(len(r.Body)), 10)
+	head := make([]byte, 0, len(proto)+1+len(code)+1+len(status)+2+fieldsLen(r.Header, Field{}, bodyLen))
+	head = append(head, proto...)
+	head = append(head, ' ')
+	head = append(head, code...)
+	head = append(head, ' ')
+	head = append(head, status...)
+	head = append(head, "\r\n"...)
+	head = appendFields(head, r.Header, Field{}, bodyLen)
 	return writeMessage(w, head, r.Body)
 }
 
-// headBytes is room for the start line and headers of the messages the
-// simulation sends, so a head is built in one allocation.
-const headBytes = 128
+// offWire reports whether the serializers pass over a stored field: Host and
+// Content-Length go out from the message's own host and body, and a key the
+// caller overrides goes out as the override.
+func offWire(key, override string) bool {
+	return key == "Host" || key == "Content-Length" || key == override && key != ""
+}
 
-func appendHeaders(b []byte, h Header, bodyLen int, forceLen bool) []byte {
-	keys := make([]string, 0, len(h))
-	for k := range h {
-		if k == "Host" || k == "Content-Length" {
+func fieldLen(f Field) int { return len(f.Key) + len(": ") + len(f.Value) + len("\r\n") }
+
+// fieldsLen is the number of bytes appendFields appends, so that a head is
+// one allocation of exactly its size.
+func fieldsLen(h Header, extra Field, bodyLen []byte) int {
+	n := len("\r\n")
+	for _, f := range h {
+		if !offWire(f.Key, extra.Key) {
+			n += fieldLen(f)
+		}
+	}
+	if extra.Key != "" {
+		n += fieldLen(extra)
+	}
+	if bodyLen != nil {
+		n += len("Content-Length: ") + len(bodyLen) + len("\r\n")
+	}
+	return n
+}
+
+// appendFields appends the header lines in key order — extra where Set would
+// have put it — then Content-Length when bodyLen holds its digits, then the
+// blank line.
+func appendFields(b []byte, h Header, extra Field, bodyLen []byte) []byte {
+	pending := extra.Key != ""
+	for _, f := range h {
+		if offWire(f.Key, extra.Key) {
 			continue
 		}
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		for _, v := range h[k] {
-			b = fmt.Appendf(b, "%s: %s\r\n", k, v)
+		if pending && f.Key > extra.Key {
+			b = appendField(b, extra)
+			pending = false
 		}
+		b = appendField(b, f)
 	}
-	if forceLen || bodyLen > 0 {
-		b = fmt.Appendf(b, "Content-Length: %d\r\n", bodyLen)
+	if pending {
+		b = appendField(b, extra)
 	}
+	if bodyLen != nil {
+		b = append(b, "Content-Length: "...)
+		b = append(b, bodyLen...)
+		b = append(b, "\r\n"...)
+	}
+	return append(b, "\r\n"...)
+}
+
+func appendField(b []byte, f Field) []byte {
+	b = append(b, f.Key...)
+	b = append(b, ": "...)
+	b = append(b, f.Value...)
 	return append(b, "\r\n"...)
 }
 
@@ -248,20 +358,120 @@ func writeMessage(w io.Writer, head, body []byte) error {
 	return err
 }
 
+// head is the scratch one message head is parsed in: the bytes of its start
+// line and header lines, line ends dropped, and where each header's key and
+// value sit among them. The parsers make one string of buf when the blank
+// line has arrived, and every string of the parsed message — method, target,
+// status text, header keys and values — is a substring of it: a message
+// costs the same few allocations whatever its header count, and whoever
+// keeps one of those strings beyond the exchange keeps the whole head alive
+// (so keepers strings.Clone what they store).
+type head struct {
+	buf    []byte
+	fields []fieldAt
+}
+
+// fieldAt locates one header line's trimmed key and value in head.buf.
+type fieldAt struct{ key, keyEnd, val, valEnd int }
+
+var headPool = sync.Pool{New: func() any { return new(head) }}
+
+// release returns h to the pool, unless a hostile head grew it far beyond
+// what the next message needs.
+func (h *head) release() {
+	if cap(h.buf) > maxLineBytes {
+		return
+	}
+	h.buf, h.fields = h.buf[:0], h.fields[:0]
+	headPool.Put(h)
+}
+
+// readLine appends the next line of br to h.buf, without its line end, and
+// returns it. Lines are cut the way bufio.Reader.ReadLine cuts them: at
+// "\r\n" or a bare "\n", and at end of input for a last unterminated one.
+func (h *head) readLine(br *bufio.Reader) ([]byte, error) {
+	start := len(h.buf)
+	for {
+		chunk, isPrefix, err := br.ReadLine()
+		if err != nil {
+			return nil, err
+		}
+		h.buf = append(h.buf, chunk...)
+		if len(h.buf)-start > maxLineBytes {
+			return nil, ErrTooLarge
+		}
+		if !isPrefix {
+			return h.buf[start:], nil
+		}
+	}
+}
+
+// readFields reads header lines up to the blank one, checking each as it
+// arrives, so a malformed head fails at its first bad line.
+func (h *head) readFields(br *bufio.Reader) error {
+	for count := 0; ; count++ {
+		if count > maxHeaderCount {
+			return ErrTooLarge
+		}
+		start := len(h.buf)
+		line, err := h.readLine(br)
+		if err != nil {
+			return err
+		}
+		if len(line) == 0 {
+			return nil
+		}
+		colon := bytes.IndexByte(line, ':')
+		if colon <= 0 {
+			return fmt.Errorf("%w: header %q", ErrMalformed, line)
+		}
+		var f fieldAt
+		f.key, f.keyEnd = trimSpace(h.buf, start, start+colon)
+		if f.key == f.keyEnd {
+			// A whitespace-only key would serialize as ": v", which no
+			// parser (ours included) reads back.
+			return fmt.Errorf("%w: header %q", ErrMalformed, line)
+		}
+		f.val, f.valEnd = trimSpace(h.buf, start+colon+1, len(h.buf))
+		h.fields = append(h.fields, f)
+	}
+}
+
+// trimSpace narrows b[i:j] to what bytes.TrimSpace keeps of it.
+func trimSpace(b []byte, i, j int) (int, int) {
+	i = j - len(bytes.TrimLeftFunc(b[i:j], unicode.IsSpace))
+	return i, i + len(bytes.TrimRightFunc(b[i:j], unicode.IsSpace))
+}
+
+// header builds the parsed fields out of s, the string made of h.buf.
+func (h *head) header(s string) Header {
+	hdr := make(Header, 0, len(h.fields))
+	for _, f := range h.fields {
+		hdr.Add(s[f.key:f.keyEnd], s[f.val:f.valEnd])
+	}
+	return hdr
+}
+
 // ReadRequest parses one request from br.
 func ReadRequest(br *bufio.Reader) (*Request, error) {
-	line, err := readLine(br)
+	h := headPool.Get().(*head)
+	defer h.release()
+	line, err := h.readLine(br)
 	if err != nil {
 		return nil, err
 	}
-	parts := strings.SplitN(line, " ", 3)
-	if len(parts) != 3 || !strings.HasPrefix(parts[2], "HTTP/") {
+	// "METHOD TARGET PROTO", cut at the first two spaces.
+	sp1 := bytes.IndexByte(line, ' ')
+	sp2 := sp1 + 1 + bytes.IndexByte(line[sp1+1:], ' ')
+	if sp1 < 0 || sp2 <= sp1 || !bytes.HasPrefix(line[sp2+1:], []byte("HTTP/")) {
 		return nil, fmt.Errorf("%w: request line %q", ErrMalformed, line)
 	}
-	req := &Request{Method: parts[0], Target: parts[1], Proto: parts[2], Header: Header{}}
-	if err := readHeaders(br, req.Header); err != nil {
+	end := len(line)
+	if err := h.readFields(br); err != nil {
 		return nil, err
 	}
+	s := string(h.buf)
+	req := &Request{Method: s[:sp1], Target: s[sp1+1 : sp2], Proto: s[sp2+1 : end], Header: h.header(s)}
 	req.Host = req.Header.Get("Host")
 	req.Header.Del("Host")
 	req.Body, err = readBody(br, req.Header)
@@ -270,70 +480,36 @@ func ReadRequest(br *bufio.Reader) (*Request, error) {
 
 // ReadResponse parses one response from br.
 func ReadResponse(br *bufio.Reader) (*Response, error) {
-	line, err := readLine(br)
+	h := headPool.Get().(*head)
+	defer h.release()
+	line, err := h.readLine(br)
 	if err != nil {
 		return nil, err
 	}
-	parts := strings.SplitN(line, " ", 3)
-	if len(parts) < 2 || !strings.HasPrefix(parts[0], "HTTP/") {
+	// "PROTO CODE[ STATUS TEXT]", cut at the first two spaces.
+	end := len(line)
+	sp1 := bytes.IndexByte(line, ' ')
+	if sp1 < 0 || !bytes.HasPrefix(line, []byte("HTTP/")) {
 		return nil, fmt.Errorf("%w: status line %q", ErrMalformed, line)
 	}
-	code, err := strconv.Atoi(parts[1])
+	sp2 := end
+	if i := bytes.IndexByte(line[sp1+1:], ' '); i >= 0 {
+		sp2 = sp1 + 1 + i
+	}
+	code, err := strconv.Atoi(string(line[sp1+1 : sp2]))
 	if err != nil || code < 100 || code > 599 {
-		return nil, fmt.Errorf("%w: status code %q", ErrMalformed, parts[1])
+		return nil, fmt.Errorf("%w: status code %q", ErrMalformed, line[sp1+1:sp2])
 	}
-	resp := &Response{Proto: parts[0], StatusCode: code, Header: Header{}}
-	if len(parts) == 3 {
-		resp.Status = parts[2]
-	}
-	if err := readHeaders(br, resp.Header); err != nil {
+	if err := h.readFields(br); err != nil {
 		return nil, err
+	}
+	s := string(h.buf)
+	resp := &Response{Proto: s[:sp1], StatusCode: code, Header: h.header(s)}
+	if sp2 < end {
+		resp.Status = s[sp2+1 : end]
 	}
 	resp.Body, err = readBody(br, resp.Header)
 	return resp, err
-}
-
-func readLine(br *bufio.Reader) (string, error) {
-	var sb strings.Builder
-	for {
-		chunk, isPrefix, err := br.ReadLine()
-		if err != nil {
-			return "", err
-		}
-		sb.Write(chunk)
-		if sb.Len() > maxLineBytes {
-			return "", ErrTooLarge
-		}
-		if !isPrefix {
-			return sb.String(), nil
-		}
-	}
-}
-
-func readHeaders(br *bufio.Reader, h Header) error {
-	for count := 0; ; count++ {
-		if count > maxHeaderCount {
-			return ErrTooLarge
-		}
-		line, err := readLine(br)
-		if err != nil {
-			return err
-		}
-		if line == "" {
-			return nil
-		}
-		i := strings.IndexByte(line, ':')
-		if i <= 0 {
-			return fmt.Errorf("%w: header %q", ErrMalformed, line)
-		}
-		key := strings.TrimSpace(line[:i])
-		if key == "" {
-			// A whitespace-only key would serialize as ": v", which no
-			// parser (ours included) reads back.
-			return fmt.Errorf("%w: header %q", ErrMalformed, line)
-		}
-		h.Add(key, strings.TrimSpace(line[i+1:]))
-	}
 }
 
 func readBody(br *bufio.Reader, h Header) ([]byte, error) {

@@ -58,25 +58,24 @@ type pipe struct {
 	lat   time.Duration // virtual one-way propagation latency
 
 	mu      sync.Mutex
-	cond    *sync.Cond
+	cond    sync.Cond // L is &mu
 	segs    []segment
 	unread  int
 	cap     int
-	lastDue time.Time // real due time of last queued segment
-	closed  bool      // EOF once drained
-	reset   bool      // error immediately
-	rdl     time.Time // read deadline (zero = none); see domain note above
-	wdl     time.Time // write deadline
+	lastDue time.Time   // real due time of last queued segment
+	closed  bool        // EOF once drained
+	reset   bool        // error immediately
+	rdl     time.Time   // read deadline (zero = none); see domain note above
+	wdl     time.Time   // write deadline
 	rdlWake func() bool // stops the armed event-mode expiry broadcast
 	wdlWake func() bool
 }
 
 const defaultPipeCap = 1 << 18 // 256 KiB in flight
 
-func newPipe(n *Network, lat time.Duration) *pipe {
-	p := &pipe{net: n, clock: n.clock, lat: lat, cap: defaultPipeCap}
-	p.cond = sync.NewCond(&p.mu)
-	return p
+func (p *pipe) init(n *Network, lat time.Duration) {
+	p.net, p.clock, p.lat, p.cap = n, n.clock, lat, defaultPipeCap
+	p.cond.L = &p.mu
 }
 
 // waitUntil blocks on the pipe's cond until shortly before the real instant
@@ -349,11 +348,17 @@ type Conn struct {
 // connPair builds two connected Conns. lat is the virtual one-way latency of
 // the segment between them.
 func connPair(n *Network, lat time.Duration, a, b Addr, flow Flow) (*Conn, *Conn) {
-	ab := newPipe(n, lat)
-	ba := newPipe(n, lat)
-	ca := &Conn{rx: ba, tx: ab, local: a, remote: b, flow: flow, clock: n.clock}
-	cb := &Conn{rx: ab, tx: ba, local: b, remote: a, flow: flow, clock: n.clock}
-	return ca, cb
+	// Both directions and both ends live and die together, so they are one
+	// allocation.
+	l := new(struct {
+		ab, ba pipe
+		a, b   Conn
+	})
+	l.ab.init(n, lat)
+	l.ba.init(n, lat)
+	l.a = Conn{rx: &l.ba, tx: &l.ab, local: a, remote: b, flow: flow, clock: n.clock}
+	l.b = Conn{rx: &l.ab, tx: &l.ba, local: b, remote: a, flow: flow, clock: n.clock}
+	return &l.a, &l.b
 }
 
 // Read implements net.Conn.
