@@ -406,7 +406,7 @@ func TestHTTPMixedCaseConnectionClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	conn.SetDeadline(w.n.Clock().Now().Add(10 * time.Second))
+	netem.Bind(ctx, conn)
 	req := httpx.NewRequest("GET", "ok.example.com", "/")
 	req.Header.Set("Connection", "Close")
 	if err := httpx.WriteRequest(conn, req); err != nil {
@@ -447,7 +447,7 @@ func TestSNIBlocking(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer raw.Close()
-	raw.SetDeadline(w.n.Clock().Now().Add(5 * time.Second))
+	netem.Bind(ctx, raw)
 	if _, err := tlsx.Client(raw, "www.youtube.com", ""); err == nil {
 		t.Fatal("TLS handshake with blocked SNI succeeded")
 	}
@@ -464,7 +464,7 @@ func TestSNICleanPassesThroughInspection(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer raw.Close()
-	raw.SetDeadline(w.n.Clock().Now().Add(10 * time.Second))
+	netem.Bind(ctx, raw)
 	tc, err := tlsx.Client(raw, "ok.example.com", "ok.example.com")
 	if err != nil {
 		t.Fatalf("clean TLS handshake: %v", err)
@@ -493,7 +493,7 @@ func TestDomainFrontingDefeatsSNIBlocking(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer raw.Close()
-	raw.SetDeadline(w.n.Clock().Now().Add(10 * time.Second))
+	netem.Bind(ctx, raw)
 	tc, err := tlsx.Client(raw, "ok.example.com", "")
 	if err != nil {
 		t.Fatalf("fronted handshake: %v", err)

@@ -201,7 +201,7 @@ func StaticProxyApproach(name string, host *netem.Host, clock *vtime.Clock, prox
 		Kind: KindRelay,
 		Transport: &web.Transport{
 			Label:  name,
-			Dialer: proxynet.Via(host.Dial, clock, proxyAddr),
+			Dialer: proxynet.Via(host.Dial, proxyAddr),
 			Clock:  clock,
 		},
 		Handles: handlesAll,

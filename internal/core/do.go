@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"csaw/internal/globaldb"
 	"csaw/internal/httpx"
 	"csaw/internal/localdb"
 	"csaw/internal/netem"
@@ -25,14 +24,7 @@ func (c *Client) Do(ctx context.Context, req *httpx.Request) (*Result, error) {
 		return res, res.Err
 	}
 	url := localdb.JoinURL(req.Host, req.Target)
-	rec, status := c.db.Lookup(url)
-	stages := rec.Stages
-	if status != localdb.Blocked {
-		if e, ok := c.globalLookup(url); ok {
-			status = localdb.Blocked
-			stages = globaldb.FromWire(e.Stages)
-		}
-	}
+	status, stages, _ := c.verdict(trace.SpanFromContext(ctx), url)
 
 	start := c.clock.Now()
 	if status == localdb.Blocked {

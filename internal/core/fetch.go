@@ -51,9 +51,31 @@ func (c *Client) FetchURL(ctx context.Context, url string) (res *Result) {
 		ctx = trace.WithSpan(ctx, sp)
 		defer func() { sp.Finish(res.Source, res.Status.String(), res.Err) }()
 	}
+	status, stages, fromGlobal := c.verdict(sp, url)
+
+	switch status {
+	case localdb.Blocked:
+		return c.fetchBlocked(ctx, url, stages, fromGlobal)
+	case localdb.NotBlocked:
+		if c.cfg.NoSelectiveRedundancy {
+			return c.fetchUnmeasured(ctx, url)
+		}
+		// Known clean: the direct fetch implicitly re-measures it (churn
+		// scenario B) without a redundant copy (selective redundancy,
+		// §4.3.1); a blocked outcome is Unblocked→Blocked churn.
+		return c.measureThenServe(ctx, url, "churn-unblocked-to-blocked")
+	default:
+		return c.fetchUnmeasured(ctx, url)
+	}
+}
+
+// verdict is Algorithm 1's first question — what is known about url? —
+// for every request, whatever its method: the local_DB's record unless it
+// predates the censor's current epoch, else the crowd's under the same rule,
+// widened under multihoming to what any provider blocks.
+func (c *Client) verdict(sp *trace.Span, url string) (status localdb.Status, stages []localdb.Stage, fromGlobal bool) {
 	rec, status := c.db.Lookup(url)
-	stages := rec.Stages
-	fromGlobal := false
+	stages = rec.Stages
 	// Stale-verdict re-detection: a verdict measured before the censor's
 	// current policy epoch (Config.CensorEpoch) describes an adversary that
 	// no longer exists — treat the URL as unmeasured and re-detect.
@@ -91,18 +113,7 @@ func (c *Client) FetchURL(ctx context.Context, url string) (res *Result) {
 		}
 		sp.Event("db", "lookup", detail)
 	}
-
-	switch status {
-	case localdb.Blocked:
-		return c.fetchBlocked(ctx, url, stages, fromGlobal)
-	case localdb.NotBlocked:
-		if c.cfg.NoSelectiveRedundancy {
-			return c.fetchUnmeasured(ctx, url)
-		}
-		return c.fetchKnownClean(ctx, url)
-	default:
-		return c.fetchUnmeasured(ctx, url)
-	}
+	return status, stages, fromGlobal
 }
 
 // globalLookup consults the crowd's list for each of the host's ASes (exact
@@ -194,10 +205,10 @@ func (c *Client) recordOutcome(url string, status localdb.Status, stages []local
 	c.db.Put(url, c.currentASN(), status, stages)
 }
 
-// fetchKnownClean serves a URL the DB says is unblocked: fetch the direct
-// path (which implicitly measures it — churn scenario B) without a
-// redundant copy (selective redundancy, §4.3.1).
-func (c *Client) fetchKnownClean(ctx context.Context, url string) *Result {
+// measureThenServe measures the direct path and serves its page when it is
+// clean; when it is blocked it counts onBlocked (if any) and circumvents,
+// confirming phase-1 suspicions against the copy.
+func (c *Client) measureThenServe(ctx context.Context, url, onBlocked string) *Result {
 	lane := trace.SpanFromContext(ctx).Lane("direct")
 	out := c.det.Measure(trace.WithLane(ctx, lane), url, detect.HTTP)
 	lane.Close()
@@ -210,9 +221,9 @@ func (c *Client) fetchKnownClean(ctx context.Context, url string) *Result {
 		c.bump("served-direct")
 		return &Result{URL: url, Resp: out.Response, Source: "direct", Status: localdb.NotBlocked}
 	}
-	// The URL got blocked since we last looked (Unblocked→Blocked churn):
-	// circumvent now, confirming phase-1 suspicions against the copy.
-	c.bump("churn-unblocked-to-blocked")
+	if onBlocked != "" {
+		c.bump(onBlocked)
+	}
 	return c.confirmAndServe(ctx, url, out)
 }
 
@@ -221,18 +232,7 @@ func (c *Client) fetchKnownClean(ctx context.Context, url string) *Result {
 func (c *Client) fetchUnmeasured(ctx context.Context, url string) *Result {
 	sp := trace.SpanFromContext(ctx)
 	if c.cfg.Serial {
-		lane := sp.Lane("direct")
-		out := c.det.Measure(trace.WithLane(ctx, lane), url, detect.HTTP)
-		lane.Close()
-		if out.Status == localdb.NotMeasured {
-			return &Result{URL: url, Source: "direct", Status: out.Status, Err: out.Err}
-		}
-		if !out.Blocked() {
-			c.recordOutcome(url, localdb.NotBlocked, nil)
-			c.bump("served-direct")
-			return &Result{URL: url, Resp: out.Response, Source: "direct", Status: localdb.NotBlocked}
-		}
-		return c.confirmAndServe(ctx, url, out)
+		return c.measureThenServe(ctx, url, "")
 	}
 
 	// The direct lane is opened before the goroutine launches so the span

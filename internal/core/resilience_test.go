@@ -1,11 +1,15 @@
 package core_test
 
 import (
+	"context"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
+	"csaw/internal/censor"
 	"csaw/internal/core"
+	"csaw/internal/httpx"
 	"csaw/internal/leakcheck"
 	"csaw/internal/localdb"
 	"csaw/internal/worldgen"
@@ -95,6 +99,45 @@ func TestStaleVerdictRedetection(t *testing.T) {
 	}
 }
 
+// A POST asks the verdict question a GET asks: a blocked record that
+// predates the censor's current epoch is not circumvented on — the POST goes
+// out once, on the direct path, and the next GET re-detects.
+func TestDoPostIgnoresStaleVerdict(t *testing.T) {
+	var mu sync.Mutex
+	var epoch time.Time
+	w, c := newCaseStudyClient(t, func(cfg *core.Config) {
+		cfg.CensorEpoch = func() time.Time {
+			mu.Lock()
+			defer mu.Unlock()
+			return epoch
+		}
+	}, "ISP-A")
+	if res := fetchURL(t, c, worldgen.YouTubeHost+"/"); !res.OK() || res.Status != localdb.Blocked {
+		t.Fatalf("warm fetch = %+v (err=%v), want a blocked verdict", res, res.Err)
+	}
+	c.WaitIdle()
+	w.Clock.Advance(time.Hour)
+	mu.Lock()
+	epoch = w.Clock.Now()
+	mu.Unlock()
+
+	circum := c.Counter("served-circum")
+	req := httpx.NewRequest("POST", worldgen.YouTubeHost, "/")
+	req.Body = []byte(`text=hi`)
+	if res, err := c.Do(context.Background(), req); err == nil && res.Source != "direct" {
+		t.Fatalf("POST on a stale blocked verdict went via %q", res.Source)
+	}
+	if got := c.Counter("stale-verdict"); got != 1 {
+		t.Fatalf("stale-verdict = %d, want 1", got)
+	}
+	if got := c.Counter("served-direct") + c.Counter("post-direct-failed"); got != 1 {
+		t.Fatalf("direct POSTs = %d, want exactly 1", got)
+	}
+	if got := c.Counter("served-circum"); got != circum {
+		t.Fatalf("served-circum moved %d → %d: the POST circumvented on a stale verdict", circum, got)
+	}
+}
+
 // Close alone — no WaitIdle — must reap every background goroutine the
 // fetch pipeline spawned: settle/refresh workers, redundant-copy watchers,
 // stop-context watchers.
@@ -112,4 +155,46 @@ func TestCloseReapsBackgroundWork(t *testing.T) {
 	_ = fetchURL(t, c, worldgen.YouTubeHost+"/")
 	_ = fetchURL(t, c, worldgen.SmallHost+"/")
 	c.Close()
+}
+
+// On the event clock nothing but a sleeper moves time, so a direct
+// measurement whose request the censor swallowed can never reach its HTTP
+// timeout: Close must end it, as it ends one stalled on a blackholed
+// connect. With no approach to fall back on, the fetch itself is what waits.
+func TestCloseUnhangsStalledExchange(t *testing.T) {
+	w, err := worldgen.New(worldgen.Options{EventDriven: true, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.StandardSites(); err != nil {
+		t.Fatal(err)
+	}
+	isp, err := w.AddISP(64500, "ISP-drop", &censor.Policy{
+		HTTP: []censor.HTTPRule{{Host: worldgen.NewsHost, Action: censor.HTTPDrop}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := w.ClientConfig(w.NewClientHost("client-1", isp), 5)
+	cfg.Approaches = nil
+	c, err := core.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	leakcheck.Check(t)
+	done := make(chan *core.Result, 1)
+	go func() { done <- c.FetchURL(context.Background(), worldgen.NewsHost+"/") }()
+	for isp.Censor.Stats.Get(censor.HTTPDrop.String()) == 0 {
+		runtime.Gosched() // until the censor has swallowed the request
+	}
+	c.Close()
+	select {
+	case res := <-done:
+		if res.Status != localdb.NotMeasured || res.Err == nil {
+			t.Fatalf("fetch cut short by Close = %s, err %v; want not-measured with an error", res.Status, res.Err)
+		}
+	case <-time.After(5 * time.Second): //lint:allow-realtime test watchdog
+		t.Fatal("FetchURL still stalled in the direct measurement after Close")
+	}
 }

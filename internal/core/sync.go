@@ -169,30 +169,26 @@ func (c *Client) syncFinish(err error) {
 // syncRound does the actual report + fetch work of one round.
 func (c *Client) syncRound(ctx context.Context) error {
 	g := c.cfg.GlobalDB
-	pol := c.cfg.Sync
 	var errs []error
 
 	// Report phase. The pending queue is bounded: a round takes on at most
-	// MaxPending records (overflow stays safely in the local_DB and is
-	// counted), posted oldest-first in MaxBatch batches. A record is marked
-	// posted only after the server acknowledged its batch, so a failed
-	// batch is retried later rather than lost, and an acknowledged one is
-	// never re-posted.
+	// SyncMaxPending records (overflow stays safely in the local_DB and is
+	// counted), posted oldest-first in SyncMaxBatch batches. A record is
+	// marked posted only after the server acknowledged its batch, so a
+	// failed batch is retried later rather than lost, and an acknowledged
+	// one is never re-posted.
 	pending := c.db.PendingGlobal()
 	sort.SliceStable(pending, func(i, j int) bool {
 		return pending[i].Measured.Before(pending[j].Measured)
 	})
-	if over := len(pending) - pol.maxPending(); over > 0 {
-		pending = pending[:pol.maxPending()]
+	if over := len(pending) - SyncMaxPending; over > 0 {
+		pending = pending[:SyncMaxPending]
 		c.mu.Lock()
 		c.counters["sync-report-deferred"] += over
 		c.mu.Unlock()
 	}
 	for len(pending) > 0 {
-		batch := pending
-		if len(batch) > pol.maxBatch() {
-			batch = batch[:pol.maxBatch()]
-		}
+		batch := pending[:min(len(pending), SyncMaxBatch)]
 		if _, err := g.Report(ctx, batch); err != nil {
 			errs = append(errs, fmt.Errorf("report (%d pending): %w", len(pending), err))
 			break

@@ -209,16 +209,15 @@ func TestSyncCircuitBreaker(t *testing.T) {
 }
 
 func TestSyncBatchingAndOverflow(t *testing.T) {
-	// MaxPending bounds a round's report intake (overflow deferred, not
-	// lost); MaxBatch splits the posts; every record is posted exactly once.
-	w, c, gdb, _ := newSyncWorld(t, func(cfg *core.Config) {
-		cfg.Sync = core.SyncPolicy{MaxBatch: 2, MaxPending: 3}
-	}, "ISP-A")
+	// SyncMaxPending bounds a round's report intake (overflow deferred, not
+	// lost); SyncMaxBatch splits the posts; every record is posted exactly
+	// once.
+	w, c, gdb, _ := newSyncWorld(t, nil, "ISP-A")
 	ctx := context.Background()
 	if err := gdb.Register(ctx, "human-test"); err != nil {
 		t.Fatal(err)
 	}
-	const total = 5
+	const total = core.SyncMaxPending + 2
 	for i := 0; i < total; i++ {
 		c.DB().Put(fmt.Sprintf("blocked-%d.example/", i), 17557, localdb.Blocked,
 			[]localdb.Stage{{Type: localdb.BlockDNS}})
@@ -227,8 +226,8 @@ func TestSyncBatchingAndOverflow(t *testing.T) {
 	if err := c.SyncNow(ctx); err != nil {
 		t.Fatalf("first round: %v", err)
 	}
-	if st := c.SyncStats(); st.Posted != 3 || st.Deferred != 2 {
-		t.Fatalf("stats after first round = %+v, want Posted=3 Deferred=2", st)
+	if st := c.SyncStats(); st.Posted != core.SyncMaxPending || st.Deferred != 2 {
+		t.Fatalf("stats after first round = %+v, want Posted=%d Deferred=2", st, core.SyncMaxPending)
 	}
 	if left := len(c.DB().PendingGlobal()); left != 2 {
 		t.Fatalf("pending after first round = %d, want 2", left)
@@ -249,7 +248,7 @@ func TestSyncReportFailureRetriesNextRound(t *testing.T) {
 	// A failed Report leaves its records pending; the next round posts them
 	// without double-posting anything already acknowledged.
 	w, c, gdb, _ := newSyncWorld(t, func(cfg *core.Config) {
-		cfg.Sync = core.SyncPolicy{MaxBatch: 2, Retries: -1}
+		cfg.Sync = core.SyncPolicy{Retries: -1}
 	}, "ISP-A")
 	ctx := context.Background()
 	if err := gdb.Register(ctx, "human-test"); err != nil {

@@ -23,17 +23,22 @@ const (
 	// DefaultSyncJitterFrac is the maximum random extension of a backoff
 	// delay, as a fraction of the delay, to de-synchronize client retries.
 	DefaultSyncJitterFrac = 0.2
-	// DefaultSyncMaxBatch bounds how many reports ride in one Report call.
-	DefaultSyncMaxBatch = 64
-	// DefaultSyncMaxPending bounds how many pending reports one sync round
-	// will take on; the rest stay in the local_DB for later rounds.
-	DefaultSyncMaxPending = 1024
 	// DefaultSyncBreakerAfter is how many consecutive failed rounds open
 	// the circuit breaker.
 	DefaultSyncBreakerAfter = 3
 	// DefaultSyncBreakerReset is how long the breaker stays open before a
 	// half-open probe round is allowed through.
 	DefaultSyncBreakerReset = 10 * time.Minute
+)
+
+// Bounds on one sync round's report phase.
+const (
+	// SyncMaxBatch is the largest report batch posted per Report call.
+	SyncMaxBatch = 64
+	// SyncMaxPending bounds the report queue a single round takes on.
+	// Overflow stays in the local_DB: the newest records are deferred to
+	// later rounds.
+	SyncMaxPending = 1024
 )
 
 // SyncPolicy tunes the fault tolerance of the client↔global_DB sync
@@ -47,12 +52,6 @@ type SyncPolicy struct {
 	// BackoffBase/BackoffMax shape the exponential retry schedule.
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
-	// MaxBatch is the largest report batch posted per Report call.
-	MaxBatch int
-	// MaxPending bounds the report queue a single round takes on. Overflow
-	// stays in the local_DB: the newest records are deferred to later
-	// rounds.
-	MaxPending int
 	// BreakerAfter consecutive failed rounds open the circuit breaker and
 	// drop the client into local-only mode; 0 selects the default, negative
 	// disables the breaker. BreakerReset is the open-state cooldown before
@@ -83,20 +82,6 @@ func (p SyncPolicy) backoffMax() time.Duration {
 		return DefaultSyncBackoffMax
 	}
 	return p.BackoffMax
-}
-
-func (p SyncPolicy) maxBatch() int {
-	if p.MaxBatch <= 0 {
-		return DefaultSyncMaxBatch
-	}
-	return p.MaxBatch
-}
-
-func (p SyncPolicy) maxPending() int {
-	if p.MaxPending <= 0 {
-		return DefaultSyncMaxPending
-	}
-	return p.MaxPending
 }
 
 func (p SyncPolicy) breakerAfter() int {
@@ -147,7 +132,7 @@ type SyncStats struct {
 	Skipped  int
 	// Partial counts rounds where some but not all per-AS fetches failed.
 	Partial int
-	// Deferred counts reports pushed past a round's MaxPending bound.
+	// Deferred counts reports pushed past a round's SyncMaxPending bound.
 	Deferred int
 	// ConsecutiveFailures feeds the breaker; Degraded reports local-only
 	// mode; LastError is the most recent round's failure ("" after a

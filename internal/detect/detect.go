@@ -275,8 +275,12 @@ func (d *Detector) Measure(ctx context.Context, url string, scheme Scheme) (out 
 	}
 	defer conn.Close()
 
-	// Stage 3: the HTTP/S exchange.
-	_ = conn.SetDeadline(d.Clock.Now().Add(d.httpTimeout()))
+	// Stage 3: the HTTP/S exchange, bounded as a whole: a censor that
+	// swallows the request shows only as this timeout.
+	hctx, cancel := d.Clock.WithTimeout(ctx, d.httpTimeout())
+	defer cancel()
+	release := netem.Bind(hctx, conn)
+	defer release()
 	var stream net.Conn = conn
 	if scheme == HTTPS {
 		tc, err := tlsx.ClientCtx(ctx, conn, host, "")
@@ -335,7 +339,15 @@ func (d *Detector) Measure(ctx context.Context, url string, scheme Scheme) (out 
 	redirected := false
 	if resp.StatusCode == 301 || resp.StatusCode == 302 {
 		if loc := resp.Header.Get("Location"); loc != "" {
-			if fetched := d.fetchRedirect(ctx, loc); fetched != nil {
+			fetched := d.fetchRedirect(ctx, loc)
+			if ctx.Err() != nil {
+				// The hop ended with the caller, not with an answer: the
+				// page was never classified, so there is no verdict.
+				out.Status = localdb.NotMeasured
+				out.Err = ctx.Err()
+				return out
+			}
+			if fetched != nil {
 				body = fetched
 				redirected = true
 			}
@@ -393,7 +405,8 @@ func (d *Detector) fetchRedirect(ctx context.Context, loc string) []byte {
 		return nil
 	}
 	defer conn.Close()
-	_ = conn.SetDeadline(d.Clock.Now().Add(d.httpTimeout()))
+	release := netem.Bind(cctx, conn)
+	defer release()
 	// Off the lane: the hop is fetched for classification only, so its wait
 	// stays out of the measured fetch's TTFB/body phases.
 	resp, err := httpx.RoundTrip(context.Background(), conn, httpx.NewRequest("GET", host, path))

@@ -2,6 +2,7 @@ package detect
 
 import (
 	"context"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -355,5 +356,46 @@ func TestStageSummary(t *testing.T) {
 	}
 	if (&Outcome{}).StageSummary() != "none" {
 		t.Fatal("empty summary wrong")
+	}
+}
+
+// TestCancelUnblocksStalledExchange: a measurement stalled on a censor that
+// swallowed its request — in stage 3, or on the redirect hop — ends with its
+// context, as no verdict, long before the HTTP timeout would have ended it.
+func TestCancelUnblocksStalledExchange(t *testing.T) {
+	cases := []struct {
+		name   string
+		policy *censor.Policy
+	}{
+		{"stage 3", &censor.Policy{HTTP: []censor.HTTPRule{{Host: "youtube.com", Action: censor.HTTPDrop}}}},
+		{"redirect hop", &censor.Policy{
+			HTTP: []censor.HTTPRule{
+				{Host: "youtube.com", Action: censor.HTTPRedirect},
+				{Host: "block.isp.pk", Action: censor.HTTPDrop},
+			},
+			BlockPageURL: "block.isp.pk/blocked.html",
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, det, cen := detWorld(t, tc.policy)
+			det.HTTPTimeout = 100 * time.Hour // 12 min real at this scale
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			done := make(chan Outcome, 1)
+			go func() { done <- det.Measure(ctx, "www.youtube.com/", HTTP) }()
+			for cen.Stats.Get(censor.HTTPDrop.String()) == 0 {
+				runtime.Gosched() // until the censor has swallowed the request
+			}
+			cancel()
+			select {
+			case out := <-done:
+				if out.Status != localdb.NotMeasured {
+					t.Fatalf("cancelled measurement = %s %s, want not-measured", out.Status, out.StageSummary())
+				}
+			case <-time.After(time.Second): //lint:allow-realtime test watchdog
+				t.Fatal("Measure still blocked 1s after its context was cancelled")
+			}
+		})
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -170,12 +171,8 @@ func (c *Client) exchange(ctx context.Context, server, name string) (*Message, e
 		return nil, err
 	}
 	defer conn.Close()
-	deadline := c.Clock.Now().Add(c.attemptTimeout())
-	_ = conn.SetDeadline(deadline)
-	// The conn deadline covers the attempt budget; also unblock promptly if
-	// the caller's context ends first.
-	stop := context.AfterFunc(actx, func() { conn.Close() })
-	defer stop()
+	release := netem.Bind(actx, conn)
+	defer release()
 
 	id := uint16(c.id.Add(1))
 	q := NewQuery(id, name)
@@ -191,7 +188,7 @@ func (c *Client) exchange(ctx context.Context, server, name string) (*Message, e
 			continue // stray or spoofed-mismatch message; keep waiting
 		}
 		if c.HoldOn > 0 {
-			if later := c.holdOn(conn, id); later != nil {
+			if later := c.holdOn(actx, conn, id); later != nil {
 				return later, nil
 			}
 		}
@@ -201,13 +198,13 @@ func (c *Client) exchange(ctx context.Context, server, name string) (*Message, e
 
 // holdOn waits briefly for a second answer to the same query and returns
 // it, or nil if none arrives — the injected answer always arrives first,
-// so a conflicting later answer is the genuine one.
-func (c *Client) holdOn(conn interface {
-	Read([]byte) (int, error)
-	SetReadDeadline(t time.Time) error
-}, id uint16) *Message {
-	_ = conn.SetReadDeadline(c.Clock.Now().Add(c.HoldOn))
-	defer conn.SetReadDeadline(c.Clock.Now().Add(c.attemptTimeout()))
+// so a conflicting later answer is the genuine one. The wait expires conn:
+// the exchange is over either way.
+func (c *Client) holdOn(ctx context.Context, conn net.Conn, id uint16) *Message {
+	hctx, cancel := c.Clock.WithTimeout(ctx, c.HoldOn)
+	defer cancel()
+	release := netem.Bind(hctx, conn)
+	defer release()
 	for {
 		resp, err := ReadMessage(conn)
 		if err != nil {

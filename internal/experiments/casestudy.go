@@ -191,7 +191,7 @@ func Figure1a(o Options) (*Result, error) {
 	for _, name := range names {
 		tr := &web.Transport{
 			Label:  name,
-			Dialer: proxynet.Via(client.Dial, w.Clock, w.StaticProxies[name]),
+			Dialer: proxynet.Via(client.Dial, w.StaticProxies[name]),
 			Clock:  w.Clock,
 		}
 		dist, err := loadSeries(w, tr, worldgen.YouTubeHost, "/", runs)

@@ -1,7 +1,6 @@
 package globaldb
 
 import (
-	"math/rand"
 	"strings"
 	"sync"
 
@@ -10,7 +9,7 @@ import (
 
 // FaultPolicy injects failures into a Server for resilience experiments:
 // full outages (503s), silent drops (the server says nothing, so the client
-// times out), a one-shot fail-the-next-N budget, and a random failure rate.
+// times out), and a one-shot fail-the-next-N budget.
 // A path filter narrows any of these to matching requests — e.g.
 // SetPathFilter("asn=30") fails only AS-30 blocked-list fetches, which is
 // how tests exercise per-AS partial failure. The zero value injects nothing.
@@ -19,8 +18,6 @@ type FaultPolicy struct {
 	outage   bool
 	drop     bool
 	failNext int
-	failRate float64
-	rng      *rand.Rand
 	filter   string
 	injected int
 }
@@ -44,15 +41,6 @@ func (f *FaultPolicy) SetDrop(on bool) {
 func (f *FaultPolicy) FailNext(n int) {
 	f.mu.Lock()
 	f.failNext = n
-	f.mu.Unlock()
-}
-
-// SetFailRate fails each matching request independently with probability p,
-// deterministically from seed.
-func (f *FaultPolicy) SetFailRate(p float64, seed int64) {
-	f.mu.Lock()
-	f.failRate = p
-	f.rng = rand.New(rand.NewSource(seed))
 	f.mu.Unlock()
 }
 
@@ -83,9 +71,6 @@ func (f *FaultPolicy) intercept(req *httpx.Request) (*httpx.Response, bool) {
 	fire := f.outage
 	if !fire && f.failNext > 0 {
 		f.failNext--
-		fire = true
-	}
-	if !fire && f.failRate > 0 && f.rng != nil && f.rng.Float64() < f.failRate {
 		fire = true
 	}
 	if !fire {

@@ -44,9 +44,8 @@ func (c *Client) Do(ctx context.Context, address string, req *Request) (*Respons
 		return nil, err
 	}
 	defer conn.Close()
-	_ = conn.SetDeadline(c.Clock.Now().Add(c.timeout()))
-	stop := context.AfterFunc(ctx, func() { conn.Close() })
-	defer stop()
+	release := netem.Bind(ctx, conn)
+	defer release()
 	return RoundTrip(ctx, conn, req)
 }
 

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"io"
+	"net"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -277,6 +278,15 @@ func TestMuxUnknownHost404(t *testing.T) {
 
 // exchange sends req on an open stream and parses one response, the way a
 // keep-alive client would.
+// bound gives conn a virtual budget, so a stalled exchange fails its test
+// with a timeout instead of hanging it.
+func bound(t *testing.T, clock *vtime.Clock, conn net.Conn, d time.Duration) {
+	t.Helper()
+	ctx, cancel := clock.WithTimeout(context.Background(), d)
+	t.Cleanup(cancel)
+	netem.Bind(ctx, conn)
+}
+
 func exchange(t *testing.T, stream io.ReadWriter, br *bufio.Reader, req *Request) (*Response, error) {
 	t.Helper()
 	if err := WriteRequest(stream, req); err != nil {
@@ -314,7 +324,7 @@ func TestServeConnCloseOnEitherSide(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer conn.Close()
-			_ = conn.SetDeadline(n.Clock().Now().Add(5 * time.Second))
+			bound(t, n.Clock(), conn, 5*time.Second)
 			br := bufio.NewReader(conn)
 			req := NewRequest("GET", "x", "/")
 			if tc.reqConn != "" {
@@ -346,7 +356,7 @@ func TestServeConnNilResponseStaysSilent(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	_ = conn.SetDeadline(n.Clock().Now().Add(5 * time.Second))
+	bound(t, n.Clock(), conn, 5*time.Second)
 	if err := WriteRequest(conn, NewRequest("GET", "x", "/drop")); err != nil {
 		t.Fatal(err)
 	}
@@ -403,7 +413,7 @@ func TestServeConnTLSRequestSeesServerClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer raw.Close()
-	_ = raw.SetDeadline(clock.Now().Add(10 * time.Second))
+	bound(t, clock, raw, 10*time.Second)
 	tc, err := tlsx.Client(raw, "site.example", "site.example")
 	if err != nil {
 		t.Fatal(err)

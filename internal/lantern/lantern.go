@@ -134,10 +134,9 @@ func (c *Client) Dial(ctx context.Context, address string) (net.Conn, error) {
 	if len(proxies) == 0 {
 		return nil, fmt.Errorf("lantern: user %q has no trusted proxies", c.user)
 	}
-	clock := c.host.Network().Clock()
 	var lastErr error
 	for _, p := range proxies {
-		conn, err := proxynet.Via(c.host.Dial, clock, p.Addr())(ctx, address)
+		conn, err := proxynet.Via(c.host.Dial, p.Addr())(ctx, address)
 		if err == nil {
 			return conn, nil
 		}

@@ -63,10 +63,9 @@ var Allowlist = map[string][]string{
 		// The virtual clock is the one component that must read the wall
 		// clock: it converts real elapsed time into virtual time.
 		"internal/vtime/",
-		// Real-deadline plumbing: netem conns implement net.Conn
-		// SetDeadline semantics, which are expressed in real time by
-		// contract (vtime.Clock.Deadline converts virtual deadlines
-		// before they reach the conn).
+		// Real-delivery plumbing: under a real-scaled clock a segment is
+		// due at a real instant (Clock.Real of its virtual latency), and
+		// the pipe waits for that instant itself.
 		"internal/netem/conn.go",
 	},
 }

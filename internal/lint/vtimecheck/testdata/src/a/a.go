@@ -1,9 +1,21 @@
 // Package a exercises vtimecheck: wall-clock reads and timers are
-// flagged, Duration/Time value manipulation is not, and both suppression
-// placements (same line, preceding line, declaration doc) work.
+// flagged, as are conn deadline setters; Duration/Time value manipulation
+// is not, and both suppression placements (same line, preceding line,
+// declaration doc) work.
 package a
 
-import "time"
+import (
+	"net"
+	"time"
+)
+
+func deadlines(c net.Conn, tc *net.TCPConn) {
+	_ = c.SetDeadline(time.Time{})       // want `SetDeadline bounds I/O with a conn deadline`
+	_ = c.SetReadDeadline(time.Time{})   // want `SetReadDeadline bounds I/O with a conn deadline`
+	_ = tc.SetWriteDeadline(time.Time{}) // want `SetWriteDeadline bounds I/O with a conn deadline`
+	//lint:allow-realtime a real socket has no context to bind
+	_ = tc.SetDeadline(time.Time{})
+}
 
 func bad() {
 	_ = time.Now()                         // want `time\.Now is wall-clock time`

@@ -4,13 +4,20 @@
 // of the same experiment see the same virtual schedule; a stray time.Now
 // or time.Sleep silently anchors an experiment to the machine it runs on.
 //
-// internal/vtime itself and the real-deadline plumbing in
+// It also forbids, outside _test.go files, calling a connection's
+// SetDeadline, SetReadDeadline or SetWriteDeadline: an exchange is bounded
+// by its context (vtime.Clock.WithTimeout, then netem.Bind), and a conn
+// deadline is a second bound in a second time frame.
+//
+// internal/vtime itself and the real-delivery plumbing in
 // internal/netem/conn.go are allowlisted (see lint.DefaultConfig);
 // individually justified uses carry //lint:allow-realtime <reason>.
 package vtimecheck
 
 import (
 	"go/ast"
+	"go/types"
+	"strings"
 
 	"csaw/internal/lint/analysis"
 )
@@ -30,17 +37,30 @@ var forbidden = map[string]string{
 	"Until":     "compute from vtime.Clock.Now",
 }
 
+// deadlineSetters are the net.Conn methods that bound I/O without a context.
+var deadlineSetters = map[string]bool{
+	"SetDeadline":      true,
+	"SetReadDeadline":  true,
+	"SetWriteDeadline": true,
+}
+
 // Analyzer is the vtimecheck analyzer.
 var Analyzer = &analysis.Analyzer{
 	Name:     "vtimecheck",
-	Doc:      "forbid wall-clock time (time.Now, time.Sleep, timers) outside internal/vtime; all timing must flow through vtime.Clock",
+	Doc:      "forbid wall-clock time (time.Now, time.Sleep, timers) outside internal/vtime, and conn deadline setters outside tests; all timing must flow through vtime.Clock and the exchange's context",
 	Suppress: "realtime",
 	Run:      run,
 }
 
 func run(pass *analysis.Pass) error {
 	for _, f := range pass.Files {
+		test := strings.HasSuffix(pass.Fset.Position(f.Pos()).Filename, "_test.go")
 		ast.Inspect(f, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok && !test {
+				if fn := pass.Callee(call); fn != nil && deadlineSetters[fn.Name()] && fn.Type().(*types.Signature).Recv() != nil {
+					pass.Reportf(call.Pos(), "%s bounds I/O with a conn deadline; bound the exchange's context and netem.Bind the conn (or annotate //lint:allow-realtime <reason>)", fn.Name())
+				}
+			}
 			sel, ok := n.(*ast.SelectorExpr)
 			if !ok {
 				return true

@@ -12,6 +12,10 @@ func TestVtimecheck(t *testing.T) {
 	linttest.Run(t, vtimecheck.Analyzer, "testdata", "a", nil)
 }
 
+func TestVtimecheckClean(t *testing.T) {
+	linttest.RunClean(t, vtimecheck.Analyzer, "testdata", "clean", nil)
+}
+
 func TestVtimecheckAllowlist(t *testing.T) {
 	cfg := &analysis.Config{
 		ModuleRoot: "testdata/src",

@@ -1,0 +1,187 @@
+package netem_test
+
+import (
+	"context"
+	"errors"
+	"io"
+	"net"
+	"testing"
+	"time"
+
+	"csaw/internal/netem"
+	"csaw/internal/proxynet"
+	"csaw/internal/vtime"
+)
+
+// bindWorld is a client, a proxy and a server whose accepted conns come out
+// of peers, one per dial.
+func bindWorld(t *testing.T, clock *vtime.Clock) (client *netem.Host, proxyAddr string, peers <-chan net.Conn) {
+	t.Helper()
+	n := netem.New(clock, netem.WithSeed(7), netem.WithJitter(0))
+	as := n.AddAS(1, "AS", "PK")
+	client = n.MustAddHost("client", "10.0.0.1", "pk", as)
+	proxyHost := n.MustAddHost("proxy", "20.2.0.1", "uk", as)
+	server := n.MustAddHost("server", serverIP, "us", as)
+	srv, err := proxynet.Serve(proxyHost, proxynet.Port, proxynet.IPLookup)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := server.MustListen(80)
+	t.Cleanup(func() {
+		if err := errors.Join(srv.Close(), l.Close()); err != nil {
+			t.Error(err)
+		}
+	})
+	ch := make(chan net.Conn)
+	go func() {
+		for {
+			c, err := l.Accept()
+			if err != nil {
+				return
+			}
+			ch <- c
+		}
+	}()
+	return client, srv.Addr(), ch
+}
+
+const serverIP = "93.184.216.34"
+
+// TestBind: a bound conn ends with its context — expired when the context
+// ran out of time, closed when it was cancelled, untouched once released —
+// whether the conn is bare or wrapped, on either clock.
+func TestBind(t *testing.T) {
+	clocks := []struct {
+		name string
+		new  func() *vtime.Clock
+	}{
+		{"scaled", func() *vtime.Clock { return vtime.New(500) }},
+		{"event", vtime.NewEventDriven},
+	}
+	wrappers := []struct {
+		name string
+		dial func(client *netem.Host, proxyAddr string) netem.DialFunc
+	}{
+		{"Conn", func(c *netem.Host, _ string) netem.DialFunc { return c.Dial }},
+		{"slotConn", func(c *netem.Host, _ string) netem.DialFunc {
+			return netem.LimitDial(c.Dial, make(chan struct{}, 4))
+		}},
+		{"tunnelConn", func(c *netem.Host, proxyAddr string) netem.DialFunc {
+			return proxynet.Via(c.Dial, proxyAddr)
+		}},
+	}
+	for _, ck := range clocks {
+		for _, w := range wrappers {
+			t.Run(ck.name+"/"+w.name, func(t *testing.T) {
+				clock := ck.new()
+				client, proxyAddr, peers := bindWorld(t, clock)
+				dial := w.dial(client, proxyAddr)
+				// open dials a fresh conn and returns it with its server end.
+				open := func(t *testing.T) (conn, peer net.Conn) {
+					t.Helper()
+					conn, err := dial(context.Background(), serverIP+":80")
+					if err != nil {
+						t.Fatal(err)
+					}
+					peer = <-peers
+					t.Cleanup(func() {
+						conn.Close()
+						peer.Close()
+					})
+					return conn, peer
+				}
+				// passDeadline returns once ctx's deadline has passed: nothing
+				// moves an event clock but the test.
+				passDeadline := func(ctx context.Context) {
+					if clock.EventDriven() {
+						clock.Advance(time.Minute)
+					}
+					<-ctx.Done()
+				}
+
+				t.Run("deadline expires a blocked read", func(t *testing.T) {
+					conn, peer := open(t)
+					ctx, cancel := clock.WithTimeout(context.Background(), 5*time.Second)
+					defer cancel()
+					defer netem.Bind(ctx, conn)()
+					errc := make(chan error, 1)
+					go func() {
+						_, err := conn.Read(make([]byte, 1))
+						errc <- err
+					}()
+					passDeadline(ctx)
+					if err := <-errc; !netem.IsTimeout(err) {
+						t.Fatalf("read on an expired conn = %v, want a timeout", err)
+					}
+					// Expiry is this end's alone: the peer still writes, and
+					// sees the conn end only when it is closed.
+					if _, err := peer.Write([]byte("x")); err != nil {
+						t.Fatalf("peer write after expiry: %v", err)
+					}
+					conn.Close()
+					if rest, err := io.ReadAll(peer); err != nil || len(rest) != 0 {
+						t.Fatalf("peer read after close = %q, %v; want EOF", rest, err)
+					}
+				})
+
+				t.Run("deadline expires a back-pressured write", func(t *testing.T) {
+					conn, _ := open(t) // the peer never reads
+					ctx, cancel := clock.WithTimeout(context.Background(), 5*time.Second)
+					defer cancel()
+					defer netem.Bind(ctx, conn)()
+					errc := make(chan error, 1)
+					go func() {
+						chunk := make([]byte, 64<<10)
+						for {
+							if _, err := conn.Write(chunk); err != nil {
+								errc <- err
+								return
+							}
+						}
+					}()
+					passDeadline(ctx)
+					if err := <-errc; !netem.IsTimeout(err) {
+						t.Fatalf("write on an expired conn = %v, want a timeout", err)
+					}
+				})
+
+				t.Run("cancellation closes", func(t *testing.T) {
+					conn, peer := open(t)
+					ctx, cancel := context.WithCancel(context.Background())
+					defer netem.Bind(ctx, conn)()
+					if _, err := conn.Write([]byte("bye")); err != nil {
+						t.Fatal(err)
+					}
+					cancel()
+					got, err := io.ReadAll(peer)
+					if err != nil || string(got) != "bye" {
+						t.Fatalf("peer read %q, %v; want the queued bytes, then EOF", got, err)
+					}
+				})
+
+				t.Run("released before the deadline", func(t *testing.T) {
+					conn, peer := open(t)
+					ctx, cancel := clock.WithTimeout(context.Background(), 5*time.Second)
+					defer cancel()
+					if release := netem.Bind(ctx, conn); !release() {
+						t.Fatal("release before the deadline reported false")
+					}
+					passDeadline(ctx)
+					go func() {
+						buf := make([]byte, 4)
+						if _, err := io.ReadFull(peer, buf); err == nil {
+							_, _ = peer.Write(buf)
+						}
+					}()
+					if _, err := conn.Write([]byte("ping")); err != nil {
+						t.Fatalf("write on a released conn: %v", err)
+					}
+					buf := make([]byte, 4)
+					if _, err := io.ReadFull(conn, buf); err != nil || string(buf) != "ping" {
+						t.Fatalf("echo on a released conn = %q, %v", buf, err)
+					}
+				})
+			})
+		}
+	}
+}

@@ -1,11 +1,12 @@
 package netem
 
 import (
+	"context"
+	"errors"
 	"io"
 	"net"
-	"time"
-
 	"sync"
+	"time"
 
 	"csaw/internal/vtime"
 )
@@ -46,12 +47,8 @@ type segment struct {
 // propagation latency, serialization (bandwidth) delay, optional loss-induced
 // retransmission delay, and a byte cap providing backpressure.
 //
-// Deadlines live in the clock's execution domain: real instants under a
-// real-scaled clock (converted by Conn from the virtual timestamps callers
-// set), virtual instants under a discrete-event clock (where Real() is 0,
-// so segments deliver the moment they are written and only the deadlines
-// still need a time domain). Event-mode deadline expiry is driven by an
-// armed clock event that broadcasts the cond when virtual time crosses it.
+// A pipe knows no deadline: each end can only be told, once and for good,
+// that the exchange it served ran out of time (Conn.Expire, armed by Bind).
 type pipe struct {
 	net   *Network
 	clock *vtime.Clock
@@ -62,13 +59,11 @@ type pipe struct {
 	segs    []segment
 	unread  int
 	cap     int
-	lastDue time.Time   // real due time of last queued segment
-	closed  bool        // EOF once drained
-	reset   bool        // error immediately
-	rdl     time.Time   // read deadline (zero = none); see domain note above
-	wdl     time.Time   // write deadline
-	rdlWake func() bool // stops the armed event-mode expiry broadcast
-	wdlWake func() bool
+	lastDue time.Time // real due time of last queued segment
+	closed  bool      // EOF once drained
+	reset   bool      // error immediately
+	rexp    bool      // reading end expired: reads fail with ErrTimeout
+	wexp    bool      // writing end expired: writes fail with ErrTimeout
 }
 
 const defaultPipeCap = 1 << 18 // 256 KiB in flight
@@ -80,8 +75,8 @@ func (p *pipe) init(n *Network, lat time.Duration) {
 
 // waitUntil blocks on the pipe's cond until shortly before the real instant
 // t (or a state change); callers re-check and spin the precise tail. Caller
-// must hold p.mu. Real-scaled mode only: event-mode waits use bare
-// cond.Wait, woken by writers or the armed deadline broadcast.
+// must hold p.mu. Only a segment still in flight is waited for this way,
+// so it never runs under a discrete-event clock.
 func (p *pipe) waitUntil(t time.Time) {
 	d := time.Until(t) - vtime.CoarseSleep
 	if d < 0 {
@@ -95,18 +90,6 @@ func (p *pipe) waitUntil(t time.Time) {
 	stop := time.AfterFunc(d, p.lockedBroadcast)
 	p.cond.Wait()
 	stop.Stop()
-}
-
-// expired reports whether the deadline dl (zero = never) has passed in the
-// clock's execution domain. Caller must hold p.mu.
-func (p *pipe) expired(dl time.Time) bool {
-	if dl.IsZero() {
-		return false
-	}
-	if p.clock.EventDriven() {
-		return !p.clock.Now().Before(dl)
-	}
-	return !time.Now().Before(dl)
 }
 
 // write queues b as one segment. With owned false it copies b first — the
@@ -124,17 +107,13 @@ func (p *pipe) write(b []byte, owned bool) (int, error) {
 		if p.closed {
 			return 0, ErrClosed
 		}
-		if p.expired(p.wdl) {
+		if p.wexp {
 			return 0, ErrTimeout
 		}
 		if p.unread < p.cap {
 			break
 		}
-		if p.wdl.IsZero() || p.clock.EventDriven() {
-			p.cond.Wait()
-		} else {
-			p.waitUntil(p.wdl)
-		}
+		p.cond.Wait()
 	}
 	// Compute delivery time: first byte pays propagation once; subsequent
 	// segments are serialized behind the previous segment at link bandwidth.
@@ -204,14 +183,14 @@ func (p *pipe) consume(s *segment, n int) {
 }
 
 // head blocks until the first queued segment is deliverable and returns
-// it; the error is ErrReset, ErrTimeout (read deadline), or io.EOF once a
-// closed pipe has drained. Caller must hold p.mu.
+// it; the error is ErrReset, ErrTimeout (the reading end expired), or
+// io.EOF once a closed pipe has drained. Caller must hold p.mu.
 func (p *pipe) head() (*segment, error) {
 	for {
 		if p.reset {
 			return nil, ErrReset
 		}
-		if p.expired(p.rdl) {
+		if p.rexp {
 			return nil, ErrTimeout
 		}
 		if len(p.segs) > 0 {
@@ -221,21 +200,16 @@ func (p *pipe) head() (*segment, error) {
 			// in the future and this in-flight branch is unreachable: data
 			// is deliverable the moment it is written.
 			if now.Before(s.due) {
-				// Data in flight: wait for delivery or deadline. Near-due
-				// segments are spin-waited for sub-millisecond delivery
-				// accuracy (see vtime.CoarseSleep).
-				until := s.due
-				if !p.rdl.IsZero() && p.rdl.Before(until) {
-					until = p.rdl
-				}
-				if until.Sub(now) <= vtime.CoarseSleep {
-					due := until
+				// Data in flight: wait for delivery. Near-due segments are
+				// spin-waited for sub-millisecond delivery accuracy (see
+				// vtime.CoarseSleep).
+				if due := s.due; due.Sub(now) <= vtime.CoarseSleep {
 					p.mu.Unlock()
 					vtime.SpinUntil(due)
 					p.mu.Lock()
 					continue
 				}
-				p.waitUntil(until)
+				p.waitUntil(s.due)
 				continue
 			}
 			return s, nil
@@ -243,11 +217,7 @@ func (p *pipe) head() (*segment, error) {
 		if p.closed {
 			return nil, io.EOF
 		}
-		if p.rdl.IsZero() || p.clock.EventDriven() {
-			p.cond.Wait()
-		} else {
-			p.waitUntil(p.rdl)
-		}
+		p.cond.Wait()
 	}
 }
 
@@ -255,7 +225,6 @@ func (p *pipe) head() (*segment, error) {
 func (p *pipe) close() {
 	p.mu.Lock()
 	p.closed = true
-	p.stopWakesLocked()
 	p.cond.Broadcast()
 	p.mu.Unlock()
 }
@@ -266,82 +235,35 @@ func (p *pipe) doReset() {
 	p.reset = true
 	p.segs = nil
 	p.unread = 0
-	p.stopWakesLocked()
 	p.cond.Broadcast()
 	p.mu.Unlock()
 }
 
-// lockedBroadcast is the event-mode deadline wake. It must take p.mu: a
-// bare Broadcast can land between a waiter's deadline check and its
-// cond.Wait (the check runs under p.mu, but the wake goroutine does not
-// contend for it) and be lost, parking the waiter forever on a clock that
-// may never advance again. Holding the lock serializes the wake against the
-// check-then-wait window: either the waiter is already parked (Broadcast
-// wakes it, and the scheduler advanced time before running this handler, so
-// the re-check sees the expired deadline) or it has yet to check (and sees
-// the expired deadline directly).
+// lockedBroadcast is waitUntil's timer wake; see there for why it must
+// take p.mu.
 func (p *pipe) lockedBroadcast() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.cond.Broadcast()
 }
 
-// stopWakesLocked disarms any event-mode deadline broadcasts so a closed
-// conn's far-future deadlines don't linger in the scheduler's heap.
-func (p *pipe) stopWakesLocked() {
-	if p.rdlWake != nil {
-		p.rdlWake()
-		p.rdlWake = nil
-	}
-	if p.wdlWake != nil {
-		p.wdlWake()
-		p.wdlWake = nil
-	}
-}
-
-func (p *pipe) setReadDeadline(t time.Time) {
+// expire fails the reading (*flag is p.rexp) or writing (p.wexp) end's
+// pending and later calls with ErrTimeout. The other end is untouched.
+func (p *pipe) expire(flag *bool) {
 	p.mu.Lock()
-	p.rdl = t
-	if p.rdlWake != nil {
-		p.rdlWake()
-		p.rdlWake = nil
-	}
-	// Event mode: a blocked reader has no real timer to wake it, so arm a
-	// broadcast for the moment virtual time crosses the deadline.
-	if !t.IsZero() && p.clock.EventDriven() && !p.closed && !p.reset {
-		if d := t.Sub(p.clock.Now()); d > 0 {
-			p.rdlWake = p.clock.AfterFunc(d, p.lockedBroadcast)
-		}
-	}
-	p.cond.Broadcast()
-	p.mu.Unlock()
-}
-
-func (p *pipe) setWriteDeadline(t time.Time) {
-	p.mu.Lock()
-	p.wdl = t
-	if p.wdlWake != nil {
-		p.wdlWake()
-		p.wdlWake = nil
-	}
-	if !t.IsZero() && p.clock.EventDriven() && !p.closed && !p.reset {
-		if d := t.Sub(p.clock.Now()); d > 0 {
-			p.wdlWake = p.clock.AfterFunc(d, p.lockedBroadcast)
-		}
-	}
+	*flag = true
 	p.cond.Broadcast()
 	p.mu.Unlock()
 }
 
 // Conn is an emulated, full-duplex, latency- and bandwidth-modelled
-// connection implementing net.Conn. Deadlines passed to SetDeadline and
-// friends are interpreted as *virtual* timestamps from the network's clock.
+// connection implementing net.Conn. It carries no deadlines: an exchange is
+// bounded by its context, which Bind ties the connection to.
 type Conn struct {
 	rx, tx *pipe
 	local  Addr
 	remote Addr
 	flow   Flow
-	clock  *vtime.Clock
 	once   sync.Once
 }
 
@@ -356,8 +278,8 @@ func connPair(n *Network, lat time.Duration, a, b Addr, flow Flow) (*Conn, *Conn
 	})
 	l.ab.init(n, lat)
 	l.ba.init(n, lat)
-	l.a = Conn{rx: &l.ba, tx: &l.ab, local: a, remote: b, flow: flow, clock: n.clock}
-	l.b = Conn{rx: &l.ab, tx: &l.ba, local: b, remote: a, flow: flow, clock: n.clock}
+	l.a = Conn{rx: &l.ba, tx: &l.ab, local: a, remote: b, flow: flow}
+	l.b = Conn{rx: &l.ab, tx: &l.ba, local: b, remote: a, flow: flow}
 	return &l.a, &l.b
 }
 
@@ -466,30 +388,48 @@ func (c *Conn) RemoteAddr() net.Addr { return c.remote }
 // server sees the client address.
 func (c *Conn) Flow() Flow { return c.flow }
 
-// SetDeadline implements net.Conn; t is a virtual timestamp.
-func (c *Conn) SetDeadline(t time.Time) error {
-	if err := c.SetReadDeadline(t); err != nil {
-		return err
-	}
-	return c.SetWriteDeadline(t)
+// Expire ends this end of the connection the way a timeout does: pending
+// and later reads and writes fail with ErrTimeout, for good. The peer end
+// is untouched. It is what Bind does when the exchange's deadline passes.
+func (c *Conn) Expire() {
+	c.rx.expire(&c.rx.rexp)
+	c.tx.expire(&c.tx.wexp)
 }
 
-// SetReadDeadline implements net.Conn; t is a virtual timestamp.
-func (c *Conn) SetReadDeadline(t time.Time) error {
-	if t.IsZero() {
-		c.rx.setReadDeadline(time.Time{})
-	} else {
-		c.rx.setReadDeadline(c.clock.Deadline(t))
+// Expire expires conn when it (or what it wraps) is a *Conn and closes it
+// otherwise: a wrapper forwards Expire the way it forwards WriteOwned.
+func Expire(conn net.Conn) {
+	if e, ok := conn.(interface{ Expire() }); ok {
+		e.Expire()
+		return
 	}
-	return nil
+	conn.Close()
 }
 
-// SetWriteDeadline implements net.Conn; t is a virtual timestamp.
-func (c *Conn) SetWriteDeadline(t time.Time) error {
-	if t.IsZero() {
-		c.tx.setWriteDeadline(time.Time{})
-	} else {
-		c.tx.setWriteDeadline(c.clock.Deadline(t))
-	}
-	return nil
+// Bind gives conn the one way it ends early: with ctx, the context of the
+// exchange it serves. When ctx runs out of time the conn expires, so the
+// blocked call reports a timeout (IsTimeout) exactly as the exchange did;
+// when ctx is cancelled the conn closes. release disarms the binding — a
+// handshake that is over hands the conn on unbound — and reports whether it
+// did so before ctx ended.
+func Bind(ctx context.Context, conn net.Conn) (release func() bool) {
+	return context.AfterFunc(ctx, func() {
+		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
+			Expire(conn)
+		} else {
+			conn.Close()
+		}
+	})
 }
+
+// errNoDeadline is what the net.Conn deadline setters return.
+var errNoDeadline = errors.New("netem: connections take no deadlines; bound the exchange's context and Bind it")
+
+// SetDeadline implements net.Conn and always fails: see Bind.
+func (c *Conn) SetDeadline(time.Time) error { return errNoDeadline }
+
+// SetReadDeadline implements net.Conn and always fails: see Bind.
+func (c *Conn) SetReadDeadline(time.Time) error { return errNoDeadline }
+
+// SetWriteDeadline implements net.Conn and always fails: see Bind.
+func (c *Conn) SetWriteDeadline(time.Time) error { return errNoDeadline }

@@ -277,6 +277,10 @@ type slotConn struct {
 // WriteOwned hands b to the budgeted conn (see WriteOwned).
 func (s *slotConn) WriteOwned(b []byte) (int, error) { return WriteOwned(s.Conn, b) }
 
+// Expire expires the budgeted conn (see Expire); the slot stays taken until
+// Close.
+func (s *slotConn) Expire() { Expire(s.Conn) }
+
 func (s *slotConn) Close() error {
 	err := s.Conn.Close()
 	s.once.Do(func() { <-s.slots })

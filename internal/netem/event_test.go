@@ -51,47 +51,3 @@ func TestEventModeEcho(t *testing.T) {
 		t.Fatalf("virtual elapsed %v, want >= one RTT (200ms)", el)
 	}
 }
-
-// TestEventModeReadDeadline: a read deadline in event mode is a virtual
-// instant; advancing the clock past it must wake the blocked reader with a
-// timeout, with no wall-clock involvement.
-func TestEventModeReadDeadline(t *testing.T) {
-	n, client, server := eventWorld(t)
-	l := server.MustListen(80)
-	defer closeListener(t, l)
-	go func() {
-		c, err := l.Accept()
-		if err != nil {
-			return
-		}
-		// Never respond; hold the conn open.
-		buf := make([]byte, 1)
-		_, _ = c.Read(buf)
-		select {}
-	}()
-	conn, err := client.DialTimeout("93.184.216.34:80", 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	conn.SetReadDeadline(n.Clock().Now().Add(time.Second))
-
-	errCh := make(chan error, 1)
-	go func() {
-		buf := make([]byte, 1)
-		_, err := conn.Read(buf)
-		errCh <- err
-	}()
-	// Advance past the deadline. Whether the reader is already parked (the
-	// armed wake broadcasts it) or not yet (it sees the expired deadline on
-	// entry), it must observe the timeout.
-	n.Clock().Advance(2 * time.Second)
-	select {
-	case err := <-errCh:
-		if !IsTimeout(err) {
-			t.Fatalf("read past virtual deadline = %v, want timeout", err)
-		}
-	case <-time.After(10 * time.Second): //lint:allow-realtime test watchdog
-		t.Fatal("blocked read never observed the advanced-past deadline")
-	}
-}

@@ -77,13 +77,6 @@ func (s *Session) Reset() {
 	s.server.Reset()
 }
 
-// ResetClient resets only the client-facing side (the server observes a
-// close), matching censors that fire RSTs at the subscriber.
-func (s *Session) ResetClient() {
-	s.client.Reset()
-	s.server.shutdown()
-}
-
 // Blackhole silently discards everything the client sends and never
 // responds; the client is left to its timeouts. The server side is closed.
 func (s *Session) Blackhole() {

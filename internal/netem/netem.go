@@ -28,11 +28,10 @@ import (
 type Network struct {
 	clock *vtime.Clock
 
-	mu      sync.RWMutex
-	hosts   map[string]*Host // keyed by IP
-	ases    map[int]*AS
-	rtts    map[locPair]time.Duration
-	baseRTT time.Duration // fallback RTT between distinct locations
+	mu    sync.RWMutex
+	hosts map[string]*Host // keyed by IP
+	ases  map[int]*AS
+	rtts  map[locPair]time.Duration
 
 	rngMu sync.Mutex
 	rng   *rand.Rand
@@ -47,6 +46,10 @@ type Network struct {
 }
 
 type locPair struct{ a, b string }
+
+// baseRTT is the RTT between two distinct locations that have no entry in
+// the latency matrix.
+const baseRTT = 120 * time.Millisecond
 
 // Option configures a Network.
 type Option func(*Network)
@@ -67,12 +70,6 @@ func WithJitter(frac float64) Option {
 	return func(n *Network) { n.jitterFrac = frac }
 }
 
-// WithBaseRTT sets the default RTT between two distinct locations that have
-// no explicit entry in the latency matrix.
-func WithBaseRTT(rtt time.Duration) Option {
-	return func(n *Network) { n.baseRTT = rtt }
-}
-
 // WithSeed seeds the network's random source, making jitter, loss, and
 // multihomed egress selection reproducible.
 func WithSeed(seed int64) Option {
@@ -86,7 +83,6 @@ func New(clock *vtime.Clock, opts ...Option) *Network {
 		hosts:      make(map[string]*Host),
 		ases:       make(map[int]*AS),
 		rtts:       make(map[locPair]time.Duration),
-		baseRTT:    120 * time.Millisecond,
 		rng:        rand.New(rand.NewSource(1)),
 		bandwidth:  1 << 20, // 1 MiB/s
 		lossRTO:    200 * time.Millisecond,
@@ -180,7 +176,7 @@ func (n *Network) RTT(locA, locB string) time.Duration {
 	if rtt, ok := n.rtts[locPair{locA, locB}]; ok {
 		return rtt
 	}
-	return n.baseRTT
+	return baseRTT
 }
 
 // Ping measures one application-level round trip from host to the given IP,

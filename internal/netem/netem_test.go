@@ -319,37 +319,6 @@ func TestInterceptorMidStreamReset(t *testing.T) {
 	}
 }
 
-func TestReadDeadline(t *testing.T) {
-	n, client, server := testWorld(t)
-	l := server.MustListen(80)
-	defer closeListener(t, l)
-	go func() {
-		c, err := l.Accept()
-		if err != nil {
-			return
-		}
-		// Never respond; hold the conn open.
-		buf := make([]byte, 1)
-		_, _ = c.Read(buf)
-		select {}
-	}()
-	conn, err := client.DialTimeout("93.184.216.34:80", 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	conn.SetReadDeadline(n.Clock().Now().Add(time.Second))
-	buf := make([]byte, 1)
-	start := n.Clock().Now()
-	_, err = conn.Read(buf)
-	if !IsTimeout(err) {
-		t.Fatalf("read past deadline = %v, want timeout", err)
-	}
-	if el := n.Clock().Since(start); el < 500*time.Millisecond || el > 20*time.Second {
-		t.Errorf("deadline fired after %v, want ~1s", el)
-	}
-}
-
 func TestCloseDeliversEOFAfterDrain(t *testing.T) {
 	_, client, server := testWorld(t)
 	l := server.MustListen(80)

@@ -2,6 +2,7 @@ package netem
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"reflect"
 	"testing"
@@ -161,9 +162,9 @@ func TestWriteToEndings(t *testing.T) {
 			left, a, b, right := relay(clock)
 			defer left.shutdown()
 			defer right.shutdown()
-			if err := a.SetReadDeadline(clock.Now().Add(time.Second)); err != nil {
-				t.Fatal(err)
-			}
+			ctx, cancel := clock.WithTimeout(context.Background(), time.Second)
+			defer cancel()
+			defer Bind(ctx, a)()
 			done := make(chan error, 1)
 			go func() {
 				_, err := a.WriteTo(b)

@@ -146,8 +146,9 @@ func Exit(ctx context.Context, host *netem.Host, lookup Lookup, target string, c
 }
 
 // Via returns a DialFunc that tunnels every connection through the proxy at
-// proxyAddr. The returned conns behave like direct conns to the target.
-func Via(base netem.DialFunc, clock *vtime.Clock, proxyAddr string) netem.DialFunc {
+// proxyAddr. The returned conns behave like direct conns to the target:
+// ctx bounds the handshake only, and the tunnel is handed on unbound.
+func Via(base netem.DialFunc, proxyAddr string) netem.DialFunc {
 	return func(ctx context.Context, address string) (net.Conn, error) {
 		lane := trace.FromContext(ctx)
 		lane.Event("relay", "connect", proxyAddr)
@@ -155,12 +156,8 @@ func Via(base netem.DialFunc, clock *vtime.Clock, proxyAddr string) netem.DialFu
 		if err != nil {
 			return nil, err
 		}
-		if dl, ok := ctx.Deadline(); ok {
-			// Map the context deadline into the virtual frame before arming
-			// the conn deadline: wall-clock re-inflated under a real-scaled
-			// clock, already virtual under a discrete-event one.
-			_ = conn.SetDeadline(clock.VirtualDeadline(dl))
-		}
+		release := netem.Bind(ctx, conn)
+		defer release()
 		if _, err := fmt.Fprintf(conn, "CONNECT %s\n", address); err != nil {
 			conn.Close()
 			return nil, err
@@ -179,7 +176,6 @@ func Via(base netem.DialFunc, clock *vtime.Clock, proxyAddr string) netem.DialFu
 			lane.Event("relay", "tunnel-refused", address)
 			return nil, fmt.Errorf("proxynet: tunnel to %s refused: %s", address, line)
 		}
-		_ = conn.SetDeadline(time.Time{})
 		lane.Event("relay", "tunnel-ok", address)
 		return &tunnelConn{Conn: conn, br: br}, nil
 	}
@@ -206,3 +202,6 @@ func (c *tunnelConn) Read(b []byte) (int, error) {
 
 // WriteOwned hands b to the tunnelled conn (see netem.WriteOwned).
 func (c *tunnelConn) WriteOwned(b []byte) (int, error) { return netem.WriteOwned(c.Conn, b) }
+
+// Expire expires the tunnelled conn (see netem.Expire).
+func (c *tunnelConn) Expire() { netem.Expire(c.Conn) }

@@ -35,7 +35,7 @@ func proxyWorld(t *testing.T) (*netem.Network, *netem.Host, *Server) {
 
 func TestTunnelRoundTrip(t *testing.T) {
 	n, client, srv := proxyWorld(t)
-	dial := Via(client.Dial, n.Clock(), srv.Addr())
+	dial := Via(client.Dial, srv.Addr())
 	c := &httpx.Client{Dial: dial, Clock: n.Clock(), Timeout: 15 * time.Second}
 	resp, err := c.Get(context.Background(), "93.184.216.34:80", "x.example", "/")
 	if err != nil {
@@ -48,7 +48,7 @@ func TestTunnelRoundTrip(t *testing.T) {
 
 func TestTunnelToDeadTargetFails(t *testing.T) {
 	n, client, srv := proxyWorld(t)
-	dial := Via(client.Dial, n.Clock(), srv.Addr())
+	dial := Via(client.Dial, srv.Addr())
 	ctx, cancel := n.Clock().WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if _, err := dial(ctx, "93.184.216.34:81"); err == nil {
@@ -58,7 +58,7 @@ func TestTunnelToDeadTargetFails(t *testing.T) {
 
 func TestTunnelByHostnameNeedsLookup(t *testing.T) {
 	n, client, srv := proxyWorld(t)
-	dial := Via(client.Dial, n.Clock(), srv.Addr())
+	dial := Via(client.Dial, srv.Addr())
 	ctx, cancel := n.Clock().WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	// IPLookup refuses hostnames.
@@ -84,7 +84,7 @@ func TestTunnelByHostnameWithLookup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dial := Via(client.Dial, clock, srv.Addr())
+	dial := Via(client.Dial, srv.Addr())
 	c := &httpx.Client{Dial: dial, Clock: clock, Timeout: 15 * time.Second}
 	resp, err := c.Get(context.Background(), "blocked.example:80", "blocked.example", "/")
 	if err != nil {
@@ -106,7 +106,7 @@ func TestProxyAddsLatency(t *testing.T) {
 		}
 		return n.Clock().Since(start)
 	}
-	viaProxy := fetch(Via(client.Dial, n.Clock(), srv.Addr()))
+	viaProxy := fetch(Via(client.Dial, srv.Addr()))
 	direct := fetch(client.Dial)
 	if viaProxy <= direct {
 		t.Errorf("proxy %v <= direct %v", viaProxy, direct)
@@ -122,7 +122,7 @@ func TestBadConnectLineRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	conn.SetDeadline(n.Clock().Now().Add(5 * time.Second))
+	netem.Bind(ctx, conn)
 	if _, err := conn.Write([]byte("GARBAGE LINE\n")); err != nil {
 		t.Fatal(err)
 	}

@@ -131,13 +131,17 @@ func (d *Directory) relayLoop(r *Relay, l *netem.Listener) {
 func (d *Directory) handleHop(r *Relay, conn net.Conn) {
 	br := httpx.GetReader(conn)
 	defer httpx.PutReader(br) // after Exit, and with it the splice, has returned
-	_ = conn.SetReadDeadline(d.clock.Now().Add(30 * time.Second))
+	// One budget for the hop's setup: the routing line must arrive and the
+	// onward dial complete within it; the splice that follows is unbound.
+	ctx, cancel := d.clock.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	release := netem.Bind(ctx, conn)
 	line, err := br.ReadString('\n')
+	release()
 	if err != nil {
 		conn.Close()
 		return
 	}
-	_ = conn.SetReadDeadline(time.Time{})
 	// Both hop kinds end the same way — dial onward, confirm with '+',
 	// splice — and an EXTEND target is a relay's IP literal, so the exit
 	// lookup only ever runs for EXIT.
@@ -150,8 +154,6 @@ func (d *Directory) handleHop(r *Relay, conn net.Conn) {
 		conn.Close()
 		return
 	}
-	ctx, cancel := d.clock.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
 	if err := proxynet.Exit(ctx, r.Host, d.lookup, target, conn, br, "+"); err != nil {
 		conn.Close() // no onward hop: the client sees EOF instead of '+'
 	}
@@ -303,8 +305,8 @@ func (c *Client) DialVia(ctx context.Context, circ *Circuit, address string) (ne
 	}
 	// Wait for one '+' per hop (guard extend, middle extend, exit connect):
 	// circuit setup is paid in round trips, as in real Tor.
-	stop := context.AfterFunc(ctx, func() { conn.Close() })
-	defer stop()
+	release := netem.Bind(ctx, conn)
+	defer release()
 	acks := make([]byte, 3)
 	if _, err := io.ReadFull(conn, acks); err != nil {
 		conn.Close()

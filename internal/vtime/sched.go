@@ -18,10 +18,10 @@ import (
 // schedule events at arbitrary offsets spanning hours (joins, sessions,
 // deadline slack in the hundreds of thousands of hours), so there is no
 // natural wheel granularity, and the heap's O(log n) is dwarfed by the work
-// each event triggers. Cancelled timers are removed eagerly (not
-// lazily tombstoned) because the dominant churn is conn deadlines and
-// context timeouts that are armed far in the future and almost always
-// cancelled: tombstones would accumulate for the whole run.
+// each event triggers. Cancelled timers are removed eagerly (not lazily
+// tombstoned) because the dominant churn is context timeouts that are armed
+// far in the future and almost always cancelled: tombstones would
+// accumulate for the whole run.
 //
 // Timer semantics are conditional: an event fires when virtual time is
 // advanced across its offset, never spontaneously. Code that arms a timer

@@ -317,32 +317,6 @@ func (c *Clock) WithTimeout(ctx context.Context, d time.Duration) (context.Conte
 	return ec, cancel
 }
 
-// Deadline converts a virtual deadline to the corresponding real deadline,
-// suitable for net.Conn.SetDeadline on real-time transports. In
-// discrete-event mode there is no real-time equivalent and the instant is
-// returned unchanged: deadline-aware substrates (internal/netem) detect the
-// mode and compare against Clock.Now directly.
-func (c *Clock) Deadline(virtual time.Time) time.Time {
-	if c.sched != nil {
-		return virtual
-	}
-	c.mu.Lock()
-	base := c.base
-	c.mu.Unlock()
-	return base.Add(c.Real(virtual.Sub(c.epoch)))
-}
-
-// VirtualDeadline maps a context deadline (as returned by ctx.Deadline())
-// to the virtual instant it represents: in real-scaled mode context
-// deadlines are wall-clock, so the remaining real budget is re-inflated
-// from now; in discrete-event mode they already are virtual instants.
-func (c *Clock) VirtualDeadline(dl time.Time) time.Time {
-	if c.sched != nil {
-		return dl
-	}
-	return c.Now().Add(c.Virtual(time.Until(dl)))
-}
-
 // Ticker delivers ticks every virtual duration d.
 type Ticker struct {
 	C    <-chan time.Time

@@ -141,16 +141,6 @@ func TestWallClock(t *testing.T) {
 	}
 }
 
-func TestDeadlineConversion(t *testing.T) {
-	c := New(100)
-	v := c.Now().Add(10 * time.Second) // 100ms real from now
-	real := c.Deadline(v)
-	until := time.Until(real)
-	if until < 50*time.Millisecond || until > 500*time.Millisecond {
-		t.Fatalf("real deadline %v from now, want ~100ms", until)
-	}
-}
-
 func TestAdvanceJumpsVirtualTime(t *testing.T) {
 	c := New(100)
 	before := c.Now()

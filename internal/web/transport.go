@@ -91,9 +91,8 @@ func (t *Transport) RoundTrip(ctx context.Context, req *httpx.Request) (*httpx.R
 		return nil, err
 	}
 	defer conn.Close()
-	_ = conn.SetDeadline(t.Clock.Now().Add(t.timeout()))
-	stop := context.AfterFunc(ctx, func() { conn.Close() })
-	defer stop()
+	release := netem.Bind(ctx, conn)
+	defer release()
 
 	var stream net.Conn = conn
 	if t.TLS {
