@@ -22,6 +22,8 @@
 #                      runs twice and the summary + trace artifact must be
 #                      byte-identical
 #   make golden      — regenerate the flight-recorder golden trace artifact
+#   make shape       — regenerate the experiment goldens TestExperiments
+#                      holds every runner to (internal/experiments/testdata)
 #   make fuzz        — short fuzz pass over the dnsx/httpx wire codecs (httpx
 #                      also against its map-based reference codec), the WAL
 #                      record decoder and the global-DB list bodies
@@ -29,7 +31,7 @@
 
 GO ?= go
 
-.PHONY: all build test tier1 vet lint race check bench loc loc-diff chaos soak-churn golden fuzz cover
+.PHONY: all build test tier1 vet lint race check bench loc loc-diff chaos soak-churn golden shape fuzz cover
 
 all: tier1
 
@@ -92,6 +94,14 @@ soak-churn:
 # invariants (span count, timeout-phase events) before blessing the bytes.
 golden:
 	CSAW_UPDATE_GOLDEN=1 $(GO) test ./internal/core -run TestGoldenTrace -count=1
+
+# Regenerate internal/experiments/testdata/*.golden after an intentional
+# change to an experiment's report: byte-exact renders for the experiments
+# that print only counts, number-masked renders plus metric keys for the
+# rest. Read the diff before committing it — an unexplained one is a
+# regression, not a new golden.
+shape:
+	CSAW_UPDATE_SHAPE=1 $(GO) test ./internal/experiments -run TestExperiments -count=1
 
 # One short engine pass per wire-codec fuzz target (plus the WAL record
 # decoder — the bytes a crash can tear — and the /v1/blocked bodies, which

@@ -136,18 +136,18 @@ func HTTPSFix(host *netem.Host, clock *vtime.Clock, ldns, gdns *dnsx.Client) *Ap
 	}
 }
 
-// FrontingFix builds the domain-fronting local fix: connect to a front
-// host with the front's name in the SNI; the encrypted Host header names
-// the blocked site (§2.2). frontable limits it to sites the front actually
-// serves ("if supported by the destination server").
-func FrontingFix(host *netem.Host, clock *vtime.Clock, frontHost, frontIP string, frontable func(host string) bool) *Approach {
+// NewFrontingFix builds the domain-fronting local fix: connect to the front
+// host's address with the front's name in the SNI; the encrypted Host header
+// names the blocked site (§2.2). frontable limits it to sites the front
+// actually serves ("if supported by the destination server").
+func NewFrontingFix(host *netem.Host, clock *vtime.Clock, frontHost, frontIP string, frontable func(host string) bool) *Approach {
 	return &Approach{
 		Name: "domain-fronting",
 		Kind: KindLocalFix,
 		Transport: &web.Transport{
 			Label:  "domain-fronting",
 			Dialer: host.Dial,
-			Lookup: web.StaticLookup(map[string]string{}), // never used: addr forced below
+			Lookup: func(context.Context, string) (string, error) { return frontIP, nil },
 			TLS:    true,
 			SNI:    func(string) string { return frontHost },
 			Clock:  clock,
@@ -162,13 +162,6 @@ func FrontingFix(host *netem.Host, clock *vtime.Clock, frontHost, frontIP string
 			return len(stages) > 0
 		},
 	}
-}
-
-// NewFrontingFix is FrontingFix with the lookup routed to the front's IP.
-func NewFrontingFix(host *netem.Host, clock *vtime.Clock, frontHost, frontIP string, frontable func(string) bool) *Approach {
-	a := FrontingFix(host, clock, frontHost, frontIP, frontable)
-	a.Transport.Lookup = func(context.Context, string) (string, error) { return frontIP, nil }
-	return a
 }
 
 // IPAsHostnameFix fetches the blocked site by raw IP with the IP in the

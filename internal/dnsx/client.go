@@ -17,20 +17,18 @@ import (
 // Stub resolver defaults, chosen to reproduce the detection-time profile of
 // Table 5: a resolver that answers REFUSED fails in one RTT (~25 ms); one
 // that answers SERVFAIL is retried on a full attempt budget (~10.6 s); one
-// that drops queries burns Attempts × AttemptTimeout (~10 s).
+// that drops queries burns attempts × AttemptTimeout (~10 s).
 const (
 	DefaultAttemptTimeout = 5 * time.Second
-	DefaultAttempts       = 2
+	attempts              = 2
 )
 
-// Client is a stub resolver. Zero values of AttemptTimeout and Attempts take
-// the defaults above.
+// Client is a stub resolver. A zero AttemptTimeout takes the default above.
 type Client struct {
 	Dial           netem.DialFunc
 	Clock          *vtime.Clock
 	Servers        []string // resolver addresses, "ip:53", tried in order
 	AttemptTimeout time.Duration
-	Attempts       int
 	// HoldOn, when positive, enables the Hold-On defense against on-path
 	// DNS injection [31]: after the first answer arrives, keep listening
 	// for up to this long; if a second answer for the same query shows up,
@@ -77,13 +75,6 @@ func (c *Client) attemptTimeout() time.Duration {
 	return DefaultAttemptTimeout
 }
 
-func (c *Client) attempts() int {
-	if c.Attempts > 0 {
-		return c.Attempts
-	}
-	return DefaultAttempts
-}
-
 // Lookup resolves name to A records using the client's retry policy.
 func (c *Client) Lookup(ctx context.Context, name string) (res Result) {
 	start := c.Clock.Now()
@@ -103,7 +94,7 @@ func (c *Client) Lookup(ctx context.Context, name string) (res Result) {
 	}
 
 	sawServfail := false
-	for attempt := 0; attempt < c.attempts(); attempt++ {
+	for attempt := 0; attempt < attempts; attempt++ {
 		for _, server := range c.Servers {
 			attemptStart := c.Clock.Now()
 			lane.Event("dns", "query", res.Name+" @"+server)
@@ -155,10 +146,10 @@ func (c *Client) Lookup(ctx context.Context, name string) (res Result) {
 	}
 	if sawServfail {
 		res.RCode = RCodeServFail
-		res.Err = fmt.Errorf("%w: %s after %d attempts", ErrRCode, RCodeName(RCodeServFail), c.attempts())
+		res.Err = fmt.Errorf("%w: %s after %d attempts", ErrRCode, RCodeName(RCodeServFail), attempts)
 		return res
 	}
-	res.Err = fmt.Errorf("%w: %s after %d attempts", ErrNoResponse, res.Name, c.attempts())
+	res.Err = fmt.Errorf("%w: %s after %d attempts", ErrNoResponse, res.Name, attempts)
 	return res
 }
 

@@ -9,7 +9,6 @@ import (
 	"csaw/internal/core"
 	"csaw/internal/localdb"
 	"csaw/internal/metrics"
-	"csaw/internal/trace"
 	"csaw/internal/worldgen"
 )
 
@@ -94,148 +93,91 @@ func churnClass(res *core.Result, steady time.Duration) string {
 // the paper's §4.3 story needs: after each flip, PLT returns to within
 // 1.5× of the pre-flip steady state within the phase, without restarting a
 // client.
-func CensorChurn(o Options) (*Result, error) {
-	scale := o.Scale
-	if scale <= 0 {
-		// Low scale: classification compares measured PLTs against ratio
-		// cutoffs, and scheduler jitter is amplified by the clock scale.
-		// The race detector adds real scheduling gaps of its own, so a
-		// race build (make race, make soak-churn) slows down further to
-		// keep the gaps well inside the classification margins.
-		scale = 40
-		if raceEnabled {
-			scale = 10
-		}
-	}
-	// Moderate last-mile bandwidth keeps serialization visible without
-	// letting it dominate: circumvented paths carry roughly double the
-	// bytes of a direct fetch, so at very low bandwidth *every* fix
-	// converges to ≈2× direct and nothing can land inside the 1.5×
-	// recovery cutoff, while at very high bandwidth the TLS fixes drift
-	// down onto the cutoff itself. 32 KiB/s (with ChurnOriginRTT tuned to
-	// match) holds the spread described at churnClass, with the per-class
-	// gaps each ≈0.3 virtual seconds wide so real scheduling noise times
-	// the clock scale stays far inside them.
-	w, err := worldgen.New(worldgen.Options{Scale: scale, Seed: o.seed(), Bandwidth: 32 << 10})
-	if err != nil {
-		return nil, err
-	}
+//
+// The clock scale is low (churnScale): classification compares measured
+// PLTs against ratio cutoffs, and scheduler jitter is amplified by the
+// scale. Moderate last-mile bandwidth keeps serialization visible without
+// letting it dominate: circumvented paths carry roughly double the bytes of
+// a direct fetch, so at very low bandwidth *every* fix converges to ≈2×
+// direct and nothing can land inside the 1.5× recovery cutoff, while at very
+// high bandwidth the TLS fixes drift down onto the cutoff itself. 32 KiB/s
+// (with ChurnOriginRTT tuned to match) holds the spread described at
+// churnClass, with the per-class gaps each ≈0.3 virtual seconds wide so real
+// scheduling noise times the clock scale stays far inside them.
+var CensorChurn = experiment("censor-churn", scenario{scale: churnScale, world: worldgen.Options{Bandwidth: 32 << 10}, traced: true}, func(r *rig) *Result {
+	w, ctx, url := r.w, context.Background(), worldgen.ChurnHost+"/"
 	originIP, err := w.AddChurnSite()
-	if err != nil {
-		return nil, err
+	if !r.ok(err, "churn site") {
+		return nil
 	}
-	isp, schedule, err := w.BuildChurnISP(o.seed(), originIP)
-	if err != nil {
-		return nil, err
+	isp, schedule, err := w.BuildChurnISP(r.seed, originIP)
+	if !r.ok(err, "churn ISP") {
+		return nil
 	}
-	ctx := context.Background()
-	url := worldgen.ChurnHost + "/"
 
-	var tracer *trace.Tracer
-	if o.Trace != nil {
-		tracer = o.Trace(w.Clock)
+	mk := func(name string, seed int64) *core.Client {
+		return r.client(name, seed, true, func(cfg *core.Config) {
+			cfg.Serial = true
+			cfg.PSet, cfg.P = true, 0         // trust the crowd fully: B's path is the point
+			cfg.SyncInterval = 24 * time.Hour // rounds sync explicitly below
+			cfg.ASNProbeAddr = ""
+			// Tight enough that a residual-censorship blackhole (45 s per
+			// dropped connect) exhausts it mid-walk — so the flip round always
+			// leaves at least one fix unbenched for the next round — wide
+			// enough that at least one rung always runs to completion and gets
+			// benched. Every walk order ends ≥10 s from the budget boundary,
+			// far above scheduler jitter.
+			cfg.FailoverBudget = 60 * time.Second
+			// One completed failure benches (the blackholed walk should bench
+			// whatever it touched); the 45-minute bench spans two round gaps,
+			// so probation probes land mid-phase and the re-probed averages
+			// still have rounds left to converge.
+			cfg.Quarantine = core.QuarantinePolicy{
+				Strikes:   1,
+				BenchBase: 45 * time.Minute,
+				BenchMax:  3 * time.Hour,
+			}
+			cfg.CensorEpoch = isp.Censor.EpochStart
+		}, isp)
 	}
-	mk := func(name string, seedOff int64) (*core.Client, error) {
-		host := w.NewClientHost(name, isp)
-		cfg := w.ClientConfig(host, o.seed()+seedOff)
-		cfg.Serial = true
-		cfg.PSet, cfg.P = true, 0 // trust the crowd fully: B's path is the point
-		cfg.SyncInterval = 24 * time.Hour // rounds sync explicitly below
-		cfg.ASNProbeAddr = ""
-		// Tight enough that a residual-censorship blackhole (45 s per
-		// dropped connect) exhausts it mid-walk — so the flip round always
-		// leaves at least one fix unbenched for the next round — wide
-		// enough that at least one rung always runs to completion and gets
-		// benched. Every walk order ends ≥10 s from the budget boundary,
-		// far above scheduler jitter.
-		cfg.FailoverBudget = 60 * time.Second
-		// One completed failure benches (the blackholed walk should bench
-		// whatever it touched); the 45-minute bench spans two round gaps,
-		// so probation probes land mid-phase and the re-probed averages
-		// still have rounds left to converge.
-		cfg.Quarantine = core.QuarantinePolicy{
-			Strikes:   1,
-			BenchBase: 45 * time.Minute,
-			BenchMax:  3 * time.Hour,
-		}
-		cfg.CensorEpoch = isp.Censor.EpochStart
-		cfg.Trace = tracer
-		cl, err := core.New(cfg)
-		if err != nil {
-			return nil, err
-		}
-		if err := cl.Start(ctx); err != nil {
-			cl.Close()
-			return nil, fmt.Errorf("censor-churn: %s start: %w", name, err)
-		}
-		return cl, nil
-	}
-	a, err := mk("churn-a", 11)
-	if err != nil {
-		return nil, err
-	}
-	defer a.Close()
-	b, err := mk("churn-b", 23)
-	if err != nil {
-		return nil, err
-	}
-	defer b.Close()
+	a, b := mk("churn-a", 11), mk("churn-b", 23)
 
 	fetch := func(cl *core.Client) *core.Result {
 		res := cl.FetchURL(ctx, url)
 		cl.WaitIdle()
 		return res
 	}
-	advanceTo := func(target time.Time) {
-		if d := target.Sub(w.Clock.Now()); d > 0 {
-			w.Clock.Advance(d)
-		}
-	}
 
 	// Baseline: epoch 0 is clean; both clients build NotBlocked records.
 	// The slowest baseline round (the first includes a full detection) is
 	// the steady-state yardstick for the first flip.
 	var steadyA, steadyB time.Duration
-	for r := 1; r <= churnBaselineRounds; r++ {
+	for round := 1; round <= churnBaselineRounds; round++ {
 		ra, rb := fetch(a), fetch(b)
-		for _, p := range []struct {
-			name string
-			res  *core.Result
-		}{{"A", ra}, {"B", rb}} {
-			if !p.res.OK() || p.res.Status != localdb.NotBlocked {
-				return nil, fmt.Errorf("censor-churn: baseline round %d client %s: status %v err %v",
-					r, p.name, p.res.Status, p.res.Err)
-			}
+		for i, res := range []*core.Result{ra, rb} {
+			r.hold(res.OK() && res.Status == localdb.NotBlocked, "baseline round %d client %c: status %v err %v", round, 'A'+i, res.Status, res.Err)
 		}
-		if ra.Took > steadyA {
-			steadyA = ra.Took
-		}
-		if rb.Took > steadyB {
-			steadyB = rb.Took
-		}
+		steadyA, steadyB = max(steadyA, ra.Took), max(steadyB, rb.Took)
 		w.Clock.Advance(churnRoundGap)
 	}
 
 	// runPhase drives both clients through one post-flip epoch. Per round:
 	// A fetches (and measures), the gap clears any residual window, A posts
 	// its report, B downloads it, then B fetches on crowd intelligence.
-	runPhase := func(flip censor.Epoch, rounds int, steadyA, steadyB time.Duration) (pa, pb churnPhase, err error) {
-		advanceTo(flip.Start.Add(time.Minute))
+	runPhase := func(flip censor.Epoch, steadyA, steadyB time.Duration) (pa, pb churnPhase) {
+		r.advanceTo(flip.Start.Add(time.Minute))
+		name := flip.Policy.Name
 		var clA, clB []string
-		for r := 1; r <= rounds; r++ {
+		for round := 1; round <= churnFlipRounds; round++ {
 			ra := fetch(a)
 			w.Clock.Advance(churnRoundGap)
-			if err := a.SyncNow(ctx); err != nil {
-				return pa, pb, fmt.Errorf("censor-churn: %s round %d: A sync: %w", flip.Policy.Name, r, err)
-			}
-			if err := b.SyncNow(ctx); err != nil {
-				return pa, pb, fmt.Errorf("censor-churn: %s round %d: B sync: %w", flip.Policy.Name, r, err)
-			}
+			r.ok(a.SyncNow(ctx), "%s round %d: A sync", name, round)
+			r.ok(b.SyncNow(ctx), "%s round %d: B sync", name, round)
 			rb := fetch(b)
 			w.Clock.Advance(churnRoundGap)
 			ca, cb := churnClass(ra, steadyA), churnClass(rb, steadyB)
-			pa.observe(r, ca, ra.Took)
-			pb.observe(r, cb, rb.Took)
+			pa.observe(round, ca, ra.Took)
+			pb.observe(round, cb, rb.Took)
 			clA, clB = append(clA, ca), append(clB, cb)
 		}
 		// Structural acceptance. A (the measurer): the flip round — a
@@ -243,112 +185,74 @@ func CensorChurn(o Options) (*Result, error) {
 		// its only spike, and by the final round EWMA selection must have
 		// converged back onto the cheapest surviving fix. B (the crowd
 		// rider): never spikes at all, and converges the same way.
-		if clA[0] != "spike" || pa.Spikes != 1 {
-			return pa, pb, fmt.Errorf("censor-churn: %s: client A classes %v, want the flip round to be the only spike",
-				flip.Policy.Name, clA)
-		}
-		if clA[rounds-1] != "recovered" {
-			return pa, pb, fmt.Errorf("censor-churn: %s: client A did not converge back to within 1.5× of pre-flip PLT (%v)",
-				flip.Policy.Name, clA)
-		}
-		if pb.Spikes != 0 {
-			return pa, pb, fmt.Errorf("censor-churn: %s: client B spiked despite fresh crowd intelligence (%v)",
-				flip.Policy.Name, clB)
-		}
-		if clB[rounds-1] != "recovered" {
-			return pa, pb, fmt.Errorf("censor-churn: %s: client B did not converge back to within 1.5× of pre-flip PLT (%v)",
-				flip.Policy.Name, clB)
-		}
-		return pa, pb, nil
+		last := churnFlipRounds - 1
+		r.hold(clA[0] == "spike" && pa.Spikes == 1, "%s: client A classes %v, want the flip round to be the only spike", name, clA)
+		r.hold(clA[last] == "recovered", "%s: client A did not converge back to within 1.5× of pre-flip PLT (%v)", name, clA)
+		r.hold(pb.Spikes == 0, "%s: client B spiked despite fresh crowd intelligence (%v)", name, clB)
+		r.hold(clB[last] == "recovered", "%s: client B did not converge back to within 1.5× of pre-flip PLT (%v)", name, clB)
+		return pa, pb
 	}
-
-	p1a, p1b, err := runPhase(schedule[1], churnFlipRounds, steadyA, steadyB)
-	if err != nil {
-		return nil, err
-	}
-	p2a, p2b, err := runPhase(schedule[2], churnFlipRounds, p1a.steadyNext, p1b.steadyNext)
-	if err != nil {
-		return nil, err
-	}
+	p1a, p1b := runPhase(schedule[1], steadyA, steadyB)
+	p2a, p2b := runPhase(schedule[2], p1a.steadyNext, p1b.steadyNext)
 
 	// Cross-checks on the machinery the recovery rode on.
 	st := &isp.Censor.Stats
-	if got := st.Get("epoch-flip"); got != 2 {
-		return nil, fmt.Errorf("censor-churn: censor counted %d epoch flips, want 2", got)
-	}
-	if got := a.Counter("stale-verdict"); got != 2 {
-		return nil, fmt.Errorf("censor-churn: A stale-verdict = %d, want 2 (one per flip)", got)
-	}
-	if got := a.Counter("stale-global-ignored"); got != 1 {
-		return nil, fmt.Errorf("censor-churn: A stale-global-ignored = %d, want 1 (epoch-1 report at flip 2)", got)
-	}
-	wantB := 2 * churnFlipRounds
-	if got := b.Counter("stale-verdict"); got != wantB {
-		return nil, fmt.Errorf("censor-churn: B stale-verdict = %d, want %d (every post-flip round rides the crowd)", got, wantB)
-	}
-	if a.Counter("failover-budget-exhausted") == 0 {
-		return nil, fmt.Errorf("censor-churn: the residual blackhole never exhausted A's failover budget")
-	}
-	if a.Counter("quarantine-bench") == 0 {
-		return nil, fmt.Errorf("censor-churn: no approach was ever benched")
-	}
-	if a.Counter("quarantine-parole") == 0 {
-		return nil, fmt.Errorf("censor-churn: no benched approach was ever paroled for a probation probe")
-	}
-	if st.Get("residual-drop") == 0 {
-		return nil, fmt.Errorf("censor-churn: residual censorship never dropped a flow")
-	}
+	r.hold(st.Get("epoch-flip") == 2, "censor counted %d epoch flips, want 2", st.Get("epoch-flip"))
+	r.hold(a.Counter("stale-verdict") == 2, "A stale-verdict = %d, want 2 (one per flip)", a.Counter("stale-verdict"))
+	r.hold(a.Counter("stale-global-ignored") == 1, "A stale-global-ignored = %d, want 1 (epoch-1 report at flip 2)", a.Counter("stale-global-ignored"))
+	r.hold(b.Counter("stale-verdict") == 2*churnFlipRounds, "B stale-verdict = %d, want %d (every post-flip round rides the crowd)", b.Counter("stale-verdict"), 2*churnFlipRounds)
+	r.hold(a.Counter("failover-budget-exhausted") > 0, "the residual blackhole never exhausted A's failover budget")
+	r.hold(a.Counter("quarantine-bench") > 0, "no approach was ever benched")
+	r.hold(a.Counter("quarantine-parole") > 0, "no benched approach was ever paroled for a probation probe")
+	r.hold(st.Get("residual-drop") > 0, "residual censorship never dropped a flow")
 
-	res := &Result{ID: "censor-churn", Title: "PLT collapse and crowd-sourced recovery across censor policy flips"}
+	res := &Result{Title: "PLT collapse and crowd-sourced recovery across censor policy flips"}
 	tbl := metrics.Table{Headers: []string{"phase", "client", "spike", "degraded", "recovered", "rounds-to-recovery"}}
 	for _, row := range []struct {
-		phase, client string
-		p             churnPhase
+		phase, client, key string
+		p                  churnPhase
 	}{
-		{"epoch1-blockpage", "A (measures)", p1a},
-		{"epoch1-blockpage", "B (crowd)", p1b},
-		{"epoch2-escalated", "A (measures)", p2a},
-		{"epoch2-escalated", "B (crowd)", p2b},
+		{"epoch1-blockpage", "A (measures)", "flip1.a", p1a},
+		{"epoch1-blockpage", "B (crowd)", "flip1.b", p1b},
+		{"epoch2-escalated", "A (measures)", "flip2.a", p2a},
+		{"epoch2-escalated", "B (crowd)", "flip2.b", p2b},
 	} {
 		tbl.AddRow(row.phase, row.client,
 			fmt.Sprintf("%d", row.p.Spikes), fmt.Sprintf("%d", row.p.Degraded),
 			fmt.Sprintf("%d", row.p.Recovered), fmt.Sprintf("%d", row.p.FirstRec))
+		res.Metric(row.key+".spike_rounds", float64(row.p.Spikes))
+		res.Metric(row.key+".rounds_to_recovery", float64(row.p.FirstRec))
 	}
 	sched := metrics.Table{Headers: []string{"epoch", "flip offset (min)", "policy"}}
 	for i, ep := range schedule {
 		off := int(ep.Start.Sub(schedule[0].Start).Minutes())
 		sched.AddRow(fmt.Sprintf("%d", i), fmt.Sprintf("%d", off), ep.Policy.Name)
 	}
+	// The resilience counters: every one a table row, the keyed ones metrics.
 	resil := metrics.Table{Headers: []string{"counter", "value"}}
-	resil.AddRow("A stale-verdict re-detections", fmt.Sprintf("%d", a.Counter("stale-verdict")))
-	resil.AddRow("A stale global reports ignored", fmt.Sprintf("%d", a.Counter("stale-global-ignored")))
-	resil.AddRow("A failover budgets exhausted", fmt.Sprintf("%d", a.Counter("failover-budget-exhausted")))
-	resil.AddRow("A approaches benched", fmt.Sprintf("%d", a.Counter("quarantine-bench")))
-	resil.AddRow("A probation paroles", fmt.Sprintf("%d", a.Counter("quarantine-parole")))
-	resil.AddRow("B stale-verdict re-detections", fmt.Sprintf("%d", b.Counter("stale-verdict")))
-	resil.AddRow("B approaches benched", fmt.Sprintf("%d", b.Counter("quarantine-bench")))
-	resil.AddRow("censor epoch flips", fmt.Sprintf("%d", st.Get("epoch-flip")))
-	resil.AddRow("censor residual windows armed", fmt.Sprintf("%d", st.Get("residual-arm")))
-	resil.AddRow("censor residual flow drops", fmt.Sprintf("%d", st.Get("residual-drop")))
+	for _, c := range []struct {
+		label, key string
+		n          int
+	}{
+		{"A stale-verdict re-detections", "a.stale_verdict", a.Counter("stale-verdict")},
+		{"A stale global reports ignored", "", a.Counter("stale-global-ignored")},
+		{"A failover budgets exhausted", "a.budget_exhausted", a.Counter("failover-budget-exhausted")},
+		{"A approaches benched", "a.quarantine_bench", a.Counter("quarantine-bench")},
+		{"A probation paroles", "a.quarantine_parole", a.Counter("quarantine-parole")},
+		{"B stale-verdict re-detections", "b.stale_verdict", b.Counter("stale-verdict")},
+		{"B approaches benched", "", b.Counter("quarantine-bench")},
+		{"censor epoch flips", "censor.epoch_flips", st.Get("epoch-flip")},
+		{"censor residual windows armed", "", st.Get("residual-arm")},
+		{"censor residual flow drops", "censor.residual_drops", st.Get("residual-drop")},
+	} {
+		resil.AddRow(c.label, fmt.Sprintf("%d", c.n))
+		if c.key != "" {
+			res.Metric(c.key, float64(c.n))
+		}
+	}
 	res.Text = "epoch schedule:\n" + sched.String() + "\nround classification vs pre-flip steady-state PLT:\n" +
 		tbl.String() + "\nresilience machinery:\n" + resil.String()
-
-	res.Metric("flip1.a.spike_rounds", float64(p1a.Spikes))
-	res.Metric("flip1.a.rounds_to_recovery", float64(p1a.FirstRec))
-	res.Metric("flip1.b.spike_rounds", float64(p1b.Spikes))
-	res.Metric("flip1.b.rounds_to_recovery", float64(p1b.FirstRec))
-	res.Metric("flip2.a.spike_rounds", float64(p2a.Spikes))
-	res.Metric("flip2.a.rounds_to_recovery", float64(p2a.FirstRec))
-	res.Metric("flip2.b.spike_rounds", float64(p2b.Spikes))
-	res.Metric("flip2.b.rounds_to_recovery", float64(p2b.FirstRec))
-	res.Metric("a.stale_verdict", float64(a.Counter("stale-verdict")))
-	res.Metric("a.budget_exhausted", float64(a.Counter("failover-budget-exhausted")))
-	res.Metric("a.quarantine_bench", float64(a.Counter("quarantine-bench")))
-	res.Metric("a.quarantine_parole", float64(a.Counter("quarantine-parole")))
-	res.Metric("b.stale_verdict", float64(b.Counter("stale-verdict")))
-	res.Metric("censor.epoch_flips", float64(st.Get("epoch-flip")))
-	res.Metric("censor.residual_drops", float64(st.Get("residual-drop")))
 	res.Note("recovery is in-band: no client restarts; A re-detects at each flip (stale-verdict), B's stale verdicts are overridden by A's fresh global report — B never spikes at either flip")
 	res.Note("epoch 1's residual censorship blackholes A's first failover ladder until the per-fetch budget expires; the benched fixes return mid-phase as probation probes with reset averages, and selection converges back onto the cheapest survivor")
-	return res, nil
-}
+	return res
+})

@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"csaw/internal/censor"
 	"csaw/internal/core"
@@ -15,169 +14,78 @@ import (
 	"csaw/internal/worldgen"
 )
 
-// compareLoad runs the §7.3 comparison: C-Saw (adaptive), Lantern, and Tor
-// in isolation loading the same page repeatedly.
-func compareLoad(o Options, policy *censor.Policy, host string, id, title, expectFixNote string) (*Result, error) {
-	w, err := o.world(400)
-	if err != nil {
-		return nil, err
-	}
-	if err := w.StandardSites(); err != nil {
-		return nil, err
-	}
-	isp, err := w.AddISP(19000, "ISP-CMP", policy)
-	if err != nil {
-		return nil, err
-	}
-	runs := o.runs(30)
+// compareLoad is the §7.3 comparison: C-Saw (adaptive), Lantern, and Tor in
+// isolation loading the same page repeatedly.
+func compareLoad(id string, policy *censor.Policy, title, expectFixNote string) func(Options) (*Result, error) {
+	return experiment(id, scenario{scale: 400, sites: standardSites, isps: []ispRow{{19000, "ISP-CMP", policy}}}, func(r *rig) *Result {
+		w, runs, host := r.w, r.runs(30), worldgen.YouTubeHost
 
-	res := &Result{ID: id, Title: fmt.Sprintf("%s (%d runs per system)", title, runs)}
-	var series []metrics.Series
+		// C-Saw: a full client; the first load warms the local DB (detection +
+		// report), subsequent loads show steady-state adaptive behaviour.
+		curves := r.measure(host, runs, []series{{name: "C-Saw", key: "csaw", client: "cmp-csaw", seed: 1, warm: true}})
+		// Lantern in isolation: always detects blocking first (one failed
+		// direct attempt per page is charged by using its dialer for
+		// everything after a block check), modelled as all traffic through the
+		// proxy, which is Lantern's steady state for blocked sites. Tor in
+		// isolation: every request through a circuit.
+		lc := lantern.NewClient(r.host("cmp-lantern"), w.Lantern, "user")
+		tc := tor.NewClient(r.host("cmp-tor"), w.TorDir, r.seed+5)
+		curves = append(curves, r.measure(host, runs, []series{
+			{name: "Lantern", key: "lantern", fail: failFirst, raw: &web.Transport{Label: "lantern", Dialer: lc.Dial, Clock: w.Clock}},
+			{name: "Tor", key: "tor", fail: failFirst, raw: &web.Transport{Label: "tor", Dialer: tc.Dial, Clock: w.Clock}},
+		})...)
 
-	// C-Saw: a full client; the first load warms the local DB (detection +
-	// report), subsequent loads show steady-state adaptive behaviour.
-	cl, err := newClient(w, isp, "cmp-csaw", o.seed()+1, nil)
-	if err != nil {
-		return nil, err
-	}
-	defer cl.Close()
-	warm := (&web.Browser{Transport: cl, ClockSrc: w.Clock}).Load(context.Background(), host, "/")
-	if warm.Err != nil {
-		return nil, fmt.Errorf("%s: warm load: %w", id, warm.Err)
-	}
-	cl.WaitIdle()
-	csawDist := metrics.NewDistribution()
-	for r := 0; r < runs; r++ {
-		pr := (&web.Browser{Transport: cl, ClockSrc: w.Clock}).Load(context.Background(), host, "/")
-		if pr.Err != nil {
-			return nil, fmt.Errorf("%s: csaw run %d: %w", id, r, pr.Err)
-		}
-		csawDist.AddDuration(pr.PLT)
-	}
-	series = append(series, metrics.Series{Name: "C-Saw", Dist: csawDist})
-	res.Metric("median_plt_s.csaw", csawDist.Median())
-
-	// Lantern in isolation: always detects blocking first (one failed
-	// direct attempt per page is charged by using its dialer for
-	// everything after a block check), modelled as all traffic through the
-	// proxy, which is Lantern's steady state for blocked sites.
-	clientHost := w.NewClientHost("cmp-lantern", isp)
-	lc := lantern.NewClient(clientHost, w.Lantern, "user")
-	lanternTr := &web.Transport{Label: "lantern", Dialer: lc.Dial, Clock: w.Clock}
-	lanternDist, err := loadSeries(w, lanternTr, host, "/", runs)
-	if err != nil {
-		return nil, err
-	}
-	series = append(series, metrics.Series{Name: "Lantern", Dist: lanternDist})
-	res.Metric("median_plt_s.lantern", lanternDist.Median())
-
-	// Tor in isolation: every request through a circuit.
-	torHost := w.NewClientHost("cmp-tor", isp)
-	tc := tor.NewClient(torHost, w.TorDir, o.seed()+5)
-	torTr := &web.Transport{Label: "tor", Dialer: tc.Dial, Clock: w.Clock}
-	torDist, err := loadSeries(w, torTr, host, "/", runs)
-	if err != nil {
-		return nil, err
-	}
-	series = append(series, metrics.Series{Name: "Tor", Dist: torDist})
-	res.Metric("median_plt_s.tor", torDist.Median())
-
-	res.Metric("csaw_vs_lantern_improvement", 1-csawDist.Median()/lanternDist.Median())
-	res.Metric("csaw_vs_tor_improvement", 1-csawDist.Median()/torDist.Median())
-	res.Text = metrics.SummarizeCDFs("PLT by system", series)
-	res.Note("%s", expectFixNote)
-	return res, nil
+		res := &Result{Title: fmt.Sprintf("%s (%d runs per system)", title, runs)}
+		cdfs(res, "PLT by system", false, curves)
+		csaw := curves[0].dist.Median()
+		res.Metric("csaw_vs_lantern_improvement", 1-csaw/curves[1].dist.Median())
+		res.Metric("csaw_vs_tor_improvement", 1-csaw/curves[2].dist.Median())
+		res.Note("%s", expectFixNote)
+		return res
+	})
 }
 
 // Figure7a compares the three systems on a DNS-blocked page: C-Saw's
 // local fix (public DNS) should dominate.
-func Figure7a(o Options) (*Result, error) {
-	return compareLoad(o,
-		&censor.Policy{DNS: map[string]censor.DNSAction{"youtube.com": censor.DNSNXDomain}},
-		worldgen.YouTubeHost,
-		"figure7a", "C-Saw vs Lantern vs Tor, DNS-blocked page",
-		"paper shape: C-Saw's public-DNS local fix beats both relays (up to 48% vs Lantern, 63-68% vs Tor)")
-}
+var Figure7a = compareLoad("figure7a",
+	&censor.Policy{DNS: map[string]censor.DNSAction{"youtube.com": censor.DNSNXDomain}},
+	"C-Saw vs Lantern vs Tor, DNS-blocked page",
+	"paper shape: C-Saw's public-DNS local fix beats both relays (up to 48% vs Lantern, 63-68% vs Tor)")
 
 // Figure7b compares them on an unblocked page: C-Saw rides the direct path.
-func Figure7b(o Options) (*Result, error) {
-	return compareLoad(o,
-		&censor.Policy{},
-		worldgen.YouTubeHost,
-		"figure7b", "C-Saw vs Lantern vs Tor, unblocked page",
-		"paper shape: C-Saw simply uses the direct path and wins")
-}
+var Figure7b = compareLoad("figure7b", &censor.Policy{},
+	"C-Saw vs Lantern vs Tor, unblocked page",
+	"paper shape: C-Saw simply uses the direct path and wins")
 
 // Figure7c compares C-Saw configured with Lantern as its relay against
 // C-Saw with Tor, on a page behind multi-stage (IP + DNS) blocking where no
 // local fix applies.
-func Figure7c(o Options) (*Result, error) {
-	w, err := o.world(400)
-	if err != nil {
-		return nil, err
-	}
-	if err := w.StandardSites(); err != nil {
-		return nil, err
-	}
-	ytIP := w.Registry.Lookup(worldgen.YouTubeHost)[0]
-	isp, err := w.AddISP(19100, "ISP-7c", &censor.Policy{
-		DNS: map[string]censor.DNSAction{"youtube.com": censor.DNSDrop},
-		IP:  map[string]censor.IPAction{ytIP: censor.IPDrop},
-	})
-	if err != nil {
-		return nil, err
-	}
-	runs := o.runs(20)
-	res := &Result{ID: "figure7c", Title: fmt.Sprintf("C-Saw with Lantern vs C-Saw with Tor, multi-stage blocking (%d runs)", runs)}
-
-	var series []metrics.Series
+var Figure7c = experiment("figure7c", scenario{scale: 400, sites: standardSites, isps: []ispRow{{19100, "ISP-7c", youtubeMultiStage}}}, func(r *rig) *Result {
+	runs := r.runs(20)
+	var list []series
 	for _, relay := range []string{"lantern", "tor"} {
-		cl, err := newClient(w, isp, "c7c-"+relay, o.seed()+int64(len(relay)), func(cfg *core.Config) {
-			var kept []*core.Approach
-			for _, a := range cfg.Approaches {
-				if a.Name == relay {
-					kept = append(kept, a)
-				}
-			}
-			cfg.Approaches = kept
+		list = append(list, series{
+			name: "C-Saw (w/ " + relay + ")", key: relay, client: "c7c-" + relay, seed: int64(len(relay)), warm: true,
+			cfg: func(cfg *core.Config) {
+				keepApproaches(cfg, func(a *core.Approach) bool { return a.Name == relay })
+			},
 		})
-		if err != nil {
-			return nil, err
-		}
-		warm := (&web.Browser{Transport: cl, ClockSrc: w.Clock}).Load(context.Background(), worldgen.YouTubeHost, "/")
-		if warm.Err != nil {
-			return nil, fmt.Errorf("figure7c %s warm: %w", relay, warm.Err)
-		}
-		cl.WaitIdle()
-		dist := metrics.NewDistribution()
-		for r := 0; r < runs; r++ {
-			pr := (&web.Browser{Transport: cl, ClockSrc: w.Clock}).Load(context.Background(), worldgen.YouTubeHost, "/")
-			if pr.Err != nil {
-				return nil, fmt.Errorf("figure7c %s run %d: %w", relay, r, pr.Err)
-			}
-			dist.AddDuration(pr.PLT)
-		}
-		cl.Close()
-		series = append(series, metrics.Series{Name: "C-Saw (w/ " + relay + ")", Dist: dist})
-		res.Metric("median_plt_s."+relay, dist.Median())
 	}
-	res.Metric("lantern_advantage", 1-res.Metrics["median_plt_s.lantern"]/res.Metrics["median_plt_s.tor"])
-	res.Text = metrics.SummarizeCDFs("PLT by relay choice", series)
+	curves := r.measure(worldgen.YouTubeHost, runs, list)
+	res := &Result{Title: fmt.Sprintf("C-Saw with Lantern vs C-Saw with Tor, multi-stage blocking (%d runs)", runs)}
+	cdfs(res, "PLT by relay choice", false, curves)
+	res.Metric("lantern_advantage", 1-curves[0].dist.Median()/curves[1].dist.Median())
 	res.Note("paper shape: Lantern significantly outperforms Tor (anonymity overhead)")
-	return res, nil
-}
+	return res
+})
 
 // Figure6b crawls the Alexa-top-15-PK sites through clients with and
 // without URL aggregation and compares local_DB record counts (~55%
 // reduction in the paper).
-func Figure6b(o Options) (*Result, error) {
-	w, err := o.world(500)
-	if err != nil {
-		return nil, err
-	}
-	sites, err := w.AlexaPKSites()
-	if err != nil {
-		return nil, err
+var Figure6b = experiment("figure6b", scenario{scale: 500}, func(r *rig) *Result {
+	sites, err := r.w.AlexaPKSites()
+	if !r.ok(err, "Alexa-PK sites") {
+		return nil
 	}
 	// Realistic crawls mix clean sites with sites whose *specific pages*
 	// are filtered (censors sometimes block only particular pages, §4.4
@@ -185,10 +93,7 @@ func Figure6b(o Options) (*Result, error) {
 	// which is what keeps the paper's savings at ~55% rather than one
 	// record per site.
 	policy := &censor.Policy{Name: "ISP-6b"}
-	for i, s := range sites {
-		if i >= 12 {
-			break
-		}
+	for _, s := range sites[:12] {
 		policy.HTTP = append(policy.HTTP,
 			censor.HTTPRule{Host: s.Host, PathPrefix: "/page1.html", Action: censor.HTTPBlockPage},
 			censor.HTTPRule{Host: s.Host, PathPrefix: "/page2.html", Action: censor.HTTPBlockPage},
@@ -196,41 +101,23 @@ func Figure6b(o Options) (*Result, error) {
 	}
 	policy.HTTP = append(policy.HTTP,
 		censor.HTTPRule{Host: sites[0].Host, PathPrefix: "/page3.html", Action: censor.HTTPBlockPage})
-	isp, err := w.AddISP(19200, "ISP-6b", policy)
-	if err != nil {
-		return nil, err
-	}
+	r.addISP(ispRow{19200, "ISP-6b", policy})
 
-	crawl := func(name string, noAgg bool) (int, error) {
-		cl, err := newClient(w, isp, name, o.seed(), func(cfg *core.Config) {
-			cfg.NoAggregate = noAgg
-		})
-		if err != nil {
-			return 0, err
-		}
+	crawl := func(name string, noAgg bool) int {
+		cl := r.client(name, 0, false, func(cfg *core.Config) { cfg.NoAggregate = noAgg })
 		defer cl.Close()
 		for _, s := range sites {
 			for _, path := range s.Paths() {
 				res := cl.FetchURL(context.Background(), localdb.JoinURL(s.Host, path))
-				if res.Err != nil {
-					return 0, fmt.Errorf("crawl %s%s: %w", s.Host, path, res.Err)
-				}
+				r.ok(res.Err, "crawl %s%s", s.Host, path)
 			}
 		}
 		cl.WaitIdle()
-		return cl.DB().Len(), nil
+		return cl.DB().Len()
 	}
+	raw, agg := crawl("c6b-raw", true), crawl("c6b-agg", false)
 
-	raw, err := crawl("c6b-raw", true)
-	if err != nil {
-		return nil, err
-	}
-	agg, err := crawl("c6b-agg", false)
-	if err != nil {
-		return nil, err
-	}
-
-	res := &Result{ID: "figure6b", Title: "local_DB records with and without URL aggregation (Alexa-PK crawl)"}
+	res := &Result{Title: "local_DB records with and without URL aggregation (Alexa-PK crawl)"}
 	tbl := metrics.Table{Headers: []string{"mode", "records"}}
 	tbl.AddRow("No Aggregation", fmt.Sprintf("%d", raw))
 	tbl.AddRow("With Aggregation", fmt.Sprintf("%d", agg))
@@ -240,8 +127,5 @@ func Figure6b(o Options) (*Result, error) {
 	res.Metric("records.aggregated", float64(agg))
 	res.Metric("reduction", reduction)
 	res.Note("paper: ~55%% fewer records with aggregation; measured %.0f%%", reduction*100)
-	return res, nil
-}
-
-// ablationThinkTime is shared pacing for PLT-sensitive ablations.
-const ablationThinkTime = 2 * time.Second
+	return res
+})

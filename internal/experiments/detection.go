@@ -14,47 +14,29 @@ import (
 // Table5 measures the average blocking-detection time per mechanism over 50
 // runs each (paper Table 5: TCP/IP 21 s, DNS SERVFAIL 10.6 s, DNS REFUSED
 // 0.025 s, HTTP block page 1.8 s, TCP/IP+DNS 32.7 s).
-func Table5(o Options) (*Result, error) {
-	w, err := o.world(500)
-	if err != nil {
-		return nil, err
-	}
-	if err := w.StandardSites(); err != nil {
-		return nil, err
-	}
-	runs := o.runs(50)
-
-	ytIP := w.Registry.Lookup(worldgen.YouTubeHost)[0]
+var Table5 = experiment("table5", scenario{scale: 500, sites: standardSites}, func(r *rig) *Result {
+	runs, yt := r.runs(50), worldgen.YouTubeHost
 	scenarios := []struct {
 		name   string
 		paperS float64
 		policy *censor.Policy
 	}{
-		{"TCP/IP", 21, &censor.Policy{IP: map[string]censor.IPAction{ytIP: censor.IPDrop}}},
+		{"TCP/IP", 21, &censor.Policy{IP: map[string]censor.IPAction{yt: censor.IPDrop}}},
 		{"DNS (Server Failure)", 10.6, &censor.Policy{DNS: map[string]censor.DNSAction{"youtube.com": censor.DNSServFail}}},
 		{"DNS (Server Refused)", 0.025, &censor.Policy{DNS: map[string]censor.DNSAction{"youtube.com": censor.DNSRefused}}},
 		{"HTTP (Block Page)", 1.8, &censor.Policy{HTTP: []censor.HTTPRule{{Host: "youtube.com", Action: censor.HTTPBlockPage}}}},
-		{"TCP/IP + DNS", 32.7, &censor.Policy{
-			DNS: map[string]censor.DNSAction{"youtube.com": censor.DNSDrop},
-			IP:  map[string]censor.IPAction{ytIP: censor.IPDrop},
-		}},
+		{"TCP/IP + DNS", 32.7, youtubeMultiStage},
 	}
 
-	res := &Result{ID: "table5", Title: fmt.Sprintf("Average blocking-detection time (%d runs each)", runs)}
+	res := &Result{Title: fmt.Sprintf("Average blocking-detection time (%d runs each)", runs)}
 	tbl := metrics.Table{Headers: []string{"Blocking type", "avg detect (s)", "paper (s)"}}
 	for i, sc := range scenarios {
-		isp, err := w.AddISP(17000+i, fmt.Sprintf("ISP-T5-%d", i), sc.policy)
-		if err != nil {
-			return nil, err
-		}
-		client := w.NewClientHost(fmt.Sprintf("t5-client-%d", i), isp)
-		det := newDetector(w, client)
+		isp := r.addISP(ispRow{17000 + i, fmt.Sprintf("ISP-T5-%d", i), sc.policy})
+		det := r.detector(r.host(fmt.Sprintf("t5-client-%d", i), isp))
 		dist := metrics.NewDistribution()
-		for r := 0; r < runs; r++ {
-			out := det.Measure(context.Background(), worldgen.YouTubeHost+"/", detect.HTTP)
-			if !out.Blocked() {
-				return nil, fmt.Errorf("table5 %s run %d: not detected (stages=%s err=%v)", sc.name, r, out.StageSummary(), out.Err)
-			}
+		for run := 0; run < runs; run++ {
+			out := det.Measure(context.Background(), yt+"/", detect.HTTP)
+			r.hold(out.Blocked(), "%s run %d: not detected (stages=%s err=%v)", sc.name, run, out.StageSummary(), out.Err)
 			dist.AddDuration(out.Detected)
 		}
 		tbl.AddRow(sc.name, fmt.Sprintf("%.3f", dist.Mean()), fmt.Sprintf("%.3f", sc.paperS))
@@ -63,8 +45,8 @@ func Table5(o Options) (*Result, error) {
 	}
 	res.Text = tbl.String()
 	res.Note("shape: REFUSED ≪ block page ≪ SERVFAIL ≈ DNS-drop < TCP/IP < multi-stage")
-	return res, nil
-}
+	return res
+})
 
 // Classifier evaluates the two-phase block-page detector on the 47-ISP
 // corpus: ~80%% phase-1 recall with zero false positives, everything else

@@ -1,9 +1,9 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation on the emulated internet. Each runner builds the scenario
-// world it needs, drives real C-Saw clients (or raw transports for the
-// baselines), and returns a Result with the rendered report plus the key
-// numbers, which the benchmark harness republishes as benchmark metrics and
-// EXPERIMENTS.md records against the paper's values.
+// evaluation on the emulated internet. Each runner declares the scenario
+// world it needs (rig.go builds it), drives real C-Saw clients (or raw
+// transports for the baselines), and returns a Result with the rendered
+// report plus the key numbers, which EXPERIMENTS.md records against the
+// paper's values.
 //
 // Absolute numbers depend on the emulated latency/bandwidth model; what is
 // expected to reproduce is the *shape*: orderings, rough factors, and
@@ -18,7 +18,6 @@ import (
 
 	"csaw/internal/trace"
 	"csaw/internal/vtime"
-	"csaw/internal/worldgen"
 )
 
 // Options tunes an experiment run.
@@ -35,28 +34,6 @@ type Options struct {
 	// -trace). Experiments that support tracing (trace-breakdown) call it
 	// once per world; each world has its own clock, hence the factory shape.
 	Trace func(clock *vtime.Clock) *trace.Tracer
-}
-
-func (o Options) runs(def int) int {
-	if o.Runs > 0 {
-		return o.Runs
-	}
-	return def
-}
-
-func (o Options) seed() int64 {
-	if o.Seed != 0 {
-		return o.Seed
-	}
-	return 1
-}
-
-func (o Options) world(defaultScale float64) (*worldgen.World, error) {
-	scale := o.Scale
-	if scale <= 0 {
-		scale = defaultScale
-	}
-	return worldgen.New(worldgen.Options{Scale: scale, Seed: o.seed()})
 }
 
 // Result is one regenerated table or figure.

@@ -14,27 +14,23 @@ import (
 // windows — and checks that the global DB's per-AS lists converge exactly
 // onto the plan's expectation. Runs scales the population (default 400);
 // cmd/csaw-fleet drives the O(10k) version.
-func Fleet(o Options) (*Result, error) {
-	w, err := o.world(2400)
-	if err != nil {
-		return nil, err
-	}
+var Fleet = experiment("fleet", scenario{scale: 2400}, func(r *rig) *Result {
 	wl := fleet.Workload{
-		Population: o.runs(400),
-		Seed:       o.seed(),
+		Population: r.runs(400),
+		Seed:       r.seed,
 	}.WithDefaults()
-	sc, err := w.BuildFleetScenario(wl.Sites, wl.ISPs, wl.BlockedFrac)
-	if err != nil {
-		return nil, err
+	sc, err := r.w.BuildFleetScenario(wl.Sites, wl.ISPs, wl.BlockedFrac)
+	if !r.ok(err, "scenario") {
+		return nil
 	}
-	plan := fleet.BuildPlan(wl)
-	res, err := fleet.Run(context.Background(), w, sc, plan, fleet.Options{})
-	if err != nil {
-		return nil, err
+	res, err := fleet.Run(context.Background(), r.w, sc, fleet.BuildPlan(wl), fleet.Options{})
+	if !r.ok(err, "run") {
+		return nil
 	}
 	s, m := res.Summary, res.Measured
+	r.hold(s.Consistent(), "global-DB per-AS lists diverged from plan expectation:\n%s", s.Render())
 
-	out := &Result{ID: "fleet", Title: fmt.Sprintf("Population-scale fleet (%d clients, %s virtual)", s.Population, wl.Duration)}
+	out := &Result{Title: fmt.Sprintf("Population-scale fleet (%d clients, %s virtual)", s.Population, wl.Duration)}
 	tbl := metrics.Table{Headers: []string{"quantity", "value"}}
 	tbl.AddRow("Clients", fmt.Sprintf("%d (churned %d)", s.Population, s.Churned))
 	tbl.AddRow("Sessions / fetches (planned)", fmt.Sprintf("%d / %d", s.Sessions, s.Fetches))
@@ -43,11 +39,6 @@ func Fleet(o Options) (*Result, error) {
 	tbl.AddRow("Global-DB blocked URLs", fmt.Sprintf("%d over %d ASes", s.BlockedURLs, s.ASesReporting))
 	tbl.AddRow("Per-AS lists == plan expectation", fmt.Sprintf("%v", s.Consistent()))
 	tbl.AddRow("Peak goroutines", fmt.Sprintf("%d", m.PeakGoroutines))
-	if d, ok := m.PLT["direct"]; ok {
-		tbl.AddRow("Direct PLT p50/p95", fmt.Sprintf("%s / %s", fmtDur(time.Duration(d.P50*float64(time.Second))), fmtDur(time.Duration(d.P95*float64(time.Second)))))
-	}
-	out.Text = tbl.String()
-
 	out.Metric("population", float64(s.Population))
 	out.Metric("fetches", float64(m.Fetches))
 	out.Metric("fetch_errors", float64(m.FetchErrors))
@@ -55,11 +46,10 @@ func Fleet(o Options) (*Result, error) {
 	out.Metric("degraded", float64(m.Degraded))
 	out.Metric("peak_goroutines", float64(m.PeakGoroutines))
 	if d, ok := m.PLT["direct"]; ok {
+		tbl.AddRow("Direct PLT p50/p95", fmt.Sprintf("%s / %s", fmtDur(time.Duration(d.P50*float64(time.Second))), fmtDur(time.Duration(d.P95*float64(time.Second)))))
 		out.Metric("plt.direct.p50_s", d.P50)
 	}
-	if !s.Consistent() {
-		return nil, fmt.Errorf("fleet: global-DB per-AS lists diverged from plan expectation:\n%s", s.Render())
-	}
+	out.Text = tbl.String()
 	out.Note("summary is byte-identical across same-seed runs; see internal/fleet for the determinism contract")
-	return out, nil
-}
+	return out
+})

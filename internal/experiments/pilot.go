@@ -13,7 +13,6 @@ import (
 	"csaw/internal/localdb"
 	"csaw/internal/metrics"
 	"csaw/internal/web"
-	"csaw/internal/worldgen"
 )
 
 // pilotMechanisms is the blocked-domain population of the simulated pilot:
@@ -35,20 +34,13 @@ var pilotMechanisms = []struct {
 // Table7 simulates the pilot deployment: 123 consenting users behind 16
 // ASes browsing naturally for a compressed observation window, reporting
 // into the global DB, whose aggregate statistics reproduce Table 7's shape.
-func Table7(o Options) (*Result, error) {
-	scale := o.Scale
-	if scale <= 0 {
-		scale = 800
-	}
-	w, err := worldgen.New(worldgen.Options{Scale: scale, Seed: o.seed()})
-	if err != nil {
-		return nil, err
-	}
-	users := o.runs(123)
+var Table7 = experiment("table7", scenario{scale: 800}, func(r *rig) *Result {
+	w, users := r.w, r.runs(123)
 	const ases = 16
 
 	// Build the site population: blocked domains per mechanism plus clean
-	// sites, all on one origin.
+	// sites, spread across a handful of origins (the Origin mux scales, but
+	// keep per-origin site counts moderate).
 	type dom struct {
 		host  string
 		mech  string
@@ -56,7 +48,6 @@ func Table7(o Options) (*Result, error) {
 	}
 	var doms []dom
 	var sites []*web.Site
-	idx := 0
 	for _, m := range pilotMechanisms {
 		for i := 0; i < m.count; i++ {
 			host := fmt.Sprintf("blocked-%s-%03d.example", m.name, i)
@@ -67,7 +58,6 @@ func Table7(o Options) (*Result, error) {
 			}
 			sites = append(sites, s)
 			doms = append(doms, dom{host: host, mech: m.name, paths: m.paths})
-			idx++
 		}
 	}
 	for i := 0; i < 40; i++ {
@@ -76,25 +66,17 @@ func Table7(o Options) (*Result, error) {
 		s.AddPage("/", "Clean "+host, 4<<10)
 		sites = append(sites, s)
 	}
-	// Spread sites across a handful of origins (the Origin mux scales, but
-	// keep per-origin site counts moderate).
 	for start := 0; start < len(sites); start += 120 {
-		end := min(start+120, len(sites))
-		if _, err := w.AddOrigin(fmt.Sprintf("origin-pilot-%d", start), false, sites[start:end]...); err != nil {
-			return nil, err
-		}
+		_, err := w.AddOrigin(fmt.Sprintf("origin-pilot-%d", start), false, sites[start:min(start+120, len(sites))]...)
+		r.ok(err, "origin %d", start)
 	}
 
 	// 16 censoring ASes, each enforcing every domain's assigned mechanism.
-	var isps []*worldgen.ISP
 	for a := 0; a < ases; a++ {
-		isp, err := w.AddISP(56000+a, fmt.Sprintf("PILOT-AS-%02d", a), nil)
-		if err != nil {
-			return nil, err
-		}
+		isp := r.addISP(ispRow{56000 + a, fmt.Sprintf("PILOT-AS-%02d", a), nil})
 		bp, err := w.AddBlockPageHost(isp, fmt.Sprintf("block.as%02d.pk", a))
-		if err != nil {
-			return nil, err
+		if !r.ok(err, "block-page host %d", a) {
+			return nil
 		}
 		p := &censor.Policy{
 			Name:       fmt.Sprintf("pilot-as-%02d", a),
@@ -119,19 +101,13 @@ func Table7(o Options) (*Result, error) {
 			}
 		}
 		isp.Censor.SetPolicy(p)
-		isps = append(isps, isp)
 	}
 
 	// 123 users browse: each visits a personal sample of blocked and clean
 	// URLs, then syncs with the global DB.
-	rng := rand.New(rand.NewSource(o.seed() * 31))
-	type userPlan struct {
-		isp  *worldgen.ISP
-		urls []string
-	}
-	plans := make([]userPlan, users)
-	for u := range plans {
-		isp := isps[u%ases]
+	rng := rand.New(rand.NewSource(r.seed * 31))
+	var wg sync.WaitGroup
+	for u := 0; u < users; u++ {
 		visits := 9 + rng.Intn(7)
 		var urls []string
 		for v := 0; v < visits; v++ {
@@ -145,188 +121,126 @@ func Table7(o Options) (*Result, error) {
 		for v := 0; v < 3; v++ {
 			urls = append(urls, fmt.Sprintf("clean-%03d.example/", rng.Intn(40)))
 		}
-		plans[u] = userPlan{isp: isp, urls: urls}
-	}
-
-	var wg sync.WaitGroup
-	errCh := make(chan error, users)
-	for u, plan := range plans {
 		wg.Add(1)
-		go func(u int, plan userPlan) {
+		go func() {
 			defer wg.Done()
 			// Users install over time, not in one stampede.
 			w.Clock.Sleep(time.Duration(u) * 500 * time.Millisecond)
-			host := w.NewClientHost(fmt.Sprintf("pilot-user-%03d", u), plan.isp)
-			cfg := w.ClientConfig(host, o.seed()+int64(u))
-			cfg.PSet = true // rely on the global DB; pilot measures organically
-			cfg.SyncInterval = time.Hour
-			cl, err := core.New(cfg)
-			if err != nil {
-				errCh <- err
-				return
-			}
+			cl := r.client(fmt.Sprintf("pilot-user-%03d", u), int64(u), true, func(cfg *core.Config) {
+				cfg.PSet = true // rely on the global DB; pilot measures organically
+				cfg.SyncInterval = time.Hour
+			}, r.isps[u%ases])
 			defer cl.Close()
-			if err := cl.Start(context.Background()); err != nil {
-				errCh <- fmt.Errorf("user %d start: %w", u, err)
-				return
-			}
-			for _, url := range plan.urls {
+			for _, url := range urls {
 				_ = cl.FetchURL(context.Background(), url) // failures are data too
 			}
 			cl.WaitIdle()
-			if err := cl.SyncNow(context.Background()); err != nil {
-				errCh <- fmt.Errorf("user %d sync: %w", u, err)
-			}
-		}(u, plan)
+			r.ok(cl.SyncNow(context.Background()), "user %d sync", u)
+		}()
 	}
 	wg.Wait()
-	close(errCh)
-	for err := range errCh {
-		return nil, err
-	}
 
 	st := w.GlobalDB.StatsSnapshot()
-	res := &Result{ID: "table7", Title: fmt.Sprintf("Pilot study aggregates (%d simulated users)", users)}
+	res := &Result{Title: fmt.Sprintf("Pilot study aggregates (%d simulated users)", users)}
 	tbl := metrics.Table{Headers: []string{"quantity", "measured", "paper"}}
-	tbl.AddRow("No. of users", fmt.Sprintf("%d", st.Users), "123")
-	tbl.AddRow("Unique blocked URLs accessed", fmt.Sprintf("%d", st.BlockedURLs), "997")
-	tbl.AddRow("Unique blocked domains accessed", fmt.Sprintf("%d", st.BlockedDomains), "420")
-	tbl.AddRow("Unique ASes", fmt.Sprintf("%d", st.ASes), "16")
-	tbl.AddRow("Distinct types of blocking observed", fmt.Sprintf("%d", st.BlockTypes), "5")
-	tbl.AddRow("URLs experiencing DNS blocking", fmt.Sprintf("%d", st.ByType["dns"]), "376")
-	tbl.AddRow("URLs experiencing TCP connection timeout", fmt.Sprintf("%d", st.ByType["tcp-timeout"]), "114")
-	tbl.AddRow("URLs with a block page returned", fmt.Sprintf("%d", st.ByType["blockpage"]), "475")
-	tbl.AddRow("No. of unique updates", fmt.Sprintf("%d", st.Updates), "1787")
+	for _, row := range []struct {
+		label, key string
+		measured   int
+		paper      string
+	}{
+		{"No. of users", "users", st.Users, "123"},
+		{"Unique blocked URLs accessed", "blocked_urls", st.BlockedURLs, "997"},
+		{"Unique blocked domains accessed", "blocked_domains", st.BlockedDomains, "420"},
+		{"Unique ASes", "ases", st.ASes, "16"},
+		{"Distinct types of blocking observed", "block_types", st.BlockTypes, "5"},
+		{"URLs experiencing DNS blocking", "urls.dns", st.ByType["dns"], "376"},
+		{"URLs experiencing TCP connection timeout", "urls.tcp_timeout", st.ByType["tcp-timeout"], "114"},
+		{"URLs with a block page returned", "urls.blockpage", st.ByType["blockpage"], "475"},
+		{"No. of unique updates", "updates", st.Updates, "1787"},
+	} {
+		tbl.AddRow(row.label, fmt.Sprintf("%d", row.measured), row.paper)
+		res.Metric(row.key, float64(row.measured))
+	}
 	res.Text = tbl.String()
-	res.Metric("users", float64(st.Users))
-	res.Metric("blocked_urls", float64(st.BlockedURLs))
-	res.Metric("blocked_domains", float64(st.BlockedDomains))
-	res.Metric("ases", float64(st.ASes))
-	res.Metric("block_types", float64(st.BlockTypes))
-	res.Metric("urls.dns", float64(st.ByType["dns"]))
-	res.Metric("urls.tcp_timeout", float64(st.ByType["tcp-timeout"]))
-	res.Metric("urls.blockpage", float64(st.ByType["blockpage"]))
-	res.Metric("updates", float64(st.Updates))
 	res.Note("block pages are the most common mechanism, DNS blocking second — matching §7.4; CDN-style blocking shows up because embedded third-party objects are measured too")
-	return res, nil
-}
+	return res
+})
 
 // Wild reproduces §7.5: Twitter and Instagram get blocked mid-run by
 // different ASes with different mechanisms, and C-Saw users surface the
-// event timeline in the global DB.
-func Wild(o Options) (*Result, error) {
-	scale := o.Scale
-	if scale <= 0 {
-		scale = 500
-	}
-	w, err := worldgen.New(worldgen.Options{Scale: scale, Seed: o.seed()})
-	if err != nil {
-		return nil, err
-	}
-	// The services and the observing ASes of the §7.5 snapshot.
+// event timeline in the global DB. The observing ASes are the §7.5
+// snapshot's.
+var Wild = experiment("wild", scenario{scale: 500, isps: []ispRow{
+	{38193, "AS38193", nil}, {17557, "AS17557", nil}, {59257, "AS59257", nil}, {45773, "AS45773", nil},
+}}, func(r *rig) *Result {
+	w, isps := r.w, r.isps
 	twitter := web.NewSite("twitter.example")
 	twitter.AddPage("/", "Twitter", 6<<10)
 	insta := web.NewSite("instagram.example")
 	insta.AddPage("/", "Instagram", 6<<10)
-	if _, err := w.AddOrigin("origin-social-wild", false, twitter, insta); err != nil {
-		return nil, err
-	}
-	asns := []int{38193, 17557, 59257, 45773}
-	var isps []*worldgen.ISP
-	for _, asn := range asns {
-		isp, err := w.AddISP(asn, fmt.Sprintf("AS%d", asn), nil)
-		if err != nil {
-			return nil, err
-		}
-		isps = append(isps, isp)
-	}
-	bp, err := w.AddBlockPageHost(isps[1], "block.as17557.pk")
-	if err != nil {
-		return nil, err
-	}
+	_, err := w.AddOrigin("origin-social-wild", false, twitter, insta)
+	r.ok(err, "origin")
+	_, err = w.AddBlockPageHost(isps[1], "block.as17557.pk")
+	r.ok(err, "block-page host")
 
 	// One C-Saw user per AS, with a short record TTL so re-visits
 	// re-measure after the policy flip.
 	var clients []*core.Client
 	for i, isp := range isps {
-		host := w.NewClientHost(fmt.Sprintf("wild-user-%d", i), isp)
-		cfg := w.ClientConfig(host, o.seed()+int64(i))
-		cfg.PSet = true
-		cfg.SyncInterval = time.Hour
-		cfg.TTL = 30 * time.Minute
-		cl, err := core.New(cfg)
-		if err != nil {
-			return nil, err
-		}
-		if err := cl.Start(context.Background()); err != nil {
-			return nil, err
-		}
-		defer cl.Close()
-		clients = append(clients, cl)
+		clients = append(clients, r.client(fmt.Sprintf("wild-user-%d", i), int64(i), true, func(cfg *core.Config) {
+			cfg.PSet = true
+			cfg.SyncInterval = time.Hour
+			cfg.TTL = 30 * time.Minute
+		}, isp))
 	}
-	browseAll := func() error {
+	// The timeline below asserts on global-DB state, so a failed sync round
+	// would surface as a confusing assertion miss; it breaks a claim instead.
+	browseAll := func(phase string) {
 		var wg sync.WaitGroup
-		var mu sync.Mutex
-		var syncErr error
 		for _, cl := range clients {
 			wg.Add(1)
-			go func(cl *core.Client) {
+			go func() {
 				defer wg.Done()
 				_ = cl.FetchURL(context.Background(), "twitter.example/")
 				_ = cl.FetchURL(context.Background(), "instagram.example/")
 				cl.WaitIdle()
-				// The timeline below asserts on global-DB state, so a
-				// failed round would surface as a confusing assertion
-				// miss; fail fast instead.
-				if err := cl.SyncNow(context.Background()); err != nil {
-					mu.Lock()
-					if syncErr == nil {
-						syncErr = err
-					}
-					mu.Unlock()
-				}
-			}(cl)
+				r.ok(cl.SyncNow(context.Background()), "%s sync", phase)
+			}()
 		}
 		wg.Wait()
-		return syncErr
+	}
+	// sleepUntil advances virtual time to the given Nov 2017 day and time.
+	// The timeline spans hours, so the jump uses Clock.Advance (the system
+	// is quiescent between browsing phases).
+	sleepUntil := func(day, hour, minute int) {
+		r.advanceTo(time.Date(2017, time.November, day, hour, minute, 0, 0, time.UTC))
 	}
 
 	// Nov 25, morning: everything reachable.
-	if err := browseAll(); err != nil {
-		return nil, fmt.Errorf("wild: morning sync: %w", err)
-	}
-	if st := w.GlobalDB.StatsSnapshot(); st.BlockedURLs != 0 {
-		return nil, fmt.Errorf("wild: pre-event blocked URLs = %d, want 0", st.BlockedURLs)
-	}
+	browseAll("morning")
+	r.hold(w.GlobalDB.StatsSnapshot().BlockedURLs == 0, "pre-event blocked URLs = %d, want 0", w.GlobalDB.StatsSnapshot().BlockedURLs)
 
 	// ~13:30, Nov 25: the protests begin; Twitter gets blocked — AS 38193
 	// swallows GETs, AS 17557 serves a block page.
-	sleepUntil(w, 25, 13, 25)
+	sleepUntil(25, 13, 25)
 	isps[0].Censor.SetPolicy(&censor.Policy{HTTP: []censor.HTTPRule{{Host: "twitter.example", Action: censor.HTTPDrop}}})
-	isps[1].Censor.SetPolicy(&censor.Policy{HTTP: []censor.HTTPRule{{Host: "twitter.example", Action: censor.HTTPBlockPage}}, BlockPageURL: "block.as17557.pk/", BlockPageHTML: nil})
-	_ = bp
-	sleepUntil(w, 25, 13, 30)
-	if err := browseAll(); err != nil {
-		return nil, fmt.Errorf("wild: post-block sync: %w", err)
-	}
+	isps[1].Censor.SetPolicy(&censor.Policy{HTTP: []censor.HTTPRule{{Host: "twitter.example", Action: censor.HTTPBlockPage}}, BlockPageURL: "block.as17557.pk/"})
+	sleepUntil(25, 13, 30)
+	browseAll("post-block")
 
 	// Early Nov 26: Instagram gets DNS-blocked on three ASes.
-	sleepUntil(w, 26, 4, 45)
+	sleepUntil(26, 4, 45)
 	for _, i := range []int{0, 2, 3} {
-		p := isps[i].Censor.Policy()
-		np := &censor.Policy{DNS: map[string]censor.DNSAction{"instagram.example": censor.DNSDrop}}
-		if p != nil && len(p.HTTP) > 0 {
-			np.HTTP = p.HTTP
-		}
-		isps[i].Censor.SetPolicy(np)
+		isps[i].Censor.SetPolicy(&censor.Policy{
+			DNS:  map[string]censor.DNSAction{"instagram.example": censor.DNSDrop},
+			HTTP: isps[i].Censor.Policy().HTTP,
+		})
 	}
-	sleepUntil(w, 26, 4, 50)
-	if err := browseAll(); err != nil {
-		return nil, fmt.Errorf("wild: post-DNS-block sync: %w", err)
-	}
+	sleepUntil(26, 4, 50)
+	browseAll("post-DNS-block")
 
 	// Render the timeline from the global DB, as §7.5 lists it.
-	res := &Result{ID: "wild", Title: "Blocking events observed via the global DB (Nov 25-26, 2017)"}
+	res := &Result{Title: "Blocking events observed via the global DB (Nov 25-26, 2017)"}
 	type event struct {
 		when time.Time
 		asn  int
@@ -334,7 +248,8 @@ func Wild(o Options) (*Result, error) {
 		how  string
 	}
 	var events []event
-	for _, asn := range asns {
+	for _, isp := range isps {
+		asn := isp.AS.Number
 		for _, e := range w.GlobalDB.BlockedForAS(asn) {
 			stages := ""
 			for i, s := range e.Stages {
@@ -366,15 +281,5 @@ func Wild(o Options) (*Result, error) {
 	res.Metric("twitter_ases", float64(len(twitterASes)))
 	res.Metric("instagram_ases", float64(len(instaASes)))
 	res.Note("paper snapshot: Twitter blocked differently by 2 ASes (GET timeout vs block page); Instagram DNS-blocked by 3 ASes")
-	return res, nil
-}
-
-// sleepUntil advances virtual time to the given Nov day/hour/minute (2017).
-// The timeline spans hours, so the jump uses Clock.Advance (the system is
-// quiescent between browsing phases).
-func sleepUntil(w *worldgen.World, day, hour, minute int) {
-	target := time.Date(2017, time.November, day, hour, minute, 0, 0, time.UTC)
-	if d := target.Sub(w.Clock.Now()); d > 0 {
-		w.Clock.Advance(d)
-	}
-}
+	return res
+})

@@ -2,6 +2,6 @@
 
 package experiments
 
-// raceEnabled reports whether the race detector is compiled in; see
-// race_on.go for why duration-classifying scenarios consult it.
-const raceEnabled = false
+// churnScale is the censor-churn scenario's default clock scale; see
+// race_on.go for why a race build lowers it.
+const churnScale = 40

@@ -5,20 +5,31 @@ import (
 	"fmt"
 	"time"
 
+	"csaw/internal/censor"
 	"csaw/internal/core"
 	"csaw/internal/globaldb"
 	"csaw/internal/metrics"
 	"csaw/internal/worldgen"
 )
 
-// replicaLossFlip is the virtual offset from arming to the censor
-// blackholing the primary's IP; the round after runs at flip+1min.
-const replicaLossFlip = 10 * time.Minute
+// dbLossFlip is the virtual offset from arming to the censor blackholing
+// the global DB primary's IP; the round after runs at flip+1min. In the
+// primary-loss scenario the primary's process dies at the same instant, so
+// only a promoted follower can keep accepting writes.
+const dbLossFlip = 10 * time.Minute
 
-// rlMember is one client of the replica-loss fleet with the handles the
+// dbLossWorld is the world both global-DB loss scenarios run in: the case
+// study's two censored ASes in front of a primary plus two followers in
+// distinct worldgen regions (us / Netherlands / Germany).
+func dbLossWorld(missedThreshold int) scenario {
+	return scenario{scale: 500, sites: caseStudy,
+		world: worldgen.Options{GlobalDBReplicas: 2, GlobalDBMissedThreshold: missedThreshold}}
+}
+
+// lossMember is one client of the loss scenarios' fleet with the handles the
 // cross-checks need: the core client, its global-DB client (for exact
 // failover counters), and its ISP.
-type rlMember struct {
+type lossMember struct {
 	name string
 	cl   *core.Client
 	gdb  *globaldb.Client
@@ -27,7 +38,7 @@ type rlMember struct {
 }
 
 // delta is the member's counter movement since the pre-flip snapshot.
-func (m *rlMember) delta() globaldb.ClientStats {
+func (m *lossMember) delta() globaldb.ClientStats {
 	st := m.gdb.Stats()
 	return globaldb.ClientStats{
 		FetchFull:   st.FetchFull - m.base.FetchFull,
@@ -37,6 +48,60 @@ func (m *rlMember) delta() globaldb.ClientStats {
 		Failovers:   st.Failovers - m.base.Failovers,
 		ReplicaDown: st.ReplicaDown - m.base.ReplicaDown,
 	}
+}
+
+// lossFleet starts nPer clients per censored AS whose sync rounds the
+// experiment drives explicitly.
+func lossFleet(r *rig, prefix string, nPer int) []*lossMember {
+	var members []*lossMember
+	for i := 0; i < nPer; i++ {
+		for j, label := range []string{"a", "b"} {
+			m := &lossMember{name: fmt.Sprintf("%s-%s-%d", prefix, label, i), isp: r.isps[j]}
+			m.cl = r.client(m.name, int64(len(members))*7+11, true, func(cfg *core.Config) {
+				cfg.SyncInterval = -1 // rounds driven explicitly
+				cfg.ASNProbeAddr = ""
+				// Once the blackhole catches the primary it stays benched:
+				// every later call goes straight to the first follower, which
+				// keeps the per-round failover arithmetic exact.
+				cfg.GlobalDB.ReplicaCooldown = 12 * time.Hour
+				m.gdb = cfg.GlobalDB
+			}, m.isp)
+			members = append(members, m)
+		}
+	}
+	return members
+}
+
+// measure has the member fetch a blocked page and claims that exactly one
+// report is left pending. The parallel fetch path returns as soon as a copy
+// of the page is in hand and the blocked verdict settles in the background,
+// so the pending queue after WaitIdle is the assertion, not the Result.
+func (m *lossMember) measure(r *rig, host string) {
+	_ = m.cl.FetchURL(context.Background(), host+"/")
+	m.cl.WaitIdle()
+	got := len(m.cl.DB().PendingGlobal())
+	r.hold(got == 1, "%s has %d pending reports after measuring %s, want 1", m.name, got, host)
+}
+
+// flipDBLoss arms the loss epoch on both censors — they keep their
+// URL-blocking policies and start dropping SYNs to the primary's IP — and
+// moves the clock past the flip.
+func flipDBLoss(r *rig, arm func(*worldgen.ISP, int64, time.Duration) ([]censor.Epoch, error)) {
+	for i, isp := range r.isps {
+		_, err := arm(isp, r.seed+int64(i), dbLossFlip)
+		r.ok(err, "arming %s", isp.AS.Name)
+	}
+	r.w.Clock.Advance(dbLossFlip + time.Minute)
+}
+
+// dbLossScenarioTable is the scenario half of both reports.
+func dbLossScenarioTable(replicaSet string, nPer int) string {
+	scn := metrics.Table{Headers: []string{"quantity", "value"}}
+	scn.AddRow("replica set", replicaSet)
+	scn.AddRow("censored ASes", "2 (ISP-A, ISP-B)")
+	scn.AddRow("clients per AS", fmt.Sprintf("%d", nPer))
+	scn.AddRow("flip offset after arming", fmtDur(dbLossFlip))
+	return "scenario:\n" + scn.String() + "\nconvergence invariants (all cross-checked exactly):\n"
 }
 
 // ReplicaLoss reproduces the §5 resilience argument end to end: the global
@@ -51,92 +116,31 @@ func (m *rlMember) delta() globaldb.ClientStats {
 // replication pass later. All counters are cross-checked exactly: failovers,
 // down transitions, 304/full/delta mix per AS, the censor's SYN drops, and
 // the primary's user/update totals.
-func ReplicaLoss(o Options) (*Result, error) {
-	scale := o.Scale
-	if scale <= 0 {
-		scale = 500
-	}
-	// Two followers + the primary = the 3-replica set; followers land in
-	// distinct worldgen regions (us / Netherlands / Germany).
-	w, err := worldgen.New(worldgen.Options{
-		Scale: scale, Seed: o.seed(),
-		GlobalDBReplicas: 2,
-	})
-	if err != nil {
-		return nil, err
-	}
-	ispA, ispB, err := w.CaseStudy()
-	if err != nil {
-		return nil, err
-	}
-	ctx := context.Background()
-	nPer := o.runs(3)
+var ReplicaLoss = experiment("replica-loss", dbLossWorld(0), func(r *rig) *Result {
+	w, ispB, ctx := r.w, r.isps[1], context.Background()
+	nPer := r.runs(3)
+	members := lossFleet(r, "rl", nPer)
 	primaryEP := w.GlobalDBEndpoints[0]
-
-	var members []*rlMember
-	mk := func(isp *worldgen.ISP, label string, i int) error {
-		name := fmt.Sprintf("rl-%s-%d", label, i)
-		host := w.NewClientHost(name, isp)
-		cfg := w.ClientConfig(host, o.seed()+int64(len(members))*7+11)
-		cfg.SyncInterval = -1 // rounds driven explicitly below
-		cfg.ASNProbeAddr = ""
-		// Once the blackhole catches the primary it stays benched: every
-		// later call goes straight to the first follower, which keeps the
-		// per-round failover arithmetic below exact.
-		cfg.GlobalDB.ReplicaCooldown = 12 * time.Hour
-		cl, err := core.New(cfg)
-		if err != nil {
-			return err
-		}
-		if err := cl.Start(ctx); err != nil {
-			cl.Close()
-			return fmt.Errorf("replica-loss: %s start: %w", name, err)
-		}
-		members = append(members, &rlMember{name: name, cl: cl, gdb: cfg.GlobalDB, isp: isp})
-		return nil
-	}
-	for i := 0; i < nPer; i++ {
-		if err := mk(ispA, "a", i); err != nil {
-			return nil, err
-		}
-		if err := mk(ispB, "b", i); err != nil {
-			return nil, err
+	// replicate runs two passes: the first ships the log, the second carries
+	// the acks (acks ride the next pull).
+	replicate := func() {
+		for i := 0; i < 2; i++ {
+			r.ok(w.ReplicaSet.SyncAll(ctx), "replication pass")
 		}
 	}
-	defer func() {
-		for _, m := range members {
-			m.cl.Close()
-		}
-	}()
 
 	// Phase 1 (clean epoch): everyone measures the blocked page and posts
 	// its report; two replication passes plus two sync rounds leave every
 	// replica byte-identical and every client holding the converged list
 	// and its current tag.
 	for _, m := range members {
-		// The parallel fetch path returns as soon as a copy of the page is
-		// in hand; the blocked verdict settles in the background, so the
-		// pending report queue after WaitIdle is the assertion, not the
-		// in-flight Result.
-		_ = m.cl.FetchURL(ctx, worldgen.YouTubeHost+"/")
-		m.cl.WaitIdle()
-		if got := len(m.cl.DB().PendingGlobal()); got != 1 {
-			return nil, fmt.Errorf("replica-loss: %s has %d pending reports after the baseline measurement, want 1", m.name, got)
-		}
+		m.measure(r, worldgen.YouTubeHost)
 	}
-	for round := 0; round < 2; round++ {
+	for round := 1; round <= 2; round++ {
 		for _, m := range members {
-			if err := m.cl.SyncNow(ctx); err != nil {
-				return nil, fmt.Errorf("replica-loss: %s pre-flip round %d: %w", m.name, round+1, err)
-			}
+			r.ok(m.cl.SyncNow(ctx), "%s pre-flip round %d", m.name, round)
 		}
-		// Twice: the first pass ships the log, the second carries the acks
-		// (acks ride the next pull).
-		for i := 0; i < 2; i++ {
-			if err := w.ReplicaSet.SyncAll(ctx); err != nil {
-				return nil, fmt.Errorf("replica-loss: replication pass: %w", err)
-			}
-		}
+		replicate()
 	}
 	// Quiesced check: one more round must be all 304s — the fleet and the
 	// replicas agree on the list version.
@@ -145,54 +149,29 @@ func ReplicaLoss(o Options) (*Result, error) {
 		pre304[i] = m.gdb.Stats().Fetch304
 	}
 	for i, m := range members {
-		if err := m.cl.SyncNow(ctx); err != nil {
-			return nil, fmt.Errorf("replica-loss: %s quiesce round: %w", m.name, err)
-		}
-		if got := m.gdb.Stats().Fetch304; got != pre304[i]+1 {
-			return nil, fmt.Errorf("replica-loss: %s quiesce round was not a 304 (Fetch304 %d→%d)", m.name, pre304[i], got)
-		}
+		r.ok(m.cl.SyncNow(ctx), "%s quiesce round", m.name)
+		r.hold(m.gdb.Stats().Fetch304 == pre304[i]+1, "%s quiesce round was not a 304 (Fetch304 %d→%d)", m.name, pre304[i], m.gdb.Stats().Fetch304)
 	}
-	if lag := w.GlobalDB.ReplicationFeed().Stats(); lag.MaxLag != 0 || len(lag.Followers) != 2 {
-		return nil, fmt.Errorf("replica-loss: pre-flip feed not quiesced: %+v", lag)
-	}
+	lag := w.GlobalDB.ReplicationFeed().Stats()
+	r.hold(lag.MaxLag == 0 && len(lag.Followers) == 2, "pre-flip feed not quiesced: %+v", lag)
 	for _, m := range members {
-		st := m.gdb.Stats()
-		if st.Failovers != 0 || st.ReplicaDown != 0 {
-			return nil, fmt.Errorf("replica-loss: %s failed over before the flip: %+v", m.name, st)
-		}
-		m.base = st
+		m.base = m.gdb.Stats()
+		r.hold(m.base.Failovers == 0 && m.base.ReplicaDown == 0, "%s failed over before the flip: %+v", m.name, m.base)
 	}
-	usersBefore := w.GlobalDB.StatsSnapshot().Users
-	updatesBefore := w.GlobalDB.StatsSnapshot().Updates
-	if usersBefore != 2*nPer || updatesBefore != 2*nPer {
-		return nil, fmt.Errorf("replica-loss: primary has %d users / %d updates pre-flip, want %d / %d",
-			usersBefore, updatesBefore, 2*nPer, 2*nPer)
-	}
+	before := w.GlobalDB.StatsSnapshot()
+	r.hold(before.Users == 2*nPer && before.Updates == 2*nPer, "primary has %d users / %d updates pre-flip, want %d / %d", before.Users, before.Updates, 2*nPer, 2*nPer)
 
-	// The flip: both censors keep their URL-blocking policies and start
-	// dropping SYNs to the primary's IP.
-	if _, err := w.ArmReplicaLoss(ispA, o.seed(), replicaLossFlip); err != nil {
-		return nil, err
-	}
-	if _, err := w.ArmReplicaLoss(ispB, o.seed()+1, replicaLossFlip); err != nil {
-		return nil, err
-	}
-	w.Clock.Advance(replicaLossFlip + time.Minute)
+	flipDBLoss(r, w.ArmReplicaLoss)
 
 	// Failover round: the very next sync round after the flip must succeed
 	// for every client — one timed-out attempt against the primary, then a
 	// follower answers, and the shared tag makes the answer a 304.
 	for _, m := range members {
-		if err := m.cl.SyncNow(ctx); err != nil {
-			return nil, fmt.Errorf("replica-loss: %s did not fail over within one sync round: %w", m.name, err)
-		}
+		r.ok(m.cl.SyncNow(ctx), "%s did not fail over within one sync round", m.name)
 		d := m.delta()
-		if d.Failovers != 1 || d.ReplicaDown != 1 || d.Fetch304 != 1 || d.FetchFull != 0 || d.FetchDelta != 0 || d.ListBytes != 0 {
-			return nil, fmt.Errorf("replica-loss: %s failover round moved %+v, want exactly one failover, one down transition, one 304", m.name, d)
-		}
-		if served := m.gdb.LastServed(); served == primaryEP {
-			return nil, fmt.Errorf("replica-loss: %s still served by the blackholed primary %s", m.name, served)
-		}
+		r.hold(d == globaldb.ClientStats{Failovers: 1, ReplicaDown: 1, Fetch304: 1},
+			"%s failover round moved %+v, want exactly one failover, one down transition, one 304", m.name, d)
+		r.hold(m.gdb.LastServed() != primaryEP, "%s still served by the blackholed primary %s", m.name, primaryEP)
 	}
 
 	// Post-flip drift: one AS-A client measures a second blocked page and
@@ -200,29 +179,15 @@ func ReplicaLoss(o Options) (*Result, error) {
 	// primary); two replication passes later every follower serves the
 	// grown list.
 	reporter := members[0]
-	_ = reporter.cl.FetchURL(ctx, worldgen.PornHost+"/")
-	reporter.cl.WaitIdle()
-	if got := len(reporter.cl.DB().PendingGlobal()); got != 1 {
-		return nil, fmt.Errorf("replica-loss: reporter has %d pending reports after the post-flip measurement, want 1", got)
-	}
-	if err := reporter.cl.SyncNow(ctx); err != nil {
-		return nil, fmt.Errorf("replica-loss: reporter drift round: %w", err)
-	}
-	if got := w.GlobalDB.StatsSnapshot().Updates; got != updatesBefore+1 {
-		return nil, fmt.Errorf("replica-loss: post-flip report did not reach the primary (updates %d, want %d)", got, updatesBefore+1)
-	}
-	for i := 0; i < 2; i++ {
-		if err := w.ReplicaSet.SyncAll(ctx); err != nil {
-			return nil, fmt.Errorf("replica-loss: post-flip replication pass: %w", err)
-		}
-	}
+	reporter.measure(r, worldgen.PornHost)
+	r.ok(reporter.cl.SyncNow(ctx), "reporter drift round")
+	r.hold(w.GlobalDB.StatsSnapshot().Updates == before.Updates+1, "post-flip report did not reach the primary (updates %d, want %d)", w.GlobalDB.StatsSnapshot().Updates, before.Updates+1)
+	replicate()
 
 	// Reconvergence round: AS-A refetches the grown list from a follower;
 	// AS-B's list is untouched, so its clients still 304.
 	for _, m := range members {
-		if err := m.cl.SyncNow(ctx); err != nil {
-			return nil, fmt.Errorf("replica-loss: %s reconvergence round: %w", m.name, err)
-		}
+		r.ok(m.cl.SyncNow(ctx), "%s reconvergence round", m.name)
 	}
 
 	// Exact per-client accounting since the pre-flip snapshot. Post-flip
@@ -245,43 +210,28 @@ func ReplicaLoss(o Options) (*Result, error) {
 			want304, wantRefetch, wantLen = 2, 0, 1
 		}
 		wantFailovers += wantCalls
-		if d.Failovers != wantCalls || d.ReplicaDown != 1 {
-			return nil, fmt.Errorf("replica-loss: %s post-flip failovers/down = %d/%d, want %d/1", m.name, d.Failovers, d.ReplicaDown, wantCalls)
-		}
-		if d.Fetch304 != want304 || d.FetchFull+d.FetchDelta != wantRefetch {
-			return nil, fmt.Errorf("replica-loss: %s post-flip fetch mix 304=%d full+delta=%d, want %d/%d",
-				m.name, d.Fetch304, d.FetchFull+d.FetchDelta, want304, wantRefetch)
-		}
-		if got := m.cl.GlobalCacheLen(); got != wantLen {
-			return nil, fmt.Errorf("replica-loss: %s trusts %d global URLs after reconvergence, want %d", m.name, got, wantLen)
-		}
+		r.hold(d.Failovers == wantCalls && d.ReplicaDown == 1, "%s post-flip failovers/down = %d/%d, want %d/1", m.name, d.Failovers, d.ReplicaDown, wantCalls)
+		r.hold(d.Fetch304 == want304 && d.FetchFull+d.FetchDelta == wantRefetch, "%s post-flip fetch mix 304=%d full+delta=%d, want %d/%d",
+			m.name, d.Fetch304, d.FetchFull+d.FetchDelta, want304, wantRefetch)
+		r.hold(m.cl.GlobalCacheLen() == wantLen, "%s trusts %d global URLs after reconvergence, want %d", m.name, m.cl.GlobalCacheLen(), wantLen)
 	}
-	if sumFailovers != wantFailovers || sumDown != 2*nPer {
-		return nil, fmt.Errorf("replica-loss: fleet failovers/down = %d/%d, want %d/%d", sumFailovers, sumDown, wantFailovers, 2*nPer)
-	}
+	r.hold(sumFailovers == wantFailovers && sumDown == 2*nPer, "fleet failovers/down = %d/%d, want %d/%d", sumFailovers, sumDown, wantFailovers, 2*nPer)
 
 	// The censor saw exactly one dropped SYN per client — the failover
 	// round's single attempt against the primary; the benched endpoint is
 	// never retried. And each censor flipped its policy exactly once.
-	for _, isp := range []*worldgen.ISP{ispA, ispB} {
-		if got := isp.Censor.Stats.Get("ip-drop"); got != nPer {
-			return nil, fmt.Errorf("replica-loss: %s dropped %d SYNs to the primary, want %d", isp.AS.Name, got, nPer)
-		}
-		if got := isp.Censor.Stats.Get("epoch-flip"); got != 1 {
-			return nil, fmt.Errorf("replica-loss: %s flipped %d times, want 1", isp.AS.Name, got)
-		}
+	ipDrops := 0
+	for _, isp := range r.isps {
+		st := &isp.Censor.Stats
+		ipDrops += st.Get("ip-drop")
+		r.hold(st.Get("ip-drop") == nPer, "%s dropped %d SYNs to the primary, want %d", isp.AS.Name, st.Get("ip-drop"), nPer)
+		r.hold(st.Get("epoch-flip") == 1, "%s flipped %d times, want 1", isp.AS.Name, st.Get("epoch-flip"))
 	}
-	lag := w.GlobalDB.ReplicationFeed().Stats()
-	if lag.MaxLag != 0 {
-		return nil, fmt.Errorf("replica-loss: follower lag %d after final replication pass", lag.MaxLag)
-	}
+	lag = w.GlobalDB.ReplicationFeed().Stats()
+	r.hold(lag.MaxLag == 0, "follower lag %d after final replication pass", lag.MaxLag)
 
-	res2 := &Result{ID: "replica-loss", Title: "Failover to follower replicas when the censor blackholes the primary"}
-	scn := metrics.Table{Headers: []string{"quantity", "value"}}
-	scn.AddRow("replica set", fmt.Sprintf("%d (primary + %d followers)", len(w.GlobalDBEndpoints), len(w.GlobalDBEndpoints)-1))
-	scn.AddRow("censored ASes", "2 (ISP-A, ISP-B)")
-	scn.AddRow("clients per AS", fmt.Sprintf("%d", nPer))
-	scn.AddRow("flip offset after arming", fmtDur(replicaLossFlip))
+	res := &Result{Title: "Failover to follower replicas when the censor blackholes the primary"}
+	replicas := len(w.GlobalDBEndpoints)
 	conv := metrics.Table{Headers: []string{"invariant", "value"}}
 	conv.AddRow("sync rounds to failover (every client)", "1")
 	conv.AddRow("failover fetches answered 304 (no list bytes)", fmt.Sprintf("%d", 2*nPer))
@@ -290,19 +240,19 @@ func ReplicaLoss(o Options) (*Result, error) {
 	conv.AddRow("post-flip report reached primary via follower", "yes")
 	conv.AddRow("rounds to reconverge on the grown list", "1")
 	conv.AddRow("follower lag at end", fmt.Sprintf("%d", lag.MaxLag))
-	res2.Text = "scenario:\n" + scn.String() + "\nconvergence invariants (all cross-checked exactly):\n" + conv.String()
-	res2.Metric("clients", float64(2*nPer))
-	res2.Metric("replicas", float64(len(w.GlobalDBEndpoints)))
-	res2.Metric("failover.rounds", 1)
-	res2.Metric("failover.total", float64(sumFailovers))
-	res2.Metric("failover.fetch304", float64(sum304))
-	res2.Metric("replica.down_transitions", float64(sumDown))
-	res2.Metric("reconverge.rounds", 1)
-	res2.Metric("reconverge.refetches", float64(sumRefetch))
-	res2.Metric("primary.updates", float64(w.GlobalDB.StatsSnapshot().Updates))
-	res2.Metric("censor.ip_drops", float64(ispA.Censor.Stats.Get("ip-drop")+ispB.Censor.Stats.Get("ip-drop")))
-	res2.Metric("replication.max_lag", float64(lag.MaxLag))
-	res2.Note("the failover fetch is a 304: identically-converged replicas serve the same validator tag, so switching endpoints costs zero list bytes")
-	res2.Note("writes survive the blackhole: followers forward reports to the primary over their own uncensored links, and the next replication pass serves the grown list back to every AS-mate")
-	return res2, nil
-}
+	res.Text = dbLossScenarioTable(fmt.Sprintf("%d (primary + %d followers)", replicas, replicas-1), nPer) + conv.String()
+	res.Metric("clients", float64(2*nPer))
+	res.Metric("replicas", float64(replicas))
+	res.Metric("failover.rounds", 1)
+	res.Metric("failover.total", float64(sumFailovers))
+	res.Metric("failover.fetch304", float64(sum304))
+	res.Metric("replica.down_transitions", float64(sumDown))
+	res.Metric("reconverge.rounds", 1)
+	res.Metric("reconverge.refetches", float64(sumRefetch))
+	res.Metric("primary.updates", float64(w.GlobalDB.StatsSnapshot().Updates))
+	res.Metric("censor.ip_drops", float64(ipDrops))
+	res.Metric("replication.max_lag", float64(lag.MaxLag))
+	res.Note("the failover fetch is a 304: identically-converged replicas serve the same validator tag, so switching endpoints costs zero list bytes")
+	res.Note("writes survive the blackhole: followers forward reports to the primary over their own uncensored links, and the next replication pass serves the grown list back to every AS-mate")
+	return res
+})

@@ -22,52 +22,33 @@ import (
 // reconverge everyone — each report posted exactly once, none lost. A final
 // client exercises the in-loop retry/backoff path across a transient
 // glitch.
-func SyncFault(o Options) (*Result, error) {
-	w, err := o.world(500)
-	if err != nil {
-		return nil, err
-	}
-	ispA, _, err := w.CaseStudy()
-	if err != nil {
-		return nil, err
-	}
+var SyncFault = experiment("sync-fault", scenario{scale: 500, sites: caseStudy}, func(r *rig) *Result {
+	w, ispA, ctx := r.w, r.isps[0], context.Background()
 	ispA.Censor.SetPolicy(&censor.Policy{
 		DNS: map[string]censor.DNSAction{"youtube.com": censor.DNSNXDomain},
 	})
-	ctx := context.Background()
 	faults := w.GlobalDB.Faults()
-	nClients := o.runs(4)
+	nClients := r.runs(4)
 
 	const breakerAfter = 3
 	var clients []*core.Client
 	for i := 0; i < nClients; i++ {
-		host := w.NewClientHost(fmt.Sprintf("sf-user-%d", i), ispA)
-		cfg := w.ClientConfig(host, o.seed()+int64(i))
-		cfg.SyncInterval = time.Hour // rounds driven explicitly below
-		cfg.ASNProbeAddr = ""
-		cfg.Sync = core.SyncPolicy{
-			Retries:      -1, // isolate the breaker from in-round retries
-			BreakerAfter: breakerAfter,
-			BreakerReset: 10 * time.Minute,
-		}
-		cl, err := core.New(cfg)
-		if err != nil {
-			return nil, err
-		}
-		defer cl.Close()
-		if err := cl.Start(ctx); err != nil {
-			return nil, fmt.Errorf("sync-fault: client %d start: %w", i, err)
-		}
-		clients = append(clients, cl)
+		clients = append(clients, r.client(fmt.Sprintf("sf-user-%d", i), int64(i), true, func(cfg *core.Config) {
+			cfg.SyncInterval = time.Hour // rounds driven explicitly below
+			cfg.ASNProbeAddr = ""
+			cfg.Sync = core.SyncPolicy{
+				Retries:      -1, // isolate the breaker from in-round retries
+				BreakerAfter: breakerAfter,
+				BreakerReset: 10 * time.Minute,
+			}
+		}))
 	}
 
 	// Each client measures the blocked URL once → one pending report each.
+	pendingBefore := 0
 	for _, cl := range clients {
 		_ = cl.FetchURL(ctx, worldgen.YouTubeHost+"/")
 		cl.WaitIdle()
-	}
-	pendingBefore := 0
-	for _, cl := range clients {
 		pendingBefore += len(cl.DB().PendingGlobal())
 	}
 	updatesBefore := w.GlobalDB.StatsSnapshot().Updates
@@ -76,28 +57,21 @@ func SyncFault(o Options) (*Result, error) {
 	// go local-only; further rounds must not reach the network at all.
 	faults.SetOutage(true)
 	for _, cl := range clients {
-		for r := 0; r < breakerAfter; r++ {
-			if err := cl.SyncNow(ctx); err == nil {
-				return nil, fmt.Errorf("sync-fault: sync succeeded during outage")
-			}
+		for round := 0; round < breakerAfter; round++ {
+			r.hold(cl.SyncNow(ctx) != nil, "sync succeeded during outage")
 		}
-		if !cl.Degraded() {
-			return nil, fmt.Errorf("sync-fault: breaker closed after %d failed rounds", breakerAfter)
-		}
+		r.hold(cl.Degraded(), "breaker closed after %d failed rounds", breakerAfter)
 	}
 	faultedAtOpen := faults.Injected()
 	skipped := 0
 	for _, cl := range clients {
-		for r := 0; r < 3; r++ {
-			if err := cl.SyncNow(ctx); !errors.Is(err, core.ErrSyncDegraded) {
-				return nil, fmt.Errorf("sync-fault: open-breaker round returned %v", err)
-			}
+		for round := 0; round < 3; round++ {
+			err := cl.SyncNow(ctx)
+			r.hold(errors.Is(err, core.ErrSyncDegraded), "open-breaker round returned %v", err)
 			skipped++
 		}
 	}
-	if got := faults.Injected(); got != faultedAtOpen {
-		return nil, fmt.Errorf("sync-fault: open breakers still sent %d requests", got-faultedAtOpen)
-	}
+	r.hold(faults.Injected() == faultedAtOpen, "open breakers still sent %d requests", faults.Injected()-faultedAtOpen)
 
 	// Outage ends; after the reset window every client's half-open probe
 	// must reconverge it in a single round.
@@ -105,55 +79,34 @@ func SyncFault(o Options) (*Result, error) {
 	outageEnd := w.Clock.Now()
 	w.Clock.Advance(11 * time.Minute)
 	for i, cl := range clients {
-		if err := cl.SyncNow(ctx); err != nil {
-			return nil, fmt.Errorf("sync-fault: client %d recovery round: %w", i, err)
-		}
-		if cl.Degraded() {
-			return nil, fmt.Errorf("sync-fault: client %d still degraded after recovery", i)
-		}
+		r.ok(cl.SyncNow(ctx), "client %d recovery round", i)
+		r.hold(!cl.Degraded(), "client %d still degraded after recovery", i)
 	}
 	convergence := w.Clock.Now().Sub(outageEnd)
 
 	// Invariants: every pending report posted exactly once, none left, and
 	// everyone's global cache now lists the blocked URL.
-	updatesAfter := w.GlobalDB.StatsSnapshot().Updates
-	posted := updatesAfter - updatesBefore
+	posted := w.GlobalDB.StatsSnapshot().Updates - updatesBefore
 	pendingAfter, converged := 0, 0
 	for _, cl := range clients {
 		pendingAfter += len(cl.DB().PendingGlobal())
 		if cl.GlobalCacheLen() > 0 {
 			converged++
 		}
-	}
-	if posted != pendingBefore {
-		return nil, fmt.Errorf("sync-fault: %d reports pending before the outage but %d updates after (lost or double-posted)", pendingBefore, posted)
-	}
-	if pendingAfter != 0 {
-		return nil, fmt.Errorf("sync-fault: %d reports still pending after recovery", pendingAfter)
-	}
-	if converged != nClients {
-		return nil, fmt.Errorf("sync-fault: only %d/%d clients see the blocked list", converged, nClients)
-	}
-	for _, cl := range clients {
 		cl.Close() // quiesce phase-A loops before the retry-path client runs
 	}
+	r.hold(posted == pendingBefore, "%d reports pending before the outage but %d updates after (lost or double-posted)", pendingBefore, posted)
+	r.hold(pendingAfter == 0, "%d reports still pending after recovery", pendingAfter)
+	r.hold(converged == nClients, "only %d/%d clients see the blocked list", converged, nClients)
 
 	// Transient-glitch path: the link to the DB flaps (two dropped connects
 	// at the emulated ISP egress); a background-loop client rides it out
 	// purely on in-loop retry/backoff, never tripping its breaker.
-	host := w.NewClientHost("sf-retry-user", ispA)
-	cfg := w.ClientConfig(host, o.seed()+100)
-	cfg.ASNProbeAddr = ""
-	cfg.SyncInterval = 2 * time.Minute
-	cfg.Sync = core.SyncPolicy{Retries: 3, BackoffBase: 5 * time.Second, BackoffMax: 20 * time.Second}
-	rc, err := core.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	defer rc.Close()
-	if err := rc.Start(ctx); err != nil {
-		return nil, fmt.Errorf("sync-fault: retry client start: %w", err)
-	}
+	rc := r.client("sf-retry-user", 100, true, func(cfg *core.Config) {
+		cfg.ASNProbeAddr = ""
+		cfg.SyncInterval = 2 * time.Minute
+		cfg.Sync = core.SyncPolicy{Retries: 3, BackoffBase: 5 * time.Second, BackoffMax: 20 * time.Second}
+	})
 	link := w.InjectLinkFault(ispA, worldgen.GlobalDBIP)
 	link.SetVerdict(netem.VerdictReset)
 	link.FailNext(2)
@@ -166,11 +119,9 @@ func SyncFault(o Options) (*Result, error) {
 		}
 		w.Clock.Sleep(10 * time.Second)
 	}
-	if rst.Retries < 1 || rst.OK < 2 || rst.Degraded {
-		return nil, fmt.Errorf("sync-fault: retry path never recovered: %+v", rst)
-	}
+	r.hold(rst.Retries >= 1 && rst.OK >= 2 && !rst.Degraded, "retry path never recovered: %+v", rst)
 
-	res := &Result{ID: "sync-fault", Title: "Sync convergence under global-DB outages"}
+	res := &Result{Title: "Sync convergence under global-DB outages"}
 	tbl := metrics.Table{Headers: []string{"quantity", "value"}}
 	tbl.AddRow("clients", fmt.Sprintf("%d", nClients))
 	tbl.AddRow("reports pending at outage start", fmt.Sprintf("%d", pendingBefore))
@@ -191,5 +142,5 @@ func SyncFault(o Options) (*Result, error) {
 	res.Metric("convergence_s", convergence.Seconds())
 	res.Metric("retry.in_loop_retries", float64(rst.Retries))
 	res.Note("the breaker caps wasted traffic at BreakerAfter×(ASes+report batches) requests per client; everything pending rides out the outage in the local_DB and posts exactly once on recovery")
-	return res, nil
-}
+	return res
+})

@@ -18,33 +18,16 @@ import (
 // Each URL is fetched over several rounds, so the breakdown contrasts the
 // expensive first visit (full detection, approach search) with the steady
 // state (local-DB hit, straight to the selected approach).
-func TraceBreakdown(o Options) (*Result, error) {
-	w, err := o.world(300)
-	if err != nil {
-		return nil, err
+var TraceBreakdown = experiment("trace-breakdown", scenario{scale: 300, sites: caseStudy, traced: true}, func(r *rig) *Result {
+	// The -trace factory when the operator asked for a JSONL artifact, else
+	// an unsampled recorder over a discarded stream (the aggregate breakdown
+	// is the product either way).
+	if r.tracer == nil {
+		r.tracer = trace.New(r.w.Clock, trace.NewStreamSink(io.Discard), trace.WithTiming(trace.DefaultTick))
 	}
-	_, ispB, err := w.CaseStudy()
-	if err != nil {
-		return nil, err
-	}
-	host := w.NewClientHost("trace-breakdown", ispB)
-	cfg := w.ClientConfig(host, o.seed())
 	// Serial fetches keep one lane per path and no racing goroutines: the
 	// breakdown then reflects protocol costs, not scheduling accidents.
-	cfg.Serial = true
-
-	tracer := newTracer(o, w)
-	cfg.Trace = tracer
-
-	cl, err := core.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	defer cl.Close()
-	ctx := context.Background()
-	if err := cl.Start(ctx); err != nil {
-		return nil, err
-	}
+	cl := r.client("trace-breakdown", 0, true, func(cfg *core.Config) { cfg.Serial = true }, r.isps[1])
 
 	urls := []string{
 		worldgen.YouTubeHost + "/",      // DNS redirect + SNI/HTTP drop: multi-stage
@@ -53,36 +36,24 @@ func TraceBreakdown(o Options) (*Result, error) {
 		worldgen.SmallHost + "/",        // clean, small
 		worldgen.YouTubeHost + "/watch", // second blocked page on the same host
 	}
-	rounds := o.runs(3)
-	res := &Result{ID: "trace-breakdown", Title: "PLT phase breakdown behind ISP-B (flight recorder)"}
+	res := &Result{Title: "PLT phase breakdown behind ISP-B (flight recorder)"}
 	fetches, failures := 0, 0
-	for r := 0; r < rounds; r++ {
+	for round := 0; round < r.runs(3); round++ {
 		for _, u := range urls {
-			out := cl.FetchURL(ctx, u)
 			fetches++
-			if !out.OK() {
+			if !cl.FetchURL(context.Background(), u).OK() {
 				failures++
 			}
 		}
 	}
 	cl.WaitIdle()
 
-	res.Text = tracer.Breakdown()
-	started, sampled := tracer.Stats()
+	res.Text = r.tracer.Breakdown()
+	started, sampled := r.tracer.Stats()
 	res.Metric("fetches", float64(fetches))
 	res.Metric("fetch.failures", float64(failures))
 	res.Metric("trace.spans.started", float64(started))
 	res.Metric("trace.spans.recorded", float64(sampled))
 	res.Note("switch = time before the serving lane opened (detection + earlier approaches); other = selection/db bookkeeping")
-	return res, nil
-}
-
-// newTracer builds the experiment's flight recorder: the -trace factory when
-// the operator asked for a JSONL artifact, else an unsampled recorder over a
-// discarded stream (the aggregate breakdown is the product either way).
-func newTracer(o Options, w *worldgen.World) *trace.Tracer {
-	if o.Trace != nil {
-		return o.Trace(w.Clock)
-	}
-	return trace.New(w.Clock, trace.NewStreamSink(io.Discard), trace.WithTiming(trace.DefaultTick))
-}
+	return res
+})

@@ -263,7 +263,7 @@ func runEvent(ctx context.Context, w *worldgen.World, sc *worldgen.FleetScenario
 		}
 		sess := &cp.Sessions[ev.seq-1]
 		for _, url := range sess.URLs {
-			res := c0fetch(ctx, cl, url)
+			res := cl.FetchURL(ctx, url)
 			st.recordFetch(res.Source, res.Took, res.Err != nil)
 		}
 		st.bump(&st.sessions)
@@ -315,16 +315,6 @@ func deltaHistoryFor(population int) int {
 		return hi
 	}
 	return population
-}
-
-// c0fetch is FetchURL with a nil-result guard (FetchURL always returns a
-// Result today; the guard keeps a future regression from panicking 10k
-// goroutines deep).
-func c0fetch(ctx context.Context, cl *core.Client, url string) *core.Result {
-	if res := cl.FetchURL(ctx, url); res != nil {
-		return res
-	}
-	return &core.Result{URL: url, Source: "direct", Err: fmt.Errorf("fleet: nil fetch result")}
 }
 
 // joinClient assembles a fleet-weight client (see the package comment for

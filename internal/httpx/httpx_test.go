@@ -240,42 +240,6 @@ func TestServerFlowVisible(t *testing.T) {
 	}
 }
 
-func TestMuxRouting(t *testing.T) {
-	mux := NewMux()
-	mux.Handle("a.example", "/", HandlerFunc(func(*Request, netem.Flow) *Response {
-		return NewResponse(200, []byte("site-a"))
-	}))
-	mux.Handle("a.example", "/deep/", HandlerFunc(func(*Request, netem.Flow) *Response {
-		return NewResponse(200, []byte("deep"))
-	}))
-	mux.Handle("", "/", HandlerFunc(func(*Request, netem.Flow) *Response {
-		return NewResponse(200, []byte("fallback"))
-	}))
-
-	cases := []struct{ host, path, want string }{
-		{"a.example", "/", "site-a"},
-		{"A.EXAMPLE:80", "/x", "site-a"},
-		{"a.example", "/deep/page", "deep"},
-		{"other.example", "/", "fallback"},
-	}
-	for _, c := range cases {
-		resp := mux.ServeHTTP(NewRequest("GET", c.host, c.path), netem.Flow{})
-		if string(resp.Body) != c.want {
-			t.Errorf("%s%s → %q, want %q", c.host, c.path, resp.Body, c.want)
-		}
-	}
-}
-
-func TestMuxUnknownHost404(t *testing.T) {
-	mux := NewMux()
-	mux.Handle("a.example", "/", HandlerFunc(func(*Request, netem.Flow) *Response {
-		return NewResponse(200, nil)
-	}))
-	if resp := mux.ServeHTTP(NewRequest("GET", "b.example", "/"), netem.Flow{}); resp.StatusCode != 404 {
-		t.Fatalf("unknown host → %d, want 404", resp.StatusCode)
-	}
-}
-
 // exchange sends req on an open stream and parses one response, the way a
 // keep-alive client would.
 // bound gives conn a virtual budget, so a stalled exchange fails its test

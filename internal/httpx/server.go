@@ -104,52 +104,3 @@ func (s *Server) Close() error {
 	s.cancel()
 	return s.l.Close()
 }
-
-// Mux routes by exact host and longest path prefix, enough for origin and
-// CDN servers hosting several sites.
-type Mux struct {
-	mu     sync.RWMutex
-	routes map[string][]muxEntry // host → entries sorted by decreasing prefix length
-}
-
-type muxEntry struct {
-	prefix string
-	h      Handler
-}
-
-// NewMux returns an empty Mux.
-func NewMux() *Mux { return &Mux{routes: make(map[string][]muxEntry)} }
-
-// Handle registers a handler for a host and path prefix. Host "" is the
-// fallback for unknown hosts.
-func (m *Mux) Handle(host, prefix string, h Handler) {
-	if prefix == "" {
-		prefix = "/"
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	//lint:allow-sliceshare m.mu is held exclusively and the map slot is rebound below before unlock
-	entries := append(m.routes[host], muxEntry{prefix: prefix, h: h})
-	for i := len(entries) - 1; i > 0 && len(entries[i].prefix) > len(entries[i-1].prefix); i-- {
-		entries[i], entries[i-1] = entries[i-1], entries[i]
-	}
-	m.routes[host] = entries
-}
-
-// ServeHTTP implements Handler.
-func (m *Mux) ServeHTTP(req *Request, flow netem.Flow) *Response {
-	host := strings.ToLower(req.Host)
-	if i := strings.IndexByte(host, ':'); i >= 0 {
-		host = host[:i]
-	}
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	for _, key := range []string{host, ""} {
-		for _, e := range m.routes[key] {
-			if strings.HasPrefix(req.Target, e.prefix) {
-				return e.h.ServeHTTP(req, flow)
-			}
-		}
-	}
-	return NewResponse(404, []byte("not found: "+req.Host+req.Target))
-}

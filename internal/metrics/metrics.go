@@ -187,9 +187,6 @@ func (e *EWMA) Observe(v float64) {
 	e.val = e.alpha*v + (1-e.alpha)*e.val
 }
 
-// ObserveDuration folds a duration (in seconds) in.
-func (e *EWMA) ObserveDuration(d time.Duration) { e.Observe(d.Seconds()) }
-
 // Value returns the current average and whether any sample was observed.
 func (e *EWMA) Value() (float64, bool) {
 	e.mu.Lock()

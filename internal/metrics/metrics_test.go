@@ -64,9 +64,9 @@ func TestEWMA(t *testing.T) {
 	if v, _ := e.Value(); math.Abs(v-15) > 1e-9 {
 		t.Fatalf("after 20 = %f, want 15", v)
 	}
-	e.ObserveDuration(5 * time.Second)
+	e.Observe(5)
 	if v, _ := e.Value(); math.Abs(v-10) > 1e-9 {
-		t.Fatalf("after 5s = %f, want 10", v)
+		t.Fatalf("after 5 = %f, want 10", v)
 	}
 }
 

@@ -29,10 +29,11 @@ type Browser struct {
 	// MaxConns bounds parallel object fetches; browsers conventionally use
 	// 6 per host, which is the default.
 	MaxConns int
-	// MaxRedirects bounds redirect following on the base document (censors
-	// redirect to block pages); default 3.
-	MaxRedirects int
 }
+
+// maxRedirects bounds redirect following on the base document (censors
+// redirect to block pages).
+const maxRedirects = 3
 
 // NewBrowser builds a Browser over a plain transport, timing with the
 // transport's clock.
@@ -61,13 +62,6 @@ func (b *Browser) maxConns() int {
 	return 6
 }
 
-func (b *Browser) maxRedirects() int {
-	if b.MaxRedirects > 0 {
-		return b.MaxRedirects
-	}
-	return 3
-}
-
 // Load fetches host+path and its sub-resources via the browser's transport.
 func (b *Browser) Load(ctx context.Context, host, path string) (res PageResult) {
 	t := b.Transport
@@ -86,7 +80,7 @@ func (b *Browser) Load(ctx context.Context, host, path string) (res PageResult) 
 		res.Body = resp.Body
 		res.Bytes += len(resp.Body)
 		if resp.StatusCode == 301 || resp.StatusCode == 302 {
-			if res.Redirects >= b.maxRedirects() {
+			if res.Redirects >= maxRedirects {
 				res.Err = fmt.Errorf("web: too many redirects for %s%s", host, path)
 				return res
 			}

@@ -7,7 +7,6 @@ import (
 	"csaw/internal/censor"
 	"csaw/internal/core"
 	"csaw/internal/dnsx"
-	"csaw/internal/globaldb"
 	"csaw/internal/netem"
 	"csaw/internal/web"
 )
@@ -190,21 +189,13 @@ func (w *World) LightApproaches(host *netem.Host) []*core.Approach {
 // circuit, no multihoming probe loop, and a generous API timeout (one
 // server host absorbs the whole population's sync traffic).
 func (w *World) LightClientConfig(host *netem.Host, seed int64) core.Config {
-	gdb := &globaldb.Client{
-		Endpoints:  w.GlobalDBEndpoints,
-		Host:       GlobalDBHost,
-		Clock:      w.Clock,
-		ReportDial: host.Dial,
-		FetchDial:  host.Dial,
-		Timeout:    w.fleetSlack(),
-	}
 	return core.Config{
 		Host:         host,
 		Clock:        w.Clock,
 		LDNS:         w.LDNSAddrs(host),
 		GDNS:         []string{w.PublicDNSAddr},
 		Approaches:   w.LightApproaches(host),
-		GlobalDB:     gdb,
+		GlobalDB:     w.GlobalDBClient(host, host.Dial, w.fleetSlack()),
 		CaptchaToken: "human-" + host.Name(),
 		Seed:         seed,
 	}

@@ -82,8 +82,6 @@ type Options struct {
 	// Bandwidth is per-connection bytes/sec (default 512 KiB/s — a
 	// developing-region broadband link).
 	Bandwidth float64
-	// Jitter is the per-path jitter fraction (default 0.05).
-	Jitter float64
 
 	// GlobalDBWALDir, when set, backs the global DB with the WAL+snapshot
 	// store in that directory (one subdirectory per node when the world runs
@@ -156,7 +154,7 @@ func New(o Options) (*World, error) {
 	n := netem.New(clock,
 		netem.WithSeed(o.Seed),
 		netem.WithBandwidth(o.Bandwidth),
-		netem.WithJitter(o.Jitter),
+		netem.WithJitter(0), // worlds run without path jitter
 	)
 	w := &World{
 		Clock:         clock,
@@ -479,21 +477,30 @@ func (w *World) LDNSAddrs(host *netem.Host) []string {
 	return addrs
 }
 
+// GlobalDBClient builds a host's client of the world's global DB: list
+// downloads and registration dial from the host, reports through reportDial
+// (the host's own dialer, or a Tor client's), each API call bounded by
+// timeout (0 = the globaldb default).
+func (w *World) GlobalDBClient(host *netem.Host, reportDial netem.DialFunc, timeout time.Duration) *globaldb.Client {
+	return &globaldb.Client{
+		Endpoints:  w.GlobalDBEndpoints,
+		Host:       GlobalDBHost,
+		Clock:      w.Clock,
+		ReportDial: reportDial,
+		FetchDial:  host.Dial,
+		Timeout:    timeout,
+	}
+}
+
 // ClientConfig assembles a core.Config with the world's full toolbox and
 // global DB wiring. Callers adjust knobs (P, Serial, RedundantDelay, ...)
 // before core.New.
 func (w *World) ClientConfig(host *netem.Host, seed int64) core.Config {
 	tc := tor.NewClient(host, w.TorDir, seed+7)
-	gdb := &globaldb.Client{
-		Endpoints:  w.GlobalDBEndpoints,
-		Host:       GlobalDBHost,
-		Clock:      w.Clock,
-		ReportDial: tc.Dial, // censorship reports travel over Tor (§5)
-		FetchDial:  host.Dial,
-		// Generous: deployment-scale experiments sync hundreds of clients
-		// against one server host.
-		Timeout: 4 * time.Minute,
-	}
+	// Censorship reports travel over Tor (§5). The timeout is generous:
+	// deployment-scale experiments sync hundreds of clients against one
+	// server host.
+	gdb := w.GlobalDBClient(host, tc.Dial, 4*time.Minute)
 	return core.Config{
 		Host:         host,
 		Clock:        w.Clock,

@@ -86,7 +86,7 @@ func TestTable2LatenciesSeeded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Jitter defaults to 0 in Options; allow compute slack.
+		// Worlds run without path jitter; allow compute slack.
 		if rtt < want || rtt > want+150*time.Millisecond {
 			t.Errorf("%s ping = %v, want ≈%v", name, rtt, want)
 		}
