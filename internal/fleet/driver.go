@@ -300,10 +300,10 @@ func runEvent(ctx context.Context, w *worldgen.World, sc *worldgen.FleetScenario
 	}
 }
 
-// deltaHistoryFor sizes the global DB's per-AS delta edit history to the
-// population. One edit is recorded per snapshot rebuild, and rebuilds only
-// happen while updates still arrive, so population-order history covers a
-// full round of everyone else's syncs during convergence. The cap bounds
+// deltaHistoryFor sizes the global DB's per-AS delta history to the
+// population. One mark is left per write to the AS, and writes only arrive
+// while the list still converges, so population-order history covers a
+// full round of everyone else's reports during convergence. The cap bounds
 // server memory: beyond it a very stale client pays one full fetch and
 // re-enters the delta path, which is the designed fallback.
 func deltaHistoryFor(population int) int {

@@ -169,8 +169,8 @@ type FetchResponse struct {
 }
 
 // DeltaResponse is the versioned delta served to a conditional fetch whose
-// If-None-Match tag is stale but still within the server's edit history:
-// only the entries changed since the snapshot named by Since, plus the URLs
+// If-None-Match tag is stale but still within the server's mark history:
+// only the entries changed since the state named by Since, plus the URLs
 // removed from the list. Applying it to the cached list for Since yields
 // exactly the server's current full list.
 type DeltaResponse struct {

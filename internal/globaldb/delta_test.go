@@ -9,10 +9,12 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 	"unsafe"
 
+	"csaw/internal/globaldb/storage"
 	"csaw/internal/httpx"
 	"csaw/internal/localdb"
 	"csaw/internal/netem"
@@ -20,9 +22,9 @@ import (
 )
 
 // diffEntries is the reference diff the differential tests hold the store's
-// one-pass walk (encodeLocked) to: it walks two URL-sorted entry slices and
-// returns the entries of new that are absent-or-different in old, plus the
-// URLs of old absent from new.
+// stamps to: it walks two URL-sorted entry slices and returns the entries of
+// new that are absent-or-different in old, plus the URLs of old absent from
+// new.
 func diffEntries(old, new []Entry) (changed []Entry, removed []string) {
 	i, j := 0, 0
 	for i < len(old) || j < len(new) {
@@ -75,10 +77,21 @@ func TestMergeDeltaReconstructsFullList(t *testing.T) {
 	if got := mergeDelta(nil, []Entry{e("x/", 1)}, nil); len(got) != 1 {
 		t.Fatalf("merge into empty base: %+v", got)
 	}
+	// The common delta removes nothing and brings no new URL: one allocation,
+	// the result, sized to the base.
+	if got := mergeDelta(base, []Entry{e("b/", 2)}, nil); cap(got) != len(base) {
+		t.Fatalf("merge changing one entry has room for %d, base holds %d", cap(got), len(base))
+	}
+	if n := testing.AllocsPerRun(20, func() { mergeDelta(base, []Entry{e("b/", 2)}, nil) }); n != 1 {
+		t.Fatalf("merge with nothing removed allocates %v times, want 1", n)
+	}
+	if got := mergeDelta(base, []Entry{e("b/", 2), e("bb/", 1), e("d/", 1)}, nil); cap(got) != len(base)+2 || len(got) != len(base)+2 {
+		t.Fatalf("merge bringing two new URLs: len %d cap %d, base holds %d", len(got), cap(got), len(base))
+	}
 }
 
 // TestShardedDeltaServing pins the store-level delta contract: a stale tag
-// still in the edit history gets a DeltaResponse whose application to the
+// still among the marks gets a DeltaResponse whose application to the
 // cached entries reproduces the current full list exactly; unknown tags
 // fall back to the full body.
 func TestShardedDeltaServing(t *testing.T) {
@@ -88,8 +101,8 @@ func TestShardedDeltaServing(t *testing.T) {
 	s.addUser("u3")
 	stage := []WireStage{{Type: 1, Detail: "nxdomain"}}
 	// A wide baseline from u1 in one batch: u1's per-client d never changes
-	// again, so these entries' votes stay fixed and only genuine drift lands
-	// in the edit history. (A lone reporter adding URLs one at a time would
+	// again, so these entries' votes stay fixed and only genuine drift is
+	// stamped. (A lone reporter adding URLs one at a time would
 	// change its d — and with it every entry's vote — making each "delta" as
 	// large as the full list; the size guard then rightly serves full bodies.)
 	base := make([]Report, 0, 10)
@@ -108,10 +121,10 @@ func TestShardedDeltaServing(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Drift across two observed snapshots: u2 adds an entry (observed), then
-	// u3 adds another while u2's entry is revoked away. The delta from
-	// first.tag must fold both edits: u2's URL appears only in removed,
-	// u3's only in changed.
+	// Drift across three records: u2 adds an entry, then u3 adds another and
+	// u2's entry is revoked away. The delta from first.tag must carry each
+	// slot's last word: u2's URL appears only in removed, u3's only in
+	// changed.
 	s.ingest("u2", utc.Add(time.Minute), []Report{{URL: "added-u2.example/", ASN: 100, Stages: stage, Tm: utc}})
 	if mid := s.fetchResponse(100, ""); mid.tag == first.tag {
 		t.Fatal("tag did not move after u2's report")
@@ -178,51 +191,212 @@ func entriesEqual(a, b []Entry) bool {
 	return true
 }
 
-// TestDeltaHistoryCap pins that the history stays bounded and that a tag
-// older than the cap falls back to the full body.
+// TestDeltaHistoryCap pins that the history is bounded in marks — states
+// the AS has left, whether or not anybody read them — that a tag older than
+// the cap falls back to the full body, and that a tombstone goes once no
+// mark predates it.
 func TestDeltaHistoryCap(t *testing.T) {
 	s := mustOpenStore(t, StoreOptions{})
-	s.addUser("u")
-	s.ingest("u", utc, []Report{{URL: "seed.example/", ASN: 100, Tm: utc}})
-	oldest := s.fetchResponse(100, "")
-	for i := 0; i < deltaHistoryMax+10; i++ {
-		s.ingest("u", utc.Add(time.Duration(i+1)*time.Minute), []Report{
-			{URL: fmt.Sprintf("u%d.example/", i), ASN: 100, Tm: utc},
-		})
-		s.fetchResponse(100, "") // observe every snapshot so each edit is recorded
+	user := func(i int) string { return fmt.Sprintf("u%03d", i) }
+	// Every client reports once, so its d never moves and a delta is the
+	// handful of entries added since, not the whole list.
+	add := func(i int) {
+		s.addUser(user(i))
+		s.ingest(user(i), utc, []Report{{URL: fmt.Sprintf("%s.example/", user(i)), ASN: 100, Tm: utc}})
 	}
-	idx := s.asIndexFor(100, false)
-	idx.snapMu.Lock()
-	hist := len(idx.history)
-	idx.snapMu.Unlock()
-	if hist > deltaHistoryMax {
-		t.Fatalf("history grew to %d, cap is %d", hist, deltaHistoryMax)
+	tags := []string{}
+	for i := 0; i < 10; i++ {
+		add(i)
+		tags = append(tags, s.fetchResponse(100, "").tag)
 	}
-	res := s.fetchResponse(100, oldest.tag)
-	if res.delta || res.notModified {
-		t.Fatalf("evicted tag must fall back to full body, got %+v", res)
+	s.revoke(user(3)) // u003.example/ becomes a tombstone
+	tags = append(tags, s.fetchResponse(100, "").tag)
+	idx := s.asIndexFor(100)
+	tombstones := func() (n int) {
+		idx.mu.Lock()
+		defer idx.mu.Unlock()
+		for _, sl := range idx.order {
+			if sl.entry.Reporters == 0 {
+				n++
+			}
+		}
+		if _, filed := idx.byURL["u003.example/"]; filed != (n == 1) || n > 1 {
+			t.Fatalf("%d tombstones in the order, u003.example/ filed = %v", n, filed)
+		}
+		return n
+	}
+	if res := s.fetchResponse(100, tags[5]); !res.delta || !bytes.Contains(res.body, []byte(`"removed":["u003.example/"]`)) {
+		t.Fatalf("a tag from before the revocation is owed the removal, got %+v %s", res, res.body)
+	}
+	if tombstones() != 1 {
+		t.Fatal("the tombstone went while marks still predate it")
 	}
 
-	// At the cap, recording an edit must not copy the history: the fleet
-	// runs a cap of 4,096, where a copy per rebuild is 200 KiB.
+	// Nobody reads while the next states go by: the cap counts them all the same.
+	for i := 10; i < 10+deltaHistoryMax; i++ {
+		add(i)
+	}
+	idx.mu.Lock()
+	marks, oldest := len(idx.marks), snapTag(idx.marks[0].ver, idx.marks[0].rev)
+	idx.mu.Unlock()
+	if marks != deltaHistoryMax {
+		t.Fatalf("history holds %d marks, cap is %d", marks, deltaHistoryMax)
+	}
+	if oldest != tags[10] {
+		t.Fatalf("oldest mark is %q, want the tag %d states back, %q", oldest, deltaHistoryMax, tags[10])
+	}
+	if res := s.fetchResponse(100, tags[10]); !res.delta {
+		t.Fatalf("the oldest marked tag, never served, answered %+v", res)
+	}
+	if res := s.fetchResponse(100, tags[9]); res.delta || res.notModified {
+		t.Fatalf("evicted tag must fall back to full body, got %+v", res)
+	}
+	if tombstones() != 0 {
+		t.Fatal("a tombstone older than the oldest mark was kept")
+	}
+
+	// At the cap, leaving a mark must not copy the history: the fleet runs
+	// a cap of 4,096, where a copy per write is 100 KiB.
 	const fleetCap, appends = 4096, 4 * 4096
-	idx.snapMu.Lock()
-	defer idx.snapMu.Unlock()
+	idx.mu.Lock()
+	defer idx.mu.Unlock()
+	leave := func() {
+		idx.marks = append(idx.marks, mark{})
+		idx.trimMarks(fleetCap)
+	}
 	for i := 0; i < fleetCap; i++ {
-		idx.recordEditLocked(deltaEdit{}, fleetCap)
+		leave()
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < appends; i++ {
-		idx.recordEditLocked(deltaEdit{}, fleetCap)
+		leave()
 	}
 	runtime.ReadMemStats(&after)
-	if len(idx.history) != fleetCap {
-		t.Fatalf("history holds %d edits at a cap of %d", len(idx.history), fleetCap)
+	if len(idx.marks) != fleetCap {
+		t.Fatalf("history holds %d marks at a cap of %d", len(idx.marks), fleetCap)
 	}
-	perEdit := (after.TotalAlloc - before.TotalAlloc) / appends
-	if limit := uint64(8 * unsafe.Sizeof(deltaEdit{})); perEdit > limit {
-		t.Fatalf("recording an edit at the cap allocates %d bytes, want at most %d: the history is copied per rebuild", perEdit, limit)
+	perMark := (after.TotalAlloc - before.TotalAlloc) / appends
+	if limit := uint64(8 * unsafe.Sizeof(mark{})); perMark > limit {
+		t.Fatalf("leaving a mark at the cap allocates %d bytes, want at most %d: the history is copied per write", perMark, limit)
+	}
+}
+
+// TestFetchIsAFunctionOfTheStream: what a fetch answers depends on the
+// records folded and the request, never on who read what before. One record
+// sequence — d changes, re-reports, a stage change, a revocation, a URL
+// removed and re-added — goes to stores read after every record, after every
+// fifth, only at the end, and all the while by eight concurrent fetchers;
+// then every tag the stream ever put an AS at gets the same tag, kind and
+// bytes from all four. (While the first reader after a write did the
+// aggregating, the unread store had no history and served full bodies.)
+func TestFetchIsAFunctionOfTheStream(t *testing.T) {
+	stage := []WireStage{{Type: 1, Detail: "nxdomain"}}
+	rst := []WireStage{{Type: 4, Detail: "rst"}}
+	at := func(min int) time.Time { return utc.Add(time.Duration(min) * time.Minute) }
+	one := func(url string, asn int, st []WireStage) []Report {
+		return []Report{{URL: url, ASN: asn, Stages: st, Tm: utc}}
+	}
+	var base []Report
+	for i := 0; i < 8; i++ {
+		base = append(base, Report{URL: fmt.Sprintf("base%d.example/", i), ASN: 100, Stages: stage, Tm: utc})
+	}
+	stream := []*storage.Record{
+		{Kind: storage.KindAddUser, UUID: "a"}, {Kind: storage.KindAddUser, UUID: "b"},
+		{Kind: storage.KindAddUser, UUID: "c"}, {Kind: storage.KindAddUser, UUID: "d"},
+		ingestRecord("a", at(0), base),
+		ingestRecord("b", at(1), one("b1.example/", 100, stage)),
+		ingestRecord("b", at(2), one("b2.example/", 200, stage)),  // b's d moves: b1's vote halves
+		ingestRecord("a", at(3), base[:2]),                        // re-report: LastTp moves on two entries
+		ingestRecord("c", at(4), one("base0.example/", 100, rst)), // a later post with other stages represents base0
+		ingestRecord("d", at(5), one("gone.example/", 100, stage)),
+		ingestRecord("nobody", at(5), one("x.example/", 100, stage)), // unknown uuid: folds to nothing
+		{Kind: storage.KindRevoke, UUID: "d"},                        // gone.example/ leaves AS 100; AS 200 only changes epoch
+		ingestRecord("a", at(3), base[:2]),                           // vote refresh: the tag moves, no entry does
+		ingestRecord("c", at(6), one("gone.example/", 100, rst)),     // re-added by another client; c's d moves
+		ingestRecord("b", at(7), one("b3.example/", 200, stage)),
+		{Kind: storage.KindRevoke, UUID: "d"}, // again: the epoch moves, nothing else
+		ingestRecord("c", at(8), one("c1.example/", 200, stage)),
+	}
+	asns := []int{100, 200, 300}
+	read := func(s *store, tags map[int]string) {
+		for _, asn := range asns {
+			tags[asn] = s.fetchResponse(asn, tags[asn]).tag
+			s.fetchResponse(asn, "")
+			s.blockedForAS(asn)
+		}
+	}
+	known := map[int][]string{}
+	for _, asn := range asns {
+		known[asn] = []string{"", "1.1", "x.y"}
+	}
+	var stores []*store
+	for _, every := range []int{1, 5, 0} {
+		s := mustOpenStore(t, StoreOptions{})
+		tags := map[int]string{}
+		for i, rec := range stream {
+			if _, err := s.apply(rec); err != nil {
+				t.Fatal(err)
+			}
+			if every > 0 && (i+1)%every == 0 {
+				read(s, tags)
+			}
+			for _, asn := range asns {
+				if tag := tags[asn]; every == 1 && !slices.Contains(known[asn], tag) {
+					known[asn] = append(known[asn], tag)
+				}
+			}
+		}
+		stores = append(stores, s)
+	}
+	contended := mustOpenStore(t, StoreOptions{})
+	stop := make(chan struct{})
+	var fetchers sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		fetchers.Add(1)
+		go func() {
+			defer fetchers.Done()
+			tags := map[int]string{}
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					read(contended, tags)
+				}
+			}
+		}()
+	}
+	for _, rec := range stream {
+		if _, err := contended.apply(rec); err != nil {
+			t.Error(err)
+		}
+	}
+	close(stop)
+	fetchers.Wait()
+	stores = append(stores, contended)
+
+	deltas := 0
+	for _, asn := range asns {
+		if asn != 300 && len(known[asn]) < 8 {
+			t.Fatalf("AS %d went through only %d tags: %q", asn, len(known[asn]), known[asn])
+		}
+		for _, inm := range known[asn] {
+			want := stores[0].fetchResponse(asn, inm)
+			if want.delta {
+				deltas++
+			}
+			for i, s := range stores[1:] {
+				got := s.fetchResponse(asn, inm)
+				if got.tag != want.tag || got.notModified != want.notModified || got.delta != want.delta || !bytes.Equal(got.body, want.body) {
+					t.Errorf("fetch(%d, %q): store %d diverges from the store read after every record:\n got %q 304=%v delta=%v %s\nwant %q 304=%v delta=%v %s",
+						asn, inm, i+1, got.tag, got.notModified, got.delta, got.body, want.tag, want.notModified, want.delta, want.body)
+				}
+			}
+		}
+	}
+	if deltas < 8 {
+		t.Fatalf("only %d of the stream's tags were answered by delta", deltas)
 	}
 }
 
@@ -401,24 +575,26 @@ func TestClientTagDowngrade(t *testing.T) {
 
 // --- differential wire test -----------------------------------------------------
 //
-// The store joins list bodies from cached per-entry fragments; the reference
-// below builds the same bodies the way the store used to — json.Marshal of a
-// FetchResponse, and for a delta diffEntries between consecutive observed
-// snapshots, a last-wins map fold of the edit suffix and json.Marshal of the
-// DeltaResponse. runFetchOps drives one store through an op sequence decoded
-// from bytes and holds every served answer to the reference byte for byte,
-// which pins field order, both omitempty lists, JSON escaping, the
-// 304/delta/full choice, and catches a fragment carried over stale.
+// The store joins list bodies from cached per-entry fragments and finds a
+// delta by its stamps; the reference below builds the same bodies the way the
+// store used to — json.Marshal of a FetchResponse over the sequential model's
+// list (legacy_test.go), and for a delta diffEntries between consecutive
+// states, a last-wins map fold of the edit suffix and json.Marshal of the
+// DeltaResponse — and names the states itself, from the record stream. runFetchOps drives one store through an op sequence
+// decoded from bytes and holds every served answer to the reference byte for
+// byte, which pins the tags, field order, both omitempty lists, JSON
+// escaping, the 304/delta/full choice, and catches a fragment carried over
+// stale.
 
-// refEdit is one recorded snapshot transition, as the reference keeps it.
+// refEdit is one state transition, as the reference keeps it.
 type refEdit struct {
 	from    string
 	changed []Entry
 	removed []string
 }
 
-// refAS is the reference's view of one AS: the last snapshot observed and
-// the transitions between observed snapshots, capped like the store's.
+// refAS is the reference's view of one AS: the state the last write left it
+// in and the transitions between states, capped like the store's.
 type refAS struct {
 	seen    bool
 	tag     string
@@ -426,7 +602,7 @@ type refAS struct {
 	history []refEdit
 }
 
-// observe records the snapshot (tag, entries) the store just served from.
+// observe records the state (tag, entries) a write left the AS in.
 func (r *refAS) observe(tag string, entries []Entry, max int) {
 	if r.seen && tag != r.tag {
 		changed, removed := diffEntries(r.entries, entries)
@@ -474,6 +650,40 @@ func (r *refAS) deltaBody(t *testing.T, asn int, inm string) []byte {
 	return mustMarshal(t, dr)
 }
 
+// refTags names every AS's state from the record stream alone: an AS's
+// version counts the accepted ingests that reported on it or moved the d of
+// a client that has, and the epoch counts revocations.
+type refTags struct {
+	ver     map[int]int64
+	rev     int64
+	keys    map[string]map[string]bool // uuid → "url|asn"
+	asns    map[string]map[int]bool    // uuid → ASes reported on
+	revoked map[string]bool
+}
+
+func (r *refTags) ingest(uuid string, reports []Report) {
+	if r.revoked[uuid] {
+		return
+	}
+	if r.keys[uuid] == nil {
+		r.keys[uuid], r.asns[uuid] = map[string]bool{}, map[int]bool{}
+	}
+	moved, affected := false, map[int]bool{}
+	for _, rep := range reports {
+		key := reportKey(rep.URL, rep.ASN)
+		moved = moved || !r.keys[uuid][key]
+		r.keys[uuid][key], r.asns[uuid][rep.ASN], affected[rep.ASN] = true, true, true
+	}
+	if moved {
+		affected = r.asns[uuid]
+	}
+	for asn := range affected {
+		r.ver[asn]++
+	}
+}
+
+func (r *refTags) tag(asn int) string { return snapTag(r.ver[asn], r.rev) }
+
 func mustMarshal(t *testing.T, v any) []byte {
 	t.Helper()
 	b, err := json.Marshal(v)
@@ -501,8 +711,9 @@ var (
 
 // runFetchOps decodes data into ingests, revocations and conditional
 // fetches against a fresh store and checks every fetch against the
-// reference. Writes are not observed: several may land between two fetches
-// of an AS, so an edit can span many of them.
+// reference, which observes every write: any tag naming a state the AS was
+// in within the cap is owed a delta, whether or not a reader was ever served
+// it.
 func runFetchOps(t *testing.T, data []byte) {
 	next := func() int {
 		if len(data) == 0 {
@@ -518,15 +729,31 @@ func runFetchOps(t *testing.T, data []byte) {
 		histMax = n // small caps put eviction within reach of a short sequence
 		s.histMax.Store(int64(n))
 	}
+	model := newLegacyStore() // the lists come from it, not from the store
 	for _, u := range fuzzUsers {
 		s.addUser(u)
+		model.addUser(u)
 	}
+	allASNs := append([]int{300}, fuzzASNs...) // AS 300 is never reported on
+	names := refTags{ver: map[int]int64{}, keys: map[string]map[string]bool{}, asns: map[string]map[int]bool{}, revoked: map[string]bool{}}
 	refs := map[int]*refAS{}
-	served := map[int][]string{} // every tag served per AS, plus tags no snapshot ever had
-	for _, asn := range append([]int{300}, fuzzASNs...) {
+	known := map[int][]string{} // every tag an AS was ever at, after tags none ever had
+	for _, asn := range allASNs {
 		refs[asn] = &refAS{}
-		served[asn] = []string{"", "07.0", "7", "1.0", "x.y"}
+		known[asn] = []string{"", "07.0", "7", "1.0", "x.y", "2.9"}
 	}
+	wrote := func() {
+		for _, asn := range allASNs {
+			tag := names.tag(asn)
+			if names.ver[asn] > 0 { // the store keeps no history for an AS without reports
+				refs[asn].observe(tag, model.blockedForAS(asn), histMax)
+			}
+			if !slices.Contains(known[asn], tag) {
+				known[asn] = append(known[asn], tag)
+			}
+		}
+	}
+	wrote()
 	now := utc
 	for len(data) > 0 {
 		switch op := next() % 8; {
@@ -536,43 +763,49 @@ func runFetchOps(t *testing.T, data []byte) {
 				reports[i] = Report{URL: fuzzURLs[next()%len(fuzzURLs)], ASN: fuzzASNs[next()%len(fuzzASNs)],
 					Stages: fuzzStages[next()%len(fuzzStages)], Tm: utc}
 			}
-			now = now.Add(time.Duration(next()%2) * time.Minute) // equal post times break on uuid
-			s.ingest(fuzzUsers[next()%len(fuzzUsers)], now, reports)
+			// Equal post times break on uuid, and a post may land earlier than
+			// the one it replaces: after a failover the new primary's clock does.
+			now = now.Add(time.Duration((next()+1)%3-1) * time.Minute)
+			user := fuzzUsers[next()%len(fuzzUsers)]
+			s.ingest(user, now, reports)
+			model.ingest(user, now, reports)
+			names.ingest(user, reports)
+			wrote()
 		case op == 3: // revocation is for good, so it is the rarest op
 			if u := next(); u%4 == 0 {
 				s.revoke(fuzzUsers[u/4%len(fuzzUsers)])
+				model.revoke(fuzzUsers[u/4%len(fuzzUsers)])
+				names.revoked[fuzzUsers[u/4%len(fuzzUsers)]] = true
+				names.rev++
+				wrote()
 			}
-		default: // fetch; AS 300 is never reported on
-			asn := append([]int{300}, fuzzASNs...)[next()%3]
-			// Any tag ever served, or (odd draws) one of the latest few.
-			tags := served[asn]
+		default: // fetch
+			asn := allASNs[next()%3]
+			// Any tag the AS was ever at, or (odd draws) one of the latest few.
+			tags := known[asn]
 			if n := next(); n%2 == 1 {
 				tags = tags[max(len(tags)-4, 0):]
 			}
 			inm := tags[next()%len(tags)]
 			got := s.fetchResponse(asn, inm)
-			entries := s.blockedForAS(asn)
-			full := mustMarshal(t, FetchResponse{ASN: asn, Entries: entries})
-			ref := refs[asn]
-			if s.asIndexFor(asn, false) != nil { // the store keeps no history for an AS without reports
-				ref.observe(got.tag, entries, histMax)
+			full := mustMarshal(t, FetchResponse{ASN: asn, Entries: model.blockedForAS(asn)})
+			if got := mustMarshal(t, FetchResponse{ASN: asn, Entries: s.blockedForAS(asn)}); !bytes.Equal(got, full) {
+				t.Fatalf("BlockedForAS(%d) diverges from the model:\n got %s\nwant %s", asn, got, full)
 			}
-			want := fetchResult{tag: got.tag, body: full}
-			if delta := ref.deltaBody(t, asn, inm); inm == got.tag {
-				want = fetchResult{tag: got.tag, notModified: true}
+			tag := names.tag(asn)
+			want := fetchResult{tag: tag, body: full}
+			if delta := refs[asn].deltaBody(t, asn, inm); inm == tag {
+				want = fetchResult{tag: tag, notModified: true}
 			} else if delta != nil && len(delta) < len(full) {
-				want = fetchResult{tag: got.tag, body: delta, delta: true}
+				want = fetchResult{tag: tag, body: delta, delta: true}
 			}
-			if got.notModified != want.notModified || got.delta != want.delta || !bytes.Equal(got.body, want.body) {
+			if got.tag != want.tag || got.notModified != want.notModified || got.delta != want.delta || !bytes.Equal(got.body, want.body) {
 				t.Fatalf("fetch(%d, %q) diverges from encoding/json:\n got %+v %s\nwant %+v %s",
 					asn, inm, got, got.body, want, want.body)
 			}
-			if unconditional := s.fetchResponse(asn, ""); !bytes.Equal(unconditional.body, full) || unconditional.tag != got.tag {
+			if unconditional := s.fetchResponse(asn, ""); !bytes.Equal(unconditional.body, full) || unconditional.tag != tag {
 				t.Fatalf("full body of AS %d at %q diverges from encoding/json:\n got %s\nwant %s",
-					asn, got.tag, unconditional.body, full)
-			}
-			if !slices.Contains(served[asn], got.tag) {
-				served[asn] = append(served[asn], got.tag)
+					asn, tag, unconditional.body, full)
 			}
 		}
 	}
@@ -595,23 +828,25 @@ func TestFetchBodiesMatchEncodingJSON(t *testing.T) {
 
 // fuzzSeedReadd encodes, in runFetchOps' op format (ingest: op, reports-1,
 // {url, asn, stages}…, minutes, user; revoke: 3, 4·user; fetch: op, asn,
-// even to draw from every tag, tag):
+// even to draw from every tag, tag — known[6] is "0.0", and "1.0" is known
+// from the start):
 var fuzzSeedReadd = []byte{
 	0,                            // default history cap
-	0, 1, 6, 0, 2, 0, 0, 0, 0, 0, // u0 reports a.example/ and plain.example/ on AS 100
-	0, 2, 7, 0, 2, 8, 0, 2, 1, 0, 2, 0, 3, // u3 reports three more, which never change again
-	5, 1, 0, 0, // fetch: full, tag "2.0" (served[5])
-	0, 0, 6, 0, 3, 1, 2, // u2 re-reports a.example/ a minute later with other stages
-	3, 0, // revoke u0: plain.example/ leaves the list
-	5, 1, 0, 0, // fetch: full, tag "3.1" (served[6])
-	3, 8, // revoke u2: a.example/ leaves the list
-	5, 1, 0, 6, // fetch at "3.1": delta removing a.example/; tag "3.2" (served[7])
-	0, 0, 6, 0, 4, 1, 1, // u1 re-adds a.example/
-	5, 1, 0, 5, // fetch at "2.0": a.example/ changed, plain.example/ removed; tag "4.2" (served[8])
-	5, 1, 0, 7, // fetch at "3.2": a.example/ changed
-	5, 1, 0, 6, // fetch at "3.1": a.example/ removed then re-added folds to changed
-	5, 1, 0, 8, // fetch at "4.2": 304
-	5, 0, 0, 0, 5, 0, 0, 5, // AS 300, never reported on: empty full body, then 304
+	0, 1, 6, 0, 2, 0, 0, 0, 0, 0, // u0 reports a.example/ and plain.example/ on AS 100: "1.0"
+	0, 2, 7, 0, 2, 8, 0, 2, 1, 0, 2, 0, 3, // u3 reports three more, which never change again: "2.0" (known[7])
+	5, 1, 0, 0, // fetch: full
+	0, 0, 6, 0, 3, 1, 2, // u2 re-reports a.example/ a minute later with other stages: "3.0" (known[8]), which no reader is served
+	3, 0, // revoke u0: plain.example/ leaves the list; "3.1" (known[9])
+	5, 1, 0, 0, // fetch: full
+	3, 8, // revoke u2: a.example/ leaves the list; "3.2" (known[10])
+	5, 1, 0, 9, // fetch at "3.1": delta removing a.example/
+	0, 0, 6, 0, 4, 1, 1, // u1 re-adds a.example/: "4.2" (known[11])
+	5, 1, 0, 7, // fetch at "2.0": a.example/ changed, plain.example/ removed
+	5, 1, 0, 10, // fetch at "3.2": a.example/ changed
+	5, 1, 0, 9, // fetch at "3.1": a.example/ removed then re-added folds to changed
+	5, 1, 0, 8, // fetch at "3.0", never served: the same two lines as at "2.0"
+	5, 1, 0, 11, // fetch at "4.2": 304
+	5, 0, 0, 0, 5, 0, 0, 8, // AS 300, never reported on: empty full body, then 304 at "0.2"
 }
 
 func FuzzFetchBodies(f *testing.F) {

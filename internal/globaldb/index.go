@@ -1,84 +1,113 @@
 package globaldb
 
 import (
+	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
-	"sync/atomic"
 
 	"csaw/internal/globaldb/storage"
 	"csaw/internal/localdb"
 )
 
-// The read side of the store: a per-AS inverted index (asn → url → uuid →
-// report), a materialised view the fold maintains so BlockedForAS touches one
-// AS's data instead of scanning every client. Each AS index carries a version
-// counter bumped after every write that could change its aggregation
-// (new/replaced reports, and any change to a reporting client's d). Fetches
-// serve a cached sorted snapshot — entries plus each entry's JSON encoding —
-// and rebuild only when the version or the global revocation epoch moved, so
-// repeated reads of an unchanged AS never re-aggregate or re-sort (the
-// regression test watches the rebuilds counter), and a rebuild encodes only
-// the entries that changed (delta.go).
+// The read side of the store: per AS, a URL-ordered view of the §5
+// aggregation that the fold keeps current. A record refolds exactly the
+// (url, asn) slots it touches — the batch's URLs, every URL of a client
+// whose d moved, every URL of a revoked client — so when apply returns, the
+// AS's list is finished: a fetch never aggregates (the refolds counter does
+// not move across reads), and its tag and body are a function of the record
+// stream and the request alone. delta.go has the change tracking a
+// conditional fetch is answered from.
 
-// asIndex is the inverted per-AS report index plus its snapshot cache.
+// asIndex is one AS's view.
 type asIndex struct {
-	asn     int
-	version atomic.Int64
+	asn int
 
-	mu    sync.RWMutex
-	byURL map[string]map[string]indexed // url → uuid → report
+	// The fold's own half, under store.mu: every slot by URL, and the slots
+	// the record being folded has yet to refold.
+	byURL   map[string]*slot
+	touched []*slot
 
-	// Snapshot cache; snapMu guards every field below. It also serializes
-	// rebuilds so concurrent fetchers of a dirty AS do the aggregation once,
-	// and recording an edit and serving a delta happen in the same critical
-	// section as the rebuild, so a delta body is always paired with the tag
-	// of the snapshot it was computed against.
-	//
-	// frags[i] is json.Marshal(&entries[i]). A fragment is never written
-	// after it is made: the next snapshot and the history share it by
-	// reference, and every served body is a copy of it. fullLen is the length
-	// of the full body the fragments join to, known without joining; body is
-	// that join, made by the first full fetch of this snapshot (most
-	// snapshots are only ever read by delta) and handed out by reference
-	// until the next rebuild drops it.
-	snapMu  sync.Mutex
-	snapVer int64
-	snapRev int64
-	valid   bool
-	entries []Entry
-	frags   [][]byte
-	fullLen int
+	// mu guards everything below and every slot's entry, stamp and frag. A
+	// write takes it once per record and AS, for the refold of the touched
+	// slots; a fetch for as long as it takes to read the tag and, for a 200
+	// nobody was served before, join the body.
+	mu sync.Mutex
+
+	// ver counts the accepted ingests that touched the AS, rev is the store's
+	// revocation epoch as of the last record that did, and seq counts both:
+	// the AS's change sequence, which stamps slots and marks (delta.go).
+	ver, rev, seq int64
+
+	order  []*slot // every slot, tombstones included, by URL
+	marks  []mark  // the states the AS has left, oldest first, capped
+	reapAt int64   // smallest stamp a tombstone in order may carry; 0: none
+
+	lines []*slot // deltaBody's gather list, kept for its storage
+
+	// body is the full body, joined by the first full fetch of this state
+	// (most states are only ever read by delta) and handed out by reference
+	// until a slot is next stamped; fullLen is its length, which the first
+	// delta fetch of the state needs (0: not yet).
 	body    []byte
-	history []deltaEdit
-
-	// Storage the next rebuild or delta writes into instead of allocating:
-	// the previous snapshot's entries and frags (the two sets swap at every
-	// rebuild; nothing outside snapMu ever holds either), aggregate's URL
-	// list, and the delta fold's gather list.
-	spareEntries []Entry
-	spareFrags   [][]byte
-	urls         []string
-	fold         []deltaItem
+	fullLen int
 }
 
-// indexed pairs a report with its owner's state so aggregation can read the
-// owner's d and revoked flag without the write lock.
-type indexed struct {
-	rep *storage.StoredReport
+// slot is one (url, asn) pair: the reports filed under it and their
+// aggregation.
+type slot struct {
+	// stamp is idx.seq as of the record that last changed entry, and frag is
+	// entry's JSON — of a tombstone, the URL's — made by the first reader that
+	// needs it. A fragment is never written after it is made: every served
+	// body is a copy of it.
+	stamp int64
+	frag  []byte
+	entry Entry // Reporters == 0: a tombstone, every reporter revoked
+
+	// The fold's own half, under store.mu. best indexes the representative —
+	// of the clients in good standing the one that posted last, ties to the
+	// smaller uuid — as of the last refold. A record queues the slots it
+	// touches; restart says whether it may have moved a weight (a client
+	// joining, its d moving, its revocation) and the aggregation starts over,
+	// or only replaced the report of a client already here, when at most the
+	// representative changes, and only to that client.
+	idx             *asIndex
+	reps            []filed  // one per reporting client, in arrival order
+	first           [1]filed // where reps begins: most slots have one reporter
+	best            int
+	queued, restart bool
+}
+
+// filed is one client's current report on a slot; placed is the client's own
+// handle on it, reps[at] of sl (reps only ever grows), with the report beside
+// it so that snapshot export and stats read a client's reports without
+// visiting their slots.
+type filed struct {
 	cs  *clientState
+	rep *storage.StoredReport
+}
+
+type placed struct {
+	rep *storage.StoredReport
+	sl  *slot
+	at  int
+}
+
+// leads reports whether f is the representative of the two.
+func (f filed) leads(g filed) bool {
+	return f.rep.Tp > g.rep.Tp || (f.rep.Tp == g.rep.Tp && f.cs.uuid < g.cs.uuid)
 }
 
 // fetchResult is one /v1/blocked answer. When the caller's If-None-Match
-// tag still names the current aggregation, notModified is set and body is
-// nil: at fleet scale most sync rounds hit a converged list, and skipping
-// the body skips the client-side JSON decode that otherwise dominates sync
-// cost. When the tag is stale but still in the AS's recorded edit history,
-// delta is set and body is an encoded DeltaResponse carrying only the
-// entries that changed since that tag (served only when it is actually
-// smaller than the full body). Otherwise body is the full encoded
-// FetchResponse, shared by every full fetch of the snapshot: nobody may
-// write into it.
+// tag still names the AS's state, notModified is set and body is nil: at
+// fleet scale most sync rounds hit a converged list, and skipping the body
+// skips the client-side JSON decode that otherwise dominates sync cost. When
+// the tag names a state the AS left within the mark history, delta is set
+// and body is an encoded DeltaResponse carrying only the entries that
+// changed since (served only when it is actually smaller than the full
+// body). Otherwise body is the full encoded FetchResponse, shared by every
+// full fetch of the state: nobody may write into it.
 type fetchResult struct {
 	body        []byte
 	tag         string
@@ -86,162 +115,211 @@ type fetchResult struct {
 	delta       bool
 }
 
-// asIndexFor returns the index for asn, creating it when create is set.
-// Only the fold and snapshot restore create, both single-writer (under
-// store.mu or before the store is published), so a miss needs no re-check.
-func (s *store) asIndexFor(asn int, create bool) *asIndex {
+// asIndexFor returns asn's index, or nil when nothing was ever reported
+// there.
+func (s *store) asIndexFor(asn int) *asIndex {
 	s.indexMu.RLock()
-	idx := s.index[asn]
-	s.indexMu.RUnlock()
-	if idx == nil && create {
-		idx = &asIndex{asn: asn, byURL: make(map[string]map[string]indexed)}
-		s.indexMu.Lock()
-		s.index[asn] = idx
-		s.indexMu.Unlock()
-	}
-	return idx
+	defer s.indexMu.RUnlock()
+	return s.index[asn]
 }
 
-// indexInsert files rep under (asn, url, uuid), replacing uuid's previous
-// report for the URL. Shared by the ingest fold and snapshot restore.
-func (s *store) indexInsert(uuid string, cs *clientState, rep *storage.StoredReport) {
-	idx := s.asIndexFor(rep.ASN, true)
-	idx.mu.Lock()
-	byUUID := idx.byURL[rep.URL]
-	if byUUID == nil {
-		byUUID = make(map[string]indexed)
-		idx.byURL[rep.URL] = byUUID
+// file puts rep, cs's report on (rep.URL, rep.ASN), in its slot in place of
+// the one cs filed under key before, and queues the slot. It reports whether
+// the key is new to cs. Caller holds s.mu.
+func (s *store) file(cs *clientState, key string, rep *storage.StoredReport) bool {
+	// Stored reports are immutable once created — a re-report replaces the
+	// pointer — so the representative stages an entry shares with its report
+	// never change under a reader.
+	if p, seen := cs.reports[key]; seen {
+		sl, was := p.sl, p.rep
+		p.rep, sl.reps[p.at].rep = rep, rep
+		cs.reports[key] = p
+		if p.at != sl.best && sl.reps[p.at].leads(sl.reps[sl.best]) {
+			sl.best = p.at
+		}
+		// A representative that stepped back may have handed the lead to another.
+		s.touch(sl, p.at == sl.best && rep.Tp < was.Tp)
+		return false
 	}
-	byUUID[uuid] = indexed{rep: rep, cs: cs}
-	idx.mu.Unlock()
+	idx := s.index[rep.ASN]
+	if idx == nil {
+		idx = &asIndex{asn: rep.ASN, rev: s.revEpoch.Load(), byURL: make(map[string]*slot)}
+		s.indexMu.Lock()
+		s.index[rep.ASN] = idx
+		s.indexMu.Unlock()
+	}
+	sl := idx.byURL[rep.URL]
+	if sl == nil {
+		sl = &slot{idx: idx, entry: Entry{URL: rep.URL, ASN: rep.ASN}}
+		sl.reps = sl.first[:0]
+		idx.byURL[rep.URL] = sl
+	}
+	cs.reports[key] = placed{rep: rep, sl: sl, at: len(sl.reps)}
+	sl.reps = append(sl.reps, filed{cs: cs, rep: rep})
+	s.touch(sl, true)
+	return true
+}
+
+// touch queues sl for the refold that ends the record. Caller holds s.mu.
+func (s *store) touch(sl *slot, restart bool) {
+	if !sl.queued {
+		sl.queued = true
+		if len(sl.idx.touched) == 0 {
+			s.affected = append(s.affected, sl.idx)
+		}
+		sl.idx.touched = append(sl.idx.touched, sl)
+	}
+	sl.restart = sl.restart || restart
+}
+
+// touchAll queues every slot cs reports on: its vote weight or its standing
+// changed. Caller holds s.mu.
+func (s *store) touchAll(cs *clientState) {
+	for _, p := range cs.reports {
+		s.touch(p.sl, true)
+	}
+}
+
+// commit ends a record's effect on idx: the state the AS is leaving gets a
+// mark, the queued slots are refolded, and the tag moves by bump versions to
+// the store's current revocation epoch. Caller holds s.mu.
+func (s *store) commit(idx *asIndex, bump int64) {
+	idx.mu.Lock()
+	defer idx.mu.Unlock()
+	if idx.seq > 0 { // the AS's history begins with its first report
+		idx.marks = append(idx.marks, mark{ver: idx.ver, rev: idx.rev, seq: idx.seq})
+	}
+	idx.seq++
+	idx.ver, idx.rev = idx.ver+bump, s.revEpoch.Load()
+
+	s.refolds.Add(int64(len(idx.touched)))
+	fresh := s.fresh[:0]
+	for _, sl := range idx.touched {
+		e := sl.entry
+		if sl.restart {
+			e, s.votes = sl.fold(s.votes[:0])
+		} else {
+			rep := sl.reps[sl.best].rep
+			e.Stages, e.LastTp = rep.Stages, timeOf(rep.Tp)
+		}
+		sl.queued, sl.restart = false, false
+		if entryEqual(e, sl.entry) {
+			continue
+		}
+		if sl.stamp == 0 {
+			fresh = append(fresh, sl)
+		}
+		if e.Reporters == 0 && idx.reapAt == 0 {
+			idx.reapAt = idx.seq
+		}
+		sl.entry, sl.stamp, sl.frag = e, idx.seq, nil
+		idx.body, idx.fullLen = nil, 0
+	}
+	idx.touched = idx.touched[:0]
+	idx.place(fresh)
+	s.fresh = fresh
+	idx.trimMarks(int(s.histMax.Load()))
+}
+
+// fold computes the §5 voting aggregation for the slot: s_jk = Σ 1/d_i over
+// clients i reporting (j,k), n_jk = count. Everything that feeds the output
+// is made order-independent so same-seed fleet runs produce byte-identical
+// blocked lists: vote contributions are summed in ascending order (float
+// addition is not associative), and the representative-stages tie between
+// equal post times breaks on uuid. votes is storage for the terms, returned
+// for the next call.
+func (sl *slot) fold(votes []float64) (Entry, []float64) {
+	e := Entry{URL: sl.entry.URL, ASN: sl.entry.ASN}
+	for i, f := range sl.reps {
+		if f.cs.revoked {
+			continue
+		}
+		if len(votes) == 0 || f.leads(sl.reps[sl.best]) {
+			sl.best = i
+		}
+		votes = append(votes, 1/float64(len(f.cs.reports)))
+	}
+	if len(votes) == 0 {
+		return e, votes
+	}
+	rep := sl.reps[sl.best].rep
+	e.Reporters, e.Stages, e.LastTp = len(votes), rep.Stages, timeOf(rep.Tp)
+	slices.Sort(votes)
+	for _, v := range votes {
+		e.Votes += v
+	}
+	return e, votes
+}
+
+// place merges a record's new slots into the URL order: one sort of the new
+// ones, then from the back each takes its place behind the run of old slots
+// that sort after it, moved up in one copy — pointers only, and a search per
+// new slot, not a comparison per old one. Caller holds idx.mu.
+func (idx *asIndex) place(fresh []*slot) {
+	if len(fresh) == 0 {
+		return
+	}
+	slices.SortFunc(fresh, func(a, b *slot) int { return strings.Compare(a.entry.URL, b.entry.URL) })
+	end := len(idx.order) // order[:end] has yet to move
+	idx.order = append(idx.order, fresh...)
+	for j := len(fresh) - 1; j >= 0; j-- {
+		at, _ := slices.BinarySearchFunc(idx.order[:end], fresh[j].entry.URL, func(sl *slot, url string) int {
+			return strings.Compare(sl.entry.URL, url)
+		})
+		copy(idx.order[at+j+1:], idx.order[at:end])
+		idx.order[at+j] = fresh[j]
+		end = at
+	}
 }
 
 func (s *store) blockedForAS(asn int) []Entry {
-	idx := s.asIndexFor(asn, false)
+	idx := s.asIndexFor(asn)
 	if idx == nil {
 		return []Entry{}
 	}
-	// Load the version before reading index data: a write landing between
-	// the two makes the cached version stale, forcing a harmless rebuild on
-	// the next read rather than ever serving stale data as fresh.
-	ver, rev := idx.version.Load(), s.revEpoch.Load()
-	idx.snapMu.Lock()
-	defer idx.snapMu.Unlock()
-	s.rebuildLocked(idx, ver, rev)
-	return append([]Entry{}, idx.entries...)
+	idx.mu.Lock()
+	defer idx.mu.Unlock()
+	out := make([]Entry, 0, len(idx.order))
+	for _, sl := range idx.order {
+		if sl.entry.Reporters > 0 {
+			out = append(out, sl.entry)
+		}
+	}
+	return out
 }
 
 // fetchResponse serves /v1/blocked for an AS, conditional on the caller's
 // If-None-Match tag (inm). See fetchResult for the contract.
 func (s *store) fetchResponse(asn int, inm string) fetchResult {
-	rev := s.revEpoch.Load()
-	idx := s.asIndexFor(asn, false)
+	idx := s.asIndexFor(asn)
 	if idx == nil {
-		// No reports yet: version 0. The tag still varies with the
-		// revocation epoch so it can never collide with a post-write tag.
-		tag := snapTag(0, rev)
-		if inm == tag {
-			return fetchResult{tag: tag, notModified: true}
-		}
-		return fetchResult{body: joinFullBody(asn, nil), tag: tag}
+		// No reports yet: an empty view at version 0. The tag still varies
+		// with the revocation epoch so it can never collide with a post-write
+		// tag.
+		idx = &asIndex{asn: asn, rev: s.revEpoch.Load()}
 	}
-	ver := idx.version.Load()
-	idx.snapMu.Lock()
-	defer idx.snapMu.Unlock()
-	s.rebuildLocked(idx, ver, rev)
-	tag := snapTag(idx.snapVer, idx.snapRev)
+	idx.mu.Lock()
+	defer idx.mu.Unlock()
+	tag := snapTag(idx.ver, idx.rev)
 	if inm == tag {
 		return fetchResult{tag: tag, notModified: true}
 	}
 	if inm != "" {
-		if body := idx.deltaBodyLocked(inm); body != nil {
+		if body := idx.deltaBody(inm); body != nil {
 			return fetchResult{body: body, tag: tag, delta: true}
 		}
 	}
 	if idx.body == nil {
-		idx.body = joinFullBody(idx.asn, idx.frags)
+		idx.body = joinFullBody(idx.asn, idx.order)
 	}
 	return fetchResult{body: idx.body, tag: tag}
 }
 
-// rebuildLocked brings idx's snapshot cache up to (ver, rev), recording the
-// change set against the previous snapshot in the delta history. No-op when
-// the cache is already there — or past it: a caller that loaded its
-// counters before a concurrent fetcher's rebuild is served that newer
-// snapshot, so the (version, epoch) pairs of consecutive snapshots only
-// grow, which is the order the history is searched by. Caller holds
-// idx.snapMu.
-func (s *store) rebuildLocked(idx *asIndex, ver, rev int64) {
-	if idx.valid && idx.snapVer >= ver && idx.snapRev >= rev {
-		return
-	}
-	s.rebuilds.Add(1)
-	entries := idx.aggregate(idx.spareEntries[:0])
-	frags, edit := idx.encodeLocked(entries)
-	if idx.valid {
-		idx.recordEditLocked(edit, int(s.histMax.Load()))
-	}
-	idx.spareEntries, idx.spareFrags = idx.entries, idx.frags
-	idx.entries, idx.frags, idx.body = entries, frags, nil
-	idx.fullLen = fullBodyLen(idx.asn, frags)
-	idx.snapVer, idx.snapRev, idx.valid = max(ver, idx.snapVer), max(rev, idx.snapRev), true
-}
-
-// snapTag renders a snapshot's (version, revocation epoch) as the ETag
+// snapTag renders an AS state's (version, revocation epoch) as the ETag
 // served by /v1/blocked. Both counters only grow, so equal tags always name
-// the same aggregation state.
+// the same state.
 func snapTag(ver, rev int64) string {
 	return strconv.FormatInt(ver, 10) + "." + strconv.FormatInt(rev, 10)
-}
-
-// aggregate computes the §5 voting aggregation for one AS: s_jk = Σ 1/d_i
-// over clients i reporting (j,k), n_jk = count. Everything that feeds the
-// output is made order-independent so same-seed fleet runs produce
-// byte-identical blocked lists: URLs are sorted, vote contributions are
-// summed in sorted order (float addition is not associative), and the
-// representative-stages tie between equal post times breaks on uuid.
-// The list is appended to entries, which the caller owns; caller holds
-// idx.snapMu (for idx.urls).
-func (idx *asIndex) aggregate(entries []Entry) []Entry {
-	idx.mu.RLock()
-	defer idx.mu.RUnlock()
-	urls := idx.urls[:0]
-	for u := range idx.byURL {
-		urls = append(urls, u)
-	}
-	sort.Strings(urls)
-	idx.urls = urls
-	votes := make([]float64, 0, 16)
-	for _, u := range urls {
-		e := Entry{URL: u, ASN: idx.asn}
-		votes = votes[:0]
-		bestUUID, bestTp := "", int64(0)
-		for uuid, ir := range idx.byURL[u] {
-			if ir.cs.revoked.Load() {
-				continue
-			}
-			d := ir.cs.d.Load()
-			if d == 0 {
-				continue
-			}
-			votes = append(votes, 1/float64(d))
-			e.Reporters++
-			r := ir.rep
-			if bestUUID == "" || r.Tp > bestTp || (r.Tp == bestTp && uuid < bestUUID) {
-				bestTp, e.Stages, bestUUID = r.Tp, r.Stages, uuid
-			}
-		}
-		if e.Reporters == 0 {
-			continue
-		}
-		e.LastTp = timeOf(bestTp)
-		sort.Float64s(votes)
-		for _, v := range votes {
-			e.Votes += v
-		}
-		entries = append(entries, e)
-	}
-	return entries
 }
 
 // stats aggregates the Table-7 numbers. It folds in sorted client and report
@@ -253,11 +331,11 @@ func (s *store) stats() Stats {
 	acc := newStatsAcc()
 	for _, uuid := range sortedKeys(s.users) {
 		cs := s.users[uuid]
-		if cs.revoked.Load() {
+		if cs.revoked {
 			continue
 		}
 		for _, k := range sortedKeys(cs.reports) {
-			r := cs.reports[k]
+			r := cs.reports[k].rep
 			acc.add(r.URL, r.ASN, r.Stages)
 		}
 	}

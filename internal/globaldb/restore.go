@@ -55,42 +55,43 @@ func (s *store) exportState() *storage.State {
 	st := &storage.State{Updates: s.updates, RevEpoch: s.revEpoch.Load()}
 	for _, uuid := range sortedKeys(s.users) {
 		cs := s.users[uuid]
-		us := storage.UserState{UUID: uuid, Revoked: cs.revoked.Load()}
+		us := storage.UserState{UUID: uuid, Revoked: cs.revoked}
 		for _, k := range sortedKeys(cs.reports) {
-			us.Reports = append(us.Reports, *cs.reports[k])
+			us.Reports = append(us.Reports, *cs.reports[k].rep)
 		}
 		st.Users = append(st.Users, us)
 	}
-	s.indexMu.RLock()
 	for asn, idx := range s.index {
-		st.ASVersions = append(st.ASVersions, storage.ASVersion{ASN: asn, Version: idx.version.Load()})
+		st.ASVersions = append(st.ASVersions, storage.ASVersion{ASN: asn, Version: idx.ver})
 	}
-	s.indexMu.RUnlock()
 	sort.Slice(st.ASVersions, func(a, b int) bool { return st.ASVersions[a].ASN < st.ASVersions[b].ASN })
 	return st
 }
 
-// restoreState fills an empty store from a snapshot, in the snapshot's
-// (sorted) order. Runs before the store is published.
+// restoreState fills an empty store from a snapshot: every report filed,
+// then each AS's view folded once, as one record would. Runs before the
+// store is published.
 func (s *store) restoreState(st *storage.State) {
 	s.updates = st.Updates
 	s.revEpoch.Store(st.RevEpoch)
 	for i := range st.Users {
 		us := &st.Users[i]
-		cs := newClientState()
-		cs.revoked.Store(us.Revoked)
+		cs := &clientState{uuid: us.UUID, revoked: us.Revoked, reports: make(map[string]placed, len(us.Reports))}
 		s.users[us.UUID] = cs
 		for j := range us.Reports {
 			rep := &us.Reports[j]
-			cs.reports[reportKey(rep.URL, rep.ASN)] = rep
-			cs.asns[rep.ASN] = true
-			s.indexInsert(us.UUID, cs, rep)
+			s.file(cs, reportKey(rep.URL, rep.ASN), rep)
 		}
-		cs.d.Store(int64(len(cs.reports)))
 	}
-	// Restore the exact version counters last: indexInsert created the
-	// indexes at version 0, and tags must match the pre-snapshot server's.
+	for _, idx := range s.affected {
+		s.commit(idx, 0)
+	}
+	s.affected = s.affected[:0]
+	// Restore the exact version counters: tags must match the pre-snapshot
+	// server's.
 	for _, av := range st.ASVersions {
-		s.asIndexFor(av.ASN, true).version.Store(av.Version)
+		if idx := s.index[av.ASN]; idx != nil {
+			idx.ver = av.Version
+		}
 	}
 }

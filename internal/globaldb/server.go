@@ -303,7 +303,7 @@ func (s *Server) handleRepl(req *httpx.Request) *httpx.Response {
 
 // BlockedForAS aggregates the blocked-URL entries for an AS with voting
 // statistics: s_jk = Σ 1/d_i over clients i reporting (j,k), n_jk = count.
-// Served from a cached per-AS snapshot; see index.go.
+// Copied from the per-AS view the write path maintains; see index.go.
 func (s *Server) BlockedForAS(asn int) []Entry { return s.store.blockedForAS(asn) }
 
 // Revoke invalidates a UUID (§5: revoking identified malicious users [54]).
@@ -317,11 +317,12 @@ func (s *Server) Revoke(uuid string) error {
 // StatsSnapshot aggregates the Table-7 numbers from current state.
 func (s *Server) StatsSnapshot() Stats { return s.store.stats() }
 
-// SetDeltaHistory raises the per-AS delta edit-history cap above its
-// default of 64. Population-scale drivers size it to the fleet so a
-// client's tag from one sync round is still in the history a round later,
-// keeping the converging phase on the delta path instead of full fetches.
-func (s *Server) SetDeltaHistory(n int) { s.store.histMax.Store(int64(n)) }
+// SetDeltaHistory raises the per-AS delta history cap — counted in marks,
+// one per write that moved the AS's tag — above its default of 64.
+// Population-scale drivers size it to the fleet so a client's tag from one
+// sync round is still in the history a round later, keeping the converging
+// phase on the delta path instead of full fetches.
+func (s *Server) SetDeltaHistory(n int) { s.store.histMax.Store(int64(max(n, deltaHistoryMax))) }
 
 // primaryClass maps stage lists to the Table-7 reporting classes. DNS
 // evidence anywhere in the stages classifies the URL as DNS blocking —

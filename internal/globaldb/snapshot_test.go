@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
-	"sync"
 	"testing"
 	"time"
 )
@@ -21,11 +20,11 @@ func allocBytes(f func()) uint64 {
 
 // TestFetchAllocBudget pins what each kind of /v1/blocked answer may
 // allocate on a 1,000-entry AS: a 304 and a repeated full fetch pay nothing
-// that grows with the list, a delta pays for its own body, and the rebuild
-// after a one-entry change pays for that entry, not for the list. The
-// cheapest of several rounds is compared, which drops the rounds where a
-// collection emptied encoding/json's pool and the first rounds, which size
-// the reused buffers; plain builds only, as the race detector's sync.Pool
+// that grows with the list, a one-report write pays for its own slots and
+// encodes nothing, and the delta fetch right after it pays for its body and
+// the one fragment the write left unencoded. The cheapest of several rounds
+// is compared, which drops the rounds where a collection emptied
+// encoding/json's pool; plain builds only, as the race detector's sync.Pool
 // drops Puts at random.
 func TestFetchAllocBudget(t *testing.T) {
 	if bi, ok := debug.ReadBuildInfo(); ok {
@@ -53,8 +52,6 @@ func TestFetchAllocBudget(t *testing.T) {
 	if n := len(s.blockedForAS(asn)); n != users*perUser {
 		t.Fatalf("AS holds %d entries, want %d", n, users*perUser)
 	}
-	idx := s.asIndexFor(asn, false)
-
 	cheapest := func(f func() uint64) uint64 {
 		best := ^uint64(0)
 		for i := 0; i < 5; i++ {
@@ -84,13 +81,10 @@ func TestFetchAllocBudget(t *testing.T) {
 	// One report from a fresh client changes one entry per round.
 	s.addUser("late")
 	tag := full.tag
-	rebuild, deltaOver := ^uint64(0), ^uint64(0)
+	write, deltaOver := ^uint64(0), ^uint64(0)
 	for round := 1; round <= 5; round++ {
-		s.ingest("late", utc.Add(time.Duration(round)*time.Minute), []Report{{URL: "late.example/", ASN: asn, Stages: stage, Tm: utc}})
-		rebuild = min(rebuild, allocBytes(func() {
-			idx.snapMu.Lock()
-			s.rebuildLocked(idx, idx.version.Load(), s.revEpoch.Load())
-			idx.snapMu.Unlock()
+		write = min(write, allocBytes(func() {
+			s.ingest("late", utc.Add(time.Duration(round)*time.Minute), []Report{{URL: "late.example/", ASN: asn, Stages: stage, Tm: utc}})
 		}))
 		var fr fetchResult
 		d := allocBytes(func() { fr = s.fetchResponse(asn, tag) })
@@ -99,109 +93,15 @@ func TestFetchAllocBudget(t *testing.T) {
 		}
 		deltaOver = min(deltaOver, d-min(d, uint64(len(fr.body))))
 		tag = fr.tag
+		if again := allocBytes(func() { fr = s.fetchResponse(asn, full.tag) }); again > uint64(len(fr.body))+small {
+			t.Errorf("round %d: a second delta over the same entry allocates %d bytes for a %d-byte body: its fragment was encoded again", round, again, len(fr.body))
+		}
 	}
-	t.Logf("full body %d bytes; rebuild after a one-entry change allocates %d; a delta allocates its body + %d", len(full.body), rebuild, deltaOver)
-	if rebuild >= uint64(len(full.body))/4 {
-		t.Errorf("the rebuild after a one-entry change allocates %d bytes; the full body is %d", rebuild, len(full.body))
+	t.Logf("full body %d bytes; a one-report write allocates %d; the delta after it allocates its body + %d", len(full.body), write, deltaOver)
+	if write > small {
+		t.Errorf("a one-report write allocates %d bytes; the full body is %d", write, len(full.body))
 	}
-	if deltaOver > 2*small {
+	if deltaOver > small {
 		t.Errorf("a one-entry delta allocates %d bytes beyond its body", deltaOver)
-	}
-}
-
-// TestSnapshotBuffersNeverEscape: the store rebuilds a snapshot into the
-// buffers of the one before, so neither BlockedForAS's result nor anything
-// else handed out may alias them. Readers of every kind run against a
-// writer on one AS (the race detector watches the buffers), every list
-// BlockedForAS ever returned is then overwritten, and the store must still
-// serve the reference model's bytes.
-func TestSnapshotBuffersNeverEscape(t *testing.T) {
-	const asn, rounds = 100, 200
-	s := mustOpenStore(t, StoreOptions{})
-	model := newLegacyStore()
-	for _, m := range []dbModel{s, model} {
-		m.addUser("w")
-		m.addUser("x")
-		m.ingest("x", utc, []Report{{URL: "x0.example/", ASN: asn, Tm: utc}, {URL: "x1.example/", ASN: asn, Tm: utc}})
-	}
-	write := func(m dbModel, r int) {
-		m.ingest("w", utc.Add(time.Duration(r)*time.Second), []Report{{URL: fmt.Sprintf("w%d.example/", r%7), ASN: asn, Tm: utc}})
-	}
-
-	var (
-		writer, readers sync.WaitGroup
-		mu              sync.Mutex
-		handedOut       [][]Entry
-	)
-	stop := make(chan struct{})
-	writer.Add(1)
-	go func() {
-		defer writer.Done()
-		for r := 0; r < rounds; r++ {
-			write(s, r)
-		}
-	}()
-	for g := 0; g < 3; g++ {
-		readers.Add(1)
-		go func(g int) {
-			defer readers.Done()
-			tag, older := "", ""
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				switch g {
-				case 0: // full, then 304 on the tag it came with
-					fr := s.fetchResponse(asn, "")
-					s.fetchResponse(asn, fr.tag)
-				case 1: // delta, from a tag two fetches old
-					fr := s.fetchResponse(asn, older)
-					older, tag = tag, fr.tag
-				default:
-					list := s.blockedForAS(asn)
-					mu.Lock()
-					handedOut = append(handedOut, list)
-					mu.Unlock()
-				}
-			}
-		}(g)
-	}
-	writer.Wait()
-	close(stop)
-	readers.Wait()
-
-	for r := 0; r < rounds; r++ {
-		write(model, r)
-	}
-	scribble := func() {
-		for _, list := range handedOut {
-			for i := range list {
-				list[i] = Entry{URL: "scribbled", Reporters: -1}
-			}
-		}
-	}
-	check := func(when string) {
-		t.Helper()
-		want := model.fetchResponse(asn, "").body
-		if got := s.fetchResponse(asn, "").body; !bytes.Equal(got, want) {
-			t.Fatalf("%s: served body diverges from the model:\n got %s\nwant %s", when, got, want)
-		}
-		if got := mustMarshal(t, FetchResponse{ASN: asn, Entries: s.blockedForAS(asn)}); !bytes.Equal(got, want) {
-			t.Fatalf("%s: BlockedForAS diverges from the model:\n got %s\nwant %s", when, got, want)
-		}
-	}
-	handedOut = append(handedOut, s.blockedForAS(asn))
-	scribble()
-	check("after the run")
-	// Two more rebuilds, so both buffer sets are written again; the lists
-	// handed out before must not be what they are written into or read from.
-	for r := rounds; r < rounds+2; r++ {
-		write(s, r)
-		write(model, r)
-		handedOut = append(handedOut, s.blockedForAS(asn))
-		scribble()
-		check(fmt.Sprintf("after rebuild %d", r-rounds+1))
 	}
 }

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"slices"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -62,11 +60,15 @@ const (
 //
 // Locks (see DESIGN.md "scale architecture"): mu is the single write lock.
 // It serializes apply, compaction, reset and close, and is the only guard of
-// the users table, each client's report map, the lineage and the durability
-// fields; stats and snapshot export take it too. The read side never does:
-// a fetch goes indexMu (read) → asIndex.snapMu → asIndex.mu (read) and sees
-// the owning client's vote weight and revoked flag through atomics, so
-// fetches of a converged AS proceed while a write holds mu.
+// the users table, every client's state, each AS's slot table and reporter
+// lists, the lineage and the durability fields; stats and snapshot export
+// take it too. A write holds it for the whole record — log append, feed,
+// fold — and inside it, once per AS the record touches, that AS's asIndex.mu
+// for the refold that ends the record (commit). The read side never takes
+// mu: a fetch goes indexMu (read, to find the AS) → asIndex.mu, under which
+// the tag and every slot's entry were last written, so fetches of other ASes
+// proceed while a write folds, and a fetch of the written AS waits for one
+// commit.
 type store struct {
 	mu   sync.Mutex
 	opts StoreOptions // SnapshotEvery resolved to its default at open
@@ -88,27 +90,25 @@ type store struct {
 	users   map[string]*clientState
 	updates int64 // unique (uuid, url|asn) keys ever accepted
 
-	revEpoch atomic.Int64 // bumped on revoke; invalidates every snapshot
-	rebuilds atomic.Int64 // snapshot recomputations, observable in tests
-	histMax  atomic.Int64 // per-AS delta history cap; 0 = deltaHistoryMax
+	// revEpoch is bumped on every revoke. Each AS carries it in its tag; the
+	// atomic is for the fetch of an AS nobody has reported on.
+	revEpoch atomic.Int64
+	refolds  atomic.Int64 // slot aggregations, observable in tests
+	histMax  atomic.Int64 // per-AS mark cap
 
-	indexMu sync.RWMutex
-	index   map[int]*asIndex
+	indexMu  sync.RWMutex // guards the index map, not the indexes
+	index    map[int]*asIndex
+	affected []*asIndex // the ASes the record being folded must commit
+	fresh    []*slot    // commit's list of the slots new to an AS, kept for its storage
+	votes    []float64  // a slot fold's vote terms, likewise
 }
 
-// clientState is one registered client's server-side state. The report
-// count d and the revoked flag are atomics so the per-AS aggregation can
-// read them without the write lock; the maps belong to store.mu.
+// clientState is one registered client's server-side state. Its vote weight
+// is 1/len(reports).
 type clientState struct {
-	revoked atomic.Bool
-	d       atomic.Int64 // len(reports)
-
-	reports map[string]*storage.StoredReport // "url|asn" → report
-	asns    map[int]bool                     // ASes this client has reported on
-}
-
-func newClientState() *clientState {
-	return &clientState{reports: make(map[string]*storage.StoredReport), asns: make(map[int]bool)}
+	uuid    string
+	revoked bool
+	reports map[string]placed // "url|asn" → its report, in the slot it is filed in
 }
 
 func reportKey(url string, asn int) string { return url + "|" + strconv.Itoa(asn) }
@@ -128,6 +128,7 @@ const unknownUUID = -1
 // other error aborts the open.
 func openStore(o StoreOptions) (*store, error) {
 	s := &store{opts: o, users: make(map[string]*clientState), index: make(map[int]*asIndex)}
+	s.histMax.Store(deltaHistoryMax)
 	if s.opts.SnapshotEvery == 0 {
 		s.opts.SnapshotEvery = defaultSnapshotEvery
 	}
@@ -232,17 +233,22 @@ func (s *store) fold(rec *storage.Record) int {
 	switch rec.Kind {
 	case storage.KindAddUser:
 		if s.users[rec.UUID] == nil {
-			s.users[rec.UUID] = newClientState()
+			s.users[rec.UUID] = &clientState{uuid: rec.UUID, reports: make(map[string]placed)}
 		}
 	case storage.KindIngest:
 		return s.foldIngest(rec)
 	case storage.KindRevoke:
-		if cs := s.users[rec.UUID]; cs != nil {
-			cs.revoked.Store(true)
-		}
-		// Revocations are rare (§5 abuse response); one epoch bump invalidating
-		// every AS snapshot is simpler than tracking the client's AS set here.
 		s.revEpoch.Add(1)
+		if cs := s.users[rec.UUID]; cs != nil && !cs.revoked {
+			cs.revoked = true
+			s.touchAll(cs)
+		}
+		// Only the client's own slots are refolded; every other AS just
+		// leaves a mark, since the epoch is part of its tag too.
+		for _, idx := range s.index {
+			s.commit(idx, 0)
+		}
+		s.affected = s.affected[:0]
 	case storage.KindTerm:
 		// Leadership marker: Now carries the term, UUID the leader's address.
 		if term, _, _ := s.lineage(); rec.Now > term {
@@ -257,54 +263,34 @@ func (s *store) fold(rec *storage.Record) int {
 // a client re-posting after a lost ack cannot inflate it.
 func (s *store) foldIngest(rec *storage.Record) int {
 	cs := s.users[rec.UUID]
-	if cs == nil || cs.revoked.Load() {
+	if cs == nil || cs.revoked {
 		return unknownUUID
 	}
 	accepted, newKeys := 0, 0
-	var affected []int // distinct ASNs of the batch
 	for i := range rec.Reports {
 		r := &rec.Reports[i]
 		if r.URL == "" || r.ASN == 0 {
 			continue
 		}
-		key := reportKey(r.URL, r.ASN)
-		if _, seen := cs.reports[key]; !seen {
-			newKeys++
-			cs.asns[r.ASN] = true
-		}
-		// Stored reports are immutable once created — a re-report replaces the
-		// pointer — so index readers holding only a read lock always see a
-		// consistent record.
 		rep := &storage.StoredReport{URL: r.URL, ASN: r.ASN, Stages: r.Stages, Tm: r.Tm, Tp: rec.Now}
-		cs.reports[key] = rep
-		s.indexInsert(rec.UUID, cs, rep)
-		if !slices.Contains(affected, r.ASN) {
-			affected = append(affected, r.ASN)
+		if s.file(cs, reportKey(r.URL, r.ASN), rep) {
+			newKeys++
 		}
 		accepted++
 	}
 	if accepted == 0 {
 		return 0
 	}
-	cs.d.Store(int64(len(cs.reports)))
 	s.updates += int64(newKeys)
 	if newKeys > 0 {
-		// d changed: every AS this client votes in must re-aggregate, not
-		// just the ones in this batch.
-		affected = affected[:0]
-		for asn := range cs.asns {
-			affected = append(affected, asn)
-		}
+		// d changed: every slot this client votes in must refold, in every
+		// AS, not just the ones in this batch.
+		s.touchAll(cs)
 	}
-	// Re-aggregation is per-AS and commutative, but a deterministic order
-	// keeps snapshot-build timing (and any future tie-break) seed-stable.
-	sort.Ints(affected)
-	// Version bumps happen after the writes land so a concurrent rebuild
-	// that saw pre-write data also saw the pre-bump version and will rebuild
-	// again on the next read.
-	for _, asn := range affected {
-		s.asIndexFor(asn, false).version.Add(1)
+	for _, idx := range s.affected {
+		s.commit(idx, 1)
 	}
+	s.affected = s.affected[:0]
 	return accepted
 }
 
@@ -367,7 +353,7 @@ func (s *store) reset() error {
 	s.indexMu.Unlock()
 	s.updates, s.seq, s.marks = 0, 0, nil
 	s.revEpoch.Store(0)
-	s.rebuilds.Store(0)
+	s.refolds.Store(0)
 	s.sinceSnap = 0
 	s.lastErr = nil
 	return nil
