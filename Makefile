@@ -4,7 +4,10 @@
 #   make vet         — static analysis (go vet)
 #   make lint        — csaw-lint: the simulation-invariant analyzers
 #   make race        — full test suite under the race detector
-#   make check       — vet + race + lint (the pre-merge gate alongside tier1)
+#   make fmt         — gofmt gate: fails if any tracked Go file outside
+#                      testdata/ is not gofmt-formatted
+#   make check       — fmt + vet + race + lint (the pre-merge gate alongside
+#                      tier1)
 #   make bench       — run the committed benchmark suite (BENCHMARK.json:
 #                      four workloads, 3 timed + 1 traced run each) and
 #                      write benchmark/out/results.json
@@ -26,12 +29,13 @@
 #                      holds every runner to (internal/experiments/testdata)
 #   make fuzz        — short fuzz pass over the dnsx/httpx wire codecs (httpx
 #                      also against its map-based reference codec), the WAL
-#                      record decoder and the global-DB list bodies
+#                      record and snapshot decoders, the global-DB report
+#                      decoder and list bodies
 #   make cover       — coverage for core+detect+trace, gated on COVERAGE.md
 
 GO ?= go
 
-.PHONY: all build test tier1 vet lint race check bench loc loc-diff chaos soak-churn golden shape fuzz cover
+.PHONY: all build test tier1 fmt vet lint race check bench loc loc-diff chaos soak-churn golden shape fuzz cover
 
 all: tier1
 
@@ -43,6 +47,12 @@ test:
 
 tier1: build test
 
+# Lint fixtures under testdata/ are source the analyzers read, formatted as
+# their cases need, so the gate skips them.
+fmt:
+	@files=$$(gofmt -l $$(git ls-files '*.go' | grep -v /testdata/)); \
+	test -z "$$files" || { echo "gofmt needed:"; echo "$$files"; exit 1; }
+
 vet:
 	$(GO) vet ./...
 
@@ -52,7 +62,7 @@ lint:
 race:
 	$(GO) test -race ./...
 
-check: vet race lint
+check: fmt vet race lint
 
 bench:
 	$(GO) run ./benchmark -seed 1
@@ -103,10 +113,11 @@ golden:
 shape:
 	CSAW_UPDATE_SHAPE=1 $(GO) test ./internal/experiments -run TestExperiments -count=1
 
-# One short engine pass per wire-codec fuzz target (plus the WAL record
-# decoder — the bytes a crash can tear — and the /v1/blocked bodies, which
+# One short engine pass per wire-codec fuzz target (plus the WAL record and
+# snapshot decoders — the bytes a crash can tear — the /v1/report decoder,
+# which the target holds to encoding/json, and the /v1/blocked bodies, which
 # the global DB joins from cached fragments and the target holds to
-# encoding/json); the checked-in seed corpora under testdata/fuzz/ always
+# encoding/json too); the checked-in seed corpora under testdata/fuzz/ always
 # run as plain regression subtests. FuzzCodecVsReference holds the httpx
 # codec to the map-based one it replaced (reference_test.go). It and
 # FuzzFetchBodies cap minimization: their coverage varies run to run (map
@@ -118,6 +129,8 @@ fuzz:
 	$(GO) test ./internal/httpx -run '^$$' -fuzz FuzzReadRequest -fuzztime 10s
 	$(GO) test ./internal/httpx -run '^$$' -fuzz FuzzCodecVsReference -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/globaldb/storage -run '^$$' -fuzz FuzzReplay -fuzztime 10s
+	$(GO) test ./internal/globaldb/storage -run '^$$' -fuzz FuzzSnapshot -fuzztime 10s
+	$(GO) test ./internal/globaldb -run '^$$' -fuzz FuzzReportDecode -fuzztime 10s
 	$(GO) test ./internal/globaldb -run '^$$' -fuzz FuzzFetchBodies -fuzztime 10s -fuzzminimizetime 1s
 
 # Combined statement coverage over the measurement pipeline (core + detect

@@ -33,11 +33,11 @@ import (
 
 func main() {
 	var (
-		run      = flag.String("run", "all", "comma-separated experiment IDs, or 'all'")
-		runs     = flag.Int("runs", 0, "override per-series sample count (0 = paper defaults)")
-		scale    = flag.Float64("scale", 0, "virtual clock scale (0 = per-experiment default)")
-		seed     = flag.Int64("seed", 1, "random seed")
-		list     = flag.Bool("list", false, "list experiment IDs and exit")
+		run          = flag.String("run", "all", "comma-separated experiment IDs, or 'all'")
+		runs         = flag.Int("runs", 0, "override per-series sample count (0 = paper defaults)")
+		scale        = flag.Float64("scale", 0, "virtual clock scale (0 = per-experiment default)")
+		seed         = flag.Int64("seed", 1, "random seed")
+		list         = flag.Bool("list", false, "list experiment IDs and exit")
 		traceOut     = flag.String("trace", "", "write flight-recorder spans from trace-aware experiments as JSONL to this file")
 		traceProfile = flag.String("trace-profile", "timing", "trace record profile: timing (quantized durations) or deterministic (schedule-invariant, byte-identical per seed)")
 	)

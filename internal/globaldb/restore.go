@@ -1,13 +1,15 @@
 package globaldb
 
 import (
-	"sort"
+	"cmp"
+	"slices"
+	"strings"
 	"time"
 
 	"csaw/internal/globaldb/storage"
 )
 
-// Snapshot export/restore. exportState serializes everything a restart must
+// Snapshot encode/restore. encodeSnapshot writes everything a restart must
 // reproduce — users, reports, the dedup-aware updates counter, the
 // revocation epoch, and each AS index's version counter. Restoring the
 // exact counters (rather than replaying writes and recomputing) is what
@@ -48,24 +50,51 @@ func reportsToStorage(rs []Report) []storage.Report {
 	return out
 }
 
-// exportState snapshots the full store. Users, their reports, and AS
-// versions are emitted in sorted order so the snapshot is a deterministic
-// function of store contents. Caller holds s.mu.
-func (s *store) exportState() *storage.State {
-	st := &storage.State{Updates: s.updates, RevEpoch: s.revEpoch.Load()}
-	for _, uuid := range sortedKeys(s.users) {
-		cs := s.users[uuid]
-		us := storage.UserState{UUID: uuid, Revoked: cs.revoked}
-		for _, k := range sortedKeys(cs.reports) {
-			us.Reports = append(us.Reports, *cs.reports[k].rep)
+// snapshotScratch is compaction's storage, kept by the store across
+// compactions so a snapshot allocates nothing once they have grown: the
+// encoding itself, and the slices that hold the sorts.
+type snapshotScratch struct {
+	buf     []byte
+	users   []*clientState
+	reports []keyedReport
+	ases    []storage.ASVersion
+}
+
+type keyedReport struct {
+	key string
+	rep *storage.StoredReport
+}
+
+// encodeSnapshot encodes the full store as a snapshot straight from its
+// tables: users in uuid order, each one's reports in dedup-key order, AS
+// versions by ASN, so the snapshot is a deterministic function of store
+// contents. Caller holds s.mu.
+func (s *store) encodeSnapshot() []byte {
+	sc := &s.snap
+	sc.users = sc.users[:0]
+	for _, cs := range s.users {
+		sc.users = append(sc.users, cs)
+	}
+	slices.SortFunc(sc.users, func(a, b *clientState) int { return strings.Compare(a.uuid, b.uuid) })
+	b := storage.AppendSnapshotHead(sc.buf[:0], s.updates, s.revEpoch.Load(), len(sc.users))
+	for _, cs := range sc.users {
+		b = storage.AppendSnapshotUser(b, cs.uuid, cs.revoked, len(cs.reports))
+		sc.reports = sc.reports[:0]
+		for k, p := range cs.reports {
+			sc.reports = append(sc.reports, keyedReport{k, p.rep})
 		}
-		st.Users = append(st.Users, us)
+		slices.SortFunc(sc.reports, func(a, b keyedReport) int { return strings.Compare(a.key, b.key) })
+		for _, kr := range sc.reports {
+			b = storage.AppendStoredReport(b, kr.rep)
+		}
 	}
+	sc.ases = sc.ases[:0]
 	for asn, idx := range s.index {
-		st.ASVersions = append(st.ASVersions, storage.ASVersion{ASN: asn, Version: idx.ver})
+		sc.ases = append(sc.ases, storage.ASVersion{ASN: asn, Version: idx.ver})
 	}
-	sort.Slice(st.ASVersions, func(a, b int) bool { return st.ASVersions[a].ASN < st.ASVersions[b].ASN })
-	return st
+	slices.SortFunc(sc.ases, func(a, b storage.ASVersion) int { return cmp.Compare(a.ASN, b.ASN) })
+	sc.buf = storage.AppendASVersions(b, sc.ases)
+	return sc.buf
 }
 
 // restoreState fills an empty store from a snapshot: every report filed,

@@ -217,8 +217,8 @@ func (s *Server) handleReport(req *httpx.Request) *httpx.Response {
 	if s.Fenced() {
 		return s.fencedResponse()
 	}
-	var body ReportRequest
-	if err := json.Unmarshal(req.Body, &body); err != nil {
+	body, err := decodeReport(req.Body)
+	if err != nil {
 		return httpx.NewResponse(400, []byte("bad json"))
 	}
 	accepted, err := s.store.apply(ingestRecord(body.UUID, s.clock.Now(), body.Reports))
@@ -228,7 +228,15 @@ func (s *Server) handleReport(req *httpx.Request) *httpx.Response {
 	case accepted == unknownUUID:
 		return httpx.NewResponse(403, []byte("unknown or revoked uuid"))
 	}
-	return jsonResponse(200, ReportResponse{Accepted: accepted})
+	return ackReport(accepted)
+}
+
+// ackReport is the 200 answer to a post, ReportResponse's encoding.
+func ackReport(accepted int) *httpx.Response {
+	b := strconv.AppendInt(append(make([]byte, 0, 24), `{"accepted":`...), int64(accepted), 10)
+	resp := httpx.NewResponse(200, append(b, '}'))
+	resp.Header.Set("Content-Type", "application/json")
+	return resp
 }
 
 // durabilityLost is the answer to a mutation strict durability rejected.

@@ -15,7 +15,7 @@ import (
 // bit flip, zero-length frame) recovers exactly its valid prefix.
 func FuzzReplay(f *testing.F) {
 	f.Add(framedSeed())
-	f.Add(framedSeed()[:len(framedSeed())-3])       // torn tail
+	f.Add(framedSeed()[:len(framedSeed())-3])           // torn tail
 	f.Add(append(framedSeed(), 0, 0, 0, 0, 0, 0, 0, 0)) // zero-length frame
 	flipped := framedSeed()
 	flipped[len(flipped)/2] ^= 0x10 // bit-flipped checksum or payload
@@ -64,6 +64,39 @@ func FuzzReplay(f *testing.F) {
 			}
 			if !reflect.DeepEqual(back, r) {
 				t.Fatalf("record %d changed across re-encode", i)
+			}
+		}
+	})
+}
+
+// FuzzSnapshot holds the snapshot decoder to its contract: on any bytes —
+// torn, flipped, foreign — it never panics and returns either ErrCorrupt or a
+// State that re-encodes to exactly the bytes it read. Each input is tried
+// twice: as a whole file, and as the payload of a file with a good header
+// and checksum, so the engine reaches the payload decoder without having to
+// forge a CRC.
+func FuzzSnapshot(f *testing.F) {
+	good := appendState(nil, sampleState())
+	sealFrame(good[len(snapshotMagic):])
+	f.Add(good)
+	f.Add(good[:len(good)-5]) // torn
+	f.Add(good[snapshotHeaderLen:])
+	f.Add(good[snapshotHeaderLen : len(good)-1])
+	f.Add(AppendFrame([]byte("CSAWSNAP1\n"), []byte(`{"updates":1}`)))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, file := range [][]byte{data, sealSnapshot(data)} {
+			st, err := decodeSnapshot(file)
+			if err != nil {
+				if !errors.Is(err, ErrCorrupt) {
+					t.Fatalf("error outside the corruption contract: %v", err)
+				}
+				continue
+			}
+			again := appendState(nil, st)
+			sealFrame(again[len(snapshotMagic):])
+			if !bytes.Equal(again, file) {
+				t.Fatalf("decoded state re-encodes to other bytes:\n got %x\nwant %x", again, file)
 			}
 		}
 	})

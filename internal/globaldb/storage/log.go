@@ -54,12 +54,14 @@ func OpenLog(path string) (*Log, error) {
 	return &Log{path: path, f: f, w: bufio.NewWriter(f), tear: -1}, nil
 }
 
-// Append encodes, frames, writes and flushes one record.
+// Append encodes, frames, writes and flushes one record. The frame is built
+// in place in the log's reused buffer: the header's bytes are left free, the
+// record is encoded after them, then the header is filled in.
 func (l *Log) Append(rec *Record) error {
-	l.buf = l.buf[:0]
-	payload := EncodeRecord(l.buf, rec)
-	l.buf = payload // keep the grown buffer for reuse
-	framed := AppendFrame(nil, payload)
+	l.buf = append(l.buf[:0], make([]byte, frameHeaderLen)...)
+	l.buf = EncodeRecord(l.buf, rec) // keep the grown buffer for reuse
+	framed := l.buf
+	sealFrame(framed)
 	if l.tear >= 0 {
 		keep := l.tear
 		l.tear = -1

@@ -2,7 +2,7 @@ package storage
 
 import (
 	"encoding/binary"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -12,72 +12,163 @@ import (
 // snapshotMagic versions the snapshot file format. Bump it on incompatible
 // State changes; ReadSnapshot rejects files with a different header rather
 // than misparsing them.
-const snapshotMagic = "CSAWSNAP1\n"
+const snapshotMagic = "CSAWSNAP2\n"
+
+// snapshotHeaderLen is what precedes the payload: the magic, then the log's
+// frame header (uint32 LE payload length, uint32 LE CRC32 of the payload).
+const snapshotHeaderLen = len(snapshotMagic) + frameHeaderLen
 
 // State is the full store state a snapshot captures. Every slice is sorted
 // (users by UUID, reports by their dedup key, AS versions by ASN) so a
 // snapshot is a deterministic function of store contents.
 type State struct {
-	Users    []UserState `json:"users"`
-	Updates  int64       `json:"updates"`
-	RevEpoch int64       `json:"rev_epoch"`
+	Users    []UserState
+	Updates  int64
+	RevEpoch int64
 	// ASVersions preserves each AS index's version counter. Restoring the
 	// exact counters (instead of recomputing) is what keeps ETags — which
 	// name a (version, revocation-epoch) pair — stable across a restart.
-	ASVersions []ASVersion `json:"as_versions"`
+	ASVersions []ASVersion
 }
 
 // UserState is one registered client's snapshot.
 type UserState struct {
-	UUID    string         `json:"uuid"`
-	Revoked bool           `json:"revoked,omitempty"`
-	Reports []StoredReport `json:"reports,omitempty"`
+	UUID    string
+	Revoked bool
+	Reports []StoredReport
 }
 
 // StoredReport is one stored measurement; Tm and Tp are UnixNano.
 type StoredReport struct {
-	URL    string  `json:"url"`
-	ASN    int     `json:"asn"`
-	Stages []Stage `json:"stages,omitempty"`
-	Tm     int64   `json:"tm"`
-	Tp     int64   `json:"tp"`
+	URL    string
+	ASN    int
+	Stages []Stage
+	Tm     int64
+	Tp     int64
 }
 
 // ASVersion records one AS index's version counter.
 type ASVersion struct {
-	ASN     int   `json:"asn"`
-	Version int64 `json:"version"`
+	ASN     int
+	Version int64
 }
 
-// WriteSnapshot atomically writes st to path: the bytes go to a temp file
-// in the same directory which is then renamed over path, so a reader never
-// observes a half-written snapshot. Layout: magic, uint32 LE payload
-// length, uint32 LE CRC32 of the payload, JSON payload.
-func WriteSnapshot(path string, st *State) error {
-	payload, err := json.Marshal(st)
-	if err != nil {
-		return err
+// The snapshot payload is written with the record codec's primitives —
+// varint integers, uvarint counts and uvarint-prefixed strings, the report
+// fields of an ingest record with their shifted stage count — in this order:
+//
+//	updates, revocation epoch, user count
+//	per user:   uuid, revoked (one byte), report count
+//	per report: url, asn, tm, stage count + 1 (0: nil), stages; tp
+//	AS version count, per AS: asn, version
+//
+// A snapshot is built front to back by the Append functions below into one
+// buffer the caller may keep across snapshots — AppendSnapshotHead, then per
+// user AppendSnapshotUser and that user's AppendStoredReport calls, then
+// AppendASVersions — and written by WriteSnapshotFile. WriteSnapshot is the
+// same sequence over a State.
+
+// AppendSnapshotHead starts a snapshot in dst: the magic, room for the frame
+// header WriteSnapshotFile fills in, and the store-wide counters. users user
+// entries must follow.
+func AppendSnapshotHead(dst []byte, updates, revEpoch int64, users int) []byte {
+	dst = append(dst, snapshotMagic...)
+	dst = append(dst, make([]byte, frameHeaderLen)...)
+	dst = binary.AppendVarint(dst, updates)
+	dst = binary.AppendVarint(dst, revEpoch)
+	return binary.AppendUvarint(dst, uint64(users))
+}
+
+// AppendSnapshotUser appends one user's entry; its reports must follow.
+func AppendSnapshotUser(dst []byte, uuid string, revoked bool, reports int) []byte {
+	dst = appendString(dst, uuid)
+	if revoked {
+		dst = append(dst, 1)
+	} else {
+		dst = append(dst, 0)
 	}
-	buf := make([]byte, 0, len(snapshotMagic)+frameHeaderLen+len(payload))
-	buf = append(buf, snapshotMagic...)
-	buf = AppendFrame(buf, payload)
+	return binary.AppendUvarint(dst, uint64(reports))
+}
+
+// AppendStoredReport appends one report of the user before it.
+func AppendStoredReport(dst []byte, r *StoredReport) []byte {
+	dst = appendReport(dst, r.URL, r.ASN, r.Tm, r.Stages)
+	return binary.AppendVarint(dst, r.Tp)
+}
+
+// AppendASVersions ends a snapshot with the AS version counters.
+func AppendASVersions(dst []byte, vs []ASVersion) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(vs)))
+	for _, v := range vs {
+		dst = binary.AppendVarint(dst, int64(v.ASN))
+		dst = binary.AppendVarint(dst, v.Version)
+	}
+	return dst
+}
+
+// appendState is the whole of st as a snapshot.
+func appendState(dst []byte, st *State) []byte {
+	dst = AppendSnapshotHead(dst, st.Updates, st.RevEpoch, len(st.Users))
+	for i := range st.Users {
+		us := &st.Users[i]
+		dst = AppendSnapshotUser(dst, us.UUID, us.Revoked, len(us.Reports))
+		for j := range us.Reports {
+			dst = AppendStoredReport(dst, &us.Reports[j])
+		}
+	}
+	return AppendASVersions(dst, st.ASVersions)
+}
+
+// WriteSnapshot writes st to path as WriteSnapshotFile does.
+func WriteSnapshot(path string, st *State) error {
+	return WriteSnapshotFile(path, appendState(nil, st))
+}
+
+// WriteSnapshotFile seals snap — a snapshot begun by AppendSnapshotHead — and
+// writes it to path atomically and durably. The bytes go to a temp file in
+// the same directory, which is synced, then renamed over path, and then the
+// directory is synced: a reader never observes a half-written snapshot, and
+// once this returns the snapshot survives a power loss — so the caller may
+// truncate the log it replaces.
+func WriteSnapshotFile(path string, snap []byte) error {
+	if len(snap) < snapshotHeaderLen || string(snap[:len(snapshotMagic)]) != snapshotMagic {
+		return errors.New("storage: snapshot buffer not begun by AppendSnapshotHead")
+	}
+	sealFrame(snap[len(snapshotMagic):])
 
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, ".snapshot-*")
 	if err != nil {
 		return err
 	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(buf); err != nil {
-		closeErr := tmp.Close()
-		removeErr := os.Remove(tmpName)
-		return fmt.Errorf("storage: write snapshot: %v (close: %v, remove: %v)", err, closeErr, removeErr)
+	_, err = tmp.Write(snap)
+	if err == nil {
+		err = tmp.Sync()
 	}
-	if err := tmp.Close(); err != nil {
-		removeErr := os.Remove(tmpName)
-		return fmt.Errorf("storage: close snapshot: %v (remove: %v)", err, removeErr)
+	if closeErr := tmp.Close(); err == nil {
+		err = closeErr
 	}
-	return os.Rename(tmpName, path)
+	if err != nil {
+		removeErr := os.Remove(tmp.Name())
+		return fmt.Errorf("storage: write snapshot: %v (remove: %v)", err, removeErr)
+	}
+	if err := os.Rename(tmp.Name(), path); err != nil {
+		return err
+	}
+	return syncDir(dir)
+}
+
+// syncDir makes the directory's entries — a rename into it — durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	if err := d.Sync(); err != nil {
+		closeErr := d.Close()
+		return fmt.Errorf("storage: sync %s: %v (close: %v)", dir, err, closeErr)
+	}
+	return d.Close()
 }
 
 // ReadSnapshot reads and validates the snapshot at path. A missing file
@@ -90,22 +181,50 @@ func ReadSnapshot(path string) (*State, error) {
 		}
 		return nil, err
 	}
-	if len(b) < len(snapshotMagic)+frameHeaderLen || string(b[:len(snapshotMagic)]) != snapshotMagic {
+	return decodeSnapshot(b)
+}
+
+// decodeSnapshot parses a snapshot file's bytes. Anything but a whole,
+// checksummed payload of this version that decodes to its last byte is
+// ErrCorrupt.
+func decodeSnapshot(b []byte) (*State, error) {
+	if len(b) < snapshotHeaderLen || string(b[:len(snapshotMagic)]) != snapshotMagic {
 		return nil, fmt.Errorf("%w: bad snapshot header", ErrCorrupt)
 	}
 	b = b[len(snapshotMagic):]
 	n := binary.LittleEndian.Uint32(b[0:4])
 	sum := binary.LittleEndian.Uint32(b[4:8])
 	payload := b[frameHeaderLen:]
-	if uint32(len(payload)) != n {
+	if uint64(len(payload)) != uint64(n) {
 		return nil, fmt.Errorf("%w: snapshot length %d != header %d", ErrCorrupt, len(payload), n)
 	}
 	if crc32.ChecksumIEEE(payload) != sum {
 		return nil, fmt.Errorf("%w: snapshot checksum mismatch", ErrCorrupt)
 	}
-	st := &State{}
-	if err := json.Unmarshal(payload, st); err != nil {
-		return nil, fmt.Errorf("%w: snapshot json: %v", ErrCorrupt, err)
+	d := decoder{buf: payload}
+	st := &State{Updates: d.varint(), RevEpoch: d.varint()}
+	if n := d.count(); n > 0 {
+		st.Users = make([]UserState, n)
+		for i := 0; i < n && d.err == nil; i++ {
+			us := &st.Users[i]
+			us.UUID, us.Revoked = d.string(), d.bool()
+			if m := d.count(); m > 0 {
+				us.Reports = make([]StoredReport, m)
+				for j := 0; j < m && d.err == nil; j++ {
+					r := d.report()
+					us.Reports[j] = StoredReport{URL: r.URL, ASN: r.ASN, Stages: r.Stages, Tm: r.Tm, Tp: d.varint()}
+				}
+			}
+		}
+	}
+	if n := d.count(); n > 0 {
+		st.ASVersions = make([]ASVersion, n)
+		for i := 0; i < n && d.err == nil; i++ {
+			st.ASVersions[i] = ASVersion{ASN: int(d.varint()), Version: d.varint()}
+		}
+	}
+	if err := d.end(); err != nil {
+		return nil, fmt.Errorf("snapshot payload: %w", err)
 	}
 	return st, nil
 }

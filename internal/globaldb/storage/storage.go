@@ -92,23 +92,30 @@ func EncodeRecord(dst []byte, rec *Record) []byte {
 	dst = appendString(dst, rec.UUID)
 	dst = binary.AppendVarint(dst, rec.Now)
 	dst = binary.AppendUvarint(dst, uint64(len(rec.Reports)))
-	for _, r := range rec.Reports {
-		dst = appendString(dst, r.URL)
-		dst = binary.AppendVarint(dst, int64(r.ASN))
-		dst = binary.AppendVarint(dst, r.Tm)
-		// Stage counts are shifted by one so nil (0) and empty-but-present
-		// (1) stay distinct: Entry.Stages marshals without omitempty, so a
-		// replay that collapsed []Stage{} to nil would flip "stages":[] to
-		// "stages":null in served bodies and break byte-identity.
-		if r.Stages == nil {
-			dst = binary.AppendUvarint(dst, 0)
-			continue
-		}
-		dst = binary.AppendUvarint(dst, uint64(len(r.Stages))+1)
-		for _, st := range r.Stages {
-			dst = binary.AppendVarint(dst, int64(st.Type))
-			dst = appendString(dst, st.Detail)
-		}
+	for i := range rec.Reports {
+		r := &rec.Reports[i]
+		dst = appendReport(dst, r.URL, r.ASN, r.Tm, r.Stages)
+	}
+	return dst
+}
+
+// appendReport encodes one report's fields, the part records and snapshots
+// share.
+func appendReport(dst []byte, url string, asn int, tm int64, stages []Stage) []byte {
+	dst = appendString(dst, url)
+	dst = binary.AppendVarint(dst, int64(asn))
+	dst = binary.AppendVarint(dst, tm)
+	// Stage counts are shifted by one so nil (0) and empty-but-present (1)
+	// stay distinct: Entry.Stages marshals without omitempty, so a replay or
+	// restore that collapsed []Stage{} to nil would flip "stages":[] to
+	// "stages":null in served bodies and break byte-identity.
+	if stages == nil {
+		return binary.AppendUvarint(dst, 0)
+	}
+	dst = binary.AppendUvarint(dst, uint64(len(stages))+1)
+	for _, st := range stages {
+		dst = binary.AppendVarint(dst, int64(st.Type))
+		dst = appendString(dst, st.Detail)
 	}
 	return dst
 }
@@ -127,35 +134,14 @@ func DecodeRecord(p []byte) (*Record, error) {
 	}
 	rec.UUID = d.string()
 	rec.Now = d.varint()
-	n := d.uvarint()
-	if d.err == nil && n > uint64(len(p)) {
-		// More reports than bytes remaining: a corrupt count. Guarding here
-		// bounds the allocation below.
-		return nil, fmt.Errorf("%w: report count %d exceeds payload", ErrCorrupt, n)
-	}
-	if n > 0 && d.err == nil {
+	if n := d.count(); n > 0 {
 		rec.Reports = make([]Report, 0, n)
-	}
-	for i := uint64(0); i < n && d.err == nil; i++ {
-		r := Report{URL: d.string(), ASN: int(d.varint()), Tm: d.varint()}
-		ns := d.uvarint()
-		if d.err == nil && ns > uint64(len(p)) {
-			return nil, fmt.Errorf("%w: stage count %d exceeds payload", ErrCorrupt, ns)
+		for i := 0; i < n && d.err == nil; i++ {
+			rec.Reports = append(rec.Reports, d.report())
 		}
-		if ns > 0 && d.err == nil {
-			// ns-1 stages follow; ns == 1 restores an empty non-nil slice.
-			r.Stages = make([]Stage, 0, ns-1)
-			for j := uint64(1); j < ns && d.err == nil; j++ {
-				r.Stages = append(r.Stages, Stage{Type: int(d.varint()), Detail: d.string()})
-			}
-		}
-		rec.Reports = append(rec.Reports, r)
 	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	if len(d.buf) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(d.buf))
+	if err := d.end(); err != nil {
+		return nil, err
 	}
 	return rec, nil
 }
@@ -163,11 +149,18 @@ func DecodeRecord(p []byte) (*Record, error) {
 // AppendFrame wraps payload in the log frame format — uint32 LE length,
 // uint32 LE CRC32 (IEEE) of the payload, payload — and appends it to dst.
 func AppendFrame(dst, payload []byte) []byte {
-	var hdr [frameHeaderLen]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-	dst = append(dst, hdr[:]...)
-	return append(dst, payload...)
+	dst = append(dst, make([]byte, frameHeaderLen)...)
+	dst = append(dst, payload...)
+	sealFrame(dst[len(dst)-frameHeaderLen-len(payload):])
+	return dst
+}
+
+// sealFrame fills in the header of frame: its first frameHeaderLen bytes
+// were left for it, and the rest is the payload.
+func sealFrame(frame []byte) {
+	payload := frame[frameHeaderLen:]
+	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
 }
 
 // Replay decodes framed records from r, invoking fn for each in order. It
@@ -221,7 +214,9 @@ func appendString(dst []byte, s string) []byte {
 	return append(dst, s...)
 }
 
-// decoder is a cursor over a record payload that latches the first error.
+// decoder is a cursor over a record or snapshot payload that latches the
+// first error. It accepts only what the encoder writes — minimal varints, a
+// bool as 0 or 1 — so a payload it decodes re-encodes to the same bytes.
 type decoder struct {
 	buf []byte
 	err error
@@ -229,8 +224,16 @@ type decoder struct {
 
 func (d *decoder) fail(what string) {
 	if d.err == nil {
-		d.err = fmt.Errorf("%w: truncated %s", ErrCorrupt, what)
+		d.err = fmt.Errorf("%w: bad %s", ErrCorrupt, what)
 	}
+}
+
+// end is the decode's verdict: the first error, else trailing bytes.
+func (d *decoder) end() error {
+	if d.err == nil && len(d.buf) != 0 {
+		d.err = fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(d.buf))
+	}
+	return d.err
 }
 
 func (d *decoder) byte() byte {
@@ -243,16 +246,33 @@ func (d *decoder) byte() byte {
 	return b
 }
 
+func (d *decoder) bool() bool {
+	b := d.byte()
+	if b > 1 {
+		d.fail("bool")
+	}
+	return b == 1
+}
+
+// varintLen checks a (u)varint read of n bytes: a longer encoding than the
+// value needs ends in a zero byte.
+func (d *decoder) varintLen(n int, what string) bool {
+	if n <= 0 || (n > 1 && d.buf[n-1] == 0) {
+		d.fail(what)
+		return false
+	}
+	d.buf = d.buf[n:]
+	return true
+}
+
 func (d *decoder) uvarint() uint64 {
 	if d.err != nil {
 		return 0
 	}
 	v, n := binary.Uvarint(d.buf)
-	if n <= 0 {
-		d.fail("uvarint")
+	if !d.varintLen(n, "uvarint") {
 		return 0
 	}
-	d.buf = d.buf[n:]
 	return v
 }
 
@@ -261,12 +281,41 @@ func (d *decoder) varint() int64 {
 		return 0
 	}
 	v, n := binary.Varint(d.buf)
-	if n <= 0 {
-		d.fail("varint")
+	if !d.varintLen(n, "varint") {
 		return 0
 	}
-	d.buf = d.buf[n:]
 	return v
+}
+
+// count reads an element count. Every element takes at least one byte, so a
+// count above the bytes left is corrupt; rejecting it bounds the allocation
+// the caller sizes by it.
+func (d *decoder) count() int {
+	n := d.uvarint()
+	if n > uint64(len(d.buf)) {
+		d.fail("count")
+		return 0
+	}
+	return int(n)
+}
+
+// report reads appendReport's fields.
+func (d *decoder) report() Report {
+	r := Report{URL: d.string(), ASN: int(d.varint()), Tm: d.varint()}
+	// The count is shifted by one: 0 is nil, 1 an empty non-nil slice.
+	n := d.uvarint()
+	if n == 0 {
+		return r
+	}
+	if n-1 > uint64(len(d.buf)) {
+		d.fail("stage count")
+		return r
+	}
+	r.Stages = make([]Stage, 0, n-1)
+	for j := uint64(1); j < n && d.err == nil; j++ {
+		r.Stages = append(r.Stages, Stage{Type: int(d.varint()), Detail: d.string()})
+	}
+	return r
 }
 
 func (d *decoder) string() string {

@@ -205,28 +205,88 @@ func TestReplayFileMissing(t *testing.T) {
 	}
 }
 
-func TestSnapshotRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "snapshot")
-	st := &State{
+// sampleState has what a snapshot must keep apart: nil, empty and non-empty
+// stages, users with and without reports, revoked or not, and negative
+// numbers.
+func sampleState() *State {
+	return &State{
 		Users: []UserState{
 			{UUID: "a", Reports: []StoredReport{
-				{URL: "u/", ASN: 1, Tm: 5, Tp: 9, Stages: []Stage{{Type: 2, Detail: "rst"}}},
+				{URL: "u/", ASN: 1, Tm: 5, Tp: 9, Stages: []Stage{{Type: 2, Detail: "rst"}, {Type: 1}}},
+				{URL: "v/", ASN: 1, Tm: -1, Tp: 9, Stages: []Stage{}},
+				{URL: "w/", ASN: -7, Tp: 1 << 62, Stages: nil},
 			}},
 			{UUID: "b", Revoked: true},
+			{UUID: "c"},
+			{UUID: "d", Revoked: true, Reports: []StoredReport{{URL: "u/", ASN: 2, Stages: []Stage{}}}},
 		},
 		Updates:    7,
 		RevEpoch:   3,
-		ASVersions: []ASVersion{{ASN: 1, Version: 12}},
+		ASVersions: []ASVersion{{ASN: 1, Version: 12}, {ASN: 2, Version: 1}},
 	}
-	if err := WriteSnapshot(path, st); err != nil {
-		t.Fatal(err)
+}
+
+func TestSnapshotRoundTrip(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "snapshot")
+	for _, st := range []*State{sampleState(), {}} {
+		if err := WriteSnapshot(path, st); err != nil {
+			t.Fatal(err)
+		}
+		got, err := ReadSnapshot(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, st) {
+			t.Fatalf("snapshot round trip mismatch:\n got %+v\nwant %+v", got, st)
+		}
 	}
-	got, err := ReadSnapshot(path)
+}
+
+// TestSnapshotDecodeRejects feeds the payload decoder checksummed payloads
+// the encoder never writes: each must be ErrCorrupt, never a State.
+func TestSnapshotDecodeRejects(t *testing.T) {
+	good := appendState(nil, sampleState())[snapshotHeaderLen:]
+	head := AppendSnapshotHead(nil, 0, 0, 1)[snapshotHeaderLen:]
+	for name, payload := range map[string][]byte{
+		"trailing byte":         append(append([]byte(nil), good...), 0),
+		"torn":                  good[:len(good)-1],
+		"user count too big":    AppendSnapshotHead(nil, 0, 0, 1000)[snapshotHeaderLen:],
+		"report count too big":  append(append([]byte(nil), head...), 1, 'u', 0, 0x7f),
+		"revoked is not a bool": append(append([]byte(nil), head...), 1, 'u', 2, 0, 0),
+		"non-minimal varint":    {0x80, 0x00, 0, 0, 0},
+	} {
+		if st, err := decodeSnapshot(sealSnapshot(payload)); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: got %+v, %v; want ErrCorrupt", name, st, err)
+		}
+	}
+}
+
+// sealSnapshot frames payload as a snapshot file with a matching checksum.
+func sealSnapshot(payload []byte) []byte {
+	b := append(AppendSnapshotHead(nil, 0, 0, 0)[:snapshotHeaderLen], payload...)
+	sealFrame(b[len(snapshotMagic):])
+	return b
+}
+
+// TestLogAppendFramesInPlace pins that an append, once its buffer has grown,
+// allocates nothing: the frame is built inside the log's own buffer.
+func TestLogAppendFramesInPlace(t *testing.T) {
+	l, err := OpenLog(filepath.Join(t.TempDir(), "wal"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, st) {
-		t.Fatalf("snapshot round trip mismatch:\n got %+v\nwant %+v", got, st)
+	defer func() {
+		if err := l.Close(); err != nil {
+			t.Error(err)
+		}
+	}()
+	rec := sampleRecords()[1]
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := l.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 0 {
+		t.Fatalf("Log.Append allocates %v times per record", allocs)
 	}
 }
 
@@ -252,6 +312,14 @@ func TestSnapshotMissingAndCorrupt(t *testing.T) {
 	}
 	if _, err := ReadSnapshot(path); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("bad magic: err = %v, want ErrCorrupt", err)
+	}
+	// A version-1 snapshot (JSON payload) is a foreign header like any other.
+	v1 := AppendFrame([]byte("CSAWSNAP1\n"), []byte(`{"users":null,"updates":1,"rev_epoch":0,"as_versions":null}`))
+	if err := os.WriteFile(path, v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadSnapshot(path); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("v1 snapshot: err = %v, want ErrCorrupt", err)
 	}
 }
 

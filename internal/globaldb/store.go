@@ -61,7 +61,7 @@ const (
 // Locks (see DESIGN.md "scale architecture"): mu is the single write lock.
 // It serializes apply, compaction, reset and close, and is the only guard of
 // the users table, every client's state, each AS's slot table and reporter
-// lists, the lineage and the durability fields; stats and snapshot export
+// lists, the lineage and the durability fields; stats and snapshot encoding
 // take it too. A write holds it for the whole record — log append, feed,
 // fold — and inside it, once per AS the record touches, that AS's asIndex.mu
 // for the refold that ends the record (commit). The read side never takes
@@ -77,6 +77,7 @@ type store struct {
 	feed      *storage.Feed // nil: not replicated
 	sinceSnap int           // records logged since the last compaction
 	lastErr   error         // latched durability error (fail-stop)
+	snap      snapshotScratch
 
 	// seq counts the records folded since the store was opened or reset: the
 	// position the next record lands at. It equals the feed head whenever the
@@ -361,12 +362,12 @@ func (s *store) reset() error {
 
 // compactLocked writes the current state as a snapshot and truncates the
 // log. The snapshot rename is atomic and the log is only truncated after
-// the snapshot landed, so a crash between the two replays the (now
-// redundant) log tail onto the snapshot — reapplying an ingest is
+// the snapshot is synced to disk, so a crash between the two replays the
+// (now redundant) log tail onto the snapshot — reapplying an ingest is
 // idempotent thanks to the dedup key. A failure latches like a failed
 // append. Caller holds s.mu.
 func (s *store) compactLocked() {
-	if err := storage.WriteSnapshot(s.snapPath(), s.exportState()); err != nil {
+	if err := storage.WriteSnapshotFile(s.snapPath(), s.encodeSnapshot()); err != nil {
 		s.lastErr = err
 		return
 	}

@@ -5,15 +5,19 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"testing"
 	"time"
 
+	"csaw/internal/globaldb/storage"
 	"csaw/internal/vtime"
 )
 
 // walWorkload feeds a deterministic report history into a store: users
 // registering, reporting over several virtual minutes, one lost-ack
-// re-post, one revocation.
+// re-post, one revocation. Some reports carry an empty stage list and some
+// none, which the served bodies tell apart ("stages":[] vs "stages":null)
+// and so must every way back from disk.
 func walWorkload(t *testing.T, s *store, users, rounds int) {
 	t.Helper()
 	for u := 0; u < users; u++ {
@@ -27,6 +31,8 @@ func walWorkload(t *testing.T, s *store, users, rounds int) {
 					Stages: []WireStage{{Type: 1, Detail: "nxdomain"}}, Tm: now},
 				{URL: fmt.Sprintf("deep%d.example/x", r%5), ASN: 100 + r%3,
 					Stages: []WireStage{{Type: 2, Detail: "rst"}}, Tm: now},
+				{URL: fmt.Sprintf("bare%d.example/", r), ASN: 100 + u%4, Stages: []WireStage{}, Tm: now},
+				{URL: fmt.Sprintf("none%d.example/", r%3), ASN: 102, Stages: nil, Tm: now},
 			}
 			if _, ok := s.ingest(fmt.Sprintf("user-%03d", u), now, batch); !ok {
 				t.Fatalf("ingest rejected for user %d round %d", u, r)
@@ -188,6 +194,60 @@ func TestWALCompactionBoundsRecovery(t *testing.T) {
 	}
 	if after := observeStore(d2); after != before {
 		t.Fatalf("compacted restart diverged:\n--- got ---\n%s--- want ---\n%s", after, before)
+	}
+}
+
+// referenceState is the State a snapshot of s holds, gathered the way the
+// store once exported it for encoding: users by uuid, each one's reports by
+// dedup key, AS versions by ASN. Caller holds s.mu.
+func referenceState(s *store) *storage.State {
+	st := &storage.State{Updates: s.updates, RevEpoch: s.revEpoch.Load()}
+	for _, uuid := range sortedKeys(s.users) {
+		cs := s.users[uuid]
+		us := storage.UserState{UUID: uuid, Revoked: cs.revoked}
+		for _, k := range sortedKeys(cs.reports) {
+			us.Reports = append(us.Reports, *cs.reports[k].rep)
+		}
+		st.Users = append(st.Users, us)
+	}
+	for asn, idx := range s.index {
+		st.ASVersions = append(st.ASVersions, storage.ASVersion{ASN: asn, Version: idx.ver})
+	}
+	sort.Slice(st.ASVersions, func(a, b int) bool { return st.ASVersions[a].ASN < st.ASVersions[b].ASN })
+	return st
+}
+
+// TestCompactionWritesReferenceSnapshot pins that compaction, which encodes
+// straight from the store's tables, writes byte for byte the file
+// WriteSnapshot makes of the reference State — twice, the second time on
+// the scratch the first one left.
+func TestCompactionWritesReferenceSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpenStore(t, StoreOptions{Dir: dir, SnapshotEvery: -1})
+	refPath := filepath.Join(t.TempDir(), "reference")
+	for round, write := range []func(){func() { walWorkload(t, s, 6, 3) }, func() { secondHalf(t, s) }} {
+		write()
+		s.mu.Lock()
+		s.compactLocked()
+		ref := referenceState(s)
+		s.mu.Unlock()
+		if err := s.err(); err != nil {
+			t.Fatal(err)
+		}
+		if err := storage.WriteSnapshot(refPath, ref); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(filepath.Join(dir, snapshotFileName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile(refPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("round %d: compaction wrote %d bytes that differ from WriteSnapshot's %d", round, len(got), len(want))
+		}
 	}
 }
 
