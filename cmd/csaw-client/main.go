@@ -27,6 +27,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 	"strings"
 
 	"csaw/internal/core"
@@ -119,35 +120,23 @@ func main() {
 				fmt.Printf("  %-40s %-12s stages=%v posted=%v\n", rec.URL, rec.Status, rec.Stages, rec.GlobalPosted)
 			}
 		case line == "!stats":
-			for _, k := range []string{"served-direct", "served-circum", "served-blockpage",
-				"phase2-confirm", "phase2-overturn", "refresh", "explore", "failover",
-				"failover-budget-exhausted", "stale-verdict", "stale-global-ignored",
-				"quarantine-bench", "quarantine-parole", "quarantine-restore",
-				"quarantine-override",
-				"reports-posted", "direct-remeasure", "false-report-corrected",
-				"sync-ok", "sync-failures", "sync-retries", "sync-skipped", "sync-partial",
-				"sync-fetch-failures", "sync-report-deferred",
-				"sync-circuit-open", "sync-circuit-close"} {
-				if v := client.Counter(k); v > 0 {
-					fmt.Printf("  %-26s %d\n", k, v)
-				}
-			}
+			printCounters(client.CountersSnapshot())
 			if client.Degraded() {
 				fmt.Println("  MODE: local-only (sync circuit open)")
 			}
 		case line == "!sync":
 			client.WaitIdle() // let in-flight measurements land first
-			err := client.SyncNow(context.Background())
-			st := client.SyncStats()
-			if err != nil {
+			if err := client.SyncNow(context.Background()); err != nil {
 				fmt.Println("  sync failed:", err)
 			} else {
 				fmt.Printf("  synced; %d globally-known blocked URLs for this AS\n", client.GlobalCacheLen())
 			}
+			c := client.CountersSnapshot()
 			fmt.Printf("  rounds ok=%d failed=%d retried=%d skipped=%d partial=%d posted=%d deferred=%d degraded=%v\n",
-				st.OK, st.Failures, st.Retries, st.Skipped, st.Partial, st.Posted, st.Deferred, st.Degraded)
-			if st.LastError != "" {
-				fmt.Printf("  last error: %s\n", st.LastError)
+				c["sync-ok"], c["sync-failures"], c["sync-retries"], c["sync-skipped"], c["sync-partial"],
+				c["reports-posted"], c["sync-report-deferred"], client.Degraded())
+			if err := client.LastSyncError(); err != nil {
+				fmt.Printf("  last error: %s\n", err)
 			}
 		default:
 			res := client.FetchURL(context.Background(), line)
@@ -164,6 +153,18 @@ func main() {
 		if b := tracer.Breakdown(); b != "" {
 			fmt.Print(b)
 		}
+	}
+}
+
+// printCounters prints every nonzero counter, sorted by name.
+func printCounters(c map[string]int) {
+	names := make([]string, 0, len(c))
+	for k := range c {
+		names = append(names, k)
+	}
+	sort.Strings(names)
+	for _, k := range names {
+		fmt.Printf("  %-26s %d\n", k, c[k])
 	}
 }
 

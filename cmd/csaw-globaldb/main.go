@@ -147,7 +147,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	fullBytes := clients[0].Stats().ListBytes
+	fullBytes := clients[0].Counters().Get("list-bytes")
 	lax := globaldb.TrustFilter{}
 	strict := globaldb.TrustFilter{MinReporters: 2, MinAvgVote: 0.1}
 	tbl := metrics.Table{
@@ -215,7 +215,7 @@ func demoFailover(ctx context.Context, n *netem.Network, clock *vtime.Clock,
 	if _, err := c.FetchBlocked(ctx, asn); err != nil {
 		fatal(err)
 	}
-	fmt.Printf("replica-set client synced from %s (%d list bytes)\n", c.LastServed(), c.Stats().ListBytes)
+	fmt.Printf("replica-set client synced from %s (%d list bytes)\n", c.LastServed(), c.Counters().Get("list-bytes"))
 
 	srv.Faults().SetDrop(true) // the censor blackholes 40.0.0.1: SYNs vanish
 	srv.Faults().SetOutage(true)
@@ -224,9 +224,9 @@ func demoFailover(ctx context.Context, n *netem.Network, clock *vtime.Clock,
 		fatal(fmt.Errorf("failover fetch: %w", err))
 	}
 	elapsed := clock.Now().Sub(start)
-	cs := c.Stats()
+	cs := c.Counters()
 	fmt.Printf("primary blackholed: failed over to %s in %.1fs virtual (failovers=%d, 304s=%d, list bytes moved=%d)\n",
-		c.LastServed(), elapsed.Seconds(), cs.Failovers, cs.Fetch304, cs.ListBytes-fullBytes)
+		c.LastServed(), elapsed.Seconds(), cs.Get("failovers"), cs.Get("fetch-304"), cs.Get("list-bytes")-fullBytes)
 	srv.Faults().SetDrop(false)
 	srv.Faults().SetOutage(false)
 }
@@ -285,8 +285,8 @@ func demoChaos(seed int64) {
 	fmt.Printf("\nconverged %d ticks after the last fault: leader node-%d, term %d led from %s\n",
 		ticks, li, term, leader)
 	fmt.Printf("acked reports: %d, all present on every replica\n", len(c.Acked))
-	if len(c.Counts) > 0 {
-		fmt.Printf("fault counters: %v\n", c.Counts)
+	if counts := c.Counts.Snapshot(); len(counts) > 0 {
+		fmt.Printf("fault counters: %v\n", counts)
 	}
 	fmt.Println("invariants verified:")
 	for _, inv := range checked {

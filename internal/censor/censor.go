@@ -22,7 +22,6 @@ package censor
 
 import (
 	"strings"
-	"sync"
 	"time"
 )
 
@@ -255,37 +254,4 @@ func (p *Policy) SNIActionFor(sni string) TLSAction {
 // hasStreamRules reports whether any stream-level inspection is needed.
 func (p *Policy) hasStreamRules() bool {
 	return len(p.HTTP) > 0 || len(p.Keywords) > 0 || len(p.SNI) > 0 || p.InterceptForeignDNS
-}
-
-// Stats counts enforcement events, for experiments and tests.
-type Stats struct {
-	mu sync.Mutex
-	m  map[string]int
-}
-
-func (s *Stats) bump(key string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.m == nil {
-		s.m = make(map[string]int)
-	}
-	s.m[key]++
-}
-
-// Get returns the count for an event key such as "http-blockpage".
-func (s *Stats) Get(key string) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.m[key]
-}
-
-// Total returns the sum of all enforcement events.
-func (s *Stats) Total() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	t := 0
-	for _, v := range s.m {
-		t += v
-	}
-	return t
 }

@@ -282,7 +282,7 @@ func TestIPBlocking(t *testing.T) {
 	if !netem.IsReset(err) {
 		t.Fatalf("dial = %v, want reset", err)
 	}
-	if w.censor.Stats.Get("ip-reset") != 1 {
+	if w.censor.Counters.Get("ip-reset") != 1 {
 		t.Error("ip-reset not counted")
 	}
 
@@ -535,11 +535,11 @@ func TestStats(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := w.censor.Stats.Get("http-blockpage"); got != 3 {
+	if got := w.censor.Counters.Get("http-blockpage"); got != 3 {
 		t.Fatalf("stats http-blockpage = %d, want 3", got)
 	}
-	if w.censor.Stats.Total() != 3 {
-		t.Fatalf("total = %d", w.censor.Stats.Total())
+	if s := w.censor.Counters.Snapshot(); len(s) != 1 {
+		t.Fatalf("counted events beyond the three block pages: %v", s)
 	}
 }
 
@@ -576,8 +576,8 @@ func TestDNSInjectionAndHoldOn(t *testing.T) {
 	if !res2.OK() || res2.IPs[0] != originIP {
 		t.Fatalf("hold-on stub = %+v, want the genuine answer %s", res2, originIP)
 	}
-	if w.censor.Stats.Get("dns-inject") < 2 {
-		t.Errorf("injection events = %d", w.censor.Stats.Get("dns-inject"))
+	if w.censor.Counters.Get("dns-inject") < 2 {
+		t.Errorf("injection events = %d", w.censor.Counters.Get("dns-inject"))
 	}
 }
 

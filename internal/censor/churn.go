@@ -110,7 +110,7 @@ func (c *Censor) advanceEpoch() {
 	ch.mu.Unlock()
 
 	for i := 0; i < flips; i++ {
-		c.Stats.bump("epoch-flip")
+		c.Counters.Add("epoch-flip", 1)
 	}
 	c.SetPolicy(p)
 }
@@ -170,7 +170,7 @@ func (c *Censor) enforce(p *Policy) bool {
 	skip := ch.rng.Float64() < p.Intermittent
 	ch.mu.Unlock()
 	if skip {
-		c.Stats.bump("intermittent-pass")
+		c.Counters.Add("intermittent-pass", 1)
 	}
 	return !skip
 }
@@ -194,7 +194,7 @@ func (c *Censor) triggerResidual(p *Policy, srcIP string) {
 		ch.residual[srcIP] = until
 	}
 	ch.mu.Unlock()
-	c.Stats.bump("residual-arm")
+	c.Counters.Add("residual-arm", 1)
 }
 
 // residualActive reports whether srcIP is inside a residual punishment

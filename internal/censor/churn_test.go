@@ -39,7 +39,7 @@ func TestEpochScheduleFlipsPolicy(t *testing.T) {
 	if idx := w.censor.EpochIndex(); idx != 0 {
 		t.Fatalf("EpochIndex = %d, want 0", idx)
 	}
-	if flips := w.censor.Stats.Get("epoch-flip"); flips != 0 {
+	if flips := w.censor.Counters.Get("epoch-flip"); flips != 0 {
 		t.Fatalf("epoch-flip = %d before any flip", flips)
 	}
 
@@ -51,7 +51,7 @@ func TestEpochScheduleFlipsPolicy(t *testing.T) {
 	if idx := w.censor.EpochIndex(); idx != 1 {
 		t.Fatalf("EpochIndex = %d, want 1", idx)
 	}
-	if flips := w.censor.Stats.Get("epoch-flip"); flips != 1 {
+	if flips := w.censor.Counters.Get("epoch-flip"); flips != 1 {
 		t.Fatalf("epoch-flip = %d, want 1", flips)
 	}
 	if st := w.censor.EpochStart(); !st.Equal(now.Add(time.Hour)) {
@@ -78,7 +78,7 @@ func TestEpochAdvancePastSeveralEpochsCountsEachFlip(t *testing.T) {
 	if name := w.censor.Policy().Name; name != "e2" {
 		t.Fatalf("active policy = %q, want e2", name)
 	}
-	if flips := w.censor.Stats.Get("epoch-flip"); flips != 2 {
+	if flips := w.censor.Counters.Get("epoch-flip"); flips != 2 {
 		t.Fatalf("epoch-flip = %d, want 2 (one per transition)", flips)
 	}
 }
@@ -143,7 +143,7 @@ func TestResidualCensorshipPunishesSubsequentFlows(t *testing.T) {
 	if got, err := fetchBody(t, w, "www.youtube.com"); err != nil || got != DefaultBlockPageHTML {
 		t.Fatalf("trigger fetch = %q, %v; want block page", got, err)
 	}
-	if w.censor.Stats.Get("residual-arm") == 0 {
+	if w.censor.Counters.Get("residual-arm") == 0 {
 		t.Fatal("residual window not armed after enforcement")
 	}
 
@@ -152,7 +152,7 @@ func TestResidualCensorshipPunishesSubsequentFlows(t *testing.T) {
 	if _, err := w.client.DialTimeout(w.originIP+":80", 3*time.Second); !netem.IsTimeout(err) {
 		t.Fatalf("dial inside residual window = %v, want timeout", err)
 	}
-	if w.censor.Stats.Get("residual-drop") == 0 {
+	if w.censor.Counters.Get("residual-drop") == 0 {
 		t.Fatal("residual-drop not counted")
 	}
 
@@ -177,7 +177,7 @@ func TestResidualRequiresEnforcement(t *testing.T) {
 	if _, err := w.client.DialTimeout(w.originIP+":80", 3*time.Second); err != nil {
 		t.Fatalf("clean client dial = %v, want success", err)
 	}
-	if w.censor.Stats.Get("residual-drop") != 0 || w.censor.Stats.Get("residual-arm") != 0 {
+	if w.censor.Counters.Get("residual-drop") != 0 || w.censor.Counters.Get("residual-arm") != 0 {
 		t.Fatal("residual machinery fired without an enforcement event")
 	}
 }

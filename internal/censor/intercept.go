@@ -8,6 +8,7 @@ import (
 
 	"csaw/internal/dnsx"
 	"csaw/internal/httpx"
+	"csaw/internal/metrics"
 	"csaw/internal/netem"
 	"csaw/internal/tlsx"
 )
@@ -20,8 +21,10 @@ type Censor struct {
 	policy *Policy
 	churn  *churnState // adversarial timeline; nil until EnableChurn
 
-	// Stats counts enforcement events by action name.
-	Stats Stats
+	// Counters counts enforcement events by action name ("http-blockpage",
+	// "ip-drop", ...) and the churn timeline's own events ("epoch-flip",
+	// "intermittent-pass", "residual-arm", "residual-drop").
+	Counters metrics.Counters
 }
 
 // New returns a Censor enforcing p; nil means an empty (pass-everything)
@@ -61,7 +64,7 @@ func (c *Censor) SetPolicy(p *Policy) {
 func (c *Censor) FilterConnect(f netem.Flow) netem.Verdict {
 	p := c.Policy()
 	if c.residualActive(f.Src.IP) {
-		c.Stats.bump("residual-drop")
+		c.Counters.Add("residual-drop", 1)
 		return netem.VerdictDrop
 	}
 	switch p.IPActionFor(f.Dst.IP) {
@@ -69,14 +72,14 @@ func (c *Censor) FilterConnect(f netem.Flow) netem.Verdict {
 		if !c.enforce(p) {
 			return netem.VerdictPass
 		}
-		c.Stats.bump("ip-drop")
+		c.Counters.Add("ip-drop", 1)
 		c.triggerResidual(p, f.Src.IP)
 		return netem.VerdictDrop
 	case IPReset:
 		if !c.enforce(p) {
 			return netem.VerdictPass
 		}
-		c.Stats.bump("ip-reset")
+		c.Counters.Add("ip-reset", 1)
 		c.triggerResidual(p, f.Src.IP)
 		return netem.VerdictReset
 	default:
@@ -143,7 +146,7 @@ func (c *Censor) handleHTTP(f netem.Flow, s *netem.Session) {
 			// Count what the censor *observes* passing, per (host,target):
 			// the raw material for traffic-analysis/fingerprinting studies
 			// (§8 discusses whether C-Saw's redundant requests stand out).
-			c.Stats.bump("http-pass")
+			c.Counters.Add("http-pass", 1)
 			if err := httpx.WriteRequest(server, req); err != nil {
 				closeBoth()
 				return
@@ -162,20 +165,20 @@ func (c *Censor) handleHTTP(f netem.Flow, s *netem.Session) {
 				return
 			}
 		case HTTPDrop:
-			c.Stats.bump(act.String())
+			c.Counters.Add(act.String(), 1)
 			s.Blackhole() // leaves the client hanging; do not close it
 			return
 		case HTTPReset:
-			c.Stats.bump(act.String())
+			c.Counters.Add(act.String(), 1)
 			s.Reset()
 			return
 		case HTTPBlockPage:
-			c.Stats.bump(act.String())
+			c.Counters.Add(act.String(), 1)
 			_ = httpx.WriteResponse(client, p.blockPageResponse())
 			closeBoth()
 			return
 		case HTTPRedirect:
-			c.Stats.bump(act.String())
+			c.Counters.Add(act.String(), 1)
 			resp := httpx.NewResponse(302, []byte("blocked"))
 			resp.Header.Set("Location", "http://"+p.BlockPageURL)
 			resp.Header.Set("Connection", "close")
@@ -183,7 +186,7 @@ func (c *Censor) handleHTTP(f netem.Flow, s *netem.Session) {
 			closeBoth()
 			return
 		case HTTPIframe:
-			c.Stats.bump(act.String())
+			c.Counters.Add(act.String(), 1)
 			_ = httpx.WriteResponse(client, p.iframeResponse())
 			closeBoth()
 			return
@@ -214,10 +217,10 @@ func (c *Censor) handleTLS(f netem.Flow, s *netem.Session) {
 	}
 	switch act {
 	case TLSDrop:
-		c.Stats.bump("sni-drop")
+		c.Counters.Add("sni-drop", 1)
 		s.Blackhole()
 	case TLSReset:
-		c.Stats.bump("sni-reset")
+		c.Counters.Add("sni-reset", 1)
 		s.Reset()
 	default:
 		// Forward what was read for the peek, then the rest of the stream.
@@ -261,7 +264,7 @@ func (c *Censor) handleDNS(f netem.Flow, s *netem.Session) {
 			// query still reaches the real resolver — its genuine answer
 			// arrives second, which is exactly the signature Hold-On
 			// detects (same ID, later, different data).
-			c.Stats.bump(act.String())
+			c.Counters.Add(act.String(), 1)
 			if forged := forgeDNSReply(q, DNSRedirect, p.RedirectIP); forged != nil {
 				if err := dnsx.WriteMessage(client, forged); err != nil {
 					return
@@ -280,14 +283,14 @@ func (c *Censor) handleDNS(f netem.Flow, s *netem.Session) {
 			continue
 		}
 		if forged := forgeDNSReply(q, act, p.RedirectIP); forged != nil {
-			c.Stats.bump(act.String())
+			c.Counters.Add(act.String(), 1)
 			if err := dnsx.WriteMessage(client, forged); err != nil {
 				return
 			}
 			continue
 		}
 		if act == DNSDrop {
-			c.Stats.bump(act.String())
+			c.Counters.Add(act.String(), 1)
 			continue // swallow the query
 		}
 		// Clean: forward and relay the answer.
@@ -384,7 +387,7 @@ func (c *Censor) ResolverHandler(reg *dnsx.Registry, ttl uint32) dnsx.Handler {
 		if act == DNSInject {
 			act = DNSRedirect // a lying resolver cannot "race" itself
 		}
-		c.Stats.bump(act.String())
+		c.Counters.Add(act.String(), 1)
 		c.triggerResidual(p, flow.Src.IP)
 		return forgeDNSReply(q, act, p.RedirectIP) // nil for DNSDrop: server stays silent
 	})

@@ -26,6 +26,7 @@ import (
 	"csaw/internal/globaldb"
 	"csaw/internal/globaldb/replica"
 	"csaw/internal/localdb"
+	"csaw/internal/metrics"
 	"csaw/internal/netem"
 	"csaw/internal/vtime"
 )
@@ -73,7 +74,7 @@ type Cluster struct {
 	clientHost *netem.Host
 
 	Acked  []Acked
-	Counts map[string]int // fault kind → injections
+	Counts metrics.Counters // fault kind → injections
 	// leaderTerm[i] is node i's term while it leads (-1 otherwise): a term
 	// must never decrease while a node stays leader. maxLeaderTerm is the
 	// highest term any leader ever served writes under — the final converged
@@ -99,7 +100,6 @@ func New(seed int64, dir string) (*Cluster, error) {
 			b[0] = true
 			return b
 		}(),
-		Counts: make(map[string]int),
 		leaderTerm: func() []int64 {
 			t := make([]int64, numNodes)
 			for i := range t {
@@ -155,7 +155,7 @@ func (c *Cluster) Kill(i int) {
 	if c.Set.Down(i) {
 		return
 	}
-	c.Counts["kill"]++
+	c.Counts.Add("kill", 1)
 	if c.Set.Nodes[i].RoleName() == globaldb.RoleLeader {
 		c.wasLeader[i] = true
 	}
@@ -170,10 +170,10 @@ func (c *Cluster) Restart(i int) error {
 	if !c.Set.Down(i) {
 		return nil
 	}
-	c.Counts["restart"]++
+	c.Counts.Add("restart", 1)
 	wiped, err := c.Set.Restart(i)
 	if wiped {
-		c.Counts["history-loss-wipe"]++
+		c.Counts.Add("history-loss-wipe", 1)
 	}
 	return err
 }
@@ -182,7 +182,7 @@ func (c *Cluster) Restart(i int) error {
 // other AS (the client's included) drops SYNs toward it.
 func (c *Cluster) Partition(i int) {
 	if !c.parted[i] {
-		c.Counts["partition"]++
+		c.Counts.Add("partition", 1)
 	}
 	c.parted[i] = true
 	c.applyPartitions()
@@ -219,7 +219,7 @@ func (c *Cluster) applyPartitions() {
 // Flap injects n transient connect failures on one AS egress (the client's
 // for asIdx == numNodes).
 func (c *Cluster) Flap(asIdx, n int) {
-	c.Counts["flap"]++
+	c.Counts.Add("flap", 1)
 	c.Faults[asIdx].FailNext(n)
 }
 
@@ -234,7 +234,7 @@ func (c *Cluster) TearLeader() int {
 		return -1
 	}
 	if c.Set.Nodes[i].Server.InjectTornWrite(5) {
-		c.Counts["torn-write"]++
+		c.Counts.Add("torn-write", 1)
 		return i
 	}
 	return -1
@@ -259,7 +259,7 @@ func (c *Cluster) BitFlip() int {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			continue
 		}
-		c.Counts["bit-flip"]++
+		c.Counts.Add("bit-flip", 1)
 		return i
 	}
 	return -1

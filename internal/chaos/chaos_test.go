@@ -55,7 +55,7 @@ func runSeed(t *testing.T, seed int64, s Schedule) SeedReport {
 		rep.Err = err.Error()
 	}
 	if c != nil {
-		rep.Faults = c.Counts
+		rep.Faults = c.Counts.Snapshot()
 		rep.Acked = len(c.Acked)
 		if li := c.Set.Leader(); li >= 0 {
 			rep.FinalTerm = c.Set.Nodes[li].Status().Term

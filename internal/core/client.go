@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -169,7 +170,6 @@ type Client struct {
 	access     map[string]int
 	seenASNs   map[int]bool
 	multihomed bool
-	counters   map[string]int
 	quar       map[string]*quarState // approach quarantine (see quarantine.go)
 
 	// Sync circuit-breaker state (guarded by mu).
@@ -177,7 +177,8 @@ type Client struct {
 	syncDegraded  bool
 	syncOpenUntil time.Time
 	lastSyncErr   error
-	lastSyncOK    time.Time
+
+	counters metrics.Counters
 
 	bg     sync.WaitGroup // in-flight background measurements/reports
 	loops  sync.WaitGroup // periodic sync and probe loops
@@ -213,7 +214,6 @@ func New(cfg Config) (*Client, error) {
 		ewma:     make(map[string]*metrics.EWMA),
 		access:   make(map[string]int),
 		seenASNs: make(map[int]bool),
-		counters: make(map[string]int),
 		stop:     make(chan struct{}),
 	}
 	for _, as := range cfg.Host.ASes() {
@@ -249,51 +249,37 @@ func (c *Client) Detector() *detect.Detector { return c.det }
 // ASN returns the client's (primary) AS number.
 func (c *Client) ASN() int { return c.asns[0] }
 
+// gdbPrefix names the global-DB client's counts in the client's own: its
+// "fetch-304" is the client's "gdb-fetch-304".
+const gdbPrefix = "gdb-"
+
 // Counter returns a named event count ("served-direct", "served-circum",
-// "phase2-confirm", "phase2-overturn", "refresh", ...).
+// "phase2-confirm", "gdb-fetch-304", ...): one entry of CountersSnapshot.
 func (c *Client) Counter(name string) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.counters[name]
-}
-
-func (c *Client) bump(name string) {
-	c.mu.Lock()
-	c.counters[name]++
-	c.mu.Unlock()
-}
-
-// CountersSnapshot returns a copy of every event counter — the fleet driver
-// folds these into its aggregate summary without N per-name lock round-trips.
-// The global DB client's sync-path outcomes ride along under "gdb-" names
-// (nonzero only), so fleet summaries account full vs delta vs 304 syncs,
-// list bytes, and replica failovers without reaching into the client.
-func (c *Client) CountersSnapshot() map[string]int {
-	c.mu.Lock()
-	out := make(map[string]int, len(c.counters)+6)
-	for k, v := range c.counters {
-		out[k] = v
+	if rest, ok := strings.CutPrefix(name, gdbPrefix); ok {
+		return c.gdbCounters().Get(rest)
 	}
-	c.mu.Unlock()
-	if c.cfg.GlobalDB != nil {
-		gs := c.cfg.GlobalDB.Stats()
-		for _, kv := range []struct {
-			name string
-			v    int
-		}{
-			{"gdb-fetch-full", gs.FetchFull},
-			{"gdb-fetch-delta", gs.FetchDelta},
-			{"gdb-fetch-304", gs.Fetch304},
-			{"gdb-list-bytes", gs.ListBytes},
-			{"gdb-failovers", gs.Failovers},
-			{"gdb-replica-down", gs.ReplicaDown},
-		} {
-			if kv.v != 0 {
-				out[kv.name] = kv.v
-			}
-		}
+	return c.counters.Get(name)
+}
+
+// CountersSnapshot returns every nonzero event count. The global-DB
+// client's counts ride along under "gdb-" names, so fleet summaries account
+// full vs delta vs 304 syncs, list bytes, replica failovers and leader
+// chases without reaching into the client.
+func (c *Client) CountersSnapshot() map[string]int {
+	out := c.counters.Snapshot()
+	for k, v := range c.gdbCounters().Snapshot() {
+		out[gdbPrefix+k] = v
 	}
 	return out
+}
+
+// gdbCounters is the global-DB client's registry, nil without one.
+func (c *Client) gdbCounters() *metrics.Counters {
+	if c.cfg.GlobalDB == nil {
+		return nil
+	}
+	return c.cfg.GlobalDB.Counters()
 }
 
 func (c *Client) failoverBudget() time.Duration {

@@ -36,7 +36,7 @@ func (c *Client) Do(ctx context.Context, req *httpx.Request) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		c.bump("served-circum")
+		c.counters.Add("served-circum", 1)
 		return &Result{URL: url, Resp: resp, Source: app.Name, Status: status, Stages: stages, Took: c.clock.Since(start)}, nil
 	}
 
@@ -44,10 +44,10 @@ func (c *Client) Do(ctx context.Context, req *httpx.Request) (*Result, error) {
 	// is reported to the caller; the next GET will measure properly.
 	resp, err := c.sendDirect(ctx, req)
 	if err != nil {
-		c.bump("post-direct-failed")
+		c.counters.Add("post-direct-failed", 1)
 		return nil, fmt.Errorf("core: direct %s %s: %w", req.Method, url, err)
 	}
-	c.bump("served-direct")
+	c.counters.Add("served-direct", 1)
 	return &Result{URL: url, Resp: resp, Source: "direct", Status: status, Took: c.clock.Since(start)}, nil
 }
 

@@ -81,7 +81,7 @@ func (c *Client) verdict(sp *trace.Span, url string) (status localdb.Status, sta
 	// no longer exists — treat the URL as unmeasured and re-detect.
 	epoch := c.censorEpoch()
 	if status != localdb.NotMeasured && !epoch.IsZero() && rec.Measured.Before(epoch) {
-		c.bump("stale-verdict")
+		c.counters.Add("stale-verdict", 1)
 		sp.Event("db", "stale-verdict", status.String())
 		status, stages = localdb.NotMeasured, nil
 	}
@@ -92,7 +92,7 @@ func (c *Client) verdict(sp *trace.Span, url string) (status localdb.Status, sta
 			if !epoch.IsZero() && e.LastTp.Before(epoch) {
 				// The crowd's report predates the flip too: ignore it rather
 				// than circumvent on outdated intelligence.
-				c.bump("stale-global-ignored")
+				c.counters.Add("stale-global-ignored", 1)
 				sp.Event("db", "stale-global", "ignored")
 			} else {
 				status = localdb.Blocked
@@ -218,11 +218,11 @@ func (c *Client) measureThenServe(ctx context.Context, url, onBlocked string) *R
 	}
 	if !out.Blocked() {
 		c.recordOutcome(url, localdb.NotBlocked, nil)
-		c.bump("served-direct")
+		c.counters.Add("served-direct", 1)
 		return &Result{URL: url, Resp: out.Response, Source: "direct", Status: localdb.NotBlocked}
 	}
 	if onBlocked != "" {
-		c.bump(onBlocked)
+		c.counters.Add(onBlocked, 1)
 	}
 	return c.confirmAndServe(ctx, url, out)
 }
@@ -285,7 +285,7 @@ func (c *Client) fetchUnmeasured(ctx context.Context, url string) *Result {
 		}
 		copyLaunched = true
 		copyMu.Unlock()
-		c.bump("circum-copy-sent")
+		c.counters.Add("circum-copy-sent", 1)
 		resp, source, err := c.circumFetch(cctx, url, nil)
 		circumCh <- circumOut{resp: resp, source: source, err: err}
 	}()
@@ -308,7 +308,7 @@ func (c *Client) fetchUnmeasured(ctx context.Context, url string) *Result {
 			copyMu.Unlock()
 			c.finishPhase2FalseNegative(url, out, circumCh)
 			c.recordOutcome(url, localdb.NotBlocked, nil)
-			c.bump("served-direct")
+			c.counters.Add("served-direct", 1)
 			return &Result{URL: url, Resp: out.Response, Source: "direct", Status: localdb.NotBlocked}
 		}
 		// Direct path blocked or suspected: we need the circumvented copy.
@@ -320,7 +320,7 @@ func (c *Client) fetchUnmeasured(ctx context.Context, url string) *Result {
 			// The circumvention path won the race: serve it (§7.1 "the
 			// faster of the two responses is shown to the user") and let
 			// the direct measurement finish in the background.
-			c.bump("served-circum")
+			c.counters.Add("served-circum", 1)
 			c.bg.Add(1)
 			go func() {
 				defer c.bg.Done()
@@ -356,14 +356,14 @@ func (c *Client) settle(url string, out detect.Outcome, circ *httpx.Response, so
 	}
 	status, stages := c.reconcile(url, out, circ)
 	if status == localdb.NotBlocked && out.Response != nil {
-		c.bump("served-direct")
+		c.counters.Add("served-direct", 1)
 		return &Result{URL: url, Resp: out.Response, Source: "direct", Status: status}
 	}
 	if circ == nil {
 		// Blocked and no circumvented copy: surface the block page itself
 		// (the least-bad option) or the failure.
 		if out.Response != nil {
-			c.bump("served-blockpage")
+			c.counters.Add("served-blockpage", 1)
 			return &Result{URL: url, Resp: out.Response, Source: "direct", Status: status, Stages: stages}
 		}
 		err := circErr
@@ -375,7 +375,7 @@ func (c *Client) settle(url string, out detect.Outcome, circ *httpx.Response, so
 		}
 		return &Result{URL: url, Source: source, Status: status, Stages: stages, Err: err}
 	}
-	c.bump("served-circum")
+	c.counters.Add("served-circum", 1)
 	return &Result{URL: url, Resp: circ, Source: source, Status: status, Stages: stages}
 }
 
@@ -386,9 +386,9 @@ func (c *Client) phase2(out detect.Outcome, circ *httpx.Response) (localdb.Statu
 	status, stages := out.Status, out.Stages
 	if out.Suspected && circ != nil {
 		if blockpage.Phase2(respLen(out.Response), len(circ.Body)) {
-			c.bump("phase2-confirm")
+			c.counters.Add("phase2-confirm", 1)
 		} else {
-			c.bump("phase2-overturn")
+			c.counters.Add("phase2-overturn", 1)
 			stages = dropBlockPageStage(stages)
 			if len(stages) == 0 {
 				status = localdb.NotBlocked
@@ -414,7 +414,7 @@ func (c *Client) settleBackground(url string, out detect.Outcome, circ *httpx.Re
 		// Phase-1 called it clean; the circumvented copy disagrees on size
 		// badly enough to mean manipulation → issue a refresh.
 		if blockpage.Phase2(respLen(out.Response), len(circ.Body)) {
-			c.bump("refresh")
+			c.counters.Add("refresh", 1)
 			status = localdb.Blocked
 			stages = []localdb.Stage{{Type: localdb.BlockContent, Detail: "size-mismatch"}}
 		}
@@ -482,7 +482,7 @@ func (c *Client) fetchBlocked(ctx context.Context, url string, stages []localdb.
 		// measurement runs in the background but draws on the client's
 		// shared connection budget — slots held through long detection
 		// timeouts are what makes p cost PLT under load (Table 6).
-		c.bump("direct-remeasure")
+		c.counters.Add("direct-remeasure", 1)
 		c.bg.Add(1)
 		go func() {
 			defer c.bg.Done()
@@ -498,7 +498,7 @@ func (c *Client) fetchBlocked(ctx context.Context, url string, stages []localdb.
 				return // aborted mid-measure: not a verdict
 			}
 			if !out.Blocked() {
-				c.bump("false-report-corrected")
+				c.counters.Add("false-report-corrected", 1)
 				c.recordOutcome(url, localdb.NotBlocked, nil)
 			} else {
 				c.recordOutcome(url, out.Status, out.Stages)
@@ -509,7 +509,7 @@ func (c *Client) fetchBlocked(ctx context.Context, url string, stages []localdb.
 	if err != nil {
 		return &Result{URL: url, Source: source, Status: localdb.Blocked, Stages: stages, Err: err}
 	}
-	c.bump("served-circum")
+	c.counters.Add("served-circum", 1)
 	return &Result{URL: url, Resp: resp, Source: source, Status: localdb.Blocked, Stages: stages}
 }
 

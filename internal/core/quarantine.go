@@ -92,7 +92,7 @@ func (c *Client) quarStrike(sp *trace.Span, a *Approach) {
 	}
 	c.mu.Unlock()
 	if bench {
-		c.bump("quarantine-bench")
+		c.counters.Add("quarantine-bench", 1)
 		sp.Event("quarantine", "bench", a.Name)
 	}
 }
@@ -111,7 +111,7 @@ func (c *Client) quarRestore(sp *trace.Span, a *Approach) {
 	}
 	c.mu.Unlock()
 	if benched {
-		c.bump("quarantine-restore")
+		c.counters.Add("quarantine-restore", 1)
 		sp.Event("quarantine", "restore", a.Name)
 	}
 }
@@ -147,7 +147,7 @@ func (c *Client) quarAllowed(a *Approach) bool {
 	}
 	c.mu.Unlock()
 	if parole {
-		c.bump("quarantine-parole")
+		c.counters.Add("quarantine-parole", 1)
 	}
 	return true
 }
@@ -172,7 +172,7 @@ func (c *Client) quarFilterTiers(sp *trace.Span, locals, relays []*Approach) ([]
 	}
 	fl, fr := allowed(locals), allowed(relays)
 	if len(fl)+len(fr) == 0 && len(locals)+len(relays) > 0 {
-		c.bump("quarantine-override")
+		c.counters.Add("quarantine-override", 1)
 		sp.Event("quarantine", "override", "all-benched")
 		return locals, relays
 	}

@@ -8,12 +8,11 @@ import (
 )
 
 // quarClient builds the minimal Client the quarantine state machine needs:
-// a clock and a counters map.
+// a policy and a clock.
 func quarClient(pol QuarantinePolicy) *Client {
 	return &Client{
-		cfg:      Config{Quarantine: pol},
-		clock:    vtime.New(1),
-		counters: make(map[string]int),
+		cfg:   Config{Quarantine: pol},
+		clock: vtime.New(1),
 	}
 }
 

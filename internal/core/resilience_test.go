@@ -185,7 +185,7 @@ func TestCloseUnhangsStalledExchange(t *testing.T) {
 	leakcheck.Check(t)
 	done := make(chan *core.Result, 1)
 	go func() { done <- c.FetchURL(context.Background(), worldgen.NewsHost+"/") }()
-	for isp.Censor.Stats.Get(censor.HTTPDrop.String()) == 0 {
+	for isp.Censor.Counters.Get(censor.HTTPDrop.String()) == 0 {
 		runtime.Gosched() // until the censor has swallowed the request
 	}
 	c.Close()

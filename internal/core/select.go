@@ -54,7 +54,7 @@ func (c *Client) selectApproach(sp *trace.Span, url string, stages []localdb.Sta
 	}
 	c.mu.Unlock()
 	if explore && len(relays) > 1 {
-		c.bump("explore")
+		c.counters.Add("explore", 1)
 		a := relays[c.pick(len(relays))]
 		c.traceChoice(sp, url, a, "explore", relays)
 		return a
@@ -166,7 +166,7 @@ func (c *Client) circumFetchVia(ctx context.Context, app *Approach, url string, 
 	var firstErr error
 	for attempt, a := range c.candidateOrder(url, stages, app) {
 		if attempt > 0 {
-			c.bump("failover")
+			c.counters.Add("failover", 1)
 		}
 		lane := sp.Lane(a.Name)
 		lane.Event("circum", "attempt", a.Name)
@@ -204,7 +204,7 @@ func (c *Client) circumFetchVia(ctx context.Context, app *Approach, url string, 
 		}
 		if ctx.Err() != nil {
 			if parent.Err() == nil {
-				c.bump("failover-budget-exhausted")
+				c.counters.Add("failover-budget-exhausted", 1)
 				sp.Event("circum", "budget-exhausted", a.Name)
 			}
 			break

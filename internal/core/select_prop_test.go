@@ -21,10 +21,9 @@ func newSelectClient(seed int64, approaches []*Approach) *Client {
 	return &Client{
 		cfg: Config{Approaches: approaches, ExploreEvery: 1 << 30},
 		//lint:allow-rand seeded test randomness
-		rng:      rand.New(rand.NewSource(seed)),
-		ewma:     make(map[string]*metrics.EWMA),
-		access:   make(map[string]int),
-		counters: make(map[string]int),
+		rng:    rand.New(rand.NewSource(seed)),
+		ewma:   make(map[string]*metrics.EWMA),
+		access: make(map[string]int),
 	}
 }
 
@@ -188,7 +187,7 @@ func TestSelectExploreCadence(t *testing.T) {
 			t.Fatal("no approach selected")
 		}
 	}
-	if got, want := c.counters["explore"], accesses/4; got != want {
+	if got, want := c.counters.Get("explore"), accesses/4; got != want {
 		t.Errorf("explore fired %d times over %d accesses (n=4), want %d", got, accesses, want)
 	}
 }

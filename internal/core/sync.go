@@ -69,7 +69,7 @@ func (c *Client) startLoops() {
 					if err := c.ProbeASN(ctx); err != nil {
 						// A failed probe postpones multihoming detection; it
 						// must show up in the counters, not vanish.
-						c.bump("asn-probe-failures")
+						c.counters.Add("asn-probe-failures", 1)
 					}
 					cancel()
 				case <-c.stop:
@@ -93,7 +93,7 @@ func (c *Client) syncWithRetry(timeout time.Duration) {
 		if err == nil || errors.Is(err, ErrSyncDegraded) || attempt >= pol.retries() {
 			return
 		}
-		c.bump("sync-retries")
+		c.counters.Add("sync-retries", 1)
 		select {
 		case <-c.clock.After(pol.Backoff(attempt, c.roll())):
 		case <-c.stop:
@@ -116,7 +116,7 @@ func (c *Client) SyncNow(ctx context.Context) error {
 		return nil
 	}
 	if !c.syncAdmit() {
-		c.bump("sync-skipped")
+		c.counters.Add("sync-skipped", 1)
 		return ErrSyncDegraded
 	}
 	err := c.syncRound(ctx)
@@ -144,23 +144,22 @@ func (c *Client) syncFinish(err error) {
 	if err == nil {
 		c.syncFails = 0
 		c.lastSyncErr = nil
-		c.lastSyncOK = c.clock.Now()
-		c.counters["sync-ok"]++
+		c.counters.Add("sync-ok", 1)
 		if c.syncDegraded {
 			// Half-open probe succeeded: close the circuit, leave
 			// local-only mode.
 			c.syncDegraded = false
-			c.counters["sync-circuit-close"]++
+			c.counters.Add("sync-circuit-close", 1)
 		}
 		return
 	}
 	c.syncFails++
 	c.lastSyncErr = err
-	c.counters["sync-failures"]++
+	c.counters.Add("sync-failures", 1)
 	if after := pol.breakerAfter(); after > 0 && c.syncFails >= after {
 		if !c.syncDegraded {
 			c.syncDegraded = true
-			c.counters["sync-circuit-open"]++
+			c.counters.Add("sync-circuit-open", 1)
 		}
 		c.syncOpenUntil = c.clock.Now().Add(pol.breakerReset())
 	}
@@ -183,9 +182,7 @@ func (c *Client) syncRound(ctx context.Context) error {
 	})
 	if over := len(pending) - SyncMaxPending; over > 0 {
 		pending = pending[:SyncMaxPending]
-		c.mu.Lock()
-		c.counters["sync-report-deferred"] += over
-		c.mu.Unlock()
+		c.counters.Add("sync-report-deferred", over)
 	}
 	for len(pending) > 0 {
 		batch := pending[:min(len(pending), SyncMaxBatch)]
@@ -196,9 +193,7 @@ func (c *Client) syncRound(ctx context.Context) error {
 		for _, r := range batch {
 			c.db.MarkPosted(r.URL)
 		}
-		c.mu.Lock()
-		c.counters["reports-posted"] += len(batch)
-		c.mu.Unlock()
+		c.counters.Add("reports-posted", len(batch))
 		pending = pending[len(batch):]
 	}
 
@@ -211,11 +206,11 @@ func (c *Client) syncRound(ctx context.Context) error {
 		if _, err := g.FetchBlocked(ctx, asn); err != nil {
 			failed++
 			errs = append(errs, fmt.Errorf("fetch AS%d: %w", asn, err))
-			c.bump("sync-fetch-failures")
+			c.counters.Add("sync-fetch-failures", 1)
 		}
 	}
 	if failed > 0 && failed < len(c.asns) {
-		c.bump("sync-partial")
+		c.counters.Add("sync-partial", 1)
 	}
 	return errors.Join(errs...)
 }
@@ -246,26 +241,13 @@ func (c *Client) Degraded() bool {
 	return c.syncDegraded
 }
 
-// SyncStats snapshots the sync pipeline's health counters.
-func (c *Client) SyncStats() SyncStats {
+// LastSyncError returns the most recent round's failure, or nil once a
+// round succeeds. It is nil exactly when the breaker counts no consecutive
+// failures; the round counts themselves are the "sync-*" counters.
+func (c *Client) LastSyncError() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	st := SyncStats{
-		Posted:              c.counters["reports-posted"],
-		OK:                  c.counters["sync-ok"],
-		Failures:            c.counters["sync-failures"],
-		Retries:             c.counters["sync-retries"],
-		Skipped:             c.counters["sync-skipped"],
-		Partial:             c.counters["sync-partial"],
-		Deferred:            c.counters["sync-report-deferred"],
-		ConsecutiveFailures: c.syncFails,
-		Degraded:            c.syncDegraded,
-		LastSuccess:         c.lastSyncOK,
-	}
-	if c.lastSyncErr != nil {
-		st.LastError = c.lastSyncErr.Error()
-	}
-	return st
+	return c.lastSyncErr
 }
 
 // ProbeASN asks the ASN-echo service which AS this connection egressed

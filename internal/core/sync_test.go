@@ -11,6 +11,7 @@ import (
 
 	"csaw/internal/core"
 	"csaw/internal/globaldb"
+	"csaw/internal/httpx"
 	"csaw/internal/localdb"
 	"csaw/internal/netem"
 	"csaw/internal/worldgen"
@@ -128,9 +129,9 @@ func TestSyncPartialASFailure(t *testing.T) {
 			t.Fatalf("%s: cache = %d entries, want 3 (stale list kept)", when, n)
 		}
 		checkBoth(when)
-		st := c.SyncStats()
-		if st.Partial != i+1 || st.Failures != i+1 {
-			t.Fatalf("%s: stats = %+v, want Partial=Failures=%d", when, st, i+1)
+		st := c.CountersSnapshot()
+		if st["sync-partial"] != i+1 || st["sync-failures"] != i+1 {
+			t.Fatalf("%s: counters = %v, want sync-partial=sync-failures=%d", when, st, i+1)
 		}
 		if got := c.Counter("sync-fetch-failures"); got != i+1 {
 			t.Fatalf("%s: sync-fetch-failures = %d, want %d", when, got, i+1)
@@ -142,8 +143,8 @@ func TestSyncPartialASFailure(t *testing.T) {
 	if err := c.SyncNow(ctx); err != nil {
 		t.Fatalf("sync after recovery: %v", err)
 	}
-	if st := c.SyncStats(); st.LastError != "" || st.ConsecutiveFailures != 0 {
-		t.Fatalf("stats after recovery = %+v", st)
+	if err := c.LastSyncError(); err != nil {
+		t.Fatalf("last sync error after recovery = %v", err)
 	}
 	checkBoth("recovery")
 }
@@ -226,8 +227,8 @@ func TestSyncBatchingAndOverflow(t *testing.T) {
 	if err := c.SyncNow(ctx); err != nil {
 		t.Fatalf("first round: %v", err)
 	}
-	if st := c.SyncStats(); st.Posted != core.SyncMaxPending || st.Deferred != 2 {
-		t.Fatalf("stats after first round = %+v, want Posted=%d Deferred=2", st, core.SyncMaxPending)
+	if st := c.CountersSnapshot(); st["reports-posted"] != core.SyncMaxPending || st["sync-report-deferred"] != 2 {
+		t.Fatalf("counters after first round = %v, want reports-posted=%d sync-report-deferred=2", st, core.SyncMaxPending)
 	}
 	if left := len(c.DB().PendingGlobal()); left != 2 {
 		t.Fatalf("pending after first round = %d, want 2", left)
@@ -236,8 +237,8 @@ func TestSyncBatchingAndOverflow(t *testing.T) {
 	if err := c.SyncNow(ctx); err != nil {
 		t.Fatalf("second round: %v", err)
 	}
-	if st := c.SyncStats(); st.Posted != total {
-		t.Fatalf("posted = %d, want %d", st.Posted, total)
+	if posted := c.Counter("reports-posted"); posted != total {
+		t.Fatalf("posted = %d, want %d", posted, total)
 	}
 	if up := w.GlobalDB.StatsSnapshot().Updates; up != total {
 		t.Fatalf("server updates = %d, want %d (each record exactly once)", up, total)
@@ -301,13 +302,48 @@ func TestSyncBackgroundRetryRecovers(t *testing.T) {
 
 	deadline := time.Now().Add(10 * time.Second) //lint:allow-realtime polling a background goroutine's progress needs wall time
 	for time.Now().Before(deadline) {
-		st := c.SyncStats()
-		if st.Retries >= 1 && st.OK >= 2 && !st.Degraded && st.ConsecutiveFailures == 0 {
+		st := c.CountersSnapshot()
+		if st["sync-retries"] >= 1 && st["sync-ok"] >= 2 && !c.Degraded() && c.LastSyncError() == nil {
 			return
 		}
 		time.Sleep(20 * time.Millisecond) //lint:allow-realtime see above
 	}
-	t.Fatalf("background retry never recovered: %+v", c.SyncStats())
+	t.Fatalf("background retry never recovered: %v (last error %v)", c.CountersSnapshot(), c.LastSyncError())
+}
+
+// TestLeaderChaseCounted: a list fetch that a fenced node answers with 421
+// and a leader hint is re-issued at the leader, and the chase shows up in
+// the client's counters as gdb-leader-chases — the one global-DB count the
+// hand-written fold used to drop. Counter reads the same registry the
+// snapshot does, gdb- names included.
+func TestLeaderChaseCounted(t *testing.T) {
+	w, c, gdb, _ := newSyncWorld(t, func(cfg *core.Config) { cfg.SyncInterval = -1 }, "ISP-A")
+	ctx := context.Background()
+	if err := c.Start(ctx); err != nil {
+		t.Fatal(err)
+	}
+	leader := w.GlobalDBEndpoints[0]
+	fenced := w.Net.MustAddHost("fenced-node", "198.51.100.77", "us", w.Net.AS(900))
+	httpx.Serve(fenced.MustListen(80), httpx.HandlerFunc(func(*httpx.Request, netem.Flow) *httpx.Response {
+		resp := httpx.NewResponse(globaldb.StatusFenced, []byte("fenced: stale term"))
+		resp.Header.Set(globaldb.TermHeader, "2")
+		resp.Header.Set(globaldb.LeaderHeader, leader)
+		return resp
+	}))
+	gdb.Endpoints = []string{fenced.IP() + ":80"}
+
+	if err := c.SyncNow(ctx); err != nil {
+		t.Fatalf("sync through a fenced node: %v", err)
+	}
+	snap := c.CountersSnapshot()
+	if snap["gdb-leader-chases"] != 1 || snap["gdb-fetch-304"] != 1 {
+		t.Fatalf("counters = %v, want one leader chase answered 304 by the leader", snap)
+	}
+	for k, v := range snap {
+		if got := c.Counter(k); got != v {
+			t.Errorf("Counter(%q) = %d, snapshot holds %d", k, got, v)
+		}
+	}
 }
 
 func TestSyncBackoffSchedule(t *testing.T) {

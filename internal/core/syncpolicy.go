@@ -118,27 +118,3 @@ func (p SyncPolicy) Backoff(attempt int, jitter float64) time.Duration {
 	}
 	return d
 }
-
-// SyncStats is a snapshot of the sync pipeline's health, for experiments
-// and operators ("!sync" in csaw-client).
-type SyncStats struct {
-	// Posted is the total reports acknowledged by the global DB.
-	Posted int
-	// OK/Failures/Retries/Skipped count sync rounds: successes, failures,
-	// backoff retries, and rounds skipped while the breaker was open.
-	OK       int
-	Failures int
-	Retries  int
-	Skipped  int
-	// Partial counts rounds where some but not all per-AS fetches failed.
-	Partial int
-	// Deferred counts reports pushed past a round's SyncMaxPending bound.
-	Deferred int
-	// ConsecutiveFailures feeds the breaker; Degraded reports local-only
-	// mode; LastError is the most recent round's failure ("" after a
-	// success); LastSuccess is the virtual time of the last good round.
-	ConsecutiveFailures int
-	Degraded            bool
-	LastError           string
-	LastSuccess         time.Time
-}

@@ -9,12 +9,11 @@ import (
 )
 
 // syncClient builds the minimal Client the breaker state machine needs: a
-// clock, a policy, and a counters map (same shape as quarClient).
+// clock and a policy (same shape as quarClient).
 func syncClient(pol SyncPolicy) *Client {
 	return &Client{
-		cfg:      Config{Sync: pol},
-		clock:    vtime.New(1),
-		counters: make(map[string]int),
+		cfg:   Config{Sync: pol},
+		clock: vtime.New(1),
 	}
 }
 

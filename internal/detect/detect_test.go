@@ -384,7 +384,7 @@ func TestCancelUnblocksStalledExchange(t *testing.T) {
 			defer cancel()
 			done := make(chan Outcome, 1)
 			go func() { done <- det.Measure(ctx, "www.youtube.com/", HTTP) }()
-			for cen.Stats.Get(censor.HTTPDrop.String()) == 0 {
+			for cen.Counters.Get(censor.HTTPDrop.String()) == 0 {
 				runtime.Gosched() // until the censor has swallowed the request
 			}
 			cancel()

@@ -192,7 +192,7 @@ var AblationFingerprint = experiment("ablation-fingerprint", scenario{scale: 500
 	{20400, "ISP-FP", &censor.Policy{HTTP: []censor.HTTPRule{{Host: "unrelated.example", Action: censor.HTTPReset}}}},
 }}, func(r *rig) *Result {
 	loads := r.runs(10)
-	seen := func() int { return r.isps[0].Censor.Stats.Get("http-pass") }
+	seen := func() int { return r.isps[0].Censor.Counters.Get("http-pass") }
 
 	// observe counts the direct-path requests the censor passes per load;
 	// settle waits out whatever the fetcher still has in flight.

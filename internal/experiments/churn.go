@@ -196,7 +196,7 @@ var CensorChurn = experiment("censor-churn", scenario{scale: churnScale, world: 
 	p2a, p2b := runPhase(schedule[2], p1a.steadyNext, p1b.steadyNext)
 
 	// Cross-checks on the machinery the recovery rode on.
-	st := &isp.Censor.Stats
+	st := &isp.Censor.Counters
 	r.hold(st.Get("epoch-flip") == 2, "censor counted %d epoch flips, want 2", st.Get("epoch-flip"))
 	r.hold(a.Counter("stale-verdict") == 2, "A stale-verdict = %d, want 2 (one per flip)", a.Counter("stale-verdict"))
 	r.hold(a.Counter("stale-global-ignored") == 1, "A stale-global-ignored = %d, want 1 (epoch-1 report at flip 2)", a.Counter("stale-global-ignored"))

@@ -62,9 +62,9 @@ var DeltaSync = experiment("delta-sync", scenario{scale: 1000}, func(r *rig) *Re
 		entries, err := syncer.FetchBlocked(ctx, asn)
 		r.ok(err, "initial full fetch (n=%d)", n)
 		r.hold(len(entries) == n, "full fetch returned %d entries, want %d", len(entries), n)
-		st := syncer.Stats()
-		r.hold(st.FetchFull == 1, "initial fetch was not a full body: %+v", st)
-		fullBytes := st.ListBytes
+		st := syncer.Counters()
+		r.hold(st.Get("fetch-full") == 1, "initial fetch was not a full body: %v", st.Snapshot())
+		fullBytes := st.Get("list-bytes")
 
 		deltaBytes := 0
 		for round := 0; round < rounds; round++ {
@@ -75,18 +75,18 @@ var DeltaSync = experiment("delta-sync", scenario{scale: 1000}, func(r *rig) *Re
 			acc, err := drifter.Report(ctx, []localdb.Record{blocked(fmt.Sprintf("drift%03d.as%d.example/", round, asn), asn,
 				localdb.Stage{Type: localdb.BlockHTTP, Detail: "blockpage"})})
 			r.hold(err == nil && acc == 1, "drift round %d: accepted %d, err %v", round, acc, err)
-			before := syncer.Stats()
+			before := st.Snapshot()
 			entries, err = syncer.FetchBlocked(ctx, asn)
 			r.ok(err, "drift fetch %d (n=%d)", round, n)
-			after := syncer.Stats()
-			r.hold(after.FetchDelta == before.FetchDelta+1, "drift fetch %d (n=%d) was not delta-encoded: %+v", round, n, after)
+			moved := metrics.Diff(st.Snapshot(), before)
+			r.hold(moved["fetch-delta"] == 1, "drift fetch %d (n=%d) was not delta-encoded: %v", round, n, moved)
 			r.hold(len(entries) == n+round+1, "merged list has %d entries after drift %d, want %d", len(entries), round, n+round+1)
-			deltaBytes += after.ListBytes - before.ListBytes
+			deltaBytes += moved["list-bytes"]
 		}
 		mean := float64(deltaBytes) / float64(rounds)
 		rows = append(rows, row{
 			n: n, fullBytes: fullBytes, deltaMean: mean,
-			ratio: mean / float64(fullBytes), fetchDelta: syncer.Stats().FetchDelta,
+			ratio: mean / float64(fullBytes), fetchDelta: st.Get("fetch-delta"),
 		})
 	}
 

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"maps"
 	"time"
 
 	"csaw/internal/censor"
@@ -34,20 +35,13 @@ type lossMember struct {
 	cl   *core.Client
 	gdb  *globaldb.Client
 	isp  *worldgen.ISP
-	base globaldb.ClientStats // snapshot at the pre-flip quiesced state
+	base map[string]int // global-DB counters at the pre-flip quiesced state
 }
 
-// delta is the member's counter movement since the pre-flip snapshot.
-func (m *lossMember) delta() globaldb.ClientStats {
-	st := m.gdb.Stats()
-	return globaldb.ClientStats{
-		FetchFull:   st.FetchFull - m.base.FetchFull,
-		FetchDelta:  st.FetchDelta - m.base.FetchDelta,
-		Fetch304:    st.Fetch304 - m.base.Fetch304,
-		ListBytes:   st.ListBytes - m.base.ListBytes,
-		Failovers:   st.Failovers - m.base.Failovers,
-		ReplicaDown: st.ReplicaDown - m.base.ReplicaDown,
-	}
+// delta is the member's global-DB counter movement since the pre-flip
+// snapshot, every key included.
+func (m *lossMember) delta() map[string]int {
+	return metrics.Diff(m.gdb.Counters().Snapshot(), m.base)
 }
 
 // lossFleet starts nPer clients per censored AS whose sync rounds the
@@ -146,17 +140,18 @@ var ReplicaLoss = experiment("replica-loss", dbLossWorld(0), func(r *rig) *Resul
 	// replicas agree on the list version.
 	pre304 := make([]int, len(members))
 	for i, m := range members {
-		pre304[i] = m.gdb.Stats().Fetch304
+		pre304[i] = m.gdb.Counters().Get("fetch-304")
 	}
 	for i, m := range members {
 		r.ok(m.cl.SyncNow(ctx), "%s quiesce round", m.name)
-		r.hold(m.gdb.Stats().Fetch304 == pre304[i]+1, "%s quiesce round was not a 304 (Fetch304 %d→%d)", m.name, pre304[i], m.gdb.Stats().Fetch304)
+		got := m.gdb.Counters().Get("fetch-304")
+		r.hold(got == pre304[i]+1, "%s quiesce round was not a 304 (fetch-304 %d→%d)", m.name, pre304[i], got)
 	}
 	lag := w.GlobalDB.ReplicationFeed().Stats()
 	r.hold(lag.MaxLag == 0 && len(lag.Followers) == 2, "pre-flip feed not quiesced: %+v", lag)
 	for _, m := range members {
-		m.base = m.gdb.Stats()
-		r.hold(m.base.Failovers == 0 && m.base.ReplicaDown == 0, "%s failed over before the flip: %+v", m.name, m.base)
+		m.base = m.gdb.Counters().Snapshot()
+		r.hold(m.base["failovers"] == 0 && m.base["replica-down"] == 0, "%s failed over before the flip: %v", m.name, m.base)
 	}
 	before := w.GlobalDB.StatsSnapshot()
 	r.hold(before.Users == 2*nPer && before.Updates == 2*nPer, "primary has %d users / %d updates pre-flip, want %d / %d", before.Users, before.Updates, 2*nPer, 2*nPer)
@@ -169,8 +164,8 @@ var ReplicaLoss = experiment("replica-loss", dbLossWorld(0), func(r *rig) *Resul
 	for _, m := range members {
 		r.ok(m.cl.SyncNow(ctx), "%s did not fail over within one sync round", m.name)
 		d := m.delta()
-		r.hold(d == globaldb.ClientStats{Failovers: 1, ReplicaDown: 1, Fetch304: 1},
-			"%s failover round moved %+v, want exactly one failover, one down transition, one 304", m.name, d)
+		r.hold(maps.Equal(d, map[string]int{"failovers": 1, "replica-down": 1, "fetch-304": 1}),
+			"%s failover round moved %v, want exactly one failover, one down transition, one 304", m.name, d)
 		r.hold(m.gdb.LastServed() != primaryEP, "%s still served by the blackholed primary %s", m.name, primaryEP)
 	}
 
@@ -198,10 +193,11 @@ var ReplicaLoss = experiment("replica-loss", dbLossWorld(0), func(r *rig) *Resul
 	var sumFailovers, sumDown, sum304, sumRefetch, wantFailovers int
 	for _, m := range members {
 		d := m.delta()
-		sumFailovers += d.Failovers
-		sumDown += d.ReplicaDown
-		sum304 += d.Fetch304
-		sumRefetch += d.FetchFull + d.FetchDelta
+		refetch := d["fetch-full"] + d["fetch-delta"]
+		sumFailovers += d["failovers"]
+		sumDown += d["replica-down"]
+		sum304 += d["fetch-304"]
+		sumRefetch += refetch
 		wantCalls, want304, wantRefetch, wantLen := 2, 1, 1, 2
 		switch {
 		case m == reporter:
@@ -210,9 +206,10 @@ var ReplicaLoss = experiment("replica-loss", dbLossWorld(0), func(r *rig) *Resul
 			want304, wantRefetch, wantLen = 2, 0, 1
 		}
 		wantFailovers += wantCalls
-		r.hold(d.Failovers == wantCalls && d.ReplicaDown == 1, "%s post-flip failovers/down = %d/%d, want %d/1", m.name, d.Failovers, d.ReplicaDown, wantCalls)
-		r.hold(d.Fetch304 == want304 && d.FetchFull+d.FetchDelta == wantRefetch, "%s post-flip fetch mix 304=%d full+delta=%d, want %d/%d",
-			m.name, d.Fetch304, d.FetchFull+d.FetchDelta, want304, wantRefetch)
+		r.hold(d["failovers"] == wantCalls && d["replica-down"] == 1, "%s post-flip failovers/down = %d/%d, want %d/1", m.name, d["failovers"], d["replica-down"], wantCalls)
+		r.hold(d["fetch-304"] == want304 && refetch == wantRefetch, "%s post-flip fetch mix 304=%d full+delta=%d, want %d/%d",
+			m.name, d["fetch-304"], refetch, want304, wantRefetch)
+		r.hold(d["leader-chases"] == 0, "%s chased a leader hint %d times; the primary never fenced", m.name, d["leader-chases"])
 		r.hold(m.cl.GlobalCacheLen() == wantLen, "%s trusts %d global URLs after reconvergence, want %d", m.name, m.cl.GlobalCacheLen(), wantLen)
 	}
 	r.hold(sumFailovers == wantFailovers && sumDown == 2*nPer, "fleet failovers/down = %d/%d, want %d/%d", sumFailovers, sumDown, wantFailovers, 2*nPer)
@@ -222,7 +219,7 @@ var ReplicaLoss = experiment("replica-loss", dbLossWorld(0), func(r *rig) *Resul
 	// never retried. And each censor flipped its policy exactly once.
 	ipDrops := 0
 	for _, isp := range r.isps {
-		st := &isp.Censor.Stats
+		st := &isp.Censor.Counters
 		ipDrops += st.Get("ip-drop")
 		r.hold(st.Get("ip-drop") == nPer, "%s dropped %d SYNs to the primary, want %d", isp.AS.Name, st.Get("ip-drop"), nPer)
 		r.hold(st.Get("epoch-flip") == 1, "%s flipped %d times, want 1", isp.AS.Name, st.Get("epoch-flip"))

@@ -150,6 +150,8 @@ func Run(ctx context.Context, w *worldgen.World, sc *worldgen.FleetScenario, pla
 	}
 
 	// Live sampler: goroutine gauge + progress callback, on virtual time.
+	// Only the sampler writes peak until sampleWG.Wait returns.
+	peak := 0
 	sampleStop := make(chan struct{})
 	var sampleWG sync.WaitGroup
 	sampleWG.Add(1)
@@ -163,7 +165,7 @@ func Run(ctx context.Context, w *worldgen.World, sc *worldgen.FleetScenario, pla
 				return
 			case <-tk.C:
 				n := runtime.NumGoroutine()
-				st.observeGoroutines(n)
+				peak = max(peak, n)
 				if opts.Progress != nil {
 					opts.Progress(st.snapshot(w.Clock.Since(start), n))
 				}
@@ -228,7 +230,7 @@ func Run(ctx context.Context, w *worldgen.World, sc *worldgen.FleetScenario, pla
 			clients[i] = nil
 		}
 	}
-	st.observeGoroutines(runtime.NumGoroutine())
+	peak = max(peak, runtime.NumGoroutine())
 
 	if runErr != nil {
 		return nil, runErr
@@ -236,7 +238,7 @@ func Run(ctx context.Context, w *worldgen.World, sc *worldgen.FleetScenario, pla
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return collect(w, sc, plan, st, workers, w.Clock.Since(start)), nil
+	return collect(w, sc, plan, st, workers, peak, w.Clock.Since(start)), nil
 }
 
 // runEvent executes one timeline event on its owning worker.
@@ -255,7 +257,7 @@ func runEvent(ctx context.Context, w *worldgen.World, sc *worldgen.FleetScenario
 			return
 		}
 		clients[cidx] = cl
-		st.bump(&st.joined)
+		st.events.Add("joined", 1)
 	case int(ev.seq) <= len(cp.Sessions):
 		cl := clients[cidx]
 		if cl == nil {
@@ -266,7 +268,7 @@ func runEvent(ctx context.Context, w *worldgen.World, sc *worldgen.FleetScenario
 			res := cl.FetchURL(ctx, url)
 			st.recordFetch(res.Source, res.Took, res.Err != nil)
 		}
-		st.bump(&st.sessions)
+		st.events.Add("sessions", 1)
 		// Settle before syncing: when circumvention wins the race, the direct
 		// verdict lands via a background goroutine that would otherwise race
 		// this sync's PendingGlobal read. A verdict that misses its own
@@ -279,7 +281,10 @@ func runEvent(ctx context.Context, w *worldgen.World, sc *worldgen.FleetScenario
 		// before it returns, so all of this session's settles are covered.
 		cl.WaitIdle()
 		if err := cl.SyncNow(ctx); ctx.Err() == nil {
-			st.recordSync(err)
+			st.events.Add("syncs", 1)
+			if err != nil {
+				st.events.Add("sync-errors", 1)
+			}
 		}
 	default:
 		// Leave (churn): flush and shut down early.
@@ -287,7 +292,7 @@ func runEvent(ctx context.Context, w *worldgen.World, sc *worldgen.FleetScenario
 			retireClient(ctx, cl, st)
 			clients[cidx] = nil
 		}
-		st.bump(&st.left)
+		st.events.Add("left", 1)
 		return // leave already retired; last needs no second pass
 	}
 	if ev.last {
@@ -392,19 +397,24 @@ func retireClient(ctx context.Context, cl *core.Client, st *Stats) {
 		cl.Close()
 		return
 	}
-	st.recordSync(err)
-	if cl.Degraded() || err != nil {
-		st.bump(&st.degraded)
+	st.events.Add("syncs", 1)
+	if err != nil {
+		st.events.Add("sync-errors", 1)
 	}
-	st.addCounters(cl.CountersSnapshot())
+	if cl.Degraded() || err != nil {
+		st.events.Add("degraded", 1)
+	}
+	for k, v := range cl.CountersSnapshot() {
+		st.clients.Add(k, v)
+	}
 	cl.Close()
 }
 
 // collect assembles the RunResult: the deterministic Summary from the plan
 // and the final global-DB state, and the Measured section from the live
-// stats.
+// stats and the sampled goroutine peak.
 func collect(w *worldgen.World, sc *worldgen.FleetScenario, plan *Plan, st *Stats,
-	workers int, elapsed time.Duration) *RunResult {
+	workers, peakGoroutines int, elapsed time.Duration) *RunResult {
 	wl := plan.Workload
 	sum := Summary{
 		Population:    len(plan.Clients),
@@ -436,33 +446,31 @@ func collect(w *worldgen.World, sc *worldgen.FleetScenario, plan *Plan, st *Stat
 		sum.PerAS = append(sum.PerAS, a)
 	}
 
-	st.mu.Lock()
-	defer st.mu.Unlock()
+	ev := st.events.Snapshot()
 	m := Measured{
 		VirtualSeconds: elapsed.Seconds(),
 		Workers:        workers,
 		Scale:          w.Clock.Scale(),
-		Fetches:        st.fetches,
-		FetchErrors:    st.fetchErrors,
-		Sessions:       st.sessions,
-		Syncs:          st.syncs,
-		SyncErrors:     st.syncErrors,
-		Joined:         st.joined,
-		Left:           st.left,
-		Degraded:       st.degraded,
-		PeakGoroutines: st.peakGoroutines,
+		Fetches:        ev["fetches"],
+		FetchErrors:    ev["fetch-errors"],
+		Sessions:       ev["sessions"],
+		Syncs:          ev["syncs"],
+		SyncErrors:     ev["sync-errors"],
+		Joined:         ev["joined"],
+		Left:           ev["left"],
+		Degraded:       ev["degraded"],
+		PeakGoroutines: peakGoroutines,
 		Updates:        gstats.Updates,
-		PLT:            make(map[string]PLTStats, len(st.plt)),
-		Counters:       make(map[string]int, len(st.counters)),
+		Counters:       st.clients.Snapshot(),
 	}
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	m.PLT = make(map[string]PLTStats, len(st.plt))
 	for src, d := range st.plt {
 		m.PLT[src] = PLTStats{
 			N: d.N(), P50: d.Percentile(50), P95: d.Percentile(95),
 			Mean: d.Mean(), Max: d.Max(),
 		}
-	}
-	for k, v := range st.counters {
-		m.Counters[k] = v
 	}
 	return &RunResult{Summary: sum, Measured: m}
 }

@@ -336,10 +336,7 @@ func TestRetireClientCancelledNoDegraded(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	retireClient(ctx, cl, st)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.degraded != 0 || st.syncs != 0 || st.syncErrors != 0 {
-		t.Errorf("cancelled retire recorded degraded=%d syncs=%d syncErrors=%d, want all 0",
-			st.degraded, st.syncs, st.syncErrors)
+	if ev := st.events.Snapshot(); len(ev) != 0 {
+		t.Errorf("cancelled retire recorded %v, want no degraded, syncs or sync-errors", ev)
 	}
 }

@@ -19,35 +19,29 @@ const pltReservoirCap = 4096
 // Snapshot serves the live counters cmd/csaw-fleet prints while a run is in
 // flight.
 type Stats struct {
-	mu sync.Mutex
+	// events counts the driver's own events: "joined", "left", "sessions",
+	// "fetches", "fetch-errors", "syncs", "sync-errors" and "degraded".
+	events metrics.Counters
+	// clients folds every retired client's CountersSnapshot.
+	clients metrics.Counters
 
-	joined, left, sessions int
-	fetches, fetchErrors   int
-	syncs, syncErrors      int
-	degraded               int
-	peakGoroutines         int
-
-	plt      map[string]*metrics.Distribution // per Result.Source
-	counters map[string]int                   // folded client event counters
-	seed     int64
+	mu   sync.Mutex
+	plt  map[string]*metrics.Distribution // per Result.Source
+	seed int64
 }
 
 func newStats(seed int64) *Stats {
-	return &Stats{
-		plt:      make(map[string]*metrics.Distribution),
-		counters: make(map[string]int),
-		seed:     seed,
-	}
+	return &Stats{plt: make(map[string]*metrics.Distribution), seed: seed}
 }
 
 func (st *Stats) recordFetch(source string, took time.Duration, failed bool) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	st.fetches++
+	st.events.Add("fetches", 1)
 	if failed {
-		st.fetchErrors++
+		st.events.Add("fetch-errors", 1)
 		return
 	}
+	st.mu.Lock()
+	defer st.mu.Unlock()
 	d := st.plt[source]
 	if d == nil {
 		h := fnv.New64a()
@@ -56,37 +50,6 @@ func (st *Stats) recordFetch(source string, took time.Duration, failed bool) {
 		st.plt[source] = d
 	}
 	d.AddDuration(took)
-}
-
-func (st *Stats) recordSync(err error) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	st.syncs++
-	if err != nil {
-		st.syncErrors++
-	}
-}
-
-func (st *Stats) addCounters(c map[string]int) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	for k, v := range c {
-		st.counters[k] += v
-	}
-}
-
-func (st *Stats) bump(field *int) {
-	st.mu.Lock()
-	*field++
-	st.mu.Unlock()
-}
-
-func (st *Stats) observeGoroutines(n int) {
-	st.mu.Lock()
-	if n > st.peakGoroutines {
-		st.peakGoroutines = n
-	}
-	st.mu.Unlock()
 }
 
 // Snapshot is a point-in-time copy of the live counters.
@@ -102,14 +65,13 @@ type Snapshot struct {
 }
 
 func (st *Stats) snapshot(elapsed time.Duration, goroutines int) Snapshot {
-	st.mu.Lock()
-	defer st.mu.Unlock()
+	ev := st.events.Snapshot()
 	return Snapshot{
 		VirtualElapsed: elapsed,
-		Joined:         st.joined, Left: st.left,
-		Sessions: st.sessions,
-		Fetches:  st.fetches, FetchErrors: st.fetchErrors,
-		Syncs: st.syncs, SyncErrors: st.syncErrors,
+		Joined:         ev["joined"], Left: ev["left"],
+		Sessions: ev["sessions"],
+		Fetches:  ev["fetches"], FetchErrors: ev["fetch-errors"],
+		Syncs: ev["syncs"], SyncErrors: ev["sync-errors"],
 		Goroutines: goroutines,
 	}
 }

@@ -12,6 +12,7 @@ import (
 
 	"csaw/internal/httpx"
 	"csaw/internal/localdb"
+	"csaw/internal/metrics"
 	"csaw/internal/netem"
 	"csaw/internal/trace"
 	"csaw/internal/vtime"
@@ -56,18 +57,7 @@ type Client struct {
 	down       map[string]time.Time  // endpoint → retry-at (virtual)
 	lastServed string
 	seq        uint64
-	stats      ClientStats
-}
-
-// ClientStats counts the client's sync-path outcomes.
-type ClientStats struct {
-	FetchFull    int // 200 full-body list fetches
-	FetchDelta   int // 200 delta-encoded list fetches
-	Fetch304     int // 304 not-modified answers
-	ListBytes    int // list bytes received (full + delta bodies)
-	Failovers    int // API calls served by a non-first-preference endpoint
-	ReplicaDown  int // healthy→down endpoint transitions observed
-	LeaderChases int // fenced (421) answers whose leader hint was followed
+	counters   metrics.Counters
 }
 
 // blockedCache is one AS's last successfully fetched list plus the server's
@@ -108,12 +98,16 @@ func (c *Client) SetUUID(u string) {
 	c.uuid = u
 }
 
-// Stats snapshots the client's counters.
-func (c *Client) Stats() ClientStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stats
-}
+// Counters counts the client's sync-path outcomes:
+//
+//	fetch-full     200 full-body list fetches
+//	fetch-delta    200 delta-encoded list fetches
+//	fetch-304      304 not-modified answers
+//	list-bytes     list bytes received (full + delta bodies)
+//	failovers      API calls served by a non-first-preference endpoint
+//	replica-down   healthy→down endpoint transitions observed
+//	leader-chases  fenced (421) answers whose leader hint was followed
+func (c *Client) Counters() *metrics.Counters { return &c.counters }
 
 // LastServed returns the endpoint that answered the most recent successful
 // call, or "".
@@ -150,7 +144,7 @@ func (c *Client) markDown(ep string) {
 		c.down = make(map[string]time.Time)
 	}
 	if until, bad := c.down[ep]; !bad || c.Clock.Now().After(until) {
-		c.stats.ReplicaDown++
+		c.counters.Add("replica-down", 1)
 	}
 	c.down[ep] = c.Clock.Now().Add(c.cooldown())
 }
@@ -161,7 +155,7 @@ func (c *Client) noteServed(ep string, failedOver bool) {
 	delete(c.down, ep)
 	c.lastServed = ep
 	if failedOver {
-		c.stats.Failovers++
+		c.counters.Add("failovers", 1)
 	}
 }
 
@@ -221,9 +215,7 @@ func (c *Client) do(ctx context.Context, dial netem.DialFunc, req *httpx.Request
 				}
 				next, err := hc.Do(ctx, hint, req)
 				if err == nil {
-					c.mu.Lock()
-					c.stats.LeaderChases++
-					c.mu.Unlock()
+					c.counters.Add("leader-chases", 1)
 				}
 				return next, err
 			})
@@ -324,9 +316,7 @@ func (c *Client) FetchBlocked(ctx context.Context, asn int) ([]Entry, error) {
 		return nil, fmt.Errorf("globaldb: fetch: %w", err)
 	}
 	if resp.StatusCode == 304 && cached != nil {
-		c.mu.Lock()
-		c.stats.Fetch304++
-		c.mu.Unlock()
+		c.counters.Add("fetch-304", 1)
 		return cached.entries, nil
 	}
 	if resp.StatusCode != 200 {
@@ -397,11 +387,11 @@ func (c *Client) storeList(asn int, tag string, entries []Entry, bodyLen int, de
 	// The tag is a substring of the answer's head (httpx makes one string of
 	// it); the cache outlives the exchange and keeps its own copy.
 	c.blocked[asn] = &blockedCache{tag: strings.Clone(tag), entries: entries}
-	c.stats.ListBytes += bodyLen
+	c.counters.Add("list-bytes", bodyLen)
 	if delta {
-		c.stats.FetchDelta++
+		c.counters.Add("fetch-delta", 1)
 	} else {
-		c.stats.FetchFull++
+		c.counters.Add("fetch-full", 1)
 	}
 }
 

@@ -465,18 +465,18 @@ func TestClientDeltaSync(t *testing.T) {
 	if _, ok := syncer.Lookup(200, "six.example/"); ok {
 		t.Fatal("Lookup answered for an AS never fetched")
 	}
-	st := syncer.Stats()
-	if st.FetchFull != 1 || st.Fetch304 != 1 || st.FetchDelta != 1 {
-		t.Fatalf("syncer stats = %+v, want 1 full + 1 304 + 1 delta", st)
+	st, fs := syncer.Counters().Snapshot(), fresh.Counters().Snapshot()
+	if st["fetch-full"] != 1 || st["fetch-304"] != 1 || st["fetch-delta"] != 1 {
+		t.Fatalf("syncer counters = %v, want 1 full + 1 304 + 1 delta", st)
 	}
-	if fs := fresh.Stats(); fs.FetchDelta != 0 || fs.FetchFull != 1 {
-		t.Fatalf("fresh stats = %+v", fs)
+	if fs["fetch-delta"] != 0 || fs["fetch-full"] != 1 {
+		t.Fatalf("fresh counters = %v", fs)
 	}
-	if st.ListBytes <= fresh.Stats().ListBytes {
+	if st["list-bytes"] <= fs["list-bytes"] {
 		// The syncer transferred a full body AND a delta; the fresh client
 		// one larger full body. The delta must have cost less than a second
 		// full fetch.
-		t.Logf("syncer bytes %d, fresh bytes %d", st.ListBytes, fresh.Stats().ListBytes)
+		t.Logf("syncer bytes %d, fresh bytes %d", st["list-bytes"], fs["list-bytes"])
 	}
 }
 
@@ -568,8 +568,8 @@ func TestClientTagDowngrade(t *testing.T) {
 	if len(entries) != 1 || entries[0].URL != "backend0.example/" {
 		t.Fatalf("re-fetch from tagged backend served %+v", entries)
 	}
-	if st := c.Stats(); st.Fetch304 != 0 {
-		t.Fatalf("spurious 304 across backends: %+v", st)
+	if n := c.Counters().Get("fetch-304"); n != 0 {
+		t.Fatalf("spurious 304 across backends: %d", n)
 	}
 }
 

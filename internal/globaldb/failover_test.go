@@ -70,8 +70,8 @@ func TestClientFailover(t *testing.T) {
 	if got := c.LastServed(); got != "40.0.0.1:80" {
 		t.Fatalf("healthy fetch served by %q, want the primary", got)
 	}
-	if st := c.Stats(); st.Failovers != 0 || st.ReplicaDown != 0 {
-		t.Fatalf("healthy stats = %+v", st)
+	if st := c.Counters().Snapshot(); st["failovers"] != 0 || st["replica-down"] != 0 {
+		t.Fatalf("healthy counters = %v", st)
 	}
 
 	// Censor blackholes the primary: SYNs vanish, the client times out and
@@ -88,14 +88,14 @@ func TestClientFailover(t *testing.T) {
 	if got := c.LastServed(); got != "40.0.0.2:80" {
 		t.Fatalf("failover served by %q, want the second replica", got)
 	}
-	st := c.Stats()
-	if st.Failovers != 1 || st.ReplicaDown != 1 {
-		t.Fatalf("failover stats = %+v, want 1 failover + 1 down transition", st)
+	st := c.Counters().Snapshot()
+	if st["failovers"] != 1 || st["replica-down"] != 1 {
+		t.Fatalf("failover counters = %v, want 1 failover + 1 down transition", st)
 	}
 	// Identically converged replicas share tags: the tag cached from the
 	// primary validated on the secondary as a 304.
-	if st.Fetch304 != 1 {
-		t.Fatalf("stats = %+v: primary's tag should have 304'd on the secondary", st)
+	if st["fetch-304"] != 1 {
+		t.Fatalf("counters = %v: primary's tag should have 304'd on the secondary", st)
 	}
 
 	// While the primary cools down it is not retried: the next call goes
@@ -103,8 +103,8 @@ func TestClientFailover(t *testing.T) {
 	if _, err := c.FetchBlocked(context.Background(), 100); err != nil {
 		t.Fatal(err)
 	}
-	if st := c.Stats(); st.ReplicaDown != 1 || st.Failovers != 2 {
-		t.Fatalf("cooldown stats = %+v, want no new down transition", st)
+	if st := c.Counters().Snapshot(); st["replica-down"] != 1 || st["failovers"] != 2 {
+		t.Fatalf("cooldown counters = %v, want no new down transition", st)
 	}
 	// Every replica-set call finished its span (one per FetchBlocked).
 	if got := len(sink.Records()); got != 3 {
@@ -124,9 +124,8 @@ func TestClientOutageNoFailover(t *testing.T) {
 	if _, err := c.FetchBlocked(context.Background(), 100); err == nil {
 		t.Fatal("503 answer did not surface as an error")
 	}
-	st := c.Stats()
-	if st.Failovers != 0 || st.ReplicaDown != 0 {
-		t.Fatalf("stats = %+v: a 503 must not trigger failover", st)
+	if st := c.Counters().Snapshot(); st["failovers"] != 0 || st["replica-down"] != 0 {
+		t.Fatalf("counters = %v: a 503 must not trigger failover", st)
 	}
 }
 
@@ -163,8 +162,8 @@ func TestClientFailoverCooldownRecovery(t *testing.T) {
 	if got := c.LastServed(); got != "40.0.0.1:80" {
 		t.Fatalf("served by %q after cooldown, want the primary back", got)
 	}
-	if st := c.Stats(); st.Failovers != 2 {
-		t.Fatalf("stats = %+v, want failovers to stop at 2", st)
+	if n := c.Counters().Get("failovers"); n != 2 {
+		t.Fatalf("failovers = %d, want them to stop at 2", n)
 	}
 }
 
@@ -183,8 +182,8 @@ func TestClientAllReplicasDown(t *testing.T) {
 	if _, err := c.FetchBlocked(context.Background(), 100); err == nil {
 		t.Fatal("fetch succeeded with every replica blackholed")
 	}
-	if st := c.Stats(); st.ReplicaDown != 3 {
-		t.Fatalf("stats = %+v, want all 3 replicas marked down", st)
+	if n := c.Counters().Get("replica-down"); n != 3 {
+		t.Fatalf("replica-down = %d, want all 3 replicas marked down", n)
 	}
 
 	// One replica heals. All endpoints are still inside their cooldown, but
@@ -237,8 +236,8 @@ func TestClientCooldownExpiryMidCall(t *testing.T) {
 	if got := c.LastServed(); got != "40.0.0.1:80" {
 		t.Fatalf("served by %q, want the healed primary as last resort", got)
 	}
-	if st := c.Stats(); st.ReplicaDown != 3 {
-		t.Fatalf("stats = %+v, want the two dark replicas to add down transitions", st)
+	if n := c.Counters().Get("replica-down"); n != 3 {
+		t.Fatalf("replica-down = %d, want the two dark replicas to add down transitions", n)
 	}
 }
 
@@ -273,18 +272,18 @@ func TestClientAllCoolingPreferenceOrder(t *testing.T) {
 	}
 	// Serving clears the primary's cooldown; the next call hits it again
 	// without a failover increment.
-	before := c.Stats().Failovers
+	before := c.Counters().Get("failovers")
 	if _, err := c.FetchBlocked(context.Background(), 100); err != nil {
 		t.Fatal(err)
 	}
-	if st := c.Stats(); st.Failovers != before {
-		t.Fatalf("failovers %d -> %d on a healthy-primary call", before, st.Failovers)
+	if after := c.Counters().Get("failovers"); after != before {
+		t.Fatalf("failovers %d -> %d on a healthy-primary call", before, after)
 	}
 }
 
 // TestClientStatsConcurrentFetches hammers one replica-set client from many
 // goroutines while the primary is dark — the cooldown map, LastServed, and
-// the stats counters are shared state, and this test (run under -race in CI)
+// the counters are shared state, and this test (run under -race in CI)
 // pins that concurrent failovers keep them consistent.
 func TestClientStatsConcurrentFetches(t *testing.T) {
 	_, servers, mk := failoverWorld(t)
@@ -317,12 +316,12 @@ func TestClientStatsConcurrentFetches(t *testing.T) {
 	for err := range errs {
 		t.Fatalf("concurrent fetch: %v", err)
 	}
-	st := c.Stats()
-	if st.ReplicaDown < 1 || st.ReplicaDown > workers*rounds {
-		t.Fatalf("stats = %+v, want 1..%d down transitions", st, workers*rounds)
+	st := c.Counters().Snapshot()
+	if st["replica-down"] < 1 || st["replica-down"] > workers*rounds {
+		t.Fatalf("counters = %v, want 1..%d down transitions", st, workers*rounds)
 	}
-	if st.Failovers < 1 {
-		t.Fatalf("stats = %+v, want at least one failover", st)
+	if st["failovers"] < 1 {
+		t.Fatalf("counters = %v, want at least one failover", st)
 	}
 	if got := c.LastServed(); got == "40.0.0.1:80" || got == "" {
 		t.Fatalf("last served %q, want a live replica", got)

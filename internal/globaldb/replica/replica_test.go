@@ -250,12 +250,12 @@ func TestClientFailoverToReplica(t *testing.T) {
 	if got := c.LastServed(); got != addr1 {
 		t.Fatalf("served by %q, want the first follower", got)
 	}
-	st := c.Stats()
-	if st.Failovers != 1 || st.ReplicaDown != 1 {
-		t.Fatalf("client stats = %+v", st)
+	st := c.Counters().Snapshot()
+	if st["failovers"] != 1 || st["replica-down"] != 1 {
+		t.Fatalf("client counters = %v", st)
 	}
-	if st.Fetch304 != 1 {
-		t.Fatalf("client stats = %+v: the primary's tag should 304 on a caught-up follower", st)
+	if st["fetch-304"] != 1 {
+		t.Fatalf("client counters = %v: the primary's tag should 304 on a caught-up follower", st)
 	}
 }
 

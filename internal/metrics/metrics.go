@@ -1,7 +1,8 @@
 // Package metrics provides the small statistics toolkit the experiment
-// harness uses: empirical distributions (for the paper's CDF figures),
-// percentiles, moving averages (the circumvention module's PLT estimator),
-// and plain-text table/CDF rendering for experiment reports.
+// harness uses: named event counters, empirical distributions (for the
+// paper's CDF figures), percentiles, moving averages (the circumvention
+// module's PLT estimator), and plain-text table/CDF rendering for
+// experiment reports.
 package metrics
 
 import (

@@ -563,17 +563,21 @@ func TestLimitDial(t *testing.T) {
 	defer closeListener(t, l)
 	slots := make(chan struct{}, 1)
 	dial := LimitDial(client.Dial, slots)
-	short := func() (context.Context, context.CancelFunc) {
-		return n.Clock().WithTimeout(context.Background(), 2*time.Second)
+	// Only the budget-spent dial is meant to time out, so only it runs under
+	// a short budget. At the test clock's scale 2 s virtual is a few real
+	// milliseconds, which a host stall can eat; the dials that must succeed
+	// or be refused get a budget no stall reaches.
+	within := func(d time.Duration) (context.Context, context.CancelFunc) {
+		return n.Clock().WithTimeout(context.Background(), d)
 	}
 
-	ctx, cancel := short()
+	ctx, cancel := within(30 * time.Second)
 	defer cancel()
 	held, err := dial(ctx, "93.184.216.34:80")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx2, cancel2 := short()
+	ctx2, cancel2 := within(2 * time.Second)
 	defer cancel2()
 	if _, err := dial(ctx2, "93.184.216.34:80"); !IsTimeout(err) {
 		t.Fatalf("dial with the budget spent: %v, want a timeout", err)
@@ -583,7 +587,7 @@ func TestLimitDial(t *testing.T) {
 	if len(slots) != 0 {
 		t.Fatalf("%d slots taken after Close, want 0", len(slots))
 	}
-	ctx3, cancel3 := short()
+	ctx3, cancel3 := within(30 * time.Second)
 	defer cancel3()
 	if _, err := dial(ctx3, "93.184.216.34:81"); !IsRefused(err) {
 		t.Fatalf("dial to a dead port: %v, want refused", err)
