@@ -16,11 +16,12 @@
 #                      count per package (CI prints both)
 #   make chaos       — deterministic chaos sweep under -race: the fixed
 #                      primary-loss schedule plus 20 generated fault
-#                      schedules against the replicated global DB; every
-#                      seed must heal to a converged byte-identical set
-#                      with no acked report lost. Emits CHAOS.json (the
-#                      per-seed fault/invariant record, written even when
-#                      a seed fails)
+#                      schedules against the replicated global DB, on the
+#                      event clock; every seed must heal to a converged
+#                      byte-identical set with no acked report lost, twice
+#                      with equal reports. Emits CHAOS.json (the per-seed
+#                      fault/invariant record, written even when a seed
+#                      fails; equal across runs)
 #   make soak-churn  — seeded censor-churn soak under -race: the scenario
 #                      runs twice and the summary + trace artifact must be
 #                      byte-identical
@@ -86,7 +87,9 @@ loc-diff:
 
 # Chaos sweep for the replicated global DB: the fixed primary-loss schedule
 # and the 20-seed randomized sweep (kills, partitions, flaps, torn writes,
-# WAL bit-flips), under the race detector. CHAOS.json records every seed's
+# WAL bit-flips), under the race detector. The harness runs on the
+# discrete-event clock, so a seed names one outcome: each sweep seed runs
+# twice and the two reports must be equal. CHAOS.json records every seed's
 # fault mix and checked invariants and is written even on failure, so a red
 # run still carries the evidence.
 chaos:

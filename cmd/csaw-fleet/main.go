@@ -1,34 +1,24 @@
 // csaw-fleet drives a population-scale fleet of C-Saw clients through the
 // emulated internet (internal/fleet) and prints the run's deterministic
 // summary: same seed and population → byte-identical stdout, regardless of
-// host load, worker count, or clock scale. The timing-dependent measurements
-// (PLT distributions, sync volume, peak goroutines) go to -o as JSON.
+// host load or worker count. The schedule-dependent measurements (PLT
+// distributions, sync volume, peak goroutines) go to -o as JSON.
 //
 // Usage:
 //
 //	csaw-fleet [-population N | -clients N] [-duration D] [-seed N]
-//	           [-sites N] [-isps N] [-blocked-frac F]
-//	           [-mode auto|event|scaled] [-scale S] [-workers N]
+//	           [-sites N] [-isps N] [-blocked-frac F] [-workers N]
 //	           [-o measured.json] [-progress]
-//	           [-trace trace.jsonl] [-trace-sample N] [-failover-budget D]
+//	           [-trace trace.jsonl] [-trace-sample N]
 //
-// -mode picks the virtual-clock engine. "event" (the default under auto)
-// runs the discrete-event scheduler: virtual time jumps straight to the
-// next timer, so a 100k-client run finishes in real seconds and the PLT /
-// virtual-seconds measurements are meaningless (every sleep is free).
-// "scaled" runs the real-scaled clock (virtual time = wall time × scale),
-// where PLT distributions are physically meaningful; auto selects it when
-// -scale or -trace is given.
+// The run measures counts, not latency, so it uses the discrete-event
+// clock: virtual time jumps straight to the next timer, a 100k-client run
+// finishes in real seconds, and the PLT / virtual-seconds measurements
+// describe the shared event clock rather than page-load latency.
 //
 // -trace streams flight-recorder spans (sampled 1-in-N URLs, deterministic
-// hash) as JSONL. Tracing forces workers=1, serial clients, and the scaled
-// clock so the trace content — not just the summary — is byte-identical
-// across same-seed runs; expect a slower wall clock.
-//
-// -failover-budget deadline-bounds each fetch's failover-ladder walk in
-// virtual time. Fleet clients default to no budget (goroutine-scale stall
-// noise would misread as dead ladders); set it on small fleets against
-// censors that drop rather than reset.
+// hash) as JSONL. Tracing forces workers=1 and serial clients so the trace
+// content — not just the summary — is byte-identical across same-seed runs.
 package main
 
 import (
@@ -48,19 +38,16 @@ import (
 func main() {
 	var (
 		population  = flag.Int("population", 500, "number of clients")
-		mode        = flag.String("mode", "auto", "clock engine: auto, event (discrete-event, timing measurements meaningless), or scaled (real-scaled clock)")
 		duration    = flag.Duration("duration", 0, "virtual observation window (0 = workload default, 2h)")
 		seed        = flag.Int64("seed", 1, "seed for the workload plan and all client randomness")
 		sites       = flag.Int("sites", 0, "site catalog size (0 = workload default)")
 		isps        = flag.Int("isps", 0, "number of censoring ISPs (0 = workload default)")
 		blockedFrac = flag.Float64("blocked-frac", 0, "fraction of the catalog each AS blocks (0 = workload default)")
-		scale       = flag.Float64("scale", 0, "virtual clock scale (0 = auto by population)")
 		workers     = flag.Int("workers", fleet.DefaultWorkers, "driver worker-pool size")
 		out         = flag.String("o", "", "write the measured (timing-dependent) section as JSON to this file")
 		progress    = flag.Bool("progress", false, "print live counters to stderr every virtual minute")
 		traceOut    = flag.String("trace", "", "write flight-recorder spans as JSONL to this file (forces workers=1, serial clients)")
 		traceSample = flag.Int("trace-sample", trace.DefaultSampleN, "trace one URL in N (deterministic hash-of-URL)")
-		failBudget  = flag.Duration("failover-budget", 0, "per-fetch failover-ladder budget in virtual time (0 = fleet default: disabled; use with small fleets against dropping censors)")
 		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	)
 	flag.IntVar(population, "clients", 500, "number of clients (alias for -population)")
@@ -75,36 +62,7 @@ func main() {
 		BlockedFrac: *blockedFrac,
 	}.WithDefaults()
 
-	// Clock engine. auto = discrete-event unless the operator pinned a scale
-	// or asked for a trace (trace byte-stability is defined on the scaled
-	// clock, where spans carry physically meaningful durations).
-	eventDriven := false
-	switch *mode {
-	case "event":
-		eventDriven = true
-		if *scale > 0 {
-			fatal(fmt.Errorf("-scale is meaningless with -mode event"))
-		}
-		if *traceOut != "" {
-			fatal(fmt.Errorf("-trace needs the scaled clock (spans carry real durations); use -mode scaled"))
-		}
-	case "scaled":
-	case "auto":
-		eventDriven = *scale <= 0 && *traceOut == ""
-	default:
-		fatal(fmt.Errorf("unknown -mode %q (want auto, event, or scaled)", *mode))
-	}
-
-	var w *worldgen.World
-	var err error
-	if eventDriven {
-		w, err = worldgen.New(worldgen.Options{EventDriven: true, Seed: wl.Seed})
-	} else {
-		if *scale <= 0 {
-			*scale = autoScale(wl.Population)
-		}
-		w, err = worldgen.New(worldgen.Options{Scale: *scale, Seed: wl.Seed})
-	}
+	w, err := worldgen.New(worldgen.Options{EventDriven: true, Seed: wl.Seed})
 	if err != nil {
 		fatal(err)
 	}
@@ -113,13 +71,7 @@ func main() {
 		fatal(err)
 	}
 	plan := fleet.BuildPlan(wl)
-	if eventDriven {
-		fmt.Fprintf(os.Stderr, "plan: %s (event-driven clock, %d workers)\n", plan, *workers)
-	} else {
-		fmt.Fprintf(os.Stderr, "plan: %s (scaled clock, scale %g, %d workers)\n", plan, *scale, *workers)
-	}
-
-	opts := fleet.Options{Workers: *workers, FailoverBudget: *failBudget}
+	opts := fleet.Options{Workers: *workers}
 	var traceFile *os.File
 	var traceSink *trace.SortedSink
 	var tracer *trace.Tracer
@@ -136,7 +88,10 @@ func main() {
 		traceSink = trace.NewSortedSink(traceFile)
 		tracer = trace.New(w.Clock, traceSink, trace.WithSampling(*traceSample))
 		opts.Trace = tracer
-		fmt.Fprintf(os.Stderr, "tracing to %s (1 in %d URLs; workers=1, serial clients)\n", *traceOut, *traceSample)
+	}
+	fmt.Fprintf(os.Stderr, "plan: %s (event-driven clock, %d workers)\n", plan, opts.Workers)
+	if tracer != nil {
+		fmt.Fprintf(os.Stderr, "tracing to %s (1 in %d URLs; serial clients)\n", *traceOut, *traceSample)
 	}
 	if *progress {
 		opts.Progress = func(s fleet.Snapshot) {
@@ -198,21 +153,6 @@ func main() {
 	if !res.Summary.Consistent() {
 		fmt.Fprintln(os.Stderr, "ERROR: global-DB per-AS lists diverged from the plan expectation")
 		os.Exit(1)
-	}
-}
-
-// autoScale picks a clock scale the host can honor. Virtual deadlines are
-// real deadlines divided by the scale, so the bigger the population (and the
-// scheduler stalls that come with it), the more real-time slack each virtual
-// timeout needs: scale down as the population grows.
-func autoScale(population int) float64 {
-	switch {
-	case population <= 1000:
-		return 2400
-	case population <= 4000:
-		return 1200
-	default:
-		return 600
 	}
 }
 

@@ -9,9 +9,12 @@
 // reopened from snapshot+log and must serve a byte-identical blocked list.
 // With -replicas N the server is instead the founding primary of a replica
 // set with N more nodes pulling its log stream, and the run demonstrates a
-// censor blackholing the primary: a replica-set client times out, fails
+// censor blackholing the primary: a replica-set client behind the censoring
+// ISP sends SYNs to the primary that never come back, times out, fails
 // over, and is answered 304 by a follower. (A replica set never compacts, so
-// -snapshot-every applies to the single server only.)
+// -snapshot-every applies to the single server only.) Everything runs on
+// the discrete-event clock: the demo counts bytes and failovers, and its
+// virtual times are a function of the flags alone.
 //
 // With -chaos the binary instead runs the deterministic chaos harness's
 // fixed primary-loss schedule against a 3-node self-healing replica set:
@@ -60,7 +63,7 @@ func main() {
 		return
 	}
 
-	clock := vtime.New(1000)
+	clock := vtime.NewEventDriven()
 	n := netem.New(clock, netem.WithSeed(1))
 	cloud := n.AddAS(900, "Cloud", "US")
 	asn := 17557
@@ -188,10 +191,10 @@ func main() {
 	}
 }
 
-// demoFailover quiesces replication, then plays the §5 scenario: the censor
-// blackholes the primary's IP and a replica-set client fails over to a
-// follower within the same sync call — answered 304, because converged
-// replicas share validator tags.
+// demoFailover quiesces replication, then plays the §5 scenario: the
+// failover user's ISP blackholes the primary's IP and the user's replica-set
+// client fails over to a follower within the same sync call — answered 304,
+// because converged replicas share validator tags.
 func demoFailover(ctx context.Context, n *netem.Network, clock *vtime.Clock,
 	srv *globaldb.Server, set *replica.Set, asn, fullBytes int) {
 	// Twice: the first pass ships the log, the second carries the acks.
@@ -204,7 +207,12 @@ func demoFailover(ctx context.Context, n *netem.Network, clock *vtime.Clock,
 	fmt.Printf("\nreplication quiesced: head=%d, followers=%d, max lag=%d\n",
 		lag.Head, len(lag.Followers), lag.MaxLag)
 
-	h := n.MustAddHost("failover-user", "10.0.9.1", "pk", n.AS(900))
+	// The user's ISP drops SYNs toward the primary once the censor acts.
+	censor := netem.NewFaultInjector(nil)
+	censor.Target("40.0.0.1")
+	isp := n.AddAS(asn, "failover-isp", "PK")
+	isp.SetInterceptor(censor)
+	h := n.MustAddHost("failover-user", "10.0.9.1", "pk", isp)
 	c := &globaldb.Client{
 		Endpoints: set.Addrs, Host: "globaldb.example", Clock: clock,
 		ReportDial: h.Dial, FetchDial: h.Dial,
@@ -217,8 +225,7 @@ func demoFailover(ctx context.Context, n *netem.Network, clock *vtime.Clock,
 	}
 	fmt.Printf("replica-set client synced from %s (%d list bytes)\n", c.LastServed(), c.Counters().Get("list-bytes"))
 
-	srv.Faults().SetDrop(true) // the censor blackholes 40.0.0.1: SYNs vanish
-	srv.Faults().SetOutage(true)
+	censor.SetDown(true) // the censor blackholes 40.0.0.1: SYNs vanish
 	start := clock.Now()
 	if _, err := c.FetchBlocked(ctx, asn); err != nil {
 		fatal(fmt.Errorf("failover fetch: %w", err))
@@ -227,8 +234,7 @@ func demoFailover(ctx context.Context, n *netem.Network, clock *vtime.Clock,
 	cs := c.Counters()
 	fmt.Printf("primary blackholed: failed over to %s in %.1fs virtual (failovers=%d, 304s=%d, list bytes moved=%d)\n",
 		c.LastServed(), elapsed.Seconds(), cs.Get("failovers"), cs.Get("fetch-304"), cs.Get("list-bytes")-fullBytes)
-	srv.Faults().SetDrop(false)
-	srv.Faults().SetOutage(false)
+	censor.SetDown(false)
 }
 
 // demoRecovery kills the durable server and reopens its directory: recovery

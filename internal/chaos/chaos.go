@@ -33,14 +33,17 @@ import (
 
 const (
 	numNodes = 3
-	// clockScale keeps virtual timeouts cheap: a 5s virtual pull timeout
-	// costs 5ms of wall time.
-	clockScale = 1000
-	dbHost     = "chaos-db.example"
+	dbHost   = "chaos-db.example"
 	// ASN is the AS the workload's reports are filed under.
 	ASN = 1001
-	// nodeTimeout bounds pulls, probes, and client calls (virtual).
+	// nodeTimeout bounds pulls, probes, and forwards (virtual).
 	nodeTimeout = 5 * time.Second
+	// clientTimeout bounds the client's calls. It outlasts a follower's
+	// forward to a blackholed leader, so the client reads the follower's
+	// answer instead of racing it: on the event clock both deadlines fall
+	// in one jump, and which side saw its own first would be up to the
+	// goroutine scheduler.
+	clientTimeout = 2 * nodeTimeout
 	// missedThreshold pulls must fail before an election; kept low so one
 	// schedule round of dead primary triggers promotion.
 	missedThreshold = 2
@@ -85,9 +88,11 @@ type Cluster struct {
 
 // New builds the cluster under dir (one WAL directory per node) and
 // registers the client through the founding primary. Deterministic for a
-// given seed: jitter is disabled and all timers run on the virtual clock.
+// given seed: jitter is disabled and all timers run on the discrete-event
+// clock, where a blackholed connect parks to its deadline (vtime.Clock.Park)
+// instead of waiting on the host.
 func New(seed int64, dir string) (*Cluster, error) {
-	clock := vtime.New(clockScale)
+	clock := vtime.NewEventDriven()
 	n := netem.New(clock, netem.WithSeed(seed), netem.WithJitter(0))
 	n.SetRTT("dc", "client", 50*time.Millisecond)
 	c := &Cluster{
@@ -140,7 +145,7 @@ func New(seed int64, dir string) (*Cluster, error) {
 		Clock:           clock,
 		FetchDial:       c.clientHost.Dial,
 		ReportDial:      c.clientHost.Dial,
-		Timeout:         nodeTimeout,
+		Timeout:         clientTimeout,
 		ReplicaCooldown: 2 * time.Second,
 	}
 	if err := c.DB.Register(context.Background(), "human-chaos"); err != nil {

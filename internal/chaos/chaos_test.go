@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"reflect"
 	"testing"
 )
 
@@ -108,7 +109,9 @@ func TestChaosPrimaryLossDeterministic(t *testing.T) {
 // TestChaosSweep is the randomized multi-seed sweep: 20 generated
 // schedules mixing kills, partitions, flaps, torn writes, and WAL
 // bit-flips. Every seed must heal to a converged, byte-identical set with
-// no acked report lost. Emits CHAOS.json (CSAW_CHAOS_OUT) even on failure.
+// no acked report lost, and must do so the same way twice: each schedule
+// runs again and the two reports must be equal. Emits CHAOS.json
+// (CSAW_CHAOS_OUT) even on failure.
 func TestChaosSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos sweep skipped in -short")
@@ -126,6 +129,9 @@ func TestChaosSweep(t *testing.T) {
 				rep.Passed++
 			} else {
 				t.Errorf("seed %d (%s, %d rounds, faults %v): %s", seed, s.Name, s.Rounds, r.Faults, r.Err)
+			}
+			if again := runSeed(t, seed, s); !reflect.DeepEqual(again, r) {
+				t.Errorf("seed %d is not deterministic:\n%+v\n%+v", seed, r, again)
 			}
 		})
 	}

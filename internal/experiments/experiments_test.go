@@ -58,7 +58,7 @@ var pinned = map[string]struct {
 	"censor-churn":         {1, true},
 	"replica-loss":         {2, true},
 	"primary-loss":         {2, true},
-	"delta-sync":           {3, false},
+	"delta-sync":           {3, true},
 	"fleet":                {50, false},
 	"trace-breakdown":      {1, false},
 }
@@ -131,8 +131,8 @@ func pin(t *testing.T, id string) string {
 	return ""
 }
 
-// TestExperiments holds every registered experiment to its golden: 11
-// byte-exact, 20 by shape. It ranges over All(), so a new experiment cannot
+// TestExperiments holds every registered experiment to its golden: 12
+// byte-exact, 19 by shape. It ranges over All(), so a new experiment cannot
 // dodge it, and a golden whose experiment is gone fails too.
 func TestExperiments(t *testing.T) {
 	ids := map[string]bool{}

@@ -24,14 +24,6 @@ const (
 	// Summary's listed-equals-expected invariant needs every client's last
 	// pending reports flushed.
 	finalSyncRetries = 5
-	// detectDeadline replaces the detector's 21s/18s defaults under the
-	// real-scaled clock. Affirmative blocking signals answer in RTTs; the
-	// slack only absorbs scheduler stalls, which at O(10k) goroutines can
-	// exceed the defaults — and a blown detector deadline is not just an
-	// error, it is a *verdict*. Under the discrete-event clock the slack
-	// must instead outlast shared-virtual-time drift, so joinClient uses
-	// worldgen.EventFleetSlack there.
-	detectDeadline = 2 * time.Hour
 	// samplePeriod is the live-counter / goroutine-gauge cadence (virtual).
 	samplePeriod = time.Minute
 )
@@ -52,13 +44,6 @@ type Options struct {
 	// SerialClients forces cfg.Serial on every client: detect first, then
 	// circumvent, no racing goroutines — the deterministic trace discipline.
 	SerialClients bool
-	// FailoverBudget overrides the per-fetch failover-ladder budget on every
-	// client. Zero keeps the fleet default of disabled (-1): at O(10k)
-	// goroutines a healthy fetch can measure minutes of virtual time, and a
-	// budget would misread that stall noise as a dead ladder. Set it
-	// (csaw-fleet -failover-budget) when driving small fleets against
-	// dropping censors, where the walk must be deadline-bounded.
-	FailoverBudget time.Duration
 }
 
 // tev is one scheduled action in the run's global timeline, packed
@@ -112,9 +97,8 @@ func buildTimeline(plan *Plan) []tev {
 // the deterministic Summary plus the Measured section. The world must have
 // been built with BuildFleetScenario and nothing else driving it.
 //
-// One dispatcher goroutine walks the global timeline, pacing the clock
-// (sleeping under the real-scaled clock, jumping under the discrete-event
-// one) and feeding a fixed worker pool; client i always lands on worker
+// One dispatcher goroutine walks the global timeline, sleeping the clock to
+// each event and feeding a fixed worker pool; client i always lands on worker
 // i%workers, so each client's events stay FIFO. Any worker error cancels
 // the run-scoped context, which stops the dispatcher and drains the pool
 // promptly instead of letting the other workers finish their timelines.
@@ -332,22 +316,19 @@ func joinClient(ctx context.Context, w *worldgen.World, sc *worldgen.FleetScenar
 	// so the per-client background sync loop is disabled outright — at 100k
 	// clients even parked tickers and loop goroutines are real weight.
 	cfg.SyncInterval = -1
-	deadline := detectDeadline
-	if w.Clock.EventDriven() {
-		deadline = worldgen.EventFleetSlack
-	}
-	cfg.DetectConnectTimeout = deadline
-	cfg.DetectHTTPTimeout = deadline
-	cfg.DNSAttemptTimeout = deadline
-	// Same stall rationale as the detector deadlines: at O(10k) goroutines
-	// a healthy circumvention fetch can *measure* minutes of virtual time,
-	// so the failover-ladder budget and quarantine (which would turn stall
-	// noise into benches and fetch errors) are disabled for fleet clients
-	// unless the run asks for a budget explicitly (Options.FailoverBudget).
+	// The detector deadlines get the fleet slack: affirmative blocking
+	// signals answer in RTTs, while concurrent workers' sleeps all advance
+	// the shared event clock — and a blown detector deadline is not just an
+	// error, it is a *verdict*.
+	cfg.DetectConnectTimeout = worldgen.EventFleetSlack
+	cfg.DetectHTTPTimeout = worldgen.EventFleetSlack
+	cfg.DNSAttemptTimeout = worldgen.EventFleetSlack
+	// For the same reason a healthy circumvention fetch can *measure* hours
+	// of virtual time, so the failover-ladder budget and quarantine (which
+	// would turn that drift into benches and fetch errors) are disabled. A
+	// budget binds only against censors that drop, and the fleet scenario
+	// has none.
 	cfg.FailoverBudget = -1
-	if opts.FailoverBudget != 0 {
-		cfg.FailoverBudget = opts.FailoverBudget
-	}
 	cfg.Quarantine.Strikes = -1
 	cfg.Trace = opts.Trace
 	if opts.SerialClients {
@@ -450,7 +431,6 @@ func collect(w *worldgen.World, sc *worldgen.FleetScenario, plan *Plan, st *Stat
 	m := Measured{
 		VirtualSeconds: elapsed.Seconds(),
 		Workers:        workers,
-		Scale:          w.Clock.Scale(),
 		Fetches:        ev["fetches"],
 		FetchErrors:    ev["fetch-errors"],
 		Sessions:       ev["sessions"],

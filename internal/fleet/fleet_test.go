@@ -11,14 +11,22 @@ import (
 	"csaw/internal/worldgen"
 )
 
-// runFleet builds a world + scenario for the workload and executes it.
-func runFleet(t *testing.T, wl Workload, scale float64, workers int) *RunResult {
+// runFleet builds an event-clock world + scenario for the workload and
+// executes it.
+func runFleet(t *testing.T, wl Workload, workers int) *RunResult {
 	t.Helper()
-	return runFleetOpts(t, wl, scale, func(_ *worldgen.World, o *Options) { o.Workers = workers })
+	return runEventFleet(t, wl, func(_ *worldgen.World, o *Options) { o.Workers = workers })
 }
 
-// runFleetOpts is runFleet with an options hook: mod sees the built world
+// runEventFleet is runFleet with an options hook: mod sees the built world
 // (tracers need its clock) and the default Options before the run starts.
+func runEventFleet(t *testing.T, wl Workload, mod func(w *worldgen.World, o *Options)) *RunResult {
+	t.Helper()
+	return runFleetWorld(t, wl, worldgen.Options{EventDriven: true, Seed: wl.Seed}, mod)
+}
+
+// runFleetOpts is runEventFleet on the real-scaled clock at scale, for the
+// tests that compare engines or measure wall time.
 func runFleetOpts(t *testing.T, wl Workload, scale float64, mod func(w *worldgen.World, o *Options)) *RunResult {
 	t.Helper()
 	return runFleetWorld(t, wl, worldgen.Options{Scale: scale, Seed: wl.Seed}, mod)
@@ -57,7 +65,7 @@ func runFleetWorld(t *testing.T, wl Workload, wopts worldgen.Options, mod func(w
 func TestFleetRunLeavesNoClientGoroutines(t *testing.T) {
 	wl := smokeWorkload(17)
 	wl.Population = 40
-	_ = runFleetOpts(t, wl, 2400, func(_ *worldgen.World, o *Options) {
+	_ = runEventFleet(t, wl, func(_ *worldgen.World, o *Options) {
 		o.Workers = 8
 		leakcheck.Check(t)
 	})
@@ -78,7 +86,7 @@ func smokeWorkload(seed int64) Workload {
 }
 
 func TestFleetSmoke(t *testing.T) {
-	res := runFleet(t, smokeWorkload(11), 2400, 16)
+	res := runFleet(t, smokeWorkload(11), 16)
 	s := res.Summary
 	if s.RegisteredUsers != s.Population {
 		t.Errorf("registered %d of %d clients", s.RegisteredUsers, s.Population)
@@ -114,7 +122,7 @@ func TestFleetSmoke(t *testing.T) {
 // whole list. The bound below fails that regime with wide margin while
 // tolerating the converging-phase transitions.
 func TestFleetDeltaSyncDefault(t *testing.T) {
-	res := runFleet(t, smokeWorkload(11), 2400, 16)
+	res := runFleet(t, smokeWorkload(11), 16)
 	d := res.Measured.DeltaSync()
 	m := res.Measured
 	if d.FetchDelta == 0 {
@@ -239,16 +247,13 @@ func TestEventModeMatchesScaledMode(t *testing.T) {
 // TestEventModeSmoke: the event engine also holds the fleet's health
 // invariants (no fetch/sync errors, nothing degraded), not just the summary.
 func TestEventModeSmoke(t *testing.T) {
-	res := runFleetWorld(t, smokeWorkload(23), worldgen.Options{EventDriven: true, Seed: 23}, nil)
+	res := runEventFleet(t, smokeWorkload(23), nil)
 	if !res.Summary.Consistent() {
 		t.Errorf("global DB diverged:\n%s", res.Summary.Render())
 	}
 	m := res.Measured
 	if m.FetchErrors > 0 || m.SyncErrors > 0 || m.Degraded > 0 {
 		t.Errorf("fetch errors %d, sync errors %d, degraded %d", m.FetchErrors, m.SyncErrors, m.Degraded)
-	}
-	if m.Scale != 0 {
-		t.Errorf("Measured.Scale = %v under event mode, want 0", m.Scale)
 	}
 }
 
@@ -259,7 +264,7 @@ func TestEventModeSmoke(t *testing.T) {
 // semantics, aggregation order, or validator tags.
 func TestFleetWALByteIdentical(t *testing.T) {
 	wl := smokeWorkload(11)
-	mem := runFleetWorld(t, wl, worldgen.Options{EventDriven: true, Seed: wl.Seed}, nil)
+	mem := runEventFleet(t, wl, nil)
 	wal := runFleetWorld(t, wl, worldgen.Options{
 		EventDriven:           true,
 		Seed:                  wl.Seed,

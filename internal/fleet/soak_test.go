@@ -36,8 +36,8 @@ func TestSoakSameSeedSameSummary(t *testing.T) {
 		o.Workers = 48
 		o.Trace = trace.New(w.Clock, trace.NewStreamSink(io.Discard), trace.WithSampling(16))
 	}
-	first := runFleetOpts(t, wl, 2400, withTrace)
-	second := runFleetOpts(t, wl, 2400, withTrace)
+	first := runEventFleet(t, wl, withTrace)
+	second := runEventFleet(t, wl, withTrace)
 
 	if !first.Summary.Consistent() {
 		t.Errorf("run 1 diverged from plan expectation:\n%s", first.Summary.Render())

@@ -153,12 +153,11 @@ type PLTStats struct {
 }
 
 // Measured is the timing-dependent half of a run result: everything here
-// carries scheduler jitter by design and is excluded from the determinism
-// comparison.
+// depends on how the workers interleave and is excluded from the
+// determinism comparison.
 type Measured struct {
 	VirtualSeconds float64             `json:"virtual_seconds"`
 	Workers        int                 `json:"workers"`
-	Scale          float64             `json:"scale"`
 	Fetches        int                 `json:"fetches"`
 	FetchErrors    int                 `json:"fetch_errors"`
 	Sessions       int                 `json:"sessions"`
@@ -207,7 +206,7 @@ func (m Measured) DeltaSync() DeltaSyncStats {
 func (m Measured) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "-- measured (not deterministic) --\n")
-	fmt.Fprintf(&b, "virtual span    %.1fs at scale %.0f, %d workers\n", m.VirtualSeconds, m.Scale, m.Workers)
+	fmt.Fprintf(&b, "virtual span    %.1fs, %d workers\n", m.VirtualSeconds, m.Workers)
 	fmt.Fprintf(&b, "fetches         %d (%d errors), %d sessions\n", m.Fetches, m.FetchErrors, m.Sessions)
 	fmt.Fprintf(&b, "syncs           %d (%d errors), %d updates, %d degraded clients\n",
 		m.Syncs, m.SyncErrors, m.Updates, m.Degraded)

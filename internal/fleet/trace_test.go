@@ -29,7 +29,7 @@ func TestFleetTraceDeterminism(t *testing.T) {
 	run := func() string {
 		var buf bytes.Buffer
 		sink := trace.NewSortedSink(&buf)
-		res := runFleetOpts(t, wl, 2400, func(w *worldgen.World, o *Options) {
+		res := runEventFleet(t, wl, func(w *worldgen.World, o *Options) {
 			o.Workers = 1
 			o.SerialClients = true
 			o.Trace = trace.New(w.Clock, sink, trace.WithSampling(4))

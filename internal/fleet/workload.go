@@ -24,12 +24,14 @@
 //     are measured quantities, not summary quantities.
 //
 //   - The fleet scenario blocks only with affirmative signals (block page,
-//     RST, DNS redirect) and the driver raises the detector deadlines, so a
-//     scheduler stall under load can never flip a verdict to tcp-timeout.
+//     RST, DNS redirect) and the driver raises the detector deadlines, so
+//     clock drift under load can never flip a verdict to tcp-timeout.
 //
-// Everything timing-derived — PLTs, throughput, goroutine counts, sync
-// volume — lives in Measured and is excluded from the comparison: virtual
-// time is scaled real time, so those carry scheduler jitter by design.
+// Runs use the discrete-event clock (vtime.NewEventDriven), where every
+// concurrent worker's sleep advances the one shared virtual time. So
+// everything timing-derived — PLTs, throughput, goroutine counts, sync
+// volume — lives in Measured and is excluded from the comparison: it
+// depends on how the workers interleave.
 package fleet
 
 import (

@@ -261,9 +261,23 @@ func (n *Node) Handler() httpx.Handler {
 // context bounds the upstream call: a client that hung up (or a closing
 // server) cancels the forward instead of leaving it to run out its own
 // timeout against an unreachable primary.
+//
+// Each hop appends its address to the write's Via header, and a node that
+// finds itself there refuses the write: two followers that each believe
+// the other leads (a restarted ex-primary and the node it was told to
+// resync to) would otherwise relay one push back and forth until the first
+// hop's timeout, with every hop still relaying after its caller gave up.
 func (n *Node) forward(req *httpx.Request) *httpx.Response {
+	via := req.Header.Get("Via")
+	if slices.Contains(strings.Split(via, ", "), n.Self) {
+		return httpx.NewResponse(502, []byte("primary unreachable: forwarding loop via "+via))
+	}
 	fwd := httpx.NewRequest(req.Method, n.PrimaryHost, req.Target)
 	fwd.Header = slices.Clone(req.Header)
+	if via != "" {
+		via += ", "
+	}
+	fwd.Header.Set("Via", via+n.Self)
 	fwd.Body = req.Body
 	hc := n.http()
 	upstream := n.primaryAddr()

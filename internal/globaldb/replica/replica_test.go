@@ -3,6 +3,7 @@ package replica
 import (
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -284,5 +285,25 @@ func TestForwardHonorsRequestContext(t *testing.T) {
 	}
 	if elapsed := w.clock.Now().Sub(start); elapsed > time.Second {
 		t.Fatalf("forward with dead context burned %v of virtual time, want an immediate abort", elapsed)
+	}
+}
+
+// TestForwardCutsLoops: two followers that each believe the other leads
+// must refuse a write within a round trip or two, not relay it back and
+// forth until the first hop's timeout.
+func TestForwardCutsLoops(t *testing.T) {
+	w := newReplWorld(t)
+	w.set.Nodes[1].adopt(0, addr2)
+	w.set.Nodes[2].adopt(0, addr1)
+
+	req := httpx.NewRequest("POST", "globaldb.example", globaldb.PathReport)
+	req.Body = []byte(`{"uuid":"u","reports":[]}`)
+	start := w.clock.Now()
+	resp := w.set.Nodes[1].Handler().ServeHTTP(req, netem.Flow{})
+	if resp.StatusCode != 502 || !strings.Contains(string(resp.Body), "forwarding loop") {
+		t.Fatalf("looping forward: status %d %s, want 502 naming the loop", resp.StatusCode, resp.Body)
+	}
+	if elapsed := w.clock.Now().Sub(start); elapsed > time.Second {
+		t.Fatalf("looping forward took %v of virtual time, want a refusal within round trips", elapsed)
 	}
 }

@@ -56,13 +56,14 @@ func TestExpiryExactlyAtTTLBoundary(t *testing.T) {
 	}
 }
 
-// TestExpiryBoundaryAcrossClockScales brackets the TTL boundary at the
-// clock scales fleet runs actually use. Virtual time flows with real time
-// × scale, so at scale 10⁴ a scheduler stall is minutes of virtual drift —
-// the FleetSlack failure mode. The test models that drift explicitly: the
-// record is stamped driftBudget (two real seconds of virtual time) in the
-// future, so the alive check tolerates any stall shorter than the budget,
-// while the expired check advances past the budget and must still fire.
+// TestExpiryBoundaryAcrossClockScales brackets the TTL boundary at clock
+// scales from wall time to 10⁴. Virtual time flows with real time × scale,
+// so at scale 10⁴ a scheduler stall is minutes of virtual drift — the
+// failure mode deadline slack exists for. The test models that drift
+// explicitly: the record is stamped driftBudget (two real seconds of
+// virtual time) in the future, so the alive check tolerates any stall
+// shorter than the budget, while the expired check advances past the
+// budget and must still fire.
 // Guards against expiry drifting to >= (records dying a tick early) or to
 // a slack-relative comparison that would never expire at high scales.
 func TestExpiryBoundaryAcrossClockScales(t *testing.T) {

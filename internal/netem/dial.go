@@ -55,8 +55,8 @@ func IsIPLiteral(s string) bool {
 // Dial opens a connection from the host to "ip:port", emulating the TCP
 // handshake (one RTT plus jitter) and consulting the egress AS's
 // interceptor. Context cancellation bounds the whole attempt; a blackholed
-// SYN blocks until the context ends and surfaces as a timeout, matching how
-// real clients experience IP blocking.
+// SYN parks on the clock until the context ends (see vtime.Clock.Park) and
+// surfaces as a timeout, matching how real clients experience IP blocking.
 func (h *Host) Dial(ctx context.Context, address string) (net.Conn, error) {
 	ip, port, err := SplitAddr(address)
 	if err != nil {
@@ -84,13 +84,12 @@ func (h *Host) Dial(ctx context.Context, address string) (net.Conn, error) {
 		case VerdictDrop:
 			// SYN blackholed: nothing ever comes back.
 			lane.Event("net", "censor-drop", address)
-			<-ctx.Done()
-			return nil, h.dialErr(address, ctx)
+			return nil, h.dialErr(address, n.clock.Park(ctx))
 		case VerdictReset:
 			// RST injected from near the edge: fast failure.
 			lane.Event("net", "censor-rst", address)
 			if err := n.clock.SleepCtx(ctx, n.RTT(h.loc, "")/4); err != nil {
-				return nil, h.dialErr(address, ctx)
+				return nil, h.dialErr(address, err)
 			}
 			return nil, &OpError{Op: "dial", Addr: address, Err: ErrReset}
 		}
@@ -99,13 +98,12 @@ func (h *Host) Dial(ctx context.Context, address string) (net.Conn, error) {
 	if dst == nil {
 		// Routed into the void; the handshake never completes.
 		lane.Event("net", "void", address)
-		<-ctx.Done()
-		return nil, h.dialErr(address, ctx)
+		return nil, h.dialErr(address, n.clock.Park(ctx))
 	}
 
 	rtt := n.RTT(h.loc, dst.loc)
 	if err := n.clock.SleepCtx(ctx, rtt+n.jitter(rtt)); err != nil {
-		return nil, h.dialErr(address, ctx)
+		return nil, h.dialErr(address, err)
 	}
 
 	lst := dst.listener(port)
@@ -149,10 +147,11 @@ func (h *Host) Dial(ctx context.Context, address string) (net.Conn, error) {
 	return clientConn, nil
 }
 
-// dialErr maps a context ending during dial to the right error: deadline
-// expiry looks like a TCP connect timeout, explicit cancellation propagates.
-func (h *Host) dialErr(address string, ctx context.Context) error {
-	if ctx.Err() == context.Canceled {
+// dialErr maps the error of a context ending during dial to the right
+// error: deadline expiry looks like a TCP connect timeout, explicit
+// cancellation propagates.
+func (h *Host) dialErr(address string, err error) error {
+	if err == context.Canceled {
 		return &OpError{Op: "dial", Addr: address, Err: context.Canceled}
 	}
 	return &OpError{Op: "dial", Addr: address, Err: ErrTimeout}

@@ -1,6 +1,7 @@
 package netem
 
 import (
+	"errors"
 	"io"
 	"testing"
 	"time"
@@ -97,17 +98,44 @@ func TestFaultInjectorFailNextAndTarget(t *testing.T) {
 
 func TestFaultInjectorDropBlackholes(t *testing.T) {
 	// VerdictDrop must look like a dead link: the dial blocks until its
-	// (virtual) timeout rather than failing fast.
-	n, client, server, fi := flapWorld(t)
-	serveEcho(t, server)
-	fi.SetDown(true) // default verdict is Drop
+	// (virtual) timeout rather than failing fast. On the event clock nothing
+	// but the dial's own park moves time, so it must end at exactly 3s.
+	for _, tc := range []struct {
+		name  string
+		world func(*testing.T) (*Network, *Host, *Host)
+	}{
+		{"scaled", func(t *testing.T) (*Network, *Host, *Host) { return testWorld(t) }},
+		{"event", eventWorld},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n, client, server := tc.world(t)
+			fi := NewFaultInjector(nil)
+			client.ASes()[0].SetInterceptor(fi)
+			serveEcho(t, server)
+			fi.SetDown(true) // default verdict is Drop
 
-	start := n.Clock().Now()
-	_, err := client.DialTimeout("93.184.216.34:80", 3*time.Second)
-	if err == nil {
-		t.Fatal("dial succeeded across a blackholed link")
-	}
-	if waited := n.Clock().Since(start); waited < 2*time.Second {
-		t.Fatalf("blackholed dial failed after only %v, want a timeout", waited)
+			start := n.Clock().Now()
+			errc := make(chan error, 1)
+			go func() {
+				_, err := client.DialTimeout("93.184.216.34:80", 3*time.Second)
+				errc <- err
+			}()
+			var err error
+			select {
+			case err = <-errc:
+			case <-time.After(10 * time.Second): //lint:allow-realtime watchdog: a blackholed dial that never parks on the clock hangs
+				t.Fatal("blackholed dial never returned")
+			}
+			if !errors.Is(err, ErrTimeout) {
+				t.Fatalf("blackholed dial = %v, want ErrTimeout", err)
+			}
+			waited := n.Clock().Since(start)
+			if n.Clock().EventDriven() && waited != 3*time.Second {
+				t.Fatalf("blackholed dial failed after %v of event time, want exactly 3s", waited)
+			}
+			if waited < 2*time.Second {
+				t.Fatalf("blackholed dial failed after only %v, want a timeout", waited)
+			}
+		})
 	}
 }

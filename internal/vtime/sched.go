@@ -27,8 +27,9 @@ import (
 // advanced across its offset, never spontaneously. Code that arms a timer
 // and then blocks without anything else advancing the clock would wait
 // forever — event-driven mode is for workloads (like internal/fleet) whose
-// forward progress comes from sleeps, with timers acting purely as bounds
-// that the happy path never reaches. Tests advance time explicitly.
+// forward progress comes from sleeps, with timers acting as bounds that a
+// waiter reaches only through Clock.Park, which advances to its context's
+// armed deadline. Tests advance time explicitly.
 type Scheduler struct {
 	mu   sync.Mutex
 	now  time.Duration // virtual offset since the clock epoch
@@ -216,12 +217,14 @@ func (s *Scheduler) removeLocked(i int) {
 // context.DeadlineExceeded once virtual time crosses it, so timeout
 // classification (errors.Is(err, context.DeadlineExceeded)) behaves exactly
 // as with a real context. Parent cancellation propagates via
-// context.AfterFunc.
+// context.AfterFunc, and Err also reads the parent's, so a parent deadline
+// crossed by an advance is visible as soon as the advance returns.
 type eventCtx struct {
 	context.Context // parent, for Value
 
 	clock *Clock
-	dl    time.Time // virtual deadline
+	at    time.Duration // offset of this context's own deadline event
+	dl    time.Time     // reported deadline: at, or the parent's if earlier
 	done  chan struct{}
 
 	mu      sync.Mutex
@@ -230,14 +233,43 @@ type eventCtx struct {
 	unwatch func() bool // stops the parent-cancellation watch
 }
 
+// armedKey looks up, through Value, the innermost eventCtx a clock armed.
+type armedKey struct{ clock *Clock }
+
 func (c *eventCtx) Deadline() (time.Time, bool) { return c.dl, true }
 
 func (c *eventCtx) Done() <-chan struct{} { return c.done }
 
 func (c *eventCtx) Err() error {
+	if perr := c.Context.Err(); perr != nil {
+		c.cancel(perr) // a no-op if this context already ended
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.err
+}
+
+func (c *eventCtx) Value(key any) any {
+	if key == (armedKey{c.clock}) {
+		return c
+	}
+	return c.Context.Value(key)
+}
+
+// armedDeadline returns the offset of the nearest deadline this clock's
+// WithTimeout armed on ctx or any of its ancestors.
+func (c *Clock) armedDeadline(ctx context.Context) (at time.Duration, ok bool) {
+	for {
+		ec, found := ctx.Value(armedKey{c}).(*eventCtx)
+		if !found {
+			return at, ok
+		}
+		if !ok || ec.at < at {
+			at = ec.at
+		}
+		ok = true
+		ctx = ec.Context
+	}
 }
 
 // cancel settles the context with err (first cause wins): the error is

@@ -288,3 +288,95 @@ func TestNewTickerSubScalePeriod(t *testing.T) {
 		t.Fatal("AfterFunc(30ns) at scale 40 never fired")
 	}
 }
+
+// TestEventNestedDeadline: a context's deadline is the earlier of its own
+// and its parent's, as with context.WithTimeout, and a sleep under it stops
+// at the parent's.
+func TestEventNestedDeadline(t *testing.T) {
+	c := NewEventDriven()
+	outer, cancelOuter := c.WithTimeout(context.Background(), time.Second)
+	defer cancelOuter()
+	ctx, cancel := c.WithTimeout(outer, 5*time.Second)
+	defer cancel()
+	start := c.Now()
+	if dl, ok := ctx.Deadline(); !ok || !dl.Equal(start.Add(time.Second)) {
+		t.Fatalf("Deadline() = %v, %v; want the parent's %v", dl, ok, start.Add(time.Second))
+	}
+	if err := c.SleepCtx(ctx, 10*time.Second); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("SleepCtx = %v, want DeadlineExceeded", err)
+	}
+	if got := c.Since(start); got != time.Second {
+		t.Fatalf("SleepCtx under nested deadlines advanced %v, want 1s", got)
+	}
+}
+
+// TestPark: Park returns how ctx ended on both engines; on the event clock
+// only a deadline the clock armed moves time, to exactly that deadline.
+func TestPark(t *testing.T) {
+	engines := []struct {
+		name string
+		new  func() *Clock
+	}{
+		{"scaled", func() *Clock { return New(1000) }},
+		{"event", NewEventDriven},
+	}
+	cases := []struct {
+		name string
+		// ctx bounds the park; it must end on its own.
+		ctx     func(c *Clock) (context.Context, context.CancelFunc)
+		want    error
+		advance time.Duration // event-clock time the park moves
+	}{
+		{"clock-armed deadline", func(c *Clock) (context.Context, context.CancelFunc) {
+			return c.WithTimeout(context.Background(), 3*time.Second)
+		}, context.DeadlineExceeded, 3 * time.Second},
+		{"no deadline", func(*Clock) (context.Context, context.CancelFunc) {
+			ctx, cancel := context.WithCancel(context.Background())
+			time.AfterFunc(10*time.Millisecond, cancel)
+			return ctx, cancel
+		}, context.Canceled, 0},
+		{"foreign deadline", func(*Clock) (context.Context, context.CancelFunc) {
+			return context.WithTimeout(context.Background(), 10*time.Millisecond)
+		}, context.DeadlineExceeded, 0},
+	}
+	for _, e := range engines {
+		for _, tc := range cases {
+			t.Run(e.name+"/"+tc.name, func(t *testing.T) {
+				c := e.new()
+				ctx, cancel := tc.ctx(c)
+				defer cancel()
+				start := c.Now()
+				if err := c.Park(ctx); err != tc.want {
+					t.Fatalf("Park = %v, want %v", err, tc.want)
+				}
+				got := c.Since(start)
+				switch {
+				case c.EventDriven() && got != tc.advance:
+					t.Fatalf("Park moved event time %v, want %v", got, tc.advance)
+				case !c.EventDriven() && got < tc.advance:
+					t.Fatalf("Park returned after %v of scaled time, before the %v deadline", got, tc.advance)
+				}
+			})
+		}
+	}
+}
+
+// TestEventParkNearestArmedDeadline: Park advances to the nearest armed
+// deadline even when a foreign context sits between it and ctx, and a
+// nested later deadline does not carry time past it.
+func TestEventParkNearestArmedDeadline(t *testing.T) {
+	c := NewEventDriven()
+	outer, cancelOuter := c.WithTimeout(context.Background(), 2*time.Second)
+	defer cancelOuter()
+	mid, cancelMid := context.WithCancel(outer)
+	defer cancelMid()
+	ctx, cancel := c.WithTimeout(mid, time.Minute)
+	defer cancel()
+	start := c.Now()
+	if err := c.Park(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Park = %v, want DeadlineExceeded", err)
+	}
+	if got := c.Since(start); got != 2*time.Second {
+		t.Fatalf("Park advanced %v, want the nearest armed deadline, 2s", got)
+	}
+}

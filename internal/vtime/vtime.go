@@ -266,6 +266,24 @@ func (c *Clock) SleepCtx(ctx context.Context, d time.Duration) error {
 	return nil
 }
 
+// Park blocks until ctx ends and returns ctx.Err(): the wait for an answer
+// that never comes, such as a blackholed SYN.
+//
+// In discrete-event mode nothing else may be left to move time, so if a
+// deadline this clock's WithTimeout armed bounds ctx, Park first advances
+// virtual time to the nearest such deadline — the summing rule Sleep and
+// SleepCtx follow. A ctx with no deadline, or only deadlines the clock did
+// not arm, ends on its own: Park waits on Done and moves no time.
+func (c *Clock) Park(ctx context.Context) error {
+	if c.sched != nil && ctx.Err() == nil {
+		if at, ok := c.armedDeadline(ctx); ok {
+			c.sched.advanceTo(at)
+		}
+	}
+	<-ctx.Done()
+	return ctx.Err()
+}
+
 // After returns a channel that delivers the virtual time after virtual
 // duration d.
 func (c *Clock) After(d time.Duration) <-chan time.Time {
@@ -291,13 +309,18 @@ func (c *Clock) AfterFunc(d time.Duration, f func()) (stop func() bool) {
 
 // WithTimeout returns a context that is cancelled after the virtual duration
 // d. In discrete-event mode the context's Deadline is the *virtual* expiry
-// instant and Err turns context.DeadlineExceeded when virtual time crosses
-// it, so timeout classification works identically in both modes.
+// instant (or the parent's, if earlier) and Err turns
+// context.DeadlineExceeded when virtual time crosses it, so timeout
+// classification works identically in both modes.
 func (c *Clock) WithTimeout(ctx context.Context, d time.Duration) (context.Context, context.CancelFunc) {
 	if c.sched == nil {
 		return context.WithTimeout(ctx, c.Real(d))
 	}
-	ec := &eventCtx{Context: ctx, clock: c, dl: c.Now().Add(d), done: make(chan struct{})}
+	at := c.sched.Offset() + max(d, 0)
+	ec := &eventCtx{Context: ctx, clock: c, at: at, dl: c.epoch.Add(at), done: make(chan struct{})}
+	if pdl, ok := ctx.Deadline(); ok && pdl.Before(ec.dl) {
+		ec.dl = pdl // like context.WithDeadline: the earlier deadline is the one reported
+	}
 	cancel := func() { ec.cancel(context.Canceled) }
 	if err := ctx.Err(); err != nil {
 		ec.cancel(err)
@@ -311,7 +334,7 @@ func (c *Clock) WithTimeout(ctx context.Context, d time.Duration) (context.Conte
 	// returned cancel func) must take the lock first, so it always sees —
 	// and releases — both registrations.
 	ec.mu.Lock()
-	ec.ev = c.sched.schedule(d, func(time.Duration) { ec.cancel(context.DeadlineExceeded) })
+	ec.ev = c.sched.scheduleAt(at, func(time.Duration) { ec.cancel(context.DeadlineExceeded) })
 	ec.unwatch = context.AfterFunc(ctx, func() { ec.cancel(ctx.Err()) })
 	ec.mu.Unlock()
 	return ec, cancel

@@ -11,34 +11,19 @@ import (
 	"csaw/internal/web"
 )
 
-// FleetSlack is the virtual-time headroom fleet runs grant every deadline
-// that is not itself a blocking signal: approach transports, the static
-// proxies' idle timeout, DNS attempts, and global-DB API calls. Virtual
-// time is scaled real time, so at fleet clock scales the library defaults
-// (tens of virtual seconds) are only milliseconds of real slack — a
-// scheduler stall under O(10k) goroutines would sever healthy connections
-// and, worse, mint timeout verdicts. Nothing in the fleet scenario blocks
-// by timing out, so the slack costs nothing.
-const FleetSlack = time.Hour
-
-// EventFleetSlack replaces FleetSlack under the discrete-event clock. In
-// that mode virtual time is shared and every concurrent worker's sleep
-// advances it, so an op's deadline must outlast not its own latency but the
-// total virtual distance the whole fleet covers while the op is in flight —
+// EventFleetSlack is the virtual-time headroom fleet runs grant every
+// deadline that is not itself a blocking signal: approach transports, the
+// static proxies' idle timeout, DNS attempts, global-DB API calls, and the
+// driver's detector deadlines. Fleet runs use the discrete-event clock,
+// where virtual time is shared and every concurrent worker's sleep advances
+// it, so an op's deadline must outlast not its own latency but the total
+// virtual distance the whole fleet covers while the op is in flight —
 // potentially the rest of the run. A 100k-client run advances a few
 // thousand virtual hours; this bound exceeds that by orders of magnitude
-// while staying far from time.Duration overflow. The same affirmative-
-// signal argument as FleetSlack makes the slack free: no fleet verdict
-// comes from a timeout.
+// while staying far from time.Duration overflow. Nothing in the fleet
+// scenario blocks by timing out, so the slack costs nothing: no fleet
+// verdict comes from a timeout.
 const EventFleetSlack = 200_000 * time.Hour
-
-// fleetSlack is the deadline headroom for the world's clock mode.
-func (w *World) fleetSlack() time.Duration {
-	if w.Clock.EventDriven() {
-		return EventFleetSlack
-	}
-	return FleetSlack
-}
 
 // Fleet scenario: the population-scale world behind internal/fleet and
 // cmd/csaw-fleet. It differs from the evaluation scenarios in two ways that
@@ -158,7 +143,7 @@ func (w *World) BuildFleetScenario(nSites, nISPs int, blockedFrac float64) (*Fle
 		isp.Censor.SetPolicy(p)
 		sc.ISPs = append(sc.ISPs, isp)
 	}
-	w.RelaxProxyTimeouts(w.fleetSlack())
+	w.RelaxProxyTimeouts(EventFleetSlack)
 	return sc, nil
 }
 
@@ -170,7 +155,7 @@ func (w *World) BuildFleetScenario(nSites, nISPs int, blockedFrac float64) (*Fle
 // measures the crowdsourcing plane, not exotic transports.
 func (w *World) LightApproaches(host *netem.Host) []*core.Approach {
 	gdns := &dnsx.Client{Dial: host.Dial, Clock: w.Clock,
-		Servers: []string{w.PublicDNSAddr}, AttemptTimeout: w.fleetSlack()}
+		Servers: []string{w.PublicDNSAddr}, AttemptTimeout: EventFleetSlack}
 	apps := []*core.Approach{
 		core.PublicDNSFix(host, w.Clock, gdns),
 		core.NewFrontingFix(host, w.Clock, FrontHost, FrontIP, w.Frontable),
@@ -179,7 +164,7 @@ func (w *World) LightApproaches(host *netem.Host) []*core.Approach {
 		apps = append(apps, core.StaticProxyApproach("proxy-Netherlands", host, w.Clock, addr))
 	}
 	for _, a := range apps {
-		a.Transport.Timeout = w.fleetSlack()
+		a.Transport.Timeout = EventFleetSlack
 	}
 	return apps
 }
@@ -195,7 +180,7 @@ func (w *World) LightClientConfig(host *netem.Host, seed int64) core.Config {
 		LDNS:         w.LDNSAddrs(host),
 		GDNS:         []string{w.PublicDNSAddr},
 		Approaches:   w.LightApproaches(host),
-		GlobalDB:     w.GlobalDBClient(host, host.Dial, w.fleetSlack()),
+		GlobalDB:     w.GlobalDBClient(host, host.Dial, EventFleetSlack),
 		CaptchaToken: "human-" + host.Name(),
 		Seed:         seed,
 	}
