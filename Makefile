@@ -31,7 +31,7 @@
 #   make fuzz        — short fuzz pass over the dnsx/httpx wire codecs (httpx
 #                      also against its map-based reference codec), the WAL
 #                      record and snapshot decoders, the global-DB report
-#                      decoder and list bodies
+#                      and list decoders and list bodies
 #   make cover       — coverage for core+detect+trace, gated on COVERAGE.md
 
 GO ?= go
@@ -117,10 +117,10 @@ shape:
 	CSAW_UPDATE_SHAPE=1 $(GO) test ./internal/experiments -run TestExperiments -count=1
 
 # One short engine pass per wire-codec fuzz target (plus the WAL record and
-# snapshot decoders — the bytes a crash can tear — the /v1/report decoder,
-# which the target holds to encoding/json, and the /v1/blocked bodies, which
-# the global DB joins from cached fragments and the target holds to
-# encoding/json too); the checked-in seed corpora under testdata/fuzz/ always
+# snapshot decoders — the bytes a crash can tear — the /v1/report and
+# /v1/blocked decoders, which the targets hold to encoding/json, and the
+# /v1/blocked bodies, which the global DB joins from cached fragments and the
+# target holds to encoding/json too); the checked-in seed corpora under testdata/fuzz/ always
 # run as plain regression subtests. FuzzCodecVsReference holds the httpx
 # codec to the map-based one it replaced (reference_test.go). It and
 # FuzzFetchBodies cap minimization: their coverage varies run to run (map
@@ -134,6 +134,7 @@ fuzz:
 	$(GO) test ./internal/globaldb/storage -run '^$$' -fuzz FuzzReplay -fuzztime 10s
 	$(GO) test ./internal/globaldb/storage -run '^$$' -fuzz FuzzSnapshot -fuzztime 10s
 	$(GO) test ./internal/globaldb -run '^$$' -fuzz FuzzReportDecode -fuzztime 10s
+	$(GO) test ./internal/globaldb -run '^$$' -fuzz FuzzListDecode -fuzztime 10s
 	$(GO) test ./internal/globaldb -run '^$$' -fuzz FuzzFetchBodies -fuzztime 10s -fuzzminimizetime 1s
 
 # Combined statement coverage over the measurement pipeline (core + detect

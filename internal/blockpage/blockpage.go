@@ -19,6 +19,7 @@ package blockpage
 import (
 	"math"
 	"strings"
+	"sync"
 	"unicode"
 	"unicode/utf8"
 )
@@ -57,12 +58,18 @@ type Classifier struct {
 // NewClassifier returns a classifier primed with the canonical block-page
 // tag structures.
 func NewClassifier() *Classifier {
-	c := &Classifier{MinSimilarity: 0.95, MinPhrases: 1}
-	for _, tpl := range referenceTemplates() {
-		c.templates = append(c.templates, tagVectorOf(strings.ToLower(tpl), nil))
-	}
-	return c
+	return &Classifier{templates: templateVectors(), MinSimilarity: 0.95, MinPhrases: 1}
 }
+
+// templateVectors is the reference templates' tag vectors, built once per
+// process and shared by every classifier: Phase1 only reads them.
+var templateVectors = sync.OnceValue(func() []tagVector {
+	var vs []tagVector
+	for _, tpl := range referenceTemplates() {
+		vs = append(vs, tagVectorOf(strings.ToLower(tpl), nil))
+	}
+	return vs
+})
 
 // Verdict is a phase-1 result with its evidence, for logging and tests.
 type Verdict struct {

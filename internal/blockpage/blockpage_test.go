@@ -42,6 +42,20 @@ func TestPhase1NoFalsePositives(t *testing.T) {
 	}
 }
 
+var sink *Classifier
+
+// TestClassifiersShareTemplates: the reference templates are tokenized once
+// per process, not once per classifier (a fleet builds one per client).
+func TestClassifiersShareTemplates(t *testing.T) {
+	a, b := NewClassifier(), NewClassifier()
+	if &a.templates[0] != &b.templates[0] {
+		t.Fatal("two classifiers hold two template tables")
+	}
+	if n := testing.AllocsPerRun(100, func() { sink = NewClassifier() }); n != 1 {
+		t.Fatalf("NewClassifier allocates %v times, want 1: the classifier", n)
+	}
+}
+
 func TestPhase1EdgeInputs(t *testing.T) {
 	c := NewClassifier()
 	if c.Phase1(nil).Suspected {

@@ -3,9 +3,11 @@ package globaldb
 import (
 	"cmp"
 	"encoding/json"
+	"math"
 	"slices"
 	"strconv"
 	"strings"
+	"time"
 )
 
 // Versioned delta sync. Every record that moves an AS's tag leaves a mark —
@@ -82,23 +84,91 @@ func (sl *slot) list() int {
 }
 
 // line is sl's line of a list body — an entry's JSON, a tombstone's URL as
-// a JSON string — encoded on first use. Caller holds idx.mu.
+// a JSON string — encoded on first use, on the stack and then copied out
+// once at its exact length. Caller holds idx.mu.
 func (sl *slot) line() []byte {
 	if sl.frag == nil {
+		var buf [512]byte
 		if sl.entry.Reporters == 0 {
-			sl.frag = mustJSON(sl.entry.URL)
+			sl.frag = slices.Clone(appendJSONString(buf[:0], sl.entry.URL))
 		} else {
-			sl.frag = mustJSON(&sl.entry)
+			sl.frag = slices.Clone(appendEntry(buf[:0], &sl.entry))
 		}
 	}
 	return sl.frag
 }
 
-// mustJSON is json.Marshal for the two values the list bodies are made of,
-// an Entry and a URL string. Neither can fail to encode: a string always
-// does, and an entry's only fallible fields are a vote sum of finite
-// positive terms and a time built from int64 nanoseconds, inside the years
-// RFC 3339 can name.
+// appendEntry appends e's JSON, byte for byte what json.Marshal writes: the
+// fields in order, a detail omitted when empty, nil stages as null, last_tp
+// as time.Time.MarshalJSON writes it and s as encoding/json writes a
+// float64. An entry json.Marshal refuses — a year outside [0,9999], a zone
+// hour outside [0,23], a vote sum that is not finite — goes to mustJSON,
+// which panics.
+func appendEntry(b []byte, e *Entry) []byte {
+	_, off := e.LastTp.Zone()
+	if y := e.LastTp.Year(); y < 0 || y > 9999 || off <= -24*3600 || off >= 24*3600 ||
+		math.IsInf(e.Votes, 0) || math.IsNaN(e.Votes) {
+		return append(b, mustJSON(e)...)
+	}
+	b = appendJSONString(append(b, `{"url":`...), e.URL)
+	b = strconv.AppendInt(append(b, `,"asn":`...), int64(e.ASN), 10)
+	b = append(b, `,"stages":`...)
+	if e.Stages == nil {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '[')
+		for i, st := range e.Stages {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = strconv.AppendInt(append(b, `{"type":`...), int64(st.Type), 10)
+			if st.Detail != "" {
+				b = appendJSONString(append(b, `,"detail":`...), st.Detail)
+			}
+			b = append(b, '}')
+		}
+		b = append(b, ']')
+	}
+	b = e.LastTp.AppendFormat(append(b, `,"last_tp":"`...), time.RFC3339Nano)
+	b = appendFloat(append(b, `","s":`...), e.Votes)
+	b = strconv.AppendInt(append(b, `,"n":`...), int64(e.Reporters), 10)
+	return append(b, '}')
+}
+
+// appendJSONString appends s as json.Marshal quotes it. A string of
+// printable ASCII without '"', '\\', '<', '>' or '&' is itself between
+// quotes; any other goes to json.Marshal, whose escapes (HTML characters,
+// U+2028 and U+2029, invalid UTF-8) are the definition.
+func appendJSONString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			return append(b, mustJSON(s)...)
+		}
+	}
+	return append(append(append(b, '"'), s...), '"')
+}
+
+// appendFloat appends f as encoding/json writes a float64: the shortest
+// form that reads back as f, in 'e' notation below 1e-6 and from 1e21 up,
+// with a one-digit negative exponent unpadded.
+func appendFloat(b []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b
+}
+
+// mustJSON is json.Marshal for what appendEntry and appendJSONString do not
+// write themselves: a string with characters to escape, which always
+// encodes, and an entry json.Marshal refuses, which never reaches a list —
+// its vote sum is of finite positive terms and its time is built from int64
+// nanoseconds, inside the years RFC 3339 can name.
 func mustJSON(v any) []byte {
 	b, err := json.Marshal(v)
 	if err != nil {
@@ -230,47 +300,4 @@ func parseSnapTag(tag string) (ver, rev int64, ok bool) {
 	ver, errV := strconv.ParseInt(v, 10, 64)
 	rev, errR := strconv.ParseInt(r, 10, 64)
 	return ver, rev, errV == nil && errR == nil && snapTag(ver, rev) == tag
-}
-
-// mergeDelta applies a DeltaResponse to a URL-sorted base list and returns
-// a fresh URL-sorted result equal to the server's current full list. Used
-// by Client; base is never mutated. Most deltas remove nothing and bring
-// few URLs base lacks, so the removal set is built and the result sized
-// beyond base only for those that do.
-func mergeDelta(base []Entry, changed []Entry, removed []string) []Entry {
-	var rm map[string]bool // reading the nil map finds nothing
-	if len(removed) > 0 {
-		rm = make(map[string]bool, len(removed))
-		for _, u := range removed {
-			rm[u] = true
-		}
-	}
-	fresh := 0
-	for i, j := 0, 0; j < len(changed); j++ {
-		for i < len(base) && base[i].URL < changed[j].URL {
-			i++
-		}
-		if i == len(base) || base[i].URL != changed[j].URL {
-			fresh++
-		}
-	}
-	out := make([]Entry, 0, len(base)+fresh)
-	i, j := 0, 0
-	for i < len(base) || j < len(changed) {
-		switch {
-		case j >= len(changed) || (i < len(base) && base[i].URL < changed[j].URL):
-			if !rm[base[i].URL] {
-				out = append(out, base[i])
-			}
-			i++
-		case i >= len(base) || changed[j].URL < base[i].URL:
-			out = append(out, changed[j])
-			j++
-		default:
-			out = append(out, changed[j])
-			i++
-			j++
-		}
-	}
-	return out
 }

@@ -18,21 +18,29 @@ func allocBytes(f func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
+// raceEnabled reports whether the test binary runs under the race detector,
+// whose sync.Pool drops Puts at random: allocation counts are not exact.
+func raceEnabled() bool {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // TestFetchAllocBudget pins what each kind of /v1/blocked answer may
 // allocate on a 1,000-entry AS: a 304 and a repeated full fetch pay nothing
 // that grows with the list, a one-report write pays for its own slots and
 // encodes nothing, and the delta fetch right after it pays for its body and
 // the one fragment the write left unencoded. The cheapest of several rounds
-// is compared, which drops the rounds where a collection emptied
-// encoding/json's pool; plain builds only, as the race detector's sync.Pool
-// drops Puts at random.
+// is compared, which drops the rounds where a collection emptied a pool;
+// plain builds only.
 func TestFetchAllocBudget(t *testing.T) {
-	if bi, ok := debug.ReadBuildInfo(); ok {
-		for _, s := range bi.Settings {
-			if s.Key == "-race" && s.Value == "true" {
-				t.Skip("allocation bytes are not exact under the race detector")
-			}
-		}
+	if raceEnabled() {
+		t.Skip("allocation bytes are not exact under the race detector")
 	}
 	const asn, users, perUser, small = 100, 50, 20, 1024
 	s := mustOpenStore(t, StoreOptions{})
