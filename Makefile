@@ -31,7 +31,8 @@
 #   make fuzz        — short fuzz pass over the dnsx/httpx wire codecs (httpx
 #                      also against its map-based reference codec), the WAL
 #                      record and snapshot decoders, the global-DB report
-#                      and list decoders and list bodies
+#                      and list decoders and list bodies, and seedrand's
+#                      sources against math/rand
 #   make cover       — coverage for core+detect+trace, gated on COVERAGE.md
 
 GO ?= go
@@ -120,7 +121,8 @@ shape:
 # snapshot decoders — the bytes a crash can tear — the /v1/report and
 # /v1/blocked decoders, which the targets hold to encoding/json, and the
 # /v1/blocked bodies, which the global DB joins from cached fragments and the
-# target holds to encoding/json too); the checked-in seed corpora under testdata/fuzz/ always
+# target holds to encoding/json too), and seedrand's sources, which FuzzSource
+# holds to math/rand draw for draw; the checked-in seed corpora under testdata/fuzz/ always
 # run as plain regression subtests. FuzzCodecVsReference holds the httpx
 # codec to the map-based one it replaced (reference_test.go). It and
 # FuzzFetchBodies cap minimization: their coverage varies run to run (map
@@ -136,6 +138,7 @@ fuzz:
 	$(GO) test ./internal/globaldb -run '^$$' -fuzz FuzzReportDecode -fuzztime 10s
 	$(GO) test ./internal/globaldb -run '^$$' -fuzz FuzzListDecode -fuzztime 10s
 	$(GO) test ./internal/globaldb -run '^$$' -fuzz FuzzFetchBodies -fuzztime 10s -fuzzminimizetime 1s
+	$(GO) test ./internal/seedrand -run '^$$' -fuzz FuzzSource -fuzztime 10s
 
 # Combined statement coverage over the measurement pipeline (core + detect
 # + trace), gated against the baseline recorded in COVERAGE.md.

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"csaw/internal/seedrand"
 	"csaw/internal/vtime"
 )
 
@@ -50,7 +51,7 @@ func (c *Censor) EnableChurn(clock *vtime.Clock, seed int64) {
 	defer c.mu.Unlock()
 	c.churn = &churnState{
 		clock:    clock,
-		rng:      rand.New(rand.NewSource(seed)),
+		rng:      seedrand.New(seed),
 		idx:      -1,
 		residual: make(map[string]time.Time),
 	}

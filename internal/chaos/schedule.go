@@ -3,7 +3,8 @@ package chaos
 import (
 	"context"
 	"fmt"
-	"math/rand"
+
+	"csaw/internal/seedrand"
 )
 
 // EventKind is one fault class a schedule can inject.
@@ -71,7 +72,7 @@ type Schedule struct {
 // time; everything the generator decides comes from its own seeded source,
 // so a seed names exactly one schedule.
 func Generate(seed int64) Schedule {
-	rng := rand.New(rand.NewSource(seed))
+	rng := seedrand.New(seed)
 	rounds := 14 + rng.Intn(8)
 	s := Schedule{Name: fmt.Sprintf("sweep-%d", seed), Rounds: rounds}
 	// Round 0 and 1 stay clean so the founding replica set replicates the

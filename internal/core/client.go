@@ -16,6 +16,7 @@ import (
 	"csaw/internal/localdb"
 	"csaw/internal/metrics"
 	"csaw/internal/netem"
+	"csaw/internal/seedrand"
 	"csaw/internal/trace"
 	"csaw/internal/vtime"
 )
@@ -210,7 +211,7 @@ func New(cfg Config) (*Client, error) {
 		ldns:     ldns,
 		gdns:     gdns,
 		sem:      make(chan struct{}, maxConns),
-		rng:      rand.New(rand.NewSource(cfg.Seed + 1)),
+		rng:      seedrand.New(cfg.Seed + 1),
 		ewma:     make(map[string]*metrics.EWMA),
 		access:   make(map[string]int),
 		seenASNs: make(map[int]bool),

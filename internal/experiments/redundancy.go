@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"net"
 	"sync"
 	"time"
@@ -13,6 +12,7 @@ import (
 	"csaw/internal/localdb"
 	"csaw/internal/metrics"
 	"csaw/internal/netem"
+	"csaw/internal/seedrand"
 	"csaw/internal/tor"
 	"csaw/internal/web"
 	"csaw/internal/worldgen"
@@ -104,7 +104,7 @@ func figure5Load(id, host, title string) func(Options) (*Result, error) {
 					// not-measured (redundant) path, isolating redundancy cost.
 					cfg.TTL = time.Millisecond
 				},
-				pace: pacing{arrivals: rand.New(rand.NewSource(r.seed + int64(mi)*31))},
+				pace: pacing{arrivals: seedrand.New(r.seed + int64(mi)*31)},
 				fail: tolerateHalf,
 			})
 		}

@@ -40,6 +40,7 @@ import (
 	"math/rand"
 	"time"
 
+	"csaw/internal/seedrand"
 	"csaw/internal/worldgen"
 )
 
@@ -172,7 +173,7 @@ func poisson(rng *rand.Rand, mean float64) int {
 // equal plans.
 func BuildPlan(w Workload) *Plan {
 	w = w.WithDefaults()
-	rng := rand.New(rand.NewSource(w.Seed))
+	rng := seedrand.New(w.Seed)
 	zipf := rand.NewZipf(rng, w.ZipfS, w.ZipfV, uint64(w.Sites-1))
 
 	// Per-AS population mix: ISPs get uneven shares, like real markets.

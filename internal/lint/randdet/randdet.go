@@ -6,16 +6,22 @@
 // processes and interleaves across goroutines: two runs of the same
 // experiment diverge by construction.
 //
-// Constructing seeded sources (rand.New, rand.NewSource, rand.NewZipf and
-// the math/rand/v2 equivalents) is what the rule demands, so those stay
-// legal; every other package-level math/rand reference is flagged.
+// Constructing seeded sources (rand.New, rand.NewZipf and the
+// math/rand/v2 equivalents) is what the rule demands, so those stay
+// legal; every other package-level math/rand reference is flagged. Outside
+// _test.go files rand.NewSource is flagged too: internal/seedrand.New
+// yields the same sequence without allocating math/rand's 607-word
+// register up front, and it is the one package that may call it.
 package randdet
 
 import (
 	"go/ast"
+	"strings"
 
 	"csaw/internal/lint/analysis"
 )
+
+const seedrandPkg = "csaw/internal/seedrand"
 
 var randPkgs = map[string]map[string]bool{
 	// allowed package-level names per rand package
@@ -33,6 +39,7 @@ var Analyzer = &analysis.Analyzer{
 
 func run(pass *analysis.Pass) error {
 	for _, f := range pass.Files {
+		test := strings.HasSuffix(pass.Fset.Position(f.Pos()).Filename, "_test.go")
 		for _, spec := range f.Imports {
 			path := importPath(spec)
 			if randPkgs[path] != nil && spec.Name != nil && spec.Name.Name == "." {
@@ -46,6 +53,10 @@ func run(pass *analysis.Pass) error {
 			}
 			_, path, ok := pass.PkgFuncRef(sel)
 			if !ok {
+				return true
+			}
+			if path == "math/rand" && sel.Sel.Name == "NewSource" && !test && pass.Pkg.Path() != seedrandPkg {
+				pass.Reportf(sel.Pos(), "rand.NewSource allocates math/rand's 607-word register; build seeded sources with seedrand.New, which yields the same sequence")
 				return true
 			}
 			allowed, isRand := randPkgs[path]

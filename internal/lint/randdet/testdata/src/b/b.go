@@ -1,6 +1,7 @@
 // Package b exercises randdet: package-level math/rand (and v2) draws
 // are flagged, seeded-source construction and *rand.Rand methods are not,
 // and a local identifier shadowing the package name never matches.
+// rand.NewSource is flagged outside _test.go files (see b_test.go).
 package b
 
 import (
@@ -19,14 +20,16 @@ func bad() {
 	_ = v2.Float64()                   // want `rand\.Float64 uses the process-global`
 }
 
-func good(seed int64) {
-	r := rand.New(rand.NewSource(seed))
+func register(seed int64) *rand.Rand {
+	return rand.New(rand.NewSource(seed)) // want `rand\.NewSource allocates math/rand's 607-word register; build seeded sources with seedrand\.New`
+}
+
+func good(src rand.Source) {
+	r := rand.New(src)
 	_ = r.Intn(10)
 	_ = r.Float64()
 	z := rand.NewZipf(r, 1.1, 1, 100)
 	_ = z.Uint64()
-	var src rand.Source = rand.NewSource(seed)
-	_ = src
 	p := v2.New(v2.NewPCG(1, 2))
 	_ = p.IntN(5)
 }

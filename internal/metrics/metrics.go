@@ -13,6 +13,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"csaw/internal/seedrand"
 )
 
 // Distribution is an accumulating empirical distribution. It is safe for
@@ -50,7 +52,7 @@ func NewReservoir(capacity int, seed int64) *Distribution {
 	if capacity <= 0 {
 		panic("metrics: non-positive reservoir capacity")
 	}
-	return &Distribution{cap: capacity, rng: rand.New(rand.NewSource(seed))}
+	return &Distribution{cap: capacity, rng: seedrand.New(seed)}
 }
 
 // Add records a value.

@@ -21,6 +21,7 @@ import (
 	"sync"
 	"time"
 
+	"csaw/internal/seedrand"
 	"csaw/internal/vtime"
 )
 
@@ -73,7 +74,7 @@ func WithJitter(frac float64) Option {
 // WithSeed seeds the network's random source, making jitter, loss, and
 // multihomed egress selection reproducible.
 func WithSeed(seed int64) Option {
-	return func(n *Network) { n.rng = rand.New(rand.NewSource(seed)) }
+	return func(n *Network) { n.rng = seedrand.New(seed) }
 }
 
 // New creates an empty Network driven by the given clock.
@@ -83,7 +84,7 @@ func New(clock *vtime.Clock, opts ...Option) *Network {
 		hosts:      make(map[string]*Host),
 		ases:       make(map[int]*AS),
 		rtts:       make(map[locPair]time.Duration),
-		rng:        rand.New(rand.NewSource(1)),
+		rng:        seedrand.New(1),
 		bandwidth:  1 << 20, // 1 MiB/s
 		lossRTO:    200 * time.Millisecond,
 		jitterFrac: 0.05,

@@ -34,6 +34,7 @@ import (
 	"csaw/internal/httpx"
 	"csaw/internal/netem"
 	"csaw/internal/proxynet"
+	"csaw/internal/seedrand"
 	"csaw/internal/vtime"
 )
 
@@ -188,7 +189,7 @@ type Client struct {
 
 // NewClient creates a Tor client for host using the directory.
 func NewClient(host *netem.Host, dir *Directory, seed int64) *Client {
-	return &Client{host: host, dir: dir, clock: dir.clock, rng: rand.New(rand.NewSource(seed))}
+	return &Client{host: host, dir: dir, clock: dir.clock, rng: seedrand.New(seed)}
 }
 
 // weightedPick selects a relay by bandwidth weight from candidates.
