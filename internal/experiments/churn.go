@@ -80,6 +80,12 @@ func churnClass(res *core.Result, steady time.Duration) string {
 	}
 }
 
+// churnScale is the censor-churn scenario's clock scale. Its ≈0.3 s virtual
+// classification margins are 30 ms of real time at this scale: room for a
+// host that stalls a thread for several milliseconds, or for the race
+// detector's scheduling overhead, without a round changing class.
+const churnScale = 10
+
 // CensorChurn drives two clients through the three-epoch churn scenario
 // (worldgen.BuildChurnISP): a clean baseline, a flip to HTTP block pages
 // with residual censorship, and a counter-circumvention escalation that
