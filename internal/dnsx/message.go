@@ -17,6 +17,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -254,8 +255,15 @@ func parseIPv4(s string) ([]byte, error) {
 	return ip, nil
 }
 
+// formatIPv4 renders the dotted quad of b[:4] with one allocation, the
+// string itself.
 func formatIPv4(b []byte) string {
-	return fmt.Sprintf("%d.%d.%d.%d", b[0], b[1], b[2], b[3])
+	var buf [15]byte // "255.255.255.255"
+	out := strconv.AppendUint(buf[:0], uint64(b[0]), 10)
+	for _, o := range b[1:4] {
+		out = strconv.AppendUint(append(out, '.'), uint64(o), 10)
+	}
+	return string(out)
 }
 
 // Unmarshal decodes a wire-format message.

@@ -1,6 +1,7 @@
 package dnsx
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -208,5 +209,28 @@ func TestQuickUnmarshalNoPanic(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFormatIPv4 covers each octet width at each position against the
+// fmt rendering formatIPv4 replaced, and pins it to one allocation.
+func TestFormatIPv4(t *testing.T) {
+	octets := []byte{0, 9, 10, 99, 100, 255}
+	for _, a := range octets {
+		for _, b := range octets {
+			for _, c := range octets {
+				for _, d := range octets {
+					ip := []byte{a, b, c, d}
+					want := fmt.Sprintf("%d.%d.%d.%d", a, b, c, d)
+					if got := formatIPv4(ip); got != want {
+						t.Fatalf("formatIPv4(%v) = %q, want %q", ip, got, want)
+					}
+				}
+			}
+		}
+	}
+	ip := []byte{255, 255, 255, 255}
+	if n := testing.AllocsPerRun(100, func() { _ = formatIPv4(ip) }); n > 1 {
+		t.Fatalf("formatIPv4 allocates %v times, want 1 (the string)", n)
 	}
 }

@@ -56,7 +56,9 @@ type pipe struct {
 
 	mu      sync.Mutex
 	cond    sync.Cond // L is &mu
-	segs    []segment
+	segs    []segment // queued segments, oldest first: a window into back
+	back    []segment // segs' backing array from its start (length 0)
+	inline  [2]segment
 	unread  int
 	cap     int
 	lastDue time.Time // real due time of last queued segment
@@ -71,6 +73,8 @@ const defaultPipeCap = 1 << 18 // 256 KiB in flight
 func (p *pipe) init(n *Network, lat time.Duration) {
 	p.net, p.clock, p.lat, p.cap = n, n.clock, lat, defaultPipeCap
 	p.cond.L = &p.mu
+	p.back = p.inline[:0]
+	p.segs = p.back
 }
 
 // waitUntil blocks on the pipe's cond until shortly before the real instant
@@ -135,7 +139,7 @@ func (p *pipe) write(b []byte, owned bool) (int, error) {
 		data = make([]byte, len(b))
 		copy(data, b)
 	}
-	p.segs = append(p.segs, segment{data: data, due: due})
+	p.push(segment{data: data, due: due})
 	p.unread += len(data)
 	p.cond.Broadcast()
 	return len(b), nil
@@ -171,14 +175,39 @@ func (p *pipe) take(max int) ([]byte, error) {
 	return chunk, nil
 }
 
+// push queues s. A window that has reached the end of its backing array
+// slides back to the array's start first, so the array grows only when it
+// is full. Slots left behind are cleared: no array may pin a segment's
+// bytes once the queue has moved them. Caller must hold p.mu.
+func (p *pipe) push(s segment) {
+	if n := len(p.segs); n == cap(p.segs) {
+		old := p.segs
+		if n < cap(p.back) {
+			p.segs = p.back[:n]
+			copy(p.segs, old)
+			clear(p.back[n:cap(p.back)])
+		} else {
+			p.segs = append(old, s)
+			p.back = p.segs[:0]
+			clear(old)
+			return
+		}
+	}
+	p.segs = append(p.segs, s)
+}
+
 // consume drops the first n bytes of the head segment s, and the segment
-// once it is empty. Caller must hold p.mu.
+// once it is empty; a drained queue rewinds to the start of its array.
+// Caller must hold p.mu.
 func (p *pipe) consume(s *segment, n int) {
 	s.data = s.data[n:]
 	p.unread -= n
 	if len(s.data) == 0 {
 		*s = segment{} // the queue's backing array must not pin the bytes
 		p.segs = p.segs[1:]
+		if len(p.segs) == 0 {
+			p.segs = p.back
+		}
 	}
 }
 
@@ -233,7 +262,8 @@ func (p *pipe) close() {
 func (p *pipe) doReset() {
 	p.mu.Lock()
 	p.reset = true
-	p.segs = nil
+	clear(p.segs)
+	p.segs = p.back
 	p.unread = 0
 	p.cond.Broadcast()
 	p.mu.Unlock()

@@ -23,7 +23,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"net"
 	"strings"
@@ -123,12 +122,24 @@ type keystream struct {
 	pos   int
 }
 
+// FNV-64a, inlined: a hash/fnv hasher escapes through its interface, which
+// cost two allocations per hash.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// fnvAdd folds b into the FNV-64a state h.
+func fnvAdd[T string | []byte](h uint64, b T) uint64 {
+	for i := 0; i < len(b); i++ {
+		h ^= uint64(b[i])
+		h *= fnvPrime64
+	}
+	return h
+}
+
 func newKeystream(clientRand, serverRand [8]byte, direction string) *keystream {
-	h := fnv.New64a()
-	h.Write(clientRand[:])
-	h.Write(serverRand[:])
-	io.WriteString(h, direction)
-	s := h.Sum64()
+	s := fnvAdd(fnvAdd(fnvAdd(fnvOffset64, clientRand[:]), serverRand[:]), direction)
 	if s == 0 {
 		s = 0x9E3779B97F4A7C15
 	}
@@ -209,13 +220,12 @@ func (c *Conn) Write(b []byte) (int, error) {
 // randomFrom derives an 8-byte handshake random. Determinism is fine: the
 // randoms only diversify keystreams, they carry no security weight here.
 func randomFrom(parts ...string) [8]byte {
-	h := fnv.New64a()
+	h := uint64(fnvOffset64)
 	for _, p := range parts {
-		io.WriteString(h, p)
-		h.Write([]byte{0})
+		h = fnvAdd(fnvAdd(h, p), "\x00")
 	}
 	var r [8]byte
-	binary.BigEndian.PutUint64(r[:], h.Sum64())
+	binary.BigEndian.PutUint64(r[:], h)
 	return r
 }
 

@@ -3,8 +3,10 @@ package tlsx
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"net"
 	"strings"
@@ -289,5 +291,54 @@ func TestWriteVectors(t *testing.T) {
 	}
 	if plain[0] != 7 || plain[5] != byte(5*31+7) {
 		t.Error("Write modified the caller's buffer")
+	}
+}
+
+// TestInlineFNVMatchesHashFNV: newKeystream and randomFrom hash with an
+// inlined FNV-64a; they must agree with hash/fnv on every input, or every
+// keystream, trace and golden built on them would shift.
+func TestInlineFNVMatchesHashFNV(t *testing.T) {
+	refRandom := func(parts ...string) [8]byte {
+		h := fnv.New64a()
+		for _, p := range parts {
+			io.WriteString(h, p)
+			h.Write([]byte{0})
+		}
+		var r [8]byte
+		binary.BigEndian.PutUint64(r[:], h.Sum64())
+		return r
+	}
+	refSeed := func(cr, sr [8]byte, direction string) uint64 {
+		h := fnv.New64a()
+		h.Write(cr[:])
+		h.Write(sr[:])
+		io.WriteString(h, direction)
+		return h.Sum64()
+	}
+	partsTable := [][]string{
+		nil,
+		{""},
+		{"", ""},
+		{"x"},
+		{"client", "www.youtube.com", "10.0.0.7:49152"},
+		{"server", "cdn.example.net", "203.0.113.9:443"},
+		{"\x00\xff", "ünïcode", strings.Repeat("a", 300)},
+	}
+	directions := []string{"", "c2s", "s2c", "d"}
+	for _, parts := range partsTable {
+		got, want := randomFrom(parts...), refRandom(parts...)
+		if got != want {
+			t.Fatalf("randomFrom(%q) = %x, hash/fnv gives %x", parts, got, want)
+		}
+		for _, dir := range directions {
+			cr, sr := got, refRandom(append([]string{"peer"}, parts...)...)
+			want := refSeed(cr, sr, dir)
+			if want == 0 {
+				want = 0x9E3779B97F4A7C15
+			}
+			if ks := newKeystream(cr, sr, dir); ks.state != want {
+				t.Fatalf("newKeystream(%x, %x, %q) state %#x, hash/fnv gives %#x", cr, sr, dir, ks.state, want)
+			}
+		}
 	}
 }

@@ -37,14 +37,25 @@ type Scheduler struct {
 	heap []*schedEvent
 }
 
-// schedEvent is one pending timer. fn runs with the scheduler unlocked and
-// must not block: the primitives built on top only close channels, perform
-// buffered non-blocking sends, or hand off to a fresh goroutine.
+// schedEvent is one pending timer. Firing it runs fn, or for a deadline
+// event (ctx set, fn nil) cancels ctx with context.DeadlineExceeded. Either
+// runs with the scheduler unlocked and must not block: the primitives built
+// on top only close channels, perform buffered non-blocking sends, or hand
+// off to a fresh goroutine.
 type schedEvent struct {
 	at  time.Duration
 	seq uint64
 	fn  func(at time.Duration)
-	idx int // heap index; -1 once popped or removed
+	ctx *eventCtx // the context whose deadline this is, embedding the event
+	idx int       // heap index; -1 before arming and once popped or removed
+}
+
+func (ev *schedEvent) fire() {
+	if ev.ctx != nil {
+		ev.ctx.cancel(context.DeadlineExceeded)
+		return
+	}
+	ev.fn(ev.at)
 }
 
 // Offset returns the current virtual offset since the epoch.
@@ -81,12 +92,25 @@ func (s *Scheduler) scheduleAt(at time.Duration, fn func(at time.Duration)) *sch
 }
 
 func (s *Scheduler) scheduleAtLocked(at time.Duration, fn func(at time.Duration)) *schedEvent {
-	ev := &schedEvent{at: at, seq: s.seq, fn: fn}
+	ev := &schedEvent{at: at, fn: fn}
+	s.pushLocked(ev)
+	return ev
+}
+
+// arm schedules an event the caller built (its at and action already set),
+// so a deadline can live inside the context it ends.
+func (s *Scheduler) arm(ev *schedEvent) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.pushLocked(ev)
+}
+
+func (s *Scheduler) pushLocked(ev *schedEvent) {
+	ev.seq = s.seq
 	s.seq++
 	ev.idx = len(s.heap)
 	s.heap = append(s.heap, ev)
 	s.up(ev.idx)
-	return ev
 }
 
 // stop disarms ev, reporting whether it prevented the event from firing.
@@ -128,7 +152,7 @@ func (s *Scheduler) advanceToLocked(target time.Duration) {
 			s.now = ev.at
 		}
 		s.mu.Unlock()
-		ev.fn(ev.at)
+		ev.fire()
 		s.mu.Lock()
 	}
 	if target > s.now {
@@ -216,21 +240,32 @@ func (s *Scheduler) removeLocked(i int) {
 // mode. Its deadline is a *virtual* instant: Err returns
 // context.DeadlineExceeded once virtual time crosses it, so timeout
 // classification (errors.Is(err, context.DeadlineExceeded)) behaves exactly
-// as with a real context. Parent cancellation propagates via
-// context.AfterFunc, and Err also reads the parent's, so a parent deadline
-// crossed by an advance is visible as soon as the advance returns.
+// as with a real context. The deadline event is embedded, so arming one
+// costs no allocation beyond the context itself.
+//
+// How the parent's end reaches it depends on the parent (see watchParent):
+// none is watched for a parent that can never end; a parent this clock
+// armed keeps it in an intrusive child list and cancels it directly; any
+// other parent is watched with context.AfterFunc. Err also reads the
+// parent's, so a parent deadline crossed by an advance is visible as soon
+// as the advance returns.
 type eventCtx struct {
 	context.Context // parent, for Value
 
 	clock *Clock
-	at    time.Duration // offset of this context's own deadline event
-	dl    time.Time     // reported deadline: at, or the parent's if earlier
+	dl    time.Time // reported deadline: ev.at, or the parent's if earlier
 	done  chan struct{}
+	ev    schedEvent // this context's own deadline; ev.ctx points back here
 
-	mu      sync.Mutex
-	err     error
-	ev      *schedEvent
-	unwatch func() bool // stops the parent-cancellation watch
+	mu       sync.Mutex
+	err      error
+	unwatch  func() bool // stops a context.AfterFunc parent watch
+	children *eventCtx   // linked children, newest first
+
+	// parent is the eventCtx whose child list holds this one (nil if none);
+	// prev and next are the list links, guarded by parent.mu.
+	parent     *eventCtx
+	prev, next *eventCtx
 }
 
 // armedKey looks up, through Value, the innermost eventCtx a clock armed.
@@ -264,17 +299,73 @@ func (c *Clock) armedDeadline(ctx context.Context) (at time.Duration, ok bool) {
 		if !found {
 			return at, ok
 		}
-		if !ok || ec.at < at {
-			at = ec.at
+		if !ok || ec.ev.at < at {
+			at = ec.ev.at
 		}
 		ok = true
 		ctx = ec.Context
 	}
 }
 
+// watchParent ties c to its parent's end and returns the parent's error if
+// the parent has already ended. A parent whose Done is nil can never end
+// and needs no watch. A parent that ends exactly when an eventCtx of this
+// clock does (that eventCtx, or a value context over it) takes c into the
+// eventCtx's child list: no goroutine, no allocation. Any other parent is
+// watched with context.AfterFunc, whose goroutine the context package
+// starts for a parent type it does not know. Caller holds c.mu.
+func (c *eventCtx) watchParent() error {
+	done := c.Context.Done()
+	if done == nil {
+		return nil
+	}
+	if p, ok := c.Context.Value(armedKey{c.clock}).(*eventCtx); ok && p.done == done {
+		return p.link(c)
+	}
+	parent := c.Context
+	c.unwatch = context.AfterFunc(parent, func() { c.cancel(parent.Err()) })
+	return nil
+}
+
+// link adds child to p's child list, or returns p's error if p has ended.
+func (p *eventCtx) link(child *eventCtx) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.err != nil {
+		return p.err
+	}
+	child.parent = p
+	child.next = p.children
+	if p.children != nil {
+		p.children.prev = child
+	}
+	p.children = child
+	return nil
+}
+
+// unlink takes child out of p's list. Once p has ended the list belongs to
+// p's cancel, which detached it and walks it unlocked, so it is left alone.
+func (p *eventCtx) unlink(child *eventCtx) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.err != nil {
+		return
+	}
+	if child.prev != nil {
+		child.prev.next = child.next
+	} else {
+		p.children = child.next
+	}
+	if child.next != nil {
+		child.next.prev = child.prev
+	}
+	child.prev, child.next = nil, nil
+}
+
 // cancel settles the context with err (first cause wins): the error is
 // published before done closes, then the deadline event and parent watch
-// are released so neither outlives the op that armed them.
+// are released so neither outlives the op that armed them, and the linked
+// children end with the same error. No two locks are held at once.
 func (c *eventCtx) cancel(err error) {
 	c.mu.Lock()
 	if c.err != nil {
@@ -282,13 +373,20 @@ func (c *eventCtx) cancel(err error) {
 		return
 	}
 	c.err = err
-	ev, unwatch := c.ev, c.unwatch
+	unwatch, children := c.unwatch, c.children
+	c.children = nil
 	c.mu.Unlock()
 	close(c.done)
-	if ev != nil {
-		c.clock.sched.stop(ev)
-	}
+	c.clock.sched.stop(&c.ev)
 	if unwatch != nil {
 		unwatch()
+	}
+	if c.parent != nil {
+		c.parent.unlink(c)
+	}
+	for child := children; child != nil; {
+		next := child.next
+		child.cancel(err)
+		child = next
 	}
 }

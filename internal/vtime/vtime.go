@@ -317,7 +317,8 @@ func (c *Clock) WithTimeout(ctx context.Context, d time.Duration) (context.Conte
 		return context.WithTimeout(ctx, c.Real(d))
 	}
 	at := c.sched.Offset() + max(d, 0)
-	ec := &eventCtx{Context: ctx, clock: c, at: at, dl: c.epoch.Add(at), done: make(chan struct{})}
+	ec := &eventCtx{Context: ctx, clock: c, dl: c.epoch.Add(at), done: make(chan struct{})}
+	ec.ev = schedEvent{at: at, ctx: ec, idx: -1}
 	if pdl, ok := ctx.Deadline(); ok && pdl.Before(ec.dl) {
 		ec.dl = pdl // like context.WithDeadline: the earlier deadline is the one reported
 	}
@@ -330,13 +331,16 @@ func (c *Clock) WithTimeout(ctx context.Context, d time.Duration) (context.Conte
 		ec.cancel(context.DeadlineExceeded)
 		return ec, cancel
 	}
-	// Arm under ec.mu: any cancel path (deadline event, parent watch, the
+	// Arm under ec.mu: any cancel path (deadline event, parent, the
 	// returned cancel func) must take the lock first, so it always sees —
 	// and releases — both registrations.
 	ec.mu.Lock()
-	ec.ev = c.sched.scheduleAt(at, func(time.Duration) { ec.cancel(context.DeadlineExceeded) })
-	ec.unwatch = context.AfterFunc(ctx, func() { ec.cancel(ctx.Err()) })
+	c.sched.arm(&ec.ev)
+	perr := ec.watchParent()
 	ec.mu.Unlock()
+	if perr != nil {
+		ec.cancel(perr) // the parent ended after the check above
+	}
 	return ec, cancel
 }
 
