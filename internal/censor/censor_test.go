@@ -33,7 +33,7 @@ const originIP = "93.184.216.34"
 func newWorld(t *testing.T, p *Policy) *world {
 	t.Helper()
 	clock := vtime.New(500)
-	n := netem.New(clock, netem.WithSeed(5), netem.WithJitter(0))
+	n := netem.New(clock, netem.WithSeed(5))
 	isp := n.AddAS(100, "ISP-A", "PK")
 	us := n.AddAS(200, "US", "US")
 

@@ -88,12 +88,12 @@ type Cluster struct {
 
 // New builds the cluster under dir (one WAL directory per node) and
 // registers the client through the founding primary. Deterministic for a
-// given seed: jitter is disabled and all timers run on the discrete-event
-// clock, where a blackholed connect parks to its deadline (vtime.Clock.Park)
-// instead of waiting on the host.
+// given seed: all timers run on the discrete-event clock, where a
+// blackholed connect parks to its deadline (vtime.Clock.Park) instead of
+// waiting on the host.
 func New(seed int64, dir string) (*Cluster, error) {
 	clock := vtime.NewEventDriven()
-	n := netem.New(clock, netem.WithSeed(seed), netem.WithJitter(0))
+	n := netem.New(clock, netem.WithSeed(seed))
 	n.SetRTT("dc", "client", 50*time.Millisecond)
 	c := &Cluster{
 		Clock:  clock,
@@ -229,7 +229,7 @@ func (c *Cluster) Flap(asIdx, n int) {
 }
 
 // TearLeader arms the torn-write hook on the current leader's WAL: its
-// next logged mutation writes a partial frame and fails, strict mode
+// next logged mutation writes a partial frame and fails, the store
 // rejects the write (the client is NOT acked), and the node refuses all
 // further writes until it is restarted — at which point recovery truncates
 // the torn tail. Returns the torn node's index, or -1 if no live leader.
@@ -271,8 +271,8 @@ func (c *Cluster) BitFlip() int {
 }
 
 // Write posts one fresh blocked-URL report; a 200 records it as acked.
-// Failures (dead leader, fencing gaps mid-election, strict 503 after a
-// torn write) are the schedule's job to cause and are not errors here.
+// Failures (dead leader, fencing gaps mid-election, the 503 after a torn
+// write) are the schedule's job to cause and are not errors here.
 func (c *Cluster) Write(ctx context.Context, round int) {
 	url := fmt.Sprintf("blocked-%03d.example/", round)
 	rec := localdb.Record{

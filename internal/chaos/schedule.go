@@ -22,7 +22,7 @@ const (
 	// FlapClient fails the client's next Dur connects (transient glitch).
 	FlapClient
 	// TearLeader arms a torn WAL write on the leader; the schedule kills
-	// the node one round later (strict mode has wedged its writes) and
+	// the node one round later (the lost log has wedged its writes) and
 	// restarts it after Dur rounds, exercising torn-tail truncation.
 	TearLeader
 	// BitFlipDown corrupts a dead never-leader node's WAL mid-file; its

@@ -27,7 +27,7 @@ const (
 func detWorld(t *testing.T, p *censor.Policy) (*netem.Network, *Detector, *censor.Censor) {
 	t.Helper()
 	clock := vtime.New(500)
-	n := netem.New(clock, netem.WithSeed(31), netem.WithJitter(0))
+	n := netem.New(clock, netem.WithSeed(31))
 	isp := n.AddAS(100, "ISP-A", "PK")
 	us := n.AddAS(200, "US", "US")
 	client := n.MustAddHost("client", "10.0.0.1", "pk", isp)

@@ -15,7 +15,7 @@ import (
 func dnsWorld(t *testing.T) (n *netem.Network, client *netem.Host, reg *Registry, ispHandler *swappableHandler) {
 	t.Helper()
 	clock := vtime.New(500)
-	n = netem.New(clock, netem.WithSeed(11), netem.WithJitter(0))
+	n = netem.New(clock, netem.WithSeed(11))
 	isp := n.AddAS(100, "ISP-A", "PK")
 	usAS := n.AddAS(200, "US", "US")
 	client = n.MustAddHost("client", "10.0.0.1", "pk", isp)

@@ -507,7 +507,7 @@ func TestClientDeltaSync(t *testing.T) {
 // match another backend's unrelated tag.
 func TestClientTagDowngrade(t *testing.T) {
 	clock := vtime.New(1000)
-	n := netem.New(clock, netem.WithSeed(41), netem.WithJitter(0))
+	n := netem.New(clock, netem.WithSeed(41))
 	pk := n.AddAS(100, "ISP", "PK")
 	cloud := n.AddAS(900, "Cloud", "US")
 	n.SetRTT("pk", "us", 100*time.Millisecond)

@@ -20,7 +20,7 @@ import (
 func failoverWorld(t *testing.T) (*netem.Network, []*Server, func(name, ip string) *Client) {
 	t.Helper()
 	clock := vtime.New(1000)
-	n := netem.New(clock, netem.WithSeed(41), netem.WithJitter(0))
+	n := netem.New(clock, netem.WithSeed(41))
 	pk := n.AddAS(100, "ISP", "PK")
 	cloud := n.AddAS(900, "Cloud", "US")
 	n.SetRTT("pk", "us", 100*time.Millisecond)

@@ -16,7 +16,7 @@ import (
 func gdbWorld(t *testing.T) (*netem.Network, *Server, func(name, ip string) *Client) {
 	t.Helper()
 	clock := vtime.New(1000)
-	n := netem.New(clock, netem.WithSeed(41), netem.WithJitter(0))
+	n := netem.New(clock, netem.WithSeed(41))
 	pk := n.AddAS(100, "ISP", "PK")
 	cloud := n.AddAS(900, "Cloud", "US")
 	srvHost := n.MustAddHost("globaldb", "40.0.0.1", "us", cloud)

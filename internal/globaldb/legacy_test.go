@@ -13,7 +13,7 @@ import (
 type dbModel interface {
 	addUser(uuid string)
 	// ingest folds a client's report batch in. ok is false when the uuid is
-	// unknown or revoked (or, on a strict store, durability is lost).
+	// unknown or revoked (or, on a durable store, durability is lost).
 	ingest(uuid string, now time.Time, reports []Report) (accepted int, ok bool)
 	revoke(uuid string)
 	blockedForAS(asn int) []Entry

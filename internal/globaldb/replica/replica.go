@@ -1,7 +1,7 @@
 // Package replica implements asynchronous replication for the global DB
 // (§5: blocking access to the global_DB is countered by moving it — here,
 // by running several of it). A replica set (NewSet) is N copies of one kind
-// of node: each runs its own strict, feed-enabled globaldb.Server on its own
+// of node: each runs its own durable, feed-enabled globaldb.Server on its own
 // emulated host, and exactly one of them — the founding primary until a
 // promotion says otherwise — leads. Every other node pulls the leader's
 // framed WAL records over plain HTTP (GET /v1/repl) and applies them in

@@ -35,7 +35,7 @@ type replWorld struct {
 func newReplWorld(t *testing.T) *replWorld {
 	t.Helper()
 	clock := vtime.New(1000)
-	n := netem.New(clock, netem.WithSeed(41), netem.WithJitter(0))
+	n := netem.New(clock, netem.WithSeed(41))
 	pk := n.AddAS(100, "ISP", "PK")
 	cloud := n.AddAS(900, "Cloud", "US")
 	for _, pair := range [][2]string{{"pk", "us"}, {"pk", "nl"}, {"pk", "de"}, {"us", "nl"}, {"us", "de"}, {"nl", "de"}} {

@@ -55,7 +55,7 @@ type Set struct {
 }
 
 // NewSet opens one node per host and serves them all. Every node runs a
-// strict, feed-enabled store that never compacts: with no snapshots the WAL
+// durable, feed-enabled store that never compacts: with no snapshots the WAL
 // is the complete history, so pull offsets stay valid across restarts and a
 // demoted node can push its whole feed during reconciliation. Nodes[0]
 // starts as the leader; every other node starts pulling from it.
@@ -100,7 +100,6 @@ func (s *Set) open(i int, role string) error {
 		Dir:           s.dir(i),
 		SnapshotEvery: -1,
 		Replicated:    true,
-		Strict:        true,
 	})
 	if err != nil {
 		return err

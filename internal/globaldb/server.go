@@ -179,8 +179,8 @@ func (s *Server) handleRegister(req *httpx.Request, flow netem.Flow) *httpx.Resp
 	fmt.Fprintf(h, "%d|%d", now.UnixNano(), seq)
 	uuid := fmt.Sprintf("%016x", h.Sum64())
 	if _, err := s.store.apply(&storage.Record{Kind: storage.KindAddUser, UUID: uuid}); err != nil {
-		// Strict durability rejected the record: the UUID was never stored,
-		// so acking it would hand the client a dead identity.
+		// Durability was lost, so the record was rejected: the UUID was never
+		// stored, and acking it would hand the client a dead identity.
 		return durabilityLost()
 	}
 	return jsonResponse(200, RegisterResponse{UUID: uuid})
@@ -239,7 +239,8 @@ func ackReport(accepted int) *httpx.Response {
 	return resp
 }
 
-// durabilityLost is the answer to a mutation strict durability rejected.
+// durabilityLost is the answer to a mutation rejected because the store's
+// log has failed.
 func durabilityLost() *httpx.Response {
 	return httpx.NewResponse(503, []byte("durability lost"))
 }
@@ -315,8 +316,8 @@ func (s *Server) handleRepl(req *httpx.Request) *httpx.Response {
 func (s *Server) BlockedForAS(asn int) []Entry { return s.store.blockedForAS(asn) }
 
 // Revoke invalidates a UUID (§5: revoking identified malicious users [54]).
-// An error means strict durability rejected the revocation: it did not
-// happen and must be retried once the node is healthy.
+// An error means the store's log has failed and rejected the revocation: it
+// did not happen and must be retried once the node is healthy.
 func (s *Server) Revoke(uuid string) error {
 	_, err := s.store.apply(&storage.Record{Kind: storage.KindRevoke, UUID: uuid})
 	return err

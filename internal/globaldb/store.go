@@ -27,14 +27,6 @@ type StoreOptions struct {
 	// Replicated attaches an in-memory replication feed mirroring every
 	// logged record, served on PathRepl for followers to pull.
 	Replicated bool
-	// Strict makes durability a precondition of acknowledgement: a mutation
-	// whose log append fails is rejected (neither applied nor streamed) and
-	// the server answers 503 until restart. Without Strict the store keeps
-	// the original fail-stop behavior — latch the error, keep applying — which
-	// favors availability but can ack a write that will not survive a crash.
-	// Replica-set nodes run Strict, because "no acked report lost"
-	// is exactly the invariant they assert.
-	Strict bool
 }
 
 const (
@@ -76,7 +68,7 @@ type store struct {
 	log       *storage.Log  // nil: not durable
 	feed      *storage.Feed // nil: not replicated
 	sinceSnap int           // records logged since the last compaction
-	lastErr   error         // latched durability error (fail-stop)
+	lastErr   error         // latched durability error: every later mutation is rejected
 	snap      snapshotScratch
 
 	// seq counts the records folded since the store was opened or reset: the
@@ -114,8 +106,8 @@ type clientState struct {
 
 func reportKey(url string, asn int) string { return url + "|" + strconv.Itoa(asn) }
 
-// errNotDurable is returned by strict-mode mutations once durability is
-// lost; the server maps it to 503.
+// errNotDurable is returned by every mutation once durability is lost; the
+// server maps it to 503.
 var errNotDurable = errors.New("globaldb: write-ahead log unavailable")
 
 // unknownUUID is apply's result for an ingest naming an unregistered or
@@ -192,24 +184,24 @@ func (s *store) snapPath() string { return filepath.Join(s.opts.Dir, snapshotFil
 // (EncodeRecord is a pure function), so its WAL and feed mirror the leader's
 // stream frame for frame.
 //
-// The error is this mutation's own durability verdict. In strict mode a
-// failed (or previously latched) append rejects the record — not logged, not
-// streamed, not folded, and the caller must not acknowledge it; otherwise the
-// error is latched for Err and the mutation proceeds unlogged. n is the
-// fold's result: for an ingest the number of reports accepted, or
+// The error is this mutation's own durability verdict: durability is a
+// precondition of acknowledgement. A failed append latches its error, and
+// from then until restart (or reset) every record is rejected — not logged,
+// not streamed, not folded — and the caller must not acknowledge it. n is
+// the fold's result: for an ingest the number of reports accepted, or
 // unknownUUID; 0 for every other kind.
 func (s *store) apply(rec *storage.Record) (n int, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.log != nil && s.lastErr == nil {
+	if s.lastErr != nil {
+		return 0, errNotDurable
+	}
+	if s.log != nil {
 		if err := s.log.Append(rec); err != nil {
 			s.lastErr = err
-		} else {
-			s.sinceSnap++
+			return 0, errNotDurable
 		}
-	}
-	if s.opts.Strict && s.lastErr != nil {
-		return 0, errNotDurable
+		s.sinceSnap++
 	}
 	if s.feed != nil {
 		s.feed.Append(rec)
@@ -218,7 +210,7 @@ func (s *store) apply(rec *storage.Record) (n int, err error) {
 	s.seq++
 	// Compact only after the fold: the snapshot must contain the mutation
 	// whose record the truncation is about to drop.
-	if s.log != nil && s.lastErr == nil && s.opts.SnapshotEvery > 0 && s.sinceSnap >= s.opts.SnapshotEvery {
+	if s.log != nil && s.opts.SnapshotEvery > 0 && s.sinceSnap >= s.opts.SnapshotEvery {
 		s.compactLocked()
 	}
 	return n, nil

@@ -2,6 +2,7 @@ package globaldb
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"csaw/internal/globaldb/storage"
+	"csaw/internal/httpx"
 	"csaw/internal/netem"
 	"csaw/internal/vtime"
 )
@@ -111,48 +113,93 @@ func TestNewServerIsLoglessDurable(t *testing.T) {
 	}
 }
 
-// TestMutationErrorsAreTheirOwn pins the strict-mode contract at every
-// mutation entry point: the caller learns the fate of its own record. A
-// rejected register answers 503 and stores nothing; a rejected revoke
-// returns the error and leaves the uuid voting.
+// TestMutationErrorsAreTheirOwn pins the durability contract at every
+// mutation entry point, for a replica-set node and a plain durable server
+// alike: the caller learns the fate of its own record. A rejected register
+// answers 503 and stores nothing; a rejected revoke returns the error and
+// leaves the uuid voting; and every report the server answered 200 is still
+// served once the directory is reopened.
 func TestMutationErrorsAreTheirOwn(t *testing.T) {
+	t.Run("replica-node", func(t *testing.T) { mutationErrorsAreTheirOwn(t, promoOptions(t.TempDir())) })
+	t.Run("plain-durable", func(t *testing.T) { mutationErrorsAreTheirOwn(t, StoreOptions{Dir: t.TempDir()}) })
+}
+
+func mutationErrorsAreTheirOwn(t *testing.T, opts StoreOptions) {
 	clock := vtime.New(1000)
-	srv, err := NewDurableServer(clock, nil, promoOptions(t.TempDir()))
+	srv, err := NewDurableServer(clock, nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() {
-		if err := srv.Close(); !errors.Is(err, storage.ErrInjectedTear) {
-			t.Errorf("close: %v, want the latched tear", err)
-		}
-	}()
 	srv.store.addUser("u")
 	srv.store.ingest("u", utc, []Report{{URL: "a.example/", ASN: 100, Tm: utc}})
-	register := func() int {
+	register := func() *httpx.Response {
 		req := postJSON("POST", "globaldb.example", PathRegister, nil)
 		req.Header.Set(CaptchaHeader, "human-1")
-		return srv.Handler().ServeHTTP(req, netem.Flow{}).StatusCode
+		return srv.Handler().ServeHTTP(req, netem.Flow{})
 	}
-	if code := register(); code != 200 {
-		t.Fatalf("healthy register: %d", code)
+	resp := register()
+	if resp.StatusCode != 200 {
+		t.Fatalf("healthy register: %d", resp.StatusCode)
+	}
+	var reg RegisterResponse
+	if err := json.Unmarshal(resp.Body, &reg); err != nil {
+		t.Fatal(err)
+	}
+	var acked []string
+	report := func(url string) int {
+		body, _ := json.Marshal(ReportRequest{UUID: reg.UUID, Reports: []Report{{URL: url, ASN: 200, Tm: utc}}})
+		code := srv.Handler().ServeHTTP(postJSON("POST", "globaldb.example", PathReport, body), netem.Flow{}).StatusCode
+		if code == 200 {
+			acked = append(acked, url)
+		}
+		return code
+	}
+	if code := report("before.example/"); code != 200 {
+		t.Fatalf("healthy report: %d", code)
 	}
 	users := srv.StatsSnapshot().Users
 
 	srv.InjectTornWrite(3)
 	if err := srv.Revoke("u"); !errors.Is(err, errNotDurable) {
-		t.Fatalf("revoke over a torn WAL: err = %v, want errNotDurable", err)
+		t.Errorf("revoke over a torn WAL: err = %v, want errNotDurable", err)
 	}
 	if e := srv.BlockedForAS(100); len(e) != 1 {
-		t.Fatalf("rejected revoke was applied anyway: %+v", e)
+		t.Errorf("rejected revoke was applied anyway: %+v", e)
 	}
-	if code := register(); code != 503 {
-		t.Fatalf("register after durability loss: %d, want 503", code)
+	if code := register().StatusCode; code != 503 {
+		t.Errorf("register after durability loss: %d, want 503", code)
 	}
 	if got := srv.StatsSnapshot().Users; got != users {
-		t.Fatalf("rejected register stored a user: %d -> %d", users, got)
+		t.Errorf("rejected register stored a user: %d -> %d", users, got)
+	}
+	if code := report("after.example/"); code != 503 {
+		t.Errorf("report after durability loss: %d, want 503", code)
 	}
 	if err := srv.StartTerm(9, "30.0.0.9:80"); !errors.Is(err, errNotDurable) {
-		t.Fatalf("StartTerm after durability loss: %v", err)
+		t.Errorf("StartTerm after durability loss: %v", err)
+	}
+	if err := srv.Close(); !errors.Is(err, storage.ErrInjectedTear) {
+		t.Errorf("close: %v, want the latched tear", err)
+	}
+
+	// Restart: whatever was acknowledged survived.
+	re, err := NewDurableServer(clock, nil, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := re.Close(); err != nil {
+			t.Error(err)
+		}
+	}()
+	served := map[string]bool{}
+	for _, e := range re.BlockedForAS(200) {
+		served[e.URL] = true
+	}
+	for _, url := range acked {
+		if !served[url] {
+			t.Errorf("report of %s answered 200 but is gone after restart (served: %v)", url, served)
+		}
 	}
 }
 

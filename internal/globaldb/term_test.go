@@ -16,9 +16,9 @@ import (
 )
 
 // promoOptions is the store shape every replica-set node uses: full history
-// kept (no compaction), a replication feed, and strict durability.
+// kept (no compaction) and a replication feed.
 func promoOptions(dir string) StoreOptions {
-	return StoreOptions{Dir: dir, SnapshotEvery: -1, Replicated: true, Strict: true}
+	return StoreOptions{Dir: dir, SnapshotEvery: -1, Replicated: true}
 }
 
 // TestTermMarksAndRecovery pins the lineage machinery end to end: StartTerm
@@ -171,9 +171,10 @@ func TestStrictTornWriteRejects(t *testing.T) {
 
 // TestResetForResyncKeepsDurablePath is the regression pin for the chaos
 // harness's worst bug: after ResetForResync the server's mutation path must
-// still run through the WAL, the feed, and strict mode. (An earlier version
-// rebound s.store to the bare inner store on reset, so every post-resync
-// write was acked from memory only — never logged, never replicated.)
+// still run through the WAL, the feed, and the durability latch. (An
+// earlier version rebound s.store to the bare inner store on reset, so
+// every post-resync write was acked from memory only — never logged, never
+// replicated.)
 func TestResetForResyncKeepsDurablePath(t *testing.T) {
 	dir := t.TempDir()
 	clock := vtime.New(1000)
@@ -227,10 +228,10 @@ func TestResetForResyncKeepsDurablePath(t *testing.T) {
 		t.Fatalf("post-reset write lost across restart: %q vs %q", before.body, after.body)
 	}
 
-	// Strict mode still bites after a reset.
+	// The durability latch still bites after a reset.
 	srv2.InjectTornWrite(3)
 	if _, ok := srv2.store.ingest("new", clock.Now(), []Report{{URL: "z.example/", ASN: 9, Tm: clock.Now()}}); ok {
-		t.Fatal("strict mode lost across reset: torn write acked")
+		t.Fatal("durability latch lost across reset: torn write acked")
 	}
 }
 

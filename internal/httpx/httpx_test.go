@@ -181,7 +181,7 @@ func TestQuickReadNoPanic(t *testing.T) {
 func httpWorld(t *testing.T, h Handler) (*netem.Network, *Client, *Server) {
 	t.Helper()
 	clock := vtime.New(500)
-	n := netem.New(clock, netem.WithSeed(3), netem.WithJitter(0))
+	n := netem.New(clock, netem.WithSeed(3))
 	as := n.AddAS(1, "ISP", "PK")
 	us := n.AddAS(2, "US", "US")
 	ch := n.MustAddHost("client", "10.0.0.1", "pk", as)
@@ -339,7 +339,7 @@ func TestServeConnNilResponseStaysSilent(t *testing.T) {
 // session after its server closed carries a cancelled context.
 func TestServeConnTLSRequestSeesServerClose(t *testing.T) {
 	clock := vtime.New(500)
-	n := netem.New(clock, netem.WithSeed(3), netem.WithJitter(0))
+	n := netem.New(clock, netem.WithSeed(3))
 	ch := n.MustAddHost("client", "10.0.0.1", "pk", n.AddAS(1, "ISP", "PK"))
 	sh := n.MustAddHost("origin", "93.184.216.34", "us", n.AddAS(2, "US", "US"))
 	n.SetRTT("pk", "us", 100*time.Millisecond)

@@ -14,7 +14,7 @@ import (
 func lanternWorld(t *testing.T) (*netem.Network, *netem.Host, *Network) {
 	t.Helper()
 	clock := vtime.New(500)
-	n := netem.New(clock, netem.WithSeed(13), netem.WithJitter(0))
+	n := netem.New(clock, netem.WithSeed(13))
 	pk := n.AddAS(1, "PK-ISP", "PK")
 	free := n.AddAS(2, "Free", "EU")
 	client := n.MustAddHost("client", "10.0.0.1", "pk", pk)

@@ -1,6 +1,6 @@
 // Package randdet forbids the unseeded process-global math/rand source.
-// Every stochastic choice in the simulation — jitter, loss, exploration,
-// fault firing — must come from a *rand.Rand seeded from the experiment's
+// Every stochastic choice in the simulation — multihomed egress,
+// exploration, fault firing — must come from a *rand.Rand seeded from the experiment's
 // root seed, so that the same seed replays the same world. A call like
 // rand.Intn draws from the shared global source, which differs across
 // processes and interleaves across goroutines: two runs of the same

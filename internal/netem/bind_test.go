@@ -17,7 +17,7 @@ import (
 // of peers, one per dial.
 func bindWorld(t *testing.T, clock *vtime.Clock) (client *netem.Host, proxyAddr string, peers <-chan net.Conn) {
 	t.Helper()
-	n := netem.New(clock, netem.WithSeed(7), netem.WithJitter(0))
+	n := netem.New(clock, netem.WithSeed(7))
 	as := n.AddAS(1, "AS", "PK")
 	client = n.MustAddHost("client", "10.0.0.1", "pk", as)
 	proxyHost := n.MustAddHost("proxy", "20.2.0.1", "uk", as)

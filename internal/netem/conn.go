@@ -44,8 +44,8 @@ type segment struct {
 }
 
 // pipe is one direction of an emulated connection: a FIFO of segments with
-// propagation latency, serialization (bandwidth) delay, optional loss-induced
-// retransmission delay, and a byte cap providing backpressure.
+// propagation latency, serialization (bandwidth) delay, and a byte cap
+// providing backpressure.
 //
 // A pipe knows no deadline: each end can only be told, once and for good,
 // that the exchange it served ran out of time (Conn.Expire, armed by Bind).
@@ -99,8 +99,8 @@ func (p *pipe) waitUntil(t time.Time) {
 // write queues b as one segment. With owned false it copies b first — the
 // net.Conn contract, the caller may reuse its buffer; with owned true the
 // segment aliases b, which nobody may modify from here on (see
-// Conn.WriteOwned). Either way it is one segment: one jitter and loss draw,
-// one serialization slot, len(b) bytes against the cap.
+// Conn.WriteOwned). Either way it is one segment: one serialization slot,
+// len(b) bytes against the cap.
 func (p *pipe) write(b []byte, owned bool) (int, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -121,13 +121,8 @@ func (p *pipe) write(b []byte, owned bool) (int, error) {
 	}
 	// Compute delivery time: first byte pays propagation once; subsequent
 	// segments are serialized behind the previous segment at link bandwidth.
-	now := time.Now()
-	lat := p.lat + p.net.jitter(p.lat)
-	if p.net.lose() {
-		lat += p.net.lossRTO
-	}
 	xfer := time.Duration(float64(len(b)) / p.net.bandwidth * float64(time.Second))
-	due := now.Add(p.clock.Real(lat))
+	due := time.Now().Add(p.clock.Real(p.lat))
 	if p.lastDue.After(due) {
 		due = p.lastDue
 	}
@@ -351,8 +346,8 @@ func (c *Conn) write(b []byte, owned bool) (int, error) {
 }
 
 // copyChunk is io.Copy's buffer size. WriteTo cuts segments at it so a
-// splice makes the destination writes — hence jitter and loss draws and
-// serialization slots — that io.Copy's read-then-write loop made.
+// splice makes the destination writes — hence serialization slots — that
+// io.Copy's read-then-write loop made.
 const copyChunk = 32 << 10
 
 // WriteTo implements io.WriterTo, which io.Copy and bufio.Reader.WriteTo

@@ -53,7 +53,7 @@ func IsIPLiteral(s string) bool {
 }
 
 // Dial opens a connection from the host to "ip:port", emulating the TCP
-// handshake (one RTT plus jitter) and consulting the egress AS's
+// handshake (one RTT) and consulting the egress AS's
 // interceptor. Context cancellation bounds the whole attempt; a blackholed
 // SYN parks on the clock until the context ends (see vtime.Clock.Park) and
 // surfaces as a timeout, matching how real clients experience IP blocking.
@@ -102,7 +102,7 @@ func (h *Host) Dial(ctx context.Context, address string) (net.Conn, error) {
 	}
 
 	rtt := n.RTT(h.loc, dst.loc)
-	if err := n.clock.SleepCtx(ctx, rtt+n.jitter(rtt)); err != nil {
+	if err := n.clock.SleepCtx(ctx, rtt); err != nil {
 		return nil, h.dialErr(address, err)
 	}
 

@@ -12,7 +12,7 @@ import (
 func eventWorld(t *testing.T) (*Network, *Host, *Host) {
 	t.Helper()
 	clock := vtime.NewEventDriven()
-	n := New(clock, WithSeed(42), WithJitter(0))
+	n := New(clock, WithSeed(42))
 	as := n.AddAS(100, "ISP-A", "PK")
 	client := n.MustAddHost("client", "10.0.0.1", "pk", as)
 	asUS := n.AddAS(200, "Transit-US", "US")
@@ -22,7 +22,8 @@ func eventWorld(t *testing.T) (*Network, *Host, *Host) {
 }
 
 // TestEventModeEcho: the transport works under the discrete-event clock —
-// latency sleeps advance virtual time instead of burning wall time.
+// latency sleeps advance virtual time instead of burning wall time, by
+// exactly the path's delay.
 func TestEventModeEcho(t *testing.T) {
 	n, client, server := eventWorld(t)
 	l := server.MustListen(80)
@@ -35,6 +36,10 @@ func TestEventModeEcho(t *testing.T) {
 		t.Fatalf("Dial: %v", err)
 	}
 	defer conn.Close()
+	// The handshake costs exactly one RTT: the path model has nothing else.
+	if el := n.Clock().Since(start); el != 200*time.Millisecond {
+		t.Fatalf("dial advanced virtual time by %v, want exactly one RTT (200ms)", el)
+	}
 	msg := []byte("hello, event-driven world")
 	if _, err := conn.Write(msg); err != nil {
 		t.Fatalf("Write: %v", err)

@@ -3,13 +3,13 @@
 // A Network holds hosts (addressed by IPv4-style strings), autonomous
 // systems, and a latency model keyed by location labels. Hosts dial and
 // listen with net.Conn/net.Listener-compatible types whose transfers incur
-// propagation latency, bandwidth-limited serialization delay, jitter, and
-// probabilistic loss (modelled as retransmission delay). Every connection
-// egresses through the client's AS, whose Interceptor — the censor's hook —
-// may pass, blackhole, or reset connections at connect time and may inspect
-// and manipulate established streams (inject block pages, reset mid-flight,
-// or silently discard), exactly the on-path powers §2.1 of the paper grants
-// a censor.
+// propagation latency and bandwidth-limited serialization delay, nothing
+// else: a path's delay is its RTT plus bytes over bandwidth, with no random
+// term. Every connection egresses through the client's AS, whose
+// Interceptor — the censor's hook — may pass, blackhole, or reset
+// connections at connect time and may inspect and manipulate established
+// streams (inject block pages, reset mid-flight, or silently discard),
+// exactly the on-path powers §2.1 of the paper grants a censor.
 //
 // All timing is virtual (see internal/vtime), so protocol timeouts of tens
 // of seconds execute in milliseconds during tests and benchmarks.
@@ -37,10 +37,7 @@ type Network struct {
 	rngMu sync.Mutex
 	rng   *rand.Rand
 
-	bandwidth  float64 // virtual bytes per virtual second, per connection
-	lossProb   float64 // probability a segment needs one retransmission
-	lossRTO    time.Duration
-	jitterFrac float64 // max extra one-way delay as a fraction of RTT
+	bandwidth float64 // virtual bytes per virtual second, per connection
 
 	portMu   sync.Mutex
 	nextPort int
@@ -60,19 +57,8 @@ func WithBandwidth(bytesPerSec float64) Option {
 	return func(n *Network) { n.bandwidth = bytesPerSec }
 }
 
-// WithLoss sets segment loss probability and the retransmission delay charged
-// per lost segment.
-func WithLoss(prob float64, rto time.Duration) Option {
-	return func(n *Network) { n.lossProb = prob; n.lossRTO = rto }
-}
-
-// WithJitter sets the maximum extra one-way delay as a fraction of path RTT.
-func WithJitter(frac float64) Option {
-	return func(n *Network) { n.jitterFrac = frac }
-}
-
-// WithSeed seeds the network's random source, making jitter, loss, and
-// multihomed egress selection reproducible.
+// WithSeed seeds the network's random source, which has one job: choosing
+// the egress AS of each connection a multihomed host makes.
 func WithSeed(seed int64) Option {
 	return func(n *Network) { n.rng = seedrand.New(seed) }
 }
@@ -80,15 +66,13 @@ func WithSeed(seed int64) Option {
 // New creates an empty Network driven by the given clock.
 func New(clock *vtime.Clock, opts ...Option) *Network {
 	n := &Network{
-		clock:      clock,
-		hosts:      make(map[string]*Host),
-		ases:       make(map[int]*AS),
-		rtts:       make(map[locPair]time.Duration),
-		rng:        seedrand.New(1),
-		bandwidth:  1 << 20, // 1 MiB/s
-		lossRTO:    200 * time.Millisecond,
-		jitterFrac: 0.05,
-		nextPort:   40000,
+		clock:     clock,
+		hosts:     make(map[string]*Host),
+		ases:      make(map[int]*AS),
+		rtts:      make(map[locPair]time.Duration),
+		rng:       seedrand.New(1),
+		bandwidth: 1 << 20, // 1 MiB/s
+		nextPort:  40000,
 	}
 	for _, o := range opts {
 		o(n)
@@ -180,40 +164,18 @@ func (n *Network) RTT(locA, locB string) time.Duration {
 	return baseRTT
 }
 
-// Ping measures one application-level round trip from host to the given IP,
-// including jitter, without establishing a connection — the emulator's
-// equivalent of an ICMP echo. It fails if the IP is not routable.
+// Ping measures one application-level round trip from host to the given IP
+// without establishing a connection — the emulator's equivalent of an ICMP
+// echo. It sleeps the path's RTT (so on the event clock it returns exactly
+// that), and fails if the IP is not routable.
 func (n *Network) Ping(from *Host, ip string) (time.Duration, error) {
 	dst := n.HostByIP(ip)
 	if dst == nil {
 		return 0, &OpError{Op: "ping", Addr: ip, Err: ErrNoRoute}
 	}
-	rtt := n.RTT(from.loc, dst.loc) + n.jitter(n.RTT(from.loc, dst.loc))
 	start := n.clock.Now()
-	n.clock.Sleep(rtt)
+	n.clock.Sleep(n.RTT(from.loc, dst.loc))
 	return n.clock.Since(start), nil
-}
-
-// jitter draws a one-way jitter sample for a path with the given RTT.
-func (n *Network) jitter(rtt time.Duration) time.Duration {
-	if n.jitterFrac <= 0 {
-		return 0
-	}
-	n.rngMu.Lock()
-	f := n.rng.Float64()
-	n.rngMu.Unlock()
-	return time.Duration(f * n.jitterFrac * float64(rtt))
-}
-
-// lose reports whether a segment should be charged a retransmission.
-func (n *Network) lose() bool {
-	if n.lossProb <= 0 {
-		return false
-	}
-	n.rngMu.Lock()
-	f := n.rng.Float64()
-	n.rngMu.Unlock()
-	return f < n.lossProb
 }
 
 // ephemeralPort allocates a unique client-side port.

@@ -90,7 +90,7 @@ func TestSplice(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			leakcheck.Check(t)
-			n := New(vtime.New(testScale), WithSeed(1), WithJitter(0))
+			n := New(vtime.New(testScale), WithSeed(1))
 			lat := 5 * time.Millisecond
 			left, a := connPair(n, lat, Addr{IP: "10.0.0.1", Port: 1}, Addr{IP: "10.0.0.2", Port: 2}, Flow{})
 			b, right := connPair(n, lat, Addr{IP: "10.0.0.2", Port: 3}, Addr{IP: "10.0.0.3", Port: 4}, Flow{})

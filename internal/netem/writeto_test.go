@@ -15,7 +15,7 @@ import (
 // relay builds left ↔ [a ~ b] ↔ right: whatever moves a's received segments
 // onto b is the relay under test.
 func relay(clock *vtime.Clock) (left, a, b, right *Conn) {
-	n := New(clock, WithSeed(1), WithJitter(0))
+	n := New(clock, WithSeed(1))
 	left, a = connPair(n, time.Millisecond, Addr{IP: "10.0.0.1", Port: 1}, Addr{IP: "10.0.0.2", Port: 2}, Flow{})
 	b, right = connPair(n, time.Millisecond, Addr{IP: "10.0.0.2", Port: 3}, Addr{IP: "10.0.0.3", Port: 4}, Flow{})
 	return left, a, b, right
@@ -42,8 +42,7 @@ func queued(c *Conn) []int {
 }
 
 // TestWriteToChunksLikeCopyBuffer: the writes WriteTo makes on the
-// destination — each one a jitter draw, a loss draw and a serialization
-// slot — are the ones io.Copy's 32 KiB read-then-write loop made before
+// destination — each one a serialization slot — are the ones io.Copy's 32 KiB read-then-write loop made before
 // Conn had a WriteTo: one per segment, cut at 32 KiB, never merged.
 func TestWriteToChunksLikeCopyBuffer(t *testing.T) {
 	const k = 1 << 10

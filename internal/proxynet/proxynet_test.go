@@ -13,7 +13,7 @@ import (
 func proxyWorld(t *testing.T) (*netem.Network, *netem.Host, *Server) {
 	t.Helper()
 	clock := vtime.New(500)
-	n := netem.New(clock, netem.WithSeed(17), netem.WithJitter(0))
+	n := netem.New(clock, netem.WithSeed(17))
 	pk := n.AddAS(1, "PK", "PK")
 	eu := n.AddAS(2, "EU", "EU")
 	client := n.MustAddHost("client", "10.0.0.1", "pk", pk)
@@ -69,7 +69,7 @@ func TestTunnelByHostnameNeedsLookup(t *testing.T) {
 
 func TestTunnelByHostnameWithLookup(t *testing.T) {
 	clock := vtime.New(500)
-	n := netem.New(clock, netem.WithSeed(18), netem.WithJitter(0))
+	n := netem.New(clock, netem.WithSeed(18))
 	as := n.AddAS(1, "X", "EU")
 	client := n.MustAddHost("client", "10.0.0.1", "pk", as)
 	proxyHost := n.MustAddHost("proxy", "20.2.0.1", "de", as)

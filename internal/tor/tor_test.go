@@ -17,7 +17,7 @@ import (
 func torWorld(t *testing.T) (*netem.Network, *netem.Host, *Directory) {
 	t.Helper()
 	clock := vtime.NewEventDriven()
-	n := netem.New(clock, netem.WithSeed(21), netem.WithJitter(0))
+	n := netem.New(clock, netem.WithSeed(21))
 	pk := n.AddAS(1, "PK-ISP", "PK")
 	world := n.AddAS(2, "Transit", "EU")
 
@@ -215,7 +215,7 @@ func TestBridgesWhenGuardsBlocked(t *testing.T) {
 
 func TestBandwidthWeightedSelection(t *testing.T) {
 	clock := vtime.New(500)
-	n := netem.New(clock, netem.WithSeed(8), netem.WithJitter(0))
+	n := netem.New(clock, netem.WithSeed(8))
 	as := n.AddAS(1, "X", "EU")
 	client := n.MustAddHost("client", "10.0.0.1", "pk", as)
 	dir := NewDirectory(clock, proxynet.IPLookup)

@@ -91,7 +91,7 @@ func TestObjectBodyDeterministic(t *testing.T) {
 func webWorld(t *testing.T) (*netem.Network, *netem.Host, *Origin) {
 	t.Helper()
 	clock := vtime.New(500)
-	n := netem.New(clock, netem.WithSeed(9), netem.WithJitter(0), netem.WithBandwidth(1<<20))
+	n := netem.New(clock, netem.WithSeed(9), netem.WithBandwidth(1<<20))
 	pk := n.AddAS(1, "ISP", "PK")
 	us := n.AddAS(2, "US", "US")
 	client := n.MustAddHost("client", "10.0.0.1", "pk", pk)

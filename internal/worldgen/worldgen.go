@@ -151,11 +151,7 @@ func New(o Options) (*World, error) {
 	if o.EventDriven {
 		clock = vtime.NewEventDriven()
 	}
-	n := netem.New(clock,
-		netem.WithSeed(o.Seed),
-		netem.WithBandwidth(o.Bandwidth),
-		netem.WithJitter(0), // worlds run without path jitter
-	)
+	n := netem.New(clock, netem.WithSeed(o.Seed), netem.WithBandwidth(o.Bandwidth))
 	w := &World{
 		Clock:         clock,
 		Net:           n,

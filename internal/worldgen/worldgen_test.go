@@ -86,7 +86,7 @@ func TestTable2LatenciesSeeded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Worlds run without path jitter; allow compute slack.
+		// A ping takes exactly the path RTT; allow compute slack.
 		if rtt < want || rtt > want+150*time.Millisecond {
 			t.Errorf("%s ping = %v, want ≈%v", name, rtt, want)
 		}
