@@ -29,7 +29,8 @@
 #   make shape       — regenerate the experiment goldens TestExperiments
 #                      holds every runner to (internal/experiments/testdata)
 #   make fuzz        — short fuzz pass over the dnsx/httpx wire codecs (httpx
-#                      also against its map-based reference codec), the WAL
+#                      also against its map-based reference codec, and its
+#                      response relay against read-then-write), the WAL
 #                      record and snapshot decoders, the global-DB report
 #                      and list decoders and list bodies, and seedrand's
 #                      sources against math/rand
@@ -124,7 +125,9 @@ shape:
 # target holds to encoding/json too), and seedrand's sources, which FuzzSource
 # holds to math/rand draw for draw; the checked-in seed corpora under testdata/fuzz/ always
 # run as plain regression subtests. FuzzCodecVsReference holds the httpx
-# codec to the map-based one it replaced (reference_test.go). It and
+# codec to the map-based one it replaced (reference_test.go), and
+# FuzzRelayResponse the censor's by-reference response relay to the
+# ReadResponse-then-WriteResponse pair it replaced. It and
 # FuzzFetchBodies cap minimization: their coverage varies run to run (map
 # order, sync.Pool), and the engine would spend the whole pass failing to
 # shrink the first new input.
@@ -133,6 +136,7 @@ fuzz:
 	$(GO) test ./internal/httpx -run '^$$' -fuzz FuzzReadResponse -fuzztime 10s
 	$(GO) test ./internal/httpx -run '^$$' -fuzz FuzzReadRequest -fuzztime 10s
 	$(GO) test ./internal/httpx -run '^$$' -fuzz FuzzCodecVsReference -fuzztime 10s -fuzzminimizetime 1s
+	$(GO) test ./internal/httpx -run '^$$' -fuzz FuzzRelayResponse -fuzztime 10s
 	$(GO) test ./internal/globaldb/storage -run '^$$' -fuzz FuzzReplay -fuzztime 10s
 	$(GO) test ./internal/globaldb/storage -run '^$$' -fuzz FuzzSnapshot -fuzztime 10s
 	$(GO) test ./internal/globaldb -run '^$$' -fuzz FuzzReportDecode -fuzztime 10s

@@ -23,3 +23,15 @@ func BenchmarkPhase1Normal(b *testing.B) {
 		_ = c.Phase1(pages[i%len(pages)])
 	}
 }
+
+// BenchmarkPhase1FleetPage measures phase 1 on what a fleet classifies: a
+// clean 5 KiB rendered page, not the ~200-byte corpus pages above.
+func BenchmarkPhase1FleetPage(b *testing.B) {
+	c := NewClassifier()
+	page := fleetPage(5 << 10)
+	b.SetBytes(int64(len(page)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		_ = c.Phase1(page)
+	}
+}

@@ -3,9 +3,13 @@ package blockpage
 import (
 	"fmt"
 	"math"
+	"runtime/debug"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"csaw/internal/web"
 )
 
 func TestPhase1RecallOnCorpus(t *testing.T) {
@@ -108,21 +112,22 @@ func TestHardPagesCaughtByPhase2(t *testing.T) {
 }
 
 func TestTagVector(t *testing.T) {
-	v := tagVectorOf(`<html><body><p>x</p><p>y</p><img src="a"></body></html>`, nil)
-	if v.count("p") != 2 || v.count("img") != 1 || v.count("html") != 1 {
+	_, v := scan([]byte(`<html><BODY><p>x</p><P>y</p><img src="a"></body></html>`), nil)
+	count := func(tag string) float64 { return v.count(nameOf([]byte(tag))) }
+	if count("p") != 2 || count("img") != 1 || count("html") != 1 || count("Body") != 1 {
 		t.Fatalf("tag vector = %v", v)
 	}
-	if v.count("/p") != 0 {
+	if count("/p") != 0 {
 		t.Error("closing tags counted")
 	}
 }
 
 func TestCosine(t *testing.T) {
-	a := tagVector{{"p", 2}, {"img", 1}}
+	a := tagVector{{nameOf([]byte("p")), 2}, {nameOf([]byte("img")), 1}}
 	if c := cosine(a, a); c < 0.999 {
 		t.Errorf("self-cosine = %f", c)
 	}
-	if c := cosine(a, tagVector{{"table", 5}}); c != 0 {
+	if c := cosine(a, tagVector{{nameOf([]byte("table")), 5}}); c != 0 {
 		t.Errorf("orthogonal cosine = %f", c)
 	}
 	if c := cosine(tagVector{}, a); c != 0 {
@@ -248,9 +253,20 @@ func TestPhase1MatchesReference(t *testing.T) {
 		[]byte("<!DOCTYPE html><Html><Body><P>Ресурс НЕ ДОСТУПЕН ПО РЕШЕНИЮ суда</P></Body></Html>"),
 		[]byte("<html><body><p>CONTENU BLOQUÉ</p><A HREF=\"/\">x</A></body></html>"),
 		[]byte("<html>\xff\xfe<p>İstanbul \xc3</p><\xe2\x82></html>"),
-		[]byte("<html><p>ſite blocked K</p></html>"), // runes whose lower case is ASCII or shorter
+		[]byte("<html><p>ſite blocked K</p></html>"),                                            // runes whose lower case is ASCII or shorter
+		[]byte("<html><Kbd><kbd><KBD>.</kbd><İmg><img><İK></html>"),                             // tag names spelt with those runes
+		[]byte("<html><Blockquotes><BLOCKQUOTES><blockquoteK><blockquotek><blockquote></html>"), // names past eight runes
+		[]byte("<HTML><HEAD><TITLE>x</TITLE></HEAD><BODY><A HREF=\"/\">ACCESS DENIED</A></BODY></HTML>"),
 		[]byte("<html"), []byte("<"), []byte("<html><"), []byte("<html></"),
 	)
+	// Pages the size of those a fleet classifies, the largest at the size
+	// limit, as rendered, with their tags upper-cased, and with a phrase at
+	// the first and at the last byte.
+	for _, size := range []int{2 << 10, 5 << 10, Phase1MaxLen} {
+		page := fleetPage(size)
+		edges := slices.Concat([]byte("surf safely"), page[len("surf safely"):len(page)-len("access denied")], []byte("Access Denied"))
+		pages = append(pages, page, []byte(strings.ToUpper(string(page))), edges)
+	}
 	c := NewClassifier()
 	for i, p := range pages {
 		if got, want := c.Phase1(p), phase1Reference(c, p); got != want {
@@ -259,8 +275,35 @@ func TestPhase1MatchesReference(t *testing.T) {
 	}
 	if err := quick.Check(func(b []byte) bool {
 		p := append([]byte("<html>"), b...)
-		return c.Phase1(p) == phase1Reference(c, p) && lowered(b) == strings.ToLower(string(b))
+		return c.Phase1(p) == phase1Reference(c, p)
 	}, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
+	}
+}
+
+// fleetPage renders a page of exactly size bytes the way the fleet's
+// origins render theirs.
+func fleetPage(size int) []byte {
+	return web.RenderHTML(&web.Page{Title: "Fleet site 7", BaseSize: size - 3})
+}
+
+// TestPhase1DoesNotAllocate: phase 1 runs on every direct-path response, and
+// reads the page where it lies — no lowercase copy, no tag map. Plain builds
+// only: the race detector allocates on its own.
+func TestPhase1DoesNotAllocate(t *testing.T) {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				t.Skip("allocation counts are not exact under the race detector")
+			}
+		}
+	}
+	c := NewClassifier()
+	page := fleetPage(7 << 10)
+	if len(page) != 7<<10 {
+		t.Fatalf("page is %d bytes, want %d", len(page), 7<<10)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = c.Phase1(page) }); n != 0 {
+		t.Fatalf("Phase1 on a 7 KiB page allocates %v times, want 0", n)
 	}
 }

@@ -151,16 +151,14 @@ func (c *Censor) handleHTTP(f netem.Flow, s *netem.Session) {
 				closeBoth()
 				return
 			}
-			resp, err := httpx.ReadResponse(sbr)
+			// The origin's answer goes back as it came, its body by
+			// reference (a Session's ends are always *netem.Conn).
+			respHeader, err := httpx.RelayResponse(client, server.(*netem.Conn), sbr)
 			if err != nil {
 				closeBoth()
 				return
 			}
-			if err := httpx.WriteResponse(client, resp); err != nil {
-				closeBoth()
-				return
-			}
-			if httpx.WantsClose(req.Header) || httpx.WantsClose(resp.Header) {
+			if httpx.WantsClose(req.Header) || httpx.WantsClose(respHeader) {
 				closeBoth()
 				return
 			}

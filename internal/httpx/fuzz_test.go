@@ -3,8 +3,12 @@ package httpx
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"strings"
 	"testing"
+
+	"csaw/internal/netem"
+	"csaw/internal/vtime"
 )
 
 // The fuzz properties are fixed-point round-trips: whatever the parser
@@ -58,6 +62,74 @@ func FuzzReadResponse(f *testing.F) {
 		if r2.StatusCode != r1.StatusCode || !bytes.Equal(r2.Body, r1.Body) {
 			t.Fatalf("status/body changed across round-trip: %d/%q vs %d/%q",
 				r1.StatusCode, r1.Body, r2.StatusCode, r2.Body)
+		}
+	})
+}
+
+// FuzzRelayResponse holds RelayResponse to the read-then-write relay it
+// replaced: for every input it must send exactly what WriteResponse sends of
+// what ReadResponse parses, or fail — with nothing sent — where ReadResponse
+// fails. The input arrives on an emulated connection as up to three
+// segments, cut at cut1 and cut2, so a body can arrive partly buffered with
+// the head, split across segments, or short.
+func FuzzRelayResponse(f *testing.F) {
+	for _, s := range responseSeeds {
+		for _, cut := range []uint16{0, 20, uint16(len(s) - 3), uint16(len(s))} {
+			f.Add([]byte(s), cut, uint16(len(s)-1))
+		}
+		f.Add([]byte(s[:len(s)-2]), uint16(20), uint16(len(s)-3)) // cut short
+	}
+	n := netem.New(vtime.NewEventDriven())
+	as := n.AddAS(1, "AS", "XX")
+	client := n.MustAddHost("client", "10.0.0.1", "x", as)
+	l := n.MustAddHost("origin", "10.0.0.2", "x", as).MustListen(80)
+	f.Fuzz(func(t *testing.T, data []byte, cut1, cut2 uint16) {
+		var want bytes.Buffer
+		resp, wantErr := ReadResponse(bufio.NewReader(bytes.NewReader(data)))
+		if wantErr == nil {
+			if err := WriteResponse(&want, resp); err != nil {
+				t.Fatal(err)
+			}
+		}
+		a, b := min(int(cut1), len(data)), min(int(cut2), len(data))
+		a, b = min(a, b), max(a, b)
+		dialed, err := client.Dial(context.Background(), "10.0.0.2:80")
+		if err != nil {
+			t.Fatal(err)
+		}
+		src, err := l.Accept()
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The writer has its own goroutine: a long input waits on the
+		// pipe's byte cap until the relay drains it. A write that fails
+		// once the relay is done (bytes past the response) is no finding;
+		// one that fails before shows as the relay's error.
+		wrote := make(chan struct{})
+		go func() {
+			defer close(wrote)
+			defer dialed.Close()
+			for _, seg := range [][]byte{data[:a], data[a:b], data[b:]} {
+				if len(seg) > 0 {
+					if _, err := dialed.Write(seg); err != nil {
+						return
+					}
+				}
+			}
+		}()
+		br := GetReader(src)
+		defer PutReader(br)
+		var got bytes.Buffer
+		_, err = RelayResponse(&got, src.(*netem.Conn), br)
+		src.Close() // a writer still blocked on the cap gives up
+		<-wrote
+		switch {
+		case (err != nil) != (wantErr != nil):
+			t.Fatalf("relay error %v, ReadResponse error %v", err, wantErr)
+		case err != nil && got.Len() > 0:
+			t.Fatalf("failed relay sent %q", got.Bytes())
+		case !bytes.Equal(got.Bytes(), want.Bytes()):
+			t.Fatalf("relay sent\n%q\nwant\n%q", got.Bytes(), want.Bytes())
 		}
 	})
 }

@@ -266,6 +266,12 @@ func writeRequest(w io.Writer, r *Request, extra Field) error {
 // body is handed over like WriteRequest's: r.Body must not be modified
 // after a write to a *netem.Conn.
 func WriteResponse(w io.Writer, r *Response) error {
+	return writeMessage(w, responseHead(r, len(r.Body)), r.Body)
+}
+
+// responseHead serializes r's status line and header, with Content-Length
+// bodyLen in place of whatever r.Header stores, into one exact-sized buffer.
+func responseHead(r *Response, bodyLen int) []byte {
 	proto := r.Proto
 	if proto == "" {
 		proto = "HTTP/1.1"
@@ -276,16 +282,15 @@ func WriteResponse(w io.Writer, r *Response) error {
 	}
 	var codeNum, lenNum [20]byte
 	code := strconv.AppendInt(codeNum[:0], int64(r.StatusCode), 10)
-	bodyLen := strconv.AppendInt(lenNum[:0], int64(len(r.Body)), 10)
-	head := make([]byte, 0, len(proto)+1+len(code)+1+len(status)+2+fieldsLen(r.Header, Field{}, bodyLen))
+	length := strconv.AppendInt(lenNum[:0], int64(bodyLen), 10)
+	head := make([]byte, 0, len(proto)+1+len(code)+1+len(status)+2+fieldsLen(r.Header, Field{}, length))
 	head = append(head, proto...)
 	head = append(head, ' ')
 	head = append(head, code...)
 	head = append(head, ' ')
 	head = append(head, status...)
 	head = append(head, "\r\n"...)
-	head = appendFields(head, r.Header, Field{}, bodyLen)
-	return writeMessage(w, head, r.Body)
+	return appendFields(head, r.Header, Field{}, length)
 }
 
 // offWire reports whether the serializers pass over a stored field: Host and
@@ -348,14 +353,22 @@ func appendField(b []byte, f Field) []byte {
 	return append(b, "\r\n"...)
 }
 
-// writeMessage sends a serialized head and, when there is one, the body as
-// two writes — two segments on an emulated connection — giving both up.
-func writeMessage(w io.Writer, head, body []byte) error {
-	if _, err := netem.WriteOwned(w, head); err != nil || len(body) == 0 {
+// writeMessage sends a serialized head and then each non-empty part of the
+// body, one write — one segment on an emulated connection — apiece, giving
+// all of them up.
+func writeMessage(w io.Writer, head []byte, body ...[]byte) error {
+	if _, err := netem.WriteOwned(w, head); err != nil {
 		return err
 	}
-	_, err := netem.WriteOwned(w, body)
-	return err
+	for _, part := range body {
+		if len(part) == 0 {
+			continue
+		}
+		if _, err := netem.WriteOwned(w, part); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // head is the scratch one message head is parsed in: the bytes of its start
@@ -480,6 +493,17 @@ func ReadRequest(br *bufio.Reader) (*Request, error) {
 
 // ReadResponse parses one response from br.
 func ReadResponse(br *bufio.Reader) (*Response, error) {
+	resp, err := readResponseHead(br)
+	if err != nil {
+		return nil, err
+	}
+	resp.Body, err = readBody(br, resp.Header)
+	return resp, err
+}
+
+// readResponseHead parses a response's status line and header from br,
+// leaving br at the first byte of the body.
+func readResponseHead(br *bufio.Reader) (*Response, error) {
 	h := headPool.Get().(*head)
 	defer h.release()
 	line, err := h.readLine(br)
@@ -508,21 +532,73 @@ func ReadResponse(br *bufio.Reader) (*Response, error) {
 	if sp2 < end {
 		resp.Status = s[sp2+1 : end]
 	}
-	resp.Body, err = readBody(br, resp.Header)
-	return resp, err
+	return resp, nil
 }
 
-func readBody(br *bufio.Reader, h Header) ([]byte, error) {
+// RelayResponse moves one response from src to w, where br is the reader
+// src's bytes have been parsed through: w receives the bytes
+// WriteResponse(w, ReadResponse(br)) would send, and the returned header is
+// the response's. The body is not copied — only the bytes br had already
+// buffered with the head are; every other body byte is taken off src by
+// reference and changes connections segment by segment as it arrived.
+// Nothing is written before the whole body is in hand, so the last byte
+// leaves when a read-then-write relay would send it; a response
+// ReadResponse rejects fails here with nothing written.
+func RelayResponse(w io.Writer, src *netem.Conn, br *bufio.Reader) (Header, error) {
+	resp, err := readResponseHead(br)
+	if err != nil {
+		return nil, err
+	}
+	n, err := contentLength(resp.Header)
+	if err != nil {
+		return nil, err
+	}
+	n = max(n, 0) // none announced: an empty body, which the head then announces
+	var room [4][]byte
+	parts := room[:0]
+	need := n
+	if k := min(br.Buffered(), need); k > 0 {
+		buffered := make([]byte, k)
+		if _, err := io.ReadFull(br, buffered); err != nil {
+			return nil, err
+		}
+		parts, need = append(parts, buffered), need-k
+	}
+	for need > 0 {
+		part, err := src.Take(need)
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
+			return nil, err
+		}
+		if len(part) > 0 {
+			parts, need = append(parts, part), need-len(part)
+		}
+	}
+	return resp.Header, writeMessage(w, responseHead(resp, n), parts...)
+}
+
+// contentLength is the body length h announces, -1 when it announces none.
+func contentLength(h Header) (int, error) {
 	cl := h.Get("Content-Length")
 	if cl == "" {
-		return nil, nil
+		return -1, nil
 	}
 	n, err := strconv.Atoi(cl)
 	if err != nil || n < 0 {
-		return nil, fmt.Errorf("%w: content-length %q", ErrMalformed, cl)
+		return -1, fmt.Errorf("%w: content-length %q", ErrMalformed, cl)
 	}
 	if n > MaxBodyBytes {
-		return nil, ErrTooLarge
+		return -1, ErrTooLarge
+	}
+	return n, nil
+}
+
+func readBody(br *bufio.Reader, h Header) ([]byte, error) {
+	n, err := contentLength(h)
+	if n < 0 {
+		return nil, err
 	}
 	body := make([]byte, n)
 	if _, err := io.ReadFull(br, body); err != nil {

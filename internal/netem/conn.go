@@ -345,6 +345,18 @@ func (c *Conn) write(b []byte, owned bool) (int, error) {
 	return n, err
 }
 
+// Take is Read without the copy: it waits for data as Read does, then
+// removes up to max bytes of the head segment and returns them by
+// reference. The bytes are the caller's to read and to pass on (WriteOwned),
+// never to modify — a segment may alias memory its writer still reads.
+func (c *Conn) Take(max int) ([]byte, error) {
+	b, err := c.rx.take(max)
+	if err != nil && err != io.EOF {
+		err = &OpError{Op: "read", Addr: c.remote.String(), Err: err}
+	}
+	return b, err
+}
+
 // copyChunk is io.Copy's buffer size. WriteTo cuts segments at it so a
 // splice makes the destination writes — hence serialization slots — that
 // io.Copy's read-then-write loop made.
@@ -357,12 +369,12 @@ const copyChunk = 32 << 10
 func (c *Conn) WriteTo(w io.Writer) (int64, error) {
 	var written int64
 	for {
-		chunk, err := c.rx.take(copyChunk)
+		chunk, err := c.Take(copyChunk)
 		if err == io.EOF {
 			return written, nil
 		}
 		if err != nil {
-			return written, &OpError{Op: "read", Addr: c.remote.String(), Err: err}
+			return written, err
 		}
 		if len(chunk) == 0 {
 			continue
