@@ -279,8 +279,7 @@ func (d *Detector) Measure(ctx context.Context, url string, scheme Scheme) (out 
 	// swallows the request shows only as this timeout.
 	hctx, cancel := d.Clock.WithTimeout(ctx, d.httpTimeout())
 	defer cancel()
-	release := netem.Bind(hctx, conn)
-	defer release()
+	defer netem.Bind(hctx, conn).Release()
 	var stream net.Conn = conn
 	if scheme == HTTPS {
 		tc, err := tlsx.ClientCtx(ctx, conn, host, "")
@@ -405,8 +404,7 @@ func (d *Detector) fetchRedirect(ctx context.Context, loc string) []byte {
 		return nil
 	}
 	defer conn.Close()
-	release := netem.Bind(cctx, conn)
-	defer release()
+	defer netem.Bind(cctx, conn).Release()
 	// Off the lane: the hop is fetched for classification only, so its wait
 	// stays out of the measured fetch's TTFB/body phases.
 	resp, err := httpx.RoundTrip(context.Background(), conn, httpx.NewRequest("GET", host, path))

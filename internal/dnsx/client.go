@@ -162,8 +162,7 @@ func (c *Client) exchange(ctx context.Context, server, name string) (*Message, e
 		return nil, err
 	}
 	defer conn.Close()
-	release := netem.Bind(actx, conn)
-	defer release()
+	defer netem.Bind(actx, conn).Release()
 
 	id := uint16(c.id.Add(1))
 	q := NewQuery(id, name)
@@ -194,8 +193,7 @@ func (c *Client) exchange(ctx context.Context, server, name string) (*Message, e
 func (c *Client) holdOn(ctx context.Context, conn net.Conn, id uint16) *Message {
 	hctx, cancel := c.Clock.WithTimeout(ctx, c.HoldOn)
 	defer cancel()
-	release := netem.Bind(hctx, conn)
-	defer release()
+	defer netem.Bind(hctx, conn).Release()
 	for {
 		resp, err := ReadMessage(conn)
 		if err != nil {

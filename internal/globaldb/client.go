@@ -1,6 +1,7 @@
 package globaldb
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -50,6 +51,9 @@ type Client struct {
 	// Trace, when set, records a span per failed-over API call on the
 	// "repl" lane.
 	Trace *trace.Tracer
+	// Lists, when set, is the table of decoded lists this client shares
+	// with the other clients of its world (see ListTable).
+	Lists *ListTable
 
 	mu         sync.Mutex
 	uuid       string
@@ -60,14 +64,56 @@ type Client struct {
 	counters   metrics.Counters
 }
 
-// blockedCache is one AS's last successfully fetched list plus the server's
-// validator tag for it. It is the client's only copy of that list: the base
-// of the next conditional fetch and what Lookup searches. The entries slice
-// is URL-sorted, never written after it is stored (a refresh swaps in a new
-// blockedCache), and shared with FetchBlocked's return value.
+// blockedCache is one AS's last successfully fetched list, the server's
+// validator tag for it, and the endpoint whose state at that tag it is (""
+// if none: see FetchBlocked). It is the base of the client's next
+// conditional fetch and what Lookup searches. A blockedCache is never
+// written after it is stored (a refresh or forgetTag swaps in a new one),
+// so one may be shared: with FetchBlocked's return value, and through a
+// ListTable with every client of the world that holds the same list.
 type blockedCache struct {
-	tag     string
-	entries []Entry
+	tag      string
+	endpoint string
+	entries  []Entry // URL-sorted
+}
+
+// ListTable is the decoded lists that the clients of one world share. For
+// each (endpoint that answered, ASN) it holds the newest blockedCache any of
+// them decoded there and, if that came from a full answer, the answer's
+// body. A client whose 200 answer names that same state adopts the cache
+// instead of decoding a copy of its own (see FetchBlocked), so each AS
+// state is held once per world rather than once per client. The zero value
+// is ready to use.
+type ListTable struct {
+	mu sync.Mutex
+	m  map[listKey]sharedList
+}
+
+// listKey names where a list came from. It is never a tag alone: two
+// endpoints may issue the same tag for different lists.
+type listKey struct {
+	endpoint string
+	asn      int
+}
+
+type sharedList struct {
+	cache *blockedCache
+	body  []byte // the full answer cache was decoded from; nil for a delta
+}
+
+func (t *ListTable) get(endpoint string, asn int) sharedList {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.m[listKey{endpoint, asn}]
+}
+
+func (t *ListTable) put(asn int, sl sharedList) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.m == nil {
+		t.m = make(map[listKey]sharedList)
+	}
+	t.m[listKey{sl.cache.endpoint, asn}] = sl
 }
 
 func (c *Client) timeout() time.Duration {
@@ -176,7 +222,7 @@ var errNoEndpoints = errors.New("globaldb: no endpoints")
 // orders them by health, benches the ones that fail at the transport layer
 // and records a span; a lone endpoint has nobody to fail over to, so it
 // keeps no cooldown and pays for neither.
-func (c *Client) do(ctx context.Context, dial netem.DialFunc, req *httpx.Request) (*httpx.Response, error) {
+func (c *Client) do(ctx context.Context, dial netem.DialFunc, req *httpx.Request) (resp *httpx.Response, servedBy string, err error) {
 	hc := &httpx.Client{Dial: dial, Clock: c.Clock, Timeout: c.timeout()}
 	eps := c.Endpoints
 	failover := len(eps) > 1
@@ -196,7 +242,7 @@ func (c *Client) do(ctx context.Context, dial netem.DialFunc, req *httpx.Request
 		if sp != nil {
 			sp.Event("repl", "attempt", ep)
 		}
-		resp, err := hc.Do(ctx, ep, req)
+		resp, err = hc.Do(ctx, ep, req)
 		if err != nil {
 			lastErr = err
 			if failover {
@@ -207,7 +253,7 @@ func (c *Client) do(ctx context.Context, dial netem.DialFunc, req *httpx.Request
 			}
 			continue
 		}
-		servedBy := ep
+		servedBy = ep
 		if resp.StatusCode == StatusFenced {
 			resp, servedBy = ChaseLeader(resp, ep, "", maxLeaderChase, func(_ int64, hint string) (*httpx.Response, error) {
 				if sp != nil {
@@ -225,12 +271,12 @@ func (c *Client) do(ctx context.Context, dial netem.DialFunc, req *httpx.Request
 			sp.Event("repl", "served", servedBy)
 			sp.Finish("globaldb", "ok", nil)
 		}
-		return resp, nil
+		return resp, servedBy, nil
 	}
 	if sp != nil {
 		sp.Finish("globaldb", "error", lastErr)
 	}
-	return nil, lastErr
+	return nil, "", lastErr
 }
 
 // Register solves the CAPTCHA (the token models the user's solution) and
@@ -238,7 +284,7 @@ func (c *Client) do(ctx context.Context, dial netem.DialFunc, req *httpx.Request
 func (c *Client) Register(ctx context.Context, captchaToken string) error {
 	req := httpx.NewRequest("POST", c.Host, PathRegister)
 	req.Header.Set(CaptchaHeader, captchaToken)
-	resp, err := c.do(ctx, c.FetchDial, req)
+	resp, _, err := c.do(ctx, c.FetchDial, req)
 	if err != nil {
 		return fmt.Errorf("globaldb: register: %w", err)
 	}
@@ -279,7 +325,7 @@ func (c *Client) Report(ctx context.Context, recs []localdb.Record) (int, error)
 	req := httpx.NewRequest("POST", c.Host, PathReport)
 	req.Header.Set("Content-Type", "application/json")
 	req.Body = b
-	resp, err := c.do(ctx, c.ReportDial, req)
+	resp, _, err := c.do(ctx, c.ReportDial, req)
 	if err != nil {
 		return 0, fmt.Errorf("globaldb: report: %w", err)
 	}
@@ -305,9 +351,19 @@ func (c *Client) Report(ctx context.Context, recs []localdb.Record) (int, error)
 // another tag — keeps the cached entries but drops their tag, so the next
 // fetch asks for the full list rather than for the same delta again.
 // Either body is decoded against the cached list (decodeList), whose URL
-// strings and stage lists the new list shares. The returned slice is the
-// cache's own (what Lookup searches): callers must not mutate it or the
-// Stages slices inside.
+// strings and stage lists the new list shares.
+//
+// With a ListTable, a 200 that names the state the table holds for the
+// answering endpoint adopts the table's list instead of decoding: a delta
+// whose ETag is the table's tag, taken against a cached list from the same
+// endpoint, or a full answer whose tag and bytes are the table's. The list
+// is the one decodeList would have made — an endpoint's tag names one
+// state, and decodeList is a pure function of the body and its base — and
+// the counters move as they would have. A list the client does decode goes
+// into the table, unless its ETag is empty or it is a delta spliced onto a
+// list another endpoint served. The returned slice is the cache's own
+// (what Lookup searches): callers must not mutate it or the Stages slices
+// inside.
 func (c *Client) FetchBlocked(ctx context.Context, asn int) ([]Entry, error) {
 	c.mu.Lock()
 	cached := c.blocked[asn]
@@ -321,7 +377,7 @@ func (c *Client) FetchBlocked(ctx context.Context, asn int) ([]Entry, error) {
 	if tag != "" {
 		req.Header.Set("If-None-Match", tag)
 	}
-	resp, err := c.do(ctx, c.FetchDial, req)
+	resp, servedBy, err := c.do(ctx, c.FetchDial, req)
 	if err != nil {
 		return nil, fmt.Errorf("globaldb: fetch: %w", err)
 	}
@@ -336,6 +392,35 @@ func (c *Client) FetchBlocked(ctx context.Context, asn int) ([]Entry, error) {
 	if delta && cached == nil {
 		return nil, errors.New("globaldb: delta response without a cached base")
 	}
+	etag := resp.Header.Get("ETag")
+	// The new list is servedBy's own state at etag if the answer is full, or
+	// a delta onto a list that was servedBy's own state. A delta spliced
+	// onto another endpoint's list is nobody's state: its cache names no
+	// endpoint, and it is neither adopted nor shared.
+	from := ""
+	if !delta || cached.endpoint == servedBy {
+		from = servedBy
+	}
+	share := c.Lists != nil && etag != "" && from != ""
+	var shared sharedList
+	if share {
+		shared = c.Lists.get(from, asn)
+	}
+	if bc := shared.cache; bc != nil && bc.tag == etag {
+		adopt := !delta && bytes.Equal(resp.Body, shared.body)
+		if delta {
+			since, ok := deltaSince(resp.Body)
+			if ok && string(since) != tag {
+				c.forgetTag(asn, cached)
+				return nil, fmt.Errorf("globaldb: delta base %q, cached %q", since, tag)
+			}
+			adopt = ok
+		}
+		if adopt {
+			c.storeList(asn, bc, len(resp.Body), delta)
+			return bc.entries, nil
+		}
+	}
 	l, err := decodeList(resp.Body, base, delta)
 	if err == nil && delta && l.since != tag {
 		err = fmt.Errorf("globaldb: delta base %q, cached %q", l.since, tag)
@@ -346,7 +431,17 @@ func (c *Client) FetchBlocked(ctx context.Context, asn int) ([]Entry, error) {
 		}
 		return nil, err
 	}
-	c.storeList(asn, resp.Header.Get("ETag"), l.entries, len(resp.Body), delta)
+	// The tag and endpoint are substrings of answers (httpx makes one string
+	// of a head); the cache outlives the exchange and keeps its own copies.
+	bc := &blockedCache{tag: strings.Clone(etag), endpoint: strings.Clone(from), entries: l.entries}
+	c.storeList(asn, bc, len(resp.Body), delta)
+	if share {
+		sl := sharedList{cache: bc}
+		if !delta {
+			sl.body = resp.Body
+		}
+		c.Lists.put(asn, sl)
+	}
 	return l.entries, nil
 }
 
@@ -356,7 +451,7 @@ func (c *Client) forgetTag(asn int, cached *blockedCache) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.blocked[asn] == cached {
-		c.blocked[asn] = &blockedCache{entries: cached.entries}
+		c.blocked[asn] = &blockedCache{endpoint: cached.endpoint, entries: cached.entries}
 	}
 }
 
@@ -384,18 +479,16 @@ func (c *Client) Blocked(asn int) []Entry {
 
 // storeList replaces an AS's cache after a 200 answer. The cache always
 // tracks the last answer — tag "" included — so a tag from one backend can
-// never be replayed against another that has moved past it. entries is
-// URL-sorted, which Lookup and the next delta rest on: decodeList sorts a
-// list that arrives out of order rather than mis-search it.
-func (c *Client) storeList(asn int, tag string, entries []Entry, bodyLen int, delta bool) {
+// never be replayed against another that has moved past it. bc's entries
+// are URL-sorted, which Lookup and the next delta rest on: decodeList sorts
+// a list that arrives out of order rather than mis-search it.
+func (c *Client) storeList(asn int, bc *blockedCache, bodyLen int, delta bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.blocked == nil {
 		c.blocked = make(map[int]*blockedCache)
 	}
-	// The tag is a substring of the answer's head (httpx makes one string of
-	// it); the cache outlives the exchange and keeps its own copy.
-	c.blocked[asn] = &blockedCache{tag: strings.Clone(tag), entries: entries}
+	c.blocked[asn] = bc
 	c.counters.Add("list-bytes", bodyLen)
 	if delta {
 		c.counters.Add("fetch-delta", 1)
@@ -407,7 +500,7 @@ func (c *Client) storeList(asn int, tag string, entries []Entry, bodyLen int, de
 // FetchStats downloads the server's aggregate statistics.
 func (c *Client) FetchStats(ctx context.Context) (Stats, error) {
 	req := httpx.NewRequest("GET", c.Host, PathStats)
-	resp, err := c.do(ctx, c.FetchDial, req)
+	resp, _, err := c.do(ctx, c.FetchDial, req)
 	if err != nil {
 		return Stats{}, err
 	}

@@ -387,6 +387,25 @@ func decodeList(body []byte, base []Entry, delta bool) (listBody, error) {
 	return listBody{asn: dr.ASN, since: dr.Since, entries: splice(base, changed, dr.Removed)}, nil
 }
 
+// deltaSince reads a delta body's base tag from the body's head — the
+// "asn" and "since" members that lead every delta the server writes —
+// without decoding the rest. ok is false for a body that does not open so.
+func deltaSince(body []byte) (since []byte, ok bool) {
+	s := jsonScan{b: body}
+	var seen uint8
+	s.object(func(key []byte) bool {
+		switch string(key) {
+		case "asn":
+			var asn int
+			return once(&seen, 1) && s.int(&asn)
+		case "since":
+			since, ok = s.name()
+		}
+		return false // stop at since, or at anything else
+	})
+	return since, ok
+}
+
 func byURL(a, b Entry) int { return strings.Compare(a.URL, b.URL) }
 
 // search returns the index of url in es, a URL-sorted list, or where it

@@ -332,6 +332,14 @@ type stubAnswer struct {
 // the If-None-Match of every fetch so far.
 func stubListClient(t *testing.T, answers ...stubAnswer) (*Client, func() []string) {
 	t.Helper()
+	mk, inms := stubListServer(t, answers...)
+	return mk("client", "10.0.0.1"), inms
+}
+
+// stubListServer is stubListClient's server, with a factory of clients of
+// it: the nth list fetch of any of them gets answers[n].
+func stubListServer(t *testing.T, answers ...stubAnswer) (mk func(name, ip string) *Client, sent func() []string) {
+	t.Helper()
 	clock := vtime.New(1000)
 	n := netem.New(clock, netem.WithSeed(41))
 	pk := n.AddAS(100, "ISP", "PK")
@@ -357,10 +365,12 @@ func stubListClient(t *testing.T, answers ...stubAnswer) (*Client, func() []stri
 		}
 		return resp
 	}))
-	h := n.MustAddHost("client", "10.0.0.1", "pk", pk)
-	c := &Client{Endpoints: []string{"40.0.0.1:80"}, Host: "globaldb.example", Clock: clock,
-		ReportDial: h.Dial, FetchDial: h.Dial}
-	return c, func() []string {
+	mk = func(name, ip string) *Client {
+		h := n.MustAddHost(name, ip, "pk", pk)
+		return &Client{Endpoints: []string{"40.0.0.1:80"}, Host: "globaldb.example", Clock: clock,
+			ReportDial: h.Dial, FetchDial: h.Dial}
+	}
+	return mk, func() []string {
 		mu.Lock()
 		defer mu.Unlock()
 		return slices.Clone(inms)

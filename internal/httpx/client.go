@@ -44,8 +44,7 @@ func (c *Client) Do(ctx context.Context, address string, req *Request) (*Respons
 		return nil, err
 	}
 	defer conn.Close()
-	release := netem.Bind(ctx, conn)
-	defer release()
+	defer netem.Bind(ctx, conn).Release()
 	return RoundTrip(ctx, conn, req)
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"runtime"
 	"testing"
 	"time"
 
@@ -103,7 +104,7 @@ func TestBind(t *testing.T) {
 					conn, peer := open(t)
 					ctx, cancel := clock.WithTimeout(context.Background(), 5*time.Second)
 					defer cancel()
-					defer netem.Bind(ctx, conn)()
+					defer netem.Bind(ctx, conn).Release()
 					errc := make(chan error, 1)
 					go func() {
 						_, err := conn.Read(make([]byte, 1))
@@ -128,7 +129,7 @@ func TestBind(t *testing.T) {
 					conn, _ := open(t) // the peer never reads
 					ctx, cancel := clock.WithTimeout(context.Background(), 5*time.Second)
 					defer cancel()
-					defer netem.Bind(ctx, conn)()
+					defer netem.Bind(ctx, conn).Release()
 					errc := make(chan error, 1)
 					go func() {
 						chunk := make([]byte, 64<<10)
@@ -148,7 +149,7 @@ func TestBind(t *testing.T) {
 				t.Run("cancellation closes", func(t *testing.T) {
 					conn, peer := open(t)
 					ctx, cancel := context.WithCancel(context.Background())
-					defer netem.Bind(ctx, conn)()
+					defer netem.Bind(ctx, conn).Release()
 					if _, err := conn.Write([]byte("bye")); err != nil {
 						t.Fatal(err)
 					}
@@ -163,7 +164,7 @@ func TestBind(t *testing.T) {
 					conn, peer := open(t)
 					ctx, cancel := clock.WithTimeout(context.Background(), 5*time.Second)
 					defer cancel()
-					if release := netem.Bind(ctx, conn); !release() {
+					if !netem.Bind(ctx, conn).Release() {
 						t.Fatal("release before the deadline reported false")
 					}
 					passDeadline(ctx)
@@ -181,7 +182,163 @@ func TestBind(t *testing.T) {
 						t.Fatalf("echo on a released conn = %q, %v", buf, err)
 					}
 				})
+
+				t.Run("released after the deadline", func(t *testing.T) {
+					conn, _ := open(t)
+					ctx, cancel := clock.WithTimeout(context.Background(), 5*time.Second)
+					defer cancel()
+					b := netem.Bind(ctx, conn)
+					passDeadline(ctx)
+					// The read fails once the conn has expired, so the
+					// binding has acted by the time it is released.
+					if _, err := conn.Read(make([]byte, 1)); !netem.IsTimeout(err) {
+						t.Fatalf("read on an expired conn = %v, want a timeout", err)
+					}
+					if b.Release() {
+						t.Fatal("release after the deadline reported true")
+					}
+				})
+
+				if clock.EventDriven() {
+					bindEventRows(t, clock, open)
+				}
 			})
 		}
 	}
 }
+
+// bindEventRows are TestBind's rows for a context the event clock armed,
+// which Bind links into rather than watches: no goroutine, at most one
+// allocation, the conn ended on the instant the context ends, and nothing
+// left on the context's list by a released binding.
+func bindEventRows(t *testing.T, clock *vtime.Clock, open func(*testing.T) (net.Conn, net.Conn)) {
+	// bound is a fresh exchange context: the clock's own, or a value
+	// context over it (a trace lane's shape).
+	bound := []struct {
+		name string
+		ctx  func(ctx context.Context) context.Context
+	}{
+		{"eventCtx", func(ctx context.Context) context.Context { return ctx }},
+		{"value over eventCtx", func(ctx context.Context) context.Context {
+			return context.WithValue(ctx, bindTestKey{}, 1)
+		}},
+	}
+	for _, bc := range bound {
+		t.Run(bc.name, func(t *testing.T) {
+			t.Run("starts no goroutine", func(t *testing.T) {
+				conn, _ := open(t)
+				ctx, cancel := clock.WithTimeout(context.Background(), time.Hour)
+				defer cancel()
+				ctx = bc.ctx(ctx)
+				const n = 64
+				bs := make([]netem.Binding, 0, n)
+				before := runtime.NumGoroutine()
+				for range n {
+					bs = append(bs, netem.Bind(ctx, conn))
+				}
+				// A watcher per Bind would add n; the margin is for the
+				// world's own relay goroutines, which may still be starting.
+				if after := runtime.NumGoroutine(); after-before >= n/2 {
+					t.Fatalf("%d Binds started %d goroutines", n, after-before)
+				}
+				for _, b := range bs {
+					if !b.Release() {
+						t.Fatal("release before the deadline reported false")
+					}
+				}
+			})
+
+			t.Run("allocates at most once", func(t *testing.T) {
+				conn, _ := open(t)
+				ctx, cancel := clock.WithTimeout(context.Background(), time.Hour)
+				defer cancel()
+				ctx = bc.ctx(ctx)
+				if n := testing.AllocsPerRun(100, func() { netem.Bind(ctx, conn).Release() }); n > 1 {
+					t.Fatalf("Bind+Release allocates %v times, want <= 1", n)
+				}
+			})
+
+			t.Run("expires at the deadline", func(t *testing.T) {
+				conn, peer := open(t)
+				ctx, cancel := clock.WithTimeout(context.Background(), 5*time.Second)
+				defer cancel()
+				defer netem.Bind(bc.ctx(ctx), conn).Release()
+				buf := make([]byte, 1)
+				clock.Advance(5*time.Second - time.Nanosecond)
+				if _, err := peer.Write([]byte("x")); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := conn.Read(buf); err != nil {
+					t.Fatalf("read a nanosecond before the deadline: %v", err)
+				}
+				clock.Advance(time.Nanosecond)
+				if _, err := conn.Read(buf); !netem.IsTimeout(err) {
+					t.Fatalf("read at the deadline = %v, want a timeout", err)
+				}
+			})
+
+			t.Run("cancel closes", func(t *testing.T) {
+				conn, peer := open(t)
+				ctx, cancel := clock.WithTimeout(context.Background(), time.Hour)
+				b := netem.Bind(bc.ctx(ctx), conn)
+				if _, err := conn.Write([]byte("bye")); err != nil {
+					t.Fatal(err)
+				}
+				cancel()
+				got, err := io.ReadAll(peer)
+				if err != nil || string(got) != "bye" {
+					t.Fatalf("peer read %q, %v; want the queued bytes, then EOF", got, err)
+				}
+				if b.Release() {
+					t.Fatal("release after the cancel reported true")
+				}
+			})
+
+			t.Run("ended context acts at once", func(t *testing.T) {
+				for _, end := range []struct {
+					name    string
+					end     func(cancel context.CancelFunc)
+					timeout bool
+				}{
+					{"deadline", func(context.CancelFunc) { clock.Advance(time.Second) }, true},
+					{"cancel", func(cancel context.CancelFunc) { cancel() }, false},
+				} {
+					conn, _ := open(t)
+					ctx, cancel := clock.WithTimeout(context.Background(), time.Second)
+					end.end(cancel)
+					b := netem.Bind(bc.ctx(ctx), conn)
+					_, err := conn.Write([]byte("x"))
+					if end.timeout && !netem.IsTimeout(err) || !end.timeout && err == nil {
+						t.Fatalf("%s: write after Bind on an ended context = %v", end.name, err)
+					}
+					if b.Release() {
+						t.Fatalf("%s: release on an ended context reported true", end.name)
+					}
+					cancel()
+				}
+			})
+
+			t.Run("released bindings leave the list", func(t *testing.T) {
+				conn, peer := open(t)
+				ctx, cancel := clock.WithTimeout(context.Background(), time.Hour)
+				ctx = bc.ctx(ctx)
+				for range 10000 {
+					if !netem.Bind(ctx, conn).Release() {
+						t.Fatal("release before the deadline reported false")
+					}
+				}
+				// Had any of them stayed listed, the cancel would close conn.
+				cancel()
+				if _, err := conn.Write([]byte("ok")); err != nil {
+					t.Fatalf("write after the context ended: %v", err)
+				}
+				buf := make([]byte, 2)
+				if _, err := io.ReadFull(peer, buf); err != nil || string(buf) != "ok" {
+					t.Fatalf("peer read %q, %v", buf, err)
+				}
+			})
+		})
+	}
+}
+
+type bindTestKey struct{}

@@ -446,17 +446,52 @@ func Expire(conn net.Conn) {
 // Bind gives conn the one way it ends early: with ctx, the context of the
 // exchange it serves. When ctx runs out of time the conn expires, so the
 // blocked call reports a timeout (IsTimeout) exactly as the exchange did;
-// when ctx is cancelled the conn closes. release disarms the binding — a
-// handshake that is over hands the conn on unbound — and reports whether it
-// did so before ctx ended.
-func Bind(ctx context.Context, conn net.Conn) (release func() bool) {
-	return context.AfterFunc(ctx, func() {
-		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-			Expire(conn)
-		} else {
-			conn.Close()
-		}
-	})
+// when ctx is cancelled the conn closes. The returned Binding's Release
+// disarms it — a handshake that is over hands the conn on unbound.
+//
+// Under an event-clock context (vtime.Binding.Bind) the conn goes on that
+// context's list: one allocation, no goroutine, and the conn ends on the
+// goroutine that ends the context. Under any other context Bind is a
+// context.AfterFunc.
+func Bind(ctx context.Context, conn net.Conn) Binding {
+	b := &boundConn{conn: conn}
+	if b.Bind(ctx, b) {
+		return Binding{bound: b}
+	}
+	return Binding{stop: context.AfterFunc(ctx, func() { endConn(conn, ctx.Err()) })}
+}
+
+// Binding ties a conn to the context of its exchange (see Bind).
+type Binding struct {
+	bound *boundConn  // under an event-clock context
+	stop  func() bool // under any other
+}
+
+// Release disarms the binding and reports whether it did so before the
+// context ended.
+func (b Binding) Release() bool {
+	if b.bound != nil {
+		return b.bound.Release()
+	}
+	return b.stop()
+}
+
+// boundConn is a conn on an event-clock context's list.
+type boundConn struct {
+	vtime.Binding
+	conn net.Conn
+}
+
+func (b *boundConn) End(err error) { endConn(b.conn, err) }
+
+// endConn ends conn as its context ended, with err: expired on a deadline,
+// closed on a cancel.
+func endConn(conn net.Conn, err error) {
+	if errors.Is(err, context.DeadlineExceeded) {
+		Expire(conn)
+	} else {
+		conn.Close()
+	}
 }
 
 // errNoDeadline is what the net.Conn deadline setters return.

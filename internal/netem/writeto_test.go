@@ -163,7 +163,7 @@ func TestWriteToEndings(t *testing.T) {
 			defer right.shutdown()
 			ctx, cancel := clock.WithTimeout(context.Background(), time.Second)
 			defer cancel()
-			defer Bind(ctx, a)()
+			defer Bind(ctx, a).Release()
 			done := make(chan error, 1)
 			go func() {
 				_, err := a.WriteTo(b)

@@ -156,8 +156,7 @@ func Via(base netem.DialFunc, proxyAddr string) netem.DialFunc {
 		if err != nil {
 			return nil, err
 		}
-		release := netem.Bind(ctx, conn)
-		defer release()
+		defer netem.Bind(ctx, conn).Release()
 		if _, err := fmt.Fprintf(conn, "CONNECT %s\n", address); err != nil {
 			conn.Close()
 			return nil, err

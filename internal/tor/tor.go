@@ -136,9 +136,9 @@ func (d *Directory) handleHop(r *Relay, conn net.Conn) {
 	// onward dial complete within it; the splice that follows is unbound.
 	ctx, cancel := d.clock.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	release := netem.Bind(ctx, conn)
+	binding := netem.Bind(ctx, conn)
 	line, err := br.ReadString('\n')
-	release()
+	binding.Release()
 	if err != nil {
 		conn.Close()
 		return
@@ -306,8 +306,7 @@ func (c *Client) DialVia(ctx context.Context, circ *Circuit, address string) (ne
 	}
 	// Wait for one '+' per hop (guard extend, middle extend, exit connect):
 	// circuit setup is paid in round trips, as in real Tor.
-	release := netem.Bind(ctx, conn)
-	defer release()
+	defer netem.Bind(ctx, conn).Release()
 	acks := make([]byte, 3)
 	if _, err := io.ReadFull(conn, acks); err != nil {
 		conn.Close()

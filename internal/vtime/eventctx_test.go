@@ -36,12 +36,14 @@ func TestEventWithTimeoutAllocs(t *testing.T) {
 
 // TestEventWithTimeoutStartsNoGoroutine: neither a Background parent nor
 // a parent the clock armed (directly, or under a value context) costs a
-// watcher goroutine; the child ends through the parent's list instead.
+// watcher goroutine; the child ends through the parent's list instead, and
+// so does a Binding.
 func TestEventWithTimeoutStartsNoGoroutine(t *testing.T) {
 	c := NewEventDriven()
 	const n = 64
 	before := runtime.NumGoroutine()
 	var cancels []context.CancelFunc
+	var e recordEnds
 	for range n {
 		root, cancel := c.WithTimeout(context.Background(), time.Hour)
 		cancels = append(cancels, cancel)
@@ -50,12 +52,18 @@ func TestEventWithTimeoutStartsNoGoroutine(t *testing.T) {
 		valued := context.WithValue(child, struct{}{}, 1)
 		_, cancel = c.WithTimeout(valued, time.Second)
 		cancels = append(cancels, cancel)
+		if !new(Binding).Bind(valued, &e) {
+			t.Fatal("Bind under a value context over an eventCtx reported false")
+		}
 	}
 	if after := runtime.NumGoroutine(); after > before {
-		t.Fatalf("%d WithTimeouts under Background and event-clock parents started %d goroutines", 3*n, after-before)
+		t.Fatalf("%d WithTimeouts and %d Binds under Background and event-clock parents started %d goroutines", 3*n, n, after-before)
 	}
 	for _, cancel := range cancels {
 		cancel()
+	}
+	if len(e.errs) != n {
+		t.Fatalf("cancelling everything ended %d of %d bindings", len(e.errs), n)
 	}
 	if p := c.PendingTimers(); p != 0 {
 		t.Fatalf("PendingTimers after cancelling everything = %d, want 0", p)
@@ -109,7 +117,7 @@ func TestEventParentEndReachesDescendants(t *testing.T) {
 
 // TestEventCancelledChildUnlinks: a child that ends on its own — cancelled
 // or timed out, from the head, middle or tail of the list — leaves its
-// parent's child list, so a long-lived parent does not collect them.
+// parent's list, so a long-lived parent does not collect them.
 func TestEventCancelledChildUnlinks(t *testing.T) {
 	c := NewEventDriven()
 	parentCtx, cancelParent := c.WithTimeout(context.Background(), time.Hour)
@@ -119,7 +127,7 @@ func TestEventCancelledChildUnlinks(t *testing.T) {
 		parent.mu.Lock()
 		defer parent.mu.Unlock()
 		n := 0
-		for ch := parent.children; ch != nil; ch = ch.next {
+		for b := parent.bound; b != nil; b = b.next {
 			n++
 		}
 		return n
@@ -138,7 +146,7 @@ func TestEventCancelledChildUnlinks(t *testing.T) {
 		cancels[i]()
 		cancels[i]() // a second cancel is a no-op
 	}
-	if n := listLen(); n != 0 || parent.children != nil {
+	if n := listLen(); n != 0 || parent.bound != nil {
 		t.Fatalf("parent still lists %d children after all ended", n)
 	}
 	if parentCtx.Err() != nil {
@@ -175,7 +183,7 @@ func TestEventChildOfEndedParent(t *testing.T) {
 		cancel()
 		// A parent that ends between WithTimeout's look at it and the
 		// link is caught by the link itself.
-		if err := tc.parent.(*eventCtx).link(&eventCtx{}); err != tc.want {
+		if err := tc.parent.(*eventCtx).link(new(Binding), &eventCtx{}); err != tc.want {
 			t.Fatalf("%s parent: link = %v, want %v", tc.name, err, tc.want)
 		}
 	}
@@ -240,4 +248,126 @@ func TestEventParentChildCancelStress(t *testing.T) {
 			runtime.Gosched()
 		}
 	}
+}
+
+// recordEnds is an Ender that records the errors it was ended with.
+type recordEnds struct{ errs []error }
+
+func (r *recordEnds) End(err error) { r.errs = append(r.errs, err) }
+
+// TestEventBinding: a Binding ends with the eventCtx that bounds its
+// context, on the instant it ends and with its error; Release reports
+// whether it came first; a context that has already ended acts at once;
+// and a context that ends on its own terms is not bound at all.
+func TestEventBinding(t *testing.T) {
+	c := NewEventDriven()
+	t.Run("deadline", func(t *testing.T) {
+		ctx, cancel := c.WithTimeout(context.Background(), time.Second)
+		defer cancel()
+		var e recordEnds
+		var b Binding
+		if !b.Bind(context.WithValue(ctx, struct{}{}, 1), &e) {
+			t.Fatal("Bind reported false")
+		}
+		c.Advance(time.Second - time.Nanosecond)
+		if len(e.errs) != 0 {
+			t.Fatalf("ended %v before the deadline", e.errs)
+		}
+		c.Advance(time.Nanosecond)
+		if len(e.errs) != 1 || e.errs[0] != context.DeadlineExceeded {
+			t.Fatalf("at the deadline: ended %v, want once with DeadlineExceeded", e.errs)
+		}
+		if b.Release() {
+			t.Fatal("Release after the deadline reported true")
+		}
+	})
+	t.Run("cancel", func(t *testing.T) {
+		ctx, cancel := c.WithTimeout(context.Background(), time.Hour)
+		var e recordEnds
+		var b Binding
+		b.Bind(ctx, &e)
+		cancel()
+		if len(e.errs) != 1 || e.errs[0] != context.Canceled {
+			t.Fatalf("ended %v, want once with Canceled", e.errs)
+		}
+		if b.Release() {
+			t.Fatal("Release after the cancel reported true")
+		}
+	})
+	t.Run("released", func(t *testing.T) {
+		ctx, cancel := c.WithTimeout(context.Background(), time.Hour)
+		var e recordEnds
+		var b Binding
+		b.Bind(ctx, &e)
+		if !b.Release() {
+			t.Fatal("Release before the end reported false")
+		}
+		if b.Release() {
+			t.Fatal("a second Release reported true")
+		}
+		cancel()
+		if len(e.errs) != 0 {
+			t.Fatalf("a released binding ended with %v", e.errs)
+		}
+	})
+	t.Run("ended context", func(t *testing.T) {
+		ctx, cancel := c.WithTimeout(context.Background(), time.Hour)
+		cancel()
+		var e recordEnds
+		var b Binding
+		if !b.Bind(ctx, &e) {
+			t.Fatal("Bind on an ended eventCtx reported false")
+		}
+		if len(e.errs) != 1 || e.errs[0] != context.Canceled {
+			t.Fatalf("Bind on an ended context ended %v, want once with Canceled at once", e.errs)
+		}
+		if b.Release() {
+			t.Fatal("Release on an ended context reported true")
+		}
+	})
+	t.Run("other contexts", func(t *testing.T) {
+		ctx, cancel := c.WithTimeout(context.Background(), time.Hour)
+		defer cancel()
+		own, cancelOwn := context.WithCancel(ctx)
+		defer cancelOwn()
+		for _, other := range []context.Context{context.Background(), own} {
+			var b Binding
+			if b.Bind(other, &recordEnds{}) {
+				t.Fatalf("Bind on %v reported true", other)
+			}
+		}
+	})
+	t.Run("no allocation", func(t *testing.T) {
+		ctx, cancel := c.WithTimeout(context.Background(), time.Hour)
+		defer cancel()
+		var e recordEnds
+		bs := make([]Binding, 101)
+		i := 0
+		if n := testing.AllocsPerRun(100, func() {
+			bs[i].Bind(ctx, &e)
+			bs[i].Release()
+			i++
+		}); n != 0 {
+			t.Fatalf("Bind+Release allocates %v times, want 0", n)
+		}
+	})
+	t.Run("released bindings leave the list", func(t *testing.T) {
+		ctxv, cancel := c.WithTimeout(context.Background(), time.Hour)
+		defer cancel()
+		ctx := ctxv.(*eventCtx)
+		var e recordEnds
+		for range 10000 {
+			var b Binding
+			b.Bind(ctx, &e)
+			if !b.Release() {
+				t.Fatal("Release before the end reported false")
+			}
+		}
+		ctx.mu.Lock()
+		left := ctx.bound
+		ctx.mu.Unlock()
+		if left != nil {
+			t.Fatal("10,000 released bindings left the context's list non-empty")
+		}
+	})
 }

@@ -244,11 +244,11 @@ func (s *Scheduler) removeLocked(i int) {
 // costs no allocation beyond the context itself.
 //
 // How the parent's end reaches it depends on the parent (see watchParent):
-// none is watched for a parent that can never end; a parent this clock
-// armed keeps it in an intrusive child list and cancels it directly; any
-// other parent is watched with context.AfterFunc. Err also reads the
-// parent's, so a parent deadline crossed by an advance is visible as soon
-// as the advance returns.
+// none is watched for a parent that can never end; an event-clock parent
+// keeps it on its intrusive list (beside any Bindings) and cancels it
+// directly; any other parent is watched with context.AfterFunc. Err also reads the parent's, so
+// a parent deadline crossed by an advance is visible as soon as the advance
+// returns.
 type eventCtx struct {
 	context.Context // parent, for Value
 
@@ -256,20 +256,16 @@ type eventCtx struct {
 	dl    time.Time // reported deadline: ev.at, or the parent's if earlier
 	done  chan struct{}
 	ev    schedEvent // this context's own deadline; ev.ctx points back here
+	node  Binding    // this context's place on its parent's list
 
-	mu       sync.Mutex
-	err      error
-	unwatch  func() bool // stops a context.AfterFunc parent watch
-	children *eventCtx   // linked children, newest first
-
-	// parent is the eventCtx whose child list holds this one (nil if none);
-	// prev and next are the list links, guarded by parent.mu.
-	parent     *eventCtx
-	prev, next *eventCtx
+	mu      sync.Mutex
+	err     error
+	unwatch func() bool // stops a context.AfterFunc parent watch
+	bound   *Binding    // what ends with this context, newest first
 }
 
-// armedKey looks up, through Value, the innermost eventCtx a clock armed.
-type armedKey struct{ clock *Clock }
+// eventKey looks up, through Value, the innermost eventCtx of any clock.
+type eventKey struct{}
 
 func (c *eventCtx) Deadline() (time.Time, bool) { return c.dl, true }
 
@@ -285,87 +281,64 @@ func (c *eventCtx) Err() error {
 }
 
 func (c *eventCtx) Value(key any) any {
-	if key == (armedKey{c.clock}) {
+	if key == (eventKey{}) {
 		return c
 	}
 	return c.Context.Value(key)
 }
 
+// End makes a child context an Ender on its parent's list.
+func (c *eventCtx) End(err error) { c.cancel(err) }
+
 // armedDeadline returns the offset of the nearest deadline this clock's
 // WithTimeout armed on ctx or any of its ancestors.
 func (c *Clock) armedDeadline(ctx context.Context) (at time.Duration, ok bool) {
 	for {
-		ec, found := ctx.Value(armedKey{c}).(*eventCtx)
+		ec, found := ctx.Value(eventKey{}).(*eventCtx)
 		if !found {
 			return at, ok
 		}
-		if !ok || ec.ev.at < at {
-			at = ec.ev.at
+		if ec.clock == c && (!ok || ec.ev.at < at) {
+			at, ok = ec.ev.at, true
 		}
-		ok = true
 		ctx = ec.Context
 	}
 }
 
+// endsWith returns the eventCtx that ctx ends exactly when — that eventCtx
+// itself, or a value context over it — or nil if there is none. done is
+// ctx.Done().
+func endsWith(ctx context.Context, done <-chan struct{}) *eventCtx {
+	if ec, ok := ctx.Value(eventKey{}).(*eventCtx); ok && ec.done == done {
+		return ec
+	}
+	return nil
+}
+
 // watchParent ties c to its parent's end and returns the parent's error if
 // the parent has already ended. A parent whose Done is nil can never end
-// and needs no watch. A parent that ends exactly when an eventCtx of this
-// clock does (that eventCtx, or a value context over it) takes c into the
-// eventCtx's child list: no goroutine, no allocation. Any other parent is
-// watched with context.AfterFunc, whose goroutine the context package
-// starts for a parent type it does not know. Caller holds c.mu.
+// and needs no watch. A parent that ends exactly when an eventCtx does
+// takes c onto that eventCtx's list: no goroutine, no allocation. Any other
+// parent is watched with context.AfterFunc, whose goroutine the context
+// package starts for a parent type it does not know. Caller holds c.mu.
 func (c *eventCtx) watchParent() error {
 	done := c.Context.Done()
 	if done == nil {
 		return nil
 	}
-	if p, ok := c.Context.Value(armedKey{c.clock}).(*eventCtx); ok && p.done == done {
-		return p.link(c)
+	if p := endsWith(c.Context, done); p != nil {
+		return p.link(&c.node, c)
 	}
 	parent := c.Context
 	c.unwatch = context.AfterFunc(parent, func() { c.cancel(parent.Err()) })
 	return nil
 }
 
-// link adds child to p's child list, or returns p's error if p has ended.
-func (p *eventCtx) link(child *eventCtx) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.err != nil {
-		return p.err
-	}
-	child.parent = p
-	child.next = p.children
-	if p.children != nil {
-		p.children.prev = child
-	}
-	p.children = child
-	return nil
-}
-
-// unlink takes child out of p's list. Once p has ended the list belongs to
-// p's cancel, which detached it and walks it unlocked, so it is left alone.
-func (p *eventCtx) unlink(child *eventCtx) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.err != nil {
-		return
-	}
-	if child.prev != nil {
-		child.prev.next = child.next
-	} else {
-		p.children = child.next
-	}
-	if child.next != nil {
-		child.next.prev = child.prev
-	}
-	child.prev, child.next = nil, nil
-}
-
 // cancel settles the context with err (first cause wins): the error is
 // published before done closes, then the deadline event and parent watch
-// are released so neither outlives the op that armed them, and the linked
-// children end with the same error. No two locks are held at once.
+// are released so neither outlives the op that armed them, and everything
+// bound to the context ends with the same error. No two locks are held at
+// once, and the bound Enders run with none held.
 func (c *eventCtx) cancel(err error) {
 	c.mu.Lock()
 	if c.err != nil {
@@ -373,20 +346,94 @@ func (c *eventCtx) cancel(err error) {
 		return
 	}
 	c.err = err
-	unwatch, children := c.unwatch, c.children
-	c.children = nil
+	unwatch, bound := c.unwatch, c.bound
+	c.bound = nil
 	c.mu.Unlock()
 	close(c.done)
 	c.clock.sched.stop(&c.ev)
 	if unwatch != nil {
 		unwatch()
 	}
-	if c.parent != nil {
-		c.parent.unlink(c)
+	c.node.Release()
+	for b := bound; b != nil; {
+		next := b.next
+		b.end.End(err)
+		b = next
 	}
-	for child := children; child != nil; {
-		next := child.next
-		child.cancel(err)
-		child = next
+}
+
+// An Ender is ended by the context it is bound to (see Binding). End runs
+// once, with the context's error, on the goroutine that ended the context
+// and with no lock held; it must not block.
+type Ender interface{ End(err error) }
+
+// A Binding ties an Ender to the end of an event-clock context with neither
+// a goroutine nor an allocation of its own: it is one node of the
+// context's intrusive list, meant to be embedded in the value it ends. A
+// Binding is bound once.
+type Binding struct {
+	owner      *eventCtx // whose list holds it, from Bind until Release
+	prev, next *Binding  // list links, guarded by owner.mu
+	end        Ender
+}
+
+// Bind ties e to ctx when ctx ends exactly when an event-clock context
+// does — that context itself (WithTimeout's in discrete-event mode), or a
+// value context over it: e.End runs when it ends, or at once if it has
+// already ended. Bind reports false, and binds nothing, for any other ctx;
+// the caller then watches ctx itself, with context.AfterFunc.
+func (b *Binding) Bind(ctx context.Context, e Ender) bool {
+	p := endsWith(ctx, ctx.Done())
+	if p == nil {
+		return false
 	}
+	if err := p.link(b, e); err != nil {
+		e.End(err)
+	}
+	return true
+}
+
+// Release unbinds b in O(1) and reports whether it did so before the
+// context ended (false, too, for a Binding not bound or already released).
+func (b *Binding) Release() bool {
+	p := b.owner
+	if p == nil {
+		return false
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	b.owner = nil
+	if p.err != nil {
+		// The list belongs to p's cancel, which detached it and walks it
+		// unlocked: it is left alone.
+		return false
+	}
+	if b.prev != nil {
+		b.prev.next = b.next
+	} else {
+		p.bound = b.next
+	}
+	if b.next != nil {
+		b.next.prev = b.prev
+	}
+	b.prev, b.next = nil, nil
+	return true
+}
+
+// link puts b, ending e, at the head of p's list, or returns p's error if p
+// has ended. Either way b's Release then knows p.
+func (p *eventCtx) link(b *Binding, e Ender) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	b.owner = p
+	if p.err != nil {
+		return p.err
+	}
+	b.end = e
+	b.next = p.bound
+	if p.bound != nil {
+		p.bound.prev = b
+	}
+	p.bound = b
+	return nil
 }

@@ -91,8 +91,7 @@ func (t *Transport) RoundTrip(ctx context.Context, req *httpx.Request) (*httpx.R
 		return nil, err
 	}
 	defer conn.Close()
-	release := netem.Bind(ctx, conn)
-	defer release()
+	defer netem.Bind(ctx, conn).Release()
 
 	var stream net.Conn = conn
 	if t.TLS {

@@ -120,6 +120,7 @@ type World struct {
 	// without GlobalDBReplicas); GlobalDB is then its node 0's server.
 	ReplicaSet  *replica.Set
 	ASNEchoAddr string
+	gdbLists    globaldb.ListTable // shared by every GlobalDBClient
 
 	TorDir  *tor.Directory
 	Lantern *lantern.Network
@@ -476,7 +477,9 @@ func (w *World) LDNSAddrs(host *netem.Host) []string {
 // GlobalDBClient builds a host's client of the world's global DB: list
 // downloads and registration dial from the host, reports through reportDial
 // (the host's own dialer, or a Tor client's), each API call bounded by
-// timeout (0 = the globaldb default).
+// timeout (0 = the globaldb default). Every client the world builds shares
+// one table of decoded lists (globaldb.ListTable), so an AS's list is held
+// once per state rather than once per client.
 func (w *World) GlobalDBClient(host *netem.Host, reportDial netem.DialFunc, timeout time.Duration) *globaldb.Client {
 	return &globaldb.Client{
 		Endpoints:  w.GlobalDBEndpoints,
@@ -485,6 +488,7 @@ func (w *World) GlobalDBClient(host *netem.Host, reportDial netem.DialFunc, time
 		ReportDial: reportDial,
 		FetchDial:  host.Dial,
 		Timeout:    timeout,
+		Lists:      &w.gdbLists,
 	}
 }
 
