@@ -29,8 +29,9 @@
 #   make shape       — regenerate the experiment goldens TestExperiments
 #                      holds every runner to (internal/experiments/testdata)
 #   make fuzz        — short fuzz pass over the dnsx/httpx wire codecs (httpx
-#                      also against its map-based reference codec, and its
-#                      response relay against read-then-write), the WAL
+#                      also against its map-based reference codec, its
+#                      response relay against read-then-write, and its
+#                      by-reference body read against a plain read), the WAL
 #                      record and snapshot decoders, the global-DB report
 #                      and list decoders and list bodies, and seedrand's
 #                      sources against math/rand
@@ -127,13 +128,16 @@ shape:
 # run as plain regression subtests. FuzzCodecVsReference holds the httpx
 # codec to the map-based one it replaced (reference_test.go), and
 # FuzzRelayResponse the censor's by-reference response relay to the
-# ReadResponse-then-WriteResponse pair it replaced. It and
+# ReadResponse-then-WriteResponse pair it replaced, and FuzzReadResponseTake
+# the by-reference body read to ReadResponse over the same bytes. The
+# FuzzReadResponse pattern is anchored: -fuzz must match one target. It and
 # FuzzFetchBodies cap minimization: their coverage varies run to run (map
 # order, sync.Pool), and the engine would spend the whole pass failing to
 # shrink the first new input.
 fuzz:
 	$(GO) test ./internal/dnsx -run '^$$' -fuzz FuzzMessageDecode -fuzztime 10s
-	$(GO) test ./internal/httpx -run '^$$' -fuzz FuzzReadResponse -fuzztime 10s
+	$(GO) test ./internal/httpx -run '^$$' -fuzz '^FuzzReadResponse$$' -fuzztime 10s
+	$(GO) test ./internal/httpx -run '^$$' -fuzz FuzzReadResponseTake -fuzztime 10s
 	$(GO) test ./internal/httpx -run '^$$' -fuzz FuzzReadRequest -fuzztime 10s
 	$(GO) test ./internal/httpx -run '^$$' -fuzz FuzzCodecVsReference -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/httpx -run '^$$' -fuzz FuzzRelayResponse -fuzztime 10s

@@ -115,6 +115,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	w.Close()
 	//lint:allow-realtime reporting wall-clock runtime to the operator
 	fmt.Fprintf(os.Stderr, "run finished in %.1fs wall\n", time.Since(start).Seconds())
 

@@ -310,7 +310,7 @@ func (d *Detector) Measure(ctx context.Context, url string, scheme Scheme) (out 
 		return out
 	}
 	br := httpx.GetReader(stream)
-	resp, err := httpx.ReadResponseCtx(ctx, br)
+	resp, err := httpx.ReadResponseCtx(ctx, br, stream)
 	httpx.PutReader(br)
 	if err != nil {
 		out.Status = localdb.Blocked

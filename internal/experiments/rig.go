@@ -114,12 +114,13 @@ func experiment(id string, sc scenario, body func(*rig) *Result) func(Options) (
 	}
 }
 
-// close stops every client the rig built; clients a body already closed are
-// unaffected.
+// close stops every client the rig built, then the world's servers; clients
+// a body already closed are unaffected.
 func (r *rig) close() {
 	for _, cl := range r.clients {
 		cl.Close()
 	}
+	r.w.Close()
 }
 
 // hold records a broken claim unless ok, and returns ok.

@@ -3,6 +3,7 @@ package fleet
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -40,6 +41,7 @@ func runFleetWorld(t *testing.T, wl Workload, wopts worldgen.Options, mod func(w
 	if err != nil {
 		t.Fatalf("world: %v", err)
 	}
+	defer w.Close()
 	sc, err := w.BuildFleetScenario(wl.Sites, wl.ISPs, wl.BlockedFrac)
 	if err != nil {
 		t.Fatalf("scenario: %v", err)
@@ -69,6 +71,43 @@ func TestFleetRunLeavesNoClientGoroutines(t *testing.T) {
 		o.Workers = 8
 		leakcheck.Check(t)
 	})
+}
+
+// A finished world must be collectable once it is closed: every server's
+// accept loop parked in Accept for good, and those goroutines kept the
+// whole world reachable after its clients were gone.
+func TestClosedWorldIsCollected(t *testing.T) {
+	leakcheck.Check(t)
+	wl := smokeWorkload(41)
+	wl.Population = 200
+	collected := make(chan struct{})
+	func() {
+		w, err := worldgen.New(worldgen.Options{EventDriven: true, Seed: wl.Seed})
+		if err != nil {
+			t.Fatalf("world: %v", err)
+		}
+		sc, err := w.BuildFleetScenario(wl.Sites, wl.ISPs, wl.BlockedFrac)
+		if err != nil {
+			t.Fatalf("scenario: %v", err)
+		}
+		if _, err := Run(context.Background(), w, sc, BuildPlan(wl), Options{Workers: 8}); err != nil {
+			t.Fatalf("run: %v", err)
+		}
+		w.Close()
+		runtime.AddCleanup(w, func(done chan struct{}) { close(done) }, collected)
+	}()
+	deadline := time.Now().Add(5 * time.Second) //lint:allow-realtime collection is real-scheduler time, not simulation time
+	for {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		case <-time.After(10 * time.Millisecond): //lint:allow-realtime real backoff between collections
+		}
+		if time.Now().After(deadline) { //lint:allow-realtime see above
+			t.Fatal("the closed world is still reachable")
+		}
+	}
 }
 
 // smokeWorkload is small enough for the ordinary test run.
@@ -295,6 +334,7 @@ func TestFleetRunCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("world: %v", err)
 	}
+	defer w.Close()
 	sc, err := w.BuildFleetScenario(wl.Sites, wl.ISPs, wl.BlockedFrac)
 	if err != nil {
 		t.Fatalf("scenario: %v", err)
@@ -328,6 +368,7 @@ func TestRetireClientCancelledNoDegraded(t *testing.T) {
 	if err != nil {
 		t.Fatalf("world: %v", err)
 	}
+	defer w.Close()
 	sc, err := w.BuildFleetScenario(wl.Sites, wl.ISPs, wl.BlockedFrac)
 	if err != nil {
 		t.Fatalf("scenario: %v", err)

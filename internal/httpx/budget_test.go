@@ -15,13 +15,7 @@ import (
 // builds only: the race detector's sync.Pool drops the parse scratch at
 // random.
 func TestCodecAllocBudget(t *testing.T) {
-	if bi, ok := debug.ReadBuildInfo(); ok {
-		for _, s := range bi.Settings {
-			if s.Key == "-race" && s.Value == "true" {
-				t.Skip("allocation counts are not exact under the race detector")
-			}
-		}
-	}
+	skipUnderRace(t)
 	const writeBudget, readBudget = 1, 5
 	var atOneField []float64
 	for _, fields := range []int{1, 16} {
@@ -78,6 +72,19 @@ func TestCodecAllocBudget(t *testing.T) {
 			atOneField = counts
 		} else if !slices.Equal(counts, atOneField) {
 			t.Errorf("allocations grew with the header: %v with %d fields, %v with one", counts, fields, atOneField)
+		}
+	}
+}
+
+// skipUnderRace skips an allocation count, which is not exact under the
+// race detector.
+func skipUnderRace(t *testing.T) {
+	t.Helper()
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				t.Skip("allocation counts are not exact under the race detector")
+			}
 		}
 	}
 }

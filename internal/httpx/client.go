@@ -50,10 +50,11 @@ func (c *Client) Do(ctx context.Context, address string, req *Request) (*Respons
 
 // RoundTrip runs one client exchange on an established stream: it writes
 // req, asking for Connection: close unless the caller chose otherwise, and
-// parses one response. req itself is never modified — callers reuse
-// requests across endpoints and approaches. ctx only carries the
-// flight-recorder lane (see ReadResponseCtx); bounding the exchange is the
-// job of whoever owns the stream.
+// parses one response, whose body is read-only (see Response.Body). req
+// itself is never modified — callers reuse requests across endpoints and
+// approaches. ctx only carries the flight-recorder lane (see
+// ReadResponseCtx); bounding the exchange is the job of whoever owns the
+// stream.
 func RoundTrip(ctx context.Context, stream io.ReadWriter, req *Request) (*Response, error) {
 	var closing Field
 	if req.Header.Get("Connection") == "" {
@@ -64,7 +65,7 @@ func RoundTrip(ctx context.Context, stream io.ReadWriter, req *Request) (*Respon
 	}
 	br := GetReader(stream)
 	defer PutReader(br)
-	return ReadResponseCtx(ctx, br)
+	return ReadResponseCtx(ctx, br, stream)
 }
 
 // Get fetches host+target from address.

@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -130,6 +132,69 @@ func FuzzRelayResponse(f *testing.F) {
 			t.Fatalf("failed relay sent %q", got.Bytes())
 		case !bytes.Equal(got.Bytes(), want.Bytes()):
 			t.Fatalf("relay sent\n%q\nwant\n%q", got.Bytes(), want.Bytes())
+		}
+	})
+}
+
+// FuzzReadResponseTake holds the by-reference body read (readResponse with
+// the stream as source, the RoundTrip path) to ReadResponse over the same
+// bytes as one reader: the same response, compared field by field, or the
+// same error. The input arrives as up to three segments, cut at cut1 and
+// cut2, as in FuzzRelayResponse, so a body can arrive as a segment of its
+// own, partly buffered with the head, split, or short. A body is never
+// left with capacity past its end.
+func FuzzReadResponseTake(f *testing.F) {
+	for _, s := range responseSeeds {
+		for _, cut := range []uint16{0, 20, uint16(len(s) - 3), uint16(len(s))} {
+			f.Add([]byte(s), cut, uint16(len(s)-1))
+		}
+		if i := strings.Index(s, "\r\n\r\n"); i >= 0 {
+			f.Add([]byte(s), uint16(i+4), uint16(len(s))) // the body a segment of its own
+		}
+		f.Add([]byte(s[:len(s)-2]), uint16(20), uint16(len(s)-3)) // cut short
+	}
+	n := netem.New(vtime.NewEventDriven())
+	as := n.AddAS(1, "AS", "XX")
+	client := n.MustAddHost("client", "10.0.0.1", "x", as)
+	l := n.MustAddHost("origin", "10.0.0.2", "x", as).MustListen(80)
+	f.Fuzz(func(t *testing.T, data []byte, cut1, cut2 uint16) {
+		want, wantErr := ReadResponse(bufio.NewReader(bytes.NewReader(data)))
+		a, b := min(int(cut1), len(data)), min(int(cut2), len(data))
+		a, b = min(a, b), max(a, b)
+		dialed, err := client.Dial(context.Background(), "10.0.0.2:80")
+		if err != nil {
+			t.Fatal(err)
+		}
+		src, err := l.Accept()
+		if err != nil {
+			t.Fatal(err)
+		}
+		// As in FuzzRelayResponse: the writer has its own goroutine, and a
+		// write that fails once the read is done is no finding.
+		wrote := make(chan struct{})
+		go func() {
+			defer close(wrote)
+			defer src.Close()
+			for _, seg := range [][]byte{data[:a], data[a:b], data[b:]} {
+				if len(seg) > 0 {
+					if _, err := src.Write(seg); err != nil {
+						return
+					}
+				}
+			}
+		}()
+		br := GetReader(dialed)
+		defer PutReader(br)
+		got, err := readResponse(br, dialed)
+		dialed.Close()
+		<-wrote
+		switch {
+		case fmt.Sprint(err) != fmt.Sprint(wantErr):
+			t.Fatalf("error %v, ReadResponse error %v", err, wantErr)
+		case !reflect.DeepEqual(got, want):
+			t.Fatalf("read\n%+v\nReadResponse read\n%+v", got, want)
+		case got != nil && cap(got.Body) != len(got.Body):
+			t.Fatalf("body of %d bytes has capacity %d", len(got.Body), cap(got.Body))
 		}
 	})
 }

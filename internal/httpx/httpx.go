@@ -171,7 +171,11 @@ type Response struct {
 	StatusCode int
 	Status     string
 	Header     Header
-	Body       []byte
+	// Body is read-only once the response has been read, like any segment
+	// of an emulated connection: ReadResponseCtx and RoundTrip hand over a
+	// body that arrived as one segment by reference, so it may be the very
+	// bytes the server rendered and still reads. Copy it to modify it.
+	Body []byte
 }
 
 // NewResponse builds a response with the given status and body and no
@@ -487,17 +491,23 @@ func ReadRequest(br *bufio.Reader) (*Request, error) {
 	req := &Request{Method: s[:sp1], Target: s[sp1+1 : sp2], Proto: s[sp2+1 : end], Header: h.header(s)}
 	req.Host = req.Header.Get("Host")
 	req.Header.Del("Host")
-	req.Body, err = readBody(br, req.Header)
+	req.Body, err = readBody(br, nil, req.Header)
 	return req, err
 }
 
-// ReadResponse parses one response from br.
-func ReadResponse(br *bufio.Reader) (*Response, error) {
+// ReadResponse parses one response from br. Its Body is the caller's to
+// keep; a response read through ReadResponseCtx or RoundTrip may hold its
+// body by reference instead (see Response.Body).
+func ReadResponse(br *bufio.Reader) (*Response, error) { return readResponse(br, nil) }
+
+// readResponse is ReadResponse with the body taken off src by reference
+// where readBody can.
+func readResponse(br *bufio.Reader, src io.Reader) (*Response, error) {
 	resp, err := readResponseHead(br)
 	if err != nil {
 		return nil, err
 	}
-	resp.Body, err = readBody(br, resp.Header)
+	resp.Body, err = readBody(br, src, resp.Header)
 	return resp, err
 }
 
@@ -595,13 +605,35 @@ func contentLength(h Header) (int, error) {
 	return n, nil
 }
 
-func readBody(br *bufio.Reader, h Header) ([]byte, error) {
+// readBody reads the body h announces from br. src, when not nil, is what br
+// reads from: a body none of which br has buffered, and whose first segment
+// on src is the whole of it, is taken off src by reference (netem.Take)
+// instead of copied. Its capacity is clipped, so an append to it cannot
+// write into the sender's array. Otherwise whatever was taken is copied into
+// the body and the rest read through br; either way the bytes, the error
+// and the virtual time spent waiting are what reading through br gives.
+func readBody(br *bufio.Reader, src io.Reader, h Header) ([]byte, error) {
 	n, err := contentLength(h)
 	if n < 0 {
 		return nil, err
 	}
+	var part []byte
+	if n > 0 && br.Buffered() == 0 {
+		part, err = netem.Take(src, n)
+		switch {
+		case err == netem.ErrCannotTake:
+		case err != nil:
+			return nil, err
+		case len(part) == n:
+			return part[:n:n], nil
+		}
+	}
 	body := make([]byte, n)
-	if _, err := io.ReadFull(br, body); err != nil {
+	k := copy(body, part)
+	if _, err := io.ReadFull(br, body[k:]); err != nil {
+		if err == io.EOF && k > 0 {
+			err = io.ErrUnexpectedEOF
+		}
 		return nil, err
 	}
 	return body, nil

@@ -10,8 +10,10 @@ import (
 // HTTP exchange (Connection: close semantics keep censor stream state per
 // request), so the 4 KiB bufio.Reader behind every parse is among the
 // largest allocations on the serve path; recycling it is a measurable GC
-// win at fleet scale. ReadRequest/ReadResponse copy everything they return,
-// so a released reader never aliases parsed data.
+// win at fleet scale. The parsers copy whatever they return out of the
+// reader's buffer — a body they hand over by reference was taken off the
+// connection itself, never out of the buffer (see readBody) — so a released
+// reader never aliases parsed data.
 var readerPool = sync.Pool{
 	New: func() any { return bufio.NewReaderSize(nil, 4096) },
 }

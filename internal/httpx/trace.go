@@ -3,19 +3,21 @@ package httpx
 import (
 	"bufio"
 	"context"
+	"io"
 	"strconv"
 
 	"csaw/internal/trace"
 )
 
-// ReadResponseCtx is ReadResponse plus flight-recorder instrumentation:
-// when the context carries a trace lane, the wait for the first response
-// byte is timed as PhaseTTFB and the rest of the parse as PhaseBody, with
-// the status code recorded on success.
-func ReadResponseCtx(ctx context.Context, br *bufio.Reader) (*Response, error) {
+// ReadResponseCtx is ReadResponse plus flight-recorder instrumentation, for
+// a br that reads from src: the body may be taken off src by reference
+// (see readBody), so it is read-only. When the context carries a trace
+// lane, the wait for the first response byte is timed as PhaseTTFB and the
+// rest of the parse as PhaseBody, with the status code recorded on success.
+func ReadResponseCtx(ctx context.Context, br *bufio.Reader, src io.Reader) (*Response, error) {
 	l := trace.FromContext(ctx)
 	if l == nil {
-		return ReadResponse(br)
+		return readResponse(br, src)
 	}
 	m := l.Begin(trace.PhaseTTFB)
 	_, peekErr := br.Peek(1)
@@ -24,7 +26,7 @@ func ReadResponseCtx(ctx context.Context, br *bufio.Reader) (*Response, error) {
 		l.Event("http", "first-byte", "")
 	}
 	m = l.Begin(trace.PhaseBody)
-	resp, err := ReadResponse(br)
+	resp, err := readResponse(br, src)
 	m.End()
 	if err != nil {
 		l.Event("http", "response-error", err.Error())

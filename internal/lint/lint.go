@@ -12,7 +12,8 @@
 //   - condwake: sync.Cond wakeups happen under the guarding mutex
 //   - ctxloop: blocking retry loops honor their context
 //   - spanbalance: trace spans are finished on every return path
-//   - ownedwrite: no store into a slice after WriteOwned took it by reference
+//   - ownedwrite: no store into a slice after WriteOwned took it by reference,
+//     nor into a response body read by reference
 //
 // maporder through spanbalance mechanize the bug classes PR 6 fixed by
 // hand (the mergeEntries aliasing leak, the netem lost wakeup, the fleet driver's

@@ -16,6 +16,15 @@
 // after the hand-off on the next iteration and is flagged too. Rebinding
 // the variable to something else (b = make(…), b = nil) ends the watch.
 //
+// The receiving end is watched the same way. A response read off a
+// connection (httpx.ReadResponse, ReadResponseCtx, RoundTrip, Client.Do and
+// Client.Get, or anything else of those names returning a pointer to a
+// struct with a Body field) may hold its body by reference — the segment
+// the sender handed over — so after x, … := ReadResponse(…) the analyzer
+// flags element stores, copy and reads into x.Body as above. An append is
+// fine there: the body's capacity is clipped, so it cannot reach the
+// sender's array. Assigning x anything else ends the watch.
+//
 // The check stays inside one function and one name: an alias (c := b) or
 // a callee that writes through its parameter is not followed, which is
 // why functions that pass a parameter on to WriteOwned — as
@@ -36,7 +45,7 @@ import (
 // Analyzer is the ownedwrite analyzer.
 var Analyzer = &analysis.Analyzer{
 	Name:     "ownedwrite",
-	Doc:      "flag stores, copy, append and reads into a slice after it was handed to WriteOwned in the same function; the connection keeps the bytes by reference",
+	Doc:      "flag stores, copy, append and reads into a slice after it was handed to WriteOwned in the same function, and stores, copy and reads into a response body read off a connection; both keep the bytes by reference",
 	Suppress: "ownedwrite",
 	Run:      run,
 }
@@ -72,6 +81,7 @@ func checkFunc(pass *analysis.Pass, body *ast.BlockStmt) {
 	type handoff struct {
 		call *ast.CallExpr
 		root root
+		body bool // a response body read by call, not a slice handed to WriteOwned
 	}
 	var (
 		handoffs []handoff
@@ -94,13 +104,21 @@ func checkFunc(pass *analysis.Pass, body *ast.BlockStmt) {
 		case *ast.CallExpr:
 			if fn := pass.Callee(n); fn != nil && fn.Name() == "WriteOwned" && len(n.Args) > 0 {
 				if r := rootOf(pass, n.Args[len(n.Args)-1]); r != (root{}) {
-					handoffs = append(handoffs, handoff{n, r})
+					handoffs = append(handoffs, handoff{n, r, false})
 				}
 			}
 			events = append(events, callWrites(pass, n)...)
 		case *ast.IncDecStmt:
 			store(n.X)
 		case *ast.AssignStmt:
+			if x, ok := n.Lhs[0].(*ast.Ident); ok && x.Name != "_" {
+				body := root{name: x.Name + ".Body"}
+				if call, ok := ast.Unparen(n.Rhs[0]).(*ast.CallExpr); ok && len(n.Rhs) == 1 && readsBody(pass, call) {
+					handoffs = append(handoffs, handoff{call, body, true})
+				} else {
+					events = append(events, event{pos: n.End(), root: body})
+				}
+			}
 			for i, lhs := range n.Lhs {
 				store(lhs)
 				// Rebinding to anything but a view of itself ends the watch.
@@ -128,11 +146,18 @@ func checkFunc(pass *analysis.Pass, body *ast.BlockStmt) {
 			if e.what == "" {
 				return
 			}
-			if !reported[e.pos] {
-				reported[e.pos] = true
-				pass.Reportf(e.pos, "%s %s after it was handed to WriteOwned on line %d: the connection keeps those bytes by reference (or annotate //lint:allow-ownedwrite <reason>)",
-					e.what, h.root.name, pass.Fset.Position(h.call.Pos()).Line)
+			if h.body && e.what == "append to" || reported[e.pos] {
+				continue
 			}
+			reported[e.pos] = true
+			line := pass.Fset.Position(h.call.Pos()).Line
+			if h.body {
+				pass.Reportf(e.pos, "%s %s, read on line %d: a response body may be the sender's bytes, taken by reference, and is read-only (or annotate //lint:allow-ownedwrite <reason>)",
+					e.what, h.root.name, line)
+				continue
+			}
+			pass.Reportf(e.pos, "%s %s after it was handed to WriteOwned on line %d: the connection keeps those bytes by reference (or annotate //lint:allow-ownedwrite <reason>)",
+				e.what, h.root.name, line)
 		}
 	}
 	for _, h := range handoffs {
@@ -174,6 +199,36 @@ func callWrites(pass *analysis.Pass, call *ast.CallExpr) []event {
 		return []event{{call.Pos(), r, what}}
 	}
 	return nil
+}
+
+// bodyReaders name the calls whose response may hold its body by reference.
+var bodyReaders = map[string]bool{"ReadResponse": true, "ReadResponseCtx": true, "RoundTrip": true, "Do": true, "Get": true}
+
+// readsBody reports whether call is one of bodyReaders returning, first, a
+// pointer to a struct with a Body field.
+func readsBody(pass *analysis.Pass, call *ast.CallExpr) bool {
+	fn := pass.Callee(call)
+	if fn == nil || !bodyReaders[fn.Name()] {
+		return false
+	}
+	res := fn.Type().(*types.Signature).Results()
+	if res.Len() == 0 {
+		return false
+	}
+	ptr, ok := res.At(0).Type().(*types.Pointer)
+	if !ok {
+		return false
+	}
+	st, ok := ptr.Elem().Underlying().(*types.Struct)
+	if !ok {
+		return false
+	}
+	for i := 0; i < st.NumFields(); i++ {
+		if st.Field(i).Name() == "Body" {
+			return true
+		}
+	}
+	return false
 }
 
 // builtinName names the builtin function call invokes with at least one

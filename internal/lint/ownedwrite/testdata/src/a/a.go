@@ -90,3 +90,42 @@ func allowed(c conn, b []byte) {
 	c.WriteOwned(b)
 	b[0] = 1 //lint:allow-ownedwrite the peer of this test conn has already consumed the bytes
 }
+
+// Response is shaped like httpx.Response: read off a connection, its body
+// may be the bytes the sender handed over.
+type Response struct{ Body []byte }
+
+type client struct{}
+
+func (client) Get(host string) (*Response, error)            { return &Response{}, nil }
+func (client) Do(host string, req []byte) (*Response, error) { return &Response{}, nil }
+
+func ReadResponse(r io.Reader) (*Response, error)    { return &Response{}, nil }
+func ReadResponseCtx(r io.Reader) (*Response, error) { return &Response{}, nil }
+func RoundTrip(rw io.Reader) (*Response, error)      { return &Response{}, nil }
+
+// bad: a store into a response body.
+func bodyStore(r io.Reader) {
+	resp, _ := ReadResponse(r)
+	resp.Body[0] = 1 // want "store into resp.Body, read on line 109: a response body may be the sender's bytes"
+	resp.Body[1]++   // want "store into resp.Body"
+}
+
+// bad: copy into it, from any of the readers.
+func bodyCopy(c client, src []byte) {
+	resp, err := c.Get("x")
+	if err != nil {
+		return
+	}
+	copy(resp.Body[2:], src) // want "copy into resp.Body"
+	got, _ := c.Do("x", src)
+	copy(got.Body, src) // want "copy into got.Body"
+}
+
+// bad: reuse as a read buffer.
+func bodyRead(r io.Reader) {
+	resp, _ := RoundTrip(r)
+	io.ReadFull(r, resp.Body) // want "read into resp.Body"
+	resp, _ = ReadResponseCtx(r)
+	r.Read(resp.Body[:1]) // want "read into resp.Body"
+}

@@ -72,3 +72,39 @@ func shadow(c conn, b []byte) {
 		b[0] = 1
 	}
 }
+
+// Response is shaped like httpx.Response.
+type Response struct{ Body []byte }
+
+func ReadResponse(r io.Reader) (*Response, error) { return &Response{}, nil }
+
+// An append to a response body reallocates: its capacity is clipped.
+func bodyAppend(r io.Reader) []byte {
+	resp, _ := ReadResponse(r)
+	return append(resp.Body, '\n')
+}
+
+// Reading a body is what it is for.
+func bodyRead(r io.Reader) byte {
+	resp, _ := ReadResponse(r)
+	return resp.Body[0]
+}
+
+// A response built here, not read, is the caller's.
+func bodyRebound(r io.Reader) {
+	resp, _ := ReadResponse(r)
+	resp = &Response{Body: make([]byte, 1)}
+	resp.Body[0] = 1
+}
+
+type entry struct{ Data []byte }
+
+type cache struct{}
+
+func (cache) Get(key string) *entry { return &entry{} }
+
+// A Get whose result has no Body is no response reader.
+func otherGet(c cache) {
+	e := c.Get("k")
+	e.Data[0] = 1
+}

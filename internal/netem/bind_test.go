@@ -48,6 +48,64 @@ func bindWorld(t *testing.T, clock *vtime.Clock) (client *netem.Host, proxyAddr 
 
 const serverIP = "93.184.216.34"
 
+// TestTake: the Take helper hands a segment over by reference through a
+// bare conn and through each wrapper that forwards Take, and leaves any
+// other reader unread, reporting ErrCannotTake without allocating.
+func TestTake(t *testing.T) {
+	for _, w := range []struct {
+		name string
+		dial func(client *netem.Host, proxyAddr string) netem.DialFunc
+	}{
+		{"Conn", func(c *netem.Host, _ string) netem.DialFunc { return c.Dial }},
+		{"slotConn", func(c *netem.Host, _ string) netem.DialFunc {
+			return netem.LimitDial(c.Dial, make(chan struct{}, 1))
+		}},
+		{"tunnelConn", func(c *netem.Host, proxyAddr string) netem.DialFunc {
+			return proxynet.Via(c.Dial, proxyAddr)
+		}},
+	} {
+		t.Run(w.name, func(t *testing.T) {
+			client, proxyAddr, peers := bindWorld(t, vtime.NewEventDriven())
+			conn, err := w.dial(client, proxyAddr)(context.Background(), serverIP+":80")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			peer := <-peers
+			defer peer.Close()
+
+			seg := []byte("one segment")
+			if _, err := netem.WriteOwned(peer, seg); err != nil {
+				t.Fatal(err)
+			}
+			got, err := netem.Take(conn, 64)
+			if err != nil || string(got) != string(seg) || &got[0] != &seg[0] {
+				t.Fatalf("Take = %q, %v; want the written segment itself", got, err)
+			}
+
+			if _, err := netem.WriteOwned(peer, seg); err != nil {
+				t.Fatal(err)
+			}
+			var plain io.Reader = struct{ io.Reader }{conn}
+			if got, err := netem.Take(plain, 64); got != nil || err != netem.ErrCannotTake {
+				t.Fatalf("Take through a reader without Take = %q, %v; want ErrCannotTake", got, err)
+			}
+			refuse := func() {
+				if _, err := netem.Take(plain, 64); err != netem.ErrCannotTake {
+					t.Fatal(err)
+				}
+			}
+			if a := testing.AllocsPerRun(100, refuse); a != 0 {
+				t.Errorf("ErrCannotTake cost %v allocations", a)
+			}
+			buf := make([]byte, 64)
+			if n, err := conn.Read(buf); err != nil || string(buf[:n]) != string(seg) {
+				t.Fatalf("Read after a refused Take = %q, %v; want the segment, unread", buf[:n], err)
+			}
+		})
+	}
+}
+
 // TestBind: a bound conn ends with its context — expired when the context
 // ran out of time, closed when it was cancelled, untouched once released —
 // whether the conn is bare or wrapped, on either clock.

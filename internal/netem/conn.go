@@ -357,6 +357,17 @@ func (c *Conn) Take(max int) ([]byte, error) {
 	return b, err
 }
 
+// Take is Conn.Take for any reader, shaped like WriteOwned: an r with a Take
+// method — a *Conn, or a wrapper that forwards Take to one — hands up to max
+// bytes over under that method's contract; any other r is left unread and
+// reports ErrCannotTake.
+func Take(r io.Reader, max int) ([]byte, error) {
+	if t, ok := r.(interface{ Take(int) ([]byte, error) }); ok {
+		return t.Take(max)
+	}
+	return nil, ErrCannotTake
+}
+
 // copyChunk is io.Copy's buffer size. WriteTo cuts segments at it so a
 // splice makes the destination writes — hence serialization slots — that
 // io.Copy's read-then-write loop made.

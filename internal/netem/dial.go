@@ -239,9 +239,12 @@ func (l *Listener) Close() error {
 		delete(l.host.listeners, l.port)
 	}
 	l.host.lmu.Unlock()
-	l.once.Do(func() { close(l.done) })
+	l.stop()
 	return nil
 }
+
+// stop makes pending and later Accepts, and dials to l, fail.
+func (l *Listener) stop() { l.once.Do(func() { close(l.done) }) }
 
 // Addr implements net.Listener.
 func (l *Listener) Addr() net.Addr { return Addr{IP: l.host.ip, Port: l.port} }
@@ -275,6 +278,9 @@ type slotConn struct {
 
 // WriteOwned hands b to the budgeted conn (see WriteOwned).
 func (s *slotConn) WriteOwned(b []byte) (int, error) { return WriteOwned(s.Conn, b) }
+
+// Take takes from the budgeted conn (see Take).
+func (s *slotConn) Take(max int) ([]byte, error) { return Take(s.Conn, max) }
 
 // Expire expires the budgeted conn (see Expire); the slot stays taken until
 // Close.

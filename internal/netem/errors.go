@@ -21,6 +21,9 @@ var (
 	ErrTimeout = errors.New("i/o timeout")
 	// ErrClosed is returned on use of a closed connection or listener.
 	ErrClosed = errors.New("use of closed connection")
+	// ErrCannotTake is what Take returns for a reader that cannot hand its
+	// bytes over by reference; nothing was read from it.
+	ErrCannotTake = errors.New("netem: reader cannot take by reference")
 )
 
 // OpError wraps a sentinel with the operation and address for diagnostics,

@@ -135,6 +135,22 @@ func (n *Network) MustAddHost(name, ip, loc string, ases ...*AS) *Host {
 	return h
 }
 
+// CloseListeners closes every listener on every host of the network, so
+// every accept loop serving one returns. Connections already accepted are
+// left alone.
+func (n *Network) CloseListeners() {
+	n.mu.RLock()
+	defer n.mu.RUnlock()
+	for _, h := range n.hosts {
+		h.lmu.Lock()
+		for _, l := range h.listeners {
+			l.stop()
+		}
+		clear(h.listeners)
+		h.lmu.Unlock()
+	}
+}
+
 // HostByIP returns the host owning ip, or nil.
 func (n *Network) HostByIP(ip string) *Host {
 	n.mu.RLock()

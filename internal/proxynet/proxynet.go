@@ -189,14 +189,32 @@ type tunnelConn struct {
 }
 
 func (c *tunnelConn) Read(b []byte) (int, error) {
+	if !c.drained() {
+		return c.br.Read(b) // serves buffered bytes only, reads nothing new
+	}
+	return c.Conn.Read(b)
+}
+
+// drained reports whether the handshake reader has nothing left to serve,
+// and gives it back to the pool once it is empty.
+func (c *tunnelConn) drained() bool {
 	if c.br != nil {
 		if c.br.Buffered() > 0 {
-			return c.br.Read(b) // serves buffered bytes only, reads nothing new
+			return false
 		}
 		httpx.PutReader(c.br)
 		c.br = nil
 	}
-	return c.Conn.Read(b)
+	return true
+}
+
+// Take takes from the tunnelled conn (see netem.Take) once the handshake
+// reader is drained: the bytes it still holds can only be read.
+func (c *tunnelConn) Take(max int) ([]byte, error) {
+	if !c.drained() {
+		return nil, netem.ErrCannotTake
+	}
+	return netem.Take(c.Conn, max)
 }
 
 // WriteOwned hands b to the tunnelled conn (see netem.WriteOwned).

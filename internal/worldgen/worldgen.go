@@ -316,6 +316,13 @@ func New(o Options) (*World, error) {
 	return w, nil
 }
 
+// Close closes every listener the world's servers opened, so every accept
+// loop — HTTP, DNS, proxy, Tor relay and TLS origin alike — returns. Those
+// loops are what kept a finished world reachable: once its clients are
+// closed too, the world can be collected. Exchanges already accepted run
+// to their end; nothing new is served.
+func (w *World) Close() { w.Net.CloseListeners() }
+
 // RelaxProxyTimeouts raises every static proxy's idle timeout. Population-
 // scale scenarios call it before driving traffic: at high clock scales the
 // default 30 virtual seconds is milliseconds of real slack, and a scheduler
