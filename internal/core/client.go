@@ -181,10 +181,10 @@ type Client struct {
 
 	counters metrics.Counters
 
-	bg     sync.WaitGroup // in-flight background measurements/reports
-	loops  sync.WaitGroup // periodic sync and probe loops
-	stop   chan struct{}
-	stopMu sync.Once
+	bg      sync.WaitGroup  // in-flight background measurements/reports
+	loops   sync.WaitGroup  // periodic sync and probe loops
+	life    context.Context // ended by Close
+	endLife context.CancelFunc
 }
 
 // New assembles a client from the config.
@@ -215,8 +215,8 @@ func New(cfg Config) (*Client, error) {
 		ewma:     make(map[string]*metrics.EWMA),
 		access:   make(map[string]int),
 		seenASNs: make(map[int]bool),
-		stop:     make(chan struct{}),
 	}
+	c.life, c.endLife = cfg.Clock.WithCancel(context.Background())
 	for _, as := range cfg.Host.ASes() {
 		c.asns = append(c.asns, as.Number)
 	}
@@ -290,24 +290,19 @@ func (c *Client) failoverBudget() time.Duration {
 	return DefaultFailoverBudget
 }
 
-// stopCtx derives a context that is additionally cancelled when the client
-// shuts down, so background measurements never outlive Close. The returned
-// cancel must be called (it also reaps the watcher goroutine).
+// stopCtx derives a context that also ends, with context.Canceled, when
+// the client shuts down, so background measurements never outlive Close.
+// On the event clock it sits on the lists of parent and of the client's
+// life context and costs no goroutine. The returned cancel must be called:
+// it unlinks the context from both.
 func (c *Client) stopCtx(parent context.Context) (context.Context, context.CancelFunc) {
-	ctx, cancel := context.WithCancel(parent)
-	go func() {
-		select {
-		case <-c.stop:
-			cancel()
-		case <-ctx.Done():
-		}
-	}()
-	return ctx, cancel
+	return c.clock.WithStop(parent, c.life)
 }
 
-// Close stops background work.
+// Close stops background work: it ends the client's life context, which
+// ends every stopCtx and the sync and probe loops, and then waits for them.
 func (c *Client) Close() {
-	c.stopMu.Do(func() { close(c.stop) })
+	c.endLife()
 	c.loops.Wait()
 	c.bg.Wait()
 }

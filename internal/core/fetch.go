@@ -13,6 +13,7 @@ import (
 	"csaw/internal/httpx"
 	"csaw/internal/localdb"
 	"csaw/internal/trace"
+	"csaw/internal/vtime"
 )
 
 // Result is one proxied URL fetch.
@@ -258,7 +259,7 @@ func (c *Client) fetchUnmeasured(ctx context.Context, url string) *Result {
 	// response is served first, the copy keeps running in the background so
 	// phase 2 can still catch a phase-1 false negative (§4.3.1). The
 	// transport's own timeout bounds it — and client shutdown cancels it.
-	cctx, ccancel := c.stopCtx(context.WithoutCancel(ctx))
+	cctx, ccancel := c.stopCtx(vtime.Detach(ctx))
 	// The copy goroutine opens circumvention lanes after this call may have
 	// returned; the hold keeps the span from emitting (and being pool-
 	// recycled) until it is done.
@@ -330,7 +331,7 @@ func (c *Client) fetchUnmeasured(ctx context.Context, url string) *Result {
 				select {
 				case out := <-directCh:
 					c.settleBackground(url, out, cr.resp)
-				case <-c.stop:
+				case <-c.life.Done():
 				}
 			}()
 			return &Result{URL: url, Resp: cr.resp, Source: cr.source, Status: localdb.NotMeasured}
@@ -444,7 +445,7 @@ func (c *Client) finishPhase2FalseNegative(url string, out detect.Outcome, circu
 				return
 			}
 			c.settleBackground(url, out, cr.resp)
-		case <-c.stop:
+		case <-c.life.Done():
 		}
 	}()
 }
@@ -489,9 +490,7 @@ func (c *Client) fetchBlocked(ctx context.Context, url string, stages []localdb.
 			// Stop-aware: Close cancels the measurement even when the
 			// virtual clock (and thus the timeout below) never advances
 			// again.
-			sctx, scancel := c.stopCtx(context.Background())
-			defer scancel()
-			mctx, cancel := c.clock.WithTimeout(sctx, time.Minute)
+			mctx, cancel := c.clock.WithTimeout(c.life, time.Minute)
 			defer cancel()
 			out := c.det.Measure(mctx, url, detect.HTTP)
 			if out.Status == localdb.NotMeasured {

@@ -139,8 +139,8 @@ func TestDoPostIgnoresStaleVerdict(t *testing.T) {
 }
 
 // Close alone — no WaitIdle — must reap every background goroutine the
-// fetch pipeline spawned: settle/refresh workers, redundant-copy watchers,
-// stop-context watchers.
+// fetch pipeline spawned: settle/refresh workers and redundant-copy
+// watchers.
 func TestCloseReapsBackgroundWork(t *testing.T) {
 	_, c := newCaseStudyClient(t, nil, "ISP-A")
 	// Warm the world (transports, proxies, classifier) before the baseline
@@ -161,40 +161,65 @@ func TestCloseReapsBackgroundWork(t *testing.T) {
 // measurement whose request the censor swallowed can never reach its HTTP
 // timeout: Close must end it, as it ends one stalled on a blackholed
 // connect. With no approach to fall back on, the fetch itself is what waits.
+// The fetch runs under Background, and under a cancel-only context of the
+// clock as the fleet driver's run context is, which ends it too.
 func TestCloseUnhangsStalledExchange(t *testing.T) {
-	w, err := worldgen.New(worldgen.Options{EventDriven: true, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.StandardSites(); err != nil {
-		t.Fatal(err)
-	}
-	isp, err := w.AddISP(64500, "ISP-drop", &censor.Policy{
-		HTTP: []censor.HTTPRule{{Host: worldgen.NewsHost, Action: censor.HTTPDrop}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := w.ClientConfig(w.NewClientHost("client-1", isp), 5)
-	cfg.Approaches = nil
-	c, err := core.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range []struct {
+		name          string
+		withCancel    bool // fetch under clock.WithCancel(Background)
+		cancelNotStop bool // end the fetch by cancelling that, not by Close
+	}{
+		{"background", false, false},
+		{"clock cancel context", true, false},
+		{"clock cancel context cancelled", true, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w, err := worldgen.New(worldgen.Options{EventDriven: true, Seed: 5})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer w.Close()
+			if err := w.StandardSites(); err != nil {
+				t.Fatal(err)
+			}
+			isp, err := w.AddISP(64500, "ISP-drop", &censor.Policy{
+				HTTP: []censor.HTTPRule{{Host: worldgen.NewsHost, Action: censor.HTTPDrop}},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := w.ClientConfig(w.NewClientHost("client-1", isp), 5)
+			cfg.Approaches = nil
+			c, err := core.New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	leakcheck.Check(t)
-	done := make(chan *core.Result, 1)
-	go func() { done <- c.FetchURL(context.Background(), worldgen.NewsHost+"/") }()
-	for isp.Censor.Counters.Get(censor.HTTPDrop.String()) == 0 {
-		runtime.Gosched() // until the censor has swallowed the request
-	}
-	c.Close()
-	select {
-	case res := <-done:
-		if res.Status != localdb.NotMeasured || res.Err == nil {
-			t.Fatalf("fetch cut short by Close = %s, err %v; want not-measured with an error", res.Status, res.Err)
-		}
-	case <-time.After(5 * time.Second): //lint:allow-realtime test watchdog
-		t.Fatal("FetchURL still stalled in the direct measurement after Close")
+			leakcheck.Check(t)
+			ctx, cancel := context.Background(), context.CancelFunc(func() {})
+			if tc.withCancel {
+				ctx, cancel = w.Clock.WithCancel(ctx)
+			}
+			defer cancel()
+			done := make(chan *core.Result, 1)
+			go func() { done <- c.FetchURL(ctx, worldgen.NewsHost+"/") }()
+			for isp.Censor.Counters.Get(censor.HTTPDrop.String()) == 0 {
+				runtime.Gosched() // until the censor has swallowed the request
+			}
+			if tc.cancelNotStop {
+				cancel()
+				defer c.Close()
+			} else {
+				c.Close()
+			}
+			select {
+			case res := <-done:
+				if res.Status != localdb.NotMeasured || res.Err == nil {
+					t.Fatalf("fetch cut short = %s, err %v; want not-measured with an error", res.Status, res.Err)
+				}
+			case <-time.After(5 * time.Second): //lint:allow-realtime test watchdog
+				t.Fatal("FetchURL still stalled in the direct measurement")
+			}
+		})
 	}
 }

@@ -50,7 +50,7 @@ func (c *Client) startLoops() {
 				select {
 				case <-tk.C:
 					c.syncWithRetry(interval)
-				case <-c.stop:
+				case <-c.life.Done():
 					return
 				}
 			}
@@ -72,7 +72,7 @@ func (c *Client) startLoops() {
 						c.counters.Add("asn-probe-failures", 1)
 					}
 					cancel()
-				case <-c.stop:
+				case <-c.life.Done():
 					return
 				}
 			}
@@ -96,7 +96,7 @@ func (c *Client) syncWithRetry(timeout time.Duration) {
 		c.counters.Add("sync-retries", 1)
 		select {
 		case <-c.clock.After(pol.Backoff(attempt, c.roll())):
-		case <-c.stop:
+		case <-c.life.Done():
 			return
 		}
 	}

@@ -237,7 +237,7 @@ func (d *Detector) Measure(ctx context.Context, url string, scheme Scheme) (out 
 	}
 	cctx, cancel := d.Clock.WithTimeout(ctx, d.connectTimeout())
 	mark := lane.Begin(trace.PhaseConnect)
-	conn, err := d.Dial(cctx, fmt.Sprintf("%s:%d", ip, port))
+	conn, err := d.Dial(cctx, netem.Addr{IP: ip, Port: port}.String())
 	mark.End()
 	cancel()
 	if err != nil {

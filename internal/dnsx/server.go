@@ -105,7 +105,7 @@ const Port = 53
 // until the listener or server is closed.
 func Serve(l *netem.Listener, h Handler) *Server {
 	s := &Server{l: l, h: h}
-	go s.acceptLoop()
+	l.Serve(s.serveConn)
 	return s
 }
 
@@ -116,16 +116,6 @@ func NewServer(host *netem.Host, h Handler) (*Server, error) {
 		return nil, err
 	}
 	return Serve(l, h), nil
-}
-
-func (s *Server) acceptLoop() {
-	for {
-		conn, err := s.l.Accept()
-		if err != nil {
-			return
-		}
-		go s.serveConn(conn)
-	}
 }
 
 func (s *Server) serveConn(conn net.Conn) {

@@ -122,7 +122,7 @@ func Run(ctx context.Context, w *worldgen.World, sc *worldgen.FleetScenario, pla
 	// path; correctness never depends on it (stale tags just fetch full).
 	w.GlobalDB.SetDeltaHistory(deltaHistoryFor(len(plan.Clients)))
 
-	runCtx, cancelRun := context.WithCancel(ctx)
+	runCtx, cancelRun := w.Clock.WithCancel(ctx)
 	defer cancelRun()
 	var failOnce sync.Once
 	var runErr error

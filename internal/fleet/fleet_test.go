@@ -59,11 +59,9 @@ func runFleetWorld(t *testing.T, wl Workload, wopts worldgen.Options, mod func(w
 }
 
 // The driver joins and retires every client over the run; afterwards
-// nothing of the client plane — sync loops, background settlements,
-// stop-context watchers — may survive. The baseline is taken in the
-// options hook, after the world is built, so world-owned goroutines
-// (listener accept loops) are excluded and only client/driver goroutines
-// are measured.
+// nothing of the client plane — sync loops, background settlements — may
+// survive. The baseline is taken in the options hook, after the world is
+// built, so only client/driver goroutines are measured.
 func TestFleetRunLeavesNoClientGoroutines(t *testing.T) {
 	wl := smokeWorkload(17)
 	wl.Population = 40
@@ -73,40 +71,50 @@ func TestFleetRunLeavesNoClientGoroutines(t *testing.T) {
 	})
 }
 
-// A finished world must be collectable once it is closed: every server's
-// accept loop parked in Accept for good, and those goroutines kept the
-// whole world reachable after its clients were gone.
+// A world must be collectable once its run is over and nothing
+// references it, closed or not: a server's accept loop parked in Accept
+// for good kept the whole world reachable after its clients were gone, so
+// servers keep no goroutine on an idle listener (netem.Listener.Serve).
 func TestClosedWorldIsCollected(t *testing.T) {
-	leakcheck.Check(t)
-	wl := smokeWorkload(41)
-	wl.Population = 200
-	collected := make(chan struct{})
-	func() {
-		w, err := worldgen.New(worldgen.Options{EventDriven: true, Seed: wl.Seed})
-		if err != nil {
-			t.Fatalf("world: %v", err)
-		}
-		sc, err := w.BuildFleetScenario(wl.Sites, wl.ISPs, wl.BlockedFrac)
-		if err != nil {
-			t.Fatalf("scenario: %v", err)
-		}
-		if _, err := Run(context.Background(), w, sc, BuildPlan(wl), Options{Workers: 8}); err != nil {
-			t.Fatalf("run: %v", err)
-		}
-		w.Close()
-		runtime.AddCleanup(w, func(done chan struct{}) { close(done) }, collected)
-	}()
-	deadline := time.Now().Add(5 * time.Second) //lint:allow-realtime collection is real-scheduler time, not simulation time
-	for {
-		runtime.GC()
-		select {
-		case <-collected:
-			return
-		case <-time.After(10 * time.Millisecond): //lint:allow-realtime real backoff between collections
-		}
-		if time.Now().After(deadline) { //lint:allow-realtime see above
-			t.Fatal("the closed world is still reachable")
-		}
+	for _, tc := range []struct {
+		name  string
+		close bool
+	}{{"closed", true}, {"never closed", false}} {
+		t.Run(tc.name, func(t *testing.T) {
+			leakcheck.Check(t)
+			wl := smokeWorkload(41)
+			wl.Population = 200
+			collected := make(chan struct{})
+			func() {
+				w, err := worldgen.New(worldgen.Options{EventDriven: true, Seed: wl.Seed})
+				if err != nil {
+					t.Fatalf("world: %v", err)
+				}
+				sc, err := w.BuildFleetScenario(wl.Sites, wl.ISPs, wl.BlockedFrac)
+				if err != nil {
+					t.Fatalf("scenario: %v", err)
+				}
+				if _, err := Run(context.Background(), w, sc, BuildPlan(wl), Options{Workers: 8}); err != nil {
+					t.Fatalf("run: %v", err)
+				}
+				if tc.close {
+					w.Close()
+				}
+				runtime.AddCleanup(w, func(done chan struct{}) { close(done) }, collected)
+			}()
+			deadline := time.Now().Add(5 * time.Second) //lint:allow-realtime collection is real-scheduler time, not simulation time
+			for {
+				runtime.GC()
+				select {
+				case <-collected:
+					return
+				case <-time.After(10 * time.Millisecond): //lint:allow-realtime real backoff between collections
+				}
+				if time.Now().After(deadline) { //lint:allow-realtime see above
+					t.Fatal("the finished world is still reachable")
+				}
+			}
+		})
 	}
 }
 
@@ -223,13 +231,15 @@ func TestPlanDeterminism(t *testing.T) {
 }
 
 // TestWorkloadShape sanity-checks the generators: churn bounded by the
-// window, sessions inside each client's active span, fetch counts capped.
+// window, sessions inside each client's active span, fetch counts capped,
+// every URL a catalog site's, and DistinctSites the number drawn.
 func TestWorkloadShape(t *testing.T) {
 	wl := Workload{Population: 300, Seed: 9}.WithDefaults()
 	p := BuildPlan(wl)
 	if len(p.Clients) != 300 {
 		t.Fatalf("%d clients", len(p.Clients))
 	}
+	distinct := make(map[string]bool)
 	perISP := 0
 	for _, n := range p.PerISP {
 		perISP += n
@@ -260,10 +270,25 @@ func TestWorkloadShape(t *testing.T) {
 			if len(s.URLs) < 1 || len(s.URLs) > wl.MaxFetches {
 				t.Fatalf("client %d: %d fetches in a session (max %d)", cp.Index, len(s.URLs), wl.MaxFetches)
 			}
+			for _, u := range s.URLs {
+				distinct[u] = true
+			}
 		}
 	}
 	if p.Churned == 0 {
 		t.Error("no churned clients at default ChurnFrac over 300 clients")
+	}
+	catalog := make(map[string]bool, wl.Sites)
+	for i := range wl.Sites {
+		catalog[worldgen.FleetSiteURL(i)] = true
+	}
+	for u := range distinct {
+		if !catalog[u] {
+			t.Fatalf("plan fetches %q, not a catalog site", u)
+		}
+	}
+	if p.DistinctSites != len(distinct) {
+		t.Fatalf("DistinctSites = %d, the plan fetches %d distinct URLs", p.DistinctSites, len(distinct))
 	}
 }
 

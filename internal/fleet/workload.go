@@ -184,8 +184,8 @@ func BuildPlan(w Workload) *Plan {
 		total += weights[i]
 	}
 
-	p := &Plan{Workload: w, PerISP: make([]int, w.ISPs)}
-	seen := make(map[string]bool)
+	p := &Plan{Workload: w, PerISP: make([]int, w.ISPs), Clients: make([]ClientPlan, 0, w.Population)}
+	urls := make([]string, w.Sites) // by catalog index, formatted once: "" = not drawn yet
 	for c := 0; c < w.Population; c++ {
 		cp := ClientPlan{Index: c, Seed: w.Seed + int64(c)*7919}
 
@@ -222,11 +222,14 @@ func BuildPlan(w Workload) *Plan {
 			for k < w.MaxFetches && rng.Float64() < 0.55 {
 				k++
 			}
-			sess := Session{At: at}
-			for f := 0; f < k; f++ {
-				url := worldgen.FleetSiteURL(int(zipf.Uint64()))
-				sess.URLs = append(sess.URLs, url)
-				seen[url] = true
+			sess := Session{At: at, URLs: make([]string, k)}
+			for f := range sess.URLs {
+				i := int(zipf.Uint64())
+				if urls[i] == "" {
+					urls[i] = worldgen.FleetSiteURL(i)
+					p.DistinctSites++
+				}
+				sess.URLs[f] = urls[i]
 			}
 			cp.Sessions = append(cp.Sessions, sess)
 			p.Sessions++
@@ -235,7 +238,6 @@ func BuildPlan(w Workload) *Plan {
 		sortSessions(cp.Sessions)
 		p.Clients = append(p.Clients, cp)
 	}
-	p.DistinctSites = len(seen)
 	return p
 }
 

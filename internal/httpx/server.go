@@ -24,7 +24,7 @@ func (f HandlerFunc) ServeHTTP(req *Request, flow netem.Flow) *Response { return
 
 // Server serves HTTP on a listener, with keep-alive support.
 type Server struct {
-	l      net.Listener
+	l      *netem.Listener
 	h      Handler
 	ctx    context.Context // cancelled when the server closes
 	cancel context.CancelFunc
@@ -34,25 +34,19 @@ type Server struct {
 }
 
 // Serve starts serving in the background and returns immediately.
-func Serve(l net.Listener, h Handler) *Server {
+func Serve(l *netem.Listener, h Handler) *Server {
 	s := &Server{l: l, h: h}
 	s.ctx, s.cancel = context.WithCancel(context.Background())
-	go s.acceptLoop()
+	l.Serve(s.serve)
 	return s
 }
 
-func (s *Server) acceptLoop() {
-	for {
-		conn, err := s.l.Accept()
-		if err != nil {
-			return
-		}
-		var flow netem.Flow
-		if fc, ok := conn.(interface{ Flow() netem.Flow }); ok {
-			flow = fc.Flow()
-		}
-		go ServeConn(s.ctx, conn, flow, s.h)
+func (s *Server) serve(conn net.Conn) {
+	var flow netem.Flow
+	if fc, ok := conn.(interface{ Flow() netem.Flow }); ok {
+		flow = fc.Flow()
 	}
+	ServeConn(s.ctx, conn, flow, s.h)
 }
 
 // ServeConn runs the HTTP request loop on one established stream — a raw

@@ -1,13 +1,28 @@
 // Package a exercises vtimecheck: wall-clock reads and timers are
-// flagged, as are conn deadline setters; Duration/Time value manipulation
+// flagged, as are the context package's timed contexts and conn deadline
+// setters; Duration/Time value manipulation
 // is not, and both suppression placements (same line, preceding line,
 // declaration doc) work.
 package a
 
 import (
+	"context"
+	"errors"
 	"net"
 	"time"
 )
+
+func timedContexts(ctx context.Context) {
+	_, c1 := context.WithTimeout(ctx, time.Second)                                // want `context\.WithTimeout arms a wall-clock timer; use vtime\.Clock\.WithTimeout`
+	_, c2 := context.WithDeadline(ctx, time.Time{})                               // want `context\.WithDeadline arms a wall-clock timer`
+	_, c3 := context.WithTimeoutCause(ctx, time.Second, errors.New("slow"))       // want `context\.WithTimeoutCause arms a wall-clock timer`
+	_, c4 := context.WithDeadlineCause(ctx, time.Time{}, errors.New("too late")) // want `context\.WithDeadlineCause arms a wall-clock timer`
+	//lint:allow-realtime a real socket's handshake, bounded in real time
+	_, c5 := context.WithTimeout(ctx, time.Second)
+	for _, c := range []context.CancelFunc{c1, c2, c3, c4, c5} {
+		c()
+	}
+}
 
 func deadlines(c net.Conn, tc *net.TCPConn) {
 	_ = c.SetDeadline(time.Time{})       // want `SetDeadline bounds I/O with a conn deadline`

@@ -4,6 +4,10 @@
 // of the same experiment see the same virtual schedule; a stray time.Now
 // or time.Sleep silently anchors an experiment to the machine it runs on.
 //
+// The context package's timed contexts (context.WithTimeout, WithDeadline
+// and their Cause forms) arm wall-clock timers too, and are forbidden
+// alike: vtime.Clock.WithTimeout is the virtual-time form.
+//
 // It also forbids, outside _test.go files, calling a connection's
 // SetDeadline, SetReadDeadline or SetWriteDeadline: an exchange is bounded
 // by its context (vtime.Clock.WithTimeout, then netem.Bind), and a conn
@@ -37,6 +41,15 @@ var forbidden = map[string]string{
 	"Until":     "compute from vtime.Clock.Now",
 }
 
+// timedContexts are the context package's constructors that arm a
+// wall-clock timer.
+var timedContexts = map[string]bool{
+	"WithTimeout":       true,
+	"WithDeadline":      true,
+	"WithTimeoutCause":  true,
+	"WithDeadlineCause": true,
+}
+
 // deadlineSetters are the net.Conn methods that bound I/O without a context.
 var deadlineSetters = map[string]bool{
 	"SetDeadline":      true,
@@ -47,7 +60,7 @@ var deadlineSetters = map[string]bool{
 // Analyzer is the vtimecheck analyzer.
 var Analyzer = &analysis.Analyzer{
 	Name:     "vtimecheck",
-	Doc:      "forbid wall-clock time (time.Now, time.Sleep, timers) outside internal/vtime, and conn deadline setters outside tests; all timing must flow through vtime.Clock and the exchange's context",
+	Doc:      "forbid wall-clock time (time.Now, time.Sleep, timers, context.WithTimeout/WithDeadline) outside internal/vtime, and conn deadline setters outside tests; all timing must flow through vtime.Clock and the exchange's context",
 	Suppress: "realtime",
 	Run:      run,
 }
@@ -66,7 +79,14 @@ func run(pass *analysis.Pass) error {
 				return true
 			}
 			_, path, ok := pass.PkgFuncRef(sel)
-			if !ok || path != "time" {
+			if !ok {
+				return true
+			}
+			if path == "context" && timedContexts[sel.Sel.Name] {
+				pass.Reportf(sel.Pos(), "context.%s arms a wall-clock timer; use vtime.Clock.WithTimeout (or annotate //lint:allow-realtime <reason>)", sel.Sel.Name)
+				return true
+			}
+			if path != "time" {
 				return true
 			}
 			if hint, bad := forbidden[sel.Sel.Name]; bad {

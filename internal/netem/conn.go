@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"strconv"
 	"sync"
 	"time"
 
@@ -20,21 +21,12 @@ type Addr struct {
 // Network implements net.Addr.
 func (a Addr) Network() string { return "netem" }
 
-// String implements net.Addr.
-func (a Addr) String() string { return a.IP + ":" + itoa(a.Port) }
-
-func itoa(i int) string {
-	if i == 0 {
-		return "0"
-	}
-	var buf [8]byte
-	pos := len(buf)
-	for i > 0 {
-		pos--
-		buf[pos] = byte('0' + i%10)
-		i /= 10
-	}
-	return string(buf[pos:])
+// String implements net.Addr: "ip:port", as fmt.Sprintf("%s:%d") would
+// print it, with one allocation.
+func (a Addr) String() string {
+	var buf [64]byte
+	b := append(append(buf[:0], a.IP...), ':')
+	return string(strconv.AppendInt(b, int64(a.Port), 10))
 }
 
 // segment is a chunk of bytes in flight, deliverable at a real instant.

@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"csaw/internal/trace"
@@ -121,7 +122,7 @@ func (h *Host) Dial(ctx context.Context, address string) (net.Conn, error) {
 		if edge > 5*time.Millisecond {
 			edge = 5 * time.Millisecond
 		}
-		censorAddr := Addr{IP: "censor." + itoa(egress.Number), Port: dstAddr.Port}
+		censorAddr := Addr{IP: egress.censorIP, Port: dstAddr.Port}
 		clientConn, censorClient := connPair(n, edge, srcAddr, dstAddr, flow)
 		censorServer, serverConn := connPair(n, oneWay-edge, censorAddr, dstAddr, flow)
 		sess := &Session{flow: flow, client: censorClient, server: censorServer}
@@ -169,11 +170,23 @@ func (h *Host) Dialer() DialFunc { return h.Dial }
 
 // Listener accepts emulated connections on a host port.
 type Listener struct {
-	host *Host
-	port int
-	ch   chan *Conn
-	done chan struct{}
-	once sync.Once
+	host   *Host
+	port   int
+	ch     chan *Conn
+	handle atomic.Pointer[func(net.Conn)] // set by Serve
+	done   chan struct{}
+	once   sync.Once
+}
+
+// Serve runs handle on a goroutine of its own for every conn l accepts,
+// until l closes: an accept loop that starts a goroutine per conn, without
+// the loop. The dial that delivers a conn starts handle, so no goroutine
+// waits on an idle listener, and a world that nothing references any more
+// — servers, hosts and all — is garbage even if it was never closed. A
+// served listener is not Accepted from.
+func (l *Listener) Serve(handle func(net.Conn)) {
+	l.handle.Store(&handle)
+	l.drain()
 }
 
 // Listen starts accepting connections on the given port.
@@ -207,18 +220,40 @@ func (h *Host) listener(port int) *Listener {
 	return h.listeners[port]
 }
 
-// deliver hands a newly established server-side conn to the accept queue.
+// deliver hands a newly established server-side conn to the listener's
+// handler, or to the accept queue of a listener not served.
 func (l *Listener) deliver(c *Conn) error {
 	select {
 	case <-l.done:
 		return ErrClosed
 	default:
 	}
+	if h := l.handle.Load(); h != nil {
+		go (*h)(c)
+		return nil
+	}
 	select {
 	case l.ch <- c:
-		return nil
 	case <-l.done:
 		return ErrClosed
+	}
+	l.drain() // Serve may have begun while c was being queued
+	return nil
+}
+
+// drain hands what is queued to a served listener's handler.
+func (l *Listener) drain() {
+	h := l.handle.Load()
+	if h == nil {
+		return
+	}
+	for {
+		select {
+		case c := <-l.ch:
+			go (*h)(c)
+		default:
+			return
+		}
 	}
 }
 

@@ -18,6 +18,7 @@ package netem
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 	"sync"
 	"time"
 
@@ -90,7 +91,8 @@ func (n *Network) AddAS(number int, name, country string) *AS {
 	if as, ok := n.ases[number]; ok {
 		return as
 	}
-	as := &AS{Number: number, Name: name, Country: country, net: n}
+	as := &AS{Number: number, Name: name, Country: country, net: n,
+		censorIP: "censor." + strconv.Itoa(number)}
 	n.ases[number] = as
 	return as
 }
@@ -135,9 +137,9 @@ func (n *Network) MustAddHost(name, ip, loc string, ases ...*AS) *Host {
 	return h
 }
 
-// CloseListeners closes every listener on every host of the network, so
-// every accept loop serving one returns. Connections already accepted are
-// left alone.
+// CloseListeners closes every listener on every host of the network:
+// later dials to them are refused, and an Accept waiting on one returns.
+// Connections already accepted are left alone.
 func (n *Network) CloseListeners() {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
@@ -220,7 +222,8 @@ type AS struct {
 	Name    string
 	Country string
 
-	net *Network
+	net      *Network
+	censorIP string // the interceptor's end of an intercepted stream: "censor.<Number>"
 
 	mu          sync.RWMutex
 	interceptor Interceptor

@@ -64,7 +64,7 @@ func Serve(host *netem.Host, port int, lookup Lookup) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{host: host, l: l, lookup: lookup, clock: host.Network().Clock(), timeout: 30 * time.Second}
-	go s.acceptLoop()
+	s.l.Serve(s.handle)
 	return s, nil
 }
 
@@ -83,16 +83,6 @@ func (s *Server) SetTimeout(d time.Duration) {
 
 // Close stops the proxy.
 func (s *Server) Close() error { return s.l.Close() }
-
-func (s *Server) acceptLoop() {
-	for {
-		conn, err := s.l.Accept()
-		if err != nil {
-			return
-		}
-		go s.handle(conn)
-	}
-}
 
 func (s *Server) handle(conn net.Conn) {
 	br := httpx.GetReader(conn)

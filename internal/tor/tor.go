@@ -84,7 +84,7 @@ func (d *Directory) AddRelay(host *netem.Host, bandwidth float64, guard, exit, b
 	if err != nil {
 		return nil, err
 	}
-	go d.relayLoop(r, l)
+	l.Serve(func(conn net.Conn) { d.handleHop(r, conn) })
 	d.mu.Lock()
 	d.relays = append(d.relays, r)
 	d.mu.Unlock()
@@ -116,17 +116,6 @@ func (d *Directory) Bridges() []*Relay {
 		}
 	}
 	return out
-}
-
-// relayLoop serves one relay's listener.
-func (d *Directory) relayLoop(r *Relay, l *netem.Listener) {
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			return
-		}
-		go d.handleHop(r, conn)
-	}
 }
 
 func (d *Directory) handleHop(r *Relay, conn net.Conn) {

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // TestEventWithTimeoutAllocs bounds what one bounded exchange pays for its
@@ -183,7 +184,7 @@ func TestEventChildOfEndedParent(t *testing.T) {
 		cancel()
 		// A parent that ends between WithTimeout's look at it and the
 		// link is caught by the link itself.
-		if err := tc.parent.(*eventCtx).link(new(Binding), &eventCtx{}); err != tc.want {
+		if err := tc.parent.(*eventCtx).link(&Binding{end: &eventCtx{}}); err != tc.want {
 			t.Fatalf("%s parent: link = %v, want %v", tc.name, err, tc.want)
 		}
 	}
@@ -370,4 +371,386 @@ func TestEventBinding(t *testing.T) {
 			t.Fatal("10,000 released bindings left the context's list non-empty")
 		}
 	})
+}
+
+// listLen counts what is on p's list.
+func listLen(p *eventCtx) int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n := 0
+	for b := p.bound; b != nil; b = b.next {
+		n++
+	}
+	return n
+}
+
+// parentShapes are the parents a fetch's contexts are made under: none
+// that can end, an event-clock context, a value context over one, and a
+// detached one.
+func parentShapes(c *Clock) ([]struct {
+	name string
+	ctx  context.Context
+}, context.CancelFunc) {
+	root, cancel := c.WithTimeout(context.Background(), time.Hour)
+	return []struct {
+		name string
+		ctx  context.Context
+	}{
+		{"background", context.Background()},
+		{"event-clock parent", root},
+		{"value context over one", context.WithValue(root, struct{}{}, 1)},
+		{"detached", Detach(root)},
+	}, cancel
+}
+
+// TestEventWithCancel: a cancel-only context costs no goroutine and at most
+// three allocations under every parent shape, reports its parent's
+// deadline, and is no deadline Park would advance to.
+func TestEventWithCancel(t *testing.T) {
+	c := NewEventDriven()
+	shapes, cancelRoot := parentShapes(c)
+	defer cancelRoot()
+	for _, tc := range shapes {
+		t.Run(tc.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			var cancels []context.CancelFunc
+			for range 64 {
+				ctx, cancel := c.WithCancel(tc.ctx)
+				_, cancelChild := c.WithTimeout(ctx, time.Minute)
+				cancels = append(cancels, cancel, cancelChild)
+			}
+			if after := runtime.NumGoroutine(); after > before {
+				t.Fatalf("64 WithCancels with a WithTimeout each started %d goroutines", after-before)
+			}
+			for _, cancel := range cancels {
+				cancel()
+			}
+			if n := testing.AllocsPerRun(100, func() {
+				_, cancel := c.WithCancel(tc.ctx)
+				cancel()
+			}); n > 3 {
+				t.Errorf("WithCancel+cancel allocates %v times, want <= 3", n)
+			}
+
+			ctx, cancel := c.WithCancel(tc.ctx)
+			defer cancel()
+			pdl, pok := tc.ctx.Deadline()
+			if dl, ok := ctx.Deadline(); dl != pdl || ok != pok {
+				t.Errorf("Deadline = %v, %v; want the parent's %v, %v", dl, ok, pdl, pok)
+			}
+			pat, pok := c.armedDeadline(tc.ctx)
+			if at, ok := c.armedDeadline(ctx); at != pat || ok != pok {
+				t.Errorf("armedDeadline = %v, %v; want the parent's %v, %v", at, ok, pat, pok)
+			}
+		})
+	}
+	if p := c.PendingTimers(); p != 1 {
+		t.Fatalf("PendingTimers = %d, want only the root's deadline", p)
+	}
+}
+
+// TestEventWithStop: a child of parent that also ends with stop costs no
+// goroutine and at most three allocations under every parent shape; the
+// parent's end, stop's end and the cancel each end it with their own error
+// and leave it on neither list; and a child of a parent or stop that has
+// already ended ends at once.
+func TestEventWithStop(t *testing.T) {
+	t.Run("costs", func(t *testing.T) {
+		c := NewEventDriven()
+		shapes, cancelRoot := parentShapes(c)
+		defer cancelRoot()
+		stop, cancelStop := c.WithCancel(context.Background())
+		defer cancelStop()
+		for _, tc := range shapes {
+			before := runtime.NumGoroutine()
+			var cancels []context.CancelFunc
+			for range 64 {
+				ctx, cancel := c.WithStop(tc.ctx, stop)
+				_, cancelChild := c.WithTimeout(ctx, time.Minute)
+				cancels = append(cancels, cancel, cancelChild)
+			}
+			if after := runtime.NumGoroutine(); after > before {
+				t.Fatalf("%s: 64 WithStops with a WithTimeout each started %d goroutines", tc.name, after-before)
+			}
+			for _, cancel := range cancels {
+				cancel()
+			}
+			if n := testing.AllocsPerRun(100, func() {
+				_, cancel := c.WithStop(tc.ctx, stop)
+				cancel()
+			}); n > 3 {
+				t.Errorf("%s: WithStop+cancel allocates %v times, want <= 3", tc.name, n)
+			}
+		}
+		if n := listLen(stop.(*eventCtx)); n != 0 {
+			t.Fatalf("stop lists %d children after every one was cancelled", n)
+		}
+	})
+
+	advance := func(c *Clock, _, _, _ context.CancelFunc) { c.Advance(time.Second) }
+	for _, tc := range []struct {
+		name                 string
+		parentLife, stopLife time.Duration
+		end                  func(c *Clock, parent, stop, child context.CancelFunc)
+		want                 error
+	}{
+		{"parent deadline", time.Second, time.Hour, advance, context.DeadlineExceeded},
+		{"parent cancel", time.Hour, time.Hour, func(_ *Clock, parent, _, _ context.CancelFunc) { parent() }, context.Canceled},
+		{"stop deadline", time.Hour, time.Second, advance, context.DeadlineExceeded},
+		{"stop cancel", time.Hour, time.Hour, func(_ *Clock, _, stop, _ context.CancelFunc) { stop() }, context.Canceled},
+		{"cancel", time.Hour, time.Hour, func(_ *Clock, _, _, child context.CancelFunc) { child() }, context.Canceled},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := NewEventDriven()
+			parent, cancelParent := c.WithTimeout(context.Background(), tc.parentLife)
+			defer cancelParent()
+			stop, cancelStop := c.WithTimeout(context.Background(), tc.stopLife)
+			defer cancelStop()
+			child, cancel := c.WithStop(context.WithValue(parent, struct{}{}, 1), stop)
+			defer cancel()
+			grandchild, cancelGrand := c.WithTimeout(child, time.Hour)
+			defer cancelGrand()
+			var e recordEnds
+			new(Binding).Bind(child, &e)
+			tc.end(c, cancelParent, cancelStop, cancel)
+			for name, ctx := range map[string]context.Context{"child": child, "grandchild": grandchild} {
+				select {
+				case <-ctx.Done():
+				default:
+					t.Fatalf("%s not done", name)
+				}
+				if err := ctx.Err(); err != tc.want {
+					t.Fatalf("%s ended with %v, want %v", name, err, tc.want)
+				}
+			}
+			if len(e.errs) != 1 || e.errs[0] != tc.want {
+				t.Fatalf("a binding on the child ended %v, want once with %v", e.errs, tc.want)
+			}
+			live := 0
+			for name, p := range map[string]context.Context{"parent": parent, "stop": stop} {
+				if n := listLen(p.(*eventCtx)); n != 0 {
+					t.Fatalf("%s still lists %d contexts after the child ended", name, n)
+				}
+				if p.Err() == nil {
+					live++
+				}
+			}
+			if p := c.PendingTimers(); p != live {
+				t.Fatalf("PendingTimers = %d, want %d: the grandchild's deadline outlived the child", p, live)
+			}
+		})
+	}
+
+	t.Run("already ended", func(t *testing.T) {
+		c := NewEventDriven()
+		live, cancelLive := c.WithCancel(context.Background())
+		defer cancelLive()
+		timedOut, cancelTimedOut := c.WithTimeout(context.Background(), time.Second)
+		defer cancelTimedOut()
+		c.Advance(time.Second)
+		cancelled, cancelCancelled := c.WithCancel(context.Background())
+		cancelCancelled()
+		for _, tc := range []struct {
+			name         string
+			parent, stop context.Context
+			want         error
+		}{
+			{"timed-out parent", timedOut, live, context.DeadlineExceeded},
+			{"cancelled parent", cancelled, live, context.Canceled},
+			{"timed-out stop", live, timedOut, context.DeadlineExceeded},
+			{"cancelled stop", live, cancelled, context.Canceled},
+		} {
+			ctx, cancel := c.WithStop(tc.parent, tc.stop)
+			select {
+			case <-ctx.Done():
+			default:
+				t.Fatalf("%s: child not done at once", tc.name)
+			}
+			if err := ctx.(*withStopCtx).err; err != tc.want {
+				t.Fatalf("%s: child ended with %v, want %v", tc.name, err, tc.want)
+			}
+			cancel()
+		}
+		if n := listLen(live.(*eventCtx)); n != 0 {
+			t.Fatalf("the live context lists %d children that ended at once", n)
+		}
+	})
+
+	t.Run("cancelled children leave both lists", func(t *testing.T) {
+		c := NewEventDriven()
+		parent, cancelParent := c.WithTimeout(context.Background(), time.Hour)
+		defer cancelParent()
+		stop, cancelStop := c.WithCancel(context.Background())
+		defer cancelStop()
+		for range 10000 {
+			_, cancel := c.WithStop(parent, stop)
+			cancel()
+		}
+		for name, p := range map[string]context.Context{"parent": parent, "stop": stop} {
+			if n := listLen(p.(*eventCtx)); n != 0 {
+				t.Fatalf("10,000 cancelled children left %d on the %s's list", n, name)
+			}
+		}
+	})
+
+	t.Run("stdlib stop", func(t *testing.T) {
+		c := NewEventDriven()
+		stop, cancelStop := context.WithCancel(context.Background())
+		ctx, cancel := c.WithStop(context.Background(), stop)
+		defer cancel()
+		cancelStop()
+		<-ctx.Done() // through context.AfterFunc
+		if err := ctx.Err(); err != context.Canceled {
+			t.Fatalf("ended with %v, want Canceled", err)
+		}
+	})
+}
+
+// TestRealScaledWithCancelAndStop: on a real-scaled clock WithCancel and
+// WithStop are the context package's, and behave as it does.
+func TestRealScaledWithCancelAndStop(t *testing.T) {
+	c := New(1000)
+	parent, cancelParent := c.WithTimeout(context.Background(), time.Hour)
+	defer cancelParent()
+	ctx, cancel := c.WithCancel(parent)
+	pdl, _ := parent.Deadline()
+	if dl, ok := ctx.Deadline(); !ok || !dl.Equal(pdl) {
+		t.Fatalf("WithCancel's Deadline = %v, %v; want the parent's %v", dl, ok, pdl)
+	}
+	if _, isEvent := ctx.(*eventCtx); isEvent {
+		t.Fatal("a real-scaled WithCancel made an event-clock context")
+	}
+	cancelParent()
+	<-ctx.Done()
+	if err := ctx.Err(); err != context.Canceled {
+		t.Fatalf("after the parent's cancel: %v, want Canceled", err)
+	}
+	cancel()
+
+	stop, cancelStop := c.WithCancel(context.Background())
+	for _, end := range []string{"cancel", "stop"} {
+		ctx, cancel := c.WithStop(context.Background(), stop)
+		if end == "stop" {
+			cancelStop()
+		} else {
+			cancel()
+		}
+		<-ctx.Done()
+		if err := ctx.Err(); err != context.Canceled {
+			t.Fatalf("ended by %s with %v, want Canceled", end, err)
+		}
+		cancel()
+	}
+}
+
+// TestEventWithStopStress races parents, stops and children ending at once
+// — by cancel and by deadline — against children being made under them;
+// run it with -race. Every child must end with one of their errors, and
+// no list or deadline may keep anything.
+func TestEventWithStopStress(t *testing.T) {
+	c := NewEventDriven()
+	const pairs, children = 16, 16
+	var wg sync.WaitGroup
+	var ends []context.Context
+	for p := range pairs {
+		parent, cancelParent := c.WithTimeout(context.Background(), time.Duration(p+1)*time.Millisecond)
+		stop, cancelStop := c.WithCancel(context.Background())
+		ends = append(ends, parent, stop)
+		for k := range children {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				child, cancel := c.WithStop(parent, stop)
+				grandchild, cancelGrand := c.WithTimeout(child, time.Hour)
+				if k%3 == 0 {
+					cancel()
+				}
+				<-grandchild.Done()
+				if err := grandchild.Err(); !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
+					t.Errorf("grandchild ended with %v", err)
+				}
+				cancelGrand()
+				cancel()
+			}()
+		}
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			if p%2 == 0 {
+				cancelParent()
+			}
+			<-parent.Done()
+			cancelParent()
+		}()
+		go func() {
+			defer wg.Done()
+			cancelStop()
+		}()
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	for {
+		select {
+		case <-done:
+			for i, p := range ends {
+				if n := listLen(p.(*eventCtx)); n != 0 {
+					t.Fatalf("context %d still lists %d children", i, n)
+				}
+			}
+			if n := c.PendingTimers(); n != 0 {
+				t.Fatalf("PendingTimers = %d after every context ended, want 0", n)
+			}
+			return
+		default:
+			c.Advance(time.Millisecond)
+			runtime.Gosched()
+		}
+	}
+}
+
+// TestEventCtxSize: every WithTimeout pays for an eventCtx, which fills one
+// 176-byte size class exactly; a field more would cost the next class.
+func TestEventCtxSize(t *testing.T) {
+	if n := unsafe.Sizeof(eventCtx{}); n > 176 {
+		t.Fatalf("eventCtx is %d bytes, want <= 176", n)
+	}
+}
+
+// TestDetach: a detached context keeps its parent's values and none of its
+// end — as context.WithoutCancel — and a lookup through it, from an
+// event-clock context under it too, allocates nothing.
+func TestDetach(t *testing.T) {
+	c := NewEventDriven()
+	type key struct{}
+	parent, cancelParent := context.WithCancel(context.WithValue(context.Background(), key{}, "v"))
+	timed, cancelTimed := c.WithTimeout(parent, time.Second)
+	defer cancelTimed()
+	d := Detach(timed)
+	cancelParent()
+	c.Advance(time.Second)
+	if d.Err() != nil || d.Done() != nil {
+		t.Fatalf("detached context ended with its parent: %v", d.Err())
+	}
+	if _, ok := d.Deadline(); ok {
+		t.Fatal("detached context reports a deadline")
+	}
+	if d.Value(key{}) != "v" {
+		t.Fatal("detached context lost its parent's value")
+	}
+	child, cancel := context.WithCancel(d)
+	defer cancel()
+	if child.Err() != nil {
+		t.Fatal("a context package child of a detached context ended with its parent")
+	}
+
+	under, cancelUnder := c.WithTimeout(Detach(context.WithValue(context.Background(), key{}, "v")), time.Hour)
+	defer cancelUnder()
+	for name, ctx := range map[string]context.Context{"detached": d, "event-clock child": under} {
+		if n := testing.AllocsPerRun(100, func() {
+			_ = ctx.Value(key{})
+			_ = ctx.Value(eventKey{})
+		}); n != 0 {
+			t.Errorf("Value through %s allocates %v times, want 0", name, n)
+		}
+	}
 }

@@ -234,29 +234,34 @@ func (s *Scheduler) removeLocked(i int) {
 	}
 }
 
-// --- event-driven context with a virtual deadline ---
+// --- event-driven contexts ---
 
-// eventCtx implements context.Context for Clock.WithTimeout in event-driven
-// mode. Its deadline is a *virtual* instant: Err returns
-// context.DeadlineExceeded once virtual time crosses it, so timeout
-// classification (errors.Is(err, context.DeadlineExceeded)) behaves exactly
-// as with a real context. The deadline event is embedded, so arming one
-// costs no allocation beyond the context itself.
+// eventCtx implements context.Context for Clock.WithTimeout, WithCancel and
+// WithStop in event-driven mode. A timed one (ev.ctx set) has a *virtual*
+// deadline: Err returns context.DeadlineExceeded once virtual time crosses
+// it, so timeout classification (errors.Is(err, context.DeadlineExceeded))
+// behaves exactly as with a real context. The deadline event is embedded,
+// so arming one costs no allocation beyond the context itself. An untimed
+// one (WithCancel, WithStop) arms nothing and reports its parent's
+// deadline, or none with a zero dl.
 //
 // How the parent's end reaches it depends on the parent (see watchParent):
 // none is watched for a parent that can never end; an event-clock parent
 // keeps it on its intrusive list (beside any Bindings) and cancels it
-// directly; any other parent is watched with context.AfterFunc. Err also reads the parent's, so
-// a parent deadline crossed by an advance is visible as soon as the advance
-// returns.
+// directly; any other parent is watched with context.AfterFunc. Err also
+// reads the parent's, so a parent deadline crossed by an advance is
+// visible as soon as the advance returns.
+//
+// The struct is exactly one 176-byte size class, and every WithTimeout
+// pays for it: WithStop's second list node lives in withStopCtx, not here.
 type eventCtx struct {
 	context.Context // parent, for Value
 
 	clock *Clock
-	dl    time.Time // reported deadline: ev.at, or the parent's if earlier
+	dl    time.Time // reported deadline: ev.at or the parent's, whichever is earlier; zero for none
 	done  chan struct{}
-	ev    schedEvent // this context's own deadline; ev.ctx points back here
-	node  Binding    // this context's place on its parent's list
+	ev    schedEvent // this context's own deadline, if timed; ev.ctx then points back here
+	node  Binding    // this context's place on its parent's list; node.end is the context itself
 
 	mu      sync.Mutex
 	err     error
@@ -264,10 +269,26 @@ type eventCtx struct {
 	bound   *Binding    // what ends with this context, newest first
 }
 
+// withStopCtx is WithStop's context: an untimed eventCtx that is also on
+// its stop context's list.
+type withStopCtx struct {
+	eventCtx
+	stop Binding // this context's place on its stop's list
+}
+
 // eventKey looks up, through Value, the innermost eventCtx of any clock.
 type eventKey struct{}
 
-func (c *eventCtx) Deadline() (time.Time, bool) { return c.dl, true }
+// initUntimed readies c as an untimed context under parent.
+func (c *eventCtx) initUntimed(clock *Clock, parent context.Context) {
+	c.Context, c.clock, c.done = parent, clock, make(chan struct{})
+	c.ev.idx = -1
+	if pdl, ok := parent.Deadline(); ok {
+		c.dl = pdl
+	}
+}
+
+func (c *eventCtx) Deadline() (time.Time, bool) { return c.dl, !c.dl.IsZero() }
 
 func (c *eventCtx) Done() <-chan struct{} { return c.done }
 
@@ -298,7 +319,7 @@ func (c *Clock) armedDeadline(ctx context.Context) (at time.Duration, ok bool) {
 		if !found {
 			return at, ok
 		}
-		if ec.clock == c && (!ok || ec.ev.at < at) {
+		if ec.clock == c && ec.ev.ctx != nil && (!ok || ec.ev.at < at) {
 			at, ok = ec.ev.at, true
 		}
 		ctx = ec.Context
@@ -315,6 +336,31 @@ func endsWith(ctx context.Context, done <-chan struct{}) *eventCtx {
 	return nil
 }
 
+// attach ties c to its parent's end and, with stop set, through b to
+// stop's end, and arms c's deadline if it is timed; if the parent or stop
+// has already ended, c ends at once with its error. The registrations are
+// made under c.mu: any cancel path (deadline event, parent, stop, the
+// returned cancel func) must take the lock first, so it always sees — and
+// releases — every one of them.
+func (c *eventCtx) attach(b *Binding, stop *eventCtx) {
+	if err := c.Context.Err(); err != nil {
+		c.cancel(err)
+		return
+	}
+	c.mu.Lock()
+	if c.ev.ctx != nil {
+		c.clock.sched.arm(&c.ev)
+	}
+	err := c.watchParent()
+	if err == nil && stop != nil {
+		err = stop.link(b)
+	}
+	c.mu.Unlock()
+	if err != nil {
+		c.cancel(err) // the parent or stop ended after the check above
+	}
+}
+
 // watchParent ties c to its parent's end and returns the parent's error if
 // the parent has already ended. A parent whose Done is nil can never end
 // and needs no watch. A parent that ends exactly when an eventCtx does
@@ -327,7 +373,7 @@ func (c *eventCtx) watchParent() error {
 		return nil
 	}
 	if p := endsWith(c.Context, done); p != nil {
-		return p.link(&c.node, c)
+		return p.link(&c.node)
 	}
 	parent := c.Context
 	c.unwatch = context.AfterFunc(parent, func() { c.cancel(parent.Err()) })
@@ -335,10 +381,10 @@ func (c *eventCtx) watchParent() error {
 }
 
 // cancel settles the context with err (first cause wins): the error is
-// published before done closes, then the deadline event and parent watch
-// are released so neither outlives the op that armed them, and everything
-// bound to the context ends with the same error. No two locks are held at
-// once, and the bound Enders run with none held.
+// published before done closes, then the deadline event and the parent
+// watch or list places are released so none outlives the op that made
+// them, and everything bound to the context ends with the same error. No
+// two locks are held at once, and the bound Enders run with none held.
 func (c *eventCtx) cancel(err error) {
 	c.mu.Lock()
 	if c.err != nil {
@@ -350,11 +396,16 @@ func (c *eventCtx) cancel(err error) {
 	c.bound = nil
 	c.mu.Unlock()
 	close(c.done)
-	c.clock.sched.stop(&c.ev)
+	if c.ev.ctx != nil {
+		c.clock.sched.stop(&c.ev)
+	}
 	if unwatch != nil {
 		unwatch()
 	}
 	c.node.Release()
+	if ws, ok := c.node.end.(*withStopCtx); ok {
+		ws.stop.Release()
+	}
 	for b := bound; b != nil; {
 		next := b.next
 		b.end.End(err)
@@ -387,7 +438,8 @@ func (b *Binding) Bind(ctx context.Context, e Ender) bool {
 	if p == nil {
 		return false
 	}
-	if err := p.link(b, e); err != nil {
+	b.end = e
+	if err := p.link(b); err != nil {
 		e.End(err)
 	}
 	return true
@@ -420,16 +472,15 @@ func (b *Binding) Release() bool {
 	return true
 }
 
-// link puts b, ending e, at the head of p's list, or returns p's error if p
-// has ended. Either way b's Release then knows p.
-func (p *eventCtx) link(b *Binding, e Ender) error {
+// link puts b, whose end is set, at the head of p's list, or returns p's
+// error if p has ended. Either way b's Release then knows p.
+func (p *eventCtx) link(b *Binding) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	b.owner = p
 	if p.err != nil {
 		return p.err
 	}
-	b.end = e
 	b.next = p.bound
 	if p.bound != nil {
 		p.bound.prev = b

@@ -322,27 +322,82 @@ func (c *Clock) WithTimeout(ctx context.Context, d time.Duration) (context.Conte
 	if pdl, ok := ctx.Deadline(); ok && pdl.Before(ec.dl) {
 		ec.dl = pdl // like context.WithDeadline: the earlier deadline is the one reported
 	}
+	ec.node.end = ec
 	cancel := func() { ec.cancel(context.Canceled) }
-	if err := ctx.Err(); err != nil {
-		ec.cancel(err)
-		return ec, cancel
-	}
-	if d <= 0 {
+	if d <= 0 && ctx.Err() == nil {
 		ec.cancel(context.DeadlineExceeded)
 		return ec, cancel
 	}
-	// Arm under ec.mu: any cancel path (deadline event, parent, the
-	// returned cancel func) must take the lock first, so it always sees —
-	// and releases — both registrations.
-	ec.mu.Lock()
-	c.sched.arm(&ec.ev)
-	perr := ec.watchParent()
-	ec.mu.Unlock()
-	if perr != nil {
-		ec.cancel(perr) // the parent ended after the check above
-	}
+	ec.attach(nil, nil)
 	return ec, cancel
 }
+
+// WithCancel returns a child of parent that ends when parent does, or with
+// context.Canceled when the returned cancel is called. In discrete-event
+// mode it is an event-clock context with no deadline of its own: Deadline
+// reports the parent's, Park does not advance to it, and under an
+// event-clock parent it sits on that parent's list, so neither it nor the
+// WithTimeouts and Binds beneath it cost a watcher. In real-scaled mode it
+// is context.WithCancel.
+func (c *Clock) WithCancel(parent context.Context) (context.Context, context.CancelFunc) {
+	if c.sched == nil {
+		return context.WithCancel(parent)
+	}
+	ec := new(eventCtx)
+	ec.initUntimed(c, parent)
+	ec.node.end = ec
+	ec.attach(nil, nil)
+	return ec, func() { ec.cancel(context.Canceled) }
+}
+
+// WithStop returns a child of parent that also ends, with stop's error,
+// when stop ends: the context of work that must end with its caller and
+// with the owner's shutdown. Deadline reports parent's.
+//
+// In discrete-event mode, with stop an event-clock context (or a value
+// context over one), the child sits on both contexts' lists: one
+// allocation beside its Done channel and cancel func, no goroutine, and
+// whichever end comes first unlinks it from both in O(1). Otherwise it is
+// WithCancel(parent) plus context.AfterFunc(stop, cancel), which ends it
+// with context.Canceled.
+func (c *Clock) WithStop(parent, stop context.Context) (context.Context, context.CancelFunc) {
+	if c.sched != nil {
+		if s := endsWith(stop, stop.Done()); s != nil {
+			ws := new(withStopCtx)
+			ws.initUntimed(c, parent)
+			ws.node.end = ws
+			ws.stop.end = ws
+			ws.attach(&ws.stop, s)
+			return ws, func() { ws.cancel(context.Canceled) }
+		}
+	}
+	ctx, cancel := c.WithCancel(parent)
+	unwatch := context.AfterFunc(stop, cancel)
+	return ctx, func() {
+		unwatch()
+		cancel()
+	}
+}
+
+// Detach returns a context that carries ctx's values but never ends and
+// has no deadline: context.WithoutCancel with a pointer receiver. The
+// context package's withoutCancelCtx has a value receiver, so every Value
+// lookup that reaches it from a context type the package does not know —
+// an event-clock context's, say — boxes it again: one allocation per
+// lookup. Detach's Value allocates nothing. It passes every lookup on, the
+// context package's own too, as an event-clock context does: unlike
+// WithoutCancel, context.Cause through it reports the parent's cause.
+func Detach(ctx context.Context) context.Context { return &detached{ctx} }
+
+type detached struct{ parent context.Context }
+
+func (*detached) Deadline() (time.Time, bool) { return time.Time{}, false }
+
+func (*detached) Done() <-chan struct{} { return nil }
+
+func (*detached) Err() error { return nil }
+
+func (d *detached) Value(key any) any { return d.parent.Value(key) }
 
 // Ticker delivers ticks every virtual duration d.
 type Ticker struct {

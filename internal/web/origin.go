@@ -2,6 +2,7 @@ package web
 
 import (
 	"context"
+	"net"
 	"strconv"
 	"strings"
 	"sync"
@@ -37,7 +38,7 @@ func NewOrigin(host *netem.Host, sites ...*Site) (*Origin, error) {
 	if err != nil {
 		return nil, err
 	}
-	go o.serveTLS(tlsl)
+	tlsl.Serve(o.serveTLS)
 	return o, nil
 }
 
@@ -107,26 +108,16 @@ func (o *Origin) certFunc(sni string) string {
 	return ""
 }
 
-// serveTLS accepts pseudo-TLS sessions: handshake, then the same request
-// loop the :80 listener runs. Requests dispatched after the listener closes
-// see a cancelled context, as on an httpx.Server.
-func (o *Origin) serveTLS(l *netem.Listener) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	for {
-		raw, err := l.Accept()
-		if err != nil {
-			return
-		}
-		go func() {
-			tc, err := tlsx.Server(raw, o.certFunc)
-			if err != nil {
-				raw.Close()
-				return
-			}
-			httpx.ServeConn(ctx, tc, raw.(*netem.Conn).Flow(), httpx.HandlerFunc(o.serve))
-		}()
+// serveTLS runs one pseudo-TLS session: handshake, then the same request
+// loop the :80 listener runs. The origin's handler makes no upstream calls,
+// so its requests carry Background.
+func (o *Origin) serveTLS(raw net.Conn) {
+	tc, err := tlsx.Server(raw, o.certFunc)
+	if err != nil {
+		raw.Close()
+		return
 	}
+	httpx.ServeConn(context.Background(), tc, raw.(*netem.Conn).Flow(), httpx.HandlerFunc(o.serve))
 }
 
 // ASNEchoPath is the path served by the ASN echo service.

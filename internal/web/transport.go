@@ -127,17 +127,14 @@ func (t *Transport) RoundTrip(ctx context.Context, req *httpx.Request) (*httpx.R
 // connectAddr decides what address to hand to the dialer.
 func (t *Transport) connectAddr(ctx context.Context, host string) (string, error) {
 	port := t.Port()
-	if t.Lookup == nil {
-		return fmt.Sprintf("%s:%d", host, port), nil
-	}
-	if netem.IsIPLiteral(host) {
-		return fmt.Sprintf("%s:%d", host, port), nil
+	if t.Lookup == nil || netem.IsIPLiteral(host) {
+		return netem.Addr{IP: host, Port: port}.String(), nil
 	}
 	ip, err := t.Lookup(ctx, host)
 	if err != nil {
 		return "", err
 	}
-	return fmt.Sprintf("%s:%d", ip, port), nil
+	return netem.Addr{IP: ip, Port: port}.String(), nil
 }
 
 // StaticLookup returns a Lookup that serves from a fixed map (tests and

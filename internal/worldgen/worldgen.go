@@ -316,11 +316,12 @@ func New(o Options) (*World, error) {
 	return w, nil
 }
 
-// Close closes every listener the world's servers opened, so every accept
-// loop — HTTP, DNS, proxy, Tor relay and TLS origin alike — returns. Those
-// loops are what kept a finished world reachable: once its clients are
-// closed too, the world can be collected. Exchanges already accepted run
-// to their end; nothing new is served.
+// Close closes every listener the world's servers opened — HTTP, DNS,
+// proxy, Tor relay and TLS origin alike: nothing new is served, and
+// exchanges already accepted run to their end. A world needs no Close to
+// be collected: its servers keep no goroutine waiting on an idle listener
+// (netem.Listener.Serve), so once nothing references the world, and its
+// clients are closed, it is garbage.
 func (w *World) Close() { w.Net.CloseListeners() }
 
 // RelaxProxyTimeouts raises every static proxy's idle timeout. Population-
