@@ -153,12 +153,12 @@ func (c *Censor) handleHTTP(f netem.Flow, s *netem.Session) {
 			}
 			// The origin's answer goes back as it came, its body by
 			// reference (a Session's ends are always *netem.Conn).
-			respHeader, err := httpx.RelayResponse(client, server.(*netem.Conn), sbr)
+			closing, err := httpx.RelayResponse(client, server.(*netem.Conn), sbr)
 			if err != nil {
 				closeBoth()
 				return
 			}
-			if httpx.WantsClose(req.Header) || httpx.WantsClose(respHeader) {
+			if closing || httpx.WantsClose(req.Header) {
 				closeBoth()
 				return
 			}

@@ -481,7 +481,7 @@ var scratchPool = sync.Pool{New: func() any { return new(listScratch) }}
 // maxMemo bounds the stage lists one body remembers. An AS's censor blocks
 // most URLs the same few ways, so a body repeats its stage lists: in a
 // 10k-client fleet the memo supplies more of them than the base does
-// (EXPERIMENTS.md, "encoding/json leaves the list path"). A miss costs only
+// (PERF_LOG.md, "encoding/json leaves the list path"). A miss costs only
 // the allocation sharing would have saved.
 const maxMemo = 16
 

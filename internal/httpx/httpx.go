@@ -18,6 +18,7 @@ import (
 	"io"
 	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"unicode"
 
@@ -36,7 +37,8 @@ type Header []Field
 
 // CanonicalKey normalizes a header name: "content-length" → "Content-Length".
 // A name that is already canonical — every name this package serializes — is
-// returned as it is.
+// returned as it is, and so is the canonical form of a name this repository
+// sends: CanonicalKey("ETag") is "Etag" without an allocation.
 func CanonicalKey(k string) string {
 	upper := true
 	for i := 0; i < len(k); i++ {
@@ -49,11 +51,33 @@ func CanonicalKey(k string) string {
 	return k
 }
 
+// commonKeys interns the canonical names of the header fields this
+// repository sends, as net/textproto's common-header table does.
+var commonKeys = func() map[string]string {
+	m := make(map[string]string)
+	for _, k := range []string{
+		"Accept", "Connection", "Content-Length", "Content-Type", "Etag",
+		"Host", "If-None-Match", "Location", "User-Agent", "Via",
+	} {
+		m[k] = k
+	}
+	return m
+}()
+
 // canonicalize is CanonicalKey for a name that has a byte to change. It is a
 // function of its own so that its byte copy of a short name stays on the
-// stack and the name costs one allocation, the result.
+// stack and the name costs at most one allocation, the result.
 func canonicalize(k string) string {
 	b := []byte(k)
+	canonicalBytes(b)
+	if c, ok := commonKeys[string(b)]; ok {
+		return c
+	}
+	return string(b)
+}
+
+// canonicalBytes rewrites the header name b in its canonical form, in place.
+func canonicalBytes(b []byte) {
 	upper := true
 	for i, c := range b {
 		switch {
@@ -64,7 +88,6 @@ func canonicalize(k string) string {
 		}
 		upper = c == '-'
 	}
-	return string(b)
 }
 
 // find returns the run h[i:j] of fields named key, which is canonical; when
@@ -147,9 +170,13 @@ func (r *Request) Context() context.Context {
 	return context.Background()
 }
 
-// WithContext returns a shallow copy of r carrying ctx.
+// WithContext returns a copy of r carrying ctx. The copy shares r's body
+// but not its header fields: a header may have room to grow in place, and a
+// Set, Add or Del on either request would shift fields the other still
+// reads.
 func (r *Request) WithContext(ctx context.Context) *Request {
 	r2 := *r
+	r2.Header = slices.Clone(r.Header)
 	r2.ctx = ctx
 	return &r2
 }
@@ -165,7 +192,9 @@ func NewRequest(method, host, target string) *Request {
 // URL returns the conventional "host/target" form used as a database key.
 func (r *Request) URL() string { return r.Host + r.Target }
 
-// Response is an HTTP response.
+// Response is an HTTP response. One built by NewResponse has room in its
+// Header for a few fields; a copy by value that may change its fields
+// needs a Header of its own (slices.Clone, as Request.WithContext does).
 type Response struct {
 	Proto      string
 	StatusCode int
@@ -179,9 +208,58 @@ type Response struct {
 }
 
 // NewResponse builds a response with the given status and body and no
-// header fields: Content-Length is the body's, said when it is written.
+// header fields: Content-Length is the body's, said when it is written. The
+// response and room for the three fields a response of this simulation sets
+// at most (Content-Type, Etag, X-List-Encoding) are one allocation.
 func NewResponse(code int, body []byte) *Response {
-	return &Response{Proto: "HTTP/1.1", StatusCode: code, Status: StatusText(code), Body: body}
+	m := new(inline[Response, [3]Field])
+	m.msg = Response{Proto: "HTTP/1.1", StatusCode: code, Status: StatusText(code), Header: m.fields[:0], Body: body}
+	return &m.msg
+}
+
+// inline is a message allocated together with the array its Header uses.
+type inline[M, A any] struct {
+	msg    M
+	fields A
+}
+
+// newMessage returns a new M and a Header of n zero fields, clipped, that
+// share one allocation, so that a parsed message costs the same whatever
+// its header count. Up to four fields, which covers what a fetch or a sync
+// sends, the array is exact; above that it is the next power of two up to
+// maxHeaderCount, less than twice the bytes of the fields.
+func newMessage[M any](n int) (*M, Header) {
+	switch {
+	case n == 0:
+		return new(M), nil
+	case n == 1:
+		m := new(inline[M, [1]Field])
+		return &m.msg, m.fields[:]
+	case n == 2:
+		m := new(inline[M, [2]Field])
+		return &m.msg, m.fields[:]
+	case n == 3:
+		m := new(inline[M, [3]Field])
+		return &m.msg, m.fields[:]
+	case n == 4:
+		m := new(inline[M, [4]Field])
+		return &m.msg, m.fields[:]
+	case n <= 8:
+		m := new(inline[M, [8]Field])
+		return &m.msg, m.fields[:n:n]
+	case n <= 16:
+		m := new(inline[M, [16]Field])
+		return &m.msg, m.fields[:n:n]
+	case n <= 32:
+		m := new(inline[M, [32]Field])
+		return &m.msg, m.fields[:n:n]
+	case n <= 64:
+		m := new(inline[M, [64]Field])
+		return &m.msg, m.fields[:n:n]
+	default:
+		m := new(inline[M, [maxHeaderCount]Field])
+		return &m.msg, m.fields[:n:n]
+	}
 }
 
 // StatusText returns the reason phrase for the handful of codes in use.
@@ -376,13 +454,15 @@ func writeMessage(w io.Writer, head []byte, body ...[]byte) error {
 }
 
 // head is the scratch one message head is parsed in: the bytes of its start
-// line and header lines, line ends dropped, and where each header's key and
-// value sit among them. The parsers make one string of buf when the blank
-// line has arrived, and every string of the parsed message — method, target,
-// status text, header keys and values — is a substring of it: a message
-// costs the same few allocations whatever its header count, and whoever
-// keeps one of those strings beyond the exchange keeps the whole head alive
-// (so keepers strings.Clone what they store).
+// line and header lines, line ends dropped, each key made canonical where
+// it lies, and where each header's key and value sit among them, in the
+// order a Header keeps its fields. The parsers make one string of buf when
+// the blank line has arrived, and every string of the parsed message —
+// method, target, status text, header keys and values — is a substring of
+// it: a message costs the same few allocations whatever its header count,
+// and whoever keeps one of those strings beyond the exchange keeps the
+// whole head alive (so keepers strings.Clone what they store). The
+// censor's relay makes no string at all: it writes the head out of buf.
 type head struct {
 	buf    []byte
 	fields []fieldAt
@@ -424,7 +504,9 @@ func (h *head) readLine(br *bufio.Reader) ([]byte, error) {
 }
 
 // readFields reads header lines up to the blank one, checking each as it
-// arrives, so a malformed head fails at its first bad line.
+// arrives, so a malformed head fails at its first bad line. Each key is
+// made canonical in place and its field goes after every field whose key
+// sorts no later: h.fields ends in the order Header.Add would have built.
 func (h *head) readFields(br *bufio.Reader) error {
 	for count := 0; ; count++ {
 		if count > maxHeaderCount {
@@ -450,7 +532,13 @@ func (h *head) readFields(br *bufio.Reader) error {
 			return fmt.Errorf("%w: header %q", ErrMalformed, line)
 		}
 		f.val, f.valEnd = trimSpace(h.buf, start+colon+1, len(h.buf))
-		h.fields = append(h.fields, f)
+		key := h.buf[f.key:f.keyEnd]
+		canonicalBytes(key)
+		i := len(h.fields)
+		for i > 0 && bytes.Compare(h.key(h.fields[i-1]), key) > 0 {
+			i--
+		}
+		h.fields = slices.Insert(h.fields, i, f)
 	}
 }
 
@@ -460,16 +548,38 @@ func trimSpace(b []byte, i, j int) (int, int) {
 	return i, i + len(bytes.TrimRightFunc(b[i:j], unicode.IsSpace))
 }
 
-// header builds the parsed fields out of s, the string made of h.buf.
-func (h *head) header(s string) Header {
-	hdr := make(Header, 0, len(h.fields))
-	for _, f := range h.fields {
-		hdr.Add(s[f.key:f.keyEnd], s[f.val:f.valEnd])
+func (h *head) key(f fieldAt) []byte   { return h.buf[f.key:f.keyEnd] }
+func (h *head) value(f fieldAt) []byte { return h.buf[f.val:f.valEnd] }
+
+// run returns the run h.fields[i:j] of fields named key, which is
+// canonical; i == j when there is none.
+func (h *head) run(key string) (i, j int) {
+	for i < len(h.fields) && string(h.key(h.fields[i])) < key {
+		i++
 	}
-	return hdr
+	for j = i; j < len(h.fields) && string(h.key(h.fields[j])) == key; j++ {
+	}
+	return i, j
 }
 
-// ReadRequest parses one request from br.
+// get is Header.Get over the scratch: the first value of key, or nil.
+func (h *head) get(key string) []byte {
+	if i, j := h.run(key); i < j {
+		return h.value(h.fields[i])
+	}
+	return nil
+}
+
+// fill sets hdr, as long as h.fields, to the parsed fields out of s, the
+// string made of h.buf.
+func (h *head) fill(hdr Header, s string) {
+	for i, f := range h.fields {
+		hdr[i] = Field{s[f.key:f.keyEnd], s[f.val:f.valEnd]}
+	}
+}
+
+// ReadRequest parses one request from br. The request and its header
+// fields are one allocation, the head's string another.
 func ReadRequest(br *bufio.Reader) (*Request, error) {
 	h := headPool.Get().(*head)
 	defer h.release()
@@ -487,10 +597,16 @@ func ReadRequest(br *bufio.Reader) (*Request, error) {
 	if err := h.readFields(br); err != nil {
 		return nil, err
 	}
+	// The first Host field is the request's Host; none stays in its Header.
+	var host fieldAt
+	if i, j := h.run("Host"); i < j {
+		host = h.fields[i]
+		h.fields = slices.Delete(h.fields, i, j)
+	}
 	s := string(h.buf)
-	req := &Request{Method: s[:sp1], Target: s[sp1+1 : sp2], Proto: s[sp2+1 : end], Header: h.header(s)}
-	req.Host = req.Header.Get("Host")
-	req.Header.Del("Host")
+	req, hdr := newMessage[Request](len(h.fields))
+	h.fill(hdr, s)
+	*req = Request{Method: s[:sp1], Target: s[sp1+1 : sp2], Proto: s[sp2+1 : end], Host: s[host.val:host.valEnd], Header: hdr}
 	req.Body, err = readBody(br, nil, req.Header)
 	return req, err
 }
@@ -500,68 +616,75 @@ func ReadRequest(br *bufio.Reader) (*Request, error) {
 // body by reference instead (see Response.Body).
 func ReadResponse(br *bufio.Reader) (*Response, error) { return readResponse(br, nil) }
 
+// statusLine is where a response's status line lies in head.buf: the
+// protocol is buf[:protoEnd] and the status text, empty when the line
+// has none, buf[text:end].
+type statusLine struct{ code, protoEnd, text, end int }
+
+// readResponseLines reads a response's status line and header lines into
+// h, leaving br at the first byte of the body.
+func (h *head) readResponseLines(br *bufio.Reader) (statusLine, error) {
+	line, err := h.readLine(br)
+	if err != nil {
+		return statusLine{}, err
+	}
+	// "PROTO CODE[ STATUS TEXT]", cut at the first two spaces.
+	st := statusLine{end: len(line)}
+	sp1 := bytes.IndexByte(line, ' ')
+	if sp1 < 0 || !bytes.HasPrefix(line, []byte("HTTP/")) {
+		return st, fmt.Errorf("%w: status line %q", ErrMalformed, line)
+	}
+	sp2 := st.end
+	if i := bytes.IndexByte(line[sp1+1:], ' '); i >= 0 {
+		sp2 = sp1 + 1 + i
+	}
+	st.protoEnd, st.text = sp1, min(sp2+1, st.end)
+	st.code, err = strconv.Atoi(string(line[sp1+1 : sp2]))
+	if err != nil || st.code < 100 || st.code > 599 {
+		return st, fmt.Errorf("%w: status code %q", ErrMalformed, line[sp1+1:sp2])
+	}
+	return st, h.readFields(br)
+}
+
 // readResponse is ReadResponse with the body taken off src by reference
-// where readBody can.
+// where readBody can. The response and its header fields are one
+// allocation, the head's string another.
 func readResponse(br *bufio.Reader, src io.Reader) (*Response, error) {
-	resp, err := readResponseHead(br)
+	h := headPool.Get().(*head)
+	defer h.release()
+	st, err := h.readResponseLines(br)
 	if err != nil {
 		return nil, err
 	}
+	s := string(h.buf)
+	resp, hdr := newMessage[Response](len(h.fields))
+	h.fill(hdr, s)
+	*resp = Response{Proto: s[:st.protoEnd], StatusCode: st.code, Status: s[st.text:st.end], Header: hdr}
 	resp.Body, err = readBody(br, src, resp.Header)
 	return resp, err
 }
 
-// readResponseHead parses a response's status line and header from br,
-// leaving br at the first byte of the body.
-func readResponseHead(br *bufio.Reader) (*Response, error) {
-	h := headPool.Get().(*head)
-	defer h.release()
-	line, err := h.readLine(br)
-	if err != nil {
-		return nil, err
-	}
-	// "PROTO CODE[ STATUS TEXT]", cut at the first two spaces.
-	end := len(line)
-	sp1 := bytes.IndexByte(line, ' ')
-	if sp1 < 0 || !bytes.HasPrefix(line, []byte("HTTP/")) {
-		return nil, fmt.Errorf("%w: status line %q", ErrMalformed, line)
-	}
-	sp2 := end
-	if i := bytes.IndexByte(line[sp1+1:], ' '); i >= 0 {
-		sp2 = sp1 + 1 + i
-	}
-	code, err := strconv.Atoi(string(line[sp1+1 : sp2]))
-	if err != nil || code < 100 || code > 599 {
-		return nil, fmt.Errorf("%w: status code %q", ErrMalformed, line[sp1+1:sp2])
-	}
-	if err := h.readFields(br); err != nil {
-		return nil, err
-	}
-	s := string(h.buf)
-	resp := &Response{Proto: s[:sp1], StatusCode: code, Header: h.header(s)}
-	if sp2 < end {
-		resp.Status = s[sp2+1 : end]
-	}
-	return resp, nil
-}
-
 // RelayResponse moves one response from src to w, where br is the reader
 // src's bytes have been parsed through: w receives the bytes
-// WriteResponse(w, ReadResponse(br)) would send, and the returned header is
-// the response's. The body is not copied — only the bytes br had already
-// buffered with the head are; every other body byte is taken off src by
-// reference and changes connections segment by segment as it arrived.
-// Nothing is written before the whole body is in hand, so the last byte
-// leaves when a read-then-write relay would send it; a response
-// ReadResponse rejects fails here with nothing written.
-func RelayResponse(w io.Writer, src *netem.Conn, br *bufio.Reader) (Header, error) {
-	resp, err := readResponseHead(br)
+// WriteResponse(w, ReadResponse(br)) would send, and closing reports
+// whether the response asks to end the connection (see WantsClose). The
+// head is written straight out of the parse scratch, without a Response,
+// a Header or a string of it, and the body is not copied — only the bytes
+// br had already buffered with the head are; every other body byte is
+// taken off src by reference and changes connections segment by segment
+// as it arrived. Nothing is written before the whole body is in hand, so
+// the last byte leaves when a read-then-write relay would send it; a
+// response ReadResponse rejects fails here with nothing written.
+func RelayResponse(w io.Writer, src *netem.Conn, br *bufio.Reader) (closing bool, err error) {
+	h := headPool.Get().(*head)
+	defer h.release()
+	st, err := h.readResponseLines(br)
 	if err != nil {
-		return nil, err
+		return false, err
 	}
-	n, err := contentLength(resp.Header)
+	n, err := contentLength(string(h.get("Content-Length")))
 	if err != nil {
-		return nil, err
+		return false, err
 	}
 	n = max(n, 0) // none announced: an empty body, which the head then announces
 	var room [4][]byte
@@ -570,7 +693,7 @@ func RelayResponse(w io.Writer, src *netem.Conn, br *bufio.Reader) (Header, erro
 	if k := min(br.Buffered(), need); k > 0 {
 		buffered := make([]byte, k)
 		if _, err := io.ReadFull(br, buffered); err != nil {
-			return nil, err
+			return false, err
 		}
 		parts, need = append(parts, buffered), need-k
 	}
@@ -580,24 +703,65 @@ func RelayResponse(w io.Writer, src *netem.Conn, br *bufio.Reader) (Header, erro
 			err = io.ErrUnexpectedEOF
 		}
 		if err != nil {
-			return nil, err
+			return false, err
 		}
 		if len(part) > 0 {
 			parts, need = append(parts, part), need-len(part)
 		}
 	}
-	return resp.Header, writeMessage(w, responseHead(resp, n), parts...)
+	closing = bytes.EqualFold(h.get("Connection"), []byte("close"))
+	return closing, writeMessage(w, h.responseHead(st, n), parts...)
 }
 
-// contentLength is the body length h announces, -1 when it announces none.
-func contentLength(h Header) (int, error) {
-	cl := h.Get("Content-Length")
+// responseHead serializes the response head h holds as responseHead
+// serializes its parse, with Content-Length bodyLen, into one exact-sized
+// buffer.
+func (h *head) responseHead(st statusLine, bodyLen int) []byte {
+	proto, status := h.buf[:st.protoEnd], h.buf[st.text:st.end]
+	var std string
+	if len(status) == 0 {
+		std = StatusText(st.code)
+	}
+	var codeNum, lenNum [20]byte
+	code := strconv.AppendInt(codeNum[:0], int64(st.code), 10)
+	length := strconv.AppendInt(lenNum[:0], int64(bodyLen), 10)
+	size := len(proto) + 1 + len(code) + 1 + len(status) + len(std) + 2 +
+		len("Content-Length: ") + len(length) + 2 + 2
+	for _, f := range h.fields {
+		if k := h.key(f); !offWire(string(k), "") {
+			size += len(k) + len(": ") + f.valEnd - f.val + len("\r\n")
+		}
+	}
+	b := make([]byte, 0, size)
+	b = append(b, proto...)
+	b = append(b, ' ')
+	b = append(b, code...)
+	b = append(b, ' ')
+	b = append(b, status...)
+	b = append(b, std...)
+	b = append(b, "\r\n"...)
+	for _, f := range h.fields {
+		if k := h.key(f); !offWire(string(k), "") {
+			b = append(b, k...)
+			b = append(b, ": "...)
+			b = append(b, h.value(f)...)
+			b = append(b, "\r\n"...)
+		}
+	}
+	b = append(b, "Content-Length: "...)
+	b = append(b, length...)
+	return append(b, "\r\n\r\n"...)
+}
+
+// contentLength is the body length a Content-Length value announces, -1
+// when the value is empty: none announced.
+func contentLength(cl string) (int, error) {
 	if cl == "" {
 		return -1, nil
 	}
 	n, err := strconv.Atoi(cl)
 	if err != nil || n < 0 {
-		return -1, fmt.Errorf("%w: content-length %q", ErrMalformed, cl)
+		return -1, fmt.Errorf("%w: content-length %q", ErrMalformed, strings.Clone(cl))
 	}
 	if n > MaxBodyBytes {
 		return -1, ErrTooLarge
@@ -613,7 +777,7 @@ func contentLength(h Header) (int, error) {
 // the body and the rest read through br; either way the bytes, the error
 // and the virtual time spent waiting are what reading through br gives.
 func readBody(br *bufio.Reader, src io.Reader, h Header) ([]byte, error) {
-	n, err := contentLength(h)
+	n, err := contentLength(h.Get("Content-Length"))
 	if n < 0 {
 		return nil, err
 	}

@@ -4,8 +4,10 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"fmt"
 	"io"
 	"net"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -414,5 +416,62 @@ func TestRoundTripLeavesRequestAlone(t *testing.T) {
 	}
 	if len(req.Header) != 1 || req.Header.Get("X-Probe") != "1" {
 		t.Errorf("request header after Do = %v, want it untouched", req.Header)
+	}
+}
+
+// TestCopiesKeepTheirOwnFields: a field set on a copy of a message stays off
+// the original, and one set on the original stays off a WithContext copy. A
+// built request has room to spare in its Header and a parsed one shares an
+// allocation with its fields, so two headers filling the same array would
+// shift each other's fields in place.
+func TestCopiesKeepTheirOwnFields(t *testing.T) {
+	built := NewRequest("GET", "www.youtube.com", "/")
+	built.Header.Set("X-B", "b")
+	var wire bytes.Buffer
+	if err := WriteRequest(&wire, built); err != nil {
+		t.Fatal(err)
+	}
+	parsed, err := ReadRequest(bufio.NewReader(&wire))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		what string
+		req  *Request
+	}{{"built request", built}, {"parsed request", parsed}} {
+		before := slices.Clone(c.req.Header)
+		cp := c.req.WithContext(context.Background())
+		cp.Header.Set("X-A", "a")
+		cp.Header.Add("X-C", "c")
+		if !slices.Equal(c.req.Header, before) {
+			t.Errorf("%s: Header %v after a Set on its WithContext copy, want %v", c.what, c.req.Header, before)
+		}
+		cp = c.req.WithContext(context.Background())
+		c.req.Header.Set("X-A", "a")
+		if !slices.Equal(cp.Header, before) {
+			t.Errorf("%s: WithContext copy's Header %v after a Set on the original, want %v", c.what, cp.Header, before)
+		}
+	}
+
+	resp := NewResponse(200, []byte("page"))
+	for i := 0; i < 5; i++ {
+		resp.Header.Set(fmt.Sprintf("X-%c", 'B'+2*i), "v")
+	}
+	wire.Reset()
+	if err := WriteResponse(&wire, resp); err != nil {
+		t.Fatal(err)
+	}
+	read, err := ReadResponse(bufio.NewReader(&wire))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(read.Header) != cap(read.Header) {
+		t.Errorf("parsed response Header: len %d, cap %d; want it clipped", len(read.Header), cap(read.Header))
+	}
+	before := slices.Clone(read.Header)
+	cp := *read
+	cp.Header.Set("X-A", "a")
+	if !slices.Equal(read.Header, before) {
+		t.Errorf("parsed response: Header %v after a Set on a copy, want %v", read.Header, before)
 	}
 }

@@ -754,3 +754,47 @@ func TestDetach(t *testing.T) {
 		}
 	}
 }
+
+// TestCauseIsErr: a context of this package reports its own end through
+// context.Cause — nil while it lives, its Err once it has ended, and nil
+// always for a detached one — even under a context.WithCancelCause
+// ancestor, whose cause the context package would otherwise find first.
+func TestCauseIsErr(t *testing.T) {
+	c := NewEventDriven()
+	parent, cancelParent := context.WithCancelCause(context.Background())
+	defer cancelParent(errors.New("parent gone"))
+	stop, cancelStop := c.WithCancel(context.Background())
+	nop := func() {}
+	for _, tc := range []struct {
+		name   string
+		make   func() (context.Context, context.CancelFunc)
+		end    func(cancel context.CancelFunc)
+		ending bool
+	}{
+		{"WithTimeout past its deadline", func() (context.Context, context.CancelFunc) {
+			return c.WithTimeout(parent, time.Second)
+		}, func(context.CancelFunc) { c.Advance(time.Second) }, true},
+		{"WithTimeout cancelled", func() (context.Context, context.CancelFunc) {
+			return c.WithTimeout(parent, time.Hour)
+		}, func(cancel context.CancelFunc) { cancel() }, true},
+		{"WithCancel", func() (context.Context, context.CancelFunc) {
+			return c.WithCancel(parent)
+		}, func(cancel context.CancelFunc) { cancel() }, true},
+		{"WithStop stopped", func() (context.Context, context.CancelFunc) {
+			return c.WithStop(parent, stop)
+		}, func(context.CancelFunc) { cancelStop() }, true},
+		{"Detach", func() (context.Context, context.CancelFunc) {
+			return Detach(parent), nop
+		}, func(context.CancelFunc) { cancelParent(errors.New("parent gone")) }, false},
+	} {
+		ctx, cancel := tc.make()
+		if cause := context.Cause(ctx); cause != nil || ctx.Err() != nil {
+			t.Errorf("%s, live: Cause %v, Err %v; want nil", tc.name, cause, ctx.Err())
+		}
+		tc.end(cancel)
+		if err, cause := ctx.Err(), context.Cause(ctx); cause != err || (err != nil) != tc.ending {
+			t.Errorf("%s, ended: Cause %v, Err %v", tc.name, cause, err)
+		}
+		cancel()
+	}
+}

@@ -302,10 +302,38 @@ func (c *eventCtx) Err() error {
 }
 
 func (c *eventCtx) Value(key any) any {
-	if key == (eventKey{}) {
+	switch key {
+	case eventKey{}:
 		return c
+	case cancelCtxKey:
+		return nil // see cancelCtxKey
 	}
 	return c.Context.Value(key)
+}
+
+// cancelCtxKey is the key the context package looks up its own cancel
+// contexts by, as context.Cause does: it reports the cause such an ancestor
+// holds, and only with none found falls back to the context's Err. A
+// context that ends on its own terms (an eventCtx) or never (Detach) must
+// answer nil, as context.WithoutCancel does, or Cause reports an ancestor's
+// cause — nil while that ancestor lives — for a context that has ended.
+// The key is unexported, so it is learnt once by asking context.Cause for
+// the cause of a context that records what it is asked.
+var cancelCtxKey = func() any {
+	p := &keyProbe{Context: context.Background()}
+	context.Cause(p)
+	return p.key
+}()
+
+// keyProbe is a context that records the key of the last lookup.
+type keyProbe struct {
+	context.Context
+	key any
+}
+
+func (p *keyProbe) Value(key any) any {
+	p.key = key
+	return nil
 }
 
 // End makes a child context an Ender on its parent's list.

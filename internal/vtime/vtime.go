@@ -384,9 +384,9 @@ func (c *Clock) WithStop(parent, stop context.Context) (context.Context, context
 // context package's withoutCancelCtx has a value receiver, so every Value
 // lookup that reaches it from a context type the package does not know —
 // an event-clock context's, say — boxes it again: one allocation per
-// lookup. Detach's Value allocates nothing. It passes every lookup on, the
-// context package's own too, as an event-clock context does: unlike
-// WithoutCancel, context.Cause through it reports the parent's cause.
+// lookup. Detach's Value allocates nothing. Like WithoutCancel it answers
+// the context package's cancel-context lookup with nil (see cancelCtxKey),
+// so context.Cause through it is its Err, nil.
 func Detach(ctx context.Context) context.Context { return &detached{ctx} }
 
 type detached struct{ parent context.Context }
@@ -397,7 +397,12 @@ func (*detached) Done() <-chan struct{} { return nil }
 
 func (*detached) Err() error { return nil }
 
-func (d *detached) Value(key any) any { return d.parent.Value(key) }
+func (d *detached) Value(key any) any {
+	if key == cancelCtxKey {
+		return nil
+	}
+	return d.parent.Value(key)
+}
 
 // Ticker delivers ticks every virtual duration d.
 type Ticker struct {
