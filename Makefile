@@ -28,7 +28,9 @@
 #   make golden      — regenerate the flight-recorder golden trace artifact
 #   make shape       — regenerate the experiment goldens TestExperiments
 #                      holds every runner to (internal/experiments/testdata)
-#   make fuzz        — short fuzz pass over the dnsx/httpx wire codecs (httpx
+#   make fuzz        — short fuzz pass over the dnsx/httpx wire codecs (dnsx
+#                      also against its reference codec and its frame read
+#                      by reference against a copying read; httpx
 #                      also against its map-based reference codec, its
 #                      response relay against read-then-write, and its
 #                      by-reference body read against a plain read), the WAL
@@ -125,7 +127,11 @@ shape:
 # /v1/blocked bodies, which the global DB joins from cached fragments and the
 # target holds to encoding/json too), and seedrand's sources, which FuzzSource
 # holds to math/rand draw for draw; the checked-in seed corpora under testdata/fuzz/ always
-# run as plain regression subtests. FuzzCodecVsReference holds the httpx
+# run as plain regression subtests. The dnsx FuzzCodecVsReference holds the
+# DNS codec to the one it replaced (dnsx/reference_test.go), and
+# FuzzReadMessageTake the by-reference frame read to that codec's copying
+# read, over a *Conn, a budgeted slotConn and a reader that cannot take.
+# The httpx FuzzCodecVsReference holds the httpx
 # codec to the map-based one it replaced (reference_test.go), and
 # FuzzRelayResponse the censor's by-reference response relay to the
 # ReadResponse-then-WriteResponse pair it replaced, and FuzzReadResponseTake
@@ -136,6 +142,8 @@ shape:
 # shrink the first new input.
 fuzz:
 	$(GO) test ./internal/dnsx -run '^$$' -fuzz FuzzMessageDecode -fuzztime 10s
+	$(GO) test ./internal/dnsx -run '^$$' -fuzz FuzzCodecVsReference -fuzztime 10s
+	$(GO) test ./internal/dnsx -run '^$$' -fuzz FuzzReadMessageTake -fuzztime 10s
 	$(GO) test ./internal/httpx -run '^$$' -fuzz '^FuzzReadResponse$$' -fuzztime 10s
 	$(GO) test ./internal/httpx -run '^$$' -fuzz FuzzReadResponseTake -fuzztime 10s
 	$(GO) test ./internal/httpx -run '^$$' -fuzz FuzzReadRequest -fuzztime 10s

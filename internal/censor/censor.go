@@ -23,6 +23,7 @@ package censor
 import (
 	"strings"
 	"time"
+	"unicode/utf8"
 )
 
 // DNSAction is what the censor-controlled resolver does for a name.
@@ -190,26 +191,60 @@ func matchName(host string) string {
 }
 
 // domainMatch reports whether name (a matchName) equals pattern or is a
-// subdomain of it. Rules are written in lower case, which makes lowering
-// the pattern a look at its bytes that allocates nothing.
-func domainMatch(pattern, name string) bool {
-	pattern = strings.ToLower(strings.TrimSuffix(pattern, "."))
-	if !strings.HasSuffix(name, pattern) {
-		return false
-	}
-	sub := len(name) - len(pattern) // what a subdomain puts in front, dot included
-	return sub == 0 || name[sub-1] == '.'
-}
+// subdomain of it.
+func domainMatch(pattern, name string) bool { return matchLen(pattern, name) >= 0 }
 
-// DNSActionFor returns the action for a queried name.
-func (p *Policy) DNSActionFor(name string) DNSAction {
-	name = matchName(name)
-	for pat, act := range p.DNS {
-		if domainMatch(pat, name) {
-			return act
+// matchLen is the length of pattern, trailing dot dropped and lowered, when
+// name (a matchName) equals it or is a subdomain of it, and -1 when not.
+// The pattern is compared with the end of name from its last byte back,
+// its ASCII letters folded as they are met, so a rule costs no allocation;
+// a pattern with a non-ASCII byte is lowered whole once the scan meets it,
+// as strings.ToLower may change its length.
+func matchLen(pattern, name string) int {
+	pattern = strings.TrimSuffix(pattern, ".")
+	sub := len(name) - len(pattern) // what a subdomain puts in front, dot included
+	for i := len(pattern) - 1; i >= 0; i-- {
+		c := pattern[i]
+		if c >= utf8.RuneSelf {
+			pattern = strings.ToLower(pattern)
+			if !strings.HasSuffix(name, pattern) {
+				return -1
+			}
+			sub = len(name) - len(pattern)
+			break
+		}
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		if sub+i < 0 || name[sub+i] != c {
+			return -1
 		}
 	}
-	return DNSClean
+	if sub != 0 && name[sub-1] != '.' {
+		return -1
+	}
+	return len(pattern)
+}
+
+// longestMatch returns the action of the longest pattern in rules that
+// name (a matchName) matches, or none. A more specific rule wins whatever
+// the map's order: "www.youtube.com" overrides "youtube.com" for its own
+// names. Patterns that differ only in case or a trailing dot tie; the least
+// of them in byte order wins.
+func longestMatch[A any](rules map[string]A, name string, none A) A {
+	act, best, bestPat := none, -1, ""
+	for pat, a := range rules {
+		if n := matchLen(pat, name); n > best || n >= 0 && n == best && pat < bestPat {
+			act, best, bestPat = a, n, pat
+		}
+	}
+	return act
+}
+
+// DNSActionFor returns the action for a queried name: that of the longest
+// DNS pattern it matches.
+func (p *Policy) DNSActionFor(name string) DNSAction {
+	return longestMatch(p.DNS, matchName(name), DNSClean)
 }
 
 // IPActionFor returns the action for a destination IP.
@@ -240,15 +275,10 @@ func (p *Policy) HTTPActionFor(host, target string) HTTPAction {
 	return HTTPClean
 }
 
-// SNIActionFor returns the action for a TLS SNI value.
+// SNIActionFor returns the action for a TLS SNI value: that of the longest
+// SNI pattern it matches.
 func (p *Policy) SNIActionFor(sni string) TLSAction {
-	sni = matchName(sni)
-	for pat, act := range p.SNI {
-		if domainMatch(pat, sni) {
-			return act
-		}
-	}
-	return TLSClean
+	return longestMatch(p.SNI, matchName(sni), TLSClean)
 }
 
 // hasStreamRules reports whether any stream-level inspection is needed.

@@ -4,7 +4,9 @@ import (
 	"bufio"
 	"context"
 	"errors"
+	"fmt"
 	"io"
+	"runtime/debug"
 	"strings"
 	"testing"
 	"time"
@@ -154,10 +156,12 @@ func TestMatchingAgreesWithPerRuleNormalising(t *testing.T) {
 		}
 		return host == pattern || strings.HasSuffix(host, "."+pattern)
 	}
-	patterns := []string{"youtube.com", "YouTube.Com", "youtube.com.", "www.youtube.com", "com", "", ".", "tube.com", "ÉCOLE.example"}
+	patterns := []string{"youtube.com", "YouTube.Com", "youtube.com.", "www.youtube.com", "com", "", ".", "tube.com", "ÉCOLE.example",
+		"ẞ.de", "STRAẞE.example"} // ẞ lowers to ß, a byte shorter
 	names := []string{
 		"youtube.com", "www.youtube.com", "WWW.YOUTUBE.COM", "Www.YouTube.com.", "www.youtube.com:443", "youtube.com.:80",
 		"notyoutube.com", "youtube.com.evil.net", "com", "", ".", "..", ":80", "x.tube.com", "école.example", "www.École.example:8080",
+		"ß.de", "x.ß.de", "www.straße.example", "STRASSE.example",
 	}
 	p := &Policy{DNS: map[string]DNSAction{}, SNI: map[string]TLSAction{}}
 	for _, pat := range patterns {
@@ -181,6 +185,72 @@ func TestMatchingAgreesWithPerRuleNormalising(t *testing.T) {
 				t.Errorf("HTTPActionFor(%q, /other) under %q ignored the path prefix", name, pat)
 			}
 		}
+	}
+}
+
+// TestLongestPatternWins holds the DNS and SNI matchers to the most
+// specific rule when patterns overlap: the map's iteration order, which
+// used to pick the verdict, must not matter on any call.
+func TestLongestPatternWins(t *testing.T) {
+	p := &Policy{
+		DNS: map[string]DNSAction{"youtube.com": DNSDrop, "www.youtube.com": DNSRedirect, "m.youtube.com.": DNSRefused,
+			"YouTube.Com": DNSNXDomain},
+		SNI: map[string]TLSAction{"youtube.com": TLSDrop, "www.youtube.com": TLSReset},
+	}
+	dns := map[string]DNSAction{
+		"youtube.com":         DNSNXDomain, // "YouTube.Com" and "youtube.com" tie; the least in byte order wins
+		"img.youtube.com":     DNSNXDomain,
+		"www.youtube.com":     DNSRedirect,
+		"a.www.YouTube.com":   DNSRedirect,
+		"m.youtube.com":       DNSRefused,
+		"notyoutube.com":      DNSClean,
+		"www.youtube.com.net": DNSClean,
+	}
+	sni := map[string]TLSAction{"youtube.com": TLSDrop, "img.youtube.com": TLSDrop, "www.youtube.com:443": TLSReset, "x.com": TLSClean}
+	for i := 0; i < 200; i++ {
+		for name, want := range dns {
+			if got := p.DNSActionFor(name); got != want {
+				t.Fatalf("call %d: DNSActionFor(%q) = %v, want %v", i, name, got, want)
+			}
+		}
+		for name, want := range sni {
+			if got := p.SNIActionFor(name); got != want {
+				t.Fatalf("call %d: SNIActionFor(%q) = %v, want %v", i, name, got, want)
+			}
+		}
+	}
+}
+
+// TestPolicyMatchAllocatesNothing pins rule matching to no allocation for
+// a name already in lower case, whatever the case of the rules: patterns
+// are folded byte by byte as they are compared, not lowered per rule.
+func TestPolicyMatchAllocatesNothing(t *testing.T) {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				t.Skip("allocation counts are not exact under the race detector")
+			}
+		}
+	}
+	p := &Policy{
+		DNS: map[string]DNSAction{"YouTube.com": DNSDrop, "www.youtube.com.": DNSRedirect, "example.pk": DNSRefused},
+		SNI: map[string]TLSAction{"YOUTUBE.COM": TLSReset, "twitter.com": TLSDrop},
+	}
+	for i := 0; i < 40; i++ {
+		p.HTTP = append(p.HTTP, HTTPRule{Host: fmt.Sprintf("Site%02d.Example.NET", i), Action: HTTPBlockPage})
+	}
+	var dns DNSAction
+	var sni TLSAction
+	var http HTTPAction
+	if n := testing.AllocsPerRun(100, func() {
+		dns = p.DNSActionFor("www.youtube.com")
+		sni = p.SNIActionFor("m.youtube.com:443")
+		http = p.HTTPActionFor("site39.example.net", "/")
+	}); n != 0 {
+		t.Errorf("matching allocates %v times, want 0", n)
+	}
+	if dns != DNSRedirect || sni != TLSReset || http != HTTPBlockPage {
+		t.Errorf("verdicts %v, %v, %v; want %v, %v, %v", dns, sni, http, DNSRedirect, TLSReset, HTTPBlockPage)
 	}
 }
 

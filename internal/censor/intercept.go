@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"net"
 	"sync"
 
 	"csaw/internal/dnsx"
@@ -234,13 +235,19 @@ func (c *Censor) handleTLS(f netem.Flow, s *netem.Session) {
 }
 
 // handleDNS applies the DNS policy on-path to queries bound for foreign
-// resolvers (DNS injection).
+// resolvers (DNS injection). A query is decoded only to read its name; a
+// query that passes, and the resolver's answer, cross as the frames that
+// were read (relayDNS).
 func (c *Censor) handleDNS(f netem.Flow, s *netem.Session) {
 	client, server := s.Client(), s.Server()
 	defer client.Close()
 	defer server.Close()
 	for {
-		q, err := dnsx.ReadMessage(client)
+		query, err := dnsx.ReadFrame(client)
+		if err != nil {
+			return
+		}
+		q, err := dnsx.Unmarshal(query[2:])
 		if err != nil {
 			return
 		}
@@ -268,14 +275,7 @@ func (c *Censor) handleDNS(f netem.Flow, s *netem.Session) {
 					return
 				}
 			}
-			if err := dnsx.WriteMessage(server, q); err != nil {
-				return
-			}
-			resp, err := dnsx.ReadMessage(server)
-			if err != nil {
-				return
-			}
-			if err := dnsx.WriteMessage(client, resp); err != nil {
+			if relayDNS(client, server, query) != nil {
 				return
 			}
 			continue
@@ -291,18 +291,25 @@ func (c *Censor) handleDNS(f netem.Flow, s *netem.Session) {
 			c.Counters.Add(act.String(), 1)
 			continue // swallow the query
 		}
-		// Clean: forward and relay the answer.
-		if err := dnsx.WriteMessage(server, q); err != nil {
-			return
-		}
-		resp, err := dnsx.ReadMessage(server)
-		if err != nil {
-			return
-		}
-		if err := dnsx.WriteMessage(client, resp); err != nil {
+		if relayDNS(client, server, query) != nil {
 			return
 		}
 	}
+}
+
+// relayDNS forwards a query frame to the resolver and the frame it answers
+// with to the client, each by reference and as it was read: neither is
+// decoded and re-encoded.
+func relayDNS(client, server net.Conn, query []byte) error {
+	if _, err := netem.WriteOwned(server, query); err != nil {
+		return err
+	}
+	answer, err := dnsx.ReadFrame(server)
+	if err != nil {
+		return err
+	}
+	_, err = netem.WriteOwned(client, answer)
+	return err
 }
 
 // forgeDNSReply builds the tampered response for an action, or nil if the

@@ -187,7 +187,9 @@ func (c *Client) circumFetchVia(ctx context.Context, app *Approach, url string, 
 			c.quarRestore(sp, a)
 			return resp, a.Name, nil
 		}
-		lane.Event("circum", "fail", err.Error())
+		if lane != nil {
+			lane.Event("circum", "fail", err.Error())
+		}
 		lane.Close()
 		if ctx.Err() == nil {
 			// Only a failure the approach had time to earn counts against

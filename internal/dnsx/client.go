@@ -83,7 +83,8 @@ func (c *Client) Lookup(ctx context.Context, name string) (res Result) {
 
 	// Flight recorder: the whole lookup — including the dials to each
 	// resolver — counts as the lane's DNS phase; each query attempt and its
-	// verdict (rcode, answer, timeout) is an event.
+	// verdict (rcode, answer, timeout) is an event. Details that cost a
+	// string are built only when there is a lane to take them.
 	lane := trace.FromContext(ctx)
 	mark := lane.Begin(trace.PhaseDNS)
 	defer mark.End()
@@ -97,7 +98,9 @@ func (c *Client) Lookup(ctx context.Context, name string) (res Result) {
 	for attempt := 0; attempt < attempts; attempt++ {
 		for _, server := range c.Servers {
 			attemptStart := c.Clock.Now()
-			lane.Event("dns", "query", res.Name+" @"+server)
+			if lane != nil {
+				lane.Event("dns", "query", res.Name+" @"+server)
+			}
 			msg, err := c.exchange(ctx, server, name)
 			switch {
 			case err == nil:
@@ -109,7 +112,7 @@ func (c *Client) Lookup(ctx context.Context, name string) (res Result) {
 					res.IPs = msg.AnswerIPs()
 					if len(res.IPs) == 0 {
 						res.Err = fmt.Errorf("%w: empty NOERROR answer", ErrRCode)
-					} else {
+					} else if lane != nil {
 						lane.Event("dns", "answer", strings.Join(res.IPs, ","))
 					}
 					return res

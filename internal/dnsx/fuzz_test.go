@@ -2,8 +2,16 @@ package dnsx
 
 import (
 	"bytes"
+	"context"
+	"encoding/binary"
+	"fmt"
+	"io"
+	"net"
 	"reflect"
 	"testing"
+
+	"csaw/internal/netem"
+	"csaw/internal/vtime"
 )
 
 // FuzzMessageDecode throws arbitrary wire bytes at the decoder — the bytes a
@@ -91,4 +99,96 @@ func TestMessageRoundTripExact(t *testing.T) {
 			t.Errorf("msg %d: round trip changed the message:\nin:  %+v\nout: %+v", i, m, got)
 		}
 	}
+}
+
+// FuzzReadMessageTake holds ReadMessage over a stream to the copying read it
+// replaced (refReadMessage over the same bytes): message by message, the
+// same decoded message or the same error, up to the same end. The bytes
+// cross a netem connection in up to three segments cut anywhere, and are
+// read through a *Conn and a budgeted slotConn, which take, and a reader
+// that cannot; a frame read by reference must come back clipped.
+func FuzzReadMessageTake(f *testing.F) {
+	for _, s := range codecSeeds() {
+		frame := binary.BigEndian.AppendUint16(nil, uint16(len(s)))
+		stream := append(append(frame, s...), append(frame, s...)...)
+		for _, cut := range []uint16{0, 1, 2, uint16(len(frame) + len(s)), uint16(len(frame) + len(s) + 1)} {
+			f.Add(stream, cut, uint16(len(stream)-1))
+		}
+		f.Add(stream[:len(stream)-1], uint16(3), uint16(len(stream)-3)) // cut short
+	}
+	f.Add([]byte{0x00, 0x00, 0x00}, uint16(1), uint16(2)) // an empty frame, then half a length
+	n := netem.New(vtime.NewEventDriven())
+	as := n.AddAS(1, "AS", "XX")
+	client := n.MustAddHost("client", "10.0.0.1", "x", as)
+	l := n.MustAddHost("resolver", "10.0.0.2", "x", as).MustListen(Port)
+	readers := []struct {
+		name string
+		dial netem.DialFunc
+		wrap func(net.Conn) io.Reader
+	}{
+		{"*Conn", client.Dial, func(c net.Conn) io.Reader { return c }},
+		{"slotConn", netem.LimitDial(client.Dial, make(chan struct{}, 1)), func(c net.Conn) io.Reader { return c }},
+		{"no take", client.Dial, func(c net.Conn) io.Reader { return struct{ io.Reader }{c} }},
+	}
+	f.Fuzz(func(t *testing.T, data []byte, cut1, cut2 uint16) {
+		type read struct {
+			msg *refMessage
+			err string
+		}
+		var want []read
+		for src := bytes.NewReader(data); len(want) < 64; {
+			m, err := refReadMessage(src)
+			want = append(want, read{m, errText(err)})
+			if err == io.EOF || err == io.ErrUnexpectedEOF {
+				break
+			}
+		}
+		a, b := min(int(cut1), len(data)), min(int(cut2), len(data))
+		a, b = min(a, b), max(a, b)
+		for _, r := range readers {
+			dialed, err := r.dial(context.Background(), fmt.Sprintf("10.0.0.2:%d", Port))
+			if err != nil {
+				t.Fatal(err)
+			}
+			src, err := l.Accept()
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The writer has its own goroutine; a write that fails once
+			// the reads are done is no finding.
+			wrote := make(chan struct{})
+			go func() {
+				defer close(wrote)
+				defer src.Close()
+				for _, seg := range [][]byte{data[:a], data[a:b], data[b:]} {
+					if len(seg) > 0 {
+						if _, err := src.Write(seg); err != nil {
+							return
+						}
+					}
+				}
+			}()
+			in := r.wrap(dialed)
+			var got []read
+			for len(got) < len(want) {
+				frame, err := ReadFrame(in)
+				var m *Message
+				if err == nil {
+					if cap(frame) != len(frame) {
+						t.Fatalf("%s: frame of %d bytes has capacity %d", r.name, len(frame), cap(frame))
+					}
+					m, err = Unmarshal(frame[2:])
+				}
+				got = append(got, read{asRef(m), errText(err)})
+				if err == io.EOF || err == io.ErrUnexpectedEOF {
+					break
+				}
+			}
+			dialed.Close()
+			<-wrote
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s read\n%+v\nreference read\n%+v", r.name, got, want)
+			}
+		}
+	})
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"io"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 
@@ -30,12 +31,13 @@ func (r *Registry) Set(name string, ips ...string) {
 	r.m[CanonicalName(name)] = append([]string(nil), ips...)
 }
 
-// Lookup returns the IPs for name, or nil if unknown.
+// Lookup returns the IPs for name, or nil if unknown. The slice is the
+// registry's own, clipped: the caller reads it and does not write to it (Set
+// replaces an entry's slice, it never writes into one).
 func (r *Registry) Lookup(name string) []string {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	ips := r.m[CanonicalName(name)]
-	return append([]string(nil), ips...)
+	return slices.Clip(r.m[CanonicalName(name)])
 }
 
 // Names returns all registered names, sorted.
@@ -153,28 +155,83 @@ func (s *Server) Close() error {
 	return s.l.Close()
 }
 
-// WriteMessage writes one length-prefixed DNS message.
+// WriteMessage writes one length-prefixed DNS message: its frame is built
+// in one allocation of exactly its length and handed to w by reference
+// (netem.WriteOwned).
 func WriteMessage(w io.Writer, m *Message) error {
-	b, err := m.Marshal()
+	frame, err := m.frame()
 	if err != nil {
 		return err
 	}
-	frame := make([]byte, 2+len(b))
-	binary.BigEndian.PutUint16(frame, uint16(len(b)))
-	copy(frame[2:], b)
 	_, err = netem.WriteOwned(w, frame)
 	return err
 }
 
-// ReadMessage reads one length-prefixed DNS message.
+// ReadMessage reads one length-prefixed DNS message (ReadFrame, then
+// Unmarshal).
 func ReadMessage(r io.Reader) (*Message, error) {
+	frame, err := ReadFrame(r)
+	if err != nil {
+		return nil, err
+	}
+	return Unmarshal(frame[2:])
+}
+
+// ReadFrame reads one length-prefixed DNS frame and returns it whole, its
+// 2-byte length included. When r can take (netem.Take) and the frame came
+// as one segment, as every frame WriteMessage sends does, the frame is
+// that segment's bytes, taken by reference with its capacity clipped: the
+// caller decodes it or passes it on (netem.WriteOwned), and never writes
+// into it. Otherwise the frame is read into an allocation of its own.
+func ReadFrame(r io.Reader) ([]byte, error) {
+	head, err := netem.Take(r, 2)
+	switch {
+	case err == netem.ErrCannotTake:
+		head = nil
+	case err != nil:
+		return nil, err
+	case len(head) == 2:
+		n := int(binary.BigEndian.Uint16(head))
+		if n == 0 {
+			return head[:2:2], nil
+		}
+		msg, err := netem.Take(r, n)
+		if err != nil {
+			return nil, err
+		}
+		// The same segment holds both when msg starts where head ends.
+		if len(msg) == n && cap(head) >= 2+n && &head[:3][2] == &msg[0] {
+			return head[: 2+n : 2+n], nil
+		}
+		frame := make([]byte, 2+n)
+		k := copy(frame, head)
+		k += copy(frame[k:], msg)
+		if _, err := io.ReadFull(r, frame[k:]); err != nil {
+			if err == io.EOF && k > 2 {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
+		return frame, nil
+	}
+	return readFrame(r, head)
+}
+
+// readFrame is ReadFrame by copy, once pre, fewer bytes than the length's
+// two, has been taken.
+func readFrame(r io.Reader, pre []byte) ([]byte, error) {
 	var lb [2]byte
-	if _, err := io.ReadFull(r, lb[:]); err != nil {
+	k := copy(lb[:], pre)
+	if _, err := io.ReadFull(r, lb[k:]); err != nil {
+		if err == io.EOF && k > 0 {
+			err = io.ErrUnexpectedEOF
+		}
 		return nil, err
 	}
-	b := make([]byte, binary.BigEndian.Uint16(lb[:]))
-	if _, err := io.ReadFull(r, b); err != nil {
+	frame := make([]byte, 2+int(binary.BigEndian.Uint16(lb[:])))
+	copy(frame, lb[:])
+	if _, err := io.ReadFull(r, frame[2:]); err != nil {
 		return nil, err
 	}
-	return Unmarshal(b)
+	return frame, nil
 }

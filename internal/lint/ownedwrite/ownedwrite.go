@@ -23,7 +23,13 @@
 // the sender handed over — so after x, … := ReadResponse(…) the analyzer
 // flags element stores, copy and reads into x.Body as above. An append is
 // fine there: the body's capacity is clipped, so it cannot reach the
-// sender's array. Assigning x anything else ends the watch.
+// sender's array. Assigning x anything else ends the watch. Bytes taken
+// off a connection are watched alike: after b, … := Take(…) (netem.Take,
+// Conn.Take) or b, … := ReadFrame(…) (dnsx.ReadFrame, a DNS frame taken
+// whole) — anything of those names returning a []byte first — stores,
+// copy and reads into b are flagged, and so is an append to a Take result,
+// whose capacity may run on into the segment's unread bytes; a frame's is
+// clipped.
 //
 // The check stays inside one function and one name: an alias (c := b) or
 // a callee that writes through its parameter is not followed, which is
@@ -45,7 +51,7 @@ import (
 // Analyzer is the ownedwrite analyzer.
 var Analyzer = &analysis.Analyzer{
 	Name:     "ownedwrite",
-	Doc:      "flag stores, copy, append and reads into a slice after it was handed to WriteOwned in the same function, and stores, copy and reads into a response body read off a connection; both keep the bytes by reference",
+	Doc:      "flag stores, copy, append and reads into a slice after it was handed to WriteOwned in the same function, and stores, copy and reads into a response body read or bytes taken off a connection; all keep the bytes by reference",
 	Suppress: "ownedwrite",
 	Run:      run,
 }
@@ -81,7 +87,10 @@ func checkFunc(pass *analysis.Pass, body *ast.BlockStmt) {
 	type handoff struct {
 		call *ast.CallExpr
 		root root
-		body bool // a response body read by call, not a slice handed to WriteOwned
+		// read names what call read into root — "" for a slice handed to
+		// WriteOwned — and appendOK whether its capacity is clipped.
+		read     string
+		appendOK bool
 	}
 	var (
 		handoffs []handoff
@@ -104,26 +113,34 @@ func checkFunc(pass *analysis.Pass, body *ast.BlockStmt) {
 		case *ast.CallExpr:
 			if fn := pass.Callee(n); fn != nil && fn.Name() == "WriteOwned" && len(n.Args) > 0 {
 				if r := rootOf(pass, n.Args[len(n.Args)-1]); r != (root{}) {
-					handoffs = append(handoffs, handoff{n, r, false})
+					handoffs = append(handoffs, handoff{call: n, root: r})
 				}
 			}
 			events = append(events, callWrites(pass, n)...)
 		case *ast.IncDecStmt:
 			store(n.X)
 		case *ast.AssignStmt:
+			var taken root
 			if x, ok := n.Lhs[0].(*ast.Ident); ok && x.Name != "_" {
 				body := root{name: x.Name + ".Body"}
-				if call, ok := ast.Unparen(n.Rhs[0]).(*ast.CallExpr); ok && len(n.Rhs) == 1 && readsBody(pass, call) {
-					handoffs = append(handoffs, handoff{call, body, true})
+				call, _ := ast.Unparen(n.Rhs[0]).(*ast.CallExpr)
+				single := call != nil && len(n.Rhs) == 1
+				if single && readsBody(pass, call) {
+					handoffs = append(handoffs, handoff{call: call, root: body, read: "response body", appendOK: true})
 				} else {
 					events = append(events, event{pos: n.End(), root: body})
+				}
+				if clipped, ok := takes(pass, call); single && ok {
+					taken = rootOf(pass, x)
+					handoffs = append(handoffs, handoff{call: call, root: taken, read: "taken", appendOK: clipped})
 				}
 			}
 			for i, lhs := range n.Lhs {
 				store(lhs)
-				// Rebinding to anything but a view of itself ends the watch.
+				// Rebinding to anything but a view of itself ends the watch,
+				// and taking bytes into it starts one.
 				r := rootOf(pass, lhs)
-				if r == (root{}) {
+				if r == (root{}) || r == taken {
 					continue
 				}
 				if len(n.Lhs) != len(n.Rhs) || rootOf(pass, appendSource(pass, n.Rhs[i])) != r {
@@ -146,13 +163,18 @@ func checkFunc(pass *analysis.Pass, body *ast.BlockStmt) {
 			if e.what == "" {
 				return
 			}
-			if h.body && e.what == "append to" || reported[e.pos] {
+			if h.appendOK && e.what == "append to" || reported[e.pos] {
 				continue
 			}
 			reported[e.pos] = true
 			line := pass.Fset.Position(h.call.Pos()).Line
-			if h.body {
+			switch h.read {
+			case "response body":
 				pass.Reportf(e.pos, "%s %s, read on line %d: a response body may be the sender's bytes, taken by reference, and is read-only (or annotate //lint:allow-ownedwrite <reason>)",
+					e.what, h.root.name, line)
+				continue
+			case "taken":
+				pass.Reportf(e.pos, "%s %s, taken on line %d: bytes taken off a connection are the sender's, held by reference, and are read-only (or annotate //lint:allow-ownedwrite <reason>)",
 					e.what, h.root.name, line)
 				continue
 			}
@@ -229,6 +251,36 @@ func readsBody(pass *analysis.Pass, call *ast.CallExpr) bool {
 		}
 	}
 	return false
+}
+
+// takers name the calls that return bytes taken off a connection, and
+// whether those come with their capacity clipped.
+var takers = map[string]bool{"Take": false, "ReadFrame": true}
+
+// takes reports whether call is one of takers returning, first, a []byte,
+// and whether its result is clipped.
+func takes(pass *analysis.Pass, call *ast.CallExpr) (clipped, ok bool) {
+	if call == nil {
+		return false, false
+	}
+	fn := pass.Callee(call)
+	if fn == nil {
+		return false, false
+	}
+	clipped, ok = takers[fn.Name()]
+	if !ok {
+		return false, false
+	}
+	res := fn.Type().(*types.Signature).Results()
+	if res.Len() == 0 {
+		return false, false
+	}
+	sl, isSlice := res.At(0).Type().(*types.Slice)
+	if !isSlice {
+		return false, false
+	}
+	b, isBasic := sl.Elem().(*types.Basic)
+	return clipped, isBasic && b.Kind() == types.Byte
 }
 
 // builtinName names the builtin function call invokes with at least one

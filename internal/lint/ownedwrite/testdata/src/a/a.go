@@ -129,3 +129,26 @@ func bodyRead(r io.Reader) {
 	resp, _ = ReadResponseCtx(r)
 	r.Read(resp.Body[:1]) // want "read into resp.Body"
 }
+
+// Take and ReadFrame are shaped like netem.Take and dnsx.ReadFrame: the
+// bytes they return may be a segment the sender handed over.
+func Take(r io.Reader, max int) ([]byte, error) { return nil, nil }
+func ReadFrame(r io.Reader) ([]byte, error)     { return nil, nil }
+
+// bad: a store, a copy and a read into taken bytes.
+func takenStore(r io.Reader, src []byte) {
+	chunk, _ := Take(r, 64)
+	chunk[0] = 1 // want "store into chunk, taken on line 140: bytes taken off a connection are the sender's"
+	frame, err := ReadFrame(r)
+	if err != nil {
+		return
+	}
+	copy(frame[2:], src) // want "copy into frame"
+	r.Read(frame)        // want "read into frame"
+}
+
+// bad: a Take result's capacity may run on into the segment.
+func takenAppend(r io.Reader) []byte {
+	chunk, _ := Take(r, 64)
+	return append(chunk, '!') // want "append to chunk"
+}

@@ -108,3 +108,37 @@ func otherGet(c cache) {
 	e := c.Get("k")
 	e.Data[0] = 1
 }
+
+// ReadFrame is shaped like dnsx.ReadFrame, Take like netem.Take.
+func ReadFrame(r io.Reader) ([]byte, error)     { return nil, nil }
+func Take(r io.Reader, max int) ([]byte, error) { return nil, nil }
+
+// fine: a taken frame is read, appended to (its capacity is clipped) and
+// passed on; a fresh buffer in the same variable is the caller's own.
+func frameRelay(c conn, r io.Reader) []byte {
+	frame, err := ReadFrame(r)
+	if err != nil || frame[0] == 0 {
+		return nil
+	}
+	out := append(frame, '\n')
+	c.WriteOwned(frame)
+	frame = make([]byte, 2)
+	frame[0] = 1
+	return out
+}
+
+// fine: taken bytes copied out of, into a buffer of the caller's.
+func takeCopy(r io.Reader, dst []byte) int {
+	chunk, _ := Take(r, len(dst))
+	return copy(dst, chunk)
+}
+
+// A Take that returns no bytes is no taker.
+type gate struct{}
+
+func (gate) Take(n int) (int, error) { return n, nil }
+
+func otherTake(g gate) {
+	n, _ := g.Take(1)
+	n++
+}
