@@ -32,16 +32,23 @@
 #                      also against its reference codec and its frame read
 #                      by reference against a copying read; httpx
 #                      also against its map-based reference codec, its
-#                      response relay against read-then-write, and its
-#                      by-reference body read against a plain read), the WAL
+#                      in-place request-head parse against ReadRequest, and
+#                      its by-reference body read against a plain read), the
+#                      censor's intercepted HTTP stream against a model of an
+#                      on-path censor and its in-place URL/keyword match
+#                      against the lowering one it replaced, the WAL
 #                      record and snapshot decoders, the global-DB report
 #                      and list decoders and list bodies, and seedrand's
 #                      sources against math/rand
+#   make allocs      — the allocation ledger: csaw-fleet -allocs over
+#                      fleet-10k's population (serial clients, every
+#                      allocation profiled), per fetch by package, into
+#                      ALLOCS.txt; ALLOC_HISTORY keeps one row per change
 #   make cover       — coverage for core+detect+trace, gated on COVERAGE.md
 
 GO ?= go
 
-.PHONY: all build test tier1 fmt vet lint race check bench loc loc-diff chaos soak-churn golden shape fuzz cover
+.PHONY: all build test tier1 fmt vet lint race check bench loc loc-diff chaos soak-churn golden shape fuzz allocs cover
 
 all: tier1
 
@@ -132,10 +139,12 @@ shape:
 # FuzzReadMessageTake the by-reference frame read to that codec's copying
 # read, over a *Conn, a budgeted slotConn and a reader that cannot take.
 # The httpx FuzzCodecVsReference holds the httpx
-# codec to the map-based one it replaced (reference_test.go), and
-# FuzzRelayResponse the censor's by-reference response relay to the
-# ReadResponse-then-WriteResponse pair it replaced, and FuzzReadResponseTake
-# the by-reference body read to ReadResponse over the same bytes. The
+# codec to the map-based one it replaced (reference_test.go),
+# FuzzParseRequestHead the censor's in-place head parse to ReadRequest, and
+# FuzzReadResponseTake the by-reference body read to ReadResponse over the
+# same bytes. The censor's FuzzInterceptedStream holds a kept-alive HTTP
+# stream through it to a model of an on-path censor, and FuzzHTTPActionFor
+# its in-place URL and keyword match to the lowering one it replaced. The
 # FuzzReadResponse pattern is anchored: -fuzz must match one target. It and
 # FuzzFetchBodies cap minimization: their coverage varies run to run (map
 # order, sync.Pool), and the engine would spend the whole pass failing to
@@ -148,13 +157,24 @@ fuzz:
 	$(GO) test ./internal/httpx -run '^$$' -fuzz FuzzReadResponseTake -fuzztime 10s
 	$(GO) test ./internal/httpx -run '^$$' -fuzz FuzzReadRequest -fuzztime 10s
 	$(GO) test ./internal/httpx -run '^$$' -fuzz FuzzCodecVsReference -fuzztime 10s -fuzzminimizetime 1s
-	$(GO) test ./internal/httpx -run '^$$' -fuzz FuzzRelayResponse -fuzztime 10s
+	$(GO) test ./internal/httpx -run '^$$' -fuzz FuzzParseRequestHead -fuzztime 10s
+	$(GO) test ./internal/censor -run '^$$' -fuzz FuzzInterceptedStream -fuzztime 10s
+	$(GO) test ./internal/censor -run '^$$' -fuzz FuzzHTTPActionFor -fuzztime 10s
 	$(GO) test ./internal/globaldb/storage -run '^$$' -fuzz FuzzReplay -fuzztime 10s
 	$(GO) test ./internal/globaldb/storage -run '^$$' -fuzz FuzzSnapshot -fuzztime 10s
 	$(GO) test ./internal/globaldb -run '^$$' -fuzz FuzzReportDecode -fuzztime 10s
 	$(GO) test ./internal/globaldb -run '^$$' -fuzz FuzzListDecode -fuzztime 10s
 	$(GO) test ./internal/globaldb -run '^$$' -fuzz FuzzFetchBodies -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/seedrand -run '^$$' -fuzz FuzzSource -fuzztime 10s
+
+# The allocation ledger: every allocation of a serial fleet-10k-sized run,
+# attributed to the package of the first frame outside the runtime and the
+# standard library, per planned fetch. The profile misses the tiny
+# allocations packed into an earlier one's 16-byte block, so its total runs
+# a few percent under the runtime.MemStats line the file ends with.
+allocs:
+	$(GO) run ./cmd/csaw-fleet -clients 10000 -seed 1 -allocs ALLOCS.txt > /dev/null
+	@cat ALLOCS.txt
 
 # Combined statement coverage over the measurement pipeline (core + detect
 # + trace), gated against the baseline recorded in COVERAGE.md.

@@ -9,7 +9,7 @@
 //	csaw-fleet [-population N | -clients N] [-duration D] [-seed N]
 //	           [-sites N] [-isps N] [-blocked-frac F] [-workers N]
 //	           [-o measured.json] [-progress]
-//	           [-trace trace.jsonl] [-trace-sample N]
+//	           [-trace trace.jsonl] [-trace-sample N] [-allocs ledger.txt]
 //
 // The run measures counts, not latency, so it uses the discrete-event
 // clock: virtual time jumps straight to the next timer, a 100k-client run
@@ -19,6 +19,12 @@
 // -trace streams flight-recorder spans (sampled 1-in-N URLs, deterministic
 // hash) as JSONL. Tracing forces workers=1 and serial clients so the trace
 // content — not just the summary — is byte-identical across same-seed runs.
+//
+// -allocs writes the run's allocation ledger: allocations and bytes per
+// planned fetch, by package, each allocation counted (MemProfileRate 1) and
+// attributed to the first frame of its stack outside the runtime and the
+// standard library. It forces workers=1 and serial clients, so that the
+// ledger is the same run to run, and cannot be combined with -trace.
 package main
 
 import (
@@ -27,6 +33,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"runtime/pprof"
 	"time"
 
@@ -49,9 +56,16 @@ func main() {
 		traceOut    = flag.String("trace", "", "write flight-recorder spans as JSONL to this file (forces workers=1, serial clients)")
 		traceSample = flag.Int("trace-sample", trace.DefaultSampleN, "trace one URL in N (deterministic hash-of-URL)")
 		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		allocsOut   = flag.String("allocs", "", "write the run's allocations per fetch by package to this file (forces workers=1, serial clients; not with -trace)")
 	)
 	flag.IntVar(population, "clients", 500, "number of clients (alias for -population)")
 	flag.Parse()
+	if *allocsOut != "" {
+		if *traceOut != "" {
+			fatal(fmt.Errorf("-allocs and -trace exclude each other: the tracer's allocations would be the ledger's"))
+		}
+		runtime.MemProfileRate = 1
+	}
 
 	wl := fleet.Workload{
 		Population:  *population,
@@ -89,6 +103,10 @@ func main() {
 		tracer = trace.New(w.Clock, traceSink, trace.WithSampling(*traceSample))
 		opts.Trace = tracer
 	}
+	if *allocsOut != "" {
+		opts.Workers = 1
+		opts.SerialClients = true
+	}
 	fmt.Fprintf(os.Stderr, "plan: %s (event-driven clock, %d workers)\n", plan, opts.Workers)
 	if tracer != nil {
 		fmt.Fprintf(os.Stderr, "tracing to %s (1 in %d URLs; serial clients)\n", *traceOut, *traceSample)
@@ -110,10 +128,32 @@ func main() {
 		}
 		defer pprof.StopCPUProfile()
 	}
+	var before ledger
+	var mem runtime.MemStats
+	if *allocsOut != "" {
+		before = readLedger()
+		runtime.ReadMemStats(&mem)
+	}
 	start := time.Now() //lint:allow-realtime reporting wall-clock runtime to the operator
 	res, err := fleet.Run(context.Background(), w, sc, plan, opts)
 	if err != nil {
 		fatal(err)
+	}
+	if *allocsOut != "" {
+		after := readLedger()
+		mallocs, total := mem.Mallocs, mem.TotalAlloc
+		runtime.ReadMemStats(&mem)
+		f, err := os.Create(*allocsOut)
+		if err != nil {
+			fatal(err)
+		}
+		if err := writeLedger(f, before, after, plan.Fetches, mem.Mallocs-mallocs, mem.TotalAlloc-total); err != nil {
+			fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			fatal(err)
+		}
+		fmt.Fprintf(os.Stderr, "allocation ledger written to %s\n", *allocsOut)
 	}
 	w.Close()
 	//lint:allow-realtime reporting wall-clock runtime to the operator

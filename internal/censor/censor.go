@@ -195,28 +195,26 @@ func matchName(host string) string {
 func domainMatch(pattern, name string) bool { return matchLen(pattern, name) >= 0 }
 
 // matchLen is the length of pattern, trailing dot dropped and lowered, when
-// name (a matchName) equals it or is a subdomain of it, and -1 when not.
-// The pattern is compared with the end of name from its last byte back,
-// its ASCII letters folded as they are met, so a rule costs no allocation;
-// a pattern with a non-ASCII byte is lowered whole once the scan meets it,
-// as strings.ToLower may change its length.
-func matchLen(pattern, name string) int {
+// name (a matchName, or an ASCII one in any letter case) equals it or is a
+// subdomain of it, and -1 when not. The pattern is compared with the end of
+// name from its last byte back, the ASCII letters of both folded as they
+// are met, so a rule costs no allocation; a pattern with a non-ASCII byte
+// is lowered whole once the scan meets it, as strings.ToLower may change
+// its length.
+func matchLen[T text](pattern string, name T) int {
 	pattern = strings.TrimSuffix(pattern, ".")
 	sub := len(name) - len(pattern) // what a subdomain puts in front, dot included
 	for i := len(pattern) - 1; i >= 0; i-- {
 		c := pattern[i]
 		if c >= utf8.RuneSelf {
 			pattern = strings.ToLower(pattern)
-			if !strings.HasSuffix(name, pattern) {
+			sub = len(name) - len(pattern)
+			if sub < 0 || !equalFold(name[sub:], pattern) {
 				return -1
 			}
-			sub = len(name) - len(pattern)
 			break
 		}
-		if 'A' <= c && c <= 'Z' {
-			c += 'a' - 'A'
-		}
-		if sub+i < 0 || name[sub+i] != c {
+		if sub+i < 0 || lower(name[sub+i]) != lower(c) {
 			return -1
 		}
 	}
@@ -224,6 +222,54 @@ func matchLen(pattern, name string) int {
 		return -1
 	}
 	return len(pattern)
+}
+
+// text is what a rule matches: a string, or the bytes a request head came
+// in.
+type text interface{ ~string | ~[]byte }
+
+// lower folds an ASCII upper-case letter.
+func lower(c byte) byte {
+	if 'A' <= c && c <= 'Z' {
+		return c + 'a' - 'A'
+	}
+	return c
+}
+
+// equalFold reports whether s equals t, ASCII letters folded.
+func equalFold[T text](s T, t string) bool {
+	if len(s) != len(t) {
+		return false
+	}
+	for i := 0; i < len(t); i++ {
+		if lower(s[i]) != lower(t[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// hasPrefix is strings.HasPrefix over text.
+func hasPrefix[T text](s T, prefix string) bool {
+	if len(s) < len(prefix) {
+		return false
+	}
+	for i := 0; i < len(prefix); i++ {
+		if s[i] != prefix[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// isASCII reports whether s holds no byte of a multi-byte rune.
+func isASCII[T text](s T) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= utf8.RuneSelf {
+			return false
+		}
+	}
+	return true
 }
 
 // longestMatch returns the action of the longest pattern in rules that
@@ -258,9 +304,47 @@ func (p *Policy) IPActionFor(ip string) IPAction {
 // HTTPActionFor returns the action for a request identified by host and
 // target, considering URL rules first, then keyword rules.
 func (p *Policy) HTTPActionFor(host, target string) HTTPAction {
+	return httpActionFor(p, host, target)
+}
+
+// httpActionFor is HTTPActionFor over strings or the bytes of a request
+// head. An ASCII request is matched as it lies, its letters folded as they
+// are compared, at no allocation; any other is lowered whole first, as
+// strings.ToLower may change its length.
+func httpActionFor[T text](p *Policy, host, target T) HTTPAction {
+	if !isASCII(host) || !isASCII(target) {
+		return p.httpActionLowered(string(host), string(target))
+	}
+	// matchName, but for the lowering, which matchLen folds in.
+	name := host
+	if n := len(name); n > 0 && name[n-1] == '.' {
+		name = name[:n-1]
+	}
+	for i := 0; i < len(name); i++ {
+		if name[i] == ':' {
+			name = name[:i]
+			break
+		}
+	}
+	for _, r := range p.HTTP {
+		if matchLen(r.Host, name) >= 0 && hasPrefix(target, r.PathPrefix) {
+			return r.Action
+		}
+	}
+	for _, r := range p.Keywords {
+		if isASCII(r.Keyword) && containsFold(host, target, r.Keyword) ||
+			!isASCII(r.Keyword) && strings.Contains(strings.ToLower(string(host)+string(target)), strings.ToLower(r.Keyword)) {
+			return r.Action
+		}
+	}
+	return HTTPClean
+}
+
+// httpActionLowered is httpActionFor for a request with a non-ASCII byte.
+func (p *Policy) httpActionLowered(host, target string) HTTPAction {
 	name := matchName(host)
 	for _, r := range p.HTTP {
-		if domainMatch(r.Host, name) && (r.PathPrefix == "" || strings.HasPrefix(target, r.PathPrefix)) {
+		if domainMatch(r.Host, name) && strings.HasPrefix(target, r.PathPrefix) {
 			return r.Action
 		}
 	}
@@ -273,6 +357,29 @@ func (p *Policy) HTTPActionFor(host, target string) HTTPAction {
 		}
 	}
 	return HTTPClean
+}
+
+// containsFold reports whether host‖target contains kw, ASCII letters
+// folded: for ASCII strings, strings.Contains(strings.ToLower(host+target),
+// strings.ToLower(kw)), without the concatenation — a match may straddle
+// the two.
+func containsFold[T text](host, target T, kw string) bool {
+	at := func(i int) byte {
+		if i < len(host) {
+			return host[i]
+		}
+		return target[i-len(host)]
+	}
+	for i := 0; i+len(kw) <= len(host)+len(target); i++ {
+		j := 0
+		for j < len(kw) && lower(at(i+j)) == lower(kw[j]) {
+			j++
+		}
+		if j == len(kw) {
+			return true
+		}
+	}
+	return false
 }
 
 // SNIActionFor returns the action for a TLS SNI value: that of the longest

@@ -32,9 +32,21 @@ type world struct {
 
 const originIP = "93.184.216.34"
 
-func newWorld(t *testing.T, p *Policy) *world {
+// worldOption configures newWorld.
+type worldOption func(*worldConfig)
+
+type worldConfig struct{ clock *vtime.Clock }
+
+// withClock runs the world on clock instead of a scaled clock.
+func withClock(c *vtime.Clock) worldOption { return func(w *worldConfig) { w.clock = c } }
+
+func newWorld(t *testing.T, p *Policy, opts ...worldOption) *world {
 	t.Helper()
-	clock := vtime.New(500)
+	cfg := worldConfig{clock: vtime.New(500)}
+	for _, o := range opts {
+		o(&cfg)
+	}
+	clock := cfg.clock
 	n := netem.New(clock, netem.WithSeed(5))
 	isp := n.AddAS(100, "ISP-A", "PK")
 	us := n.AddAS(200, "US", "US")

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"csaw/internal/netem"
+	"csaw/internal/vtime"
 )
 
 // fetchBody does one HTTP GET from the test client straight to the origin
@@ -92,7 +93,9 @@ func TestIntermittentEnforcementSeededAndMatchOnly(t *testing.T) {
 			HTTP:         []HTTPRule{{Host: "youtube.com", Action: HTTPBlockPage}},
 			Intermittent: 0.5,
 		}
-		w := newWorld(t, p)
+		// The event clock: the test asserts a draw sequence, which host
+		// timing has no part in.
+		w := newWorld(t, p, withClock(vtime.NewEventDriven()))
 		w.censor.EnableChurn(w.n.Clock(), 42)
 		var blocked []bool
 		for i := 0; i < 24; i++ {

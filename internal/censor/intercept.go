@@ -1,10 +1,8 @@
 package censor
 
 import (
-	"bytes"
 	"fmt"
-	"io"
-	"net"
+	"math"
 	"sync"
 
 	"csaw/internal/dnsx"
@@ -116,25 +114,20 @@ func (c *Censor) HandleStream(f netem.Flow, s *netem.Session) {
 	}
 }
 
-// handleHTTP proxies requests one at a time, enforcing URL and keyword rules.
+// handleHTTP inspects each request of the stream where it lies in what the
+// client sent, enforcing URL and keyword rules: a clean request goes on to
+// the origin as it came, by reference, and the origin answers the client
+// itself; a blocked one is answered, reset or blackholed here.
 func (c *Censor) handleHTTP(f netem.Flow, s *netem.Session) {
-	client, server := s.Client(), s.Server()
-	closeBoth := func() {
-		client.Close()
-		server.Close()
-	}
-	cbr := httpx.GetReader(client)
-	defer httpx.PutReader(cbr)
-	sbr := httpx.GetReader(server)
-	defer httpx.PutReader(sbr)
+	var r heldRequests
 	for {
-		req, err := httpx.ReadRequest(cbr)
+		h, err := r.next(s)
 		if err != nil {
-			closeBoth()
+			s.Close()
 			return
 		}
 		p := c.Policy()
-		act := p.HTTPActionFor(req.Host, req.Target)
+		act := httpActionFor(p, h.Host, h.Target)
 		if act != HTTPClean {
 			if !c.enforce(p) {
 				act = HTTPClean // the censor blinked: this request slips through
@@ -148,24 +141,13 @@ func (c *Censor) handleHTTP(f netem.Flow, s *netem.Session) {
 			// the raw material for traffic-analysis/fingerprinting studies
 			// (§8 discusses whether C-Saw's redundant requests stand out).
 			c.Counters.Add("http-pass", 1)
-			if err := httpx.WriteRequest(server, req); err != nil {
-				closeBoth()
-				return
-			}
-			// The origin's answer goes back as it came, its body by
-			// reference (a Session's ends are always *netem.Conn).
-			closing, err := httpx.RelayResponse(client, server.(*netem.Conn), sbr)
-			if err != nil {
-				closeBoth()
-				return
-			}
-			if closing || httpx.WantsClose(req.Header) {
-				closeBoth()
+			if r.pass(s, h) != nil {
+				s.Close()
 				return
 			}
 		case HTTPDrop:
 			c.Counters.Add(act.String(), 1)
-			s.Blackhole() // leaves the client hanging; do not close it
+			s.Blackhole() // leaves the client hanging
 			return
 		case HTTPReset:
 			c.Counters.Add(act.String(), 1)
@@ -173,33 +155,122 @@ func (c *Censor) handleHTTP(f netem.Flow, s *netem.Session) {
 			return
 		case HTTPBlockPage:
 			c.Counters.Add(act.String(), 1)
-			_ = httpx.WriteResponse(client, p.blockPageResponse())
-			closeBoth()
+			_ = httpx.WriteResponse(s, p.blockPageResponse())
+			s.Close()
 			return
 		case HTTPRedirect:
 			c.Counters.Add(act.String(), 1)
 			resp := httpx.NewResponse(302, []byte("blocked"))
 			resp.Header.Set("Location", "http://"+p.BlockPageURL)
 			resp.Header.Set("Connection", "close")
-			_ = httpx.WriteResponse(client, resp)
-			closeBoth()
+			_ = httpx.WriteResponse(s, resp)
+			s.Close()
 			return
 		case HTTPIframe:
 			c.Counters.Add(act.String(), 1)
-			_ = httpx.WriteResponse(client, p.iframeResponse())
-			closeBoth()
+			_ = httpx.WriteResponse(s, p.iframeResponse())
+			s.Close()
 			return
 		}
 	}
 }
 
-// handleTLS peeks the ClientHello for the SNI, then passes or kills.
+// heldRequests cuts what a session holds into requests: the segments one
+// head came in, by reference, and the bytes taken past it.
+type heldRequests struct {
+	first   []byte   // the head's first segment, cut where the head ends
+	more    [][]byte // its further segments, when it came in several
+	rest    []byte   // taken and not passed: what follows the head
+	scratch []byte   // a head that came in several segments, joined
+}
+
+// next takes the next request head off s and parses it.
+func (r *heldRequests) next(s *netem.Session) (httpx.RequestHead, error) {
+	r.first, r.more, r.rest = r.rest, r.more[:0], nil
+	buf := r.first // the head so far, contiguous
+	for {
+		if len(buf) > 0 {
+			h, err := httpx.ParseRequestHead(buf)
+			if err != httpx.ErrIncomplete {
+				if err == nil {
+					r.cut(h.Len)
+				}
+				return h, err
+			}
+		}
+		chunk, err := s.Take(math.MaxInt)
+		if err != nil {
+			return httpx.RequestHead{}, err
+		}
+		switch {
+		case len(chunk) == 0:
+		case len(r.first) == 0:
+			r.first, buf = chunk, chunk
+		default:
+			if len(r.more) == 0 {
+				r.scratch = append(r.scratch[:0], r.first...)
+			}
+			r.more = append(r.more, chunk)
+			r.scratch = append(r.scratch, chunk...)
+			buf = r.scratch
+		}
+	}
+}
+
+// cut ends the head's segments after n bytes; what follows is the rest.
+func (r *heldRequests) cut(n int) {
+	if n <= len(r.first) {
+		r.first, r.rest, r.more = r.first[:n], r.first[n:], r.more[:0]
+		return
+	}
+	n -= len(r.first)
+	for i, part := range r.more {
+		if n <= len(part) {
+			r.more, r.rest = r.more[:i+1], part[n:]
+			r.more[i] = part[:n]
+			return
+		}
+		n -= len(part)
+	}
+}
+
+// pass hands the request h heads to the origin: its head, then its body,
+// each as it came.
+func (r *heldRequests) pass(s *netem.Session, h httpx.RequestHead) error {
+	if err := s.Pass(r.first); err != nil {
+		return err
+	}
+	for _, part := range r.more {
+		if err := s.Pass(part); err != nil {
+			return err
+		}
+	}
+	for need := h.BodyLen; need > 0; {
+		part := r.rest
+		if len(part) == 0 {
+			var err error
+			if part, err = s.Take(need); err != nil {
+				return err
+			}
+		}
+		k := min(need, len(part))
+		part, r.rest = part[:k], part[k:]
+		if k > 0 {
+			if err := s.Pass(part); err != nil {
+				return err
+			}
+		}
+		need -= k
+	}
+	return nil
+}
+
+// handleTLS reads the ClientHello for the SNI, then passes it on and opens
+// the gate for the rest of the stream, or kills it.
 func (c *Censor) handleTLS(f netem.Flow, s *netem.Session) {
-	client, server := s.Client(), s.Server()
-	var consumed bytes.Buffer
-	cbr := httpx.GetReader(client)
-	defer httpx.PutReader(cbr) // after the splice below has returned
-	hello, err := tlsx.ReadHello(io.TeeReader(cbr, &consumed))
+	r := &takenReader{s: s}
+	r.taken = r.room[:0]
+	hello, err := tlsx.ReadHello(r)
 	// Not pseudo-TLS (or the client vanished): censors pass traffic they
 	// cannot parse.
 	act := TLSClean
@@ -222,28 +293,47 @@ func (c *Censor) handleTLS(f netem.Flow, s *netem.Session) {
 		c.Counters.Add("sni-reset", 1)
 		s.Reset()
 	default:
-		// Forward what was read for the peek, then the rest of the stream.
-		if consumed.Len() > 0 {
-			if _, err := netem.WriteOwned(server, consumed.Bytes()); err != nil {
-				client.Close()
-				server.Close()
+		for _, part := range r.taken {
+			if s.Pass(part) != nil {
+				s.Close()
 				return
 			}
 		}
-		netem.Splice(client, cbr, server)
+		s.Splice()
 	}
+}
+
+// takenReader reads what the client sent by taking it off the session,
+// keeping every segment it took, so that they can be passed on whole.
+type takenReader struct {
+	s      *netem.Session
+	taken  [][]byte
+	room   [2][]byte // taken's first segments
+	unread []byte    // the unread end of the last segment taken
+}
+
+func (r *takenReader) Read(b []byte) (int, error) {
+	for len(r.unread) == 0 {
+		chunk, err := r.s.Take(math.MaxInt)
+		if err != nil {
+			return 0, err
+		}
+		r.taken = append(r.taken, chunk)
+		r.unread = chunk
+	}
+	n := copy(b, r.unread)
+	r.unread = r.unread[n:]
+	return n, nil
 }
 
 // handleDNS applies the DNS policy on-path to queries bound for foreign
 // resolvers (DNS injection). A query is decoded only to read its name; a
-// query that passes, and the resolver's answer, cross as the frames that
-// were read (relayDNS).
+// query that passes crosses as the frame that was taken, and the resolver
+// answers the client directly.
 func (c *Censor) handleDNS(f netem.Flow, s *netem.Session) {
-	client, server := s.Client(), s.Server()
-	defer client.Close()
-	defer server.Close()
+	defer s.Close()
 	for {
-		query, err := dnsx.ReadFrame(client)
+		query, err := dnsx.ReadFrame(s)
 		if err != nil {
 			return
 		}
@@ -271,18 +361,18 @@ func (c *Censor) handleDNS(f netem.Flow, s *netem.Session) {
 			// detects (same ID, later, different data).
 			c.Counters.Add(act.String(), 1)
 			if forged := forgeDNSReply(q, DNSRedirect, p.RedirectIP); forged != nil {
-				if err := dnsx.WriteMessage(client, forged); err != nil {
+				if err := dnsx.WriteMessage(s, forged); err != nil {
 					return
 				}
 			}
-			if relayDNS(client, server, query) != nil {
+			if s.Pass(query) != nil {
 				return
 			}
 			continue
 		}
 		if forged := forgeDNSReply(q, act, p.RedirectIP); forged != nil {
 			c.Counters.Add(act.String(), 1)
-			if err := dnsx.WriteMessage(client, forged); err != nil {
+			if err := dnsx.WriteMessage(s, forged); err != nil {
 				return
 			}
 			continue
@@ -291,25 +381,10 @@ func (c *Censor) handleDNS(f netem.Flow, s *netem.Session) {
 			c.Counters.Add(act.String(), 1)
 			continue // swallow the query
 		}
-		if relayDNS(client, server, query) != nil {
+		if s.Pass(query) != nil {
 			return
 		}
 	}
-}
-
-// relayDNS forwards a query frame to the resolver and the frame it answers
-// with to the client, each by reference and as it was read: neither is
-// decoded and re-encoded.
-func relayDNS(client, server net.Conn, query []byte) error {
-	if _, err := netem.WriteOwned(server, query); err != nil {
-		return err
-	}
-	answer, err := dnsx.ReadFrame(server)
-	if err != nil {
-		return err
-	}
-	_, err = netem.WriteOwned(client, answer)
-	return err
 }
 
 // forgeDNSReply builds the tampered response for an action, or nil if the

@@ -101,8 +101,9 @@ type Message struct {
 	Additional         []RR
 
 	room struct {
-		q  [1]Question
-		an [1]RR
+		q   [1]Question
+		an  [1]RR
+		ips [1]string // AnswerIPs' one address
 	}
 }
 
@@ -549,9 +550,21 @@ func readName(b []byte, off int, dst []byte) ([]byte, int, error) {
 	}
 }
 
-// AnswerIPs extracts the A-record IPs from a response, following at most one
-// CNAME level for the queried name.
+// AnswerIPs extracts the A-record IPs from a response. The one address of
+// a response with a single A record — every answer the simulated resolvers
+// give — is a view of the message's room, clipped, not an allocation of its
+// own.
 func (m *Message) AnswerIPs() []string {
+	n := 0
+	for _, rr := range m.Answers {
+		if rr.Type == TypeA {
+			n++
+			m.room.ips[0] = rr.Data
+		}
+	}
+	if n == 1 {
+		return m.room.ips[:1:1]
+	}
 	var ips []string
 	for _, rr := range m.Answers {
 		if rr.Type == TypeA {

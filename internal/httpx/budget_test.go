@@ -3,14 +3,10 @@ package httpx
 import (
 	"bufio"
 	"bytes"
-	"context"
 	"fmt"
 	"runtime/debug"
 	"slices"
 	"testing"
-
-	"csaw/internal/netem"
-	"csaw/internal/vtime"
 )
 
 // TestCodecAllocBudget pins what a message costs: serializing is the head's
@@ -87,62 +83,34 @@ func TestCodecAllocBudget(t *testing.T) {
 
 var keySink string
 
-// TestRelayAllocBudget pins what the censor's relay of a clean response
-// costs: the head it writes, plus a copy of the body bytes its reader had
-// buffered with the head when there are any — no Response, Header or
-// string of the head, and nothing more with more header fields.
-func TestRelayAllocBudget(t *testing.T) {
+// TestParseRequestHeadAllocs pins what the censor's look at a request head
+// costs: nothing, whatever the number of header fields.
+func TestParseRequestHeadAllocs(t *testing.T) {
 	skipUnderRace(t)
-	n := netem.New(vtime.NewEventDriven())
-	as := n.AddAS(1, "AS", "XX")
-	client := n.MustAddHost("client", "10.0.0.1", "x", as)
-	l := n.MustAddHost("origin", "10.0.0.2", "x", as).MustListen(80)
-	served, err := client.Dial(context.Background(), "10.0.0.2:80")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer served.Close()
-	src, err := l.Accept()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer src.Close()
-	br := bufio.NewReader(src)
-	var out bytes.Buffer
-	body := bytes.Repeat([]byte("<p>page</p>"), 100)
 	for _, fields := range []int{1, 16} {
-		resp := NewResponse(200, body)
+		req := NewRequest("POST", "www.example.com", "/report?id=7")
+		req.Body = []byte("payload")
 		for i := 0; i < fields; i++ {
-			resp.Header.Add(fmt.Sprintf("X-Field-%02d", i), "response value")
+			req.Header.Add(fmt.Sprintf("X-Field-%02d", i), "request value")
 		}
+		req.Header.Set("Connection", "close")
 		var wire bytes.Buffer
-		if err := WriteResponse(&wire, resp); err != nil {
+		if err := WriteRequest(&wire, req); err != nil {
 			t.Fatal(err)
 		}
-		whole := wire.Bytes()
-		head := whole[:len(whole)-len(body)]
-		for _, c := range []struct {
-			what     string
-			segments [][]byte
-			budget   float64
-		}{
-			{"head and body in one segment", [][]byte{whole}, 2},
-			{"body in a segment of its own", [][]byte{head, body}, 1},
-		} {
-			got := testing.AllocsPerRun(100, func() {
-				for _, seg := range c.segments {
-					if _, err := netem.WriteOwned(served, seg); err != nil {
-						t.Fatal(err)
-					}
-				}
-				out.Reset()
-				if _, err := RelayResponse(&out, src.(*netem.Conn), br); err != nil || !bytes.Equal(out.Bytes(), whole) {
-					t.Fatalf("relay: %v\n%q", err, out.Bytes())
-				}
-			})
-			if got != c.budget {
-				t.Errorf("%s, %d fields: %v allocations, want %v", c.what, fields, got, c.budget)
+		b := wire.Bytes()
+		var h RequestHead
+		got := testing.AllocsPerRun(100, func() {
+			var err error
+			if h, err = ParseRequestHead(b); err != nil {
+				t.Fatal(err)
 			}
+		})
+		if string(h.Target) != req.Target || string(h.Host) != req.Host || h.BodyLen != len(req.Body) || !h.Close || h.Len != len(b)-len(req.Body) {
+			t.Fatalf("%d fields: parsed %+v", fields, h)
+		}
+		if got != 0 {
+			t.Errorf("%d fields: %v allocations, want 0", fields, got)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"strings"
@@ -68,70 +69,48 @@ func FuzzReadResponse(f *testing.F) {
 	})
 }
 
-// FuzzRelayResponse holds RelayResponse to the read-then-write relay it
-// replaced: for every input it must send exactly what WriteResponse sends of
-// what ReadResponse parses, or fail — with nothing sent — where ReadResponse
-// fails. The input arrives on an emulated connection as up to three
-// segments, cut at cut1 and cut2, so a body can arrive partly buffered with
-// the head, split across segments, or short.
-func FuzzRelayResponse(f *testing.F) {
-	for _, s := range responseSeeds {
-		for _, cut := range []uint16{0, 20, uint16(len(s) - 3), uint16(len(s))} {
-			f.Add([]byte(s), cut, uint16(len(s)-1))
-		}
-		f.Add([]byte(s[:len(s)-2]), uint16(20), uint16(len(s)-3)) // cut short
+// FuzzParseRequestHead holds ParseRequestHead, the in-place head parse an
+// on-path censor decides on, to ReadRequest over the same bytes. Where
+// ReadRequest fails in the head, so does ParseRequestHead; where it parses
+// one, ParseRequestHead finds the same Target, Host and Connection: close,
+// and the body ReadRequest reads starts where the head ends and runs for
+// BodyLen bytes — or fails on the same Content-Length. Every prefix of a
+// head that ends inside it, the one at cut too, is ErrIncomplete.
+func FuzzParseRequestHead(f *testing.F) {
+	for _, s := range append(append([]string(nil), requestSeeds...), codecEdgeSeeds()...) {
+		f.Add([]byte(s), uint16(len(s)/2))
 	}
-	n := netem.New(vtime.NewEventDriven())
-	as := n.AddAS(1, "AS", "XX")
-	client := n.MustAddHost("client", "10.0.0.1", "x", as)
-	l := n.MustAddHost("origin", "10.0.0.2", "x", as).MustListen(80)
-	f.Fuzz(func(t *testing.T, data []byte, cut1, cut2 uint16) {
-		var want bytes.Buffer
-		resp, wantErr := ReadResponse(bufio.NewReader(bytes.NewReader(data)))
-		if wantErr == nil {
-			if err := WriteResponse(&want, resp); err != nil {
-				t.Fatal(err)
-			}
-		}
-		a, b := min(int(cut1), len(data)), min(int(cut2), len(data))
-		a, b = min(a, b), max(a, b)
-		dialed, err := client.Dial(context.Background(), "10.0.0.2:80")
-		if err != nil {
-			t.Fatal(err)
-		}
-		src, err := l.Accept()
-		if err != nil {
-			t.Fatal(err)
-		}
-		// The writer has its own goroutine: a long input waits on the
-		// pipe's byte cap until the relay drains it. A write that fails
-		// once the relay is done (bytes past the response) is no finding;
-		// one that fails before shows as the relay's error.
-		wrote := make(chan struct{})
-		go func() {
-			defer close(wrote)
-			defer dialed.Close()
-			for _, seg := range [][]byte{data[:a], data[a:b], data[b:]} {
-				if len(seg) > 0 {
-					if _, err := dialed.Write(seg); err != nil {
-						return
-					}
-				}
-			}
-		}()
-		br := GetReader(src)
-		defer PutReader(br)
-		var got bytes.Buffer
-		_, err = RelayResponse(&got, src.(*netem.Conn), br)
-		src.Close() // a writer still blocked on the cap gives up
-		<-wrote
+	f.Fuzz(func(t *testing.T, data []byte, cut uint16) {
+		h, err := ParseRequestHead(data)
+		req, want := ReadRequest(bufio.NewReader(bytes.NewReader(data)))
 		switch {
-		case (err != nil) != (wantErr != nil):
-			t.Fatalf("relay error %v, ReadResponse error %v", err, wantErr)
-		case err != nil && got.Len() > 0:
-			t.Fatalf("failed relay sent %q", got.Bytes())
-		case !bytes.Equal(got.Bytes(), want.Bytes()):
-			t.Fatalf("relay sent\n%q\nwant\n%q", got.Bytes(), want.Bytes())
+		case req == nil:
+			if err == nil {
+				t.Fatalf("ReadRequest fails in the head (%v), ParseRequestHead parses %+v", want, h)
+			}
+			return
+		case errors.Is(want, ErrMalformed) || errors.Is(want, ErrTooLarge):
+			if err == nil {
+				t.Fatalf("ReadRequest rejects the Content-Length (%v), ParseRequestHead reads %d", want, h.BodyLen)
+			}
+			return
+		case err != nil:
+			t.Fatalf("ParseRequestHead: %v; ReadRequest parses %q %q", err, req.Target, req.Host)
+		}
+		if string(h.Target) != req.Target || string(h.Host) != req.Host || h.Close != WantsClose(req.Header) {
+			t.Fatalf("head %q %q close=%v, ReadRequest %q %q close=%v",
+				h.Target, h.Host, h.Close, req.Target, req.Host, WantsClose(req.Header))
+		}
+		if want == nil && !bytes.Equal(data[h.Len:h.Len+h.BodyLen], req.Body) {
+			t.Fatalf("body at [%d:+%d] is %q, ReadRequest's %q", h.Len, h.BodyLen, data[h.Len:h.Len+h.BodyLen], req.Body)
+		}
+		if want != nil && h.Len+h.BodyLen <= len(data) {
+			t.Fatalf("ReadRequest runs short of the body (%v), but %d+%d bytes are there", want, h.Len, h.BodyLen)
+		}
+		if c := int(cut); c < h.Len {
+			if _, err := ParseRequestHead(data[:c]); !errors.Is(err, ErrIncomplete) {
+				t.Fatalf("the head cut at %d of %d: %v, want ErrIncomplete", c, h.Len, err)
+			}
 		}
 	})
 }
@@ -140,7 +119,7 @@ func FuzzRelayResponse(f *testing.F) {
 // the stream as source, the RoundTrip path) to ReadResponse over the same
 // bytes as one reader: the same response, compared field by field, or the
 // same error. The input arrives as up to three segments, cut at cut1 and
-// cut2, as in FuzzRelayResponse, so a body can arrive as a segment of its
+// cut2, so a body can arrive as a segment of its
 // own, partly buffered with the head, split, or short. A body is never
 // left with capacity past its end.
 func FuzzReadResponseTake(f *testing.F) {

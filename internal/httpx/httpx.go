@@ -461,8 +461,7 @@ func writeMessage(w io.Writer, head []byte, body ...[]byte) error {
 // method, target, status text, header keys and values — is a substring of
 // it: a message costs the same few allocations whatever its header count,
 // and whoever keeps one of those strings beyond the exchange keeps the
-// whole head alive (so keepers strings.Clone what they store). The
-// censor's relay makes no string at all: it writes the head out of buf.
+// whole head alive (so keepers strings.Clone what they store).
 type head struct {
 	buf    []byte
 	fields []fieldAt
@@ -548,8 +547,7 @@ func trimSpace(b []byte, i, j int) (int, int) {
 	return i, i + len(bytes.TrimRightFunc(b[i:j], unicode.IsSpace))
 }
 
-func (h *head) key(f fieldAt) []byte   { return h.buf[f.key:f.keyEnd] }
-func (h *head) value(f fieldAt) []byte { return h.buf[f.val:f.valEnd] }
+func (h *head) key(f fieldAt) []byte { return h.buf[f.key:f.keyEnd] }
 
 // run returns the run h.fields[i:j] of fields named key, which is
 // canonical; i == j when there is none.
@@ -560,14 +558,6 @@ func (h *head) run(key string) (i, j int) {
 	for j = i; j < len(h.fields) && string(h.key(h.fields[j])) == key; j++ {
 	}
 	return i, j
-}
-
-// get is Header.Get over the scratch: the first value of key, or nil.
-func (h *head) get(key string) []byte {
-	if i, j := h.run(key); i < j {
-		return h.value(h.fields[i])
-	}
-	return nil
 }
 
 // fill sets hdr, as long as h.fields, to the parsed fields out of s, the
@@ -609,6 +599,131 @@ func ReadRequest(br *bufio.Reader) (*Request, error) {
 	*req = Request{Method: s[:sp1], Target: s[sp1+1 : sp2], Proto: s[sp2+1 : end], Host: s[host.val:host.valEnd], Header: hdr}
 	req.Body, err = readBody(br, nil, req.Header)
 	return req, err
+}
+
+// ErrIncomplete is ParseRequestHead's answer to bytes that end before the
+// head does.
+var ErrIncomplete = errors.New("httpx: incomplete head")
+
+// RequestHead is what an on-path middlebox decides a request on, located in
+// the bytes ParseRequestHead found it in: Target and Host are views of them.
+type RequestHead struct {
+	Len          int // bytes of the head, its blank line included
+	Target, Host []byte
+	BodyLen      int  // what Content-Length announces; 0 when nothing does
+	Close        bool // Connection: close
+}
+
+// ParseRequestHead parses the request head b starts with where it lies,
+// allocating nothing for a well-formed one. It accepts what ReadRequest
+// accepts and reports what ReadRequest would report of it: the request's
+// Target, Host and body length, and whether it asks to close (WantsClose).
+// Bytes that end before the head does are ErrIncomplete.
+func ParseRequestHead(b []byte) (RequestHead, error) {
+	var h RequestHead
+	line, pos, err := nextLine(b, 0)
+	if err != nil {
+		return h, err
+	}
+	sp1 := bytes.IndexByte(line, ' ')
+	sp2 := sp1 + 1 + bytes.IndexByte(line[sp1+1:], ' ')
+	if sp1 < 0 || sp2 <= sp1 || !bytes.HasPrefix(line[sp2+1:], []byte("HTTP/")) {
+		return h, fmt.Errorf("%w: request line %q", ErrMalformed, line)
+	}
+	h.Target = line[sp1+1 : sp2]
+	var length, conn []byte
+	var host, hasLength, hasConn bool
+	for count := 0; ; count++ {
+		if count > maxHeaderCount {
+			return h, ErrTooLarge
+		}
+		start := pos
+		if line, pos, err = nextLine(b, pos); err != nil {
+			return h, err
+		}
+		if len(line) == 0 {
+			break
+		}
+		colon := bytes.IndexByte(line, ':')
+		if colon <= 0 {
+			return h, fmt.Errorf("%w: header %q", ErrMalformed, line)
+		}
+		k, kEnd := trimSpace(b, start, start+colon)
+		if k == kEnd {
+			return h, fmt.Errorf("%w: header %q", ErrMalformed, line)
+		}
+		v, vEnd := trimSpace(b, start+colon+1, start+len(line))
+		switch key := b[k:kEnd]; {
+		case !host && keyIs(key, "Host"):
+			h.Host, host = b[v:vEnd], true
+		case !hasLength && keyIs(key, "Content-Length"):
+			length, hasLength = b[v:vEnd], true
+		case !hasConn && keyIs(key, "Connection"):
+			conn, hasConn = b[v:vEnd], true
+		}
+	}
+	h.Len = pos
+	h.Close = bytes.EqualFold(conn, []byte("close"))
+	if h.BodyLen, err = bodyLen(length); err != nil {
+		return h, err
+	}
+	return h, nil
+}
+
+// nextLine cuts the line starting at b[pos] where bufio.Reader.ReadLine
+// cuts it, at "\r\n" or a bare "\n", and returns it without its end, and
+// where the next line starts.
+func nextLine(b []byte, pos int) (line []byte, next int, err error) {
+	i := bytes.IndexByte(b[pos:], '\n')
+	if i < 0 {
+		if len(b)-pos > maxLineBytes {
+			return nil, 0, ErrTooLarge
+		}
+		return nil, 0, ErrIncomplete
+	}
+	line = b[pos : pos+i]
+	if len(line) > 0 && line[len(line)-1] == '\r' {
+		line = line[:len(line)-1]
+	}
+	if len(line) > maxLineBytes {
+		return nil, 0, ErrTooLarge
+	}
+	return line, pos + i + 1, nil
+}
+
+// keyIs reports whether the header name key is canon in any letter case:
+// whether CanonicalKey would make them equal.
+func keyIs(key []byte, canon string) bool {
+	if len(key) != len(canon) {
+		return false
+	}
+	for i := 0; i < len(key); i++ {
+		// Bytes that differ are equal only as two cases of one letter.
+		if c, k := key[i], canon[i]; c != k && (c|0x20 != k|0x20 || c|0x20 < 'a' || c|0x20 > 'z') {
+			return false
+		}
+	}
+	return true
+}
+
+// bodyLen is contentLength of a Content-Length value in bytes, with no
+// string made of a plain decimal one; none is a body of 0.
+func bodyLen(v []byte) (int, error) {
+	if len(v) == 0 {
+		return 0, nil
+	}
+	n := 0
+	for _, c := range v {
+		if c < '0' || c > '9' || n > MaxBodyBytes {
+			n, err := contentLength(string(v))
+			return max(n, 0), err
+		}
+		n = n*10 + int(c-'0')
+	}
+	if n > MaxBodyBytes {
+		return 0, ErrTooLarge
+	}
+	return n, nil
 }
 
 // ReadResponse parses one response from br. Its Body is the caller's to
@@ -662,95 +777,6 @@ func readResponse(br *bufio.Reader, src io.Reader) (*Response, error) {
 	*resp = Response{Proto: s[:st.protoEnd], StatusCode: st.code, Status: s[st.text:st.end], Header: hdr}
 	resp.Body, err = readBody(br, src, resp.Header)
 	return resp, err
-}
-
-// RelayResponse moves one response from src to w, where br is the reader
-// src's bytes have been parsed through: w receives the bytes
-// WriteResponse(w, ReadResponse(br)) would send, and closing reports
-// whether the response asks to end the connection (see WantsClose). The
-// head is written straight out of the parse scratch, without a Response,
-// a Header or a string of it, and the body is not copied — only the bytes
-// br had already buffered with the head are; every other body byte is
-// taken off src by reference and changes connections segment by segment
-// as it arrived. Nothing is written before the whole body is in hand, so
-// the last byte leaves when a read-then-write relay would send it; a
-// response ReadResponse rejects fails here with nothing written.
-func RelayResponse(w io.Writer, src *netem.Conn, br *bufio.Reader) (closing bool, err error) {
-	h := headPool.Get().(*head)
-	defer h.release()
-	st, err := h.readResponseLines(br)
-	if err != nil {
-		return false, err
-	}
-	n, err := contentLength(string(h.get("Content-Length")))
-	if err != nil {
-		return false, err
-	}
-	n = max(n, 0) // none announced: an empty body, which the head then announces
-	var room [4][]byte
-	parts := room[:0]
-	need := n
-	if k := min(br.Buffered(), need); k > 0 {
-		buffered := make([]byte, k)
-		if _, err := io.ReadFull(br, buffered); err != nil {
-			return false, err
-		}
-		parts, need = append(parts, buffered), need-k
-	}
-	for need > 0 {
-		part, err := src.Take(need)
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		if err != nil {
-			return false, err
-		}
-		if len(part) > 0 {
-			parts, need = append(parts, part), need-len(part)
-		}
-	}
-	closing = bytes.EqualFold(h.get("Connection"), []byte("close"))
-	return closing, writeMessage(w, h.responseHead(st, n), parts...)
-}
-
-// responseHead serializes the response head h holds as responseHead
-// serializes its parse, with Content-Length bodyLen, into one exact-sized
-// buffer.
-func (h *head) responseHead(st statusLine, bodyLen int) []byte {
-	proto, status := h.buf[:st.protoEnd], h.buf[st.text:st.end]
-	var std string
-	if len(status) == 0 {
-		std = StatusText(st.code)
-	}
-	var codeNum, lenNum [20]byte
-	code := strconv.AppendInt(codeNum[:0], int64(st.code), 10)
-	length := strconv.AppendInt(lenNum[:0], int64(bodyLen), 10)
-	size := len(proto) + 1 + len(code) + 1 + len(status) + len(std) + 2 +
-		len("Content-Length: ") + len(length) + 2 + 2
-	for _, f := range h.fields {
-		if k := h.key(f); !offWire(string(k), "") {
-			size += len(k) + len(": ") + f.valEnd - f.val + len("\r\n")
-		}
-	}
-	b := make([]byte, 0, size)
-	b = append(b, proto...)
-	b = append(b, ' ')
-	b = append(b, code...)
-	b = append(b, ' ')
-	b = append(b, status...)
-	b = append(b, std...)
-	b = append(b, "\r\n"...)
-	for _, f := range h.fields {
-		if k := h.key(f); !offWire(string(k), "") {
-			b = append(b, k...)
-			b = append(b, ": "...)
-			b = append(b, h.value(f)...)
-			b = append(b, "\r\n"...)
-		}
-	}
-	b = append(b, "Content-Length: "...)
-	b = append(b, length...)
-	return append(b, "\r\n\r\n"...)
 }
 
 // contentLength is the body length a Content-Length value announces, -1

@@ -1,8 +1,9 @@
 // Package ownedwrite guards the zero-copy hand-off on the page path: a
 // slice passed to a WriteOwned call (netem.Conn.WriteOwned, the
-// netem.WriteOwned helper, or anything else of that name) is kept by the
-// connection by reference and may travel on to further connections, so
-// nobody may modify its bytes afterwards. The analyzer flags, in the
+// netem.WriteOwned helper, or anything else of that name) or to a Pass call
+// (netem.Session.Pass, an interceptor letting the client's bytes through)
+// is kept by the connection by reference and may travel on to further
+// connections, so nobody may modify its bytes afterwards. The analyzer flags, in the
 // function that made the hand-off, every later
 //
 //	b[i] = x, b[i] += x, b[i]++     // element stores
@@ -87,10 +88,11 @@ func checkFunc(pass *analysis.Pass, body *ast.BlockStmt) {
 	type handoff struct {
 		call *ast.CallExpr
 		root root
-		// read names what call read into root — "" for a slice handed to
-		// WriteOwned — and appendOK whether its capacity is clipped.
-		read     string
-		appendOK bool
+		// read names what call read into root — "" for a slice handed
+		// over, to the call named name — and appendOK whether its
+		// capacity is clipped.
+		read, name string
+		appendOK   bool
 	}
 	var (
 		handoffs []handoff
@@ -111,9 +113,9 @@ func checkFunc(pass *analysis.Pass, body *ast.BlockStmt) {
 		case *ast.RangeStmt:
 			loops = append(loops, n.Body)
 		case *ast.CallExpr:
-			if fn := pass.Callee(n); fn != nil && fn.Name() == "WriteOwned" && len(n.Args) > 0 {
+			if fn := pass.Callee(n); fn != nil && handovers[fn.Name()] && len(n.Args) > 0 {
 				if r := rootOf(pass, n.Args[len(n.Args)-1]); r != (root{}) {
-					handoffs = append(handoffs, handoff{call: n, root: r})
+					handoffs = append(handoffs, handoff{call: n, root: r, name: fn.Name()})
 				}
 			}
 			events = append(events, callWrites(pass, n)...)
@@ -178,8 +180,8 @@ func checkFunc(pass *analysis.Pass, body *ast.BlockStmt) {
 					e.what, h.root.name, line)
 				continue
 			}
-			pass.Reportf(e.pos, "%s %s after it was handed to WriteOwned on line %d: the connection keeps those bytes by reference (or annotate //lint:allow-ownedwrite <reason>)",
-				e.what, h.root.name, line)
+			pass.Reportf(e.pos, "%s %s after it was handed to %s on line %d: the connection keeps those bytes by reference (or annotate //lint:allow-ownedwrite <reason>)",
+				e.what, h.root.name, h.name, line)
 		}
 	}
 	for _, h := range handoffs {
@@ -252,6 +254,9 @@ func readsBody(pass *analysis.Pass, call *ast.CallExpr) bool {
 	}
 	return false
 }
+
+// handovers name the calls that keep their last argument by reference.
+var handovers = map[string]bool{"WriteOwned": true, "Pass": true}
 
 // takers name the calls that return bytes taken off a connection, and
 // whether those come with their capacity clipped.

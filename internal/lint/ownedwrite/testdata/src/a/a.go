@@ -152,3 +152,13 @@ func takenAppend(r io.Reader) []byte {
 	chunk, _ := Take(r, 64)
 	return append(chunk, '!') // want "append to chunk"
 }
+
+type session struct{}
+
+func (session) Pass(b []byte) error { return nil }
+
+// bad: an interceptor's pass hands the bytes over too.
+func passAfter(s session, b []byte) {
+	s.Pass(b[:2])
+	b[0] = 0 // want "store into b after it was handed to Pass"
+}

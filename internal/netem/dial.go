@@ -117,20 +117,17 @@ func (h *Host) Dial(ctx context.Context, address string) (net.Conn, error) {
 	if ic != nil && ic.WantStream(flow) {
 		lane.Event("net", "middlebox", address)
 		// Place the interceptor near the client's edge: a short client
-		// segment and the remainder of the path to the server.
+		// hop and the remainder of the path to the server, on one pair.
 		edge := oneWay / 8
 		if edge > 5*time.Millisecond {
 			edge = 5 * time.Millisecond
 		}
 		censorAddr := Addr{IP: egress.censorIP, Port: dstAddr.Port}
-		clientConn, censorClient := connPair(n, edge, srcAddr, dstAddr, flow)
-		censorServer, serverConn := connPair(n, oneWay-edge, censorAddr, dstAddr, flow)
-		sess := &Session{flow: flow, client: censorClient, server: censorServer}
-		go ic.HandleStream(flow, sess)
+		sess, clientConn, serverConn := newSession(ic, n, oneWay, edge, srcAddr, dstAddr, censorAddr, flow)
+		go sess.handle()
 		if err := lst.deliver(serverConn); err != nil {
 			clientConn.shutdown()
-			censorClient.shutdown()
-			censorServer.shutdown()
+			serverConn.shutdown()
 			lane.Event("net", "refused", address)
 			return nil, &OpError{Op: "dial", Addr: address, Err: ErrRefused}
 		}

@@ -28,35 +28,36 @@ func TestAddrString(t *testing.T) {
 	}
 }
 
-// streamRecorder takes every stream and reports the address its server
-// side dials from.
+// streamRecorder takes every stream and reports its flow.
 type streamRecorder struct {
 	PassVerdicts
-	from chan string
+	flows chan Flow
 }
 
 func (streamRecorder) WantStream(Flow) bool { return true }
 func (r streamRecorder) HandleStream(_ Flow, s *Session) {
 	select {
-	case r.from <- s.Server().LocalAddr().String():
+	case r.flows <- s.Flow():
 	default:
 	}
 }
 
-// TestInterceptedDial: the censor's end of an intercepted stream is
-// "censor.<ASN>", as the server sees it too, and naming it costs an
-// intercepted dial no allocation.
+// TestInterceptedDial: an intercepted dial is one pair. Each end's
+// addresses and flow are a plain dial's, but that the server sees the
+// stream from "censor.<ASN>"; and the dial allocates no more than a plain
+// one but the interceptor's goroutine — its closure and, while no exited
+// goroutine is free to reuse, its g: the session lives in the pair's
+// allocation.
 func TestInterceptedDial(t *testing.T) {
 	n := New(vtime.NewEventDriven(), WithSeed(42))
-	client := n.MustAddHost("client", "10.0.0.1", "pk", n.AddAS(17557, "ISP-A", "PK"))
+	isp := n.AddAS(17557, "ISP-A", "PK")
+	client := n.MustAddHost("client", "10.0.0.1", "pk", isp)
 	server := n.MustAddHost("server", "93.184.216.34", "us", n.AddAS(200, "Transit-US", "US"))
 	n.SetRTT("pk", "us", 200*time.Millisecond)
 	l := server.MustListen(80)
 	defer closeListener(t, l)
-	rec := streamRecorder{from: make(chan string, 1)}
-	n.AS(17557).SetInterceptor(rec)
 
-	dial := func() {
+	dial := func() (*Conn, *Conn) {
 		conn, err := client.Dial(context.Background(), "93.184.216.34:80")
 		if err != nil {
 			t.Fatal(err)
@@ -65,19 +66,38 @@ func TestInterceptedDial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := peer.RemoteAddr().String(); got != "censor.17557:80" {
-			t.Fatalf("server sees the stream from %q, want censor.17557:80", got)
-		}
 		conn.Close()
 		peer.Close()
+		return conn.(*Conn), peer.(*Conn)
 	}
-	dial()
-	if got := <-rec.from; got != "censor.17557:80" {
-		t.Fatalf("censor's server-side address = %q, want censor.17557:80", got)
+	plain := testing.AllocsPerRun(200, func() { dial() })
+	rec := streamRecorder{flows: make(chan Flow, 1)}
+	isp.SetInterceptor(rec)
+
+	conn, peer := dial()
+	src := conn.LocalAddr().(Addr)
+	for _, c := range []struct {
+		what      string
+		got, want net.Addr
+	}{
+		{"client's local address", src, Addr{IP: "10.0.0.1", Port: src.Port}},
+		{"client's remote address", conn.RemoteAddr(), Addr{IP: "93.184.216.34", Port: 80}},
+		{"server's local address", peer.LocalAddr(), Addr{IP: "93.184.216.34", Port: 80}},
+		{"server's remote address", peer.RemoteAddr(), Addr{IP: "censor.17557", Port: 80}},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %v, want %v", c.what, c.got, c.want)
+		}
 	}
-	// Naming the censor's end on every dial cost one allocation more.
-	if got := testing.AllocsPerRun(200, dial); got > 7 {
-		t.Fatalf("an intercepted dial allocates %v times, want <= 7", got)
+	want := Flow{Src: src, Dst: Addr{IP: "93.184.216.34", Port: 80}, SrcName: "client", DstName: "server", EgressAS: isp}
+	if got := <-rec.flows; got != want {
+		t.Errorf("the session's flow = %+v, want %+v", got, want)
+	}
+	if conn.Flow() != want || peer.Flow() != want {
+		t.Errorf("the ends' flows = %+v and %+v, want %+v", conn.Flow(), peer.Flow(), want)
+	}
+	if got := testing.AllocsPerRun(200, func() { dial() }); got > plain+2 {
+		t.Fatalf("an intercepted dial allocates %v times, a plain one %v: want at most two more", got, plain)
 	}
 }
 

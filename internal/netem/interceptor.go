@@ -3,6 +3,7 @@ package netem
 import (
 	"io"
 	"net"
+	"time"
 )
 
 // Flow identifies a connection traversing the network: its endpoints and the
@@ -46,48 +47,116 @@ func (v Verdict) String() string {
 // Interceptor is the censor's attachment point on an AS egress. FilterConnect
 // is consulted during the TCP handshake (IP blacklisting). If WantStream
 // returns true the established connection is routed through HandleStream,
-// which runs on its own goroutine and owns both halves of the stream — it can
-// inspect the client's bytes (HTTP request lines, TLS SNI, DNS queries),
-// splice them onward, answer itself (block pages), reset, or blackhole.
+// which runs on its own goroutine with the connection's Session: it can
+// inspect what the client sends (HTTP request lines, TLS SNI, DNS queries)
+// before the server sees any of it, pass it on, answer itself (block pages),
+// reset, or blackhole.
 type Interceptor interface {
 	FilterConnect(f Flow) Verdict
 	WantStream(f Flow) bool
 	HandleStream(f Flow, s *Session)
 }
 
-// Session gives a stream interceptor the middle of a connection.
+// Session is an interceptor's place on path, the way an ISP middlebox sits
+// on it: it inspects what the client sends and lets it through, or not. The
+// connection is still one pair of pipes. Its client→server direction is
+// held at a gate: what the client writes reaches the interceptor (Read,
+// Take) and the server only when the interceptor passes it on (Pass), or
+// after Splice has opened the gate for good. The server→client direction
+// carries the server's bytes straight to the client, and the interceptor's
+// own answers (Write) beside them.
+//
+// The pipes compute both hops' timing themselves, so nothing has to run the
+// middle hop: a held segment reaches the interceptor after the client's
+// hop and the server one server hop after the interceptor passes it; a
+// server segment pays both hops when it is written, and an answer of the
+// interceptor's only the client's.
 type Session struct {
-	flow   Flow
-	client *Conn // interceptor's side facing the client
-	server *Conn // interceptor's side facing the server
+	ic       Interceptor
+	client   *Conn // the client's end: tx is the held direction
+	up, down middle
+	held     queue
 }
+
+// newSession builds the one pair of an intercepted dial for ic: client at
+// src dialing dst, seen by the server as coming from censor, with the
+// interceptor edge into the oneWay path. The session lives in the pair's
+// allocation.
+func newSession(ic Interceptor, n *Network, oneWay, edge time.Duration, src, dst, censor Addr, flow Flow) (*Session, *Conn, *Conn) {
+	l := new(struct {
+		pair
+		s Session
+	})
+	s := &l.s
+	client, server := l.init(n, 0, src, dst, flow)
+	server.remote = censor
+	s.ic, s.client = ic, client
+	s.held.init()
+	s.up = middle{lat: edge, held: &s.held, holding: true}
+	s.down = middle{lat: oneWay - edge}
+	l.ab.lat, l.ab.mid = oneWay-edge, &s.up
+	l.ba.lat, l.ba.mid = edge, &s.down
+	return s, client, server
+}
+
+// handle runs the interceptor on the session; a dial starts it on a
+// goroutine of its own.
+func (s *Session) handle() { s.ic.HandleStream(s.client.flow, s) }
 
 // Flow returns the intercepted connection's flow metadata.
-func (s *Session) Flow() Flow { return s.flow }
+func (s *Session) Flow() Flow { return s.client.flow }
 
-// Client returns the interceptor's connection toward the client.
-func (s *Session) Client() net.Conn { return s.client }
+// Read copies what the client sent and the interceptor holds; io.EOF once
+// that is drained and nothing more can come: the client's end closed, the
+// server's did, or the gate is open.
+func (s *Session) Read(b []byte) (int, error) { return s.client.tx.read(b, true) }
 
-// Server returns the interceptor's connection toward the server.
-func (s *Session) Server() net.Conn { return s.server }
+// Take is Read without the copy: up to max bytes of the oldest held segment,
+// by reference. They are the interceptor's to inspect and to pass on (Pass),
+// never to modify.
+func (s *Session) Take(max int) ([]byte, error) { return s.client.tx.take(max, true) }
+
+// Pass hands b, bytes the client sent, to the server, by reference: nobody
+// may modify them from here on.
+func (s *Session) Pass(b []byte) error { return s.client.tx.send(b) }
+
+// Write answers the client: b is copied.
+func (s *Session) Write(b []byte) (int, error) {
+	return s.WriteOwned(append([]byte(nil), b...))
+}
+
+// WriteOwned answers the client with b by reference: nobody may modify it
+// from here on.
+func (s *Session) WriteOwned(b []byte) (int, error) {
+	if err := s.client.rx.send(b); err != nil {
+		return 0, err
+	}
+	return len(b), nil
+}
+
+// Splice opens the gate for good: what the client has sent and the
+// interceptor has not taken goes on to the server, and so does everything
+// the client sends from now on. Bytes taken and not passed are not.
+func (s *Session) Splice() { s.client.tx.open() }
+
+// Close ends the stream from the middle: the server sees EOF after what was
+// passed, the client after what was answered, and later writes from
+// either fail.
+func (s *Session) Close() {
+	s.client.tx.stop(false)
+	s.client.rx.closeRead()
+}
 
 // Reset injects an RST in both directions and abandons the stream.
-func (s *Session) Reset() {
-	s.client.Reset()
-	s.server.Reset()
-}
+func (s *Session) Reset() { s.client.Reset() }
 
 // Blackhole silently discards everything the client sends and never
-// responds; the client is left to its timeouts. The server side is closed.
+// responds; the client is left to its timeouts. The server sees EOF, and
+// its writes fail.
 func (s *Session) Blackhole() {
-	s.server.shutdown()
-	go func() {
-		_, _ = io.Copy(io.Discard, s.client)
-	}()
+	s.client.tx.stop(true)
+	s.client.rx.cutWriter()
 }
-
-// Splice passes the rest of the stream through untouched (see Splice).
-func (s *Session) Splice() { Splice(s.client, s.client, s.server) }
 
 // Splice copies a↔b until both directions end, sourcing the a→b direction
 // from ar — a itself, or a reader still holding bytes already read from it.

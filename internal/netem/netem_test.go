@@ -221,13 +221,14 @@ type hijacker struct{ PassVerdicts }
 func (hijacker) WantStream(Flow) bool { return true }
 
 func (hijacker) HandleStream(_ Flow, s *Session) {
-	defer s.Client().Close()
-	s.Server().Close()
+	defer s.Close()
 	buf := make([]byte, 1)
-	if _, err := s.Client().Read(buf); err != nil {
+	if _, err := s.Read(buf); err != nil {
 		return
 	}
-	_, _ = s.Client().Write([]byte("BLOCKED"))
+	if _, err := s.Write([]byte("BLOCKED")); err != nil {
+		return
+	}
 }
 
 func TestInterceptorHijack(t *testing.T) {
@@ -291,7 +292,7 @@ type midReset struct{ PassVerdicts }
 func (midReset) WantStream(Flow) bool { return true }
 func (midReset) HandleStream(_ Flow, s *Session) {
 	buf := make([]byte, 1)
-	if _, err := s.Client().Read(buf); err != nil {
+	if _, err := s.Read(buf); err != nil {
 		return
 	}
 	s.Reset()
