@@ -36,7 +36,9 @@
 #                      its by-reference body read against a plain read), the
 #                      censor's intercepted HTTP stream against a model of an
 #                      on-path censor and its in-place URL/keyword match
-#                      against the lowering one it replaced, the WAL
+#                      against the lowering one it replaced, its TLS path
+#                      against the same model and tlsx's in-place hello
+#                      parse against ReadHello, the WAL
 #                      record and snapshot decoders, the global-DB report
 #                      and list decoders and list bodies, and seedrand's
 #                      sources against math/rand
@@ -144,7 +146,10 @@ shape:
 # FuzzReadResponseTake the by-reference body read to ReadResponse over the
 # same bytes. The censor's FuzzInterceptedStream holds a kept-alive HTTP
 # stream through it to a model of an on-path censor, and FuzzHTTPActionFor
-# its in-place URL and keyword match to the lowering one it replaced. The
+# its in-place URL and keyword match to the lowering one it replaced;
+# FuzzInterceptedHello holds its TLS path to the same model, the SNI that
+# ReadHello reads deciding, and the tlsx FuzzParseHello the in-place hello
+# parse to ReadHello. The
 # FuzzReadResponse pattern is anchored: -fuzz must match one target. It and
 # FuzzFetchBodies cap minimization: their coverage varies run to run (map
 # order, sync.Pool), and the engine would spend the whole pass failing to
@@ -160,6 +165,8 @@ fuzz:
 	$(GO) test ./internal/httpx -run '^$$' -fuzz FuzzParseRequestHead -fuzztime 10s
 	$(GO) test ./internal/censor -run '^$$' -fuzz FuzzInterceptedStream -fuzztime 10s
 	$(GO) test ./internal/censor -run '^$$' -fuzz FuzzHTTPActionFor -fuzztime 10s
+	$(GO) test ./internal/censor -run '^$$' -fuzz FuzzInterceptedHello -fuzztime 10s
+	$(GO) test ./internal/tlsx -run '^$$' -fuzz FuzzParseHello -fuzztime 10s
 	$(GO) test ./internal/globaldb/storage -run '^$$' -fuzz FuzzReplay -fuzztime 10s
 	$(GO) test ./internal/globaldb/storage -run '^$$' -fuzz FuzzSnapshot -fuzztime 10s
 	$(GO) test ./internal/globaldb -run '^$$' -fuzz FuzzReportDecode -fuzztime 10s

@@ -179,28 +179,35 @@ type Policy struct {
 	ResidualWindow time.Duration
 }
 
-// matchName is a queried name, Host value or SNI as the rules see it: no
-// trailing dot, lower case, no port. A request pays for it once, not once
-// per rule.
-func matchName(host string) string {
-	host = strings.ToLower(strings.TrimSuffix(host, "."))
-	if i := strings.IndexByte(host, ':'); i >= 0 {
-		host = host[:i]
+// ruleName is a queried name, Host value or SNI as the rules see it: no
+// trailing dot, no port, and lowered only when it is not ASCII — matchLen
+// folds an ASCII name's letters as it compares them, so one costs no copy.
+func ruleName[T text](host T) T {
+	if n := len(host); n > 0 && host[n-1] == '.' {
+		host = host[:n-1]
+	}
+	for i := 0; i < len(host); i++ {
+		if host[i] == ':' {
+			host = host[:i]
+			break
+		}
+	}
+	if !isASCII(host) {
+		return T(strings.ToLower(string(host)))
 	}
 	return host
 }
 
-// domainMatch reports whether name (a matchName) equals pattern or is a
+// domainMatch reports whether name (a ruleName) equals pattern or is a
 // subdomain of it.
 func domainMatch(pattern, name string) bool { return matchLen(pattern, name) >= 0 }
 
 // matchLen is the length of pattern, trailing dot dropped and lowered, when
-// name (a matchName, or an ASCII one in any letter case) equals it or is a
-// subdomain of it, and -1 when not. The pattern is compared with the end of
-// name from its last byte back, the ASCII letters of both folded as they
-// are met, so a rule costs no allocation; a pattern with a non-ASCII byte
-// is lowered whole once the scan meets it, as strings.ToLower may change
-// its length.
+// name (a ruleName) equals it or is a subdomain of it, and -1 when not. The
+// pattern is compared with the end of name from its last byte back, the
+// ASCII letters of both folded as they are met, so a rule costs no
+// allocation; a pattern with a non-ASCII byte is lowered whole once the
+// scan meets it, as strings.ToLower may change its length.
 func matchLen[T text](pattern string, name T) int {
 	pattern = strings.TrimSuffix(pattern, ".")
 	sub := len(name) - len(pattern) // what a subdomain puts in front, dot included
@@ -273,11 +280,11 @@ func isASCII[T text](s T) bool {
 }
 
 // longestMatch returns the action of the longest pattern in rules that
-// name (a matchName) matches, or none. A more specific rule wins whatever
+// name (a ruleName) matches, or none. A more specific rule wins whatever
 // the map's order: "www.youtube.com" overrides "youtube.com" for its own
 // names. Patterns that differ only in case or a trailing dot tie; the least
 // of them in byte order wins.
-func longestMatch[A any](rules map[string]A, name string, none A) A {
+func longestMatch[A any, T text](rules map[string]A, name T, none A) A {
 	act, best, bestPat := none, -1, ""
 	for pat, a := range rules {
 		if n := matchLen(pat, name); n > best || n >= 0 && n == best && pat < bestPat {
@@ -290,7 +297,7 @@ func longestMatch[A any](rules map[string]A, name string, none A) A {
 // DNSActionFor returns the action for a queried name: that of the longest
 // DNS pattern it matches.
 func (p *Policy) DNSActionFor(name string) DNSAction {
-	return longestMatch(p.DNS, matchName(name), DNSClean)
+	return longestMatch(p.DNS, ruleName(name), DNSClean)
 }
 
 // IPActionFor returns the action for a destination IP.
@@ -315,17 +322,7 @@ func httpActionFor[T text](p *Policy, host, target T) HTTPAction {
 	if !isASCII(host) || !isASCII(target) {
 		return p.httpActionLowered(string(host), string(target))
 	}
-	// matchName, but for the lowering, which matchLen folds in.
-	name := host
-	if n := len(name); n > 0 && name[n-1] == '.' {
-		name = name[:n-1]
-	}
-	for i := 0; i < len(name); i++ {
-		if name[i] == ':' {
-			name = name[:i]
-			break
-		}
-	}
+	name := ruleName(host)
 	for _, r := range p.HTTP {
 		if matchLen(r.Host, name) >= 0 && hasPrefix(target, r.PathPrefix) {
 			return r.Action
@@ -342,7 +339,7 @@ func httpActionFor[T text](p *Policy, host, target T) HTTPAction {
 
 // httpActionLowered is httpActionFor for a request with a non-ASCII byte.
 func (p *Policy) httpActionLowered(host, target string) HTTPAction {
-	name := matchName(host)
+	name := ruleName(host)
 	for _, r := range p.HTTP {
 		if domainMatch(r.Host, name) && strings.HasPrefix(target, r.PathPrefix) {
 			return r.Action
@@ -385,7 +382,7 @@ func containsFold[T text](host, target T, kw string) bool {
 // SNIActionFor returns the action for a TLS SNI value: that of the longest
 // SNI pattern it matches.
 func (p *Policy) SNIActionFor(sni string) TLSAction {
-	return longestMatch(p.SNI, matchName(sni), TLSClean)
+	return longestMatch(p.SNI, ruleName(sni), TLSClean)
 }
 
 // hasStreamRules reports whether any stream-level inspection is needed.

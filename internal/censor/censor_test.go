@@ -610,7 +610,7 @@ func TestPolicySwapMidRun(t *testing.T) {
 }
 
 func TestStats(t *testing.T) {
-	w := newWorld(t, &Policy{HTTP: []HTTPRule{{Host: "youtube.com", Action: HTTPBlockPage}}})
+	w := newWorld(t, &Policy{HTTP: []HTTPRule{{Host: "youtube.com", Action: HTTPBlockPage}}}, withClock(vtime.NewEventDriven()))
 	c := w.httpClient()
 	for i := 0; i < 3; i++ {
 		if _, err := c.Get(context.Background(), originIP+":80", "www.youtube.com", "/"); err != nil {

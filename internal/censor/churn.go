@@ -151,6 +151,19 @@ func (c *Censor) EpochStart() time.Time {
 	return ch.epochs[ch.idx].Start
 }
 
+// decide is the censor's one enforcement step, for a rule's action act
+// (its zero value when no rule matched): a matched rule fires unless the
+// censor blinks (enforce), and firing arms residual punishment of the
+// flow's source src. It returns act, or the zero value when nothing fires.
+func decide[A comparable](c *Censor, p *Policy, src string, act A) A {
+	var none A
+	if act == none || !c.enforce(p) {
+		return none
+	}
+	c.triggerResidual(p, src)
+	return act
+}
+
 // enforce reports whether a matched rule fires this time. With
 // Policy.Intermittent == 0 (or churn off) enforcement is deterministic;
 // otherwise the seeded RNG is consulted and the rule is skipped — the

@@ -66,24 +66,15 @@ func (c *Censor) FilterConnect(f netem.Flow) netem.Verdict {
 		c.Counters.Add("residual-drop", 1)
 		return netem.VerdictDrop
 	}
-	switch p.IPActionFor(f.Dst.IP) {
+	switch decide(c, p, f.Src.IP, p.IPActionFor(f.Dst.IP)) {
 	case IPDrop:
-		if !c.enforce(p) {
-			return netem.VerdictPass
-		}
 		c.Counters.Add("ip-drop", 1)
-		c.triggerResidual(p, f.Src.IP)
 		return netem.VerdictDrop
 	case IPReset:
-		if !c.enforce(p) {
-			return netem.VerdictPass
-		}
 		c.Counters.Add("ip-reset", 1)
-		c.triggerResidual(p, f.Src.IP)
 		return netem.VerdictReset
-	default:
-		return netem.VerdictPass
 	}
+	return netem.VerdictPass
 }
 
 // WantStream implements netem.Interceptor: inspect HTTP, TLS, and —
@@ -119,88 +110,119 @@ func (c *Censor) HandleStream(f netem.Flow, s *netem.Session) {
 // the origin as it came, by reference, and the origin answers the client
 // itself; a blocked one is answered, reset or blackholed here.
 func (c *Censor) handleHTTP(f netem.Flow, s *netem.Session) {
-	var r heldRequests
+	var r held
 	for {
-		h, err := r.next(s)
+		h, err := take(&r, s, requestHead, httpx.ErrIncomplete)
 		if err != nil {
 			s.Close()
 			return
 		}
 		p := c.Policy()
-		act := httpActionFor(p, h.Host, h.Target)
-		if act != HTTPClean {
-			if !c.enforce(p) {
-				act = HTTPClean // the censor blinked: this request slips through
-			} else {
-				c.triggerResidual(p, f.Src.IP)
-			}
-		}
-		switch act {
-		case HTTPClean:
+		act := decide(c, p, f.Src.IP, httpActionFor(p, h.Host, h.Target))
+		if act == HTTPClean {
 			// Count what the censor *observes* passing, per (host,target):
 			// the raw material for traffic-analysis/fingerprinting studies
 			// (§8 discusses whether C-Saw's redundant requests stand out).
 			c.Counters.Add("http-pass", 1)
-			if r.pass(s, h) != nil {
+			if r.pass(s, h.BodyLen) != nil {
 				s.Close()
 				return
 			}
+			continue
+		}
+		c.Counters.Add(act.String(), 1)
+		switch act {
 		case HTTPDrop:
-			c.Counters.Add(act.String(), 1)
 			s.Blackhole() // leaves the client hanging
 			return
 		case HTTPReset:
-			c.Counters.Add(act.String(), 1)
 			s.Reset()
 			return
 		case HTTPBlockPage:
-			c.Counters.Add(act.String(), 1)
 			_ = httpx.WriteResponse(s, p.blockPageResponse())
-			s.Close()
-			return
 		case HTTPRedirect:
-			c.Counters.Add(act.String(), 1)
 			resp := httpx.NewResponse(302, []byte("blocked"))
 			resp.Header.Set("Location", "http://"+p.BlockPageURL)
 			resp.Header.Set("Connection", "close")
 			_ = httpx.WriteResponse(s, resp)
-			s.Close()
-			return
 		case HTTPIframe:
-			c.Counters.Add(act.String(), 1)
 			_ = httpx.WriteResponse(s, p.iframeResponse())
-			s.Close()
-			return
 		}
+		s.Close()
+		return
 	}
 }
 
-// heldRequests cuts what a session holds into requests: the segments one
-// head came in, by reference, and the bytes taken past it.
-type heldRequests struct {
-	first   []byte   // the head's first segment, cut where the head ends
-	more    [][]byte // its further segments, when it came in several
-	rest    []byte   // taken and not passed: what follows the head
-	scratch []byte   // a head that came in several segments, joined
+// handleTLS judges the ClientHello on its SNI where it lies, then passes it
+// on as it came, with whatever followed it, and opens the gate for the rest
+// of the stream, or kills it. A stream that is not pseudo-TLS, or whose
+// client leaves mid-hello, is passed as far as it was taken: censors pass
+// traffic they cannot parse.
+func (c *Censor) handleTLS(f netem.Flow, s *netem.Session) {
+	var r held
+	act := TLSClean
+	if h, err := take(&r, s, clientHello, tlsx.ErrIncomplete); err == nil {
+		p := c.Policy()
+		act = decide(c, p, f.Src.IP, longestMatch(p.SNI, ruleName(h.Name), TLSClean))
+	}
+	switch act {
+	case TLSDrop:
+		c.Counters.Add("sni-drop", 1)
+		s.Blackhole()
+	case TLSReset:
+		c.Counters.Add("sni-reset", 1)
+		s.Reset()
+	default:
+		if r.pass(s, len(r.rest)) != nil {
+			s.Close()
+			return
+		}
+		s.Splice()
+	}
 }
 
-// next takes the next request head off s and parses it.
-func (r *heldRequests) next(s *netem.Session) (httpx.RequestHead, error) {
+// requestHead and clientHello are the parsers take cuts messages with:
+// each answers the message b starts with and its length.
+func requestHead(b []byte) (httpx.RequestHead, int, error) {
+	h, err := httpx.ParseRequestHead(b)
+	return h, h.Len, err
+}
+
+func clientHello(b []byte) (tlsx.RawHello, int, error) {
+	h, err := tlsx.ParseHello(b)
+	return h, h.Len, err
+}
+
+// held cuts what a session holds into messages: the segments one message
+// came in, by reference, and the bytes taken past it.
+type held struct {
+	first   []byte   // the message's first segment, cut where the message ends
+	more    [][]byte // its further segments, when it came in several
+	rest    []byte   // taken and not passed: what follows the message
+	scratch []byte   // a message that came in several segments, joined
+}
+
+// take takes the next message off s and parses it: parse sees the message
+// so far in one piece, and segments are taken until it answers other than
+// incomplete. A whole message's segments are cut where it ends; on an error
+// they hold everything taken.
+func take[M any](r *held, s *netem.Session, parse func([]byte) (M, int, error), incomplete error) (M, error) {
 	r.first, r.more, r.rest = r.rest, r.more[:0], nil
-	buf := r.first // the head so far, contiguous
+	buf := r.first // the message so far, contiguous
 	for {
 		if len(buf) > 0 {
-			h, err := httpx.ParseRequestHead(buf)
-			if err != httpx.ErrIncomplete {
+			m, n, err := parse(buf)
+			if err != incomplete {
 				if err == nil {
-					r.cut(h.Len)
+					r.cut(n)
 				}
-				return h, err
+				return m, err
 			}
 		}
 		chunk, err := s.Take(math.MaxInt)
 		if err != nil {
-			return httpx.RequestHead{}, err
+			var none M
+			return none, err
 		}
 		switch {
 		case len(chunk) == 0:
@@ -217,8 +239,8 @@ func (r *heldRequests) next(s *netem.Session) (httpx.RequestHead, error) {
 	}
 }
 
-// cut ends the head's segments after n bytes; what follows is the rest.
-func (r *heldRequests) cut(n int) {
+// cut ends the message's segments after n bytes; what follows is the rest.
+func (r *held) cut(n int) {
 	if n <= len(r.first) {
 		r.first, r.rest, r.more = r.first[:n], r.first[n:], r.more[:0]
 		return
@@ -234,9 +256,9 @@ func (r *heldRequests) cut(n int) {
 	}
 }
 
-// pass hands the request h heads to the origin: its head, then its body,
-// each as it came.
-func (r *heldRequests) pass(s *netem.Session, h httpx.RequestHead) error {
+// pass hands the message to the server, each segment as it came, then the
+// tail bytes that follow it: first from the rest, then taken as they come.
+func (r *held) pass(s *netem.Session, tail int) error {
 	if err := s.Pass(r.first); err != nil {
 		return err
 	}
@@ -245,85 +267,24 @@ func (r *heldRequests) pass(s *netem.Session, h httpx.RequestHead) error {
 			return err
 		}
 	}
-	for need := h.BodyLen; need > 0; {
+	for tail > 0 {
 		part := r.rest
 		if len(part) == 0 {
 			var err error
-			if part, err = s.Take(need); err != nil {
+			if part, err = s.Take(tail); err != nil {
 				return err
 			}
 		}
-		k := min(need, len(part))
+		k := min(tail, len(part))
 		part, r.rest = part[:k], part[k:]
 		if k > 0 {
 			if err := s.Pass(part); err != nil {
 				return err
 			}
 		}
-		need -= k
+		tail -= k
 	}
 	return nil
-}
-
-// handleTLS reads the ClientHello for the SNI, then passes it on and opens
-// the gate for the rest of the stream, or kills it.
-func (c *Censor) handleTLS(f netem.Flow, s *netem.Session) {
-	r := &takenReader{s: s}
-	r.taken = r.room[:0]
-	hello, err := tlsx.ReadHello(r)
-	// Not pseudo-TLS (or the client vanished): censors pass traffic they
-	// cannot parse.
-	act := TLSClean
-	if err == nil {
-		p := c.Policy()
-		act = p.SNIActionFor(hello.Name)
-		if act != TLSClean {
-			if !c.enforce(p) {
-				act = TLSClean
-			} else {
-				c.triggerResidual(p, f.Src.IP)
-			}
-		}
-	}
-	switch act {
-	case TLSDrop:
-		c.Counters.Add("sni-drop", 1)
-		s.Blackhole()
-	case TLSReset:
-		c.Counters.Add("sni-reset", 1)
-		s.Reset()
-	default:
-		for _, part := range r.taken {
-			if s.Pass(part) != nil {
-				s.Close()
-				return
-			}
-		}
-		s.Splice()
-	}
-}
-
-// takenReader reads what the client sent by taking it off the session,
-// keeping every segment it took, so that they can be passed on whole.
-type takenReader struct {
-	s      *netem.Session
-	taken  [][]byte
-	room   [2][]byte // taken's first segments
-	unread []byte    // the unread end of the last segment taken
-}
-
-func (r *takenReader) Read(b []byte) (int, error) {
-	for len(r.unread) == 0 {
-		chunk, err := r.s.Take(math.MaxInt)
-		if err != nil {
-			return 0, err
-		}
-		r.taken = append(r.taken, chunk)
-		r.unread = chunk
-	}
-	n := copy(b, r.unread)
-	r.unread = r.unread[n:]
-	return n, nil
 }
 
 // handleDNS applies the DNS policy on-path to queries bound for foreign
@@ -341,77 +302,52 @@ func (c *Censor) handleDNS(f netem.Flow, s *netem.Session) {
 		if err != nil {
 			return
 		}
-		name := ""
-		if len(q.Questions) > 0 {
-			name = q.Questions[0].Name
-		}
 		p := c.Policy()
-		act := p.DNSActionFor(name)
+		act := decide(c, p, f.Src.IP, p.DNSActionFor(queried(q)))
 		if act != DNSClean {
-			if !c.enforce(p) {
-				act = DNSClean
-			} else {
-				c.triggerResidual(p, f.Src.IP)
-			}
-		}
-		if act == DNSInject {
-			// Injection: the forged answer leaves immediately, and the
-			// query still reaches the real resolver — its genuine answer
-			// arrives second, which is exactly the signature Hold-On
-			// detects (same ID, later, different data).
 			c.Counters.Add(act.String(), 1)
-			if forged := forgeDNSReply(q, DNSRedirect, p.RedirectIP); forged != nil {
-				if err := dnsx.WriteMessage(s, forged); err != nil {
-					return
-				}
-			}
-			if s.Pass(query) != nil {
-				return
-			}
-			continue
 		}
-		if forged := forgeDNSReply(q, act, p.RedirectIP); forged != nil {
-			c.Counters.Add(act.String(), 1)
-			if err := dnsx.WriteMessage(s, forged); err != nil {
-				return
-			}
-			continue
+		if forged := forgeDNSReply(q, act, p.RedirectIP); forged != nil && dnsx.WriteMessage(s, forged) != nil {
+			return
 		}
-		if act == DNSDrop {
-			c.Counters.Add(act.String(), 1)
-			continue // swallow the query
-		}
-		if s.Pass(query) != nil {
+		// Injection: the forged answer has left, and the query still
+		// reaches the real resolver — its genuine answer arrives second,
+		// which is exactly the signature Hold-On detects (same ID, later,
+		// different data).
+		if (act == DNSClean || act == DNSInject) && s.Pass(query) != nil {
 			return
 		}
 	}
 }
 
+// queried is the name q asks about, or "".
+func queried(q *dnsx.Message) string {
+	if len(q.Questions) > 0 {
+		return q.Questions[0].Name
+	}
+	return ""
+}
+
 // forgeDNSReply builds the tampered response for an action, or nil if the
-// action produces no response (clean or drop).
+// action produces no response (clean or drop). An injected answer is a
+// redirect.
 func forgeDNSReply(q *dnsx.Message, act DNSAction, redirectIP string) *dnsx.Message {
+	var rcode int
 	switch act {
-	case DNSNXDomain, DNSServFail, DNSRefused:
-		r := q.Reply()
-		switch act {
-		case DNSNXDomain:
-			r.RCode = dnsx.RCodeNXDomain
-		case DNSServFail:
-			r.RCode = dnsx.RCodeServFail
-		case DNSRefused:
-			r.RCode = dnsx.RCodeRefused
-		}
-		return r
-	case DNSRedirect:
-		r := q.Reply()
-		name := ""
-		if len(q.Questions) > 0 {
-			name = q.Questions[0].Name
-		}
-		return r.AnswerA(name, redirectIP, 60)
+	case DNSNXDomain:
+		rcode = dnsx.RCodeNXDomain
+	case DNSServFail:
+		rcode = dnsx.RCodeServFail
+	case DNSRefused:
+		rcode = dnsx.RCodeRefused
+	case DNSRedirect, DNSInject:
+		return q.Reply().AnswerA(queried(q), redirectIP, 60)
 	default:
 		return nil
 	}
+	r := q.Reply()
+	r.RCode = rcode
+	return r
 }
 
 // DefaultBlockPageHTML is the block page served when a policy does not
@@ -452,15 +388,8 @@ func (p *Policy) iframeResponse() *httpx.Response {
 func (c *Censor) ResolverHandler(reg *dnsx.Registry, ttl uint32) dnsx.Handler {
 	honest := dnsx.AuthHandler(reg, ttl)
 	return dnsx.HandlerFunc(func(q *dnsx.Message, flow netem.Flow) *dnsx.Message {
-		name := ""
-		if len(q.Questions) > 0 {
-			name = q.Questions[0].Name
-		}
 		p := c.Policy()
-		act := p.DNSActionFor(name)
-		if act != DNSClean && !c.enforce(p) {
-			act = DNSClean
-		}
+		act := decide(c, p, flow.Src.IP, p.DNSActionFor(queried(q)))
 		if act == DNSClean {
 			return honest.HandleDNS(q, flow)
 		}
@@ -468,7 +397,6 @@ func (c *Censor) ResolverHandler(reg *dnsx.Registry, ttl uint32) dnsx.Handler {
 			act = DNSRedirect // a lying resolver cannot "race" itself
 		}
 		c.Counters.Add(act.String(), 1)
-		c.triggerResidual(p, flow.Src.IP)
 		return forgeDNSReply(q, act, p.RedirectIP) // nil for DNSDrop: server stays silent
 	})
 }

@@ -27,6 +27,16 @@ func httpActionOracle(p *Policy, host, target string) HTTPAction {
 	return HTTPClean
 }
 
+// matchName is a name as the rules saw it before ruleName: no trailing
+// dot, lower case, no port.
+func matchName(host string) string {
+	host = strings.ToLower(strings.TrimSuffix(host, "."))
+	if i := strings.IndexByte(host, ':'); i >= 0 {
+		host = host[:i]
+	}
+	return host
+}
+
 // matchLenOracle is matchLen as it was, for names already lowered.
 func matchLenOracle(pattern, name string) int {
 	pattern = strings.TrimSuffix(pattern, ".")

@@ -8,6 +8,8 @@ import (
 	"io"
 	"math/rand/v2"
 	"net"
+	"runtime/debug"
+	"strings"
 	"testing"
 	"time"
 
@@ -303,5 +305,179 @@ func TestTLSPassLeavesNoGoroutine(t *testing.T) {
 	}
 	if got := cen.Counters.Get("sni-reset"); got != 0 {
 		t.Fatalf("%d clean streams reset", got)
+	}
+}
+
+// helloCase is one FuzzInterceptedHello input drawn from its seed: an SNI
+// policy over a small name alphabet and what the client writes, cut into
+// segments.
+type helloCase struct {
+	policy *Policy
+	stream []byte
+	segs   [][]byte
+}
+
+func drawHelloCase(seed uint64) helloCase {
+	rng := rand.New(rand.NewPCG(seed, seed>>32|1))
+	pick := func(xs []string) string { return xs[rng.IntN(len(xs))] }
+	c := helloCase{policy: &Policy{SNI: map[string]TLSAction{}}}
+	for range 1 + rng.IntN(3) {
+		c.policy.SNI[pick([]string{"a.com", "www.a.com", "B.org", "c.net.", "ü.de"})] = []TLSAction{TLSDrop, TLSReset}[rng.IntN(2)]
+	}
+	if rng.IntN(4) == 0 {
+		// Not pseudo-TLS: a request, or bytes at random.
+		c.stream = []byte("GET / HTTP/1.1\r\nHost: a.com\r\n\r\n")
+		if rng.IntN(2) == 0 {
+			c.stream = make([]byte, rng.IntN(40))
+			for i := range c.stream {
+				c.stream[i] = byte(rng.IntN(256))
+			}
+		}
+	} else {
+		name := pick([]string{"a.com", "WWW.A.com", "b.org.", "c.net:443", "d.io", "x.Ü.de", ""})
+		if rng.IntN(5) == 0 {
+			name = strings.Repeat("a", 250+rng.IntN(10)) // over 255: not a hello
+		}
+		typ := []byte{1, 2, byte(rng.IntN(256))}[rng.IntN(3)]
+		c.stream = append([]byte("TLSX"), typ, byte(len(name)>>8), byte(len(name)))
+		c.stream = append(c.stream, name...)
+		c.stream = append(c.stream, "\x01\x02\x03\x04\x05\x06\x07\x08"...)
+		if rng.IntN(4) == 0 {
+			c.stream = c.stream[:rng.IntN(len(c.stream))] // the client leaves mid-hello
+		} else {
+			c.stream = append(c.stream, bytes.Repeat([]byte{'p'}, rng.IntN(100))...)
+		}
+	}
+	for rest := c.stream; len(rest) > 0; {
+		k := len(rest)
+		if rng.IntN(3) > 0 {
+			k = 1 + rng.IntN(len(rest))
+		}
+		c.segs, rest = append(c.segs, rest[:k]), rest[k:]
+	}
+	return c
+}
+
+// FuzzInterceptedHello holds the censor's TLS path to a model of an on-path
+// censor: the verdict is SNIActionFor of the name ReadHello reads from what
+// the client sent, clean when it reads none. On a clean verdict the origin
+// receives exactly the client's bytes; a reset one reaches the client as an
+// RST, a blackholed one as nothing; either way the origin receives nothing.
+func FuzzInterceptedHello(f *testing.F) {
+	for seed := range uint64(64) {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed uint64) {
+		c := drawHelloCase(seed)
+		want := TLSClean
+		if h, err := tlsx.ReadHello(bytes.NewReader(c.stream)); err == nil {
+			want = c.policy.SNIActionFor(h.Name)
+		}
+		n := netem.New(vtime.NewEventDriven(), netem.WithSeed(int64(seed)))
+		isp := n.AddAS(100, "ISP-A", "PK")
+		client := n.MustAddHost("client", "10.0.0.1", "pk", isp)
+		origin := n.MustAddHost("origin", originIP, "us", n.AddAS(200, "US", "US"))
+		cen := New(c.policy)
+		cen.Attach(isp)
+		l := origin.MustListen(tlsx.Port)
+		defer func() {
+			if err := l.Close(); err != nil {
+				t.Error(err)
+			}
+		}()
+		conn, err := client.Dial(context.Background(), originIP+":443")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		peer, err := l.Accept()
+		if err != nil {
+			t.Fatal(err)
+		}
+		received := make(chan []byte, 1)
+		go func() {
+			defer peer.Close()
+			got, _ := io.ReadAll(peer) // up to EOF or a reset
+			received <- got
+		}()
+
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for i, seg := range c.segs {
+				// A blocked stream's tail may meet a reset one.
+				if _, err := conn.Write(seg); err != nil && want == TLSClean {
+					t.Errorf("segment %d: write: %v", i, err)
+					return
+				}
+			}
+			switch want {
+			case TLSReset:
+				if got, err := io.ReadAll(conn); !netem.IsReset(err) || len(got) > 0 {
+					t.Errorf("a reset stream reads %q, %v", got, err)
+				}
+			case TLSDrop:
+				// Blackholed: once the origin has seen the end of its
+				// stream, the client has nothing to read but its own close.
+				received <- <-received
+				conn.Close()
+				if got, err := io.ReadAll(conn); err != nil || len(got) > 0 {
+					t.Errorf("a blackholed stream reads %q, %v", got, err)
+				}
+			default:
+				conn.Close()
+			}
+		}()
+		select {
+		case <-done:
+		case <-time.After(20 * time.Second): //lint:allow-realtime a stalled stream is real-scheduler time
+			t.Fatal("the stream stalled")
+		}
+		if t.Failed() {
+			return
+		}
+		wantBytes := c.stream
+		if want != TLSClean {
+			wantBytes = nil
+		}
+		if got := <-received; !bytes.Equal(got, wantBytes) {
+			t.Fatalf("verdict %v: the origin received\n%q\nwant\n%q", want, got, wantBytes)
+		}
+		blocked := cen.Counters.Get("sni-drop") + cen.Counters.Get("sni-reset")
+		if (blocked == 1) != (want != TLSClean) || blocked > 1 {
+			t.Fatalf("verdict %v: %d streams blocked", want, blocked)
+		}
+	})
+}
+
+// TestSNIDecisionAllocs: deciding a hello held in one segment, as handleTLS
+// decides it, allocates nothing for an ASCII name in any letter case.
+func TestSNIDecisionAllocs(t *testing.T) {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				t.Skip("allocation counts are not exact under the race detector")
+			}
+		}
+	}
+	c := New(&Policy{SNI: map[string]TLSAction{"YouTube.com": TLSReset, "twitter.com.": TLSDrop, "example.pk": TLSReset}})
+	for _, name := range []string{"www.youtube.com", "WWW.YouTube.COM", "news.Example.org:443"} {
+		seg := append(append([]byte("TLSX\x01\x00"), byte(len(name))), name...)
+		seg = append(seg, "\x00\x01\x02\x03\x04\x05\x06\x07payload"...)
+		var act TLSAction
+		got := testing.AllocsPerRun(100, func() {
+			h, _, err := clientHello(seg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := c.Policy()
+			act = decide(c, p, "10.0.0.1", longestMatch(p.SNI, ruleName(h.Name), TLSClean))
+		})
+		if want := c.policy.SNIActionFor(name); act != want {
+			t.Errorf("%s: decided %v, want %v", name, act, want)
+		}
+		if got != 0 {
+			t.Errorf("%s: %v allocations, want 0", name, got)
+		}
 	}
 }

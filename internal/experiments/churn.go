@@ -33,7 +33,7 @@ type churnPhase struct {
 	Degraded  int // between 1.5× and 6×
 	Recovered int // PLT within 1.5× of pre-flip steady state
 	FirstRec  int // 1-based round index of first recovery; 0 = never
-	// steadyNext is the slowest recovered PLT, the next phase's yardstick.
+	// steadyNext is the fastest recovered PLT, the next phase's yardstick.
 	steadyNext time.Duration
 }
 
@@ -48,7 +48,7 @@ func (p *churnPhase) observe(round int, class string, took time.Duration) {
 		if p.FirstRec == 0 {
 			p.FirstRec = round
 		}
-		if took > p.steadyNext {
+		if p.steadyNext == 0 || took < p.steadyNext {
 			p.steadyNext = took
 		}
 	}
@@ -155,15 +155,21 @@ var CensorChurn = experiment("censor-churn", scenario{scale: churnScale, world: 
 	}
 
 	// Baseline: epoch 0 is clean; both clients build NotBlocked records.
-	// The slowest baseline round (the first includes a full detection) is
-	// the steady-state yardstick for the first flip.
+	// The fastest baseline round is the steady-state yardstick for the
+	// first flip. On the scaled clock a host stall only ever adds time, so
+	// the fastest round is the one nearest the stall-free PLT; a stall in
+	// one baseline round cannot lift the yardstick and pass a degraded
+	// round off as recovered.
 	var steadyA, steadyB time.Duration
 	for round := 1; round <= churnBaselineRounds; round++ {
 		ra, rb := fetch(a), fetch(b)
 		for i, res := range []*core.Result{ra, rb} {
 			r.hold(res.OK() && res.Status == localdb.NotBlocked, "baseline round %d client %c: status %v err %v", round, 'A'+i, res.Status, res.Err)
 		}
-		steadyA, steadyB = max(steadyA, ra.Took), max(steadyB, rb.Took)
+		if round == 1 {
+			steadyA, steadyB = ra.Took, rb.Took
+		}
+		steadyA, steadyB = min(steadyA, ra.Took), min(steadyB, rb.Took)
 		w.Clock.Advance(churnRoundGap)
 	}
 

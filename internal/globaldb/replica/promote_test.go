@@ -9,6 +9,7 @@ import (
 	"csaw/internal/globaldb/storage"
 	"csaw/internal/httpx"
 	"csaw/internal/netem"
+	"csaw/internal/vtime"
 )
 
 // peerState puts one node of a fresh set into the state an election probe
@@ -186,9 +187,11 @@ func TestHandleDemote(t *testing.T) {
 
 // TestHealthySetNeverElects ticks a set whose leader is alive: followers
 // pull, the leader reconciles, nobody counts a missed pull, and the lineage
-// stays the founding one.
+// stays the founding one. It asserts outcomes, not timing, so it runs on the
+// event clock: a host stall cannot expire a pull's 5 s timeout (5 ms of real
+// time on the scaled clock) and count a missed pull.
 func TestHealthySetNeverElects(t *testing.T) {
-	w := newReplWorld(t)
+	w := newReplWorldOn(t, vtime.NewEventDriven())
 	ctx := context.Background()
 	c := w.client(addr0)
 	seedReports(t, c, "a.example/")

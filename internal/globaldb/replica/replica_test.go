@@ -34,7 +34,12 @@ type replWorld struct {
 
 func newReplWorld(t *testing.T) *replWorld {
 	t.Helper()
-	clock := vtime.New(1000)
+	return newReplWorldOn(t, vtime.New(1000))
+}
+
+// newReplWorldOn is newReplWorld on the given clock.
+func newReplWorldOn(t *testing.T, clock *vtime.Clock) *replWorld {
+	t.Helper()
 	n := netem.New(clock, netem.WithSeed(41))
 	pk := n.AddAS(100, "ISP", "PK")
 	cloud := n.AddAS(900, "Cloud", "US")
@@ -224,8 +229,12 @@ func TestFollowerForwardsWrites(t *testing.T) {
 // TestClientFailoverToReplica pins the end-to-end §5 scenario: the censor
 // blackholes the primary; a replica-set client fails over to a follower and
 // — because replication preserves tags — its cached validator still 304s.
+// The clock runs at 100×, not 1000×: the client's 5 s timeout is then 50 ms
+// of real time, so a host stall cannot time out the healthy primary's fetch
+// and fail over early. (The event clock cannot run it: nothing sleeps while
+// the client waits on the blackholed primary, so its timeout never fires.)
 func TestClientFailoverToReplica(t *testing.T) {
-	w := newReplWorld(t)
+	w := newReplWorldOn(t, vtime.New(100))
 	seedReports(t, w.client(addr0), "a.example/", "b.example/")
 	if err := w.set.SyncAll(context.Background()); err != nil {
 		t.Fatal(err)

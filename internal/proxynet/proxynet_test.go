@@ -68,7 +68,7 @@ func TestTunnelByHostnameNeedsLookup(t *testing.T) {
 }
 
 func TestTunnelByHostnameWithLookup(t *testing.T) {
-	clock := vtime.New(500)
+	clock := vtime.NewEventDriven()
 	n := netem.New(clock, netem.WithSeed(18))
 	as := n.AddAS(1, "X", "EU")
 	client := n.MustAddHost("client", "10.0.0.1", "pk", as)

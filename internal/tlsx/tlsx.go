@@ -73,45 +73,73 @@ func marshalHello(typ byte, name string, random [8]byte) ([]byte, error) {
 	return b, nil
 }
 
-// ReadHello parses one handshake message from r. Censors use this on raw
-// streams to extract the SNI.
-func ReadHello(r io.Reader) (*Hello, error) {
-	var head [7]byte
-	if _, err := io.ReadFull(r, head[:]); err != nil {
-		return nil, err
+// ErrIncomplete is ParseHello's answer to bytes that end before the
+// handshake message does.
+var ErrIncomplete = errors.New("tlsx: incomplete hello")
+
+// RawHello is a handshake message located in the bytes ParseHello found it
+// in: Name is a view of them.
+type RawHello struct {
+	Len    int // bytes of the message
+	Type   byte
+	Name   []byte
+	Random [8]byte
+}
+
+// ParseHello parses the handshake message b starts with where it lies,
+// allocating nothing. Bytes that cannot begin one are ErrNotTLSX; bytes
+// that end before it does are ErrIncomplete, with Len the length b must
+// reach before ParseHello can say more: like ReadHello on a stream, it
+// judges nothing before the 7-byte head is whole.
+func ParseHello(b []byte) (RawHello, error) {
+	h := RawHello{Len: 7}
+	if len(b) < h.Len {
+		return h, ErrIncomplete
 	}
-	if [4]byte(head[0:4]) != magic {
-		return nil, ErrNotTLSX
+	if [4]byte(b[0:4]) != magic {
+		return h, ErrNotTLSX
 	}
-	h := &Hello{Type: head[4]}
-	nameLen := int(binary.BigEndian.Uint16(head[5:7]))
+	nameLen := int(binary.BigEndian.Uint16(b[5:7]))
 	if nameLen > maxNameLen {
-		return nil, ErrNotTLSX
+		return h, ErrNotTLSX
 	}
-	buf := make([]byte, nameLen+8)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
+	h.Len += nameLen + 8
+	if len(b) < h.Len {
+		return h, ErrIncomplete
 	}
-	h.Name = string(buf[:nameLen])
-	copy(h.Random[:], buf[nameLen:])
+	h.Type, h.Name = b[4], b[7:7+nameLen]
+	h.Random = [8]byte(b[7+nameLen : h.Len])
 	return h, nil
 }
 
-// SniffClientHello reports whether b begins a TLSX ClientHello and if so the
-// SNI it carries. It needs at most PeekLen bytes.
-func SniffClientHello(b []byte) (sni string, ok bool) {
-	if len(b) < 7 || [4]byte(b[0:4]) != magic || b[4] != typeClientHello {
-		return "", false
+// ReadHello reads one handshake message from r, as ParseHello parses it.
+func ReadHello(r io.Reader) (*Hello, error) {
+	var b []byte
+	for {
+		h, err := ParseHello(b)
+		if err == nil {
+			return &Hello{Type: h.Type, Name: string(h.Name), Random: h.Random}, nil
+		}
+		if err != ErrIncomplete {
+			return nil, err
+		}
+		n := len(b)
+		b = append(b, make([]byte, h.Len-n)...)
+		if _, err := io.ReadFull(r, b[n:]); err != nil {
+			return nil, err
+		}
 	}
-	nameLen := int(binary.BigEndian.Uint16(b[5:7]))
-	if nameLen > maxNameLen || len(b) < 7+nameLen {
-		return "", false
-	}
-	return string(b[7 : 7+nameLen]), true
 }
 
-// PeekLen is how many bytes a censor must peek to read any SNI.
-const PeekLen = 7 + maxNameLen
+// SniffClientHello reports whether b begins a whole TLSX ClientHello and if
+// so the SNI it carries.
+func SniffClientHello(b []byte) (sni string, ok bool) {
+	h, err := ParseHello(b)
+	if err != nil || h.Type != typeClientHello {
+		return "", false
+	}
+	return string(h.Name), true
+}
 
 // keystream is a xorshift64-based pseudo-random byte stream. It provides
 // payload opacity to the on-path observer, standing in for TLS's real

@@ -9,6 +9,7 @@ import (
 	"hash/fnv"
 	"io"
 	"net"
+	"runtime/debug"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -340,5 +341,87 @@ func TestInlineFNVMatchesHashFNV(t *testing.T) {
 				t.Fatalf("newKeystream(%x, %x, %q) state %#x, hash/fnv gives %#x", cr, sr, dir, ks.state, want)
 			}
 		}
+	}
+}
+
+// helloBytes is a handshake message on the wire, written by hand so that a
+// name longer than marshalHello allows can be sent.
+func helloBytes(typ byte, name string, random [8]byte) []byte {
+	b := append(magic[:4:4], typ)
+	b = binary.BigEndian.AppendUint16(b, uint16(len(name)))
+	return append(append(b, name...), random[:]...)
+}
+
+// FuzzParseHello holds the in-place parse to ReadHello over the same bytes:
+// both accept or both reject, an accepted hello has the same type, name and
+// random, and ParseHello's ErrIncomplete is exactly ReadHello running out
+// of bytes. Every cut of an accepted hello short of its end is incomplete.
+func FuzzParseHello(f *testing.F) {
+	r := randomFrom("seed")
+	for _, b := range [][]byte{
+		helloBytes(typeClientHello, "www.youtube.com", r),
+		helloBytes(typeServerHello, "*.cdn.example", r),
+		helloBytes(0x7f, "", r),
+		helloBytes(typeClientHello, strings.Repeat("a", maxNameLen), r),
+		helloBytes(typeClientHello, strings.Repeat("b", maxNameLen+1), r),
+		append(helloBytes(typeClientHello, "x.org", r), "GET / HTTP/1.1\r\n"...),
+		helloBytes(typeClientHello, "x.org", r)[:11],
+		[]byte("TLSX"),
+		[]byte("TLSY\x01\x00\x00"),
+		[]byte("GET / HTTP/1.1\r\nHost: a.com\r\n\r\n"),
+		nil,
+	} {
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		h, err := ParseHello(data)
+		want, rerr := ReadHello(bytes.NewReader(data))
+		switch {
+		case rerr == io.EOF || rerr == io.ErrUnexpectedEOF:
+			if err != ErrIncomplete || h.Len <= len(data) {
+				t.Fatalf("ReadHello runs out of bytes (%v); ParseHello: %v, Len %d of %d", rerr, err, h.Len, len(data))
+			}
+		case rerr != nil:
+			if err != rerr {
+				t.Fatalf("ReadHello: %v; ParseHello: %v", rerr, err)
+			}
+		case err != nil:
+			t.Fatalf("ReadHello reads %+v; ParseHello: %v", want, err)
+		default:
+			if h.Type != want.Type || string(h.Name) != want.Name || h.Random != want.Random || h.Len != 7+len(want.Name)+8 {
+				t.Fatalf("ParseHello %+v, ReadHello %+v", h, want)
+			}
+			for c := range h.Len {
+				if _, err := ParseHello(data[:c]); err != ErrIncomplete {
+					t.Fatalf("the hello cut at %d of %d: %v, want ErrIncomplete", c, h.Len, err)
+				}
+			}
+		}
+	})
+}
+
+// TestParseHelloAllocs pins what the censor's look at a ClientHello costs:
+// nothing.
+func TestParseHelloAllocs(t *testing.T) {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				t.Skip("allocation counts are not exact under the race detector")
+			}
+		}
+	}
+	b := append(helloBytes(typeClientHello, "www.YouTube.com", randomFrom("x")), "payload"...)
+	var h RawHello
+	got := testing.AllocsPerRun(100, func() {
+		var err error
+		if h, err = ParseHello(b); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if string(h.Name) != "www.YouTube.com" || h.Len != len(b)-len("payload") {
+		t.Fatalf("parsed %+v", h)
+	}
+	if got != 0 {
+		t.Errorf("%v allocations, want 0", got)
 	}
 }
