@@ -65,6 +65,11 @@ func NewClassifier() *Classifier {
 	return &Classifier{templates: templateVectors(), MinSimilarity: 0.95, MinPhrases: 1}
 }
 
+// Shared is the process's one default classifier, for the many clients
+// that judge pages alike. Phase1 only reads a classifier; Shared's holders
+// must not set its fields.
+var Shared = sync.OnceValue(NewClassifier)
+
 // templateVectors is the reference templates' tag vectors, built once per
 // process and shared by every classifier: Phase1 only reads them.
 var templateVectors = sync.OnceValue(func() []tagVector {

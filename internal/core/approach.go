@@ -15,7 +15,6 @@ import (
 	"csaw/internal/lantern"
 	"csaw/internal/localdb"
 	"csaw/internal/netem"
-	"csaw/internal/proxynet"
 	"csaw/internal/tor"
 	"csaw/internal/vtime"
 	"csaw/internal/web"
@@ -32,18 +31,44 @@ const (
 )
 
 // Approach is one circumvention method the client can dispatch a URL over.
+// It holds only what every client holds alike, so one approach set serves a
+// whole world: a client fetches through it with its own host's dial under
+// its own connection budget and with its own resolvers (Client.roundTrip).
+// Only an approach with a dialer of its own (Tor, Lantern) belongs to one
+// client.
 type Approach struct {
 	Name string
 	Kind Kind
 	// Anonymous marks approaches that hide the user (Tor); the
 	// PreferAnonymity user preference restricts selection to these (§4.4).
 	Anonymous bool
-	// Transport fetches URLs over this approach.
+	// Transport is how the approach reaches a site: TLS, SNI, Host header,
+	// proxy and timeout, and a Dialer only when the approach has its own.
 	Transport *web.Transport
+	// Resolve names the client resolver that looks site names up, unless
+	// the transport has a Lookup of its own.
+	Resolve Resolve
 	// Handles reports whether the approach can defeat the given blocking
 	// stages for the given URL. Relay approaches handle everything.
 	Handles func(url string, stages []localdb.Stage) bool
 }
+
+// Resolve names which of the fetching client's resolvers an approach uses.
+type Resolve int
+
+// Resolvers an approach can name.
+const (
+	// ResolveAtRelay looks nothing up: "host:port" goes to the dial, and
+	// the relay at its far end resolves.
+	ResolveAtRelay Resolve = iota
+	// ResolveGlobal asks the global resolver only (fixes for DNS-tampered
+	// names).
+	ResolveGlobal
+	// ResolveLocalThenGlobal asks the local resolver and falls back to the
+	// global one — what a local fix uses when only part of the stack is
+	// tampered with.
+	ResolveLocalThenGlobal
+)
 
 // String returns the approach name.
 func (a *Approach) String() string { return a.Name }
@@ -72,43 +97,49 @@ func stagesWithin(stages []localdb.Stage, allowed ...localdb.BlockType) bool {
 }
 
 // CombinedLookup resolves via the local resolver and falls back to the
-// global one — what a local fix uses when only part of the stack is
-// tampered with.
+// global one (ResolveLocalThenGlobal).
 func CombinedLookup(ldns, gdns *dnsx.Client) func(context.Context, string) (string, error) {
 	return func(ctx context.Context, host string) (string, error) {
-		if res := ldns.Lookup(ctx, host); res.OK() {
-			return res.IPs[0], nil
-		}
-		if res := gdns.Lookup(ctx, host); res.OK() {
-			return res.IPs[0], nil
-		}
-		return "", fmt.Errorf("core: cannot resolve %q on any path", host)
+		return lookupLocalThenGlobal(ctx, ldns, gdns, host)
 	}
 }
 
-// GDNSLookup resolves only via the global resolver (used by fixes for
-// DNS-tampered names).
+// GDNSLookup resolves only via the global resolver (ResolveGlobal).
 func GDNSLookup(gdns *dnsx.Client) func(context.Context, string) (string, error) {
 	return func(ctx context.Context, host string) (string, error) {
-		if res := gdns.Lookup(ctx, host); res.OK() {
-			return res.IPs[0], nil
-		}
-		return "", fmt.Errorf("core: global DNS cannot resolve %q", host)
+		return lookupGlobal(ctx, gdns, host)
 	}
 }
+
+func lookupLocalThenGlobal(ctx context.Context, ldns, gdns *dnsx.Client, host string) (string, error) {
+	if res := ldns.Lookup(ctx, host); res.OK() {
+		return res.IPs[0], nil
+	}
+	if res := gdns.Lookup(ctx, host); res.OK() {
+		return res.IPs[0], nil
+	}
+	return "", fmt.Errorf("core: cannot resolve %q on any path", host)
+}
+
+func lookupGlobal(ctx context.Context, gdns *dnsx.Client, host string) (string, error) {
+	if res := gdns.Lookup(ctx, host); res.OK() {
+		return res.IPs[0], nil
+	}
+	return "", fmt.Errorf("core: global DNS cannot resolve %q", host)
+}
+
+// The local fixes and the static proxy below hold nothing of a client's:
+// their host and resolver arguments are not kept, and each client that
+// fetches through them dials and resolves with its own (see Approach).
 
 // PublicDNSFix builds the local fix for pure DNS blocking: resolve via the
 // public resolver and fetch directly (§4.3.2).
-func PublicDNSFix(host *netem.Host, clock *vtime.Clock, gdns *dnsx.Client) *Approach {
+func PublicDNSFix(_ *netem.Host, clock *vtime.Clock, _ *dnsx.Client) *Approach {
 	return &Approach{
-		Name: "public-dns",
-		Kind: KindLocalFix,
-		Transport: &web.Transport{
-			Label:  "public-dns",
-			Dialer: host.Dial,
-			Lookup: GDNSLookup(gdns),
-			Clock:  clock,
-		},
+		Name:      "public-dns",
+		Kind:      KindLocalFix,
+		Transport: &web.Transport{Label: "public-dns", Clock: clock},
+		Resolve:   ResolveGlobal,
 		Handles: func(_ string, stages []localdb.Stage) bool {
 			return stagesWithin(stages, localdb.BlockDNS)
 		},
@@ -119,17 +150,12 @@ func PublicDNSFix(host *netem.Host, clock *vtime.Clock, gdns *dnsx.Client) *Appr
 // content over TLS so the URL/keyword filter on port 80 sees nothing
 // (§4.3.2: "in case of HTTP blocking, HTTPS is used as a local-fix").
 // DNS-tampered names resolve via the global resolver.
-func HTTPSFix(host *netem.Host, clock *vtime.Clock, ldns, gdns *dnsx.Client) *Approach {
+func HTTPSFix(_ *netem.Host, clock *vtime.Clock, _, _ *dnsx.Client) *Approach {
 	return &Approach{
-		Name: "https",
-		Kind: KindLocalFix,
-		Transport: &web.Transport{
-			Label:  "https",
-			Dialer: host.Dial,
-			Lookup: CombinedLookup(ldns, gdns),
-			TLS:    true,
-			Clock:  clock,
-		},
+		Name:      "https",
+		Kind:      KindLocalFix,
+		Transport: &web.Transport{Label: "https", TLS: true, Clock: clock},
+		Resolve:   ResolveLocalThenGlobal,
 		Handles: func(_ string, stages []localdb.Stage) bool {
 			return stagesWithin(stages, localdb.BlockHTTP, localdb.BlockDNS)
 		},
@@ -140,13 +166,12 @@ func HTTPSFix(host *netem.Host, clock *vtime.Clock, ldns, gdns *dnsx.Client) *Ap
 // host's address with the front's name in the SNI; the encrypted Host header
 // names the blocked site (§2.2). frontable limits it to sites the front
 // actually serves ("if supported by the destination server").
-func NewFrontingFix(host *netem.Host, clock *vtime.Clock, frontHost, frontIP string, frontable func(host string) bool) *Approach {
+func NewFrontingFix(_ *netem.Host, clock *vtime.Clock, frontHost, frontIP string, frontable func(host string) bool) *Approach {
 	return &Approach{
 		Name: "domain-fronting",
 		Kind: KindLocalFix,
 		Transport: &web.Transport{
 			Label:  "domain-fronting",
-			Dialer: host.Dial,
 			Lookup: func(context.Context, string) (string, error) { return frontIP, nil },
 			TLS:    true,
 			SNI:    func(string) string { return frontHost },
@@ -167,19 +192,12 @@ func NewFrontingFix(host *netem.Host, clock *vtime.Clock, frontHost, frontIP str
 // IPAsHostnameFix fetches the blocked site by raw IP with the IP in the
 // Host header, evading hostname/keyword filters and tampered DNS (§2.3,
 // Figure 1c).
-func IPAsHostnameFix(host *netem.Host, clock *vtime.Clock, gdns *dnsx.Client) *Approach {
-	lookup := GDNSLookup(gdns)
-	t := &web.Transport{
-		Label:              "ip-as-hostname",
-		Dialer:             host.Dial,
-		Lookup:             lookup,
-		HostHeaderFromAddr: true,
-		Clock:              clock,
-	}
+func IPAsHostnameFix(_ *netem.Host, clock *vtime.Clock, _ *dnsx.Client) *Approach {
 	return &Approach{
 		Name:      "ip-as-hostname",
 		Kind:      KindLocalFix,
-		Transport: t,
+		Transport: &web.Transport{Label: "ip-as-hostname", HostHeaderFromAddr: true, Clock: clock},
+		Resolve:   ResolveGlobal,
 		Handles: func(_ string, stages []localdb.Stage) bool {
 			return stagesWithin(stages, localdb.BlockHTTP, localdb.BlockDNS)
 		},
@@ -188,16 +206,12 @@ func IPAsHostnameFix(host *netem.Host, clock *vtime.Clock, gdns *dnsx.Client) *A
 
 // StaticProxyApproach tunnels through a fixed CONNECT proxy outside the
 // censored region (the Figure 1a comparators).
-func StaticProxyApproach(name string, host *netem.Host, clock *vtime.Clock, proxyAddr string) *Approach {
+func StaticProxyApproach(name string, _ *netem.Host, clock *vtime.Clock, proxyAddr string) *Approach {
 	return &Approach{
-		Name: name,
-		Kind: KindRelay,
-		Transport: &web.Transport{
-			Label:  name,
-			Dialer: proxynet.Via(host.Dial, proxyAddr),
-			Clock:  clock,
-		},
-		Handles: handlesAll,
+		Name:      name,
+		Kind:      KindRelay,
+		Transport: &web.Transport{Label: name, Proxy: proxyAddr, Clock: clock},
+		Handles:   handlesAll,
 	}
 }
 

@@ -13,10 +13,10 @@ import (
 	"csaw/internal/detect"
 	"csaw/internal/dnsx"
 	"csaw/internal/globaldb"
+	"csaw/internal/httpx"
 	"csaw/internal/localdb"
 	"csaw/internal/metrics"
 	"csaw/internal/netem"
-	"csaw/internal/seedrand"
 	"csaw/internal/trace"
 	"csaw/internal/vtime"
 )
@@ -64,8 +64,9 @@ type Config struct {
 	// Approaches are the available circumvention methods.
 	Approaches []*Approach
 	// GlobalDB, when set, enables crowdsourcing: registration, periodic
-	// reports, and blocked-list downloads. CaptchaToken models the user's
-	// solved CAPTCHA.
+	// reports, and blocked-list downloads. It is this client's alone: the
+	// two count in one registry. CaptchaToken models the user's solved
+	// CAPTCHA.
 	GlobalDB     *globaldb.Client
 	CaptchaToken string
 	// ASNProbeAddr/Host point at the ASN-echo service for multihoming
@@ -150,36 +151,43 @@ func (c *Config) p() float64 {
 	return DefaultP
 }
 
-// Client is a running C-Saw client proxy.
+// Client is a running C-Saw client proxy. It holds only what is its own:
+// the approaches and the block-page classifier it fetches and judges with
+// are shared, and its tables are made when first written.
 type Client struct {
-	cfg   Config
-	clock *vtime.Clock
-	asns  []int // the host's providers' AS numbers, primary first
-	db    *localdb.DB
-	det   *detect.Detector
-	ldns  *dnsx.Client
-	gdns  *dnsx.Client
+	cfg  Config
+	asns []int // the host's providers' AS numbers, primary first
+	db   *localdb.DB
+	det  detect.Detector // dials with the host's dial under sem
+	ldns dnsx.Client
+	gdns dnsx.Client
 
-	tracer   *trace.Tracer
+	// own maps each approach with a dialer of its own (Tor, Lantern) to
+	// that dialer under the connection budget; nil without one.
+	own map[*Approach]netem.DialFunc
+
 	traceSeq atomic.Uint64 // per-client span sequence number
 
 	sem chan struct{} // client connection-load budget
 
 	mu         sync.Mutex
-	rng        *rand.Rand
-	ewma       map[string]*metrics.EWMA
+	rng        *rand.Rand // seeded from Config.Seed at its first draw
+	ewma       map[ewmaKey]*metrics.EWMA
 	access     map[string]int
 	seenASNs   map[int]bool
-	multihomed bool
 	quar       map[string]*quarState // approach quarantine (see quarantine.go)
+	multihomed bool
 
 	// Sync circuit-breaker state (guarded by mu).
-	syncFails     int // consecutive failed rounds
 	syncDegraded  bool
+	syncFails     int // consecutive failed rounds
 	syncOpenUntil time.Time
 	lastSyncErr   error
 
-	counters metrics.Counters
+	// counters is the client's scope of the one registry it shares with
+	// its global-DB client (whose own counts are that registry's unscoped
+	// names).
+	counters metrics.Scope
 
 	bg      sync.WaitGroup  // in-flight background measurements/reports
 	loops   sync.WaitGroup  // periodic sync and probe loops
@@ -199,56 +207,91 @@ func New(cfg Config) (*Client, error) {
 	if maxConns <= 0 {
 		maxConns = DefaultMaxConns
 	}
-	ldns := &dnsx.Client{Dial: cfg.Host.Dial, Clock: cfg.Clock, Servers: cfg.LDNS,
-		AttemptTimeout: cfg.DNSAttemptTimeout}
-	gdns := &dnsx.Client{Dial: cfg.Host.Dial, Clock: cfg.Clock, Servers: cfg.GDNS,
-		AttemptTimeout: cfg.DNSAttemptTimeout}
 	c := &Client{
-		cfg:      cfg,
-		clock:    cfg.Clock,
-		tracer:   cfg.Trace,
-		db:       localdb.New(cfg.Clock, cfg.TTL, !cfg.NoAggregate),
-		ldns:     ldns,
-		gdns:     gdns,
-		sem:      make(chan struct{}, maxConns),
-		rng:      seedrand.New(cfg.Seed + 1),
-		ewma:     make(map[string]*metrics.EWMA),
-		access:   make(map[string]int),
-		seenASNs: make(map[int]bool),
+		cfg: cfg,
+		db:  localdb.New(cfg.Clock, cfg.TTL, !cfg.NoAggregate),
+		ldns: dnsx.Client{Dial: cfg.Host.Dial, Clock: cfg.Clock, Servers: cfg.LDNS,
+			AttemptTimeout: cfg.DNSAttemptTimeout},
+		gdns: dnsx.Client{Dial: cfg.Host.Dial, Clock: cfg.Clock, Servers: cfg.GDNS,
+			AttemptTimeout: cfg.DNSAttemptTimeout},
+		sem: make(chan struct{}, maxConns),
 	}
 	c.life, c.endLife = cfg.Clock.WithCancel(context.Background())
 	for _, as := range cfg.Host.ASes() {
 		c.asns = append(c.asns, as.Number)
 	}
-	c.det = &detect.Detector{
+	registry := new(metrics.Counters)
+	if cfg.GlobalDB != nil {
+		registry = cfg.GlobalDB.Counters()
+	}
+	c.counters = registry.In(clientScope)
+	// Every connection the client opens — the detector's and every
+	// approach's — draws from the same budget: that coupling is what makes
+	// extra copies and direct-path re-measurement cost PLT at load
+	// (Figure 5b/c, Table 6).
+	c.det = detect.Detector{
 		Clock:          cfg.Clock,
 		Dial:           netem.LimitDial(cfg.Host.Dial, c.sem),
-		LDNS:           ldns,
-		GDNS:           gdns,
-		Classifier:     blockpage.NewClassifier(),
+		LDNS:           &c.ldns,
+		GDNS:           &c.gdns,
+		Classifier:     blockpage.Shared(),
 		ConnectTimeout: cfg.DetectConnectTimeout,
 		HTTPTimeout:    cfg.DetectHTTPTimeout,
 	}
-	// Every approach's upstream connections draw from the same client
-	// budget: that coupling is what makes extra copies and direct-path
-	// re-measurement cost PLT at load (Figure 5b/c, Table 6).
 	for _, a := range cfg.Approaches {
-		a.Transport.Dialer = netem.LimitDial(a.Transport.Dialer, c.sem)
+		if a.Transport != nil && a.Transport.Dialer != nil {
+			if c.own == nil {
+				c.own = make(map[*Approach]netem.DialFunc)
+			}
+			c.own[a] = netem.LimitDial(a.Transport.Dialer, c.sem)
+		}
 	}
 	return c, nil
+}
+
+// roundTrip sends req through approach a with the client's own parts: its
+// host's dial (or the approach's own dialer), under the connection budget,
+// and the resolver the approach names.
+func (c *Client) roundTrip(ctx context.Context, a *Approach, req *httpx.Request) (*httpx.Response, error) {
+	dial := c.det.Dial
+	if own, ok := c.own[a]; ok {
+		dial = own
+	}
+	lookup := a.Transport.Lookup
+	if lookup == nil {
+		switch a.Resolve {
+		case ResolveGlobal:
+			lookup = c.lookupGlobal
+		case ResolveLocalThenGlobal:
+			lookup = c.lookupLocalThenGlobal
+		}
+	}
+	return a.Transport.RoundTripWith(ctx, req, dial, lookup)
+}
+
+func (c *Client) lookupGlobal(ctx context.Context, host string) (string, error) {
+	return lookupGlobal(ctx, &c.gdns, host)
+}
+
+func (c *Client) lookupLocalThenGlobal(ctx context.Context, host string) (string, error) {
+	return lookupLocalThenGlobal(ctx, &c.ldns, &c.gdns, host)
 }
 
 // DB exposes the local database (read-mostly, for experiments and tools).
 func (c *Client) DB() *localdb.DB { return c.db }
 
 // Clock returns the client's clock.
-func (c *Client) Clock() *vtime.Clock { return c.clock }
+func (c *Client) Clock() *vtime.Clock { return c.cfg.Clock }
 
 // Detector returns the client's direct-path detector.
-func (c *Client) Detector() *detect.Detector { return c.det }
+func (c *Client) Detector() *detect.Detector { return &c.det }
 
 // ASN returns the client's (primary) AS number.
 func (c *Client) ASN() int { return c.asns[0] }
+
+// clientScope is the client's scope of the counters registry it shares
+// with its global-DB client.
+const clientScope = 1
 
 // gdbPrefix names the global-DB client's counts in the client's own: its
 // "fetch-304" is the client's "gdb-fetch-304".
@@ -296,7 +339,7 @@ func (c *Client) failoverBudget() time.Duration {
 // life context and costs no goroutine. The returned cancel must be called:
 // it unlinks the context from both.
 func (c *Client) stopCtx(parent context.Context) (context.Context, context.CancelFunc) {
-	return c.clock.WithStop(parent, c.life)
+	return c.cfg.Clock.WithStop(parent, c.life)
 }
 
 // Close stops background work: it ends the client's life context, which

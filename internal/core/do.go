@@ -26,7 +26,7 @@ func (c *Client) Do(ctx context.Context, req *httpx.Request) (*Result, error) {
 	url := localdb.JoinURL(req.Host, req.Target)
 	status, stages, _ := c.verdict(trace.SpanFromContext(ctx), url)
 
-	start := c.clock.Now()
+	start := c.cfg.Clock.Now()
 	if status == localdb.Blocked {
 		app := c.selectApproach(trace.SpanFromContext(ctx), url, stages)
 		if app == nil {
@@ -37,7 +37,7 @@ func (c *Client) Do(ctx context.Context, req *httpx.Request) (*Result, error) {
 			return nil, err
 		}
 		c.counters.Add("served-circum", 1)
-		return &Result{URL: url, Resp: resp, Source: app.Name, Status: status, Stages: stages, Took: c.clock.Since(start)}, nil
+		return &Result{URL: url, Resp: resp, Source: app.Name, Status: status, Stages: stages, Took: c.cfg.Clock.Since(start)}, nil
 	}
 
 	// Unmeasured or clean: one direct attempt, never duplicated. A failure
@@ -48,7 +48,7 @@ func (c *Client) Do(ctx context.Context, req *httpx.Request) (*Result, error) {
 		return nil, fmt.Errorf("core: direct %s %s: %w", req.Method, url, err)
 	}
 	c.counters.Add("served-direct", 1)
-	return &Result{URL: url, Resp: resp, Source: "direct", Status: status, Took: c.clock.Since(start)}, nil
+	return &Result{URL: url, Resp: resp, Source: "direct", Status: status, Took: c.cfg.Clock.Since(start)}, nil
 }
 
 // sendDirect performs one non-GET exchange on the direct path, resolving
@@ -57,21 +57,20 @@ func (c *Client) sendDirect(ctx context.Context, req *httpx.Request) (*httpx.Res
 	host, _ := localdb.SplitURL(req.Host)
 	ip := host
 	if !netem.IsIPLiteral(host) {
-		addr, err := CombinedLookup(c.ldns, c.gdns)(ctx, host)
+		addr, err := c.lookupLocalThenGlobal(ctx, host)
 		if err != nil {
 			return nil, err
 		}
 		ip = addr
 	}
-	hc := &httpx.Client{Dial: c.det.Dial, Clock: c.clock}
+	hc := &httpx.Client{Dial: c.det.Dial, Clock: c.cfg.Clock}
 	return hc.Do(ctx, ip+":80", req)
 }
 
 // sendVia performs one non-GET exchange through an approach's transport:
 // same dialer, resolution, and (pseudo-)TLS/SNI rules as its GET path.
 func (c *Client) sendVia(ctx context.Context, app *Approach, req *httpx.Request) (*httpx.Response, error) {
-	t := app.Transport
-	resp, err := t.RoundTrip(ctx, req)
+	resp, err := c.roundTrip(ctx, app, req)
 	if err != nil {
 		return nil, fmt.Errorf("core: %s %s via %s: %w", req.Method, req.Host+req.Target, app.Name, err)
 	}

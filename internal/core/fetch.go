@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"slices"
 	"sync"
 	"time"
@@ -12,6 +13,7 @@ import (
 	"csaw/internal/globaldb"
 	"csaw/internal/httpx"
 	"csaw/internal/localdb"
+	"csaw/internal/seedrand"
 	"csaw/internal/trace"
 	"csaw/internal/vtime"
 )
@@ -41,13 +43,13 @@ func (c *Client) Fetch(ctx context.Context, host, path string) (*httpx.Response,
 
 // FetchURL runs Algorithm 1 for one URL ("host/path").
 func (c *Client) FetchURL(ctx context.Context, url string) (res *Result) {
-	start := c.clock.Now()
-	defer func() { res.Took = c.clock.Since(start) }()
+	start := c.cfg.Clock.Now()
+	defer func() { res.Took = c.cfg.Clock.Since(start) }()
 
 	url = localdb.JoinURL(localdb.SplitURL(url))
 	// Flight recorder: one span per fetch; emission waits for background
 	// lanes (the redundant copy can outlive this call).
-	sp := c.tracer.Start(c.cfg.Host.Name(), c.traceSeq.Add(1), url)
+	sp := c.cfg.Trace.Start(c.cfg.Host.Name(), c.traceSeq.Add(1), url)
 	if sp != nil {
 		ctx = trace.WithSpan(ctx, sp)
 		defer func() { sp.Finish(res.Source, res.Status.String(), res.Err) }()
@@ -271,7 +273,7 @@ func (c *Client) fetchUnmeasured(ctx context.Context, url string) *Result {
 			// Staggered copy: if the direct path answers within the delay,
 			// the redundant request is never sent (§7.1, footnote 10).
 			select {
-			case <-c.clock.After(d):
+			case <-c.cfg.Clock.After(d):
 			case <-launchNow:
 			case <-cctx.Done():
 				circumCh <- circumOut{err: cctx.Err()}
@@ -490,7 +492,7 @@ func (c *Client) fetchBlocked(ctx context.Context, url string, stages []localdb.
 			// Stop-aware: Close cancels the measurement even when the
 			// virtual clock (and thus the timeout below) never advances
 			// again.
-			mctx, cancel := c.clock.WithTimeout(c.life, time.Minute)
+			mctx, cancel := c.cfg.Clock.WithTimeout(c.life, time.Minute)
 			defer cancel()
 			out := c.det.Measure(mctx, url, detect.HTTP)
 			if out.Status == localdb.NotMeasured {
@@ -516,5 +518,14 @@ func (c *Client) fetchBlocked(ctx context.Context, url string, stages []localdb.
 func (c *Client) roll() float64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.rng.Float64()
+	return c.randLocked().Float64()
+}
+
+// randLocked is the client's random source, seeded at its first draw.
+// Caller holds c.mu.
+func (c *Client) randLocked() *rand.Rand {
+	if c.rng == nil {
+		c.rng = seedrand.New(c.cfg.Seed + 1)
+	}
+	return c.rng
 }

@@ -88,7 +88,7 @@ func (c *Client) quarStrike(sp *trace.Span, a *Approach) {
 		s.benches++
 		s.strikes = 0
 		s.paroled = false
-		s.until = c.clock.Now().Add(pol.benchFor(s.benches))
+		s.until = c.cfg.Clock.Now().Add(pol.benchFor(s.benches))
 	}
 	c.mu.Unlock()
 	if bench {
@@ -136,7 +136,7 @@ func (c *Client) quarAllowed(a *Approach) bool {
 		c.mu.Unlock()
 		return true
 	}
-	if c.clock.Now().Before(s.until) {
+	if c.cfg.Clock.Now().Before(s.until) {
 		c.mu.Unlock()
 		return false
 	}

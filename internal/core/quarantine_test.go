@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"csaw/internal/metrics"
 	"csaw/internal/vtime"
 )
 
@@ -11,8 +12,8 @@ import (
 // a policy and a clock.
 func quarClient(pol QuarantinePolicy) *Client {
 	return &Client{
-		cfg:   Config{Quarantine: pol},
-		clock: vtime.New(1),
+		cfg:      Config{Quarantine: pol, Clock: vtime.New(1)},
+		counters: new(metrics.Counters).In(clientScope),
 	}
 }
 
@@ -33,7 +34,7 @@ func TestQuarantineBenchAfterStrikes(t *testing.T) {
 	}
 
 	// Bench expires into probation: allowed again without any success.
-	c.clock.Advance(DefaultBenchBase + time.Second)
+	c.cfg.Clock.Advance(DefaultBenchBase + time.Second)
 	if !c.quarAllowed(a) {
 		t.Fatal("not allowed on probation after bench expiry")
 	}
@@ -43,11 +44,11 @@ func TestQuarantineBenchAfterStrikes(t *testing.T) {
 	if c.quarAllowed(a) {
 		t.Fatal("probation failure did not re-bench")
 	}
-	c.clock.Advance(DefaultBenchBase + time.Second)
+	c.cfg.Clock.Advance(DefaultBenchBase + time.Second)
 	if c.quarAllowed(a) {
 		t.Fatal("second bench should last 2×BenchBase, but expired after ~1×")
 	}
-	c.clock.Advance(DefaultBenchBase)
+	c.cfg.Clock.Advance(DefaultBenchBase)
 	if !c.quarAllowed(a) {
 		t.Fatal("second bench did not expire after 2×BenchBase")
 	}

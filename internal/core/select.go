@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"strings"
 
 	"csaw/internal/httpx"
 	"csaw/internal/localdb"
@@ -48,6 +47,9 @@ func (c *Client) selectApproach(sp *trace.Span, url string, stages []localdb.Sta
 		n = DefaultExploreEvery
 	}
 	c.mu.Lock()
+	if c.access == nil {
+		c.access = make(map[string]int)
+	}
 	c.access[url]++
 	if c.access[url]%n == 0 {
 		explore = true
@@ -87,7 +89,7 @@ func (c *Client) traceChoice(sp *trace.Span, url string, chosen *Approach, reaso
 func (c *Client) pick(n int) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.rng.Intn(n)
+	return c.randLocked().Intn(n)
 }
 
 // bestByEWMA returns the candidate with the lowest moving-average PLT for
@@ -121,18 +123,25 @@ func (c *Client) bestByEWMA(url string, candidates []*Approach) *Approach {
 	return best
 }
 
+// ewmaKey names one moving average: an approach's for one URL, or, with an
+// empty url, a local fix's for every URL.
+type ewmaKey struct{ approach, url string }
+
 // ewmaFor returns the moving average for an approach, creating it when
 // create is set. §4.3.2 keeps the average per (approach, URL); local fixes
 // behave uniformly across URLs, so theirs collapse to per-approach.
 func (c *Client) ewmaFor(a *Approach, url string, create bool) *metrics.EWMA {
-	key := a.Name
+	key := ewmaKey{approach: a.Name}
 	if a.Kind == KindRelay {
-		key = a.Name + "|" + url
+		key.url = url
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e := c.ewma[key]
 	if e == nil && create {
+		if c.ewma == nil {
+			c.ewma = make(map[ewmaKey]*metrics.EWMA)
+		}
 		e = metrics.NewEWMA(0.3)
 		c.ewma[key] = e
 	}
@@ -160,7 +169,7 @@ func (c *Client) circumFetchVia(ctx context.Context, app *Approach, url string, 
 	parent := ctx
 	if b := c.failoverBudget(); b > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = c.clock.WithTimeout(ctx, b)
+		ctx, cancel = c.cfg.Clock.WithTimeout(ctx, b)
 		defer cancel()
 	}
 	var firstErr error
@@ -170,8 +179,8 @@ func (c *Client) circumFetchVia(ctx context.Context, app *Approach, url string, 
 		}
 		lane := sp.Lane(a.Name)
 		lane.Event("circum", "attempt", a.Name)
-		start := c.clock.Now()
-		resp, err := a.Transport.Fetch(trace.WithLane(ctx, lane), host, path)
+		start := c.cfg.Clock.Now()
+		resp, err := c.roundTrip(trace.WithLane(ctx, lane), a, httpx.NewRequest("GET", host, path))
 		if err == nil && resp.StatusCode >= 400 {
 			// The approach reached *a* server but not the content (e.g. an
 			// IP-addressed request to shared hosting): a failed
@@ -179,7 +188,7 @@ func (c *Client) circumFetchVia(ctx context.Context, app *Approach, url string, 
 			err = fmt.Errorf("core: %s returned %d for %s", a.Name, resp.StatusCode, url)
 		}
 		if err == nil {
-			seconds := c.clock.Since(start).Seconds()
+			seconds := c.cfg.Clock.Since(start).Seconds()
 			lane.Event("circum", "ok", a.Name)
 			lane.Close()
 			sp.EventNum("select", "observe", a.Name, seconds)
@@ -278,10 +287,8 @@ func (c *Client) ewmaObserve(app *Approach, url string, seconds float64) {
 // average would never be re-probed — resetting it to untried (optimistic
 // zero) is what makes the probation probe actually run.
 func (c *Client) ewmaResetLocked(app *Approach) {
-	delete(c.ewma, app.Name)
-	prefix := app.Name + "|"
 	for k := range c.ewma {
-		if strings.HasPrefix(k, prefix) {
+		if k.approach == app.Name {
 			delete(c.ewma, k)
 		}
 	}

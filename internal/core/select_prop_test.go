@@ -15,15 +15,13 @@ import (
 
 // newSelectClient builds the minimal Client the selection path touches.
 // ExploreEvery is set beyond any test's access count so the deterministic
-// best-EWMA ordering is what's under test; the exploration property drives
-// c.access explicitly.
+// best-EWMA ordering is what's under test.
 func newSelectClient(seed int64, approaches []*Approach) *Client {
 	return &Client{
 		cfg: Config{Approaches: approaches, ExploreEvery: 1 << 30},
 		//lint:allow-rand seeded test randomness
-		rng:    rand.New(rand.NewSource(seed)),
-		ewma:   make(map[string]*metrics.EWMA),
-		access: make(map[string]int),
+		rng:      rand.New(rand.NewSource(seed)),
+		counters: new(metrics.Counters).In(clientScope),
 	}
 }
 

@@ -44,7 +44,7 @@ func (c *Client) startLoops() {
 		c.loops.Add(1)
 		go func() {
 			defer c.loops.Done()
-			tk := c.clock.NewTicker(interval)
+			tk := c.cfg.Clock.NewTicker(interval)
 			defer tk.Stop()
 			for {
 				select {
@@ -60,12 +60,12 @@ func (c *Client) startLoops() {
 		c.loops.Add(1)
 		go func() {
 			defer c.loops.Done()
-			tk := c.clock.NewTicker(DefaultASNProbeInterval)
+			tk := c.cfg.Clock.NewTicker(DefaultASNProbeInterval)
 			defer tk.Stop()
 			for {
 				select {
 				case <-tk.C:
-					ctx, cancel := c.clock.WithTimeout(context.Background(), DefaultASNProbeInterval)
+					ctx, cancel := c.cfg.Clock.WithTimeout(context.Background(), DefaultASNProbeInterval)
 					if err := c.ProbeASN(ctx); err != nil {
 						// A failed probe postpones multihoming detection; it
 						// must show up in the counters, not vanish.
@@ -87,7 +87,7 @@ func (c *Client) startLoops() {
 func (c *Client) syncWithRetry(timeout time.Duration) {
 	pol := c.cfg.Sync
 	for attempt := 0; ; attempt++ {
-		ctx, cancel := c.clock.WithTimeout(context.Background(), timeout)
+		ctx, cancel := c.cfg.Clock.WithTimeout(context.Background(), timeout)
 		err := c.SyncNow(ctx)
 		cancel()
 		if err == nil || errors.Is(err, ErrSyncDegraded) || attempt >= pol.retries() {
@@ -95,7 +95,7 @@ func (c *Client) syncWithRetry(timeout time.Duration) {
 		}
 		c.counters.Add("sync-retries", 1)
 		select {
-		case <-c.clock.After(pol.Backoff(attempt, c.roll())):
+		case <-c.cfg.Clock.After(pol.Backoff(attempt, c.roll())):
 		case <-c.life.Done():
 			return
 		}
@@ -132,7 +132,7 @@ func (c *Client) syncAdmit() bool {
 	if !c.syncDegraded {
 		return true
 	}
-	return !c.clock.Now().Before(c.syncOpenUntil)
+	return !c.cfg.Clock.Now().Before(c.syncOpenUntil)
 }
 
 // syncFinish folds a round's outcome into the failure counters and the
@@ -161,7 +161,7 @@ func (c *Client) syncFinish(err error) {
 			c.syncDegraded = true
 			c.counters.Add("sync-circuit-open", 1)
 		}
-		c.syncOpenUntil = c.clock.Now().Add(pol.breakerReset())
+		c.syncOpenUntil = c.cfg.Clock.Now().Add(pol.breakerReset())
 	}
 }
 
@@ -258,7 +258,7 @@ func (c *Client) ProbeASN(ctx context.Context) error {
 	if c.cfg.ASNProbeAddr == "" {
 		return fmt.Errorf("core: no ASN probe service configured")
 	}
-	hc := &httpx.Client{Dial: c.cfg.Host.Dial, Clock: c.clock, Timeout: 10 * time.Second}
+	hc := &httpx.Client{Dial: c.cfg.Host.Dial, Clock: c.cfg.Clock, Timeout: 10 * time.Second}
 	host := c.cfg.ASNProbeHost
 	if host == "" {
 		host = "asn.echo"
@@ -272,6 +272,9 @@ func (c *Client) ProbeASN(ctx context.Context) error {
 		return fmt.Errorf("core: bad ASN echo %q", resp.Body)
 	}
 	c.mu.Lock()
+	if c.seenASNs == nil {
+		c.seenASNs = make(map[int]bool)
+	}
 	c.seenASNs[asn] = true
 	if len(c.seenASNs) > 1 {
 		c.multihomed = true

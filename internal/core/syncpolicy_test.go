@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"csaw/internal/metrics"
 	"csaw/internal/vtime"
 )
 
@@ -12,8 +13,8 @@ import (
 // clock and a policy (same shape as quarClient).
 func syncClient(pol SyncPolicy) *Client {
 	return &Client{
-		cfg:   Config{Sync: pol},
-		clock: vtime.New(1),
+		cfg:      Config{Sync: pol, Clock: vtime.New(1)},
+		counters: new(metrics.Counters).In(clientScope),
 	}
 }
 
@@ -105,7 +106,7 @@ func TestSyncBreakerTransitions(t *testing.T) {
 	if c.syncAdmit() {
 		t.Fatal("open circuit admitted a round")
 	}
-	c.clock.Advance(DefaultSyncBreakerReset - time.Second)
+	c.cfg.Clock.Advance(DefaultSyncBreakerReset - time.Second)
 	if c.syncAdmit() {
 		t.Fatal("open circuit admitted a round before the reset cooldown")
 	}
@@ -113,7 +114,7 @@ func TestSyncBreakerTransitions(t *testing.T) {
 	// Half-open: exactly the cooldown elapses, one probe goes through; its
 	// failure re-opens (no second open-transition counted) for a fresh
 	// cooldown.
-	c.clock.Advance(time.Second)
+	c.cfg.Clock.Advance(time.Second)
 	if !c.syncAdmit() {
 		t.Fatal("no half-open probe after the reset cooldown")
 	}
@@ -127,7 +128,7 @@ func TestSyncBreakerTransitions(t *testing.T) {
 
 	// A successful probe closes the circuit and resets the failure streak:
 	// the next failure is streak one, far from re-opening.
-	c.clock.Advance(DefaultSyncBreakerReset)
+	c.cfg.Clock.Advance(DefaultSyncBreakerReset)
 	if !c.syncAdmit() {
 		t.Fatal("no probe after the second cooldown")
 	}

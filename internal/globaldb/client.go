@@ -57,8 +57,8 @@ type Client struct {
 
 	mu         sync.Mutex
 	uuid       string
-	blocked    map[int]*blockedCache // per AS: the client's copy of the crowd's list
-	down       map[string]time.Time  // endpoint → retry-at (virtual)
+	blocked    []asCache            // per AS: the client's copy of the crowd's list
+	down       map[string]time.Time // endpoint → retry-at (virtual)
 	lastServed string
 	seq        uint64
 	counters   metrics.Counters
@@ -366,7 +366,7 @@ func (c *Client) Report(ctx context.Context, recs []localdb.Record) (int, error)
 // inside.
 func (c *Client) FetchBlocked(ctx context.Context, asn int) ([]Entry, error) {
 	c.mu.Lock()
-	cached := c.blocked[asn]
+	cached := c.cacheLocked(asn)
 	c.mu.Unlock()
 	var base []Entry
 	var tag string
@@ -450,8 +450,8 @@ func (c *Client) FetchBlocked(ctx context.Context, asn int) ([]Entry, error) {
 func (c *Client) forgetTag(asn int, cached *blockedCache) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.blocked[asn] == cached {
-		c.blocked[asn] = &blockedCache{endpoint: cached.endpoint, entries: cached.entries}
+	if c.cacheLocked(asn) == cached {
+		c.storeLocked(asn, &blockedCache{endpoint: cached.endpoint, entries: cached.entries})
 	}
 }
 
@@ -471,10 +471,38 @@ func (c *Client) Lookup(asn int, url string) (Entry, bool) {
 func (c *Client) Blocked(asn int) []Entry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if bc := c.blocked[asn]; bc != nil {
+	if bc := c.cacheLocked(asn); bc != nil {
 		return bc.entries
 	}
 	return nil
+}
+
+// asCache is one AS's cache. A client's ASes are its host's providers —
+// one, or a few when multihomed — so they sit in a slice, not a map.
+type asCache struct {
+	asn int
+	bc  *blockedCache
+}
+
+// cacheLocked is the AS's cache, nil if none. Caller holds c.mu.
+func (c *Client) cacheLocked(asn int) *blockedCache {
+	for _, e := range c.blocked {
+		if e.asn == asn {
+			return e.bc
+		}
+	}
+	return nil
+}
+
+// storeLocked sets the AS's cache. Caller holds c.mu.
+func (c *Client) storeLocked(asn int, bc *blockedCache) {
+	for i := range c.blocked {
+		if c.blocked[i].asn == asn {
+			c.blocked[i].bc = bc
+			return
+		}
+	}
+	c.blocked = append(c.blocked, asCache{asn, bc})
 }
 
 // storeList replaces an AS's cache after a 200 answer. The cache always
@@ -485,10 +513,7 @@ func (c *Client) Blocked(asn int) []Entry {
 func (c *Client) storeList(asn int, bc *blockedCache, bodyLen int, delta bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.blocked == nil {
-		c.blocked = make(map[int]*blockedCache)
-	}
-	c.blocked[asn] = bc
+	c.storeLocked(asn, bc)
 	c.counters.Add("list-bytes", bodyLen)
 	if delta {
 		c.counters.Add("fetch-delta", 1)

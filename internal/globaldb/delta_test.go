@@ -550,7 +550,7 @@ func TestClientTagDowngrade(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.mu.Lock()
-	tag := c.blocked[100].tag
+	tag := c.cacheLocked(100).tag
 	c.mu.Unlock()
 	if tag == "" {
 		t.Fatal("tagged backend served no tag")
@@ -571,7 +571,7 @@ func TestClientTagDowngrade(t *testing.T) {
 		}
 	}
 	c.mu.Lock()
-	tag = c.blocked[100].tag
+	tag = c.cacheLocked(100).tag
 	c.mu.Unlock()
 	if tag != "" {
 		t.Fatalf("cached tag %q survived a tagless 200; must downgrade to \"\"", tag)

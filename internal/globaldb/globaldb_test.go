@@ -284,7 +284,7 @@ func TestConditionalFetchReusesCache(t *testing.T) {
 	if err != nil || len(first) != 1 {
 		t.Fatalf("first fetch = %+v, %v", first, err)
 	}
-	tag := c.blocked[100].tag
+	tag := c.cacheLocked(100).tag
 	if tag == "" {
 		t.Fatal("no validator tag cached after a 200 fetch")
 	}
@@ -298,8 +298,8 @@ func TestConditionalFetchReusesCache(t *testing.T) {
 	if &second[0] != &first[0] {
 		t.Fatal("unchanged refetch did not reuse the cached entries")
 	}
-	if c.blocked[100].tag != tag {
-		t.Fatalf("tag moved on an unchanged list: %q → %q", tag, c.blocked[100].tag)
+	if c.cacheLocked(100).tag != tag {
+		t.Fatalf("tag moved on an unchanged list: %q → %q", tag, c.cacheLocked(100).tag)
 	}
 
 	// New report: the tag must turn over and the next fetch must see the
@@ -316,7 +316,7 @@ func TestConditionalFetchReusesCache(t *testing.T) {
 	if len(third) != 2 {
 		t.Fatalf("post-update fetch = %+v, want 2 entries", third)
 	}
-	if c.blocked[100].tag == tag {
+	if c.cacheLocked(100).tag == tag {
 		t.Fatal("validator tag did not change after a write")
 	}
 }

@@ -54,7 +54,7 @@ func (sn *shareNet) client(name, ip string, table *ListTable, endpoints ...strin
 func cacheOf(c *Client, asn int) *blockedCache {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.blocked[asn]
+	return c.cacheLocked(asn)
 }
 
 // syncTwins fetches asn's list for c and then for its twin, a client like it

@@ -136,7 +136,7 @@ func (c *Client) Dial(ctx context.Context, address string) (net.Conn, error) {
 	}
 	var lastErr error
 	for _, p := range proxies {
-		conn, err := proxynet.Via(c.host.Dial, p.Addr())(ctx, address)
+		conn, err := proxynet.DialVia(ctx, c.host.Dial, p.Addr(), address)
 		if err == nil {
 			return conn, nil
 		}

@@ -146,6 +146,11 @@ func BaseURL(url string) string {
 // DB is the local database. All methods are safe for concurrent use; the
 // read path (Lookup and the snapshot accessors) takes only a read lock, so
 // fleet-scale concurrent lookups do not serialize behind writers.
+//
+// A host's base-URL record — the one every host-level verdict and, with
+// aggregation, every unblocked one collapses to, and the only one most
+// hosts ever have — sits in one flat table. Only hosts with records of
+// their own for derived URLs have a path table.
 type DB struct {
 	clock *vtime.Clock
 	ttl   time.Duration
@@ -154,7 +159,11 @@ type DB struct {
 	aggregate bool
 
 	mu sync.RWMutex
-	m  map[string]map[string]*Record // host → path → record
+	// base maps host → the record for "host/". Its key is the record's own
+	// URL less the slash, so the two share their bytes.
+	base map[string]*Record
+	// paths maps host → derived path → record, for hosts that have any.
+	paths map[string]map[string]*Record
 }
 
 // DefaultTTL is the record lifetime: long relative to page loads, short
@@ -162,12 +171,13 @@ type DB struct {
 // §4.3.1).
 const DefaultTTL = 24 * time.Hour
 
-// New creates a DB. ttl ≤ 0 selects DefaultTTL.
+// New creates a DB. ttl ≤ 0 selects DefaultTTL. Its tables are made at the
+// first Put.
 func New(clock *vtime.Clock, ttl time.Duration, aggregate bool) *DB {
 	if ttl <= 0 {
 		ttl = DefaultTTL
 	}
-	return &DB{clock: clock, ttl: ttl, aggregate: aggregate, m: make(map[string]map[string]*Record)}
+	return &DB{clock: clock, ttl: ttl, aggregate: aggregate}
 }
 
 // expired reports whether a record is stale.
@@ -205,22 +215,23 @@ func (db *DB) Lookup(url string) (Record, Status) {
 }
 
 // matchLocked finds the longest-prefix matching record for host/path
-// (§4.4 cases b+c). Caller holds db.mu (either mode).
+// (§4.4 cases b+c): a covering derived path, else the base URL, which
+// covers every path. Caller holds db.mu (either mode).
 func (db *DB) matchLocked(host, path string) (string, *Record) {
-	paths := db.m[host]
-	if paths == nil {
-		return "", nil
-	}
 	best := ""
-	for p := range paths {
+	var rec *Record
+	for p, r := range db.paths[host] {
 		if pathCovers(p, path) && len(p) > len(best) {
-			best = p
+			best, rec = p, r
 		}
 	}
-	if best == "" {
-		return "", nil
+	if rec != nil {
+		return best, rec
 	}
-	return best, paths[best]
+	if r := db.base[host]; r != nil {
+		return "/", r
+	}
+	return "", nil
 }
 
 // purgeExpired re-checks under the write lock and drops the record if it
@@ -228,14 +239,17 @@ func (db *DB) matchLocked(host, path string) (string, *Record) {
 func (db *DB) purgeExpired(host, path string) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	paths := db.m[host]
-	if paths == nil {
+	if path == "/" {
+		if r := db.base[host]; r != nil && db.expired(r) {
+			delete(db.base, host)
+		}
 		return
 	}
+	paths := db.paths[host]
 	if r := paths[path]; r != nil && db.expired(r) {
 		delete(paths, path)
 		if len(paths) == 0 {
-			delete(db.m, host)
+			delete(db.paths, host)
 		}
 	}
 }
@@ -264,14 +278,9 @@ func (db *DB) Put(url string, asn int, status Status, stages []Stage) {
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	paths := db.m[host]
-	if paths == nil {
-		paths = make(map[string]*Record)
-		db.m[host] = paths
-	}
 
 	if !db.aggregate {
-		paths[path] = rec
+		db.setLocked(host, path, rec)
 		return
 	}
 
@@ -280,36 +289,64 @@ func (db *DB) Put(url string, asn int, status Status, stages []Stage) {
 		// IP/DNS/HTTPS blocking filters the whole host: keep one base
 		// record and drop now-redundant derived records.
 		rec.URL = JoinURL(host, "/")
-		clearOthers(paths, "/")
-		paths["/"] = rec
+		delete(db.paths, host)
+		db.setLocked(host, "/", rec)
 	case status == Blocked:
 		// HTTP blocking: base blocks everything (case a); a derived URL
 		// gets its own record (case b).
 		if path == "/" {
-			clearOthers(paths, "/")
+			delete(db.paths, host)
 		}
-		paths[path] = rec
+		db.setLocked(host, path, rec)
 	default:
 		// Unblocked (case c): one record at the base URL. Blocked derived
 		// records are kept — they are more specific knowledge and the
 		// longest-prefix match prefers them.
 		rec.URL = JoinURL(host, "/")
-		for p, r := range paths {
-			if r.Status != Blocked && p != "/" {
-				delete(paths, p)
+		if paths := db.paths[host]; paths != nil {
+			for p, r := range paths {
+				if r.Status != Blocked {
+					delete(paths, p)
+				}
+			}
+			if len(paths) == 0 {
+				delete(db.paths, host)
 			}
 		}
-		if base, ok := paths["/"]; !ok || base.Status != Blocked {
-			paths["/"] = rec
+		if base := db.base[host]; base == nil || base.Status != Blocked {
+			db.setLocked(host, "/", rec)
 		}
 	}
 }
 
-// clearOthers removes every path except keep.
-func clearOthers(paths map[string]*Record, keep string) {
-	for p := range paths {
-		if p != keep {
-			delete(paths, p)
+// setLocked stores rec as host/path's record. Caller holds db.mu.
+func (db *DB) setLocked(host, path string, rec *Record) {
+	if path == "/" {
+		if db.base == nil {
+			db.base = make(map[string]*Record)
+		}
+		db.base[rec.URL[:len(rec.URL)-1]] = rec
+		return
+	}
+	if db.paths == nil {
+		db.paths = make(map[string]map[string]*Record)
+	}
+	paths := db.paths[host]
+	if paths == nil {
+		paths = make(map[string]*Record)
+		db.paths[host] = paths
+	}
+	paths[path] = rec
+}
+
+// each calls f for every record, live or not. Caller holds db.mu.
+func (db *DB) each(f func(*Record)) {
+	for _, r := range db.base {
+		f(r)
+	}
+	for _, paths := range db.paths {
+		for _, r := range paths {
+			f(r)
 		}
 	}
 }
@@ -319,12 +356,10 @@ func (db *DB) MarkPosted(url string) {
 	host, path := SplitURL(url)
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if paths := db.m[host]; paths != nil {
-		if r := paths[path]; r != nil {
-			r.GlobalPosted = true
-		} else if r := paths["/"]; r != nil {
-			r.GlobalPosted = true
-		}
+	if r := db.paths[host][path]; r != nil {
+		r.GlobalPosted = true
+	} else if r := db.base[host]; r != nil {
+		r.GlobalPosted = true
 	}
 }
 
@@ -334,13 +369,11 @@ func (db *DB) PendingGlobal() []Record {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	var out []Record
-	for _, paths := range db.m {
-		for _, r := range paths {
-			if r.Status == Blocked && !r.GlobalPosted && !db.expired(r) {
-				out = append(out, *r)
-			}
+	db.each(func(r *Record) {
+		if r.Status == Blocked && !r.GlobalPosted && !db.expired(r) {
+			out = append(out, *r)
 		}
-	}
+	})
 	sort.Slice(out, func(i, j int) bool { return out[i].URL < out[j].URL })
 	return out
 }
@@ -350,13 +383,11 @@ func (db *DB) Len() int {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	n := 0
-	for _, paths := range db.m {
-		for _, r := range paths {
-			if !db.expired(r) {
-				n++
-			}
+	db.each(func(r *Record) {
+		if !db.expired(r) {
+			n++
 		}
-	}
+	})
 	return n
 }
 
@@ -365,7 +396,13 @@ func (db *DB) Expire() int {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	purged := 0
-	for host, paths := range db.m {
+	for host, r := range db.base {
+		if db.expired(r) {
+			delete(db.base, host)
+			purged++
+		}
+	}
+	for host, paths := range db.paths {
 		for p, r := range paths {
 			if db.expired(r) {
 				delete(paths, p)
@@ -373,7 +410,7 @@ func (db *DB) Expire() int {
 			}
 		}
 		if len(paths) == 0 {
-			delete(db.m, host)
+			delete(db.paths, host)
 		}
 	}
 	return purged
@@ -384,13 +421,11 @@ func (db *DB) Snapshot() []Record {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	var out []Record
-	for _, paths := range db.m {
-		for _, r := range paths {
-			if !db.expired(r) {
-				out = append(out, *r)
-			}
+	db.each(func(r *Record) {
+		if !db.expired(r) {
+			out = append(out, *r)
 		}
-	}
+	})
 	sort.Slice(out, func(i, j int) bool { return out[i].URL < out[j].URL })
 	return out
 }

@@ -14,7 +14,10 @@ func stamp(t *testing.T, db *DB, url string, at time.Time) {
 	host, path := SplitURL(url)
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	r := db.m[host][path]
+	r := db.paths[host][path]
+	if path == "/" {
+		r = db.base[host]
+	}
 	if r == nil {
 		t.Fatalf("no record for %s", url)
 	}

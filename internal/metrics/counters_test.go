@@ -73,6 +73,30 @@ func TestCountersSnapshotCopiesAndOmitsZeros(t *testing.T) {
 	}
 }
 
+// TestCountersScopes: one registry, the owner's names and a scope's kept
+// apart even where they are equal, each snapshot holding only its own.
+func TestCountersScopes(t *testing.T) {
+	var c Counters
+	s := c.In(1)
+	c.Add("fetch-304", 2)
+	s.Add("fetch-304", 5)
+	s.Add("served-direct", 1)
+	if c.Get("fetch-304") != 2 || s.Get("fetch-304") != 5 || c.Get("served-direct") != 0 {
+		t.Fatalf("owner %v, scope %v: the names met", c.Snapshot(), s.Snapshot())
+	}
+	if got := c.Snapshot(); !maps.Equal(got, map[string]int{"fetch-304": 2}) {
+		t.Fatalf("owner snapshot = %v", got)
+	}
+	if got := s.Snapshot(); !maps.Equal(got, map[string]int{"fetch-304": 5, "served-direct": 1}) {
+		t.Fatalf("scope snapshot = %v", got)
+	}
+	var nc *Counters
+	nc.In(1).Add("x", 1)
+	if nc.In(1).Get("x") != 0 || len(nc.In(1).Snapshot()) != 0 {
+		t.Fatal("a scope of a nil registry counted")
+	}
+}
+
 func TestCountersDiff(t *testing.T) {
 	before := map[string]int{"same": 2, "grew": 1, "gone": 4}
 	after := map[string]int{"same": 2, "grew": 3, "new": 5}

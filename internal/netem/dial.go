@@ -197,6 +197,9 @@ func (h *Host) Listen(port int) (*Listener, error) {
 		return nil, fmt.Errorf("netem: %s port %d already in use", h.name, port)
 	}
 	l := &Listener{host: h, port: port, ch: make(chan *Conn, 128), done: make(chan struct{})}
+	if h.listeners == nil {
+		h.listeners = make(map[int]*Listener)
+	}
 	h.listeners[port] = l
 	return l, nil
 }

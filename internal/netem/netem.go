@@ -117,12 +117,11 @@ func (n *Network) AddHost(name, ip, loc string, ases ...*AS) (*Host, error) {
 		return nil, fmt.Errorf("netem: duplicate IP %s", ip)
 	}
 	h := &Host{
-		name:      name,
-		ip:        ip,
-		loc:       loc,
-		ases:      append([]*AS(nil), ases...),
-		net:       n,
-		listeners: make(map[int]*Listener),
+		name: name,
+		ip:   ip,
+		loc:  loc,
+		ases: append([]*AS(nil), ases...),
+		net:  n,
 	}
 	n.hosts[ip] = h
 	return h, nil
@@ -254,7 +253,7 @@ type Host struct {
 	net  *Network
 
 	lmu       sync.Mutex
-	listeners map[int]*Listener
+	listeners map[int]*Listener // made at the first Listen: most hosts only dial
 }
 
 // Name returns the host's human-readable name.

@@ -136,38 +136,44 @@ func Exit(ctx context.Context, host *netem.Host, lookup Lookup, target string, c
 }
 
 // Via returns a DialFunc that tunnels every connection through the proxy at
-// proxyAddr. The returned conns behave like direct conns to the target:
-// ctx bounds the handshake only, and the tunnel is handed on unbound.
+// proxyAddr (see DialVia).
 func Via(base netem.DialFunc, proxyAddr string) netem.DialFunc {
 	return func(ctx context.Context, address string) (net.Conn, error) {
-		lane := trace.FromContext(ctx)
-		lane.Event("relay", "connect", proxyAddr)
-		conn, err := base(ctx, proxyAddr)
-		if err != nil {
-			return nil, err
-		}
-		defer netem.Bind(ctx, conn).Release()
-		if _, err := fmt.Fprintf(conn, "CONNECT %s\n", address); err != nil {
-			conn.Close()
-			return nil, err
-		}
-		br := httpx.GetReader(conn)
-		line, err := br.ReadString('\n')
-		if err != nil {
-			httpx.PutReader(br)
-			conn.Close()
-			return nil, fmt.Errorf("proxynet: tunnel to %s: %w", address, err)
-		}
-		line = strings.TrimSpace(line)
-		if line != "OK" {
-			httpx.PutReader(br)
-			conn.Close()
-			lane.Event("relay", "tunnel-refused", address)
-			return nil, fmt.Errorf("proxynet: tunnel to %s refused: %s", address, line)
-		}
-		lane.Event("relay", "tunnel-ok", address)
-		return &tunnelConn{Conn: conn, br: br}, nil
+		return DialVia(ctx, base, proxyAddr, address)
 	}
+}
+
+// DialVia opens a tunnel to address through the proxy at proxyAddr, reached
+// with base. The returned conn behaves like a direct conn to the target:
+// ctx bounds the handshake only, and the tunnel is handed on unbound.
+func DialVia(ctx context.Context, base netem.DialFunc, proxyAddr, address string) (net.Conn, error) {
+	lane := trace.FromContext(ctx)
+	lane.Event("relay", "connect", proxyAddr)
+	conn, err := base(ctx, proxyAddr)
+	if err != nil {
+		return nil, err
+	}
+	defer netem.Bind(ctx, conn).Release()
+	if _, err := fmt.Fprintf(conn, "CONNECT %s\n", address); err != nil {
+		conn.Close()
+		return nil, err
+	}
+	br := httpx.GetReader(conn)
+	line, err := br.ReadString('\n')
+	if err != nil {
+		httpx.PutReader(br)
+		conn.Close()
+		return nil, fmt.Errorf("proxynet: tunnel to %s: %w", address, err)
+	}
+	line = strings.TrimSpace(line)
+	if line != "OK" {
+		httpx.PutReader(br)
+		conn.Close()
+		lane.Event("relay", "tunnel-refused", address)
+		return nil, fmt.Errorf("proxynet: tunnel to %s refused: %s", address, line)
+	}
+	lane.Event("relay", "tunnel-ok", address)
+	return &tunnelConn{Conn: conn, br: br}, nil
 }
 
 // tunnelConn first reads out whatever the handshake bufio.Reader buffered

@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 
@@ -114,21 +115,69 @@ func ParseHello(b []byte) (RawHello, error) {
 
 // ReadHello reads one handshake message from r, as ParseHello parses it.
 func ReadHello(r io.Reader) (*Hello, error) {
-	var b []byte
+	h, err := readHello(r, nil)
+	if err != nil {
+		return nil, err
+	}
+	return &h, nil
+}
+
+// readHello is ReadHello continued after b, bytes of the message already
+// read from r. It reads in ParseHello's steps — the 7-byte head, then the
+// rest — and a stream that ends inside a step it has begun is
+// io.ErrUnexpectedEOF.
+func readHello(r io.Reader, b []byte) (Hello, error) {
 	for {
 		h, err := ParseHello(b)
 		if err == nil {
-			return &Hello{Type: h.Type, Name: string(h.Name), Random: h.Random}, nil
+			return Hello{Type: h.Type, Name: string(h.Name), Random: h.Random}, nil
 		}
 		if err != ErrIncomplete {
-			return nil, err
+			return Hello{}, err
 		}
-		n := len(b)
-		b = append(b, make([]byte, h.Len-n)...)
+		n, step := len(b), 0
+		if n >= 7 {
+			step = 7
+		}
+		// b may be bytes taken by reference, never to be written: grow it
+		// into a copy.
+		b = append(b[:n:n], make([]byte, h.Len-n)...)
 		if _, err := io.ReadFull(r, b[n:]); err != nil {
-			return nil, err
+			if err == io.EOF && n > step {
+				err = io.ErrUnexpectedEOF
+			}
+			return Hello{}, err
 		}
 	}
+}
+
+// takeHello reads one handshake message from conn as ReadHello does, with
+// its errors. A message that arrives whole in one segment, as Client and
+// Server write theirs, is taken off conn by reference (netem.Take) and
+// parsed where it lies: its name is all it allocates.
+func takeHello(conn net.Conn) (Hello, error) {
+	head, err := netem.Take(conn, 7)
+	switch {
+	case err == netem.ErrCannotTake:
+		return readHello(conn, nil)
+	case err != nil:
+		return Hello{}, err
+	case len(head) < 7:
+		return readHello(conn, head)
+	}
+	h, err := ParseHello(head)
+	if err != ErrIncomplete {
+		return Hello{}, err // not TLSX: a head alone is never a whole hello
+	}
+	rest, err := netem.Take(conn, h.Len-7)
+	if err != nil {
+		return Hello{}, err
+	}
+	if len(rest) < h.Len-7 {
+		return readHello(conn, slices.Concat(head, rest))
+	}
+	nameLen := len(rest) - 8
+	return Hello{Type: head[4], Name: string(rest[:nameLen]), Random: [8]byte(rest[nameLen:])}, nil
 }
 
 // SniffClientHello reports whether b begins a whole TLSX ClientHello and if
@@ -268,7 +317,7 @@ func Client(conn net.Conn, sni, expectCert string) (*Conn, error) {
 	if _, err := netem.WriteOwned(conn, hello); err != nil {
 		return nil, err
 	}
-	sh, err := ReadHello(conn)
+	sh, err := takeHello(conn)
 	if err != nil {
 		return nil, err
 	}
@@ -306,7 +355,7 @@ func CertFor(names ...string) CertFunc {
 
 // Server performs the server side of the handshake over conn.
 func Server(conn net.Conn, certs CertFunc) (*Conn, error) {
-	ch, err := ReadHello(conn)
+	ch, err := takeHello(conn)
 	if err != nil {
 		return nil, err
 	}

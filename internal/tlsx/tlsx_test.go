@@ -2,6 +2,7 @@ package tlsx
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -9,10 +10,14 @@ import (
 	"hash/fnv"
 	"io"
 	"net"
+	"runtime"
 	"runtime/debug"
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"csaw/internal/netem"
+	"csaw/internal/vtime"
 )
 
 // handshakePair runs client and server handshakes over a net.Pipe.
@@ -423,5 +428,111 @@ func TestParseHelloAllocs(t *testing.T) {
 	}
 	if got != 0 {
 		t.Errorf("%v allocations, want 0", got)
+	}
+}
+
+// netemPairs dials n connections between two hosts of an emulated network
+// on the event clock and returns both ends of each.
+func netemPairs(t testing.TB, n int) (clients, servers []net.Conn) {
+	t.Helper()
+	nw := netem.New(vtime.NewEventDriven())
+	as := nw.AddAS(64500, "tlsx-test", "xx")
+	a := nw.MustAddHost("a", "10.0.0.1", "xx", as)
+	l := nw.MustAddHost("b", "10.0.0.2", "xx", as).MustListen(Port)
+	for range n {
+		c, err := a.Dial(context.Background(), "10.0.0.2:443")
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := l.Accept()
+		if err != nil {
+			t.Fatal(err)
+		}
+		clients, servers = append(clients, c), append(servers, s)
+	}
+	return clients, servers
+}
+
+// TestTakeHelloMatchesReadHello: whatever segments a hello arrives in, and
+// wherever its stream ends, the handshake reads what ReadHello reads from
+// the same bytes, fails as ReadHello fails, and leaves what follows the
+// hello on the conn.
+func TestTakeHelloMatchesReadHello(t *testing.T) {
+	whole := append(helloBytes(typeClientHello, "www.youtube.com", randomFrom("x")), "GET /"...)
+	cases := [][]int{{len(whole)}, {3, len(whole)}, {7, len(whole)}, {9, len(whole)}, {7, 25, len(whole)}, {26, len(whole)}, {30, len(whole)}}
+	for end := 0; end < len(whole); end++ {
+		cases = append(cases, []int{end}, []int{min(end, 7), end})
+	}
+	clients, servers := netemPairs(t, len(cases))
+	for i, cuts := range cases {
+		data := whole[:cuts[len(cuts)-1]]
+		prev := 0
+		for _, cut := range cuts {
+			if cut > prev {
+				if _, err := netem.WriteOwned(clients[i], bytes.Clone(whole[prev:cut])); err != nil {
+					t.Fatal(err)
+				}
+			}
+			prev = cut
+		}
+		clients[i].Close()
+		got, err := takeHello(servers[i])
+		want, werr := ReadHello(bytes.NewReader(data))
+		switch {
+		case err != werr:
+			t.Errorf("segments %v: takeHello error %v, ReadHello %v", cuts, err, werr)
+		case err == nil && got != *want:
+			t.Errorf("segments %v: takeHello %+v, ReadHello %+v", cuts, got, *want)
+		case err == nil:
+			if rest, _ := io.ReadAll(servers[i]); string(rest) != string(data[len(data)-len(rest):]) || len(data)-len(rest) != 30 {
+				t.Errorf("segments %v: %q left after the hello", cuts, rest)
+			}
+		}
+	}
+}
+
+// TestHandshakeAllocs pins what a handshake over the emulated network
+// allocates, both sides together: each side's hello, its name, the Conn
+// and its two keystreams, and the client's local address — 14 in all.
+// Each hello is taken off the conn where it lies; reading each into a
+// buffer of its own, as ReadHello does, cost 20.
+func TestHandshakeAllocs(t *testing.T) {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				t.Skip("allocation counts are not exact under the race detector")
+			}
+		}
+	}
+	const shakes, budget = 200, 15
+	clients, servers := netemPairs(t, shakes+1)
+	certs := CertFor("www.youtube.com")
+	conns := make(chan net.Conn)
+	errs := make(chan error)
+	go func() {
+		for c := range conns {
+			_, err := Server(c, certs)
+			errs <- err
+		}
+	}()
+	defer close(conns)
+	shake := func(i int) {
+		conns <- servers[i]
+		_, cerr := Client(clients[i], "www.youtube.com", "www.youtube.com")
+		if serr := <-errs; cerr != nil || serr != nil {
+			t.Fatalf("handshake %d: client %v, server %v", i, cerr, serr)
+		}
+	}
+	shake(shakes) // the pools and the scheduler's first wake-ups
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range shakes {
+		shake(i)
+	}
+	runtime.ReadMemStats(&after)
+	perShake := float64(after.Mallocs-before.Mallocs) / shakes
+	t.Logf("%.2f allocations per handshake", perShake)
+	if perShake > budget {
+		t.Errorf("a handshake allocates %.2f times, budget %d", perShake, budget)
 	}
 }

@@ -9,6 +9,7 @@ import (
 
 	"csaw/internal/httpx"
 	"csaw/internal/netem"
+	"csaw/internal/proxynet"
 	"csaw/internal/tlsx"
 	"csaw/internal/trace"
 	"csaw/internal/vtime"
@@ -19,13 +20,20 @@ import (
 // Transport per approach (direct, public-DNS fix, HTTPS fix, domain
 // fronting, IP-as-hostname, static proxy, Lantern, Tor) and the browser
 // fetcher is agnostic to which one it drives.
+//
+// A Transport without a Dialer holds nothing of any one host, so many
+// clients can share it: each exchange then dials and resolves with the
+// caller's own parts (RoundTripWith).
 type Transport struct {
 	// Label identifies the transport in results ("direct", "tor", ...).
 	Label string
-	// Dialer opens the underlying stream. Required.
+	// Dialer opens the underlying stream for Fetch and RoundTrip.
 	Dialer netem.DialFunc
+	// Proxy, when set, is a CONNECT proxy every stream is tunnelled
+	// through: the dial reaches the proxy, the proxy the site.
+	Proxy string
 	// Lookup resolves a hostname to an IP. If nil, "host:port" is passed to
-	// Dialer verbatim — Tor-style remote resolution at the exit.
+	// the dial verbatim — Tor-style remote resolution at the exit.
 	Lookup func(ctx context.Context, host string) (string, error)
 	// TLS selects pseudo-TLS (port 443) instead of HTTP (port 80).
 	TLS bool
@@ -74,18 +82,30 @@ func (t *Transport) Fetch(ctx context.Context, host, path string) (*httpx.Respon
 // resolution, TLS/SNI, and Host-header rules — the path Fetch uses, and
 // the one non-GET requests (never duplicated, §4.3.1) ride as well.
 func (t *Transport) RoundTrip(ctx context.Context, req *httpx.Request) (*httpx.Response, error) {
+	return t.RoundTripWith(ctx, req, t.Dialer, t.Lookup)
+}
+
+// RoundTripWith is RoundTrip with the caller's dial and lookup in place of
+// the transport's Dialer and Lookup: the exchange a client makes over a
+// transport it shares with other clients.
+func (t *Transport) RoundTripWith(ctx context.Context, req *httpx.Request, dial netem.DialFunc, lookup func(context.Context, string) (string, error)) (*httpx.Response, error) {
 	ctx, cancel := t.Clock.WithTimeout(ctx, t.timeout())
 	defer cancel()
 
 	host := req.Host
-	addr, err := t.connectAddr(ctx, host)
+	addr, err := t.connectAddr(ctx, host, lookup)
 	if err != nil {
 		return nil, err
 	}
 	// Flight recorder: the dial — including any relay/tunnel handshake the
-	// Dialer hides — is the lane's connect phase.
+	// dial hides — is the lane's connect phase.
 	mark := trace.FromContext(ctx).Begin(trace.PhaseConnect)
-	conn, err := t.Dialer(ctx, addr)
+	var conn net.Conn
+	if t.Proxy != "" {
+		conn, err = proxynet.DialVia(ctx, dial, t.Proxy, addr)
+	} else {
+		conn, err = dial(ctx, addr)
+	}
 	mark.End()
 	if err != nil {
 		return nil, err
@@ -125,12 +145,12 @@ func (t *Transport) RoundTrip(ctx context.Context, req *httpx.Request) (*httpx.R
 }
 
 // connectAddr decides what address to hand to the dialer.
-func (t *Transport) connectAddr(ctx context.Context, host string) (string, error) {
+func (t *Transport) connectAddr(ctx context.Context, host string, lookup func(context.Context, string) (string, error)) (string, error) {
 	port := t.Port()
-	if t.Lookup == nil || netem.IsIPLiteral(host) {
+	if lookup == nil || netem.IsIPLiteral(host) {
 		return netem.Addr{IP: host, Port: port}.String(), nil
 	}
-	ip, err := t.Lookup(ctx, host)
+	ip, err := lookup(ctx, host)
 	if err != nil {
 		return "", err
 	}

@@ -6,7 +6,6 @@ import (
 
 	"csaw/internal/censor"
 	"csaw/internal/core"
-	"csaw/internal/dnsx"
 	"csaw/internal/netem"
 	"csaw/internal/web"
 )
@@ -152,21 +151,22 @@ func (w *World) BuildFleetScenario(nSites, nISPs int, blockedFrac float64) (*Fle
 // the DNS redirect; fronting and the static proxy beat HTTP interception).
 // No per-client Tor or Lantern: multi-hop circuit emulation per client is
 // what makes O(10k) populations unaffordable, and the fleet benchmark
-// measures the crowdsourcing plane, not exotic transports.
-func (w *World) LightApproaches(host *netem.Host) []*core.Approach {
-	gdns := &dnsx.Client{Dial: host.Dial, Clock: w.Clock,
-		Servers: []string{w.PublicDNSAddr}, AttemptTimeout: EventFleetSlack}
-	apps := []*core.Approach{
-		core.PublicDNSFix(host, w.Clock, gdns),
-		core.NewFrontingFix(host, w.Clock, FrontHost, FrontIP, w.Frontable),
-	}
-	if addr, ok := w.StaticProxies["Netherlands"]; ok {
-		apps = append(apps, core.StaticProxyApproach("proxy-Netherlands", host, w.Clock, addr))
-	}
-	for _, a := range apps {
-		a.Transport.Timeout = EventFleetSlack
-	}
-	return apps
+// measures the crowdsourcing plane, not exotic transports. The set is the
+// world's: every fleet client fetches through the same three approaches.
+func (w *World) LightApproaches() []*core.Approach {
+	w.lightOnce.Do(func() {
+		w.light = []*core.Approach{
+			core.PublicDNSFix(nil, w.Clock, nil),
+			core.NewFrontingFix(nil, w.Clock, FrontHost, FrontIP, w.Frontable),
+		}
+		if addr, ok := w.StaticProxies["Netherlands"]; ok {
+			w.light = append(w.light, core.StaticProxyApproach("proxy-Netherlands", nil, w.Clock, addr))
+		}
+		for _, a := range w.light {
+			a.Transport.Timeout = EventFleetSlack
+		}
+	})
+	return w.light
 }
 
 // LightClientConfig is ClientConfig stripped to fleet weight: light
@@ -179,7 +179,7 @@ func (w *World) LightClientConfig(host *netem.Host, seed int64) core.Config {
 		Clock:        w.Clock,
 		LDNS:         w.LDNSAddrs(host),
 		GDNS:         []string{w.PublicDNSAddr},
-		Approaches:   w.LightApproaches(host),
+		Approaches:   w.LightApproaches(),
 		GlobalDB:     w.GlobalDBClient(host, host.Dial, EventFleetSlack),
 		CaptchaToken: "human-" + host.Name(),
 		Seed:         seed,

@@ -135,6 +135,15 @@ type World struct {
 	ipMu     sync.Mutex
 	ipSeq    int
 	relaySeq int
+
+	// The approaches every client of the world shares (see core.Approach),
+	// built at first use: the full toolbox's local fixes and static proxy,
+	// and the fleet's light set.
+	sharedOnce sync.Once
+	fixes      []*core.Approach
+	proxy      *core.Approach // nil without a Netherlands proxy
+	lightOnce  sync.Once
+	light      []*core.Approach
 }
 
 // New builds the fixed infrastructure of a world.
@@ -436,23 +445,31 @@ func (w *World) NewClientHost(name string, isps ...*ISP) *netem.Host {
 func (w *World) Frontable(host string) bool { return w.Front.Serves(host) }
 
 // Approaches assembles the full circumvention toolbox for a client host:
-// all four local fixes plus Tor, Lantern, and one static proxy.
+// all four local fixes plus Tor, Lantern, and one static proxy. The fixes
+// and the proxy are the world's, shared by every client; the Tor and
+// Lantern clients are the host's own.
 func (w *World) Approaches(host *netem.Host, torSeed int64) []*core.Approach {
-	ldns, gdns := w.Resolvers(host)
+	w.sharedOnce.Do(func() {
+		w.fixes = []*core.Approach{
+			core.PublicDNSFix(nil, w.Clock, nil),
+			core.HTTPSFix(nil, w.Clock, nil, nil),
+			core.NewFrontingFix(nil, w.Clock, FrontHost, FrontIP, w.Frontable),
+			core.IPAsHostnameFix(nil, w.Clock, nil),
+		}
+		if addr, ok := w.StaticProxies["Netherlands"]; ok {
+			w.proxy = core.StaticProxyApproach("proxy-Netherlands", nil, w.Clock, addr)
+		}
+	})
 	tc := tor.NewClient(host, w.TorDir, torSeed)
 	tcBridge := tor.NewClient(host, w.TorDir, torSeed+101)
 	lc := lantern.NewClient(host, w.Lantern, "user")
-	apps := []*core.Approach{
-		core.PublicDNSFix(host, w.Clock, gdns),
-		core.HTTPSFix(host, w.Clock, ldns, gdns),
-		core.NewFrontingFix(host, w.Clock, FrontHost, FrontIP, w.Frontable),
-		core.IPAsHostnameFix(host, w.Clock, gdns),
+	apps := append(w.fixes[:len(w.fixes):len(w.fixes)],
 		core.TorApproach(tc, w.Clock),
 		core.TorBridgeApproach(tcBridge, w.Clock),
 		core.LanternApproach(lc, w.Clock),
-	}
-	if addr, ok := w.StaticProxies["Netherlands"]; ok {
-		apps = append(apps, core.StaticProxyApproach("proxy-Netherlands", host, w.Clock, addr))
+	)
+	if w.proxy != nil {
+		apps = append(apps, w.proxy)
 	}
 	return apps
 }
