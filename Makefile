@@ -40,8 +40,9 @@
 #                      against the same model and tlsx's in-place hello
 #                      parse against ReadHello, the WAL
 #                      record and snapshot decoders, the global-DB report
-#                      and list decoders and list bodies, and seedrand's
-#                      sources against math/rand
+#                      and list decoders and list bodies, seedrand's
+#                      sources against math/rand, and detect's verdict
+#                      (Analyse) against Figure 4's invariants
 #   make allocs      — the allocation ledger: csaw-fleet -allocs over
 #                      fleet-10k's population (serial clients, every
 #                      allocation profiled), per fetch by package, into
@@ -153,7 +154,9 @@ shape:
 # FuzzReadResponse pattern is anchored: -fuzz must match one target. It and
 # FuzzFetchBodies cap minimization: their coverage varies run to run (map
 # order, sync.Pool), and the engine would spend the whole pass failing to
-# shrink the first new input.
+# shrink the first new input. The detect FuzzAnalyse feeds the verdict any
+# observations: it never panics, a blocked verdict names a stage, a
+# suspected or timed-out one is blocked, and an ended caller gets none.
 fuzz:
 	$(GO) test ./internal/dnsx -run '^$$' -fuzz FuzzMessageDecode -fuzztime 10s
 	$(GO) test ./internal/dnsx -run '^$$' -fuzz FuzzCodecVsReference -fuzztime 10s
@@ -173,6 +176,7 @@ fuzz:
 	$(GO) test ./internal/globaldb -run '^$$' -fuzz FuzzListDecode -fuzztime 10s
 	$(GO) test ./internal/globaldb -run '^$$' -fuzz FuzzFetchBodies -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/seedrand -run '^$$' -fuzz FuzzSource -fuzztime 10s
+	$(GO) test ./internal/detect -run '^$$' -fuzz FuzzAnalyse -fuzztime 10s
 
 # The allocation ledger: every allocation of a serial fleet-10k-sized run,
 # attributed to the package of the first frame outside the runtime and the

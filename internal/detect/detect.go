@@ -14,9 +14,9 @@
 package detect
 
 import (
+	"cmp"
 	"context"
 	"errors"
-	"fmt"
 	"net"
 	"strings"
 	"time"
@@ -68,8 +68,6 @@ type Outcome struct {
 	// Response is the direct-path response, if any — served to the user
 	// when the page is clean.
 	Response *httpx.Response
-	// ResolvedIP is the address the direct path used.
-	ResolvedIP string
 	// Took is the total virtual time of the measurement, including any
 	// post-verdict continuation (e.g. fetching via GDNS after DNS blocking
 	// was established).
@@ -99,18 +97,13 @@ func (o *Outcome) PrimaryType() localdb.BlockType {
 
 // StageSummary renders the stages as "dns(nxdomain)+http(blockpage)".
 func (o *Outcome) StageSummary() string {
-	if len(o.Stages) == 0 {
-		return "none"
-	}
 	parts := make([]string, len(o.Stages))
 	for i, s := range o.Stages {
-		if s.Detail != "" {
-			parts[i] = fmt.Sprintf("%s(%s)", s.Type, s.Detail)
-		} else {
-			parts[i] = s.Type.String()
+		if parts[i] = s.Type.String(); s.Detail != "" {
+			parts[i] += "(" + s.Detail + ")"
 		}
 	}
-	return strings.Join(parts, "+")
+	return cmp.Or(strings.Join(parts, "+"), "none")
 }
 
 // Detector measures the direct path.
@@ -128,261 +121,188 @@ type Detector struct {
 	HTTPTimeout    time.Duration
 }
 
-func (d *Detector) connectTimeout() time.Duration {
-	if d.ConnectTimeout > 0 {
-		return d.ConnectTimeout
+// orDefault is d when positive, else def.
+func orDefault(d, def time.Duration) time.Duration {
+	if d > 0 {
+		return d
 	}
-	return DefaultConnectTimeout
+	return def
 }
 
-func (d *Detector) httpTimeout() time.Duration {
-	if d.HTTPTimeout > 0 {
-		return d.HTTPTimeout
-	}
-	return DefaultHTTPTimeout
+// Observations are what one measurement saw, and no verdict.
+type Observations struct {
+	URL, Host string
+	Scheme    Scheme
+	// The local lookup, the global one after its failure, and the global one
+	// that checks a local answer the exchange failed or met a block page on.
+	LDNS, GDNS, Cross Result
+	Addr              string // dialled: the host's own, or the first answer
+	// The exchange's steps; each ran only if the one before succeeded.
+	Connect, TLS, Write, Read Result
+	Response                  *httpx.Response
+	// Redirected: the page was a redirect hop's. HopCut: the caller ended first.
+	Redirected, HopCut bool
+	BlockPage          bool          // phase 1's verdict on the page
+	PageAt             time.Duration // when it was reached
+	CallerErr          error         // the caller's context's, when the stages ended
+}
+
+// Result is what one stage saw, and when (from the start) it ended.
+type Result struct {
+	Class Class
+	IPs   []string // a resolver's answer
+	Err   error
+	At    time.Duration
 }
 
 // Measure runs the Figure-4 flowchart for url ("host/path") over the given
 // scheme and returns the verdict.
-func (d *Detector) Measure(ctx context.Context, url string, scheme Scheme) (out Outcome) {
-	start := d.Clock.Now()
-	out = Outcome{URL: url, Scheme: scheme, Status: localdb.NotBlocked}
-	defer func() { out.Took = d.Clock.Since(start) }()
+func (d *Detector) Measure(ctx context.Context, url string, scheme Scheme) Outcome {
+	out, _ := d.measure(ctx, url, scheme)
+	return out
+}
 
-	// Flight recorder: every stage verdict lands on the context's lane; the
-	// summary verdict (status + stages + timed-out phase) is recorded once,
-	// whichever return path runs.
+// measure is Measure, returning what the stages observed too.
+func (d *Detector) measure(ctx context.Context, url string, scheme Scheme) (Outcome, Observations) {
+	start := d.Clock.Now()
+	obs := d.observe(ctx, start, url, scheme)
+	out := Analyse(obs)
+	out.Took = d.Clock.Since(start)
+	if lane := trace.FromContext(ctx); lane != nil {
+		if out.TimeoutPhase != "" {
+			lane.Event("detect", "timeout-phase", out.TimeoutPhase)
+		}
+		lane.Event("detect", "verdict", out.Status.String()+" "+out.StageSummary())
+	}
+	return out, obs
+}
+
+// observe runs the stages as a censor can interfere with them, recording
+// what each saw; every event lands on the context's lane.
+func (d *Detector) observe(ctx context.Context, start time.Time, url string, scheme Scheme) (o Observations) {
 	lane := trace.FromContext(ctx)
 	if lane != nil {
 		lane.Event("detect", "measure", scheme.String()+" "+url)
-		defer func() {
-			if out.TimeoutPhase != "" {
-				lane.Event("detect", "timeout-phase", out.TimeoutPhase)
-			}
-			lane.Event("detect", "verdict", out.Status.String()+" "+out.StageSummary())
-		}()
 	}
-	// A blocking verdict reached only because the *caller's* context expired
-	// or was cancelled mid-measurement describes the caller — a failover
-	// deadline budget, a client shutdown — not the censor, and must never be
-	// recorded as a verdict. (Registered after the lane defer so the trace
-	// records the rewritten verdict.)
-	defer func() {
-		if ctx.Err() != nil && out.Status == localdb.Blocked {
-			out.Status = localdb.NotMeasured
-			out.Suspected = false
-			out.Stages = nil
-			out.Detected = 0
-			out.TimeoutPhase = ""
-			if out.Err == nil {
-				out.Err = ctx.Err()
-			}
+	since := func() time.Duration { return d.Clock.Since(start) }
+	// Figure 4's "possible DNS": the global answer for a host the local
+	// resolver answered.
+	crossCheck := func() {
+		if o.LDNS.Class == Answered {
+			o.Cross = lookup(d.GDNS.Lookup(ctx, o.Host), since())
 		}
-	}()
-
+	}
+	defer func() { o.CallerErr = ctx.Err() }() // registered first, so run last
 	host, path := localdb.SplitURL(url)
+	o.URL, o.Scheme, o.Host = url, scheme, host
 
-	// Stage 1: DNS. IP-literal hosts skip resolution (the "IP as hostname"
-	// fix measures no DNS stage).
-	ip := host
-	var dnsStage *localdb.Stage
-	if !netem.IsIPLiteral(host) {
+	// Stage 1: DNS, none for an IP-literal host (the "IP as hostname" fix). A
+	// failed local lookup is followed by the global one; if both fail, stop.
+	if netem.IsIPLiteral(host) {
+		o.Addr = host
+	} else {
 		res := d.LDNS.Lookup(ctx, host)
-		switch {
-		case res.OK():
-			ip = res.IPs[0]
-		default:
-			// LDNS failed or was tampered with: blocking is detectable
-			// right here (Table 5 clocks REFUSED at one RTT); the global
-			// query that follows is the continuation, not the detection.
-			out.Detected = d.Clock.Since(start)
-			detail := dnsDetail(res)
-			gres := d.GDNS.Lookup(ctx, host)
-			if !gres.OK() {
-				gdetail := dnsDetail(gres)
-				if silentDNS(detail) && silentDNS(gdetail) && ctx.Err() == nil {
-					// Both resolvers went *silent*. Dead names answer with
-					// NXDOMAIN; dropped queries on both the ISP and the
-					// global path mean on-path DNS interception (a censor
-					// poisoning/dropping foreign resolver traffic — the
-					// counter-circumvention escalation). That is a verdict,
-					// not an unresolvable name.
-					out.TimeoutPhase = "dns"
-					out.Stages = append(out.Stages, localdb.Stage{Type: localdb.BlockDNS, Detail: detail})
-					out.Status = localdb.Blocked
-					out.Detected = d.Clock.Since(start)
-					out.Err = fmt.Errorf("detect: %s: DNS silent on local and global paths: local %v, global %v", host, res.Err, gres.Err)
-					return out
-				}
-				// Not resolvable anywhere: a dead name, not censorship.
-				out.Detected = 0
-				out.Err = fmt.Errorf("detect: %s unresolvable: local %v, global %v", host, res.Err, gres.Err)
-				return out
+		if o.LDNS = lookup(res, since()); !res.OK() {
+			res = d.GDNS.Lookup(ctx, host)
+			if o.GDNS = lookup(res, since()); !res.OK() {
+				return o
 			}
-			ip = gres.IPs[0]
-			if detail == "no-response" || detail == "timeout" {
-				out.TimeoutPhase = "dns"
-			}
-			dnsStage = &localdb.Stage{Type: localdb.BlockDNS, Detail: detail}
-			out.Stages = append(out.Stages, *dnsStage)
-			out.Status = localdb.Blocked
 		}
+		o.Addr = res.IPs[0]
 	}
-	out.ResolvedIP = ip
 
 	// Stage 2: TCP connect.
 	port := 80
 	if scheme == HTTPS {
 		port = tlsx.Port
 	}
-	cctx, cancel := d.Clock.WithTimeout(ctx, d.connectTimeout())
+	cctx, cancel := d.Clock.WithTimeout(ctx, orDefault(d.ConnectTimeout, DefaultConnectTimeout))
 	mark := lane.Begin(trace.PhaseConnect)
-	conn, err := d.Dial(cctx, netem.Addr{IP: ip, Port: port}.String())
+	conn, err := d.Dial(cctx, netem.Addr{IP: o.Addr, Port: port}.String())
 	mark.End()
 	cancel()
-	if err != nil {
-		out.Status = localdb.Blocked
-		out.Err = err
-		out.Detected = d.Clock.Since(start)
-		switch {
-		case netem.IsReset(err):
-			out.Stages = append(out.Stages, localdb.Stage{Type: localdb.BlockIP, Detail: "rst"})
-		case netem.IsTimeout(err):
-			out.TimeoutPhase = "connect"
-			out.Stages = append(out.Stages, localdb.Stage{Type: localdb.BlockTCPTimeout, Detail: "connect-timeout"})
-		case netem.IsRefused(err) && dnsStage != nil:
-			// Redirected to a host that refuses the port: DNS blocking
-			// already established; nothing to add.
-		case netem.IsRefused(err):
-			// Refused: either the real service is down, or a clean-looking
-			// DNS answer silently redirected us to a host that does not
-			// serve this port (ISP-B's HTTPS behaviour in Table 1). The
-			// global resolver disambiguates.
-			if !netem.IsIPLiteral(host) {
-				if g := d.GDNS.Lookup(ctx, host); g.OK() && !containsStr(g.IPs, ip) {
-					out.Stages = append(out.Stages, localdb.Stage{Type: localdb.BlockDNS, Detail: "redirect"})
-					out.Detected = d.Clock.Since(start)
-					break
-				}
-			}
-			out.Status = localdb.NotBlocked
-			out.Stages = nil
-			out.Detected = 0
-		default:
-			out.Stages = append(out.Stages, localdb.Stage{Type: localdb.BlockTCPTimeout, Detail: "connect-failed"})
+	if o.Connect = step(err, 0, nil, since()); err != nil {
+		if o.Connect.Class == Refused {
+			crossCheck()
 		}
-		return out
+		return o
 	}
 	defer conn.Close()
 
 	// Stage 3: the HTTP/S exchange, bounded as a whole: a censor that
 	// swallows the request shows only as this timeout.
-	hctx, cancel := d.Clock.WithTimeout(ctx, d.httpTimeout())
+	hctx, cancel := d.Clock.WithTimeout(ctx, orDefault(d.HTTPTimeout, DefaultHTTPTimeout))
 	defer cancel()
 	defer netem.Bind(hctx, conn).Release()
 	var stream net.Conn = conn
 	if scheme == HTTPS {
 		tc, err := tlsx.ClientCtx(ctx, conn, host, "")
-		if err != nil {
-			out.Status = localdb.Blocked
-			out.Err = err
-			detail := "handshake-failed"
-			if netem.IsReset(err) {
-				detail = "rst"
-			} else if netem.IsTimeout(err) {
-				detail = "handshake-timeout"
-				out.TimeoutPhase = "tls"
-			}
-			out.Stages = append(out.Stages, localdb.Stage{Type: localdb.BlockSNI, Detail: detail})
-			out.Detected = d.Clock.Since(start)
-			return out
+		if o.TLS = step(err, 0, nil, since()); err != nil {
+			return o
 		}
 		stream = tc
 	}
-
 	req := httpx.NewRequest("GET", host, path)
 	req.Header.Set("Connection", "close")
-	if err := httpx.WriteRequest(stream, req); err != nil {
-		out.Status = localdb.Blocked
-		out.Err = err
-		out.Stages = append(out.Stages, localdb.Stage{Type: httpBlockFor(scheme), Detail: "write-failed"})
-		out.Detected = d.Clock.Since(start)
-		return out
+	if o.Write = step(httpx.WriteRequest(stream, req), 0, nil, since()); o.Write.Err != nil {
+		return o
 	}
 	br := httpx.GetReader(stream)
 	resp, err := httpx.ReadResponseCtx(ctx, br, stream)
 	httpx.PutReader(br)
-	if err != nil {
-		out.Status = localdb.Blocked
-		out.Err = err
-		detail := "no-response"
-		if netem.IsReset(err) {
-			detail = "rst"
-		} else if errors.Is(err, context.DeadlineExceeded) || netem.IsTimeout(err) {
-			detail = "get-timeout"
-			out.TimeoutPhase = "http"
-		}
-		out.Stages = append(out.Stages, localdb.Stage{Type: httpBlockFor(scheme), Detail: detail})
-		out.Detected = d.Clock.Since(start)
-		// The HTTP failure may have happened on a DNS-redirected host
-		// (multi-stage blocking, Table 1's ISP-B): cross-check the local
-		// resolution against the global one.
-		out.appendDNSRedirect(d, ctx, host, ip, dnsStage)
-		return out
+	if o.Read = step(err, 0, nil, since()); err != nil {
+		crossCheck()
+		return o
 	}
-	out.Response = resp
+	o.Response = resp
 
 	// Stage 4: block-page detection (phase 1), including one redirect hop —
 	// censors commonly 302 to an in-ISP block-page host (Table 1, ISP-A).
 	body := resp.Body
-	redirected := false
 	if resp.StatusCode == 301 || resp.StatusCode == 302 {
 		if loc := resp.Header.Get("Location"); loc != "" {
 			fetched := d.fetchRedirect(ctx, loc)
-			if ctx.Err() != nil {
-				// The hop ended with the caller, not with an answer: the
-				// page was never classified, so there is no verdict.
-				out.Status = localdb.NotMeasured
-				out.Err = ctx.Err()
-				return out
+			if o.HopCut = ctx.Err() != nil; o.HopCut {
+				return o
 			}
 			if fetched != nil {
-				body = fetched
-				redirected = true
+				body, o.Redirected = fetched, true
 			}
 		}
 	}
-	if d.Classifier != nil && blockpage.Phase1MaxLen >= len(body) {
-		if v := d.Classifier.Phase1(body); v.Suspected {
-			out.Status = localdb.Blocked
-			out.Suspected = true
-			detail := "blockpage"
-			if redirected {
-				detail = "blockpage-redirect"
-			}
-			lane.Event("http", "blockpage-match", detail)
-			out.Stages = append(out.Stages, localdb.Stage{Type: httpBlockFor(scheme), Detail: detail})
-			out.Detected = d.Clock.Since(start)
-			// "+ Possible DNS" (Figure 4): if the local answer differs from
-			// the global one, the block page came via a DNS redirect.
-			out.appendDNSRedirect(d, ctx, host, ip, dnsStage)
-			return out
-		}
+	o.BlockPage = d.Classifier != nil && blockpage.Phase1MaxLen >= len(body) && d.Classifier.Phase1(body).Suspected
+	if o.PageAt = since(); o.BlockPage {
+		lane.Event("http", "blockpage-match", blockPageDetail(o.Redirected))
+		crossCheck()
 	}
-	// Clean page. A tampered DNS stage may still have been recorded
-	// (multi-stage detection found only the DNS stage blocking).
-	return out
+	return o
 }
 
-// appendDNSRedirect adds a dns(redirect) stage when the local resolution
-// disagrees with the global one and no DNS stage was recorded yet.
-func (o *Outcome) appendDNSRedirect(d *Detector, ctx context.Context, host, usedIP string, dnsStage *localdb.Stage) {
-	if dnsStage != nil || netem.IsIPLiteral(host) {
-		return
+func lookup(r dnsx.Result, at time.Duration) Result { return step(r.Err, r.RCode, r.IPs, at) }
+
+// step classifies what a stage saw by its error and, for a lookup, the
+// resolver's RCODE and answer.
+func step(err error, rcode int, ips []string, at time.Duration) Result {
+	r := Result{Class: Failed, Err: err, At: at}
+	switch {
+	case err == nil && len(ips) > 0:
+		r.Class, r.IPs = Answered, ips
+	case err == nil:
+		r.Class = ""
+	case errors.Is(err, dnsx.ErrNoResponse):
+		r.Class = NoResponse
+	case errors.Is(err, context.DeadlineExceeded):
+		r.Class = Timeout // for a lookup, the caller's deadline expired mid-lookup
+	case rcode != dnsx.RCodeNoError:
+		r.Class = Class(strings.ToLower(dnsx.RCodeName(rcode)))
+	case netem.IsReset(err):
+		r.Class = Reset
+	case netem.IsTimeout(err):
+		r.Class = Timeout
+	case netem.IsRefused(err):
+		r.Class = Refused
 	}
-	if g := d.GDNS.Lookup(ctx, host); g.OK() && !containsStr(g.IPs, usedIP) {
-		o.Stages = append(o.Stages, localdb.Stage{Type: localdb.BlockDNS, Detail: "redirect"})
-	}
+	return r
 }
 
 // fetchRedirect retrieves a redirect target over the direct path for
@@ -397,7 +317,7 @@ func (d *Detector) fetchRedirect(ctx context.Context, loc string) []byte {
 		}
 		ip = res.IPs[0]
 	}
-	cctx, cancel := d.Clock.WithTimeout(ctx, d.httpTimeout())
+	cctx, cancel := d.Clock.WithTimeout(ctx, orDefault(d.HTTPTimeout, DefaultHTTPTimeout))
 	defer cancel()
 	conn, err := d.Dial(cctx, ip+":80")
 	if err != nil {
@@ -412,42 +332,4 @@ func (d *Detector) fetchRedirect(ctx context.Context, loc string) []byte {
 		return nil
 	}
 	return resp.Body
-}
-
-func httpBlockFor(s Scheme) localdb.BlockType {
-	if s == HTTPS {
-		return localdb.BlockSNI
-	}
-	return localdb.BlockHTTP
-}
-
-// silentDNS reports whether a DNS failure detail means "no usable answer
-// ever arrived" — the signature of dropped/intercepted queries, as opposed
-// to an authoritative NXDOMAIN/SERVFAIL which proves a resolver was heard.
-func silentDNS(detail string) bool {
-	return detail == "no-response" || detail == "timeout"
-}
-
-func dnsDetail(res dnsx.Result) string {
-	switch {
-	case errors.Is(res.Err, dnsx.ErrNoResponse):
-		return "no-response"
-	case errors.Is(res.Err, context.DeadlineExceeded):
-		// The caller's deadline expired mid-lookup: a DNS-phase timeout,
-		// not a generic failure.
-		return "timeout"
-	case res.RCode != dnsx.RCodeNoError:
-		return strings.ToLower(dnsx.RCodeName(res.RCode))
-	default:
-		return "failed"
-	}
-}
-
-func containsStr(xs []string, x string) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
 }

@@ -301,7 +301,7 @@ func TestForwardHonorsRequestContext(t *testing.T) {
 // must refuse a write within a round trip or two, not relay it back and
 // forth until the first hop's timeout.
 func TestForwardCutsLoops(t *testing.T) {
-	w := newReplWorld(t)
+	w := newReplWorldOn(t, vtime.NewEventDriven())
 	w.set.Nodes[1].adopt(0, addr2)
 	w.set.Nodes[2].adopt(0, addr1)
 
