@@ -4,10 +4,13 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"net"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
+	"weak"
 
 	"csaw/internal/blockpage"
 	"csaw/internal/detect"
@@ -152,36 +155,48 @@ func (c *Config) p() float64 {
 }
 
 // Client is a running C-Saw client proxy. It holds only what is its own:
-// the approaches and the block-page classifier it fetches and judges with
-// are shared, and its tables are made when first written.
+// the rest of its Config, the approaches and the block-page classifier it
+// fetches and judges with are shared, its resolvers and detector are built
+// where they are used, and its tables, connection budget and life context
+// are made when first needed.
 type Client struct {
-	cfg  Config
-	asns []int // the host's providers' AS numbers, primary first
-	db   *localdb.DB
-	det  detect.Detector // dials with the host's dial under sem
-	ldns dnsx.Client
-	gdns dnsx.Client
+	// cfg is shared by the clients built with alike configs (see share);
+	// the fields that are each client's own are zero in it and kept below.
+	cfg     *Config
+	host    *netem.Host
+	ldns    []string
+	gdb     *globaldb.Client
+	captcha string
+	seed    int64
 
-	// own maps each approach with a dialer of its own (Tor, Lantern) to
-	// that dialer under the connection budget; nil without one.
-	own map[*Approach]netem.DialFunc
+	db *localdb.DB
+	// dial is the host's dial under the connection budget, and hostDial
+	// the host's dial, which the resolvers query on; own maps each approach
+	// with a dialer of its own (Tor, Lantern) to that dialer under the same
+	// budget, nil without one.
+	dial     netem.DialFunc
+	hostDial netem.DialFunc
+	own      map[*Approach]netem.DialFunc
+	// ldnsIDs and gdnsIDs are the two resolvers' query-id sequences: a
+	// resolver is built per use, and the ids go on from the last one's.
+	ldnsIDs, gdnsIDs atomic.Uint32
 
 	traceSeq atomic.Uint64 // per-client span sequence number
 
-	sem chan struct{} // client connection-load budget
-
 	mu         sync.Mutex
-	rng        *rand.Rand // seeded from Config.Seed at its first draw
-	ewma       map[ewmaKey]*metrics.EWMA
+	sem        chan struct{} // the connection budget, made at the first dial
+	rng        *rand.Rand    // seeded from Config.Seed at its first draw
+	ewma       map[ewmaKey]float64
 	access     map[string]int
 	seenASNs   map[int]bool
 	quar       map[string]*quarState // approach quarantine (see quarantine.go)
 	multihomed bool
+	closed     bool // Close has run: a life context made from now on is born ended
 
 	// Sync circuit-breaker state (guarded by mu).
 	syncDegraded  bool
-	syncFails     int // consecutive failed rounds
-	syncOpenUntil time.Time
+	syncFails     int32 // consecutive failed rounds; with the flags, one word
+	syncOpenUntil int64 // the open breaker's half-open time, in Unix nanoseconds
 	lastSyncErr   error
 
 	// counters is the client's scope of the one registry it shares with
@@ -189,9 +204,11 @@ type Client struct {
 	// names).
 	counters metrics.Scope
 
-	bg      sync.WaitGroup  // in-flight background measurements/reports
-	loops   sync.WaitGroup  // periodic sync and probe loops
-	life    context.Context // ended by Close
+	bg    sync.WaitGroup // in-flight background measurements/reports
+	loops sync.WaitGroup // periodic sync and probe loops
+	// life is ended by Close; it is made at the first stopCtx or loop start
+	// (guarded by mu).
+	life    context.Context
 	endLife context.CancelFunc
 }
 
@@ -203,23 +220,17 @@ func New(cfg Config) (*Client, error) {
 	if len(cfg.LDNS) == 0 || len(cfg.GDNS) == 0 {
 		return nil, fmt.Errorf("core: LDNS and GDNS resolvers are required")
 	}
-	maxConns := cfg.MaxConns
-	if maxConns <= 0 {
-		maxConns = DefaultMaxConns
-	}
 	c := &Client{
-		cfg: cfg,
-		db:  localdb.New(cfg.Clock, cfg.TTL, !cfg.NoAggregate),
-		ldns: dnsx.Client{Dial: cfg.Host.Dial, Clock: cfg.Clock, Servers: cfg.LDNS,
-			AttemptTimeout: cfg.DNSAttemptTimeout},
-		gdns: dnsx.Client{Dial: cfg.Host.Dial, Clock: cfg.Clock, Servers: cfg.GDNS,
-			AttemptTimeout: cfg.DNSAttemptTimeout},
-		sem: make(chan struct{}, maxConns),
+		host:    cfg.Host,
+		ldns:    cfg.LDNS,
+		gdb:     cfg.GlobalDB,
+		captcha: cfg.CaptchaToken,
+		seed:    cfg.Seed,
+		db:      localdb.New(cfg.Clock, cfg.TTL, !cfg.NoAggregate),
 	}
-	c.life, c.endLife = cfg.Clock.WithCancel(context.Background())
-	for _, as := range cfg.Host.ASes() {
-		c.asns = append(c.asns, as.Number)
-	}
+	common := cfg
+	common.Host, common.LDNS, common.GlobalDB, common.CaptchaToken, common.Seed = nil, nil, nil, "", 0
+	c.cfg = share(common)
 	registry := new(metrics.Counters)
 	if cfg.GlobalDB != nil {
 		registry = cfg.GlobalDB.Counters()
@@ -229,31 +240,146 @@ func New(cfg Config) (*Client, error) {
 	// approach's — draws from the same budget: that coupling is what makes
 	// extra copies and direct-path re-measurement cost PLT at load
 	// (Figure 5b/c, Table 6).
-	c.det = detect.Detector{
-		Clock:          cfg.Clock,
-		Dial:           netem.LimitDial(cfg.Host.Dial, c.sem),
-		LDNS:           &c.ldns,
-		GDNS:           &c.gdns,
-		Classifier:     blockpage.Shared(),
-		ConnectTimeout: cfg.DetectConnectTimeout,
-		HTTPTimeout:    cfg.DetectHTTPTimeout,
-	}
+	c.dial, c.hostDial = c.budgetDial, cfg.Host.Dial
 	for _, a := range cfg.Approaches {
 		if a.Transport != nil && a.Transport.Dialer != nil {
 			if c.own == nil {
 				c.own = make(map[*Approach]netem.DialFunc)
 			}
-			c.own[a] = netem.LimitDial(a.Transport.Dialer, c.sem)
+			dial := a.Transport.Dialer
+			c.own[a] = func(ctx context.Context, address string) (net.Conn, error) {
+				return netem.DialLimited(ctx, dial, c.slots(), address)
+			}
 		}
 	}
 	return c, nil
+}
+
+// shared holds the Config New shared last, weakly: the clients of a fleet,
+// whose configs differ only in the fields each keeps of its own, hold one
+// copy of the rest, and a copy no client holds any longer is collected.
+var shared struct {
+	sync.Mutex
+	last weak.Pointer[Config]
+}
+
+// share returns a Config equal to common for a client to hold: the one
+// shared last when the two are alike, else common, which becomes the one
+// shared last.
+func share(common Config) *Config {
+	shared.Lock()
+	defer shared.Unlock()
+	if last := shared.last.Value(); last != nil && alike(last, &common) {
+		return last
+	}
+	shared.last = weak.Make(&common)
+	return &common
+}
+
+// alike reports whether two configs are equal field by field: slices
+// element by element, and funcs only when both are nil, since two funcs
+// cannot be compared. Comparing by reflection covers any field Config
+// gains.
+func alike(a, b *Config) bool {
+	va, vb := reflect.ValueOf(a).Elem(), reflect.ValueOf(b).Elem()
+	for i := range va.NumField() {
+		fa, fb := va.Field(i), vb.Field(i)
+		switch fa.Kind() {
+		case reflect.Slice:
+			if fa.Len() != fb.Len() {
+				return false
+			}
+			for j := range fa.Len() {
+				if !fa.Index(j).Equal(fb.Index(j)) {
+					return false
+				}
+			}
+		case reflect.Func:
+			if !fa.IsNil() || !fb.IsNil() {
+				return false
+			}
+		default:
+			if !fa.Equal(fb) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// budgetDial is the host's dial under the client's connection budget.
+func (c *Client) budgetDial(ctx context.Context, address string) (net.Conn, error) {
+	return netem.DialLimited(ctx, c.hostDial, c.slots(), address)
+}
+
+// slots returns the connection budget, making it at the first dial.
+func (c *Client) slots() chan struct{} {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.sem == nil {
+		n := c.cfg.MaxConns
+		if n <= 0 {
+			n = DefaultMaxConns
+		}
+		c.sem = make(chan struct{}, n)
+	}
+	return c.sem
+}
+
+// resolver builds a stub resolver on the host for servers that draws its
+// query ids from ids, so that the resolvers built for one server list
+// continue one sequence.
+func (c *Client) resolver(servers []string, ids *atomic.Uint32) dnsx.Client {
+	return dnsx.Client{Dial: c.hostDial, Clock: c.cfg.Clock, Servers: servers,
+		AttemptTimeout: c.cfg.DNSAttemptTimeout, IDs: ids}
+}
+
+// resolvers is a detector's pair of stub resolvers.
+type resolvers struct{ ldns, gdns dnsx.Client }
+
+// resolverPairs recycles the detector's resolver pairs. A measurement
+// borrows one for as long as it runs (Measure starts no goroutine), so a
+// client holds none between measurements and a measurement allocates none.
+var resolverPairs = sync.Pool{New: func() any { return new(resolvers) }}
+
+// Detector builds the client's direct-path detector: its dial is under
+// the connection budget, and its resolvers go on with the client's
+// query-id sequences.
+func (c *Client) Detector() *detect.Detector {
+	d := c.detector(new(resolvers))
+	return &d
+}
+
+// detector builds the client's direct-path detector on the resolver pair
+// r, which it fills.
+func (c *Client) detector(r *resolvers) detect.Detector {
+	r.ldns, r.gdns = c.resolver(c.ldns, &c.ldnsIDs), c.resolver(c.cfg.GDNS, &c.gdnsIDs)
+	return detect.Detector{
+		Clock:          c.cfg.Clock,
+		Dial:           c.dial,
+		LDNS:           &r.ldns,
+		GDNS:           &r.gdns,
+		Classifier:     blockpage.Shared(),
+		ConnectTimeout: c.cfg.DetectConnectTimeout,
+		HTTPTimeout:    c.cfg.DetectHTTPTimeout,
+	}
+}
+
+// measure runs the detector on url's direct path.
+func (c *Client) measure(ctx context.Context, url string) detect.Outcome {
+	r := resolverPairs.Get().(*resolvers)
+	det := c.detector(r)
+	out := det.Measure(ctx, url, detect.HTTP)
+	*r = resolvers{} // hold nothing of the client's while pooled
+	resolverPairs.Put(r)
+	return out
 }
 
 // roundTrip sends req through approach a with the client's own parts: its
 // host's dial (or the approach's own dialer), under the connection budget,
 // and the resolver the approach names.
 func (c *Client) roundTrip(ctx context.Context, a *Approach, req *httpx.Request) (*httpx.Response, error) {
-	dial := c.det.Dial
+	dial := c.dial
 	if own, ok := c.own[a]; ok {
 		dial = own
 	}
@@ -270,11 +396,13 @@ func (c *Client) roundTrip(ctx context.Context, a *Approach, req *httpx.Request)
 }
 
 func (c *Client) lookupGlobal(ctx context.Context, host string) (string, error) {
-	return lookupGlobal(ctx, &c.gdns, host)
+	gdns := c.resolver(c.cfg.GDNS, &c.gdnsIDs)
+	return lookupGlobal(ctx, &gdns, host)
 }
 
 func (c *Client) lookupLocalThenGlobal(ctx context.Context, host string) (string, error) {
-	return lookupLocalThenGlobal(ctx, &c.ldns, &c.gdns, host)
+	ldns, gdns := c.resolver(c.ldns, &c.ldnsIDs), c.resolver(c.cfg.GDNS, &c.gdnsIDs)
+	return lookupLocalThenGlobal(ctx, &ldns, &gdns, host)
 }
 
 // DB exposes the local database (read-mostly, for experiments and tools).
@@ -283,11 +411,8 @@ func (c *Client) DB() *localdb.DB { return c.db }
 // Clock returns the client's clock.
 func (c *Client) Clock() *vtime.Clock { return c.cfg.Clock }
 
-// Detector returns the client's direct-path detector.
-func (c *Client) Detector() *detect.Detector { return &c.det }
-
 // ASN returns the client's (primary) AS number.
-func (c *Client) ASN() int { return c.asns[0] }
+func (c *Client) ASN() int { return c.host.ASNumber(0) }
 
 // clientScope is the client's scope of the counters registry it shares
 // with its global-DB client.
@@ -320,10 +445,10 @@ func (c *Client) CountersSnapshot() map[string]int {
 
 // gdbCounters is the global-DB client's registry, nil without one.
 func (c *Client) gdbCounters() *metrics.Counters {
-	if c.cfg.GlobalDB == nil {
+	if c.gdb == nil {
 		return nil
 	}
-	return c.cfg.GlobalDB.Counters()
+	return c.gdb.Counters()
 }
 
 func (c *Client) failoverBudget() time.Duration {
@@ -339,13 +464,34 @@ func (c *Client) failoverBudget() time.Duration {
 // life context and costs no goroutine. The returned cancel must be called:
 // it unlinks the context from both.
 func (c *Client) stopCtx(parent context.Context) (context.Context, context.CancelFunc) {
-	return c.cfg.Clock.WithStop(parent, c.life)
+	return c.cfg.Clock.WithStop(parent, c.lifeCtx())
+}
+
+// lifeCtx returns the client's life context, making it at the first call:
+// a client that never starts background work never pays for one. Made
+// after Close, it is born ended.
+func (c *Client) lifeCtx() context.Context {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.life == nil {
+		c.life, c.endLife = c.cfg.Clock.WithCancel(context.Background())
+		if c.closed {
+			c.endLife()
+		}
+	}
+	return c.life
 }
 
 // Close stops background work: it ends the client's life context, which
 // ends every stopCtx and the sync and probe loops, and then waits for them.
 func (c *Client) Close() {
-	c.endLife()
+	c.mu.Lock()
+	c.closed = true
+	endLife := c.endLife
+	c.mu.Unlock()
+	if endLife != nil {
+		endLife()
+	}
 	c.loops.Wait()
 	c.bg.Wait()
 }

@@ -63,7 +63,7 @@ func (c *Client) sendDirect(ctx context.Context, req *httpx.Request) (*httpx.Res
 		}
 		ip = addr
 	}
-	hc := &httpx.Client{Dial: c.det.Dial, Clock: c.cfg.Clock}
+	hc := &httpx.Client{Dial: c.dial, Clock: c.cfg.Clock}
 	return hc.Do(ctx, ip+":80", req)
 }
 

@@ -49,7 +49,7 @@ func (c *Client) FetchURL(ctx context.Context, url string) (res *Result) {
 	url = localdb.JoinURL(localdb.SplitURL(url))
 	// Flight recorder: one span per fetch; emission waits for background
 	// lanes (the redundant copy can outlive this call).
-	sp := c.cfg.Trace.Start(c.cfg.Host.Name(), c.traceSeq.Add(1), url)
+	sp := c.cfg.Trace.Start(c.host.Name(), c.traceSeq.Add(1), url)
 	if sp != nil {
 		ctx = trace.WithSpan(ctx, sp)
 		defer func() { sp.Finish(res.Source, res.Status.String(), res.Err) }()
@@ -124,7 +124,7 @@ func (c *Client) verdict(sp *trace.Span, url string) (status localdb.Status, sta
 // accepts. A URL more than one provider lists comes back as one entry with
 // the union of their stages and the sum of their votes (§4.4).
 func (c *Client) globalLookup(url string) (globaldb.Entry, bool) {
-	g := c.cfg.GlobalDB
+	g := c.gdb
 	if g == nil {
 		return globaldb.Entry{}, false
 	}
@@ -135,8 +135,8 @@ func (c *Client) globalLookup(url string) (globaldb.Entry, bool) {
 	for _, key := range keys {
 		var found globaldb.Entry
 		listed := false
-		for _, asn := range c.asns {
-			e, ok := g.Lookup(asn, key)
+		for i := range c.host.NumASes() {
+			e, ok := g.Lookup(c.host.ASNumber(i), key)
 			if !ok || !(globaldb.TrustFilter{}).Trusted(e) {
 				continue
 			}
@@ -213,7 +213,7 @@ func (c *Client) recordOutcome(url string, status localdb.Status, stages []local
 // confirming phase-1 suspicions against the copy.
 func (c *Client) measureThenServe(ctx context.Context, url, onBlocked string) *Result {
 	lane := trace.SpanFromContext(ctx).Lane("direct")
-	out := c.det.Measure(trace.WithLane(ctx, lane), url, detect.HTTP)
+	out := c.measure(trace.WithLane(ctx, lane), url)
 	lane.Close()
 	if out.Status == localdb.NotMeasured {
 		// Aborted measurement (shutdown / budget expiry): no verdict, no page.
@@ -248,7 +248,7 @@ func (c *Client) fetchUnmeasured(ctx context.Context, url string) *Result {
 	dctx, dcancel := c.stopCtx(ctx)
 	go func() {
 		defer dcancel()
-		out := c.det.Measure(trace.WithLane(dctx, directLane), url, detect.HTTP)
+		out := c.measure(trace.WithLane(dctx, directLane), url)
 		directLane.Close()
 		directCh <- out
 	}()
@@ -324,6 +324,7 @@ func (c *Client) fetchUnmeasured(ctx context.Context, url string) *Result {
 			// faster of the two responses is shown to the user") and let
 			// the direct measurement finish in the background.
 			c.counters.Add("served-circum", 1)
+			done := c.lifeCtx().Done()
 			c.bg.Add(1)
 			go func() {
 				defer c.bg.Done()
@@ -333,7 +334,7 @@ func (c *Client) fetchUnmeasured(ctx context.Context, url string) *Result {
 				select {
 				case out := <-directCh:
 					c.settleBackground(url, out, cr.resp)
-				case <-c.life.Done():
+				case <-done:
 				}
 			}()
 			return &Result{URL: url, Resp: cr.resp, Source: cr.source, Status: localdb.NotMeasured}
@@ -436,6 +437,7 @@ type circumOut struct {
 // finishPhase2FalseNegative arms the background page-refresh check for a
 // direct response already served to the user.
 func (c *Client) finishPhase2FalseNegative(url string, out detect.Outcome, circumCh <-chan circumOut) {
+	done := c.lifeCtx().Done()
 	c.bg.Add(1)
 	go func() {
 		defer c.bg.Done()
@@ -447,7 +449,7 @@ func (c *Client) finishPhase2FalseNegative(url string, out detect.Outcome, circu
 				return
 			}
 			c.settleBackground(url, out, cr.resp)
-		case <-c.life.Done():
+		case <-done:
 		}
 	}()
 }
@@ -492,9 +494,9 @@ func (c *Client) fetchBlocked(ctx context.Context, url string, stages []localdb.
 			// Stop-aware: Close cancels the measurement even when the
 			// virtual clock (and thus the timeout below) never advances
 			// again.
-			mctx, cancel := c.cfg.Clock.WithTimeout(c.life, time.Minute)
+			mctx, cancel := c.cfg.Clock.WithTimeout(c.lifeCtx(), time.Minute)
 			defer cancel()
-			out := c.det.Measure(mctx, url, detect.HTTP)
+			out := c.measure(mctx, url)
 			if out.Status == localdb.NotMeasured {
 				return // aborted mid-measure: not a verdict
 			}
@@ -525,7 +527,7 @@ func (c *Client) roll() float64 {
 // Caller holds c.mu.
 func (c *Client) randLocked() *rand.Rand {
 	if c.rng == nil {
-		c.rng = seedrand.New(c.cfg.Seed + 1)
+		c.rng = seedrand.New(c.seed + 1)
 	}
 	return c.rng
 }

@@ -12,7 +12,7 @@ import (
 // a policy and a clock.
 func quarClient(pol QuarantinePolicy) *Client {
 	return &Client{
-		cfg:      Config{Quarantine: pol, Clock: vtime.New(1)},
+		cfg:      &Config{Quarantine: pol, Clock: vtime.New(1)},
 		counters: new(metrics.Counters).In(clientScope),
 	}
 }

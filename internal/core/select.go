@@ -74,13 +74,7 @@ func (c *Client) traceChoice(sp *trace.Span, url string, chosen *Approach, reaso
 		return
 	}
 	for _, a := range candidates {
-		v := 0.0
-		if e := c.ewmaFor(a, url, false); e != nil {
-			if val, ok := e.Value(); ok {
-				v = val
-			}
-		}
-		sp.EventNum("select", "candidate", a.Name, v)
+		sp.EventNum("select", "candidate", a.Name, c.ewmaValue(a, url))
 	}
 	sp.Event("select", "chosen", chosen.Name+" "+reason)
 }
@@ -102,12 +96,7 @@ func (c *Client) bestByEWMA(url string, candidates []*Approach) *Approach {
 	bestVal := math.Inf(1)
 	ties := 0
 	for _, a := range candidates {
-		v := 0.0 // optimistic default for the untried
-		if e := c.ewmaFor(a, url, false); e != nil {
-			if val, ok := e.Value(); ok {
-				v = val
-			}
-		}
+		v := c.ewmaValue(a, url) // zero, the optimistic default, for the untried
 		switch {
 		case best == nil || v < bestVal:
 			best, bestVal, ties = a, v, 1
@@ -124,28 +113,29 @@ func (c *Client) bestByEWMA(url string, candidates []*Approach) *Approach {
 }
 
 // ewmaKey names one moving average: an approach's for one URL, or, with an
-// empty url, a local fix's for every URL.
+// empty url, a local fix's for every URL. §4.3.2 keeps the average per
+// (approach, URL); local fixes behave uniformly across URLs, so theirs
+// collapse to per-approach.
 type ewmaKey struct{ approach, url string }
 
-// ewmaFor returns the moving average for an approach, creating it when
-// create is set. §4.3.2 keeps the average per (approach, URL); local fixes
-// behave uniformly across URLs, so theirs collapse to per-approach.
-func (c *Client) ewmaFor(a *Approach, url string, create bool) *metrics.EWMA {
+func newEWMAKey(a *Approach, url string) ewmaKey {
 	key := ewmaKey{approach: a.Name}
 	if a.Kind == KindRelay {
 		key.url = url
 	}
+	return key
+}
+
+// ewmaAlpha is the moving averages' smoothing factor.
+const ewmaAlpha = 0.3
+
+// ewmaValue returns an approach's moving average for url, zero before its
+// first observation.
+func (c *Client) ewmaValue(a *Approach, url string) float64 {
+	key := newEWMAKey(a, url)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e := c.ewma[key]
-	if e == nil && create {
-		if c.ewma == nil {
-			c.ewma = make(map[ewmaKey]*metrics.EWMA)
-		}
-		e = metrics.NewEWMA(0.3)
-		c.ewma[key] = e
-	}
-	return e
+	return c.ewma[key]
 }
 
 // circumFetch selects an approach and fetches through it.
@@ -276,8 +266,19 @@ func (c *Client) candidateOrder(url string, stages []localdb.Stage, first *Appro
 	return out
 }
 
+// ewmaObserve folds an observed PLT into an approach's moving average for
+// url. The averages are plain values under c.mu: an entry is its average,
+// and a URL's first observation is its first value.
 func (c *Client) ewmaObserve(app *Approach, url string, seconds float64) {
-	c.ewmaFor(app, url, true).Observe(seconds)
+	key := newEWMAKey(app, url)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if avg, ok := c.ewma[key]; ok {
+		seconds = metrics.Smooth(ewmaAlpha, avg, seconds)
+	} else if c.ewma == nil {
+		c.ewma = make(map[ewmaKey]float64)
+	}
+	c.ewma[key] = seconds
 }
 
 // ewmaResetLocked forgets an approach's moving averages (per-approach for

@@ -18,7 +18,7 @@ import (
 // best-EWMA ordering is what's under test.
 func newSelectClient(seed int64, approaches []*Approach) *Client {
 	return &Client{
-		cfg: Config{Approaches: approaches, ExploreEvery: 1 << 30},
+		cfg: &Config{Approaches: approaches, ExploreEvery: 1 << 30},
 		//lint:allow-rand seeded test randomness
 		rng:      rand.New(rand.NewSource(seed)),
 		counters: new(metrics.Counters).In(clientScope),

@@ -18,8 +18,8 @@ import (
 // initialization step of §3), and launches the background sync and
 // multihoming-probe loops. It is a no-op for clients without a global DB.
 func (c *Client) Start(ctx context.Context) error {
-	if c.cfg.GlobalDB != nil && c.cfg.GlobalDB.UUID() == "" {
-		if err := c.cfg.GlobalDB.Register(ctx, c.cfg.CaptchaToken); err != nil {
+	if c.gdb != nil && c.gdb.UUID() == "" {
+		if err := c.gdb.Register(ctx, c.captcha); err != nil {
 			return fmt.Errorf("core: registration: %w", err)
 		}
 	}
@@ -36,11 +36,12 @@ func (c *Client) Start(ctx context.Context) error {
 // clients this way, so "one parked ticker per client" is not a rounding
 // error there.
 func (c *Client) startLoops() {
-	if c.cfg.GlobalDB != nil && c.cfg.SyncInterval >= 0 {
+	if c.gdb != nil && c.cfg.SyncInterval >= 0 {
 		interval := c.cfg.SyncInterval
 		if interval == 0 {
 			interval = DefaultSyncInterval
 		}
+		done := c.lifeCtx().Done()
 		c.loops.Add(1)
 		go func() {
 			defer c.loops.Done()
@@ -49,14 +50,15 @@ func (c *Client) startLoops() {
 			for {
 				select {
 				case <-tk.C:
-					c.syncWithRetry(interval)
-				case <-c.life.Done():
+					c.syncWithRetry(interval, done)
+				case <-done:
 					return
 				}
 			}
 		}()
 	}
 	if c.cfg.ASNProbeAddr != "" {
+		done := c.lifeCtx().Done()
 		c.loops.Add(1)
 		go func() {
 			defer c.loops.Done()
@@ -72,7 +74,7 @@ func (c *Client) startLoops() {
 						c.counters.Add("asn-probe-failures", 1)
 					}
 					cancel()
-				case <-c.life.Done():
+				case <-done:
 					return
 				}
 			}
@@ -83,8 +85,8 @@ func (c *Client) startLoops() {
 // syncWithRetry drives one background round: a failed round is retried with
 // exponential backoff and jitter (in virtual time, so virtual-time tests
 // stay deterministic) until it succeeds, the retry budget is spent, the
-// circuit breaker opens, or the client stops.
-func (c *Client) syncWithRetry(timeout time.Duration) {
+// circuit breaker opens, or the client stops (done closes).
+func (c *Client) syncWithRetry(timeout time.Duration, done <-chan struct{}) {
 	pol := c.cfg.Sync
 	for attempt := 0; ; attempt++ {
 		ctx, cancel := c.cfg.Clock.WithTimeout(context.Background(), timeout)
@@ -96,7 +98,7 @@ func (c *Client) syncWithRetry(timeout time.Duration) {
 		c.counters.Add("sync-retries", 1)
 		select {
 		case <-c.cfg.Clock.After(pol.Backoff(attempt, c.roll())):
-		case <-c.life.Done():
+		case <-done:
 			return
 		}
 	}
@@ -111,7 +113,7 @@ func (c *Client) syncWithRetry(timeout time.Duration) {
 // breaker is open SyncNow returns ErrSyncDegraded without touching the
 // network.
 func (c *Client) SyncNow(ctx context.Context) error {
-	g := c.cfg.GlobalDB
+	g := c.gdb
 	if g == nil {
 		return nil
 	}
@@ -132,7 +134,7 @@ func (c *Client) syncAdmit() bool {
 	if !c.syncDegraded {
 		return true
 	}
-	return !c.cfg.Clock.Now().Before(c.syncOpenUntil)
+	return c.cfg.Clock.Now().UnixNano() >= c.syncOpenUntil
 }
 
 // syncFinish folds a round's outcome into the failure counters and the
@@ -156,18 +158,18 @@ func (c *Client) syncFinish(err error) {
 	c.syncFails++
 	c.lastSyncErr = err
 	c.counters.Add("sync-failures", 1)
-	if after := pol.breakerAfter(); after > 0 && c.syncFails >= after {
+	if after := pol.breakerAfter(); after > 0 && int(c.syncFails) >= after {
 		if !c.syncDegraded {
 			c.syncDegraded = true
 			c.counters.Add("sync-circuit-open", 1)
 		}
-		c.syncOpenUntil = c.cfg.Clock.Now().Add(pol.breakerReset())
+		c.syncOpenUntil = c.cfg.Clock.Now().Add(pol.breakerReset()).UnixNano()
 	}
 }
 
 // syncRound does the actual report + fetch work of one round.
 func (c *Client) syncRound(ctx context.Context) error {
-	g := c.cfg.GlobalDB
+	g := c.gdb
 	var errs []error
 
 	// Report phase. The pending queue is bounded: a round takes on at most
@@ -202,14 +204,15 @@ func (c *Client) syncRound(ctx context.Context) error {
 	// list as it was, so one provider's failure costs neither the others'
 	// fresh lists nor its own stale one (§5 resilience).
 	failed := 0
-	for _, asn := range c.asns {
+	for i := range c.host.NumASes() {
+		asn := c.host.ASNumber(i)
 		if _, err := g.FetchBlocked(ctx, asn); err != nil {
 			failed++
 			errs = append(errs, fmt.Errorf("fetch AS%d: %w", asn, err))
 			c.counters.Add("sync-fetch-failures", 1)
 		}
 	}
-	if failed > 0 && failed < len(c.asns) {
+	if failed > 0 && failed < c.host.NumASes() {
 		c.counters.Add("sync-partial", 1)
 	}
 	return errors.Join(errs...)
@@ -218,13 +221,13 @@ func (c *Client) syncRound(ctx context.Context) error {
 // GlobalCacheLen reports how many globally-reported blocked URLs the client
 // currently trusts, across its ASes.
 func (c *Client) GlobalCacheLen() int {
-	g := c.cfg.GlobalDB
+	g := c.gdb
 	if g == nil {
 		return 0
 	}
 	urls := make(map[string]struct{})
-	for _, asn := range c.asns {
-		for _, e := range g.Blocked(asn) {
+	for i := range c.host.NumASes() {
+		for _, e := range g.Blocked(c.host.ASNumber(i)) {
 			if (globaldb.TrustFilter{}).Trusted(e) {
 				urls[e.URL] = struct{}{}
 			}
@@ -258,7 +261,7 @@ func (c *Client) ProbeASN(ctx context.Context) error {
 	if c.cfg.ASNProbeAddr == "" {
 		return fmt.Errorf("core: no ASN probe service configured")
 	}
-	hc := &httpx.Client{Dial: c.cfg.Host.Dial, Clock: c.cfg.Clock, Timeout: 10 * time.Second}
+	hc := &httpx.Client{Dial: c.host.Dial, Clock: c.cfg.Clock, Timeout: 10 * time.Second}
 	host := c.cfg.ASNProbeHost
 	if host == "" {
 		host = "asn.echo"
@@ -287,5 +290,5 @@ func (c *Client) ProbeASN(ctx context.Context) error {
 // provider's, or the primary one for multihomed hosts (per-measurement
 // egress attribution is not observable to a real client either).
 func (c *Client) currentASN() int {
-	return c.asns[0]
+	return c.host.ASNumber(0)
 }

@@ -13,7 +13,7 @@ import (
 // clock and a policy (same shape as quarClient).
 func syncClient(pol SyncPolicy) *Client {
 	return &Client{
-		cfg:      Config{Sync: pol, Clock: vtime.New(1)},
+		cfg:      &Config{Sync: pol, Clock: vtime.New(1)},
 		counters: new(metrics.Counters).In(clientScope),
 	}
 }

@@ -35,6 +35,10 @@ type Client struct {
 	// prefer it — the genuine response travels farther than the injector's
 	// and lands later.
 	HoldOn time.Duration
+	// IDs, when set, is the sequence query ids are drawn from instead of
+	// the client's own: an owner that builds a resolver per use keeps one
+	// sequence across them.
+	IDs *atomic.Uint32
 
 	id atomic.Uint32
 }
@@ -167,7 +171,11 @@ func (c *Client) exchange(ctx context.Context, server, name string) (*Message, e
 	defer conn.Close()
 	defer netem.Bind(actx, conn).Release()
 
-	id := uint16(c.id.Add(1))
+	ids := c.IDs
+	if ids == nil {
+		ids = &c.id
+	}
+	id := uint16(ids.Add(1))
 	q := NewQuery(id, name)
 	if err := WriteMessage(conn, q); err != nil {
 		return nil, err

@@ -12,15 +12,23 @@ import (
 
 // clientByteBudget is what one joined, idle fleet client may keep live on
 // the heap: its host, core client, local DB, global-DB client and its
-// registration, everything a join leaves behind. A join leaves 2.1 KiB;
-// it left 3.6 KiB when each client built its own approach set, classifier,
-// two counters maps and empty tables.
-const clientByteBudget = 2560
+// registration, everything a join leaves behind. A join leaves 1.2 KiB
+// (DESIGN.md, "Scale architecture", has the parts).
+const clientByteBudget = 1280
+
+// sessionByteBudget is what one fleet client may keep live after its first
+// session: everything a join leaves plus what the session's fetches and
+// sync made of the client's own (local DB records, moving averages, access
+// counts, counts, the connection budget, the life context, its reports on
+// the server). A session leaves 3.6 KiB.
+const sessionByteBudget = 4096
 
 // TestClientFootprint joins light clients through the fleet's own join
 // path (built, registered, list synced once), collects, and charges the
-// live heap's growth to them. A population is as large as its clients are
-// small: whatever one client holds that the others hold too belongs to the
+// live heap's growth to them. It then runs each client's first planned
+// session as the driver does (fetch its URLs, settle, sync) and charges
+// the growth again. A population is as large as its clients are small:
+// whatever one client holds that the others hold too belongs to the
 // world, not to the client.
 func TestClientFootprint(t *testing.T) {
 	if bi, ok := debug.ReadBuildInfo(); ok {
@@ -40,6 +48,9 @@ func TestClientFootprint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The plan is live at every reading (the session phase reads it last):
+	// collected between two readings, its few hundred bytes a client would
+	// be taken off the clients' bill.
 	plan := BuildPlan(wl)
 	ctx := context.Background()
 	live := func() uint64 {
@@ -47,6 +58,9 @@ func TestClientFootprint(t *testing.T) {
 		runtime.GC()
 		runtime.ReadMemStats(&ms)
 		return ms.HeapAlloc
+	}
+	perClient := func(after, before uint64, n int) int64 {
+		return (int64(after) - int64(before)) / int64(n)
 	}
 	before := live()
 	clients := make([]*core.Client, len(plan.Clients))
@@ -57,13 +71,55 @@ func TestClientFootprint(t *testing.T) {
 		}
 		clients[i] = cl
 	}
-	after := live()
-	perClient := (int64(after) - int64(before)) / int64(len(clients))
-	for _, cl := range clients {
-		cl.Close()
+	joined := live()
+	defer func() {
+		for _, cl := range clients {
+			cl.Close()
+		}
+	}()
+	idle := perClient(joined, before, len(clients))
+	t.Logf("%d bytes (%.2f KiB) live per joined client", idle, float64(idle)/1024)
+	if idle > clientByteBudget {
+		t.Errorf("a joined client holds %d bytes, budget %d", idle, clientByteBudget)
 	}
-	t.Logf("%d bytes (%.2f KiB) live per joined client", perClient, float64(perClient)/1024)
-	if perClient > clientByteBudget {
-		t.Errorf("a joined client holds %d bytes, budget %d", perClient, clientByteBudget)
+
+	// The first session warms what every client shares — the sites' pages,
+	// the server's lists — as much as it fills what is the client's own.
+	// The world's part is charged to no client: a warm-up session on a
+	// client outside the count fetches every URL the counted ones will.
+	warmPlan := ClientPlan{Index: len(plan.Clients), ISP: plan.Clients[0].ISP, Seed: plan.Clients[0].Seed}
+	warm, err := joinClient(ctx, w, sc, &warmPlan, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sessions int
+	for i := range plan.Clients {
+		if ss := plan.Clients[i].Sessions; len(ss) > 0 {
+			sessions++
+			for _, url := range ss[0].URLs {
+				warm.FetchURL(ctx, url)
+			}
+		}
+	}
+	warm.WaitIdle()
+	warm.Close()
+	warmed := live()
+	for i, cl := range clients {
+		if ss := plan.Clients[i].Sessions; len(ss) > 0 {
+			for _, url := range ss[0].URLs {
+				cl.FetchURL(ctx, url)
+			}
+			cl.WaitIdle()
+			if err := cl.SyncNow(ctx); err != nil {
+				t.Fatalf("client %d sync: %v", i, err)
+			}
+		}
+	}
+	after := live()
+	session := idle + perClient(after, warmed, sessions)
+	t.Logf("%d bytes (%.2f KiB) live per client after its first session (%d of %d clients have one)",
+		session, float64(session)/1024, sessions, len(clients))
+	if session > sessionByteBudget {
+		t.Errorf("a client holds %d bytes after its first session, budget %d", session, sessionByteBudget)
 	}
 }

@@ -154,6 +154,9 @@ func (s *store) file(cs *clientState, key string, rep *storage.StoredReport) boo
 		sl.reps = sl.first[:0]
 		idx.byURL[rep.URL] = sl
 	}
+	if cs.reports == nil {
+		cs.reports = make(map[string]placed)
+	}
 	cs.reports[key] = placed{rep: rep, sl: sl, at: len(sl.reps)}
 	sl.reps = append(sl.reps, filed{cs: cs, rep: rep})
 	s.touch(sl, true)

@@ -41,7 +41,7 @@ type Server struct {
 
 	mu           sync.Mutex // guards the registration state below
 	uuidSeq      uint64
-	regByIP      map[string][]time.Time // registration times per source IP
+	regByIP      map[string][]int64 // registration times per source IP, in Unix nanoseconds
 	lastRegSweep time.Time
 }
 
@@ -75,7 +75,7 @@ func NewDurableServer(clock *vtime.Clock, captcha CaptchaVerifier, o StoreOption
 		clock:        clock,
 		captcha:      captcha,
 		store:        st,
-		regByIP:      make(map[string][]time.Time),
+		regByIP:      make(map[string][]int64),
 		lastRegSweep: clock.Now(),
 	}, nil
 }
@@ -158,7 +158,7 @@ func (s *Server) handleRegister(req *httpx.Request, flow netem.Flow) *httpx.Resp
 	// only for this in-memory counter and never stored with measurements.
 	recent := s.regByIP[srcIP][:0]
 	for _, t := range s.regByIP[srcIP] {
-		if now.Sub(t) < time.Hour {
+		if withinHour(now, t) {
 			recent = append(recent, t)
 		}
 	}
@@ -167,7 +167,7 @@ func (s *Server) handleRegister(req *httpx.Request, flow netem.Flow) *httpx.Resp
 		s.mu.Unlock()
 		return httpx.NewResponse(429, []byte("registration rate limit"))
 	}
-	s.regByIP[srcIP] = append(recent, now)
+	s.regByIP[srcIP] = append(recent, now.UnixNano())
 
 	// UUID: a cryptographic-hash-of-time identifier (§4.2). FNV suffices
 	// for the simulation; the property used is uniqueness, not secrecy.
@@ -186,6 +186,10 @@ func (s *Server) handleRegister(req *httpx.Request, flow netem.Flow) *httpx.Resp
 	return jsonResponse(200, RegisterResponse{UUID: uuid})
 }
 
+// withinHour reports whether the registration at t, in Unix nanoseconds,
+// is less than an hour before now.
+func withinHour(now time.Time, t int64) bool { return now.UnixNano()-t < int64(time.Hour) }
+
 // regSweepInterval bounds how often the full regByIP map is pruned.
 const regSweepInterval = time.Hour
 
@@ -202,7 +206,7 @@ func (s *Server) sweepRegLocked(now time.Time) {
 	for ip, times := range s.regByIP {
 		live := false
 		for _, t := range times {
-			if now.Sub(t) < time.Hour {
+			if withinHour(now, t) {
 				live = true
 				break
 			}

@@ -101,7 +101,10 @@ type store struct {
 type clientState struct {
 	uuid    string
 	revoked bool
-	reports map[string]placed // "url|asn" → its report, in the slot it is filed in
+	// reports maps "url|asn" to its report, in the slot it is filed in. It
+	// is made at the first report: a client that has reported nothing holds
+	// no table.
+	reports map[string]placed
 }
 
 func reportKey(url string, asn int) string { return url + "|" + strconv.Itoa(asn) }
@@ -226,7 +229,7 @@ func (s *store) fold(rec *storage.Record) int {
 	switch rec.Kind {
 	case storage.KindAddUser:
 		if s.users[rec.UUID] == nil {
-			s.users[rec.UUID] = &clientState{uuid: rec.UUID, reports: make(map[string]placed)}
+			s.users[rec.UUID] = &clientState{uuid: rec.UUID}
 		}
 	case storage.KindIngest:
 		return s.foldIngest(rec)

@@ -11,22 +11,28 @@ import "sync"
 // Components that count together share one registry: each other than the
 // owner counts in a Scope of its own (In), whose names never meet the
 // owner's or another scope's.
+//
+// A registry is a short slice searched from the front, not a map: a
+// client counts a handful of names, and a population holds one registry
+// per client.
 type Counters struct {
-	mu sync.Mutex
-	m  map[countKey]int
+	mu     sync.Mutex
+	counts []count // in first-count order
 }
 
-// countKey is a name within a scope; the owner's names are scope 0's.
-type countKey struct {
+// count is one name's count within a scope; the owner's names are scope
+// 0's.
+type count struct {
 	name  string
 	scope int
+	n     int
 }
 
 // Add adds n to the named count.
-func (c *Counters) Add(name string, n int) { c.add(countKey{name, 0}, n) }
+func (c *Counters) Add(name string, n int) { c.add(name, 0, n) }
 
 // Get returns the named count (0 for a name never counted).
-func (c *Counters) Get(name string) int { return c.get(countKey{name, 0}) }
+func (c *Counters) Get(name string) int { return c.get(name, 0) }
 
 // Snapshot returns a copy of every nonzero count; the caller owns it. The
 // scopes' counts are not in it.
@@ -35,25 +41,48 @@ func (c *Counters) Snapshot() map[string]int { return c.snapshot(0) }
 // In returns the registry's scope numbered scope, which must not be 0.
 func (c *Counters) In(scope int) Scope { return Scope{c, scope} }
 
-func (c *Counters) add(k countKey, n int) {
+// firstCounts is a registry's room at its first count: a joined fleet
+// client's registry holds three names (its list fetch, the list's bytes,
+// the sync), and one after its first session three to eight.
+const firstCounts = 3
+
+// indexLocked returns the index of the named count in scope, or -1.
+// Caller holds c.mu.
+func (c *Counters) indexLocked(name string, scope int) int {
+	for i := range c.counts {
+		if k := &c.counts[i]; k.scope == scope && k.name == name {
+			return i
+		}
+	}
+	return -1
+}
+
+func (c *Counters) add(name string, scope, n int) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
-	if c.m == nil {
-		c.m = make(map[countKey]int)
+	if i := c.indexLocked(name, scope); i >= 0 {
+		c.counts[i].n += n
+	} else {
+		if c.counts == nil {
+			c.counts = make([]count, 0, firstCounts)
+		}
+		c.counts = append(c.counts, count{name: name, scope: scope, n: n})
 	}
-	c.m[k] += n
 	c.mu.Unlock()
 }
 
-func (c *Counters) get(k countKey) int {
+func (c *Counters) get(name string, scope int) int {
 	if c == nil {
 		return 0
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.m[k]
+	if i := c.indexLocked(name, scope); i >= 0 {
+		return c.counts[i].n
+	}
+	return 0
 }
 
 func (c *Counters) snapshot(scope int) map[string]int {
@@ -62,10 +91,10 @@ func (c *Counters) snapshot(scope int) map[string]int {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make(map[string]int, len(c.m))
-	for k, v := range c.m {
-		if k.scope == scope && v != 0 {
-			out[k.name] = v
+	out := make(map[string]int, len(c.counts))
+	for _, k := range c.counts {
+		if k.scope == scope && k.n != 0 {
+			out[k.name] = k.n
 		}
 	}
 	return out
@@ -79,10 +108,10 @@ type Scope struct {
 }
 
 // Add adds n to the named count.
-func (s Scope) Add(name string, n int) { s.c.add(countKey{name, s.scope}, n) }
+func (s Scope) Add(name string, n int) { s.c.add(name, s.scope, n) }
 
 // Get returns the named count (0 for a name never counted).
-func (s Scope) Get(name string) int { return s.c.get(countKey{name, s.scope}) }
+func (s Scope) Get(name string) int { return s.c.get(name, s.scope) }
 
 // Snapshot returns a copy of the scope's nonzero counts.
 func (s Scope) Snapshot() map[string]int { return s.c.snapshot(s.scope) }

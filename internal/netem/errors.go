@@ -48,13 +48,41 @@ func (e *OpError) Temporary() bool { return false }
 // IsReset reports whether err stems from a connection reset.
 func IsReset(err error) bool { return errors.Is(err, ErrReset) }
 
-// IsTimeout reports whether err stems from a deadline/timeout expiry.
+// IsTimeout reports whether err stems from a deadline/timeout expiry: it
+// is ErrTimeout or wraps it, or the first error in its tree with a Timeout
+// method — the one errors.As would find — reports a timeout. The walk
+// asserts types in place: an errors.As target would escape and cost an
+// allocation on every error that is not ErrTimeout.
 func IsTimeout(err error) bool {
 	if errors.Is(err, ErrTimeout) {
 		return true
 	}
-	var ne interface{ Timeout() bool }
-	return errors.As(err, &ne) && ne.Timeout()
+	timeout, _ := firstTimeout(err)
+	return timeout
+}
+
+// firstTimeout returns the Timeout of the first error in err's tree, in
+// errors.As's pre-order, that has one, and whether there was one.
+func firstTimeout(err error) (timeout, found bool) {
+	for err != nil {
+		if t, ok := err.(interface{ Timeout() bool }); ok {
+			return t.Timeout(), true
+		}
+		switch u := err.(type) {
+		case interface{ Unwrap() error }:
+			err = u.Unwrap()
+		case interface{ Unwrap() []error }:
+			for _, e := range u.Unwrap() {
+				if timeout, found := firstTimeout(e); found {
+					return timeout, true
+				}
+			}
+			return false, false
+		default:
+			return false, false
+		}
+	}
+	return false, false
 }
 
 // IsRefused reports whether err stems from a refused connection.

@@ -274,6 +274,13 @@ func (h *Host) Multihomed() bool { return len(h.ases) > 1 }
 // ASes returns the host's providers.
 func (h *Host) ASes() []*AS { return append([]*AS(nil), h.ases...) }
 
+// NumASes returns how many providers the host has.
+func (h *Host) NumASes() int { return len(h.ases) }
+
+// ASNumber returns the AS number of the host's i-th provider, the primary
+// first, without copying the providers as ASes does.
+func (h *Host) ASNumber(i int) int { return h.ases[i].Number }
+
 // egressAS picks the AS a new connection leaves through: the single provider
 // for singly-homed hosts, a uniformly random one otherwise.
 func (h *Host) egressAS() *AS {

@@ -174,14 +174,36 @@ func (w *World) LightApproaches() []*core.Approach {
 // circuit, no multihoming probe loop, and a generous API timeout (one
 // server host absorbs the whole population's sync traffic).
 func (w *World) LightClientConfig(host *netem.Host, seed int64) core.Config {
+	gdb := w.GlobalDBClient(host, host.Dial, EventFleetSlack)
+	gdb.ReportDial = gdb.FetchDial // both go out on the host's dial: one func value
 	return core.Config{
 		Host:         host,
 		Clock:        w.Clock,
-		LDNS:         w.LDNSAddrs(host),
+		LDNS:         w.sharedLDNS(host),
 		GDNS:         []string{w.PublicDNSAddr},
 		Approaches:   w.LightApproaches(),
-		GlobalDB:     w.GlobalDBClient(host, host.Dial, EventFleetSlack),
+		GlobalDB:     gdb,
 		CaptchaToken: "human-" + host.Name(),
 		Seed:         seed,
 	}
+}
+
+// sharedLDNS is LDNSAddrs(host), one slice for every singly homed light
+// client of an AS: clients only read it.
+func (w *World) sharedLDNS(host *netem.Host) []string {
+	if host.NumASes() != 1 {
+		return w.LDNSAddrs(host)
+	}
+	asn := host.ASNumber(0)
+	w.ldnsMu.Lock()
+	defer w.ldnsMu.Unlock()
+	addrs, ok := w.ldnsByASN[asn]
+	if !ok {
+		addrs = w.LDNSAddrs(host)
+		if w.ldnsByASN == nil {
+			w.ldnsByASN = make(map[int][]string)
+		}
+		w.ldnsByASN[asn] = addrs
+	}
+	return addrs
 }

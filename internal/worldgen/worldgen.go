@@ -144,6 +144,10 @@ type World struct {
 	proxy      *core.Approach // nil without a Netherlands proxy
 	lightOnce  sync.Once
 	light      []*core.Approach
+	// ldnsByASN is the resolver list light clients share per AS (see
+	// sharedLDNS).
+	ldnsMu    sync.Mutex
+	ldnsByASN map[int][]string
 }
 
 // New builds the fixed infrastructure of a world.
