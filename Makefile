@@ -41,8 +41,9 @@
 #                      parse against ReadHello, the WAL
 #                      record and snapshot decoders, the global-DB report
 #                      and list decoders and list bodies, seedrand's
-#                      sources against math/rand, and detect's verdict
-#                      (Analyse) against Figure 4's invariants
+#                      sources against math/rand, detect's verdict
+#                      (Analyse) against Figure 4's invariants, and core's
+#                      approach planner against §4.3.2's
 #   make allocs      — the allocation ledger: csaw-fleet -allocs over
 #                      fleet-10k's population (serial clients, every
 #                      allocation profiled), per fetch by package, into
@@ -156,7 +157,11 @@ shape:
 # order, sync.Pool), and the engine would spend the whole pass failing to
 # shrink the first new input. The detect FuzzAnalyse feeds the verdict any
 # observations: it never panics, a blocked verdict names a stage, a
-# suspected or timed-out one is blocked, and an ended caller gets none.
+# suspected or timed-out one is blocked, and an ended caller gets none. The
+# core FuzzPlan drives the approach planner with any approaches, policy and
+# script: it never panics, never chooses a benched approach while an
+# unbenched one fits nor a non-anonymous one under the anonymity
+# preference, and walks at most four distinct rungs from the choice.
 fuzz:
 	$(GO) test ./internal/dnsx -run '^$$' -fuzz FuzzMessageDecode -fuzztime 10s
 	$(GO) test ./internal/dnsx -run '^$$' -fuzz FuzzCodecVsReference -fuzztime 10s
@@ -177,6 +182,7 @@ fuzz:
 	$(GO) test ./internal/globaldb -run '^$$' -fuzz FuzzFetchBodies -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/seedrand -run '^$$' -fuzz FuzzSource -fuzztime 10s
 	$(GO) test ./internal/detect -run '^$$' -fuzz FuzzAnalyse -fuzztime 10s
+	$(GO) test ./internal/core -run '^$$' -fuzz FuzzPlan -fuzztime 10s
 
 # The allocation ledger: every allocation of a serial fleet-10k-sized run,
 # attributed to the package of the first frame outside the runtime and the

@@ -186,10 +186,8 @@ type Client struct {
 	mu         sync.Mutex
 	sem        chan struct{} // the connection budget, made at the first dial
 	rng        *rand.Rand    // seeded from Config.Seed at its first draw
-	ewma       map[ewmaKey]float64
-	access     map[string]int
+	sel        table         // the planner's selection state (see plan.go)
 	seenASNs   map[int]bool
-	quar       map[string]*quarState // approach quarantine (see quarantine.go)
 	multihomed bool
 	closed     bool // Close has run: a life context made from now on is born ended
 
@@ -219,6 +217,9 @@ func New(cfg Config) (*Client, error) {
 	}
 	if len(cfg.LDNS) == 0 || len(cfg.GDNS) == 0 {
 		return nil, fmt.Errorf("core: LDNS and GDNS resolvers are required")
+	}
+	if len(cfg.Approaches) > maxApproaches {
+		return nil, fmt.Errorf("core: %d approaches, at most %d", len(cfg.Approaches), maxApproaches)
 	}
 	c := &Client{
 		host:    cfg.Host,

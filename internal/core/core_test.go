@@ -2,6 +2,8 @@ package core_test
 
 import (
 	"context"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -9,6 +11,7 @@ import (
 	"csaw/internal/core"
 	"csaw/internal/httpx"
 	"csaw/internal/localdb"
+	"csaw/internal/trace"
 	"csaw/internal/web"
 	"csaw/internal/worldgen"
 )
@@ -126,69 +129,6 @@ func TestMultiStageISPBDetected(t *testing.T) {
 	}
 	if !types[localdb.BlockDNS] && !types[localdb.BlockHTTP] {
 		t.Fatalf("stages = %+v, want DNS and/or HTTP evidence", rec.Stages)
-	}
-}
-
-func TestLocalFixSelectedForDNSBlocking(t *testing.T) {
-	// A DNS-only blocked URL must take the public-DNS local fix, not a
-	// relay (§4.3.2 local-fix preference).
-	w, c := newCaseStudyClient(t, nil, "ISP-A")
-	w.ISPs["ISP-A"].Censor.SetPolicy(&censor.Policy{
-		DNS: map[string]censor.DNSAction{"youtube.com": censor.DNSNXDomain},
-	})
-	// Seed the DB via a first fetch (detects DNS blocking).
-	first := fetchURL(t, c, worldgen.YouTubeHost+"/")
-	if !first.OK() {
-		t.Fatalf("first fetch: %v", first.Err)
-	}
-	c.WaitIdle()
-	// Now the DB says blocked(dns): the second fetch must use a local fix
-	// (untried fixes tie at EWMA 0 and break randomly, so any applicable
-	// fix may win — but never a relay).
-	second := fetchURL(t, c, worldgen.YouTubeHost+"/")
-	if !second.OK() {
-		t.Fatalf("second fetch: %v", second.Err)
-	}
-	fixes := map[string]bool{"public-dns": true, "https": true, "ip-as-hostname": true, "domain-fronting": true}
-	if !fixes[second.Source] {
-		t.Fatalf("source = %q, want a local fix", second.Source)
-	}
-}
-
-func TestHTTPSFixForHTTPBlocking(t *testing.T) {
-	w, c := newCaseStudyClient(t, nil, "ISP-A")
-	w.ISPs["ISP-A"].Censor.SetPolicy(&censor.Policy{
-		HTTP: []censor.HTTPRule{{Host: "youtube.com", Action: censor.HTTPReset}},
-	})
-	first := fetchURL(t, c, worldgen.YouTubeHost+"/")
-	if !first.OK() {
-		t.Fatalf("first fetch: %v", first.Err)
-	}
-	c.WaitIdle()
-	second := fetchURL(t, c, worldgen.YouTubeHost+"/")
-	fixes := map[string]bool{"https": true, "ip-as-hostname": true, "domain-fronting": true}
-	if !second.OK() || !fixes[second.Source] {
-		t.Fatalf("source = %q err=%v, want a local fix that defeats HTTP blocking", second.Source, second.Err)
-	}
-}
-
-func TestAnonymityPreferenceUsesTorOnly(t *testing.T) {
-	_, c := newCaseStudyClient(t, func(cfg *core.Config) {
-		cfg.Pref = core.PreferAnonymity
-	}, "ISP-A")
-	res := fetchURL(t, c, worldgen.YouTubeHost+"/")
-	if !res.OK() {
-		t.Fatalf("fetch: %v", res.Err)
-	}
-	if res.Source != "tor" && res.Source != "tor-bridge" {
-		t.Fatalf("source = %q, want an anonymous approach", res.Source)
-	}
-	// And subsequent known-blocked fetches stay on anonymous approaches
-	// (tor or tor-bridge), never a local fix or Lantern.
-	c.WaitIdle()
-	res2 := fetchURL(t, c, worldgen.YouTubeHost+"/")
-	if !res2.OK() || (res2.Source != "tor" && res2.Source != "tor-bridge") {
-		t.Fatalf("second source = %q", res2.Source)
 	}
 }
 
@@ -450,57 +390,77 @@ func TestSinglehomedNeverMultihomed(t *testing.T) {
 	}
 }
 
-func TestExplorationEveryN(t *testing.T) {
-	// Exploration applies to relay selection (§4.3.2), so give the client
-	// only relay approaches.
-	_, c := newCaseStudyClient(t, func(cfg *core.Config) {
-		cfg.ExploreEvery = 3
-		cfg.PSet = true
-		var relays []*core.Approach
-		for _, a := range cfg.Approaches {
-			if a.Kind == core.KindRelay {
-				relays = append(relays, a)
-			}
-		}
-		cfg.Approaches = relays
-	}, "ISP-B")
-	// Warm the DB.
-	if res := fetchURL(t, c, worldgen.YouTubeHost+"/watch"); !res.OK() {
-		t.Fatalf("warm fetch: %v", res.Err)
-	}
-	c.WaitIdle()
-	for i := 0; i < 12; i++ {
-		if res := fetchURL(t, c, worldgen.YouTubeHost+"/watch"); !res.OK() {
-			t.Fatalf("fetch %d: %v", i, res.Err)
-		}
-	}
-	if c.Counter("explore") == 0 {
-		t.Error("no exploration in 12 accesses with n=3")
-	}
-}
+// One world per rung kind holds the client to the planner (plan_test.go
+// holds the rules).
+func TestLocalFixSelectedForDNSBlocking(t *testing.T) { followsPlan(t, "local fix") }
+func TestExplorationEveryN(t *testing.T)              { followsPlan(t, "relay") }
+func TestAnonymityPreferenceUsesTorOnly(t *testing.T) { followsPlan(t, "tor") }
+func TestPreferAnonymityWithNoTorFails(t *testing.T)  { followsPlan(t, "none") }
 
-func TestPreferAnonymityWithNoTorFails(t *testing.T) {
-	_, c := newCaseStudyClient(t, func(cfg *core.Config) {
-		cfg.Pref = core.PreferAnonymity
-		var kept []*core.Approach
-		for _, a := range cfg.Approaches {
-			if !a.Anonymous {
-				kept = append(kept, a)
+// followsPlan runs the world of one rung kind: a blocked URL is fetched
+// unmeasured, then known blocked, and each fetch is served by the approach
+// the planner chose, the second by the row's rule among the row's rungs.
+// With no rung to choose, the client serves the block page rather than leak
+// through an approach the user ruled out.
+func followsPlan(t *testing.T, rung string) {
+	only := func(keep func(*core.Approach) bool, more func(*core.Config)) func(*core.Config) {
+		return func(cfg *core.Config) {
+			cfg.Approaches = slices.DeleteFunc(slices.Clone(cfg.Approaches), func(a *core.Approach) bool { return !keep(a) })
+			more(cfg)
+		}
+	}
+	anonymous := func(cfg *core.Config) { cfg.Pref = core.PreferAnonymity }
+	for _, tc := range []struct {
+		rung   string
+		policy *censor.Policy // nil keeps ISP-A's block page for YouTube
+		mutate func(*core.Config)
+		second string // the known-blocked fetch's choice: "rung|rung rule"
+	}{
+		{"local fix", &censor.Policy{DNS: map[string]censor.DNSAction{"youtube.com": censor.DNSNXDomain}}, func(*core.Config) {},
+			"public-dns|https|domain-fronting|ip-as-hostname local-fix"},
+		{"relay", nil, only(func(a *core.Approach) bool { return a.Kind == core.KindRelay }, func(cfg *core.Config) { cfg.ExploreEvery = 2 }),
+			"tor|tor-bridge|lantern|proxy-Netherlands explore"},
+		{"tor", nil, anonymous, "tor|tor-bridge best-ewma"},
+		{"none", nil, only(func(a *core.Approach) bool { return !a.Anonymous }, anonymous), ""},
+	} {
+		if tc.rung != rung {
+			continue
+		}
+		t.Run(tc.rung, func(t *testing.T) {
+			sink := new(trace.CollectSink)
+			w, c := newCaseStudyClient(t, func(cfg *core.Config) { cfg.Trace = trace.New(cfg.Clock, sink); tc.mutate(cfg) }, "ISP-A")
+			chosen := func(seq uint64) (detail string) { // the span's "select chosen": approach and rule
+				for _, r := range sink.Records() {
+					for _, e := range r.Events {
+						if r.Seq == seq && e.Name == "chosen" {
+							detail = e.Detail
+						}
+					}
+				}
+				return detail
 			}
-		}
-		cfg.Approaches = kept
-	}, "ISP-A")
-	res := fetchURL(t, c, worldgen.YouTubeHost+"/")
-	// With no anonymous approach available the client must not fall back
-	// to a non-anonymous one: it serves the block page (least-bad) or
-	// fails, but never leaks through Lantern/proxies.
-	if res.Err == nil {
-		if res.Source != "direct" {
-			t.Fatalf("served via %q despite anonymity preference", res.Source)
-		}
-		if c.Counter("served-blockpage") == 0 {
-			t.Fatal("expected the block page to be what was served")
-		}
+			if tc.policy != nil {
+				w.ISPs["ISP-A"].Censor.SetPolicy(tc.policy)
+			}
+			var res [2]*core.Result
+			for i := range res {
+				res[i] = fetchURL(t, c, worldgen.YouTubeHost+"/")
+				c.WaitIdle()
+				if name, _, _ := strings.Cut(chosen(uint64(i+1)), " "); tc.second != "" && (!res[i].OK() || res[i].Source != name) {
+					t.Fatalf("fetch %d: served via %q (err %v), the planner chose %q", i+1, res[i].Source, res[i].Err, name)
+				}
+			}
+			names, why, _ := strings.Cut(tc.second, " ")
+			if name, rule, _ := strings.Cut(chosen(2), " "); rule != why || tc.second != "" && !slices.Contains(strings.Split(names, "|"), name) {
+				t.Fatalf("the known-blocked fetch chose %q, want %q", chosen(2), tc.second)
+			}
+			if tc.second == "" && (res[0].Source != "direct" || c.Counter("served-blockpage") != 1 || res[1].Err == nil) {
+				t.Fatalf("with no rung: served %q then %q (err %v), %d block pages", res[0].Source, res[1].Source, res[1].Err, c.Counter("served-blockpage"))
+			}
+			if why == "explore" && c.Counter("explore") != 1 {
+				t.Fatalf("explored %d times, want once", c.Counter("explore"))
+			}
+		})
 	}
 }
 

@@ -28,10 +28,11 @@ func (c *Client) Do(ctx context.Context, req *httpx.Request) (*Result, error) {
 
 	start := c.cfg.Clock.Now()
 	if status == localdb.Blocked {
-		app := c.selectApproach(trace.SpanFromContext(ctx), url, stages)
-		if app == nil {
+		i := c.choose(trace.SpanFromContext(ctx), url, stages)
+		if i < 0 {
 			return nil, fmt.Errorf("core: no approach can carry %s %s", req.Method, url)
 		}
+		app := c.cfg.Approaches[i]
 		resp, err := c.sendVia(ctx, app, req)
 		if err != nil {
 			return nil, err

@@ -104,9 +104,10 @@ func (c *Client) verdict(sp *trace.Span, url string) (status localdb.Status, sta
 			}
 		}
 	}
-	if status == localdb.Blocked && c.Multihomed() && !c.cfg.NoMultihoming {
+	if status == localdb.Blocked && !fromGlobal && c.Multihomed() && !c.cfg.NoMultihoming {
 		// §4.4: under multihoming, circumvent for the union of the blocking
-		// observed across providers (the "more strict censorship").
+		// observed across providers (the "more strict censorship"). The
+		// crowd's entry already is that union.
 		stages = c.mergedStages(url, stages)
 	}
 	if sp != nil {
@@ -171,19 +172,18 @@ func mergeEntries(a, b globaldb.Entry) globaldb.Entry {
 	return merged
 }
 
-// mergedStages unions locally known stages with globally reported ones.
+// mergedStages unions locally known stages with globally reported ones. The
+// local stages belong to the local_DB's record, so the union pins their
+// capacity to copy on append, as mergeEntries does.
 func (c *Client) mergedStages(url string, stages []localdb.Stage) []localdb.Stage {
-	seen := make(map[localdb.BlockType]bool, len(stages))
-	out := append([]localdb.Stage(nil), stages...)
-	for _, s := range stages {
-		seen[s.Type] = true
+	e, ok := c.globalLookup(url)
+	if !ok {
+		return stages
 	}
-	if e, ok := c.globalLookup(url); ok {
-		for _, ws := range globaldb.FromWire(e.Stages) {
-			if !seen[ws.Type] {
-				seen[ws.Type] = true
-				out = append(out, ws)
-			}
+	out := stages[:len(stages):len(stages)]
+	for _, ws := range globaldb.FromWire(e.Stages) {
+		if !slices.ContainsFunc(out, func(s localdb.Stage) bool { return s.Type == ws.Type }) {
+			out = append(out, ws)
 		}
 	}
 	return out
@@ -481,7 +481,7 @@ func dropBlockPageStage(stages []localdb.Stage) []localdb.Stage {
 // (§4.3.1 "low overhead vs resilience to false reports"). Local-fix URLs
 // use the direct path anyway, which measures it by default (Table 6 note).
 func (c *Client) fetchBlocked(ctx context.Context, url string, stages []localdb.Stage, fromGlobal bool) *Result {
-	app := c.selectApproach(trace.SpanFromContext(ctx), url, stages)
+	first := c.choose(trace.SpanFromContext(ctx), url, stages)
 	if fromGlobal && c.roll() < c.cfg.p() {
 		// Validate the global report against the direct path. The
 		// measurement runs in the background but draws on the client's
@@ -508,7 +508,7 @@ func (c *Client) fetchBlocked(ctx context.Context, url string, stages []localdb.
 			}
 		}()
 	}
-	resp, source, err := c.circumFetchVia(ctx, app, url, stages)
+	resp, source, err := c.circumFetchVia(ctx, first, url, stages)
 	if err != nil {
 		return &Result{URL: url, Source: source, Status: localdb.Blocked, Stages: stages, Err: err}
 	}
@@ -522,6 +522,9 @@ func (c *Client) roll() float64 {
 	defer c.mu.Unlock()
 	return c.randLocked().Float64()
 }
+
+// drawLocked draws a uniform index below n. Caller holds c.mu.
+func (c *Client) drawLocked(n int) int { return c.randLocked().Intn(n) }
 
 // randLocked is the client's random source, seeded at its first draw.
 // Caller holds c.mu.

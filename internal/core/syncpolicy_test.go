@@ -10,7 +10,7 @@ import (
 )
 
 // syncClient builds the minimal Client the breaker state machine needs: a
-// clock and a policy (same shape as quarClient).
+// clock and a policy.
 func syncClient(pol SyncPolicy) *Client {
 	return &Client{
 		cfg:      &Config{Sync: pol, Clock: vtime.New(1)},

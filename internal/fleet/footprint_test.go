@@ -18,9 +18,9 @@ const clientByteBudget = 1280
 
 // sessionByteBudget is what one fleet client may keep live after its first
 // session: everything a join leaves plus what the session's fetches and
-// sync made of the client's own (local DB records, moving averages, access
-// counts, counts, the connection budget, the life context, its reports on
-// the server). A session leaves 3.6 KiB.
+// sync made of the client's own (local DB records, its selection table,
+// counts, the connection budget, the life context, its reports on the
+// server). A session leaves 3.1 KiB.
 const sessionByteBudget = 4096
 
 // TestClientFootprint joins light clients through the fleet's own join
