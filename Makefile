@@ -42,8 +42,9 @@
 #                      record and snapshot decoders, the global-DB report
 #                      and list decoders and list bodies, seedrand's
 #                      sources against math/rand, detect's verdict
-#                      (Analyse) against Figure 4's invariants, and core's
-#                      approach planner against §4.3.2's
+#                      (Analyse) against Figure 4's invariants, core's
+#                      approach planner against §4.3.2's, and global-DB
+#                      compaction against the reference snapshot
 #   make allocs      — the allocation ledger: csaw-fleet -allocs over
 #                      fleet-10k's population (serial clients, every
 #                      allocation profiled), per fetch by package, into
@@ -161,7 +162,12 @@ shape:
 # core FuzzPlan drives the approach planner with any approaches, policy and
 # script: it never panics, never chooses a benched approach while an
 # unbenched one fits nor a non-anonymous one under the anonymity
-# preference, and walks at most four distinct rungs from the choice.
+# preference, and walks at most four distinct rungs from the choice. The
+# global-DB FuzzCompactionMatchesReference drives a durable store through any
+# history of registrations, ingests, re-reports, revocations, compactions,
+# reopens and resets: every snapshot it leaves is byte-identical to the one
+# WriteSnapshot makes of the reference state, and every compaction encodes
+# exactly the users whose state moved since the last one.
 fuzz:
 	$(GO) test ./internal/dnsx -run '^$$' -fuzz FuzzMessageDecode -fuzztime 10s
 	$(GO) test ./internal/dnsx -run '^$$' -fuzz FuzzCodecVsReference -fuzztime 10s
@@ -180,6 +186,7 @@ fuzz:
 	$(GO) test ./internal/globaldb -run '^$$' -fuzz FuzzReportDecode -fuzztime 10s
 	$(GO) test ./internal/globaldb -run '^$$' -fuzz FuzzListDecode -fuzztime 10s
 	$(GO) test ./internal/globaldb -run '^$$' -fuzz FuzzFetchBodies -fuzztime 10s -fuzzminimizetime 1s
+	$(GO) test ./internal/globaldb -run '^$$' -fuzz FuzzCompactionMatchesReference -fuzztime 10s
 	$(GO) test ./internal/seedrand -run '^$$' -fuzz FuzzSource -fuzztime 10s
 	$(GO) test ./internal/detect -run '^$$' -fuzz FuzzAnalyse -fuzztime 10s
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzPlan -fuzztime 10s

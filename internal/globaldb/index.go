@@ -129,7 +129,8 @@ func (s *store) asIndexFor(asn int) *asIndex {
 func (s *store) file(cs *clientState, key string, rep *storage.StoredReport) bool {
 	// Stored reports are immutable once created — a re-report replaces the
 	// pointer — so the representative stages an entry shares with its report
-	// never change under a reader.
+	// never change under a reader. cs's snapshot section goes stale.
+	cs.kept = false
 	if p, seen := cs.reports[key]; seen {
 		sl, was := p.sl, p.rep
 		p.rep, sl.reps[p.at].rep = rep, rep

@@ -51,13 +51,24 @@ func reportsToStorage(rs []Report) []storage.Report {
 }
 
 // snapshotScratch is compaction's storage, kept by the store across
-// compactions so a snapshot allocates nothing once they have grown: the
-// encoding itself, and the slices that hold the sorts.
+// compactions so a snapshot allocates nothing once they have grown, and so a
+// compaction re-encodes only the users whose state moved since the last one.
+// buf holds the last snapshot, and users every listed user in uuid order with
+// its section of buf: the bytes of its entry (uuid, revoked flag, report
+// count, reports). The next snapshot is encoded into spare, copying the
+// section of every user still kept, and the two then trade places.
 type snapshotScratch struct {
-	buf     []byte
-	users   []*clientState
-	reports []keyedReport
-	ases    []storage.ASVersion
+	buf, spare []byte
+	users      []section
+	reports    []keyedReport
+	ases       []storage.ASVersion
+}
+
+// section is one user's entry in the last snapshot, buf[off:end]. It is
+// current while the user is kept.
+type section struct {
+	cs       *clientState
+	off, end int
 }
 
 type keyedReport struct {
@@ -65,36 +76,70 @@ type keyedReport struct {
 	rep *storage.StoredReport
 }
 
-// encodeSnapshot encodes the full store as a snapshot straight from its
-// tables: users in uuid order, each one's reports in dedup-key order, AS
-// versions by ASN, so the snapshot is a deterministic function of store
-// contents. Caller holds s.mu.
+// encodeSnapshot encodes the full store as a snapshot: users in uuid order,
+// each one's reports in dedup-key order, AS versions by ASN, so the snapshot
+// is a deterministic function of store contents. A user whose state has not
+// moved since the last snapshot is copied from it — a run of such users in
+// one copy — and only the others are encoded from their tables, so the cost
+// is the moved users plus one copy of the snapshot's bytes. Caller holds s.mu.
 func (s *store) encodeSnapshot() []byte {
 	sc := &s.snap
-	sc.users = sc.users[:0]
-	for _, cs := range s.users {
-		sc.users = append(sc.users, cs)
-	}
-	slices.SortFunc(sc.users, func(a, b *clientState) int { return strings.Compare(a.uuid, b.uuid) })
-	b := storage.AppendSnapshotHead(sc.buf[:0], s.updates, s.revEpoch.Load(), len(sc.users))
-	for _, cs := range sc.users {
-		b = storage.AppendSnapshotUser(b, cs.uuid, cs.revoked, len(cs.reports))
-		sc.reports = sc.reports[:0]
-		for k, p := range cs.reports {
-			sc.reports = append(sc.reports, keyedReport{k, p.rep})
+	if len(sc.users) < len(s.users) {
+		// Users joined: list them and re-sort. A section keeps its place in
+		// buf wherever the sort moves it.
+		for _, cs := range s.users {
+			if !cs.listed {
+				cs.listed = true
+				sc.users = append(sc.users, section{cs: cs})
+			}
 		}
-		slices.SortFunc(sc.reports, func(a, b keyedReport) int { return strings.Compare(a.key, b.key) })
-		for _, kr := range sc.reports {
-			b = storage.AppendStoredReport(b, kr.rep)
-		}
+		slices.SortFunc(sc.users, func(a, b section) int { return strings.Compare(a.cs.uuid, b.cs.uuid) })
 	}
+	prev := sc.buf
+	b := storage.AppendSnapshotHead(sc.spare[:0], s.updates, s.revEpoch.Load(), len(sc.users))
+	from, to := 0, 0 // prev[from:to]: kept sections not yet copied, bound for len(b)
+	for i := range sc.users {
+		u := &sc.users[i]
+		if u.cs.kept {
+			if u.off != to {
+				b = append(b, prev[from:to]...)
+				from = u.off
+			}
+			at := len(b) + u.off - from
+			u.off, u.end, to = at, at+u.end-u.off, u.end
+			continue
+		}
+		b = append(b, prev[from:to]...)
+		from = to
+		u.off = len(b)
+		b = sc.appendUser(b, u.cs)
+		u.end = len(b)
+		u.cs.kept = true
+		s.encodes.Add(1)
+	}
+	b = append(b, prev[from:to]...)
 	sc.ases = sc.ases[:0]
 	for asn, idx := range s.index {
 		sc.ases = append(sc.ases, storage.ASVersion{ASN: asn, Version: idx.ver})
 	}
 	slices.SortFunc(sc.ases, func(a, b storage.ASVersion) int { return cmp.Compare(a.ASN, b.ASN) })
-	sc.buf = storage.AppendASVersions(b, sc.ases)
-	return sc.buf
+	b = storage.AppendASVersions(b, sc.ases)
+	sc.buf, sc.spare = b, prev
+	return b
+}
+
+// appendUser encodes cs's entry from its tables, its reports by dedup key.
+func (sc *snapshotScratch) appendUser(b []byte, cs *clientState) []byte {
+	b = storage.AppendSnapshotUser(b, cs.uuid, cs.revoked, len(cs.reports))
+	sc.reports = sc.reports[:0]
+	for k, p := range cs.reports {
+		sc.reports = append(sc.reports, keyedReport{k, p.rep})
+	}
+	slices.SortFunc(sc.reports, func(a, b keyedReport) int { return strings.Compare(a.key, b.key) })
+	for _, kr := range sc.reports {
+		b = storage.AppendStoredReport(b, kr.rep)
+	}
+	return b
 }
 
 // restoreState fills an empty store from a snapshot: every report filed,

@@ -21,8 +21,11 @@ type StoreOptions struct {
 	Dir string
 	// SnapshotEvery compacts after this many logged records: the store state
 	// is written as a snapshot and the log truncated, bounding both recovery
-	// time and log size. 0 selects the default (4096); negative disables
-	// compaction.
+	// time and log size. A compaction encodes only the users whose state
+	// moved since the last one and copies every other user's bytes from it,
+	// so under the write lock it costs those users plus one copy and one
+	// write of the snapshot, not an encoding of the whole store. 0 selects
+	// the default (4096); negative disables compaction.
 	SnapshotEvery int
 	// Replicated attaches an in-memory replication feed mirroring every
 	// logged record, served on PathRepl for followers to pull.
@@ -87,6 +90,7 @@ type store struct {
 	// atomic is for the fetch of an AS nobody has reported on.
 	revEpoch atomic.Int64
 	refolds  atomic.Int64 // slot aggregations, observable in tests
+	encodes  atomic.Int64 // snapshot sections encoded from the tables, likewise
 	histMax  atomic.Int64 // per-AS mark cap
 
 	indexMu  sync.RWMutex // guards the index map, not the indexes
@@ -101,6 +105,10 @@ type store struct {
 type clientState struct {
 	uuid    string
 	revoked bool
+	// listed says the user has its place in the snapshot order, and kept that
+	// its section of the last snapshot is still its state: file (index.go)
+	// and fold's revocation clear it.
+	listed, kept bool
 	// reports maps "url|asn" to its report, in the slot it is filed in. It
 	// is made at the first report: a client that has reported nothing holds
 	// no table.
@@ -236,7 +244,7 @@ func (s *store) fold(rec *storage.Record) int {
 	case storage.KindRevoke:
 		s.revEpoch.Add(1)
 		if cs := s.users[rec.UUID]; cs != nil && !cs.revoked {
-			cs.revoked = true
+			cs.revoked, cs.kept = true, false
 			s.touchAll(cs)
 		}
 		// Only the client's own slots are refolded; every other AS just
@@ -350,6 +358,10 @@ func (s *store) reset() error {
 	s.updates, s.seq, s.marks = 0, 0, nil
 	s.revEpoch.Store(0)
 	s.refolds.Store(0)
+	s.encodes.Store(0)
+	// The scratch holds the old users and their sections of a snapshot that
+	// no longer exists: drop it all.
+	s.snap = snapshotScratch{}
 	s.sinceSnap = 0
 	s.lastErr = nil
 	return nil
