@@ -80,19 +80,47 @@ type slot struct {
 }
 
 // filed is one client's current report on a slot; placed is the client's own
-// handle on it, reps[at] of sl (reps only ever grows), with the report beside
-// it so that snapshot export and stats read a client's reports without
-// visiting their slots.
+// handle on it, reps[at] of sl (reps only ever grows), with the report and
+// its dedup key beside it so that snapshot capture and stats read a client's
+// reports without visiting their slots.
 type filed struct {
 	cs  *clientState
 	rep *storage.StoredReport
 }
 
 type placed struct {
+	key string
 	rep *storage.StoredReport
 	sl  *slot
 	at  int
 }
+
+// smallReports is the most reports a client holds without a slot index.
+const smallReports = 16
+
+// find returns the index in cs.reports of cs's report in sl, the slot of
+// its (url, asn) key.
+func (cs *clientState) find(sl *slot) (int, bool) {
+	if cs.bySlot != nil {
+		i, ok := cs.bySlot[sl]
+		return i, ok
+	}
+	for i := range cs.reports {
+		if cs.reports[i].sl == sl {
+			return i, true
+		}
+	}
+	return 0, false
+}
+
+// sortedReports returns cs's reports in dedup-key order, in a new slice.
+func (cs *clientState) sortedReports() []placed {
+	ps := slices.Clone(cs.reports)
+	slices.SortFunc(ps, byKey)
+	return ps
+}
+
+func byKey(a, b placed) int { return strings.Compare(a.key, b.key) }
 
 // leads reports whether f is the representative of the two.
 func (f filed) leads(g filed) bool {
@@ -124,24 +152,9 @@ func (s *store) asIndexFor(asn int) *asIndex {
 }
 
 // file puts rep, cs's report on (rep.URL, rep.ASN), in its slot in place of
-// the one cs filed under key before, and queues the slot. It reports whether
+// the one cs filed there before, and queues the slot. It reports whether
 // the key is new to cs. Caller holds s.mu.
-func (s *store) file(cs *clientState, key string, rep *storage.StoredReport) bool {
-	// Stored reports are immutable once created — a re-report replaces the
-	// pointer — so the representative stages an entry shares with its report
-	// never change under a reader. cs's snapshot section goes stale.
-	cs.kept = false
-	if p, seen := cs.reports[key]; seen {
-		sl, was := p.sl, p.rep
-		p.rep, sl.reps[p.at].rep = rep, rep
-		cs.reports[key] = p
-		if p.at != sl.best && sl.reps[p.at].leads(sl.reps[sl.best]) {
-			sl.best = p.at
-		}
-		// A representative that stepped back may have handed the lead to another.
-		s.touch(sl, p.at == sl.best && rep.Tp < was.Tp)
-		return false
-	}
+func (s *store) file(cs *clientState, rep *storage.StoredReport) bool {
 	idx := s.index[rep.ASN]
 	if idx == nil {
 		idx = &asIndex{asn: rep.ASN, rev: s.revEpoch.Load(), byURL: make(map[string]*slot)}
@@ -154,11 +167,31 @@ func (s *store) file(cs *clientState, key string, rep *storage.StoredReport) boo
 		sl = &slot{idx: idx, entry: Entry{URL: rep.URL, ASN: rep.ASN}}
 		sl.reps = sl.first[:0]
 		idx.byURL[rep.URL] = sl
+	} else if i, seen := cs.find(sl); seen {
+		// Stored reports are immutable once created — a re-report replaces
+		// the pointer — so the representative stages an entry shares with its
+		// report never change under a reader, nor the report a compaction
+		// captured.
+		p := &cs.reports[i]
+		was := p.rep
+		p.rep, sl.reps[p.at].rep = rep, rep
+		if p.at != sl.best && sl.reps[p.at].leads(sl.reps[sl.best]) {
+			sl.best = p.at
+		}
+		// A representative that stepped back may have handed the lead to another.
+		s.touch(sl, p.at == sl.best && rep.Tp < was.Tp)
+		return false
 	}
-	if cs.reports == nil {
-		cs.reports = make(map[string]placed)
+	cs.reports = append(cs.reports, placed{key: reportKey(rep.URL, rep.ASN), rep: rep, sl: sl, at: len(sl.reps)})
+	switch {
+	case cs.bySlot != nil:
+		cs.bySlot[sl] = len(cs.reports) - 1
+	case len(cs.reports) > smallReports:
+		cs.bySlot = make(map[*slot]int, len(cs.reports))
+		for i := range cs.reports {
+			cs.bySlot[cs.reports[i].sl] = i
+		}
 	}
-	cs.reports[key] = placed{rep: rep, sl: sl, at: len(sl.reps)}
 	sl.reps = append(sl.reps, filed{cs: cs, rep: rep})
 	s.touch(sl, true)
 	return true
@@ -179,8 +212,8 @@ func (s *store) touch(sl *slot, restart bool) {
 // touchAll queues every slot cs reports on: its vote weight or its standing
 // changed. Caller holds s.mu.
 func (s *store) touchAll(cs *clientState) {
-	for _, p := range cs.reports {
-		s.touch(p.sl, true)
+	for i := range cs.reports {
+		s.touch(cs.reports[i].sl, true)
 	}
 }
 
@@ -338,9 +371,8 @@ func (s *store) stats() Stats {
 		if cs.revoked {
 			continue
 		}
-		for _, k := range sortedKeys(cs.reports) {
-			r := cs.reports[k].rep
-			acc.add(r.URL, r.ASN, r.Stages)
+		for _, p := range cs.sortedReports() {
+			acc.add(p.rep.URL, p.rep.ASN, p.rep.Stages)
 		}
 	}
 	return acc.stats(len(s.users), int(s.updates))

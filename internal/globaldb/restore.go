@@ -50,111 +50,150 @@ func reportsToStorage(rs []Report) []storage.Report {
 	return out
 }
 
-// snapshotScratch is compaction's storage, kept by the store across
-// compactions so a snapshot allocates nothing once they have grown, and so a
-// compaction re-encodes only the users whose state moved since the last one.
-// buf holds the last snapshot, and users every listed user in uuid order with
-// its section of buf: the bytes of its entry (uuid, revoked flag, report
-// count, reports). The next snapshot is encoded into spare, copying the
-// section of every user still kept, and the two then trade places.
-type snapshotScratch struct {
-	buf, spare []byte
-	users      []section
-	reports    []keyedReport
-	ases       []storage.ASVersion
+// A compaction runs in two halves (store.go has the protocol). Under s.mu,
+// captureLocked copies out what the encoder reads of the store's mutable
+// state: the counters, the AS version counters, and each moved user's uuid,
+// revoked flag and placed reports, of which the compactor reads the dedup
+// key and the report. Stored reports are immutable — a re-report replaces
+// the pointer in the store's copy — so the capture stays valid whatever the
+// store does next. The compactor then encodes the snapshot from the capture
+// and the last snapshot's bytes without the lock.
+
+// capture is one compaction's input. The store fills it under s.mu while no
+// compaction is in flight and the compactor reads and empties it; its slices
+// are kept for the next one.
+type capture struct {
+	updates, revEpoch int64
+	users             int         // users in the store
+	moved             []movedUser // every user whose section no longer reads as its state
+	reports           []placed    // the moved users' reports, each user's a run
+	ases              []storage.ASVersion
 }
 
-// section is one user's entry in the last snapshot, buf[off:end]. It is
-// current while the user is kept.
+// movedUser is one moved user's entry; its reports are reports[from:to].
+type movedUser struct {
+	uuid     string
+	revoked  bool
+	from, to int
+}
+
+// snapshotScratch is the compactor's storage, kept across compactions so a
+// snapshot allocates nothing once they have grown, and so a compaction
+// encodes only the users that moved since the last one. buf holds the last
+// snapshot and users every one of its users' section of buf, in uuid order.
+// The next snapshot is encoded into spare and its sections listed in next,
+// copying the section of every user that did not move; then each pair trades
+// places.
+type snapshotScratch struct {
+	buf, spare  []byte
+	users, next []section
+}
+
+// section is one user's entry in the last snapshot, buf[off:end]: uuid,
+// revoked flag, report count and reports.
 type section struct {
-	cs       *clientState
+	uuid     string
 	off, end int
 }
 
-type keyedReport struct {
-	key string
-	rep *storage.StoredReport
+// captureLocked fills s.capture with what a snapshot of the current state
+// needs and empties the moved list. Caller holds s.mu, and no compaction is
+// in flight.
+func (s *store) captureLocked() *capture {
+	c := &s.capture
+	c.updates, c.revEpoch, c.users = s.updates, s.revEpoch.Load(), len(s.users)
+	for _, cs := range s.moved {
+		from := len(c.reports)
+		c.reports = append(c.reports, cs.reports...)
+		c.moved = append(c.moved, movedUser{uuid: cs.uuid, revoked: cs.revoked, from: from, to: len(c.reports)})
+		cs.moved = false
+	}
+	clear(s.moved)
+	s.moved = s.moved[:0]
+	for asn, idx := range s.index {
+		c.ases = append(c.ases, storage.ASVersion{ASN: asn, Version: idx.ver}) //lint:allow-maporder encodeSnapshot sorts them by ASN
+	}
+	return c
 }
 
-// encodeSnapshot encodes the full store as a snapshot: users in uuid order,
-// each one's reports in dedup-key order, AS versions by ASN, so the snapshot
-// is a deterministic function of store contents. A user whose state has not
-// moved since the last snapshot is copied from it — a run of such users in
-// one copy — and only the others are encoded from their tables, so the cost
-// is the moved users plus one copy of the snapshot's bytes. Caller holds s.mu.
-func (s *store) encodeSnapshot() []byte {
+// encodeSnapshot encodes the snapshot c describes: users in uuid order, each
+// one's reports in dedup-key order, AS versions by ASN, so the snapshot is a
+// deterministic function of store contents. A user that did not move is
+// copied from the last snapshot — a run of such users in one copy — and only
+// the moved ones are encoded, so the cost is the moved users plus one copy
+// of the snapshot's bytes. It empties c. The compactor's own: it reads
+// nothing the lock guards.
+func (s *store) encodeSnapshot(c *capture) []byte {
 	sc := &s.snap
-	if len(sc.users) < len(s.users) {
-		// Users joined: list them and re-sort. A section keeps its place in
-		// buf wherever the sort moves it.
-		for _, cs := range s.users {
-			if !cs.listed {
-				cs.listed = true
-				sc.users = append(sc.users, section{cs: cs})
-			}
-		}
-		slices.SortFunc(sc.users, func(a, b section) int { return strings.Compare(a.cs.uuid, b.cs.uuid) })
-	}
-	prev := sc.buf
-	b := storage.AppendSnapshotHead(sc.spare[:0], s.updates, s.revEpoch.Load(), len(sc.users))
+	slices.SortFunc(c.moved, func(a, b movedUser) int { return strings.Compare(a.uuid, b.uuid) })
+	prev, kept := sc.buf, sc.users
+	b := storage.AppendSnapshotHead(sc.spare[:0], c.updates, c.revEpoch, c.users)
+	next := sc.next[:0]
 	from, to := 0, 0 // prev[from:to]: kept sections not yet copied, bound for len(b)
-	for i := range sc.users {
-		u := &sc.users[i]
-		if u.cs.kept {
+	for i, j := 0, 0; i < len(kept) || j < len(c.moved); {
+		if j == len(c.moved) || (i < len(kept) && kept[i].uuid < c.moved[j].uuid) {
+			u := kept[i]
+			i++
 			if u.off != to {
 				b = append(b, prev[from:to]...)
 				from = u.off
 			}
 			at := len(b) + u.off - from
-			u.off, u.end, to = at, at+u.end-u.off, u.end
+			next = append(next, section{u.uuid, at, at + u.end - u.off})
+			to = u.end
 			continue
+		}
+		m := &c.moved[j]
+		j++
+		if i < len(kept) && kept[i].uuid == m.uuid {
+			i++ // m's old section
 		}
 		b = append(b, prev[from:to]...)
 		from = to
-		u.off = len(b)
-		b = sc.appendUser(b, u.cs)
-		u.end = len(b)
-		u.cs.kept = true
+		off := len(b)
+		b = appendUser(b, m, c.reports[m.from:m.to])
+		next = append(next, section{m.uuid, off, len(b)})
 		s.encodes.Add(1)
 	}
 	b = append(b, prev[from:to]...)
-	sc.ases = sc.ases[:0]
-	for asn, idx := range s.index {
-		sc.ases = append(sc.ases, storage.ASVersion{ASN: asn, Version: idx.ver})
-	}
-	slices.SortFunc(sc.ases, func(a, b storage.ASVersion) int { return cmp.Compare(a.ASN, b.ASN) })
-	b = storage.AppendASVersions(b, sc.ases)
+	slices.SortFunc(c.ases, func(a, b storage.ASVersion) int { return cmp.Compare(a.ASN, b.ASN) })
+	b = storage.AppendASVersions(b, c.ases)
+	// Drop the capture's references: a replaced report is garbage now.
+	clear(c.moved)
+	clear(c.reports)
+	c.moved, c.reports, c.ases = c.moved[:0], c.reports[:0], c.ases[:0]
 	sc.buf, sc.spare = b, prev
+	sc.users, sc.next = next, sc.users
 	return b
 }
 
-// appendUser encodes cs's entry from its tables, its reports by dedup key.
-func (sc *snapshotScratch) appendUser(b []byte, cs *clientState) []byte {
-	b = storage.AppendSnapshotUser(b, cs.uuid, cs.revoked, len(cs.reports))
-	sc.reports = sc.reports[:0]
-	for k, p := range cs.reports {
-		sc.reports = append(sc.reports, keyedReport{k, p.rep})
-	}
-	slices.SortFunc(sc.reports, func(a, b keyedReport) int { return strings.Compare(a.key, b.key) })
-	for _, kr := range sc.reports {
-		b = storage.AppendStoredReport(b, kr.rep)
+// appendUser encodes m's entry, its reports by dedup key.
+func appendUser(b []byte, m *movedUser, reports []placed) []byte {
+	b = storage.AppendSnapshotUser(b, m.uuid, m.revoked, len(reports))
+	slices.SortFunc(reports, byKey)
+	for i := range reports {
+		b = storage.AppendStoredReport(b, reports[i].rep)
 	}
 	return b
 }
 
-// restoreState fills an empty store from a snapshot: every report filed,
-// then each AS's view folded once, as one record would. Runs before the
-// store is published.
-func (s *store) restoreState(st *storage.State) {
+// restoreState fills an empty store from a snapshot — every report filed,
+// then each AS's view folded once, as one record would — and adopts the
+// snapshot file's bytes as the last snapshot, users[i] being st.Users[i]'s
+// section of file. Runs before the store is published.
+func (s *store) restoreState(st *storage.State, file []byte, users []storage.Span) {
 	s.updates = st.Updates
 	s.revEpoch.Store(st.RevEpoch)
 	for i := range st.Users {
 		us := &st.Users[i]
-		cs := &clientState{uuid: us.UUID, revoked: us.Revoked, reports: make(map[string]placed, len(us.Reports))}
+		cs := &clientState{uuid: us.UUID, revoked: us.Revoked}
+		if n := len(us.Reports); n > 0 {
+			cs.reports = make([]placed, 0, n)
+		}
 		s.users[us.UUID] = cs
 		for j := range us.Reports {
 			rep := &us.Reports[j]
-			s.file(cs, reportKey(rep.URL, rep.ASN), rep)
+			s.file(cs, rep)
 		}
 	}
 	for _, idx := range s.affected {
@@ -168,4 +207,22 @@ func (s *store) restoreState(st *storage.State) {
 			idx.ver = av.Version
 		}
 	}
+	// Every restored user's section of the file reads as its state, so the
+	// first compaction encodes only the users that move after this. The
+	// sections must be in uuid order, as every snapshot the store writes
+	// has them; a file whose users are not is encoded anew.
+	sc := &s.snap
+	sc.users = make([]section, len(users))
+	for i, sp := range users {
+		uuid := st.Users[i].UUID
+		if i > 0 && uuid <= sc.users[i-1].uuid {
+			sc.users = nil
+			for _, cs := range s.users {
+				s.markMoved(cs)
+			}
+			return
+		}
+		sc.users[i] = section{uuid, sp.Off, sp.End}
+	}
+	sc.buf = file
 }

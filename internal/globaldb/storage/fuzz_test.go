@@ -71,7 +71,8 @@ func FuzzReplay(f *testing.F) {
 
 // FuzzSnapshot holds the snapshot decoder to its contract: on any bytes —
 // torn, flipped, foreign — it never panics and returns either ErrCorrupt or a
-// State that re-encodes to exactly the bytes it read. Each input is tried
+// State that re-encodes to exactly the bytes it read, each user's span being
+// exactly that user's entry. Each input is tried
 // twice: as a whole file, and as the payload of a file with a good header
 // and checksum, so the engine reaches the payload decoder without having to
 // forge a CRC.
@@ -86,7 +87,8 @@ func FuzzSnapshot(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, file := range [][]byte{data, sealSnapshot(data)} {
-			st, err := decodeSnapshot(file)
+			var users []Span
+			st, err := decodeSnapshotSpans(file, &users)
 			if err != nil {
 				if !errors.Is(err, ErrCorrupt) {
 					t.Fatalf("error outside the corruption contract: %v", err)
@@ -98,6 +100,10 @@ func FuzzSnapshot(f *testing.F) {
 			if !bytes.Equal(again, file) {
 				t.Fatalf("decoded state re-encodes to other bytes:\n got %x\nwant %x", again, file)
 			}
+			if len(users) != len(st.Users) {
+				t.Fatalf("%d spans for %d users", len(users), len(st.Users))
+			}
+			assertSpans(t, st, file, users)
 		}
 	})
 }

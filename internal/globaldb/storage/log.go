@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
+	"path/filepath"
 )
 
 // Log is an append-only write-ahead log of framed records. Appends are
@@ -15,6 +16,16 @@ import (
 // acknowledged mutation. The Log itself is not goroutine-safe; the durable
 // store serializes appends under its write mutex, which is also what fixes
 // the replay order.
+//
+// A log is one or two files. Appends go to the active file at its path.
+// Seal moves the active file aside to SealedPath(path), a sealed segment
+// that takes no more appends, and starts a fresh active file: a compaction
+// seals the records its snapshot will hold and writes the snapshot while
+// later appends land in the fresh file, then deletes the segment
+// (RemoveSealed). Recovery replays the sealed segment (ReplaySealed), then
+// the active file (ReplayFile). Only the active file can end in a torn
+// append; the sealed segment was whole when it was sealed, so any damage
+// in it is damage to committed history.
 type Log struct {
 	path string
 	f    *os.File
@@ -110,6 +121,70 @@ func (l *Log) Truncate(n int64) error {
 	}
 	_, err := l.f.Seek(n, 0)
 	return err
+}
+
+// SealedPath is the name of the sealed segment of the log at path.
+func SealedPath(path string) string { return path + ".sealed" }
+
+// Seal flushes the active file, renames it to the sealed segment and
+// continues in a fresh, empty active file at the log's path. A sealed
+// segment that is already there is never overwritten: Seal refuses with an
+// error, since its records may be in no snapshot yet. The rename is not
+// synced — appends are not either; the snapshot protocol's directory syncs
+// make it durable before anything depends on it.
+func (l *Log) Seal() error {
+	if err := l.w.Flush(); err != nil {
+		return err
+	}
+	sealed := SealedPath(l.path)
+	if _, err := os.Lstat(sealed); err == nil {
+		return fmt.Errorf("storage: seal %s: a sealed segment is already there", l.path)
+	} else if !os.IsNotExist(err) {
+		return err
+	}
+	if err := os.Rename(l.path, sealed); err != nil {
+		return err
+	}
+	f, err := os.OpenFile(l.path, os.O_CREATE|os.O_EXCL|os.O_RDWR, 0o644)
+	if err != nil {
+		return err
+	}
+	old := l.f
+	l.f = f
+	l.w.Reset(f)
+	return old.Close()
+}
+
+// ReplaySealed replays the sealed segment of the log at path through fn, if
+// there is one, and reports whether there was. A sealed segment was whole
+// when it was sealed and the active file was appended after it, so unlike
+// ReplayFile it truncates nothing: any frame that fails to decode, torn
+// final frame included, is an ErrHistoryLoss error.
+func ReplaySealed(path string, fn func(*Record) error) (found bool, err error) {
+	f, err := os.Open(SealedPath(path))
+	if err != nil {
+		if os.IsNotExist(err) {
+			return false, nil
+		}
+		return true, err
+	}
+	good, err := Replay(bufio.NewReader(f), fn)
+	if closeErr := f.Close(); err == nil {
+		err = closeErr
+	}
+	if errors.Is(err, ErrCorrupt) {
+		return true, fmt.Errorf("%w: sealed segment damaged at offset %d: %v", ErrHistoryLoss, good, err)
+	}
+	return true, err
+}
+
+// RemoveSealed deletes the sealed segment of the log at path, if there is
+// one, and makes the deletion durable.
+func RemoveSealed(path string) error {
+	if err := os.Remove(SealedPath(path)); err != nil && !os.IsNotExist(err) {
+		return err
+	}
+	return syncDir(filepath.Dir(path))
 }
 
 // Close flushes and closes the file.

@@ -171,26 +171,57 @@ func syncDir(dir string) error {
 	return d.Close()
 }
 
+// SyncRename renames from to to and makes the rename durable: the file the
+// snapshot protocol moves into place survives a power loss once it returns.
+func SyncRename(from, to string) error {
+	if err := os.Rename(from, to); err != nil {
+		return err
+	}
+	return syncDir(filepath.Dir(to))
+}
+
 // ReadSnapshot reads and validates the snapshot at path. A missing file
 // returns (nil, nil): recovery starts from an empty store.
 func ReadSnapshot(path string) (*State, error) {
-	b, err := os.ReadFile(path)
+	st, _, _, err := ReadSnapshotFile(path)
+	return st, err
+}
+
+// Span is where one user's entry lies in a snapshot file's bytes:
+// b[Off:End] holds its uuid, revoked flag, report count and reports, exactly
+// as AppendSnapshotUser and its AppendStoredReport calls wrote them.
+type Span struct{ Off, End int }
+
+// ReadSnapshotFile is ReadSnapshot that also returns the file's bytes and
+// each user's entry in them (users[i] is st.Users[i]'s), so a store restored
+// from the file can copy an unchanged user's entry into its next snapshot
+// instead of encoding it again.
+func ReadSnapshotFile(path string) (st *State, b []byte, users []Span, err error) {
+	b, err = os.ReadFile(path)
 	if err != nil {
 		if os.IsNotExist(err) {
-			return nil, nil
+			return nil, nil, nil, nil
 		}
-		return nil, err
+		return nil, nil, nil, err
 	}
-	return decodeSnapshot(b)
+	if st, err = decodeSnapshotSpans(b, &users); err != nil {
+		return nil, nil, nil, err
+	}
+	return st, b, users, nil
 }
 
 // decodeSnapshot parses a snapshot file's bytes. Anything but a whole,
 // checksummed payload of this version that decodes to its last byte is
 // ErrCorrupt.
-func decodeSnapshot(b []byte) (*State, error) {
+func decodeSnapshot(b []byte) (*State, error) { return decodeSnapshotSpans(b, nil) }
+
+// decodeSnapshotSpans is decodeSnapshot that, when users is not nil, also
+// sets *users to each user's Span in b.
+func decodeSnapshotSpans(b []byte, users *[]Span) (*State, error) {
 	if len(b) < snapshotHeaderLen || string(b[:len(snapshotMagic)]) != snapshotMagic {
 		return nil, fmt.Errorf("%w: bad snapshot header", ErrCorrupt)
 	}
+	file := b
 	b = b[len(snapshotMagic):]
 	n := binary.LittleEndian.Uint32(b[0:4])
 	sum := binary.LittleEndian.Uint32(b[4:8])
@@ -203,9 +234,15 @@ func decodeSnapshot(b []byte) (*State, error) {
 	}
 	d := decoder{buf: payload}
 	st := &State{Updates: d.varint(), RevEpoch: d.varint()}
+	// The decoder's buffer is always a suffix of the file's bytes.
+	at := func() int { return len(file) - len(d.buf) }
 	if n := d.count(); n > 0 {
 		st.Users = make([]UserState, n)
+		if users != nil {
+			*users = make([]Span, n)
+		}
 		for i := 0; i < n && d.err == nil; i++ {
+			off := at()
 			us := &st.Users[i]
 			us.UUID, us.Revoked = d.string(), d.bool()
 			if m := d.count(); m > 0 {
@@ -214,6 +251,9 @@ func decodeSnapshot(b []byte) (*State, error) {
 					r := d.report()
 					us.Reports[j] = StoredReport{URL: r.URL, ASN: r.ASN, Stages: r.Stages, Tm: r.Tm, Tp: d.varint()}
 				}
+			}
+			if users != nil {
+				(*users)[i] = Span{off, at()}
 			}
 		}
 	}

@@ -489,3 +489,107 @@ func TestLogTearNextRecovery(t *testing.T) {
 		t.Fatalf("recovered log contents differ")
 	}
 }
+
+// TestLogSealReplay: Seal moves the records so far into the sealed segment
+// and appends go on in a fresh active file; ReplaySealed then ReplayFile give
+// every record once, in order; a second Seal with the segment still there
+// is refused; RemoveSealed deletes it, and a missing segment replays nothing.
+func TestLogSealReplay(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wal")
+	l, err := OpenLog(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := sampleRecords()
+	for i, r := range want {
+		if i == 2 {
+			if err := l.Seal(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := l.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Seal(); err == nil {
+		t.Fatal("a second Seal overwrote the sealed segment")
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var got []*Record
+	collect := func(r *Record) error { got = append(got, r); return nil }
+	if found, err := ReplaySealed(path, collect); !found || err != nil {
+		t.Fatalf("ReplaySealed = %v, %v; want the segment, no error", found, err)
+	}
+	if len(got) != 2 {
+		t.Fatalf("the sealed segment holds %d records, want the 2 before the seal", len(got))
+	}
+	if _, err := ReplayFile(path, collect); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("sealed segment then active file differ from the records appended")
+	}
+	if err := RemoveSealed(path); err != nil {
+		t.Fatal(err)
+	}
+	if found, err := ReplaySealed(path, collect); found || err != nil {
+		t.Fatalf("ReplaySealed after RemoveSealed = %v, %v; want nothing", found, err)
+	}
+	if err := RemoveSealed(path); err != nil {
+		t.Fatalf("RemoveSealed of a missing segment: %v", err)
+	}
+}
+
+// TestSealedSegmentDamageIsHistoryLoss: a sealed segment was whole when it
+// was sealed and the active file was appended after it, so a torn final
+// frame there is not a crash mid-append: ReplaySealed reports ErrHistoryLoss,
+// which callers that truncate on ErrCorrupt treat as fatal.
+func TestSealedSegmentDamageIsHistoryLoss(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wal")
+	whole := framed(sampleRecords())
+	for _, seg := range [][]byte{whole[:len(whole)-3], append(append([]byte(nil), whole...), 0xde)} {
+		if err := os.WriteFile(SealedPath(path), seg, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := ReplaySealed(path, func(*Record) error { return nil })
+		if !errors.Is(err, ErrHistoryLoss) || errors.Is(err, ErrCorrupt) {
+			t.Fatalf("damaged sealed segment: err = %v, want ErrHistoryLoss", err)
+		}
+	}
+}
+
+// TestReadSnapshotFileSpans: each user's span of the file is exactly the
+// entry AppendSnapshotUser and AppendStoredReport write for it.
+func TestReadSnapshotFileSpans(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "snap")
+	st := sampleState()
+	if err := WriteSnapshot(path, st); err != nil {
+		t.Fatal(err)
+	}
+	got, b, users, err := ReadSnapshotFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, st) || len(users) != len(st.Users) {
+		t.Fatalf("ReadSnapshotFile read %d spans for %d users", len(users), len(st.Users))
+	}
+	assertSpans(t, st, b, users)
+}
+
+// assertSpans holds each span of b to the entry the encoder writes for its
+// user.
+func assertSpans(t *testing.T, st *State, b []byte, users []Span) {
+	t.Helper()
+	for i, sp := range users {
+		us := &st.Users[i]
+		want := AppendSnapshotUser(nil, us.UUID, us.Revoked, len(us.Reports))
+		for j := range us.Reports {
+			want = AppendStoredReport(want, &us.Reports[j])
+		}
+		if !bytes.Equal(b[sp.Off:sp.End], want) {
+			t.Fatalf("user %d's span %d:%d is not its entry", i, sp.Off, sp.End)
+		}
+	}
+}

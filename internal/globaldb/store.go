@@ -20,12 +20,15 @@ type StoreOptions struct {
 	// when Replicated, streamed) but nothing survives a restart.
 	Dir string
 	// SnapshotEvery compacts after this many logged records: the store state
-	// is written as a snapshot and the log truncated, bounding both recovery
-	// time and log size. A compaction encodes only the users whose state
-	// moved since the last one and copies every other user's bytes from it,
-	// so under the write lock it costs those users plus one copy and one
-	// write of the snapshot, not an encoding of the whole store. 0 selects
-	// the default (4096); negative disables compaction.
+	// is written as a snapshot and the records it holds dropped from the log,
+	// bounding both recovery time and log size. The record that reaches the
+	// count seals the log and captures the users whose state moved since the
+	// last compaction under the write lock; a background compactor encodes
+	// them, copies every other user's bytes from the last snapshot, and
+	// writes and syncs the file while writes go on. A count reached while a
+	// compaction is in flight starts the next one at the first record after
+	// it finishes, and Close finishes both. 0 selects the default (4096);
+	// negative disables compaction.
 	SnapshotEvery int
 	// Replicated attaches an in-memory replication feed mirroring every
 	// logged record, served on PathRepl for followers to pull.
@@ -36,6 +39,10 @@ const (
 	defaultSnapshotEvery = 4096
 	walFileName          = "wal.log"
 	snapshotFileName     = "snapshot"
+	// nextSnapshotName is where a compaction writes its snapshot: it is
+	// moved over snapshotFileName only after the sealed log segment it
+	// covers is deleted (see compact).
+	nextSnapshotName = "snapshot.next"
 )
 
 // store is the global DB's one store. Its state — registered users, their
@@ -54,25 +61,36 @@ const (
 // to the fold and never encodes the record.
 //
 // Locks (see DESIGN.md "scale architecture"): mu is the single write lock.
-// It serializes apply, compaction, reset and close, and is the only guard of
-// the users table, every client's state, each AS's slot table and reporter
-// lists, the lineage and the durability fields; stats and snapshot encoding
-// take it too. A write holds it for the whole record — log append, feed,
-// fold — and inside it, once per AS the record touches, that AS's asIndex.mu
-// for the refold that ends the record (commit). The read side never takes
-// mu: a fetch goes indexMu (read, to find the AS) → asIndex.mu, under which
-// the tag and every slot's entry were last written, so fetches of other ASes
-// proceed while a write folds, and a fetch of the written AS waits for one
-// commit.
+// It serializes apply, a compaction's seal and capture, reset and close, and
+// is the only guard of the users table, every client's state, each AS's slot
+// table and reporter lists, the lineage and the durability fields; stats
+// take it too. The compactor never takes it: it owns capture and snap from
+// the capture until it sends its verdict on compacted. A write holds mu for
+// the whole record — log append, feed, fold — and inside it, once per AS the
+// record touches, that AS's asIndex.mu for the refold that ends the record
+// (commit). The read side never takes mu: a fetch goes indexMu (read, to
+// find the AS) → asIndex.mu, under which the tag and every slot's entry were
+// last written, so fetches of other ASes proceed while a write folds, and a
+// fetch of the written AS waits for one commit.
 type store struct {
 	mu   sync.Mutex
 	opts StoreOptions // SnapshotEvery resolved to its default at open
 
 	log       *storage.Log  // nil: not durable
 	feed      *storage.Feed // nil: not replicated
-	sinceSnap int           // records logged since the last compaction
+	sinceSnap int           // records in the active log, since the last seal
 	lastErr   error         // latched durability error: every later mutation is rejected
-	snap      snapshotScratch
+
+	// Compaction (restore.go). moved lists the users whose section of the
+	// last snapshot no longer reads as their state, for the next capture.
+	// compacting says a compactor is running; it sends its error, nil on
+	// success, on compacted, a channel of one.
+	moved       []*clientState
+	compacting  bool
+	compacted   chan error
+	capture     capture
+	snap        snapshotScratch
+	compactHook func(compactStep) error // tests only: the compactor calls it at each step
 
 	// seq counts the records folded since the store was opened or reset: the
 	// position the next record lands at. It equals the feed head whenever the
@@ -105,14 +123,17 @@ type store struct {
 type clientState struct {
 	uuid    string
 	revoked bool
-	// listed says the user has its place in the snapshot order, and kept that
-	// its section of the last snapshot is still its state: file (index.go)
-	// and fold's revocation clear it.
-	listed, kept bool
-	// reports maps "url|asn" to its report, in the slot it is filed in. It
-	// is made at the first report: a client that has reported nothing holds
-	// no table.
-	reports map[string]placed
+	// moved says the user is on the store's moved list: it registered,
+	// reported or was revoked since the last capture.
+	moved bool
+	// reports holds the client's reports, each with its dedup key
+	// "url|asn" and in the slot it is filed in — one slot per key — in the
+	// order the keys were first filed; a compaction's capture copies it as
+	// it lies. find scans it for a slot until it holds more than
+	// smallReports, and from then on bySlot indexes it. It is made at the
+	// first report: a client that has reported nothing holds no table.
+	reports []placed
+	bySlot  map[*slot]int
 }
 
 func reportKey(url string, asn int) string { return url + "|" + strconv.Itoa(asn) }
@@ -127,9 +148,10 @@ var errNotDurable = errors.New("globaldb: write-ahead log unavailable")
 const unknownUUID = -1
 
 // openStore opens (or creates) the store described by o. With o.Dir set,
-// state is recovered from the newest snapshot plus the log tail: a corrupt
-// tail (torn write from a crash) is truncated at the last valid record; any
-// other error aborts the open.
+// state is recovered from the newest snapshot, then the sealed log segment a
+// compaction cut short left (any damage in it aborts the open), then the
+// active log: a corrupt tail there (torn write from a crash) is truncated at
+// the last valid record; any other error aborts the open.
 func openStore(o StoreOptions) (*store, error) {
 	s := &store{opts: o, users: make(map[string]*clientState), index: make(map[int]*asIndex)}
 	s.histMax.Store(deltaHistoryMax)
@@ -147,12 +169,15 @@ func openStore(o StoreOptions) (*store, error) {
 	if err := os.MkdirAll(o.Dir, 0o755); err != nil {
 		return nil, err
 	}
-	st, err := storage.ReadSnapshot(s.snapPath())
+	if err := s.settleSnapshot(); err != nil {
+		return nil, fmt.Errorf("globaldb: recover snapshot: %w", err)
+	}
+	st, file, users, err := storage.ReadSnapshotFile(s.snapPath())
 	if err != nil {
 		return nil, fmt.Errorf("globaldb: recover snapshot: %w", err)
 	}
 	if st != nil {
-		s.restoreState(st)
+		s.restoreState(st, file, users)
 	} else {
 		// With no snapshot the log is the complete history, so replaying it
 		// with the feed attached rebuilds the feed record for record and
@@ -162,10 +187,24 @@ func openStore(o StoreOptions) (*store, error) {
 		s.feed = feed
 	}
 	// Replay is apply with the log still detached: fold (and feed) only.
-	good, err := storage.ReplayFile(s.walPath(), func(rec *storage.Record) error {
+	replay := func(rec *storage.Record) error {
 		_, err := s.apply(rec)
 		return err
-	})
+	}
+	sealed, err := storage.ReplaySealed(s.walPath(), replay)
+	if err != nil {
+		return nil, fmt.Errorf("globaldb: replay sealed wal: %w", err)
+	}
+	if sealed {
+		// A compaction was cut short. Its snapshot is the state at the seal,
+		// which is the state now: finish it before the active log is replayed
+		// on top, so the segment is gone before the log can be sealed again.
+		if err := s.compact(s.captureLocked()); err != nil {
+			return nil, fmt.Errorf("globaldb: finish compaction: %w", err)
+		}
+	}
+	base := s.seq
+	good, err := storage.ReplayFile(s.walPath(), replay)
 	if err != nil && !errors.Is(err, storage.ErrCorrupt) {
 		return nil, fmt.Errorf("globaldb: replay wal: %w", err)
 	}
@@ -180,12 +219,32 @@ func openStore(o StoreOptions) (*store, error) {
 			return nil, fmt.Errorf("globaldb: truncate torn wal: %v (close: %v)", err, closeErr)
 		}
 	}
-	s.log, s.feed, s.sinceSnap = log, feed, int(s.seq)
+	s.log, s.feed, s.sinceSnap = log, feed, int(s.seq-base)
+	s.compacted = make(chan error, 1)
 	return s, nil
 }
 
 func (s *store) walPath() string  { return filepath.Join(s.opts.Dir, walFileName) }
 func (s *store) snapPath() string { return filepath.Join(s.opts.Dir, snapshotFileName) }
+func (s *store) nextPath() string { return filepath.Join(s.opts.Dir, nextSnapshotName) }
+
+// settleSnapshot resolves a next snapshot a compaction cut short left
+// behind. Once the sealed segment it covers is deleted it is the store's
+// snapshot, and is moved into place; while the segment is there it is not,
+// and is deleted.
+func (s *store) settleSnapshot() error {
+	if _, err := os.Stat(s.nextPath()); os.IsNotExist(err) {
+		return nil
+	} else if err != nil {
+		return err
+	}
+	if _, err := os.Stat(storage.SealedPath(s.walPath())); os.IsNotExist(err) {
+		return storage.SyncRename(s.nextPath(), s.snapPath())
+	} else if err != nil {
+		return err
+	}
+	return os.Remove(s.nextPath())
+}
 
 // apply is the store's only mutation path: log, then feed, then fold, under
 // the write lock. The log write comes first — a record must never enter the
@@ -204,6 +263,7 @@ func (s *store) snapPath() string { return filepath.Join(s.opts.Dir, snapshotFil
 func (s *store) apply(rec *storage.Record) (n int, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.pollCompactionLocked()
 	if s.lastErr != nil {
 		return 0, errNotDurable
 	}
@@ -220,9 +280,14 @@ func (s *store) apply(rec *storage.Record) (n int, err error) {
 	n = s.fold(rec)
 	s.seq++
 	// Compact only after the fold: the snapshot must contain the mutation
-	// whose record the truncation is about to drop.
+	// whose record the seal is about to move out of the active log. While a
+	// compaction is in flight the count may pass the threshold; the first
+	// record after it finishes starts the next.
 	if s.log != nil && s.opts.SnapshotEvery > 0 && s.sinceSnap >= s.opts.SnapshotEvery {
-		s.compactLocked()
+		s.pollCompactionLocked()
+		if !s.compacting {
+			s.startCompactionLocked()
+		}
 	}
 	return n, nil
 }
@@ -237,14 +302,17 @@ func (s *store) fold(rec *storage.Record) int {
 	switch rec.Kind {
 	case storage.KindAddUser:
 		if s.users[rec.UUID] == nil {
-			s.users[rec.UUID] = &clientState{uuid: rec.UUID}
+			cs := &clientState{uuid: rec.UUID}
+			s.users[rec.UUID] = cs
+			s.markMoved(cs)
 		}
 	case storage.KindIngest:
 		return s.foldIngest(rec)
 	case storage.KindRevoke:
 		s.revEpoch.Add(1)
 		if cs := s.users[rec.UUID]; cs != nil && !cs.revoked {
-			cs.revoked, cs.kept = true, false
+			cs.revoked = true
+			s.markMoved(cs)
 			s.touchAll(cs)
 		}
 		// Only the client's own slots are refolded; every other AS just
@@ -277,7 +345,7 @@ func (s *store) foldIngest(rec *storage.Record) int {
 			continue
 		}
 		rep := &storage.StoredReport{URL: r.URL, ASN: r.ASN, Stages: r.Stages, Tm: r.Tm, Tp: rec.Now}
-		if s.file(cs, reportKey(r.URL, r.ASN), rep) {
+		if s.file(cs, rep) {
 			newKeys++
 		}
 		accepted++
@@ -285,6 +353,7 @@ func (s *store) foldIngest(rec *storage.Record) int {
 	if accepted == 0 {
 		return 0
 	}
+	s.markMoved(cs)
 	s.updates += int64(newKeys)
 	if newKeys > 0 {
 		// d changed: every slot this client votes in must refold, in every
@@ -296,6 +365,16 @@ func (s *store) foldIngest(rec *storage.Record) int {
 	}
 	s.affected = s.affected[:0]
 	return accepted
+}
+
+// markMoved puts cs on the moved list: its section of the last snapshot no
+// longer reads as its state. Only a store with a directory snapshots, so no
+// other keeps the list. Caller holds s.mu.
+func (s *store) markMoved(cs *clientState) {
+	if !cs.moved && s.opts.Dir != "" {
+		cs.moved = true
+		s.moved = append(s.moved, cs)
+	}
 }
 
 // lineage returns the highest term in the stream, its leader address, and
@@ -338,14 +417,19 @@ func (s *store) termAt(pos uint64) (term int64, leader string) {
 func (s *store) reset() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	// The compaction in flight, if any, finishes first; its error is cleared
+	// with the rest below.
+	s.awaitCompactionLocked()
 	if s.log != nil {
 		if err := s.log.Truncate(0); err != nil {
 			return err
 		}
 	}
 	if s.opts.Dir != "" {
-		if err := os.Remove(s.snapPath()); err != nil && !os.IsNotExist(err) {
-			return err
+		for _, path := range []string{s.snapPath(), s.nextPath(), storage.SealedPath(s.walPath())} {
+			if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
+				return err
+			}
 		}
 	}
 	if s.feed != nil {
@@ -360,35 +444,116 @@ func (s *store) reset() error {
 	s.refolds.Store(0)
 	s.encodes.Store(0)
 	// The scratch holds the old users and their sections of a snapshot that
-	// no longer exists: drop it all.
-	s.snap = snapshotScratch{}
+	// no longer exists: drop it all, with the moved list and the capture.
+	s.moved, s.capture, s.snap = nil, capture{}, snapshotScratch{}
 	s.sinceSnap = 0
 	s.lastErr = nil
 	return nil
 }
 
-// compactLocked writes the current state as a snapshot and truncates the
-// log. The snapshot rename is atomic and the log is only truncated after
-// the snapshot is synced to disk, so a crash between the two replays the
-// (now redundant) log tail onto the snapshot — reapplying an ingest is
-// idempotent thanks to the dedup key. A failure latches like a failed
-// append. Caller holds s.mu.
-func (s *store) compactLocked() {
-	if err := storage.WriteSnapshotFile(s.snapPath(), s.encodeSnapshot()); err != nil {
-		s.lastErr = err
-		return
-	}
-	if err := s.log.Truncate(0); err != nil {
+// A compaction moves the state into a snapshot in two halves. Under s.mu,
+// startCompactionLocked seals the log — the active file becomes the sealed
+// segment and appends continue in a fresh one — and captures what the
+// snapshot needs (restore.go); s.mu is then released, and compact runs on
+// its own goroutine. At most one is in flight.
+//
+// compact writes the snapshot under nextSnapshotName, deletes the sealed
+// segment, and only then moves the snapshot into place, each step synced. At
+// every point recovery reads the directory exactly (settleSnapshot): before
+// the segment is deleted it replays the old snapshot, the segment and the
+// active log, and drops a next snapshot; after, the next snapshot is the
+// store's and only the active log is replayed on it. Had the snapshot
+// replaced the old one while the segment was still there, recovery could not
+// tell whether the segment's records were in it, and replaying them twice
+// moves the version counters behind validator tags.
+
+// compactStep names a point in compact for a test's compactHook.
+type compactStep int
+
+const (
+	compactWrite     compactStep = iota // encoded, about to write the next snapshot
+	compactWritten                      // next snapshot written; sealed segment still there
+	compactCommitted                    // sealed segment deleted; next snapshot not yet in place
+)
+
+// startCompactionLocked seals the log, captures and starts the compactor. A
+// failure to seal latches like a failed append. Caller holds s.mu, and no
+// compaction is in flight.
+func (s *store) startCompactionLocked() {
+	if err := s.log.Seal(); err != nil {
 		s.lastErr = err
 		return
 	}
 	s.sinceSnap = 0
+	c := s.captureLocked()
+	s.compacting = true
+	go func() { s.compacted <- s.compact(c) }()
+}
+
+// compact is the compactor: it encodes the snapshot c captured and makes it
+// the store's. It never takes s.mu.
+func (s *store) compact(c *capture) error {
+	b := s.encodeSnapshot(c)
+	if err := s.step(compactWrite); err != nil {
+		return err
+	}
+	if err := storage.WriteSnapshotFile(s.nextPath(), b); err != nil {
+		return err
+	}
+	if err := s.step(compactWritten); err != nil {
+		return err
+	}
+	if err := storage.RemoveSealed(s.walPath()); err != nil {
+		return err
+	}
+	if err := s.step(compactCommitted); err != nil {
+		return err
+	}
+	return storage.SyncRename(s.nextPath(), s.snapPath())
+}
+
+func (s *store) step(at compactStep) error {
+	if s.compactHook == nil {
+		return nil
+	}
+	return s.compactHook(at)
+}
+
+// pollCompactionLocked takes the verdict of a compaction that has finished,
+// and latches its error like a failed append's: the next mutation is
+// rejected. Caller holds s.mu.
+func (s *store) pollCompactionLocked() {
+	if !s.compacting {
+		return
+	}
+	select {
+	case err := <-s.compacted:
+		s.endCompactionLocked(err)
+	default:
+	}
+}
+
+// awaitCompactionLocked is pollCompactionLocked that waits for the verdict.
+// The compactor never takes s.mu, so waiting under it cannot deadlock.
+func (s *store) awaitCompactionLocked() {
+	if s.compacting {
+		s.endCompactionLocked(<-s.compacted)
+	}
+}
+
+// endCompactionLocked takes a compaction's verdict. Caller holds s.mu.
+func (s *store) endCompactionLocked(err error) {
+	s.compacting = false
+	if err != nil && s.lastErr == nil {
+		s.lastErr = err
+	}
 }
 
 // err returns the latched durability error, if any.
 func (s *store) err() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.pollCompactionLocked()
 	return s.lastErr
 }
 
@@ -404,11 +569,20 @@ func (s *store) tearNext(keep int) bool {
 	return true
 }
 
+// close finishes the compaction in flight, and one the threshold asked for
+// while it ran, then closes the log: a closed store's directory holds its
+// snapshot, no sealed segment, and fewer than SnapshotEvery logged records,
+// and no compactor is left running.
 func (s *store) close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.log == nil {
 		return s.lastErr
+	}
+	s.awaitCompactionLocked()
+	if s.lastErr == nil && s.opts.SnapshotEvery > 0 && s.sinceSnap >= s.opts.SnapshotEvery {
+		s.startCompactionLocked()
+		s.awaitCompactionLocked()
 	}
 	if err := s.log.Close(); err != nil {
 		return err

@@ -205,8 +205,8 @@ func referenceState(s *store) *storage.State {
 	for _, uuid := range sortedKeys(s.users) {
 		cs := s.users[uuid]
 		us := storage.UserState{UUID: uuid, Revoked: cs.revoked}
-		for _, k := range sortedKeys(cs.reports) {
-			us.Reports = append(us.Reports, *cs.reports[k].rep)
+		for _, p := range cs.sortedReports() {
+			us.Reports = append(us.Reports, *p.rep)
 		}
 		st.Users = append(st.Users, us)
 	}
