@@ -43,8 +43,9 @@
 #                      and list decoders and list bodies, seedrand's
 #                      sources against math/rand, detect's verdict
 #                      (Analyse) against Figure 4's invariants, core's
-#                      approach planner against §4.3.2's, and global-DB
-#                      compaction against the reference snapshot
+#                      approach planner against §4.3.2's, global-DB
+#                      compaction against the reference snapshot, and its
+#                      derived report order against the key strings
 #   make allocs      — the allocation ledger: csaw-fleet -allocs over
 #                      fleet-10k's population (serial clients, every
 #                      allocation profiled), per fetch by package, into
@@ -167,7 +168,9 @@ shape:
 # history of registrations, ingests, re-reports, revocations, compactions,
 # reopens and resets: every snapshot it leaves is byte-identical to the one
 # WriteSnapshot makes of the reference state, and every compaction encodes
-# exactly the users whose state moved since the last one.
+# exactly the users whose state moved since the last one. FuzzReportKeyOrder
+# holds the order reports are sorted in by (URL, ASN) to strings.Compare of
+# their "url|asn" keys.
 fuzz:
 	$(GO) test ./internal/dnsx -run '^$$' -fuzz FuzzMessageDecode -fuzztime 10s
 	$(GO) test ./internal/dnsx -run '^$$' -fuzz FuzzCodecVsReference -fuzztime 10s
@@ -187,6 +190,7 @@ fuzz:
 	$(GO) test ./internal/globaldb -run '^$$' -fuzz FuzzListDecode -fuzztime 10s
 	$(GO) test ./internal/globaldb -run '^$$' -fuzz FuzzFetchBodies -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/globaldb -run '^$$' -fuzz FuzzCompactionMatchesReference -fuzztime 10s
+	$(GO) test ./internal/globaldb -run '^$$' -fuzz FuzzReportKeyOrder -fuzztime 10s
 	$(GO) test ./internal/seedrand -run '^$$' -fuzz FuzzSource -fuzztime 10s
 	$(GO) test ./internal/detect -run '^$$' -fuzz FuzzAnalyse -fuzztime 10s
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzPlan -fuzztime 10s

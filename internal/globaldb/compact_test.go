@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -382,9 +383,9 @@ func TestResetDropsSnapshotScratch(t *testing.T) {
 	s.mu.Lock()
 	sc, c, moved := s.snap, s.capture, s.moved
 	s.mu.Unlock()
-	if cap(sc.users)+cap(sc.next)+cap(sc.buf)+cap(sc.spare) != 0 {
-		t.Fatalf("after a reset the snapshot scratch still has room for %d+%d sections and %d+%d buffer bytes",
-			cap(sc.users), cap(sc.next), cap(sc.buf), cap(sc.spare))
+	if cap(sc.users)+cap(sc.next)+cap(sc.enc) != 0 || !reflect.ValueOf(sc.w).IsZero() {
+		t.Fatalf("after a reset the snapshot scratch still has room for %d+%d sections and %d encoding bytes, or a writer's buffers",
+			cap(sc.users), cap(sc.next), cap(sc.enc))
 	}
 	if cap(c.moved)+cap(c.reports)+cap(moved) != 0 {
 		t.Fatalf("after a reset the capture still has room for %d users and %d reports, and the moved list for %d",
@@ -451,8 +452,8 @@ func assertRecovers(t *testing.T, dir string, want []byte, observed string) {
 	}
 }
 
-// TestCompactionCrashWindows stops the compactor at each step — encoded
-// and about to write the next snapshot, written with the sealed segment
+// TestCompactionCrashWindows stops the compactor at each step — captured
+// and about to stream the next snapshot, written with the sealed segment
 // still there, sealed segment deleted with the next snapshot not yet in
 // place — with records logged after the seal, copies the directory as a
 // crash there would leave it, and requires the copy to recover exactly the

@@ -182,15 +182,14 @@ func entryEqual(a, b Entry) bool {
 		a.Reporters != b.Reporters || !a.LastTp.Equal(b.LastTp) {
 		return false
 	}
-	if (a.Stages == nil) != (b.Stages == nil) || len(a.Stages) != len(b.Stages) {
-		return false
-	}
-	for i := range a.Stages {
-		if a.Stages[i] != b.Stages[i] {
-			return false
-		}
-	}
-	return true
+	return stagesEqual(a.Stages, b.Stages)
+}
+
+// stagesEqual reports whether two stage lists encode alike: the same
+// elements, and both nil or neither, since nil marshals as null and an empty
+// list as [].
+func stagesEqual(a, b []WireStage) bool {
+	return (a == nil) == (b == nil) && slices.Equal(a, b)
 }
 
 // appendASN opens a list body, full or delta: {"asn":N

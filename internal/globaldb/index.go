@@ -1,6 +1,7 @@
 package globaldb
 
 import (
+	"cmp"
 	"slices"
 	"sort"
 	"strconv"
@@ -80,16 +81,16 @@ type slot struct {
 }
 
 // filed is one client's current report on a slot; placed is the client's own
-// handle on it, reps[at] of sl (reps only ever grows), with the report and
-// its dedup key beside it so that snapshot capture and stats read a client's
-// reports without visiting their slots.
+// handle on it, reps[at] of sl (reps only ever grows), with the report beside
+// it so that snapshot capture and stats read a client's reports without
+// visiting their slots. The report's (URL, ASN) is its dedup key; byKey
+// orders by it without building the "url|asn" string.
 type filed struct {
 	cs  *clientState
 	rep *storage.StoredReport
 }
 
 type placed struct {
-	key string
 	rep *storage.StoredReport
 	sl  *slot
 	at  int
@@ -120,7 +121,41 @@ func (cs *clientState) sortedReports() []placed {
 	return ps
 }
 
-func byKey(a, b placed) int { return strings.Compare(a.key, b.key) }
+// byKey orders reports by dedup key, as strings.Compare orders their key
+// strings url + "|" + asn in decimal: the order snapshots list them in.
+func byKey(a, b placed) int { return compareKeys(a.rep.URL, a.rep.ASN, b.rep.URL, b.rep.ASN) }
+
+// compareKeys is strings.Compare of the key strings of (u1, a1) and
+// (u2, a2), without the strings. Where the URLs differ within the shorter
+// one, they decide. Past that, a key goes on with '|' and its ASN's digits,
+// so a URL's proper prefix does not always sort first: '|' (0x7C) sorts
+// after most URL bytes, and "a.example/|1" follows "a.example/b|1". The
+// rest is compared a byte at a time.
+func compareKeys(u1 string, a1 int, u2 string, a2 int) int {
+	n := min(len(u1), len(u2))
+	if c := strings.Compare(u1[:n], u2[:n]); c != 0 {
+		return c
+	}
+	var b1, b2 [24]byte // '|' and a 64-bit decimal with its sign
+	t1 := strconv.AppendInt(append(b1[:0], '|'), int64(a1), 10)
+	t2 := strconv.AppendInt(append(b2[:0], '|'), int64(a2), 10)
+	k1, k2 := len(u1)+len(t1), len(u2)+len(t2)
+	for i := n; i < k1 && i < k2; i++ {
+		c1, c2 := keyByte(u1, t1, i), keyByte(u2, t2, i)
+		if c1 != c2 {
+			return cmp.Compare(c1, c2)
+		}
+	}
+	return cmp.Compare(k1, k2)
+}
+
+// keyByte is byte i of the key url + tail.
+func keyByte(url string, tail []byte, i int) byte {
+	if i < len(url) {
+		return url[i]
+	}
+	return tail[i-len(url)]
+}
 
 // leads reports whether f is the representative of the two.
 func (f filed) leads(g filed) bool {
@@ -167,22 +202,25 @@ func (s *store) file(cs *clientState, rep *storage.StoredReport) bool {
 		sl = &slot{idx: idx, entry: Entry{URL: rep.URL, ASN: rep.ASN}}
 		sl.reps = sl.first[:0]
 		idx.byURL[rep.URL] = sl
-	} else if i, seen := cs.find(sl); seen {
-		// Stored reports are immutable once created — a re-report replaces
-		// the pointer — so the representative stages an entry shares with its
-		// report never change under a reader, nor the report a compaction
-		// captured.
-		p := &cs.reports[i]
-		was := p.rep
-		p.rep, sl.reps[p.at].rep = rep, rep
-		if p.at != sl.best && sl.reps[p.at].leads(sl.reps[sl.best]) {
-			sl.best = p.at
+	} else {
+		sl.share(rep)
+		if i, seen := cs.find(sl); seen {
+			// Stored reports are immutable once filed — a re-report replaces
+			// the pointer — so the representative stages an entry shares with
+			// its report never change under a reader, nor the report a
+			// compaction captured.
+			p := &cs.reports[i]
+			was := p.rep
+			p.rep, sl.reps[p.at].rep = rep, rep
+			if p.at != sl.best && sl.reps[p.at].leads(sl.reps[sl.best]) {
+				sl.best = p.at
+			}
+			// A representative that stepped back may have handed the lead to another.
+			s.touch(sl, p.at == sl.best && rep.Tp < was.Tp)
+			return false
 		}
-		// A representative that stepped back may have handed the lead to another.
-		s.touch(sl, p.at == sl.best && rep.Tp < was.Tp)
-		return false
 	}
-	cs.reports = append(cs.reports, placed{key: reportKey(rep.URL, rep.ASN), rep: rep, sl: sl, at: len(sl.reps)})
+	cs.reports = append(cs.reports, placed{rep: rep, sl: sl, at: len(sl.reps)})
 	switch {
 	case cs.bySlot != nil:
 		cs.bySlot[sl] = len(cs.reports) - 1
@@ -195,6 +233,24 @@ func (s *store) file(cs *clientState, rep *storage.StoredReport) bool {
 	sl.reps = append(sl.reps, filed{cs: cs, rep: rep})
 	s.touch(sl, true)
 	return true
+}
+
+// share points rep, a report about to be filed in sl, at the slot's copies:
+// its URL, and the entry's stage list when rep's is equal. A store then
+// holds one URL and, per distinct stage list, one list per slot, not one
+// per report. The entry is the slot's own, where the representative's
+// report is one more pointer to chase on every post; but a slot a restore
+// has yet to fold, or a tombstone, has no entry stages, and there the
+// representative's stand in. Caller holds s.mu.
+func (sl *slot) share(rep *storage.StoredReport) {
+	rep.URL = sl.entry.URL
+	stages := sl.entry.Stages
+	if sl.entry.Reporters == 0 {
+		stages = sl.reps[sl.best].rep.Stages
+	}
+	if stagesEqual(rep.Stages, stages) {
+		rep.Stages = stages
+	}
 }
 
 // touch queues sl for the refold that ends the record. Caller holds s.mu.

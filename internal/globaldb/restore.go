@@ -51,17 +51,17 @@ func reportsToStorage(rs []Report) []storage.Report {
 }
 
 // A compaction runs in two halves (store.go has the protocol). Under s.mu,
-// captureLocked copies out what the encoder reads of the store's mutable
+// captureLocked copies out what the snapshot needs of the store's mutable
 // state: the counters, the AS version counters, and each moved user's uuid,
-// revoked flag and placed reports, of which the compactor reads the dedup
-// key and the report. Stored reports are immutable — a re-report replaces
-// the pointer in the store's copy — so the capture stays valid whatever the
-// store does next. The compactor then encodes the snapshot from the capture
-// and the last snapshot's bytes without the lock.
+// revoked flag and placed reports, of which the compactor reads the report.
+// Stored reports are immutable once filed — a re-report replaces the pointer
+// in the store's copy — so the capture stays valid whatever the store does
+// next. The compactor then streams the snapshot to its file from the capture
+// and the last snapshot file without the lock.
 
 // capture is one compaction's input. The store fills it under s.mu while no
 // compaction is in flight and the compactor reads and empties it; its slices
-// are kept for the next one.
+// are kept for the next one (clear says how much).
 type capture struct {
 	updates, revEpoch int64
 	users             int         // users in the store
@@ -77,23 +77,47 @@ type movedUser struct {
 	from, to int
 }
 
-// snapshotScratch is the compactor's storage, kept across compactions so a
-// snapshot allocates nothing once they have grown, and so a compaction
-// encodes only the users that moved since the last one. buf holds the last
-// snapshot and users every one of its users' section of buf, in uuid order.
-// The next snapshot is encoded into spare and its sections listed in next,
-// copying the section of every user that did not move; then each pair trades
-// places.
-type snapshotScratch struct {
-	buf, spare  []byte
-	users, next []section
+// clear drops the capture's references — a replaced report is garbage once
+// the compaction that captured it is done — and keeps its storage for the
+// next capture, unless it is more than twice what this one used: a store's
+// first compaction captures every user, and the room it grew stays
+// reachable otherwise, though later compactions capture only the users
+// that moved.
+func (c *capture) clear() {
+	c.moved = trim(c.moved)
+	c.reports = trim(c.reports)
+	c.ases = c.ases[:0]
 }
 
-// section is one user's entry in the last snapshot, buf[off:end]: uuid,
-// revoked flag, report count and reports.
+// trim empties s, keeping its storage unless that is more than twice its
+// length.
+func trim[T any](s []T) []T {
+	if cap(s) > 2*len(s) {
+		return nil
+	}
+	clear(s)
+	return s[:0]
+}
+
+// snapshotScratch is the compactor's storage, kept across compactions so
+// that a compaction encodes only the users that moved since the last one
+// and allocates nothing once it has grown. users is every user's section of
+// the last snapshot file, in uuid order: between compactions the store
+// holds where each user's bytes lie, not the bytes. The next snapshot
+// streams out through w — each moved user encoded into enc, every other
+// user's section copied from the last file — and its sections are listed in
+// next; then users and next trade places. w holds a chunk of each file.
+type snapshotScratch struct {
+	users, next []section
+	enc         []byte
+	w           storage.SnapshotWriter
+}
+
+// section is one user's entry in the last snapshot file: uuid, revoked
+// flag, report count and reports.
 type section struct {
-	uuid     string
-	off, end int
+	uuid string
+	at   storage.Span
 }
 
 // captureLocked fills s.capture with what a snapshot of the current state
@@ -111,36 +135,42 @@ func (s *store) captureLocked() *capture {
 	clear(s.moved)
 	s.moved = s.moved[:0]
 	for asn, idx := range s.index {
-		c.ases = append(c.ases, storage.ASVersion{ASN: asn, Version: idx.ver}) //lint:allow-maporder encodeSnapshot sorts them by ASN
+		c.ases = append(c.ases, storage.ASVersion{ASN: asn, Version: idx.ver}) //lint:allow-maporder writeSnapshot sorts them by ASN
 	}
 	return c
 }
 
-// encodeSnapshot encodes the snapshot c describes: users in uuid order, each
-// one's reports in dedup-key order, AS versions by ASN, so the snapshot is a
-// deterministic function of store contents. A user that did not move is
-// copied from the last snapshot — a run of such users in one copy — and only
-// the moved ones are encoded, so the cost is the moved users plus one copy
-// of the snapshot's bytes. It empties c. The compactor's own: it reads
-// nothing the lock guards.
-func (s *store) encodeSnapshot(c *capture) []byte {
+// writeSnapshot streams the snapshot c describes to path: users in uuid
+// order, each one's reports in dedup-key order, AS versions by ASN, so the
+// snapshot is a deterministic function of store contents. A user that did
+// not move is copied from the last snapshot file — a run of such users in
+// one copy — and only the moved ones are encoded, so the cost is the moved
+// users plus one pass over the last file, whose checksum is checked on the
+// way. It empties c. The compactor's own: it reads nothing the lock guards.
+func (s *store) writeSnapshot(c *capture, path string) error {
+	defer c.clear()
 	sc := &s.snap
 	slices.SortFunc(c.moved, func(a, b movedUser) int { return strings.Compare(a.uuid, b.uuid) })
-	prev, kept := sc.buf, sc.users
-	b := storage.AppendSnapshotHead(sc.spare[:0], c.updates, c.revEpoch, c.users)
-	next := sc.next[:0]
-	from, to := 0, 0 // prev[from:to]: kept sections not yet copied, bound for len(b)
+	kept, next, w := sc.users, sc.next[:0], &sc.w
+	base := ""
+	if len(kept) > 0 {
+		base = s.snapPath()
+	}
+	if err := w.Create(path, base, c.updates, c.revEpoch, c.users); err != nil {
+		return err
+	}
+	var run storage.Span // kept sections not yet copied, bound for w.Offset()
 	for i, j := 0, 0; i < len(kept) || j < len(c.moved); {
 		if j == len(c.moved) || (i < len(kept) && kept[i].uuid < c.moved[j].uuid) {
 			u := kept[i]
 			i++
-			if u.off != to {
-				b = append(b, prev[from:to]...)
-				from = u.off
+			if u.at.Off != run.End {
+				w.Copy(run)
+				run.Off = u.at.Off
 			}
-			at := len(b) + u.off - from
-			next = append(next, section{u.uuid, at, at + u.end - u.off})
-			to = u.end
+			at := w.Offset() + u.at.Off - run.Off
+			next = append(next, section{u.uuid, storage.Span{Off: at, End: at + u.at.End - u.at.Off}})
+			run.End = u.at.End
 			continue
 		}
 		m := &c.moved[j]
@@ -148,23 +178,21 @@ func (s *store) encodeSnapshot(c *capture) []byte {
 		if i < len(kept) && kept[i].uuid == m.uuid {
 			i++ // m's old section
 		}
-		b = append(b, prev[from:to]...)
-		from = to
-		off := len(b)
-		b = appendUser(b, m, c.reports[m.from:m.to])
-		next = append(next, section{m.uuid, off, len(b)})
+		w.Copy(run)
+		run.Off = run.End
+		off := w.Offset()
+		sc.enc = appendUser(sc.enc[:0], m, c.reports[m.from:m.to])
+		w.Append(sc.enc)
+		next = append(next, section{m.uuid, storage.Span{Off: off, End: w.Offset()}})
 		s.encodes.Add(1)
 	}
-	b = append(b, prev[from:to]...)
+	w.Copy(run)
 	slices.SortFunc(c.ases, func(a, b storage.ASVersion) int { return cmp.Compare(a.ASN, b.ASN) })
-	b = storage.AppendASVersions(b, c.ases)
-	// Drop the capture's references: a replaced report is garbage now.
-	clear(c.moved)
-	clear(c.reports)
-	c.moved, c.reports, c.ases = c.moved[:0], c.reports[:0], c.ases[:0]
-	sc.buf, sc.spare = b, prev
+	if err := w.Commit(c.ases); err != nil {
+		return err
+	}
 	sc.users, sc.next = next, sc.users
-	return b
+	return nil
 }
 
 // appendUser encodes m's entry, its reports by dedup key.
@@ -178,10 +206,10 @@ func appendUser(b []byte, m *movedUser, reports []placed) []byte {
 }
 
 // restoreState fills an empty store from a snapshot — every report filed,
-// then each AS's view folded once, as one record would — and adopts the
-// snapshot file's bytes as the last snapshot, users[i] being st.Users[i]'s
-// section of file. Runs before the store is published.
-func (s *store) restoreState(st *storage.State, file []byte, users []storage.Span) {
+// then each AS's view folded once, as one record would — and adopts users,
+// st.Users[i]'s section of the snapshot file being users[i], as the last
+// snapshot's sections. Runs before the store is published.
+func (s *store) restoreState(st *storage.State, users []storage.Span) {
 	s.updates = st.Updates
 	s.revEpoch.Store(st.RevEpoch)
 	for i := range st.Users {
@@ -222,7 +250,6 @@ func (s *store) restoreState(st *storage.State, file []byte, users []storage.Spa
 			}
 			return
 		}
-		sc.users[i] = section{uuid, sp.Off, sp.End}
+		sc.users[i] = section{uuid, sp}
 	}
-	sc.buf = file
 }

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bytes"
 	"sort"
 	"sync"
 )
@@ -18,9 +19,10 @@ import (
 // trim below the minimum acknowledged offset and fall back to a snapshot
 // transfer for laggards; Stats surfaces the lag that policy would key on.
 type Feed struct {
-	mu     sync.Mutex
-	frames [][]byte
-	acks   map[string]uint64
+	mu      sync.Mutex
+	frames  [][]byte
+	acks    map[string]uint64
+	scratch []byte // Frame's encoding, kept for its storage
 }
 
 // NewFeed returns an empty feed.
@@ -29,8 +31,22 @@ func NewFeed() *Feed {
 }
 
 // Append adds one record to the stream.
-func (f *Feed) Append(rec *Record) {
-	frame := AppendFrame(nil, EncodeRecord(nil, rec))
+func (f *Feed) Append(rec *Record) { f.AppendFrame(f.Frame(rec)) }
+
+// Frame returns rec framed as the stream carries it, in a new slice of its
+// exact length: encoded once in the feed's reused buffer, then copied out.
+func (f *Feed) Frame(rec *Record) []byte {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.scratch = append(f.scratch[:0], make([]byte, frameHeaderLen)...)
+	f.scratch = EncodeRecord(f.scratch, rec)
+	sealFrame(f.scratch)
+	return bytes.Clone(f.scratch)
+}
+
+// AppendFrame adds one framed record to the stream, as Frame frames it, and
+// keeps frame: nobody may write into it after.
+func (f *Feed) AppendFrame(frame []byte) {
 	f.mu.Lock()
 	f.frames = append(f.frames, frame)
 	f.mu.Unlock()

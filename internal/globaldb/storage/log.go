@@ -71,8 +71,14 @@ func OpenLog(path string) (*Log, error) {
 func (l *Log) Append(rec *Record) error {
 	l.buf = append(l.buf[:0], make([]byte, frameHeaderLen)...)
 	l.buf = EncodeRecord(l.buf, rec) // keep the grown buffer for reuse
-	framed := l.buf
-	sealFrame(framed)
+	sealFrame(l.buf)
+	return l.AppendFrame(l.buf)
+}
+
+// AppendFrame writes and flushes one record framed already, as Append
+// frames it: a replicated store frames each record once, for its log and
+// its feed (Feed.Frame).
+func (l *Log) AppendFrame(framed []byte) error {
 	if l.tear >= 0 {
 		keep := l.tear
 		l.tear = -1

@@ -3,9 +3,11 @@ package storage
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -259,6 +261,20 @@ func TestSnapshotDecodeRejects(t *testing.T) {
 			t.Errorf("%s: got %+v, %v; want ErrCorrupt", name, st, err)
 		}
 	}
+}
+
+// appendState is the whole of st as a snapshot file, its frame header left
+// for sealFrame: the bytes WriteSnapshot streams, in one buffer.
+func appendState(dst []byte, st *State) []byte {
+	dst = AppendSnapshotHead(dst, st.Updates, st.RevEpoch, len(st.Users))
+	for i := range st.Users {
+		us := &st.Users[i]
+		dst = AppendSnapshotUser(dst, us.UUID, us.Revoked, len(us.Reports))
+		for j := range us.Reports {
+			dst = AppendStoredReport(dst, &us.Reports[j])
+		}
+	}
+	return AppendASVersions(dst, st.ASVersions)
 }
 
 // sealSnapshot frames payload as a snapshot file with a matching checksum.
@@ -568,14 +584,14 @@ func TestReadSnapshotFileSpans(t *testing.T) {
 	if err := WriteSnapshot(path, st); err != nil {
 		t.Fatal(err)
 	}
-	got, b, users, err := ReadSnapshotFile(path)
+	got, users, err := ReadSnapshotFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, st) || len(users) != len(st.Users) {
 		t.Fatalf("ReadSnapshotFile read %d spans for %d users", len(users), len(st.Users))
 	}
-	assertSpans(t, st, b, users)
+	assertSpans(t, st, readFile(t, path), users)
 }
 
 // assertSpans holds each span of b to the entry the encoder writes for its
@@ -591,5 +607,109 @@ func assertSpans(t *testing.T, st *State, b []byte, users []Span) {
 		if !bytes.Equal(b[sp.Off:sp.End], want) {
 			t.Fatalf("user %d's span %d:%d is not its entry", i, sp.Off, sp.End)
 		}
+	}
+}
+
+// TestSnapshotWriterCopiesFromBase builds a snapshot over a base file larger
+// than the writer's chunk: every other user is re-encoded with one report
+// more, the rest copied by span — singly or in runs — and the file must be
+// the one WriteSnapshot makes of the new state. A base damaged where the
+// writer only skips is caught all the same: Commit fails with ErrCorrupt
+// and leaves no file behind. A span behind the last one copied is an error.
+func TestSnapshotWriterCopiesFromBase(t *testing.T) {
+	dir := t.TempDir()
+	st := &State{Updates: 9, RevEpoch: 2, ASVersions: []ASVersion{{ASN: 7, Version: 3}}}
+	for u := 0; u < 2000; u++ {
+		us := UserState{UUID: fmt.Sprintf("user-%05d", u), Revoked: u%97 == 0}
+		for j := 0; j < 3; j++ {
+			us.Reports = append(us.Reports, StoredReport{URL: fmt.Sprintf("site-%d.example/", u*3+j), ASN: 7,
+				Stages: []Stage{{Type: 1, Detail: "nxdomain"}}, Tm: int64(u), Tp: int64(j)})
+		}
+		st.Users = append(st.Users, us)
+	}
+	base := filepath.Join(dir, "base")
+	if err := WriteSnapshot(base, st); err != nil {
+		t.Fatal(err)
+	}
+	_, spans, err := ReadSnapshotFile(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(readFile(t, base)); n < 2*snapshotChunk {
+		t.Fatalf("the base is %d bytes, want more than two chunks", n)
+	}
+	next := *st
+	next.Users = slices.Clone(st.Users)
+	write := func(path string) error {
+		var w SnapshotWriter
+		if err := w.Create(path, base, next.Updates, next.RevEpoch, len(next.Users)); err != nil {
+			return err
+		}
+		run := Span{}
+		for u := range next.Users {
+			if u%2 == 0 && u%10 != 0 {
+				if spans[u].Off != run.End {
+					w.Copy(run)
+					run.Off = spans[u].Off
+				}
+				run.End = spans[u].End
+				continue
+			}
+			w.Copy(run)
+			run = Span{}
+			us := &next.Users[u]
+			b := AppendSnapshotUser(nil, us.UUID, us.Revoked, len(us.Reports))
+			for j := range us.Reports {
+				b = AppendStoredReport(b, &us.Reports[j])
+			}
+			w.Append(b)
+		}
+		w.Copy(run)
+		return w.Commit(next.ASVersions)
+	}
+	for u := range next.Users {
+		if u%2 == 1 || u%10 == 0 {
+			us := &next.Users[u]
+			us.Reports = append(slices.Clone(us.Reports), StoredReport{URL: "late.example/", ASN: 7, Stages: []Stage{}, Tp: 99})
+		}
+	}
+	want := filepath.Join(dir, "want")
+	if err := WriteSnapshot(want, &next); err != nil {
+		t.Fatal(err)
+	}
+	got := filepath.Join(dir, "got")
+	if err := write(got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(readFile(t, got), readFile(t, want)) {
+		t.Fatal("the snapshot built over the base differs from WriteSnapshot's")
+	}
+
+	// Damage a byte of user 1's entry, which the writer skips.
+	b := readFile(t, base)
+	b[spans[1].Off+3] ^= 0x20
+	if err := os.WriteFile(base, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	damaged := filepath.Join(dir, "damaged")
+	if err := write(damaged); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("a snapshot over a damaged base: err = %v, want ErrCorrupt", err)
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) != 3 {
+		t.Fatalf("after a failed commit the directory holds %d files, want base, want and got", len(ents))
+	}
+
+	var w SnapshotWriter
+	if err := w.Create(filepath.Join(dir, "backwards"), base, 0, 0, 2); err != nil {
+		t.Fatal(err)
+	}
+	w.Copy(spans[5])
+	w.Copy(spans[4])
+	if err := w.Commit(nil); err == nil {
+		t.Fatal("a span behind the last one copied was committed")
 	}
 }

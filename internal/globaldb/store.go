@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -76,6 +75,9 @@ type store struct {
 	mu   sync.Mutex
 	opts StoreOptions // SnapshotEvery resolved to its default at open
 
+	// The files of opts.Dir, joined once: walPath, snapPath and nextPath.
+	walFile, snapFile, nextFile string
+
 	log       *storage.Log  // nil: not durable
 	feed      *storage.Feed // nil: not replicated
 	sinceSnap int           // records in the active log, since the last seal
@@ -126,17 +128,15 @@ type clientState struct {
 	// moved says the user is on the store's moved list: it registered,
 	// reported or was revoked since the last capture.
 	moved bool
-	// reports holds the client's reports, each with its dedup key
-	// "url|asn" and in the slot it is filed in — one slot per key — in the
-	// order the keys were first filed; a compaction's capture copies it as
-	// it lies. find scans it for a slot until it holds more than
-	// smallReports, and from then on bySlot indexes it. It is made at the
-	// first report: a client that has reported nothing holds no table.
+	// reports holds the client's reports, each in the slot it is filed in —
+	// one slot per dedup key (url, asn) — in the order the keys were first
+	// filed; a compaction's capture copies it as it lies. find scans it for
+	// a slot until it holds more than smallReports, and from then on bySlot
+	// indexes it. It is made at the first report: a client that has
+	// reported nothing holds no table.
 	reports []placed
 	bySlot  map[*slot]int
 }
-
-func reportKey(url string, asn int) string { return url + "|" + strconv.Itoa(asn) }
 
 // errNotDurable is returned by every mutation once durability is lost; the
 // server maps it to 503.
@@ -169,15 +169,18 @@ func openStore(o StoreOptions) (*store, error) {
 	if err := os.MkdirAll(o.Dir, 0o755); err != nil {
 		return nil, err
 	}
+	s.walFile = filepath.Join(o.Dir, walFileName)
+	s.snapFile = filepath.Join(o.Dir, snapshotFileName)
+	s.nextFile = filepath.Join(o.Dir, nextSnapshotName)
 	if err := s.settleSnapshot(); err != nil {
 		return nil, fmt.Errorf("globaldb: recover snapshot: %w", err)
 	}
-	st, file, users, err := storage.ReadSnapshotFile(s.snapPath())
+	st, users, err := storage.ReadSnapshotFile(s.snapPath())
 	if err != nil {
 		return nil, fmt.Errorf("globaldb: recover snapshot: %w", err)
 	}
 	if st != nil {
-		s.restoreState(st, file, users)
+		s.restoreState(st, users)
 	} else {
 		// With no snapshot the log is the complete history, so replaying it
 		// with the feed attached rebuilds the feed record for record and
@@ -224,9 +227,9 @@ func openStore(o StoreOptions) (*store, error) {
 	return s, nil
 }
 
-func (s *store) walPath() string  { return filepath.Join(s.opts.Dir, walFileName) }
-func (s *store) snapPath() string { return filepath.Join(s.opts.Dir, snapshotFileName) }
-func (s *store) nextPath() string { return filepath.Join(s.opts.Dir, nextSnapshotName) }
+func (s *store) walPath() string  { return s.walFile }
+func (s *store) snapPath() string { return s.snapFile }
+func (s *store) nextPath() string { return s.nextFile }
 
 // settleSnapshot resolves a next snapshot a compaction cut short left
 // behind. Once the sealed segment it covers is deleted it is the store's
@@ -267,15 +270,27 @@ func (s *store) apply(rec *storage.Record) (n int, err error) {
 	if s.lastErr != nil {
 		return 0, errNotDurable
 	}
+	// A replicated store frames the record once: the log writes the frame
+	// the feed then keeps.
+	var frame []byte
+	if s.feed != nil {
+		frame = s.feed.Frame(rec)
+	}
 	if s.log != nil {
-		if err := s.log.Append(rec); err != nil {
+		var err error
+		if frame != nil {
+			err = s.log.AppendFrame(frame)
+		} else {
+			err = s.log.Append(rec)
+		}
+		if err != nil {
 			s.lastErr = err
 			return 0, errNotDurable
 		}
 		s.sinceSnap++
 	}
 	if s.feed != nil {
-		s.feed.Append(rec)
+		s.feed.AppendFrame(frame)
 	}
 	n = s.fold(rec)
 	s.seq++
@@ -471,7 +486,7 @@ func (s *store) reset() error {
 type compactStep int
 
 const (
-	compactWrite     compactStep = iota // encoded, about to write the next snapshot
+	compactWrite     compactStep = iota // captured, about to stream the next snapshot
 	compactWritten                      // next snapshot written; sealed segment still there
 	compactCommitted                    // sealed segment deleted; next snapshot not yet in place
 )
@@ -493,11 +508,11 @@ func (s *store) startCompactionLocked() {
 // compact is the compactor: it encodes the snapshot c captured and makes it
 // the store's. It never takes s.mu.
 func (s *store) compact(c *capture) error {
-	b := s.encodeSnapshot(c)
 	if err := s.step(compactWrite); err != nil {
+		c.clear()
 		return err
 	}
-	if err := storage.WriteSnapshotFile(s.nextPath(), b); err != nil {
+	if err := s.writeSnapshot(c, s.nextPath()); err != nil {
 		return err
 	}
 	if err := s.step(compactWritten); err != nil {

@@ -320,3 +320,32 @@ func TestDurableServerRestart(t *testing.T) {
 		t.Fatalf("pre-restart tag %q not honored after recovery", before.tag)
 	}
 }
+
+// TestReplicatedWALIsFeed: a replicated durable store frames each record
+// once, for its log and its feed, so the WAL file is the feed's frames byte
+// for byte — and a reopened store, replaying the log with the feed
+// attached, rebuilds that feed frame for frame.
+func TestReplicatedWALIsFeed(t *testing.T) {
+	dir := t.TempDir()
+	opts := StoreOptions{Dir: dir, SnapshotEvery: -1, Replicated: true}
+	s := mustOpenStore(t, opts)
+	walWorkload(t, s, 6, 4)
+	secondHalf(t, s)
+	s.mu.Lock()
+	feed, _ := s.feed.ReadFrom(0, 1<<30)
+	s.mu.Unlock()
+	wal, err := os.ReadFile(filepath.Join(dir, walFileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(wal) == 0 || !bytes.Equal(wal, feed) {
+		t.Fatalf("the WAL's %d bytes differ from the feed's %d", len(wal), len(feed))
+	}
+	if err := s.close(); err != nil {
+		t.Fatal(err)
+	}
+	r := mustOpenStore(t, opts)
+	if again, _ := r.feed.ReadFrom(0, 1<<30); !bytes.Equal(again, feed) {
+		t.Fatalf("the reopened store's feed holds %d bytes, the first one's %d", len(again), len(feed))
+	}
+}
