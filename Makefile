@@ -51,10 +51,15 @@
 #                      allocation profiled), per fetch by package, into
 #                      ALLOCS.txt; ALLOC_HISTORY keeps one row per change
 #   make cover       — coverage for core+detect+trace, gated on COVERAGE.md
+#   make reach       — the reachability gate: builds every binary (cmd/*,
+#                      examples/*, benchmark) with inlining off, and fails on
+#                      any function declared in a non-test file that none of
+#                      them contains, outside the allow-list in
+#                      internal/lint/reach_test.go
 
 GO ?= go
 
-.PHONY: all build test tier1 fmt vet lint race check bench loc loc-diff chaos soak-churn golden shape fuzz allocs cover
+.PHONY: all build test tier1 fmt vet lint race check bench loc loc-diff chaos soak-churn golden shape fuzz allocs cover reach
 
 all: tier1
 
@@ -213,3 +218,11 @@ cover:
 	awk -v t="$$total" -v b="$$base" 'BEGIN { \
 		if (t + 0 < b + 0) { printf "FAIL: coverage %.1f%% below baseline %.1f%% (COVERAGE.md)\n", t, b; exit 1 } \
 		printf "coverage %.1f%% (baseline %.1f%%)\n", t, b }'
+
+# Product code is what a binary runs: TestReach builds the module's main
+# packages, reads their symbols with go tool nm, and lists every function in
+# a non-test file that no binary contains. Each entry it allows names one
+# reason from a closed set (interface method, root-package API,
+# test-support package, reference implementation, fault seam).
+reach:
+	CSAW_REACH=1 $(GO) test ./internal/lint -run '^TestReach$$' -count=1 -v

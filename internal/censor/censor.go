@@ -379,12 +379,6 @@ func containsFold[T text](host, target T, kw string) bool {
 	return false
 }
 
-// SNIActionFor returns the action for a TLS SNI value: that of the longest
-// SNI pattern it matches.
-func (p *Policy) SNIActionFor(sni string) TLSAction {
-	return longestMatch(p.SNI, ruleName(sni), TLSClean)
-}
-
 // hasStreamRules reports whether any stream-level inspection is needed.
 func (p *Policy) hasStreamRules() bool {
 	return len(p.HTTP) > 0 || len(p.Keywords) > 0 || len(p.SNI) > 0 || p.InterceptForeignDNS

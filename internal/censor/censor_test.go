@@ -76,13 +76,21 @@ func newWorld(t *testing.T, p *Policy, opts ...worldOption) *world {
 
 	// Origin serves HTTP and pseudo-TLS HTTPS.
 	pageHandler := httpx.HandlerFunc(func(req *httpx.Request, _ netem.Flow) *httpx.Response {
-		return httpx.NewResponse(200, []byte("<html><title>Real Page</title><body>content of "+req.URL()+"</body></html>"))
+		return httpx.NewResponse(200, []byte("<html><title>Real Page</title><body>content of "+req.Host+req.Target+"</body></html>"))
 	})
-	httpx.Serve(origin.MustListen(80), pageHandler)
+	l, err := origin.Listen(80)
+	if err != nil {
+		t.Fatal(err)
+	}
+	httpx.Serve(l, pageHandler)
 	serveTLS(t, origin, tlsx.CertFor("www.youtube.com", "ok.example.com"), pageHandler)
 
 	// ISP block-page host.
-	httpx.Serve(blockHost.MustListen(80), httpx.HandlerFunc(func(*httpx.Request, netem.Flow) *httpx.Response {
+	l, err = blockHost.Listen(80)
+	if err != nil {
+		t.Fatal(err)
+	}
+	httpx.Serve(l, httpx.HandlerFunc(func(*httpx.Request, netem.Flow) *httpx.Response {
 		resp := httpx.NewResponse(200, []byte(DefaultBlockPageHTML))
 		resp.Header.Set("Content-Type", "text/html")
 		return resp
@@ -94,10 +102,21 @@ func newWorld(t *testing.T, p *Policy, opts ...worldOption) *world {
 	}
 }
 
+// dial connects from the client to addr under a 3 s virtual timeout.
+func (w *world) dial(addr string) error {
+	ctx, cancel := w.n.Clock().WithTimeout(context.Background(), 3*time.Second)
+	defer cancel()
+	_, err := w.client.Dial(ctx, addr)
+	return err
+}
+
 // serveTLS accepts pseudo-TLS connections and serves HTTP over them.
 func serveTLS(t *testing.T, host *netem.Host, certs tlsx.CertFunc, h httpx.Handler) {
 	t.Helper()
-	l := host.MustListen(tlsx.Port)
+	l, err := host.Listen(tlsx.Port)
+	if err != nil {
+		t.Fatal(err)
+	}
 	go func() {
 		for {
 			raw, err := l.Accept()
@@ -360,7 +379,7 @@ func TestPublicDNSBypassesResolverOnlyBlocking(t *testing.T) {
 
 func TestIPBlocking(t *testing.T) {
 	w := newWorld(t, &Policy{IP: map[string]IPAction{originIP: IPReset}})
-	_, err := w.client.DialTimeout(originIP+":80", 3*time.Second)
+	err := w.dial(originIP + ":80")
 	if !netem.IsReset(err) {
 		t.Fatalf("dial = %v, want reset", err)
 	}
@@ -370,7 +389,7 @@ func TestIPBlocking(t *testing.T) {
 
 	w2 := newWorld(t, &Policy{IP: map[string]IPAction{originIP: IPDrop}})
 	start := w2.n.Clock().Now()
-	_, err = w2.client.DialTimeout(originIP+":80", 3*time.Second)
+	err = w2.dial(originIP + ":80")
 	if !netem.IsTimeout(err) {
 		t.Fatalf("dial = %v, want timeout", err)
 	}
@@ -687,4 +706,10 @@ func TestDNSInjectAtResolverActsAsRedirect(t *testing.T) {
 	if !res.OK() || res.IPs[0] != "10.0.9.9" {
 		t.Fatalf("resolver-side inject = %+v, want redirect behaviour", res)
 	}
+}
+
+// SNIActionFor returns the action for a TLS SNI value: that of the longest
+// SNI pattern it matches.
+func (p *Policy) SNIActionFor(sni string) TLSAction {
+	return longestMatch(p.SNI, ruleName(sni), TLSClean)
 }

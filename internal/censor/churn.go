@@ -116,21 +116,6 @@ func (c *Censor) advanceEpoch() {
 	c.SetPolicy(p)
 }
 
-// EpochIndex returns the index of the active epoch after lazy advancement
-// (-1 when churn is off, the schedule is empty, or nothing has started).
-func (c *Censor) EpochIndex() int {
-	c.advanceEpoch()
-	c.mu.RLock()
-	ch := c.churn
-	c.mu.RUnlock()
-	if ch == nil {
-		return -1
-	}
-	ch.mu.Lock()
-	defer ch.mu.Unlock()
-	return ch.idx
-}
-
 // EpochStart returns the Start of the active epoch (zero time before the
 // schedule begins or when churn is off). Clients use this as the
 // stale-verdict oracle: any measurement taken before EpochStart describes a

@@ -37,8 +37,8 @@ func TestEpochScheduleFlipsPolicy(t *testing.T) {
 	if got, err := fetchBody(t, w, "www.youtube.com"); err != nil || got == DefaultBlockPageHTML {
 		t.Fatalf("pre-flip fetch = %q, %v; want real page", got, err)
 	}
-	if idx := w.censor.EpochIndex(); idx != 0 {
-		t.Fatalf("EpochIndex = %d, want 0", idx)
+	if name := w.censor.Policy().Name; name != "clean" {
+		t.Fatalf("policy %q, want the first epoch's", name)
 	}
 	if flips := w.censor.Counters.Get("epoch-flip"); flips != 0 {
 		t.Fatalf("epoch-flip = %d before any flip", flips)
@@ -49,8 +49,8 @@ func TestEpochScheduleFlipsPolicy(t *testing.T) {
 	if got, err := fetchBody(t, w, "www.youtube.com"); err != nil || got != DefaultBlockPageHTML {
 		t.Fatalf("post-flip fetch = %q, %v; want block page", got, err)
 	}
-	if idx := w.censor.EpochIndex(); idx != 1 {
-		t.Fatalf("EpochIndex = %d, want 1", idx)
+	if name := w.censor.Policy().Name; name != "block-youtube" {
+		t.Fatalf("policy %q, want the second epoch's", name)
 	}
 	if flips := w.censor.Counters.Get("epoch-flip"); flips != 1 {
 		t.Fatalf("epoch-flip = %d, want 1", flips)
@@ -152,7 +152,7 @@ func TestResidualCensorshipPunishesSubsequentFlows(t *testing.T) {
 
 	// Inside the window even a clean destination is unreachable: the
 	// punishment is per-client, not per-rule.
-	if _, err := w.client.DialTimeout(w.originIP+":80", 3*time.Second); !netem.IsTimeout(err) {
+	if err := w.dial(w.originIP + ":80"); !netem.IsTimeout(err) {
 		t.Fatalf("dial inside residual window = %v, want timeout", err)
 	}
 	if w.censor.Counters.Get("residual-drop") == 0 {
@@ -177,7 +177,7 @@ func TestResidualRequiresEnforcement(t *testing.T) {
 	if got, err := fetchBody(t, w, "ok.example.com"); err != nil || got == DefaultBlockPageHTML {
 		t.Fatalf("clean fetch = %q, %v", got, err)
 	}
-	if _, err := w.client.DialTimeout(w.originIP+":80", 3*time.Second); err != nil {
+	if err := w.dial(w.originIP + ":80"); err != nil {
 		t.Fatalf("clean client dial = %v, want success", err)
 	}
 	if w.censor.Counters.Get("residual-drop") != 0 || w.censor.Counters.Get("residual-arm") != 0 {

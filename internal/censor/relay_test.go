@@ -43,7 +43,11 @@ func newRelayWorld(t *testing.T) *relayWorld {
 		w.page[i] = byte('a' + i%26)
 	}
 	origin := n.MustAddHost("origin", originIP, "us", free)
-	srv := httpx.Serve(origin.MustListen(80), httpx.HandlerFunc(func(*httpx.Request, netem.Flow) *httpx.Response {
+	l, err := origin.Listen(80)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httpx.Serve(l, httpx.HandlerFunc(func(*httpx.Request, netem.Flow) *httpx.Response {
 		return httpx.NewResponse(200, w.page)
 	}))
 	t.Cleanup(func() { srv.Close() })

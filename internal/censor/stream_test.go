@@ -132,7 +132,10 @@ func FuzzInterceptedStream(f *testing.F) {
 		origin := n.MustAddHost("origin", originIP, "us", n.AddAS(200, "US", "US"))
 		n.SetRTT("pk", "us", 150*time.Millisecond)
 		New(c.policy).Attach(isp)
-		l := origin.MustListen(80)
+		l, err := origin.Listen(80)
+		if err != nil {
+			t.Fatal(err)
+		}
 		defer func() {
 			if err := l.Close(); err != nil {
 				t.Error(err)
@@ -259,7 +262,10 @@ func TestTLSPassLeavesNoGoroutine(t *testing.T) {
 	origin := n.MustAddHost("origin", originIP, "us", n.AddAS(200, "US", "US"))
 	cen := New(&Policy{SNI: map[string]TLSAction{"youtube.com": TLSReset}})
 	cen.Attach(isp)
-	l := origin.MustListen(tlsx.Port)
+	l, err := origin.Listen(tlsx.Port)
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer func() {
 		if err := l.Close(); err != nil {
 			t.Error(err)
@@ -379,7 +385,10 @@ func FuzzInterceptedHello(f *testing.F) {
 		origin := n.MustAddHost("origin", originIP, "us", n.AddAS(200, "US", "US"))
 		cen := New(c.policy)
 		cen.Attach(isp)
-		l := origin.MustListen(tlsx.Port)
+		l, err := origin.Listen(tlsx.Port)
+		if err != nil {
+			t.Fatal(err)
+		}
 		defer func() {
 			if err := l.Close(); err != nil {
 				t.Error(err)

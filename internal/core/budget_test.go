@@ -92,13 +92,13 @@ func TestNoChangeSyncBudget(t *testing.T) {
 	w, c, gdb, host := newSyncWorld(t, nil, "ISP-A")
 	ctx := context.Background()
 	seeder := newReporter(t, w, host, "human-seeder")
-	seeded := 0
+	seeded, asn := 0, host.ASNumber(0)
 	noChangeRound := func(entries int) uint64 {
 		t.Helper()
 		var recs []localdb.Record
 		for ; seeded < entries; seeded++ {
 			recs = append(recs, localdb.Record{
-				URL: fmt.Sprintf("site-%04d.example/", seeded), ASN: c.ASN(), Status: localdb.Blocked,
+				URL: fmt.Sprintf("site-%04d.example/", seeded), ASN: asn, Status: localdb.Blocked,
 				Stages: []localdb.Stage{{Type: localdb.BlockHTTP, Detail: "blockpage"}},
 			})
 		}
@@ -108,7 +108,7 @@ func TestNoChangeSyncBudget(t *testing.T) {
 		if err := c.SyncNow(ctx); err != nil { // takes the new list
 			t.Fatal(err)
 		}
-		if _, ok := gdb.Lookup(c.ASN(), recs[len(recs)-1].URL); !ok {
+		if _, ok := gdb.Lookup(asn, recs[len(recs)-1].URL); !ok {
 			t.Fatalf("client does not hold the %d-entry list", entries)
 		}
 		before304 := c.CountersSnapshot()["gdb-fetch-304"]

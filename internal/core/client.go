@@ -343,14 +343,6 @@ type resolvers struct{ ldns, gdns dnsx.Client }
 // client holds none between measurements and a measurement allocates none.
 var resolverPairs = sync.Pool{New: func() any { return new(resolvers) }}
 
-// Detector builds the client's direct-path detector: its dial is under
-// the connection budget, and its resolvers go on with the client's
-// query-id sequences.
-func (c *Client) Detector() *detect.Detector {
-	d := c.detector(new(resolvers))
-	return &d
-}
-
 // detector builds the client's direct-path detector on the resolver pair
 // r, which it fills.
 func (c *Client) detector(r *resolvers) detect.Detector {
@@ -408,12 +400,6 @@ func (c *Client) lookupLocalThenGlobal(ctx context.Context, host string) (string
 
 // DB exposes the local database (read-mostly, for experiments and tools).
 func (c *Client) DB() *localdb.DB { return c.db }
-
-// Clock returns the client's clock.
-func (c *Client) Clock() *vtime.Clock { return c.cfg.Clock }
-
-// ASN returns the client's (primary) AS number.
-func (c *Client) ASN() int { return c.host.ASNumber(0) }
 
 // clientScope is the client's scope of the counters registry it shares
 // with its global-DB client.

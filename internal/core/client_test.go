@@ -155,14 +155,14 @@ func TestResolversKeepOneIDSequence(t *testing.T) {
 	defer c.Close()
 	ctx, cancel := clock.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
-	det := c.Detector()
+	det := c.detector(new(resolvers))
 	if res := det.LDNS.Lookup(ctx, "example.com"); !res.OK() {
 		t.Fatalf("detector's local lookup: %v", res.Err)
 	}
 	if _, err := c.lookupLocalThenGlobal(ctx, "example.com"); err != nil {
 		t.Fatalf("local-then-global lookup: %v", err)
 	}
-	if res := c.Detector().GDNS.Lookup(ctx, "example.com"); !res.OK() {
+	if res := det.GDNS.Lookup(ctx, "example.com"); !res.OK() {
 		t.Fatalf("detector's global lookup: %v", res.Err)
 	}
 	if _, err := c.lookupGlobal(ctx, "example.com"); err != nil {

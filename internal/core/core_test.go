@@ -1,9 +1,11 @@
 package core_test
 
 import (
+	"bytes"
 	"context"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -95,7 +97,7 @@ func TestBlockedURLServedViaCircumvention(t *testing.T) {
 	if res.Source == "direct" {
 		t.Fatalf("blocked URL served from direct path")
 	}
-	if !web.LooksLikeHTML(res.Resp.Body) || len(res.Resp.Body) < 10<<10 {
+	if !bytes.Contains(res.Resp.Body, []byte("<html")) || len(res.Resp.Body) < 10<<10 {
 		t.Fatalf("served body doesn't look like the real page (%d bytes)", len(res.Resp.Body))
 	}
 	c.WaitIdle()
@@ -397,6 +399,23 @@ func TestExplorationEveryN(t *testing.T)              { followsPlan(t, "relay") 
 func TestAnonymityPreferenceUsesTorOnly(t *testing.T) { followsPlan(t, "tor") }
 func TestPreferAnonymityWithNoTorFails(t *testing.T)  { followsPlan(t, "none") }
 
+// chosenSink keeps each span's "select chosen" detail, its approach and
+// rule, by sequence number.
+type chosenSink struct {
+	mu     sync.Mutex
+	chosen map[uint64]string
+}
+
+func (s *chosenSink) Span(_ []byte, rec *trace.Record) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, e := range rec.Events {
+		if e.Name == "chosen" {
+			s.chosen[rec.Seq] = e.Detail
+		}
+	}
+}
+
 // followsPlan runs the world of one rung kind: a blocked URL is fetched
 // unmeasured, then known blocked, and each fetch is served by the approach
 // the planner chose, the second by the row's rule among the row's rungs.
@@ -427,17 +446,12 @@ func followsPlan(t *testing.T, rung string) {
 			continue
 		}
 		t.Run(tc.rung, func(t *testing.T) {
-			sink := new(trace.CollectSink)
+			sink := &chosenSink{chosen: make(map[uint64]string)}
 			w, c := newCaseStudyClient(t, func(cfg *core.Config) { cfg.Trace = trace.New(cfg.Clock, sink); tc.mutate(cfg) }, "ISP-A")
-			chosen := func(seq uint64) (detail string) { // the span's "select chosen": approach and rule
-				for _, r := range sink.Records() {
-					for _, e := range r.Events {
-						if r.Seq == seq && e.Name == "chosen" {
-							detail = e.Detail
-						}
-					}
-				}
-				return detail
+			chosen := func(seq uint64) string {
+				sink.mu.Lock()
+				defer sink.mu.Unlock()
+				return sink.chosen[seq]
 			}
 			if tc.policy != nil {
 				w.ISPs["ISP-A"].Censor.SetPolicy(tc.policy)

@@ -3,6 +3,7 @@ package core
 import (
 	"go/parser"
 	"go/token"
+	"math"
 	"slices"
 	"strconv"
 	"strings"
@@ -342,6 +343,19 @@ func rungMatrix(t *testing.T, symptom string) {
 			if !firsts[want] {
 				t.Errorf("%+v: %s never chosen first over %d seeds", row, want, planSeeds)
 			}
+		}
+	}
+}
+
+// TestEWMA: a series starts at its first sample, 10 s, and smooths 20 s
+// and then 5 s in with weight ewmaAlpha (0.3), averaging 13 s and then
+// 10.6 s.
+func TestEWMA(t *testing.T) {
+	p := newPlanner(t, Config{Approaches: approaches("tor")}, 1)
+	for _, s := range []struct{ seconds, want float64 }{{10, 10}, {20, 13}, {5, 10.6}} {
+		p.fold(0, served, s.seconds)
+		if got := p.sel.ewma(p.cfg, 0, p.url); math.Abs(got-s.want) > 1e-9 {
+			t.Fatalf("after %v s: average %v, want %v", s.seconds, got, s.want)
 		}
 	}
 }

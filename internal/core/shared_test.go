@@ -73,7 +73,7 @@ func TestApproachesSharedAcrossClients(t *testing.T) {
 	a, b := newClient("shared-a"), newClient("shared-b")
 
 	// a's whole budget: one connection, held open.
-	held, err := a.Detector().Dial(context.Background(), w.StaticProxies["Netherlands"])
+	held, err := a.Dial(context.Background(), w.StaticProxies["Netherlands"])
 	if err != nil {
 		t.Fatal(err)
 	}

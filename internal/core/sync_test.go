@@ -324,7 +324,11 @@ func TestLeaderChaseCounted(t *testing.T) {
 	}
 	leader := w.GlobalDBEndpoints[0]
 	fenced := w.Net.MustAddHost("fenced-node", "198.51.100.77", "us", w.Net.AS(900))
-	httpx.Serve(fenced.MustListen(80), httpx.HandlerFunc(func(*httpx.Request, netem.Flow) *httpx.Response {
+	l, err := fenced.Listen(80)
+	if err != nil {
+		t.Fatal(err)
+	}
+	httpx.Serve(l, httpx.HandlerFunc(func(*httpx.Request, netem.Flow) *httpx.Response {
 		resp := httpx.NewResponse(globaldb.StatusFenced, []byte("fenced: stale term"))
 		resp.Header.Set(globaldb.TermHeader, "2")
 		resp.Header.Set(globaldb.LeaderHeader, leader)

@@ -87,14 +87,6 @@ type Outcome struct {
 // Blocked reports whether the outcome concluded blocking.
 func (o *Outcome) Blocked() bool { return o.Status == localdb.Blocked }
 
-// PrimaryType returns the first detected mechanism.
-func (o *Outcome) PrimaryType() localdb.BlockType {
-	if len(o.Stages) == 0 {
-		return localdb.BlockNone
-	}
-	return o.Stages[0].Type
-}
-
 // StageSummary renders the stages as "dns(nxdomain)+http(blockpage)".
 func (o *Outcome) StageSummary() string {
 	parts := make([]string, len(o.Stages))

@@ -264,15 +264,22 @@ func detWorld(clock *vtime.Clock, p *censor.Policy) (*Detector, *censor.Censor) 
 		})
 	}
 	originPage := page([]byte("<html><head><title>Real</title></head><body>" + string(make([]byte, 2000)) + "</body></html>"))
-	httpx.Serve(origin.MustListen(80), originPage)
-	origin.MustListen(443).Serve(func(raw net.Conn) {
+	listen := func(h *netem.Host, port int) *netem.Listener {
+		l, err := h.Listen(port)
+		if err != nil {
+			panic(err)
+		}
+		return l
+	}
+	httpx.Serve(listen(origin, 80), originPage)
+	listen(origin, 443).Serve(func(raw net.Conn) {
 		if tc, err := tlsx.Server(raw, strings.ToLower); err == nil {
 			httpx.ServeConn(context.Background(), tc, netem.Flow{}, originPage)
 		} else {
 			raw.Close()
 		}
 	})
-	httpx.Serve(blockHost.MustListen(80), page([]byte(censor.DefaultBlockPageHTML)))
+	httpx.Serve(listen(blockHost, 80), page([]byte(censor.DefaultBlockPageHTML)))
 	return &Detector{Clock: clock, Dial: client.Dial, LDNS: dnsx.NewClient(client, "10.0.0.53:53"),
 		GDNS: dnsx.NewClient(client, "8.8.8.8:53"), Classifier: blockpage.NewClassifier()}, cen
 }
@@ -289,7 +296,7 @@ func onTheWire(t *testing.T, names ...string) {
 		if r.slack > 0 {
 			det = scaledWorld()
 		}
-		sink := &trace.CollectSink{}
+		sink := &lastSpan{}
 		sp := trace.New(det.Clock, sink).Start("c", 1, r.host)
 		lane := sp.Lane("direct")
 		out, obs := det.measure(trace.WithLane(context.Background(), lane), r.host+"/", r.scheme)
@@ -307,7 +314,7 @@ func onTheWire(t *testing.T, names ...string) {
 				name, out, want, r.verdict, r.phase, r.took, r.slack, r.detected)
 		}
 		var responses []string
-		for _, e := range sink.Records()[0].Lanes[0].Events {
+		for _, e := range sink.rec.Lanes[0].Events {
 			if e.Layer == "http" && e.Name == "response" {
 				responses = append(responses, e.Detail)
 			}
@@ -397,3 +404,8 @@ func TestMeasureAllocs(t *testing.T) {
 		}
 	}
 }
+
+// lastSpan is a trace sink that keeps the last span it is given.
+type lastSpan struct{ rec *trace.Record }
+
+func (s *lastSpan) Span(_ []byte, rec *trace.Record) { s.rec = rec.Clone() }

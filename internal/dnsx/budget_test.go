@@ -60,7 +60,10 @@ func TestCodecAllocBudget(t *testing.T) {
 	as := n.AddAS(1, "AS", "XX")
 	client := n.MustAddHost("client", "10.0.0.1", "x", as)
 	resolver := n.MustAddHost("resolver", "10.0.0.2", "x", as)
-	l := resolver.MustListen(Port)
+	l, err := resolver.Listen(Port)
+	if err != nil {
+		t.Fatal(err)
+	}
 	dialed, err := client.Dial(context.Background(), "10.0.0.2:53")
 	if err != nil {
 		t.Fatal(err)

@@ -120,7 +120,10 @@ func FuzzReadMessageTake(f *testing.F) {
 	n := netem.New(vtime.NewEventDriven())
 	as := n.AddAS(1, "AS", "XX")
 	client := n.MustAddHost("client", "10.0.0.1", "x", as)
-	l := n.MustAddHost("resolver", "10.0.0.2", "x", as).MustListen(Port)
+	l, err := n.MustAddHost("resolver", "10.0.0.2", "x", as).Listen(Port)
+	if err != nil {
+		f.Fatal(err)
+	}
 	readers := []struct {
 		name string
 		dial netem.DialFunc

@@ -5,7 +5,6 @@ import (
 	"io"
 	"net"
 	"slices"
-	"sort"
 	"sync"
 
 	"csaw/internal/netem"
@@ -38,18 +37,6 @@ func (r *Registry) Lookup(name string) []string {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return slices.Clip(r.m[CanonicalName(name)])
-}
-
-// Names returns all registered names, sorted.
-func (r *Registry) Names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	names := make([]string, 0, len(r.m))
-	for n := range r.m {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // Handler answers DNS queries. The flow carries who is asking and through
@@ -95,16 +82,13 @@ func AuthHandler(reg *Registry, ttl uint32) Handler {
 type Server struct {
 	l *netem.Listener
 	h Handler
-
-	mu     sync.Mutex
-	closed bool
 }
 
 // Port is the conventional DNS port.
 const Port = 53
 
 // Serve starts a server on the listener; it returns immediately and serves
-// until the listener or server is closed.
+// until the listener closes.
 func Serve(l *netem.Listener, h Handler) *Server {
 	s := &Server{l: l, h: h}
 	l.Serve(s.serveConn)
@@ -142,17 +126,6 @@ func (s *Server) serveConn(conn net.Conn) {
 			return
 		}
 	}
-}
-
-// Close stops the server.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil
-	}
-	s.closed = true
-	return s.l.Close()
 }
 
 // WriteMessage writes one length-prefixed DNS message: its frame is built

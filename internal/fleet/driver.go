@@ -110,7 +110,7 @@ func Run(ctx context.Context, w *worldgen.World, sc *worldgen.FleetScenario, pla
 	if workers > len(plan.Clients) && len(plan.Clients) > 0 {
 		workers = len(plan.Clients)
 	}
-	st := newStats(plan.Workload.Seed)
+	st := newStats()
 	start := w.Clock.Now()
 
 	// Delta sync is the fleet's default sync path. The server's per-AS edit
@@ -441,16 +441,8 @@ func collect(w *worldgen.World, sc *worldgen.FleetScenario, plan *Plan, st *Stat
 		Degraded:       ev["degraded"],
 		PeakGoroutines: peakGoroutines,
 		Updates:        gstats.Updates,
+		PLT:            st.pltStats(),
 		Counters:       st.clients.Snapshot(),
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	m.PLT = make(map[string]PLTStats, len(st.plt))
-	for src, d := range st.plt {
-		m.PLT[src] = PLTStats{
-			N: d.N(), P50: d.Percentile(50), P95: d.Percentile(95),
-			Mean: d.Mean(), Max: d.Max(),
-		}
 	}
 	return &RunResult{Summary: sum, Measured: m}
 }

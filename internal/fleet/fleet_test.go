@@ -403,11 +403,28 @@ func TestRetireClientCancelledNoDegraded(t *testing.T) {
 	if err != nil {
 		t.Fatalf("join: %v", err)
 	}
-	st := newStats(wl.Seed)
+	st := newStats()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	retireClient(ctx, cl, st)
 	if ev := st.events.Snapshot(); len(ev) != 0 {
 		t.Errorf("cancelled retire recorded %v, want no degraded, syncs or sync-errors", ev)
+	}
+}
+
+// TestPLTStatsIgnoreArrivalOrder: more samples of one source than a
+// 4,096-sample reservoir holds, fed in two orders, summarize the same.
+// Exact quantiles are a function of the samples, not of how the workers
+// interleave. Every sample is a whole number of quarter seconds, exact in
+// binary, so the running sum behind Mean does not depend on order either.
+func TestPLTStatsIgnoreArrivalOrder(t *testing.T) {
+	const n = 5000
+	up, down := newStats(), newStats()
+	for i := 0; i < n; i++ {
+		up.recordFetch("direct", time.Duration(i+1)*time.Second/4, false)
+		down.recordFetch("direct", time.Duration(n-i)*time.Second/4, false)
+	}
+	if a, b := up.pltStats(), down.pltStats(); a["direct"] != b["direct"] || a["direct"].N != n {
+		t.Fatalf("ascending %+v, descending %+v", a, b)
 	}
 }

@@ -11,10 +11,6 @@ import (
 	"csaw/internal/metrics"
 )
 
-// pltReservoirCap bounds per-source PLT memory at fleet scale; reservoir
-// sampling keeps the quantiles unbiased (metrics.NewReservoir).
-const pltReservoirCap = 4096
-
 // Stats is the driver's live aggregate state. Workers update it as they go;
 // Snapshot serves the live counters cmd/csaw-fleet prints while a run is in
 // flight.
@@ -25,13 +21,16 @@ type Stats struct {
 	// clients folds every retired client's CountersSnapshot.
 	clients metrics.Counters
 
-	mu   sync.Mutex
-	plt  map[string]*metrics.Distribution // per Result.Source
-	seed int64
+	// plt holds every successful fetch's PLT per Result.Source, so its
+	// quantiles are exact and do not depend on the order the workers
+	// deliver them in. That costs 8 bytes a fetch: about 318 KB at
+	// 10,000 clients, 3.2 MB at 100,000.
+	mu  sync.Mutex
+	plt map[string]*metrics.Distribution
 }
 
-func newStats(seed int64) *Stats {
-	return &Stats{plt: make(map[string]*metrics.Distribution), seed: seed}
+func newStats() *Stats {
+	return &Stats{plt: make(map[string]*metrics.Distribution)}
 }
 
 func (st *Stats) recordFetch(source string, took time.Duration, failed bool) {
@@ -44,12 +43,24 @@ func (st *Stats) recordFetch(source string, took time.Duration, failed bool) {
 	defer st.mu.Unlock()
 	d := st.plt[source]
 	if d == nil {
-		h := fnv.New64a()
-		h.Write([]byte(source))
-		d = metrics.NewReservoir(pltReservoirCap, st.seed^int64(h.Sum64()))
+		d = metrics.NewDistribution()
 		st.plt[source] = d
 	}
 	d.AddDuration(took)
+}
+
+// pltStats summarizes each source's PLT distribution.
+func (st *Stats) pltStats() map[string]PLTStats {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	out := make(map[string]PLTStats, len(st.plt))
+	for src, d := range st.plt {
+		out[src] = PLTStats{
+			N: d.N(), P50: d.Percentile(50), P95: d.Percentile(95),
+			Mean: d.Mean(), Max: d.Max(),
+		}
+	}
+	return out
 }
 
 // Snapshot is a point-in-time copy of the live counters.

@@ -521,17 +521,3 @@ func (c *Client) storeList(asn int, bc *blockedCache, bodyLen int, delta bool) {
 		c.counters.Add("fetch-full", 1)
 	}
 }
-
-// FetchStats downloads the server's aggregate statistics.
-func (c *Client) FetchStats(ctx context.Context) (Stats, error) {
-	req := httpx.NewRequest("GET", c.Host, PathStats)
-	resp, _, err := c.do(ctx, c.FetchDial, req)
-	if err != nil {
-		return Stats{}, err
-	}
-	var st Stats
-	if err := json.Unmarshal(resp.Body, &st); err != nil {
-		return Stats{}, err
-	}
-	return st, nil
-}

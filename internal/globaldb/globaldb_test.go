@@ -2,10 +2,13 @@ package globaldb
 
 import (
 	"context"
+	"encoding/json"
 	"math"
 	"testing"
 	"time"
 
+	"csaw/internal/globaldb/storage"
+	"csaw/internal/httpx"
 	"csaw/internal/localdb"
 	"csaw/internal/netem"
 	"csaw/internal/vtime"
@@ -251,8 +254,9 @@ func TestStatsSnapshot(t *testing.T) {
 	}
 
 	// And over the API.
-	st2, err := u1.FetchStats(context.Background())
-	if err != nil || st2.Users != 2 {
+	resp := srv.Handler().ServeHTTP(httpx.NewRequest("GET", "", PathStats), netem.Flow{})
+	var st2 Stats
+	if err := json.Unmarshal(resp.Body, &st2); err != nil || st2.Users != 2 {
 		t.Fatalf("stats via API = %+v, %v", st2, err)
 	}
 }
@@ -353,4 +357,22 @@ func TestWireRoundTrip(t *testing.T) {
 	if len(back) != 2 || back[0] != stages[0] || back[1] != stages[1] {
 		t.Fatalf("round trip = %+v", back)
 	}
+}
+
+// NewServer creates an in-memory server: NewDurableServer with the zero
+// StoreOptions, which cannot fail. A nil verifier selects DefaultCaptcha.
+func NewServer(clock *vtime.Clock, captcha CaptchaVerifier) *Server {
+	s, err := NewDurableServer(clock, captcha, StoreOptions{})
+	if err != nil {
+		panic(err) // unreachable: only opening o.Dir can fail
+	}
+	return s
+}
+
+// Revoke invalidates a UUID (§5: revoking identified malicious users [54]).
+// An error means the store's log has failed and rejected the revocation: it
+// did not happen and must be retried once the node is healthy.
+func (s *Server) Revoke(uuid string) error {
+	_, err := s.store.apply(&storage.Record{Kind: storage.KindRevoke, UUID: uuid})
+	return err
 }

@@ -1,8 +1,10 @@
 package replica
 
 import (
+	"bufio"
 	"context"
 	"fmt"
+	"net"
 	"strings"
 	"testing"
 	"time"
@@ -288,7 +290,16 @@ func TestForwardHonorsRequestContext(t *testing.T) {
 	req := httpx.NewRequest("POST", "globaldb.example", globaldb.PathReport)
 	req.Body = body
 	start := w.clock.Now()
-	resp := w.set.Nodes[1].Handler().ServeHTTP(req.WithContext(ctx), netem.Flow{})
+	conn, served := net.Pipe()
+	defer conn.Close()
+	go httpx.ServeConn(ctx, served, netem.Flow{}, w.set.Nodes[1].Handler())
+	if err := httpx.WriteRequest(conn, req); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := httpx.ReadResponse(bufio.NewReader(conn))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if resp.StatusCode != 502 {
 		t.Fatalf("forward with dead context: status %d %s, want 502", resp.StatusCode, resp.Body)
 	}

@@ -45,16 +45,6 @@ type Server struct {
 	lastRegSweep time.Time
 }
 
-// NewServer creates an in-memory server: NewDurableServer with the zero
-// StoreOptions, which cannot fail. A nil verifier selects DefaultCaptcha.
-func NewServer(clock *vtime.Clock, captcha CaptchaVerifier) *Server {
-	s, err := NewDurableServer(clock, captcha, StoreOptions{})
-	if err != nil {
-		panic(err) // unreachable: only opening o.Dir can fail
-	}
-	return s
-}
-
 // NewDurableServer creates a server whose store write-ahead-logs every
 // mutation under o.Dir (see StoreOptions): kill it at any point and a new
 // NewDurableServer over the same directory recovers the exact state —
@@ -318,14 +308,6 @@ func (s *Server) handleRepl(req *httpx.Request) *httpx.Response {
 // statistics: s_jk = Σ 1/d_i over clients i reporting (j,k), n_jk = count.
 // Copied from the per-AS view the write path maintains; see index.go.
 func (s *Server) BlockedForAS(asn int) []Entry { return s.store.blockedForAS(asn) }
-
-// Revoke invalidates a UUID (§5: revoking identified malicious users [54]).
-// An error means the store's log has failed and rejected the revocation: it
-// did not happen and must be retried once the node is healthy.
-func (s *Server) Revoke(uuid string) error {
-	_, err := s.store.apply(&storage.Record{Kind: storage.KindRevoke, UUID: uuid})
-	return err
-}
 
 // StatsSnapshot aggregates the Table-7 numbers from current state.
 func (s *Server) StatsSnapshot() Stats { return s.store.stats() }

@@ -30,9 +30,6 @@ func NewFeed() *Feed {
 	return &Feed{acks: make(map[string]uint64)}
 }
 
-// Append adds one record to the stream.
-func (f *Feed) Append(rec *Record) { f.AppendFrame(f.Frame(rec)) }
-
 // Frame returns rec framed as the stream carries it, in a new slice of its
 // exact length: encoded once in the feed's reused buffer, then copied out.
 func (f *Feed) Frame(rec *Record) []byte {

@@ -88,7 +88,7 @@ func FuzzSnapshot(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, file := range [][]byte{data, sealSnapshot(data)} {
 			var users []Span
-			st, err := decodeSnapshotSpans(file, &users)
+			st, err := decodeSnapshot(file, &users)
 			if err != nil {
 				if !errors.Is(err, ErrCorrupt) {
 					t.Fatalf("error outside the corruption contract: %v", err)

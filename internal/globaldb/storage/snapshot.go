@@ -427,7 +427,7 @@ func ReadSnapshotFile(path string) (st *State, users []Span, err error) {
 		}
 		return nil, nil, err
 	}
-	if st, err = decodeSnapshotSpans(b, &users); err != nil {
+	if st, err = decodeSnapshot(b, &users); err != nil {
 		return nil, nil, err
 	}
 	return st, users, nil
@@ -435,12 +435,9 @@ func ReadSnapshotFile(path string) (st *State, users []Span, err error) {
 
 // decodeSnapshot parses a snapshot file's bytes. Anything but a whole,
 // checksummed payload of this version that decodes to its last byte is
-// ErrCorrupt.
-func decodeSnapshot(b []byte) (*State, error) { return decodeSnapshotSpans(b, nil) }
-
-// decodeSnapshotSpans is decodeSnapshot that, when users is not nil, also
-// sets *users to each user's Span in b.
-func decodeSnapshotSpans(b []byte, users *[]Span) (*State, error) {
+// ErrCorrupt. When users is not nil, it also sets *users to each user's
+// Span in b.
+func decodeSnapshot(b []byte, users *[]Span) (*State, error) {
 	if len(b) < snapshotHeaderLen || string(b[:len(snapshotMagic)]) != snapshotMagic {
 		return nil, fmt.Errorf("%w: bad snapshot header", ErrCorrupt)
 	}

@@ -146,15 +146,6 @@ func DecodeRecord(p []byte) (*Record, error) {
 	return rec, nil
 }
 
-// AppendFrame wraps payload in the log frame format — uint32 LE length,
-// uint32 LE CRC32 (IEEE) of the payload, payload — and appends it to dst.
-func AppendFrame(dst, payload []byte) []byte {
-	dst = append(dst, make([]byte, frameHeaderLen)...)
-	dst = append(dst, payload...)
-	sealFrame(dst[len(dst)-frameHeaderLen-len(payload):])
-	return dst
-}
-
 // sealFrame fills in the header of frame: its first frameHeaderLen bytes
 // were left for it, and the rest is the payload.
 func sealFrame(frame []byte) {

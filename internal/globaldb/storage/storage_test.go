@@ -257,7 +257,7 @@ func TestSnapshotDecodeRejects(t *testing.T) {
 		"revoked is not a bool": append(append([]byte(nil), head...), 1, 'u', 2, 0, 0),
 		"non-minimal varint":    {0x80, 0x00, 0, 0, 0},
 	} {
-		if st, err := decodeSnapshot(sealSnapshot(payload)); !errors.Is(err, ErrCorrupt) {
+		if st, err := decodeSnapshot(sealSnapshot(payload), nil); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: got %+v, %v; want ErrCorrupt", name, st, err)
 		}
 	}
@@ -343,7 +343,7 @@ func TestFeedReadAck(t *testing.T) {
 	f := NewFeed()
 	recs := sampleRecords()
 	for _, r := range recs {
-		f.Append(r)
+		f.AppendFrame(f.Frame(r))
 	}
 	if f.Head() != uint64(len(recs)) {
 		t.Fatalf("Head = %d, want %d", f.Head(), len(recs))
@@ -712,4 +712,13 @@ func TestSnapshotWriterCopiesFromBase(t *testing.T) {
 	if err := w.Commit(nil); err == nil {
 		t.Fatal("a span behind the last one copied was committed")
 	}
+}
+
+// AppendFrame wraps payload in the log frame format — uint32 LE length,
+// uint32 LE CRC32 (IEEE) of the payload, payload — and appends it to dst.
+func AppendFrame(dst, payload []byte) []byte {
+	dst = append(dst, make([]byte, frameHeaderLen)...)
+	dst = append(dst, payload...)
+	sealFrame(dst[len(dst)-frameHeaderLen-len(payload):])
+	return dst
 }

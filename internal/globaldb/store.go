@@ -56,8 +56,8 @@ const (
 // because the fold is order-preserving.
 //
 // The optional log and feed are the stream's two sinks. A server with
-// neither (NewServer) is the same store with both nil: apply skips straight
-// to the fold and never encodes the record.
+// neither (zero StoreOptions) is the same store with both nil: apply skips
+// straight to the fold and never encodes the record.
 //
 // Locks (see DESIGN.md "scale architecture"): mu is the single write lock.
 // It serializes apply, a compaction's seal and capture, reset and close, and

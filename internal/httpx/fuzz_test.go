@@ -135,7 +135,10 @@ func FuzzReadResponseTake(f *testing.F) {
 	n := netem.New(vtime.NewEventDriven())
 	as := n.AddAS(1, "AS", "XX")
 	client := n.MustAddHost("client", "10.0.0.1", "x", as)
-	l := n.MustAddHost("origin", "10.0.0.2", "x", as).MustListen(80)
+	l, err := n.MustAddHost("origin", "10.0.0.2", "x", as).Listen(80)
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Fuzz(func(t *testing.T, data []byte, cut1, cut2 uint16) {
 		want, wantErr := ReadResponse(bufio.NewReader(bytes.NewReader(data)))
 		a, b := min(int(cut1), len(data)), min(int(cut2), len(data))

@@ -122,25 +122,12 @@ func (h *Header) Set(key, value string) {
 	*h = slices.Delete(*h, i+1, j)
 }
 
-// Add appends a value for key.
-func (h *Header) Add(key, value string) {
-	key = CanonicalKey(key)
-	_, j := h.find(key)
-	h.insert(j, Field{key, value})
-}
-
 // Get returns the first value for key, or "".
 func (h Header) Get(key string) string {
 	if i, j := h.find(CanonicalKey(key)); i < j {
 		return h[i].Value
 	}
 	return ""
-}
-
-// Del removes key.
-func (h *Header) Del(key string) {
-	i, j := h.find(CanonicalKey(key))
-	*h = slices.Delete(*h, i, j)
 }
 
 // Request is an HTTP request. Target is the origin-form request target
@@ -170,17 +157,6 @@ func (r *Request) Context() context.Context {
 	return context.Background()
 }
 
-// WithContext returns a copy of r carrying ctx. The copy shares r's body
-// but not its header fields: a header may have room to grow in place, and a
-// Set, Add or Del on either request would shift fields the other still
-// reads.
-func (r *Request) WithContext(ctx context.Context) *Request {
-	r2 := *r
-	r2.Header = slices.Clone(r.Header)
-	r2.ctx = ctx
-	return &r2
-}
-
 // NewRequest builds a request with no header fields and no body.
 func NewRequest(method, host, target string) *Request {
 	if target == "" {
@@ -189,12 +165,9 @@ func NewRequest(method, host, target string) *Request {
 	return &Request{Method: method, Target: target, Proto: "HTTP/1.1", Host: host}
 }
 
-// URL returns the conventional "host/target" form used as a database key.
-func (r *Request) URL() string { return r.Host + r.Target }
-
 // Response is an HTTP response. One built by NewResponse has room in its
 // Header for a few fields; a copy by value that may change its fields
-// needs a Header of its own (slices.Clone, as Request.WithContext does).
+// needs a Header of its own (slices.Clone).
 type Response struct {
 	Proto      string
 	StatusCode int
@@ -505,7 +478,8 @@ func (h *head) readLine(br *bufio.Reader) ([]byte, error) {
 // readFields reads header lines up to the blank one, checking each as it
 // arrives, so a malformed head fails at its first bad line. Each key is
 // made canonical in place and its field goes after every field whose key
-// sorts no later: h.fields ends in the order Header.Add would have built.
+// sorts no later: h.fields ends sorted by key, a repeated key's values in
+// the order they arrived.
 func (h *head) readFields(br *bufio.Reader) error {
 	for count := 0; ; count++ {
 		if count > maxHeaderCount {

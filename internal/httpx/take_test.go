@@ -57,7 +57,10 @@ func readOffConn(t *testing.T, via takeVia, segs []string, fault string, take bo
 	n := netem.New(vtime.NewEventDriven())
 	as := n.AddAS(1, "AS", "XX")
 	client := n.MustAddHost("client", "10.0.0.1", "x", as)
-	l := n.MustAddHost("origin", "10.0.0.2", "x", as).MustListen(80)
+	l, err := n.MustAddHost("origin", "10.0.0.2", "x", as).Listen(80)
+	if err != nil {
+		t.Fatal(err)
+	}
 	dial := client.Dial
 	if via == viaSlot {
 		dial = netem.LimitDial(dial, make(chan struct{}, 1))
@@ -211,7 +214,10 @@ func TestReadBodyTakeAllocs(t *testing.T) {
 	n := netem.New(vtime.NewEventDriven())
 	as := n.AddAS(1, "AS", "XX")
 	client := n.MustAddHost("client", "10.0.0.1", "x", as)
-	l := n.MustAddHost("origin", "10.0.0.2", "x", as).MustListen(80)
+	l, err := n.MustAddHost("origin", "10.0.0.2", "x", as).Listen(80)
+	if err != nil {
+		t.Fatal(err)
+	}
 	raw, err := client.Dial(context.Background(), "10.0.0.2:80")
 	if err != nil {
 		t.Fatal(err)

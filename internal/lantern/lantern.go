@@ -147,6 +147,3 @@ func (c *Client) Dial(ctx context.Context, address string) (net.Conn, error) {
 	}
 	return nil, fmt.Errorf("lantern: all %d proxies failed: %w", len(proxies), lastErr)
 }
-
-// Dialer returns the client's DialFunc.
-func (c *Client) Dialer() netem.DialFunc { return c.Dial }

@@ -19,7 +19,11 @@ func lanternWorld(t *testing.T) (*netem.Network, *netem.Host, *Network) {
 	free := n.AddAS(2, "Free", "EU")
 	client := n.MustAddHost("client", "10.0.0.1", "pk", pk)
 	origin := n.MustAddHost("origin", "93.184.216.34", "us", free)
-	httpx.Serve(origin.MustListen(80), httpx.HandlerFunc(func(req *httpx.Request, _ netem.Flow) *httpx.Response {
+	l, err := origin.Listen(80)
+	if err != nil {
+		t.Fatal(err)
+	}
+	httpx.Serve(l, httpx.HandlerFunc(func(req *httpx.Request, _ netem.Flow) *httpx.Response {
 		return httpx.NewResponse(200, []byte("hello "+req.Host))
 	}))
 	n.SetRTT("pk", "us", 180*time.Millisecond)

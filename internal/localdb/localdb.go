@@ -391,31 +391,6 @@ func (db *DB) Len() int {
 	return n
 }
 
-// Expire removes stale records and returns how many were purged.
-func (db *DB) Expire() int {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	purged := 0
-	for host, r := range db.base {
-		if db.expired(r) {
-			delete(db.base, host)
-			purged++
-		}
-	}
-	for host, paths := range db.paths {
-		for p, r := range paths {
-			if db.expired(r) {
-				delete(paths, p)
-				purged++
-			}
-		}
-		if len(paths) == 0 {
-			delete(db.paths, host)
-		}
-	}
-	return purged
-}
-
 // Snapshot returns a copy of all live records, sorted by URL.
 func (db *DB) Snapshot() []Record {
 	db.mu.RLock()

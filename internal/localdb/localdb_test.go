@@ -162,21 +162,6 @@ func TestExpiryChurnsToNotMeasured(t *testing.T) {
 	}
 }
 
-func TestExpirePurges(t *testing.T) {
-	clock := vtime.New(10000)
-	db := New(clock, time.Second, true)
-	db.Put("a.com/", 1, Blocked, []Stage{{Type: BlockDNS}})
-	db.Put("b.com/", 1, NotBlocked, nil)
-	clock.Sleep(2 * time.Second)
-	db.Put("c.com/", 1, NotBlocked, nil)
-	if purged := db.Expire(); purged != 2 {
-		t.Fatalf("purged = %d, want 2", purged)
-	}
-	if db.Len() != 1 {
-		t.Fatalf("len = %d, want 1", db.Len())
-	}
-}
-
 func TestPendingGlobalAndMarkPosted(t *testing.T) {
 	db, _ := newDB(true)
 	db.Put("a.com/", 1, Blocked, []Stage{{Type: BlockDNS, Detail: "nxdomain"}})

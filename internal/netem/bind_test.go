@@ -152,7 +152,7 @@ func TestBind(t *testing.T) {
 				// passDeadline returns once ctx's deadline has passed: nothing
 				// moves an event clock but the test.
 				passDeadline := func(ctx context.Context) {
-					if clock.EventDriven() {
+					if ck.name == "event" {
 						clock.Advance(time.Minute)
 					}
 					<-ctx.Done()
@@ -257,7 +257,7 @@ func TestBind(t *testing.T) {
 					}
 				})
 
-				if clock.EventDriven() {
+				if ck.name == "event" {
 					bindEventRows(t, clock, open)
 				}
 			})

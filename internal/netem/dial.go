@@ -155,16 +155,6 @@ func (h *Host) dialErr(address string, err error) error {
 	return &OpError{Op: "dial", Addr: address, Err: ErrTimeout}
 }
 
-// DialTimeout dials with a virtual timeout.
-func (h *Host) DialTimeout(address string, timeout time.Duration) (net.Conn, error) {
-	ctx, cancel := h.net.clock.WithTimeout(context.Background(), timeout)
-	defer cancel()
-	return h.Dial(ctx, address)
-}
-
-// Dialer returns the host's DialFunc.
-func (h *Host) Dialer() DialFunc { return h.Dial }
-
 // Listener accepts emulated connections on a host port.
 type Listener struct {
 	host   *Host
@@ -202,15 +192,6 @@ func (h *Host) Listen(port int) (*Listener, error) {
 	}
 	h.listeners[port] = l
 	return l, nil
-}
-
-// MustListen is Listen that panics on error, for world construction code.
-func (h *Host) MustListen(port int) *Listener {
-	l, err := h.Listen(port)
-	if err != nil {
-		panic(err)
-	}
-	return l
 }
 
 // listener returns the active listener for port, or nil.

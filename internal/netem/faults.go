@@ -16,7 +16,6 @@ type FaultInjector struct {
 	verdict Verdict // what a fault looks like: Drop (timeout) or Reset
 	targets map[string]bool
 	next    int
-	killed  int
 }
 
 // NewFaultInjector wraps inner (nil = pass everything) with fault hooks.
@@ -59,13 +58,6 @@ func (fi *FaultInjector) FailNext(n int) {
 	fi.mu.Unlock()
 }
 
-// Killed reports how many connects the injector has faulted.
-func (fi *FaultInjector) Killed() int {
-	fi.mu.Lock()
-	defer fi.mu.Unlock()
-	return fi.killed
-}
-
 // FilterConnect implements Interceptor.
 func (fi *FaultInjector) FilterConnect(f Flow) Verdict {
 	fi.mu.Lock()
@@ -80,9 +72,6 @@ func (fi *FaultInjector) FilterConnect(f Flow) Verdict {
 		}
 	}
 	v := fi.verdict
-	if fire {
-		fi.killed++
-	}
 	fi.mu.Unlock()
 	if fire {
 		return v

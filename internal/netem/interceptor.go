@@ -179,16 +179,3 @@ func forward(dst net.Conn, src io.Reader) {
 	}
 	dst.Close()
 }
-
-// PassVerdicts is a convenience base for interceptors that never act at
-// connect time; embed it and override what you need.
-type PassVerdicts struct{}
-
-// FilterConnect always passes.
-func (PassVerdicts) FilterConnect(Flow) Verdict { return VerdictPass }
-
-// WantStream never requests stream inspection.
-func (PassVerdicts) WantStream(Flow) bool { return false }
-
-// HandleStream splices; it only runs if WantStream is overridden.
-func (PassVerdicts) HandleStream(_ Flow, s *Session) { s.Splice() }

@@ -268,9 +268,6 @@ func (h *Host) Loc() string { return h.loc }
 // Network returns the network the host belongs to.
 func (h *Host) Network() *Network { return h.net }
 
-// Multihomed reports whether the host egresses via more than one AS.
-func (h *Host) Multihomed() bool { return len(h.ases) > 1 }
-
 // ASes returns the host's providers.
 func (h *Host) ASes() []*AS { return append([]*AS(nil), h.ases...) }
 

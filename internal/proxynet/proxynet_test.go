@@ -28,7 +28,11 @@ func proxyWorldOn(t *testing.T, clock *vtime.Clock) (*netem.Network, *netem.Host
 	n.SetRTT("pk", "us", 186*time.Millisecond)
 	n.SetRTT("uk", "us", 80*time.Millisecond)
 
-	httpx.Serve(origin.MustListen(80), httpx.HandlerFunc(func(req *httpx.Request, _ netem.Flow) *httpx.Response {
+	l, err := origin.Listen(80)
+	if err != nil {
+		t.Fatal(err)
+	}
+	httpx.Serve(l, httpx.HandlerFunc(func(req *httpx.Request, _ netem.Flow) *httpx.Response {
 		return httpx.NewResponse(200, []byte("origin says hi"))
 	}))
 	srv, err := Serve(proxyHost, Port, IPLookup)
@@ -79,7 +83,11 @@ func TestTunnelByHostnameWithLookup(t *testing.T) {
 	client := n.MustAddHost("client", "10.0.0.1", "pk", as)
 	proxyHost := n.MustAddHost("proxy", "20.2.0.1", "de", as)
 	origin := n.MustAddHost("origin", "93.184.216.34", "us", as)
-	httpx.Serve(origin.MustListen(80), httpx.HandlerFunc(func(*httpx.Request, netem.Flow) *httpx.Response {
+	l, err := origin.Listen(80)
+	if err != nil {
+		t.Fatal(err)
+	}
+	httpx.Serve(l, httpx.HandlerFunc(func(*httpx.Request, netem.Flow) *httpx.Response {
 		return httpx.NewResponse(200, []byte("by name"))
 	}))
 	lookup := func(_ context.Context, host string) (string, error) {

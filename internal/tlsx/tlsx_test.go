@@ -438,7 +438,10 @@ func netemPairs(t testing.TB, n int) (clients, servers []net.Conn) {
 	nw := netem.New(vtime.NewEventDriven())
 	as := nw.AddAS(64500, "tlsx-test", "xx")
 	a := nw.MustAddHost("a", "10.0.0.1", "xx", as)
-	l := nw.MustAddHost("b", "10.0.0.2", "xx", as).MustListen(Port)
+	l, err := nw.MustAddHost("b", "10.0.0.2", "xx", as).Listen(Port)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for range n {
 		c, err := a.Dial(context.Background(), "10.0.0.2:443")
 		if err != nil {

@@ -309,6 +309,3 @@ func (c *Client) DialVia(ctx context.Context, circ *Circuit, address string) (ne
 	}
 	return conn, nil
 }
-
-// Dialer returns the client's DialFunc.
-func (c *Client) Dialer() netem.DialFunc { return c.Dial }

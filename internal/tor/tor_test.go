@@ -23,7 +23,11 @@ func torWorld(t *testing.T) (*netem.Network, *netem.Host, *Directory) {
 
 	client := n.MustAddHost("client", "10.0.0.1", "pk", pk)
 	origin := n.MustAddHost("origin", "93.184.216.34", "us", world)
-	httpx.Serve(origin.MustListen(80), httpx.HandlerFunc(func(req *httpx.Request, _ netem.Flow) *httpx.Response {
+	l, err := origin.Listen(80)
+	if err != nil {
+		t.Fatal(err)
+	}
+	httpx.Serve(l, httpx.HandlerFunc(func(req *httpx.Request, _ netem.Flow) *httpx.Response {
 		return httpx.NewResponse(200, []byte("via exit: "+req.Target))
 	}))
 
@@ -150,8 +154,7 @@ func TestGuardFailureRebuildsCircuit(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Blacklist the guard's IP (censor blocks known entries).
-	cen := blacklist{ips: map[string]bool{circ.Guard.Host.IP(): true}}
-	n.AS(1).SetInterceptor(cen)
+	n.AS(1).SetInterceptor(blacklist(circ.Guard.Host.IP()))
 
 	ctx, cancel := n.Clock().WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
@@ -175,27 +178,23 @@ func TestGuardFailureRebuildsCircuit(t *testing.T) {
 	}
 }
 
-// blacklist drops SYNs to the listed IPs.
-type blacklist struct {
-	netem.PassVerdicts
-	ips map[string]bool
-}
-
-func (b blacklist) FilterConnect(f netem.Flow) netem.Verdict {
-	if b.ips[f.Dst.IP] {
-		return netem.VerdictReset
-	}
-	return netem.VerdictPass
+// blacklist resets every connect to the listed IPs.
+func blacklist(ips ...string) *netem.FaultInjector {
+	fi := netem.NewFaultInjector(nil)
+	fi.SetVerdict(netem.VerdictReset)
+	fi.Target(ips...)
+	fi.SetDown(true)
+	return fi
 }
 
 func TestBridgesWhenGuardsBlocked(t *testing.T) {
 	n, client, dir := torWorld(t)
 	// Censor blacklists every public relay IP.
-	ips := map[string]bool{}
+	var ips []string
 	for _, r := range dir.PublicRelays() {
-		ips[r.Host.IP()] = true
+		ips = append(ips, r.Host.IP())
 	}
-	n.AS(1).SetInterceptor(blacklist{ips: ips})
+	n.AS(1).SetInterceptor(blacklist(ips...))
 
 	// A bridge outside the public list still works as entry.
 	bh := n.MustAddHost("bridge", "20.0.0.99", "nl", n.AS(2))

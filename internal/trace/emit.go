@@ -197,7 +197,6 @@ func hexDigit(b byte) byte {
 type StreamSink struct {
 	mu sync.Mutex
 	w  io.Writer
-	n  int
 }
 
 // NewStreamSink builds a streaming sink.
@@ -207,15 +206,7 @@ func NewStreamSink(w io.Writer) *StreamSink { return &StreamSink{w: w} }
 func (s *StreamSink) Span(line []byte, _ *Record) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.n++
 	_, _ = s.w.Write(line)
-}
-
-// Count returns how many spans were written.
-func (s *StreamSink) Count() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.n
 }
 
 // SortedSink buffers encoded lines and writes them sorted by (client, seq)
@@ -242,13 +233,6 @@ func (s *SortedSink) Span(line []byte, rec *Record) {
 	s.mu.Lock()
 	s.lines = append(s.lines, sortedLine{client: rec.Client, seq: rec.Seq, line: cp})
 	s.mu.Unlock()
-}
-
-// Count returns how many spans are buffered.
-func (s *SortedSink) Count() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.lines)
 }
 
 // Flush sorts and writes every buffered line.
@@ -283,11 +267,4 @@ func (s *CollectSink) Span(_ []byte, rec *Record) {
 	s.mu.Lock()
 	s.recs = append(s.recs, c)
 	s.mu.Unlock()
-}
-
-// Records returns the collected records.
-func (s *CollectSink) Records() []*Record {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]*Record(nil), s.recs...)
 }

@@ -157,11 +157,11 @@ func New(clock *vtime.Clock, sink Sink, opts ...Option) *Tracer {
 
 // Sampled reports whether the deterministic hash-of-URL sampler traces url
 // at rate 1-in-n.
-func Sampled(url string, n int) bool {
+func Sampled(url string, n uint64) bool {
 	if n <= 1 {
 		return true
 	}
-	return fnv64a(url)%uint64(n) == 0
+	return fnv64a(url)%n == 0
 }
 
 // fnv64a is the 64-bit FNV-1a hash.
@@ -190,7 +190,7 @@ func (t *Tracer) Start(client string, seq uint64, url string) *Span {
 		return nil
 	}
 	t.started.Add(1)
-	if t.sampleN > 1 && fnv64a(url)%t.sampleN != 0 {
+	if !Sampled(url, t.sampleN) {
 		return nil
 	}
 	t.sampled.Add(1)
@@ -343,14 +343,6 @@ func (l *Lane) Name() string {
 	return l.name
 }
 
-// Span returns the owning span (nil-safe).
-func (l *Lane) Span() *Span {
-	if l == nil {
-		return nil
-	}
-	return l.span
-}
-
 // Event records a lane event.
 func (l *Lane) Event(layer, name, detail string) {
 	if l == nil || l.span == nil {
@@ -360,18 +352,6 @@ func (l *Lane) Event(layer, name, detail string) {
 	t := s.tr.clock.Since(s.start)
 	s.mu.Lock()
 	l.events = append(l.events, Event{T: t, Layer: layer, Name: name, Detail: detail})
-	s.mu.Unlock()
-}
-
-// EventNum is Event with a numeric payload.
-func (l *Lane) EventNum(layer, name, detail string, num float64) {
-	if l == nil || l.span == nil {
-		return
-	}
-	s := l.span
-	t := s.tr.clock.Since(s.start)
-	s.mu.Lock()
-	l.events = append(l.events, Event{T: t, Layer: layer, Name: name, Detail: detail, Num: num, HasNum: true})
 	s.mu.Unlock()
 }
 

@@ -195,7 +195,7 @@ func TestPhasePartitionSumsToPLT(t *testing.T) {
 		l.Close()
 		sp.Finish(serving, "clean", nil)
 	}
-	recs := sink.Records()
+	recs := sink.recs
 	if len(recs) != 40 {
 		t.Fatalf("recorded %d spans, want 40", len(recs))
 	}
@@ -273,7 +273,7 @@ func TestPhasePartitionWithFailoverLadder(t *testing.T) {
 	serve.Close()
 	sp.Finish("tor", "circumvented", nil)
 
-	recs := sink.Records()
+	recs := sink.recs
 	if len(recs) != 1 {
 		t.Fatalf("recorded %d spans, want 1", len(recs))
 	}
@@ -321,25 +321,26 @@ func TestEmissionWaitsForLanesAndHolds(t *testing.T) {
 	sink := NewStreamSink(&buf)
 	tr := New(frozenClock(), sink)
 
+	emitted := func() int { return strings.Count(buf.String(), "\n") }
 	sp := tr.Start("c", 1, "a.example/")
 	bg := sp.Lane("direct") // background measurement outliving the fetch
 	sp.Hold()               // the redundant-copy goroutine
 	sp.Finish("global", "blocked", nil)
-	if sink.Count() != 0 {
+	if emitted() != 0 {
 		t.Fatal("span emitted while a lane and a hold were still open")
 	}
 	bg.Close()
-	if sink.Count() != 0 {
+	if emitted() != 0 {
 		t.Fatal("span emitted while a hold was still open")
 	}
 	late := sp.Lane("tor") // the copy goroutine opens its lane after Finish
 	sp.Release()
-	if sink.Count() != 0 {
+	if emitted() != 0 {
 		t.Fatal("span emitted while the late lane was open")
 	}
 	late.Close()
-	if sink.Count() != 1 {
-		t.Fatalf("span not emitted after last lane closed (count %d)", sink.Count())
+	if emitted() != 1 {
+		t.Fatalf("span not emitted after last lane closed (count %d)", emitted())
 	}
 	if got := buf.String(); !strings.Contains(got, `"lane":"tor"`) {
 		t.Errorf("late lane missing from record: %s", got)
@@ -349,8 +350,8 @@ func TestEmissionWaitsForLanesAndHolds(t *testing.T) {
 	sp2 := tr.Start("c", 2, "a.example/")
 	sp2.Finish("direct", "clean", nil)
 	sp2.Finish("direct", "clean", nil)
-	if sink.Count() != 2 {
-		t.Errorf("idempotence broken: %d spans emitted, want 2", sink.Count())
+	if emitted() != 2 {
+		t.Errorf("idempotence broken: %d spans emitted, want 2", emitted())
 	}
 }
 
@@ -367,7 +368,7 @@ func TestPoolReuseKeepsRecordsClean(t *testing.T) {
 		l.Close()
 		sp.Finish("direct", "clean", nil)
 	}
-	recs := sink.Records()
+	recs := sink.recs
 	if len(recs) != 200 {
 		t.Fatalf("recorded %d spans", len(recs))
 	}
@@ -418,7 +419,7 @@ func TestConcurrentSpans(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if got := len(sink.Records()); got != workers*perWorker {
+	if got := len(sink.recs); got != workers*perWorker {
 		t.Errorf("recorded %d spans, want %d", got, workers*perWorker)
 	}
 	if started, sampled := tr.Stats(); started != workers*perWorker || sampled != started {
@@ -439,8 +440,8 @@ func TestSortedSinkCanonicalOrder(t *testing.T) {
 	emit("a", 2)
 	emit("b", 1)
 	emit("a", 1)
-	if sink.Count() != 4 {
-		t.Fatalf("buffered %d", sink.Count())
+	if len(sink.lines) != 4 {
+		t.Fatalf("buffered %d", len(sink.lines))
 	}
 	if err := sink.Flush(); err != nil {
 		t.Fatal(err)
@@ -449,7 +450,7 @@ func TestSortedSinkCanonicalOrder(t *testing.T) {
 	if buf.String() != want {
 		t.Errorf("sorted output %q, want %q", buf.String(), want)
 	}
-	if sink.Count() != 0 {
+	if len(sink.lines) != 0 {
 		t.Error("Flush did not drain the buffer")
 	}
 }

@@ -65,13 +65,6 @@ func (s *Scheduler) Offset() time.Duration {
 	return s.now
 }
 
-// Pending returns the number of armed timer events.
-func (s *Scheduler) Pending() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.heap)
-}
-
 // schedule arms fn to fire when virtual time crosses now+delay (delay
 // floors at zero) and returns the event for stop.
 func (s *Scheduler) schedule(delay time.Duration, fn func(at time.Duration)) *schedEvent {
@@ -158,19 +151,6 @@ func (s *Scheduler) advanceToLocked(target time.Duration) {
 	if target > s.now {
 		s.now = target
 	}
-}
-
-// jumpNext advances to the earliest pending event (firing it and anything
-// re-armed at the same offset), reporting whether there was one.
-func (s *Scheduler) jumpNext() bool {
-	s.mu.Lock()
-	if len(s.heap) == 0 {
-		s.mu.Unlock()
-		return false
-	}
-	s.advanceToLocked(s.heap[0].at)
-	s.mu.Unlock()
-	return true
 }
 
 // --- min-heap by (at, seq), with index tracking for eager removal ---

@@ -13,9 +13,6 @@ import (
 
 func TestEventSleepAdvancesExactly(t *testing.T) {
 	c := NewEventDriven()
-	if !c.EventDriven() {
-		t.Fatal("NewEventDriven().EventDriven() = false")
-	}
 	start := c.Now()
 	c.Sleep(90 * time.Minute)
 	if got := c.Since(start); got != 90*time.Minute {
@@ -30,9 +27,6 @@ func TestEventSleepAdvancesExactly(t *testing.T) {
 
 func TestEventScaleAndRealAreZero(t *testing.T) {
 	c := NewEventDriven()
-	if s := c.Scale(); s != 0 {
-		t.Fatalf("Scale() = %v, want 0 in event mode", s)
-	}
 	if r := c.Real(time.Hour); r != 0 {
 		t.Fatalf("Real(1h) = %v, want 0 in event mode", r)
 	}
@@ -351,9 +345,9 @@ func TestPark(t *testing.T) {
 				}
 				got := c.Since(start)
 				switch {
-				case c.EventDriven() && got != tc.advance:
+				case c.sched != nil && got != tc.advance:
 					t.Fatalf("Park moved event time %v, want %v", got, tc.advance)
-				case !c.EventDriven() && got < tc.advance:
+				case c.sched == nil && got < tc.advance:
 					t.Fatalf("Park returned after %v of scaled time, before the %v deadline", got, tc.advance)
 				}
 			})
@@ -379,4 +373,29 @@ func TestEventParkNearestArmedDeadline(t *testing.T) {
 	if got := c.Since(start); got != 2*time.Second {
 		t.Fatalf("Park advanced %v, want the nearest armed deadline, 2s", got)
 	}
+}
+
+// PendingTimers returns the number of armed timer events in discrete-event
+// mode (0 in real-scaled mode) — a leak gauge.
+func (c *Clock) PendingTimers() int {
+	if c.sched == nil {
+		return 0
+	}
+	c.sched.mu.Lock()
+	defer c.sched.mu.Unlock()
+	return len(c.sched.heap)
+}
+
+// JumpNext advances a discrete-event clock to its earliest pending timer,
+// firing it and anything re-armed at the same offset, and reports whether
+// there was one.
+func (c *Clock) JumpNext() bool {
+	s := c.sched
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.heap) == 0 {
+		return false
+	}
+	s.advanceToLocked(s.heap[0].at)
+	return true
 }

@@ -91,13 +91,6 @@ func NewAt(epoch time.Time, scale float64) *Clock {
 	return &Clock{scale: scale, epoch: epoch, base: time.Now()}
 }
 
-// Wall returns a Clock that tracks the wall clock (scale 1) with the real
-// epoch, for deployments outside the simulator.
-func Wall() *Clock {
-	now := time.Now()
-	return &Clock{scale: 1, epoch: now, base: now}
-}
-
 // NewEventDriven returns a discrete-event Clock starting at DefaultEpoch:
 // virtual time stands still until a Sleep or Advance moves it, and timers
 // fire as the motion crosses them (see Scheduler).
@@ -107,32 +100,6 @@ func NewEventDriven() *Clock { return NewEventDrivenAt(DefaultEpoch) }
 func NewEventDrivenAt(epoch time.Time) *Clock {
 	return &Clock{epoch: epoch, sched: &Scheduler{}}
 }
-
-// EventDriven reports whether the clock is in discrete-event mode.
-func (c *Clock) EventDriven() bool { return c.sched != nil }
-
-// PendingTimers returns the number of armed timer events in discrete-event
-// mode (0 in real-scaled mode) — a leak gauge for tests.
-func (c *Clock) PendingTimers() int {
-	if c.sched == nil {
-		return 0
-	}
-	return c.sched.Pending()
-}
-
-// JumpNext advances a discrete-event clock to its earliest pending timer,
-// firing it, and reports whether there was one. Real-scaled clocks report
-// false.
-func (c *Clock) JumpNext() bool {
-	if c.sched == nil {
-		return false
-	}
-	return c.sched.jumpNext()
-}
-
-// Scale reports the clock's virtual-seconds-per-real-second factor, or 0
-// in discrete-event mode (virtual time is not proportional to real time).
-func (c *Clock) Scale() float64 { return c.scale }
 
 // Advance jumps the virtual clock forward by d without sleeping.
 //

@@ -131,16 +131,6 @@ func TestTicker(t *testing.T) {
 	tk.Stop() // double stop must be safe
 }
 
-func TestWallClock(t *testing.T) {
-	c := Wall()
-	if c.Scale() != 1 {
-		t.Fatalf("Wall scale = %v, want 1", c.Scale())
-	}
-	if d := c.Real(time.Second); d != time.Second {
-		t.Fatalf("Wall Real(1s) = %v", d)
-	}
-}
-
 func TestAdvanceJumpsVirtualTime(t *testing.T) {
 	c := New(100)
 	before := c.Now()

@@ -3,7 +3,6 @@ package web
 import (
 	"context"
 	"fmt"
-	"strings"
 	"sync"
 	"time"
 
@@ -131,11 +130,4 @@ func (b *Browser) Load(ctx context.Context, host, path string) (res PageResult) 
 	}
 	wg.Wait()
 	return res
-}
-
-// LooksLikeHTML reports whether a body is an HTML document (used to decide
-// whether sub-resources should be parsed).
-func LooksLikeHTML(body []byte) bool {
-	head := strings.ToLower(string(body[:min(len(body), 256)]))
-	return strings.Contains(head, "<html") || strings.Contains(head, "<!doctype html")
 }

@@ -40,19 +40,6 @@ type Page struct {
 	site *Site // the site serving the page; nil for a page built by hand
 }
 
-// TotalSize returns base size plus all object sizes, the "page size" the
-// paper quotes (e.g. the ~360 KB YouTube home page).
-func (p *Page) TotalSize() int {
-	t := p.BaseSize
-	for _, o := range p.Objects {
-		t += o.Size
-	}
-	for _, o := range p.External {
-		t += o.Size
-	}
-	return t
-}
-
 // Site is a host and its pages.
 type Site struct {
 	Host    string
@@ -145,13 +132,6 @@ func (p *Page) AddExternal(host, path string, size int) *Page {
 		s.setObject(path, size)
 	}
 	return p
-}
-
-// Page returns the page at path, or nil.
-func (s *Site) Page(path string) *Page {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.pages[path]
 }
 
 // Paths returns all page paths, sorted.

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"net"
-	"strings"
 	"time"
 
 	"csaw/internal/httpx"
@@ -155,15 +154,4 @@ func (t *Transport) connectAddr(ctx context.Context, host string, lookup func(co
 		return "", err
 	}
 	return netem.Addr{IP: ip, Port: port}.String(), nil
-}
-
-// StaticLookup returns a Lookup that serves from a fixed map (tests and
-// pre-resolved flows).
-func StaticLookup(m map[string]string) func(context.Context, string) (string, error) {
-	return func(_ context.Context, host string) (string, error) {
-		if ip, ok := m[strings.ToLower(host)]; ok {
-			return ip, nil
-		}
-		return "", fmt.Errorf("web: no address for %q", host)
-	}
 }

@@ -70,15 +70,6 @@ func TestParseLink(t *testing.T) {
 	}
 }
 
-func TestPageTotalSize(t *testing.T) {
-	s := NewSite("x.example")
-	p := s.AddPage("/", "X", 1000, 200, 300)
-	p.AddExternal("cdn.example", "/o.bin", 500)
-	if got := p.TotalSize(); got != 2000 {
-		t.Fatalf("TotalSize = %d, want 2000", got)
-	}
-}
-
 func TestObjectBodyDeterministic(t *testing.T) {
 	a, b := ObjectBody(100), ObjectBody(100)
 	if string(a) != string(b) || len(a) != 100 {
@@ -204,7 +195,10 @@ func TestBrowserFollowsRedirect(t *testing.T) {
 	n, client, _ := webWorld(t)
 	us := n.AS(2)
 	rh := n.MustAddHost("redirector", "198.51.100.8", "us", us)
-	l := rh.MustListen(80)
+	l, err := rh.Listen(80)
+	if err != nil {
+		t.Fatal(err)
+	}
 	httpx.Serve(l, httpx.HandlerFunc(func(req *httpx.Request, _ netem.Flow) *httpx.Response {
 		resp := httpx.NewResponse(302, nil)
 		resp.Header.Set("Location", "http://small.example.com/")
@@ -229,7 +223,11 @@ func TestBrowserRedirectLoopBounded(t *testing.T) {
 	n, client, _ := webWorld(t)
 	us := n.AS(2)
 	rh := n.MustAddHost("loop", "198.51.100.9", "us", us)
-	httpx.Serve(rh.MustListen(80), httpx.HandlerFunc(func(*httpx.Request, netem.Flow) *httpx.Response {
+	l, err := rh.Listen(80)
+	if err != nil {
+		t.Fatal(err)
+	}
+	httpx.Serve(l, httpx.HandlerFunc(func(*httpx.Request, netem.Flow) *httpx.Response {
 		resp := httpx.NewResponse(302, nil)
 		resp.Header.Set("Location", "http://loop.example.com/")
 		return resp
@@ -283,15 +281,6 @@ func TestOriginUnknownHost404(t *testing.T) {
 	}
 	if resp.StatusCode != 404 {
 		t.Fatalf("status = %d", resp.StatusCode)
-	}
-}
-
-func TestLooksLikeHTML(t *testing.T) {
-	if !LooksLikeHTML([]byte("<!DOCTYPE html><html>...")) {
-		t.Error("doctype not detected")
-	}
-	if LooksLikeHTML(ObjectBody(100)) {
-		t.Error("binary detected as HTML")
 	}
 }
 
@@ -389,7 +378,7 @@ func get(o *Origin, host, path string) *httpx.Response {
 func TestOriginRendersOnce(t *testing.T) {
 	_, _, o := webWorld(t)
 	yt := o.site("www.youtube.com")
-	p := yt.Page("/")
+	p := yt.pages["/"]
 
 	first := get(o, "www.youtube.com", "/")
 	if first.StatusCode != 200 || first.Header.Get("Content-Type") != "text/html" || !bytes.Equal(first.Body, RenderHTML(p)) {
@@ -443,7 +432,7 @@ func TestOriginRendersOnce(t *testing.T) {
 // that keeps growing always get a whole rendering of some state of it.
 func TestConcurrentRequestsAndAddExternal(t *testing.T) {
 	_, _, o := webWorld(t)
-	p := o.site("small.example.com").Page("/")
+	p := o.site("small.example.com").pages["/"]
 	const adds = 50
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -475,5 +464,16 @@ func TestConcurrentRequestsAndAddExternal(t *testing.T) {
 	wg.Wait()
 	if body := get(o, "small.example.com", "/").Body; !bytes.Equal(body, RenderHTML(p)) {
 		t.Error("final page is not RenderHTML of the final state")
+	}
+}
+
+// StaticLookup returns a Lookup that serves from a fixed map (tests and
+// pre-resolved flows).
+func StaticLookup(m map[string]string) func(context.Context, string) (string, error) {
+	return func(_ context.Context, host string) (string, error) {
+		if ip, ok := m[strings.ToLower(host)]; ok {
+			return ip, nil
+		}
+		return "", fmt.Errorf("web: no address for %q", host)
 	}
 }

@@ -50,7 +50,7 @@ func TestCaseStudyMatchesTable1(t *testing.T) {
 	}
 	// ISP-A: YouTube HTTP-blocked with a redirect to a block page.
 	outA := det(ispA, "t1-a").Measure(context.Background(), YouTubeHost+"/", detect.HTTP)
-	if !outA.Blocked() || outA.PrimaryType() != localdb.BlockHTTP {
+	if !outA.Blocked() || outA.Stages[0].Type != localdb.BlockHTTP {
 		t.Fatalf("ISP-A youtube: %s", outA.StageSummary())
 	}
 	// ISP-B: multi-stage — HTTP failure plus DNS redirect evidence.
@@ -169,11 +169,11 @@ func TestMultihomedClientHost(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := w.NewClientHost("mh", ispA, ispB)
-	if !h.Multihomed() {
+	if len(h.ASes()) < 2 {
 		t.Fatal("host not multihomed")
 	}
 	single := w.NewClientHost("sh", ispA)
-	if single.Multihomed() {
+	if len(single.ASes()) != 1 {
 		t.Fatal("single-homed host claims multihoming")
 	}
 }
